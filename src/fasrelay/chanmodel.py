@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .numerics import bessel_j0, gamma_lower_cdf, jacobi_eigh
+from scipy import special
 
 DEFAULT_RANK_TOLERANCE = 1e-9
 
@@ -69,13 +68,9 @@ def jakes_matrix(n_ports: int, aperture: float) -> np.ndarray:
         raise ValueError("aperture must be positive")
     if n_ports == 1:
         return np.array([[1.0]])
-    j = np.empty((n_ports, n_ports))
-    for delta in range(n_ports):
-        val = bessel_j0(2.0 * math.pi * aperture * delta / (n_ports - 1))
-        for row in range(n_ports - delta):
-            j[row, row + delta] = val
-            j[row + delta, row] = val
-    return j
+    idx = np.arange(n_ports)
+    delta = np.abs(idx[:, None] - idx[None, :])
+    return special.j0(2.0 * math.pi * aperture * delta / (n_ports - 1))
 
 
 def eigen_spectrum(j: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
@@ -89,13 +84,13 @@ def eigen_spectrum(j: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE
     n = j.shape[0]
     if j.shape != (n, n):
         raise ValueError("correlation matrix must be square")
+    if not np.allclose(j, j.T, atol=1e-12):
+        raise ValueError("correlation matrix must be symmetric")
     if np.any(np.abs(np.diagonal(j) - 1.0) > 1e-12):
         raise ValueError("correlation matrix must have unit diagonal")
     if rank_tolerance <= 0 or rank_tolerance >= 1:
         raise ValueError("rank_tolerance must lie in (0, 1)")
-    values, _ = jacobi_eigh(j)
-    values = np.clip(values, 0.0, None)
-    values = np.sort(values)[::-1]
+    values = np.clip(np.linalg.eigvalsh(j), 0.0, None)[::-1]
     n_eff = int(np.count_nonzero(values > rank_tolerance * values[0]))
     n_eff = max(n_eff, 1)
     return FasSpectrum(n_ports=n, aperture=float(aperture),
@@ -111,13 +106,20 @@ def fas_spectrum(n_ports: int, aperture: float,
                           aperture=aperture)
 
 
+def _gamma_cdf(z, m: int) -> float:
+    """Regularized lower gamma P(m, z) for an integer shape m >= 1."""
+    if m < 1 or int(m) != m:
+        raise ValueError(f"shape m must be a positive integer, got {m}")
+    return float(special.gammainc(m, z))
+
+
 def cdf_hop1(x: float, vartheta: float, m1: int) -> float:
     """First-hop SNR CDF: regularized lower gamma P(m1, x * vartheta)."""
     if x < 0:
         raise ValueError("SNR argument must be nonnegative")
     if vartheta <= 0:
         raise ValueError("vartheta must be positive")
-    return gamma_lower_cdf(x * vartheta, m1)
+    return _gamma_cdf(x * vartheta, m1)
 
 
 def cdf_hop2(x: float, vartheta2: float, m2: int, lambdas) -> float:
@@ -133,7 +135,7 @@ def cdf_hop2(x: float, vartheta2: float, m2: int, lambdas) -> float:
         raise ValueError("lambdas must be positive")
     prod = 1.0
     for lam in lams:
-        prod *= gamma_lower_cdf(x * vartheta2 / lam, m2)
+        prod *= _gamma_cdf(x * vartheta2 / lam, m2)
         if prod == 0.0:
             return 0.0
     return prod

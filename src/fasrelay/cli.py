@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .blercore import (CHI_VARIANTS, TrajectoryEvaluator, error_floor,
-                       linearize)
+from .blercore import (CHI_VARIANTS, TrajectoryEvaluator,
+                       avg_bler_hop2_asymptotic, error_floor, linearize)
 from .chanmodel import fas_spectrum
 from .errors import ConfigError
 from .geometry import ScenarioConfig
@@ -393,13 +393,11 @@ def _analytic_point(spec: ExperimentSpec, scn: ScenarioConfig, n_ports: int,
     e2_los, e2_nlos = ev.hop2_components(p2)
     eps2 = ev.geo.p_los2 * e2_los + (1.0 - ev.geo.p_los2) * e2_nlos
     e2e = 1.0 - (1.0 - ev.eps1_mixed) * (1.0 - eps2)
-    from .blercore import avg_bler_hop2_asymptotic
     asym = {}
     for lt in ("los", "nlos"):
         m = scn.nakagami_m(lt)
         vt2 = m * scn.noise_power / (p2 * ev.geo.beta2[lt])
-        asym[lt] = np.array([avg_bler_hop2_asymptotic(fbl, v, m, fas.lambdas)
-                             for v in vt2])
+        asym[lt] = avg_bler_hop2_asymptotic(fbl, vt2, m, fas.lambdas)
     eps2_asym = np.minimum(
         ev.geo.p_los2 * asym["los"] + (1.0 - ev.geo.p_los2) * asym["nlos"], 1.0)
     e2e_asym = 1.0 - (1.0 - ev.eps1_mixed) * (1.0 - eps2_asym)

@@ -17,14 +17,6 @@ class MonotonicityError(FasRelayError, RuntimeError):
     """Raised when the BLER-vs-power precheck finds a non-monotone profile."""
 
 
-class EigenConvergenceError(FasRelayError, RuntimeError):
-    """Raised when the Jacobi eigensolver fails to converge."""
-
-
-class QuadratureError(FasRelayError, RuntimeError):
-    """Raised when adaptive quadrature cannot reach the requested tolerance."""
-
-
 class ConfigError(FasRelayError, ValueError):
     """Config-file parse or validation failure, annotated with a line number."""
 

@@ -22,14 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .blercore import FblParams
+from .blercore import FblParams, instantaneous_bler
 from .chanmodel import FasSpectrum, jakes_matrix
 from .geometry import ScenarioConfig, trajectory_geometry
-from .numerics import jacobi_eigh
-
-_LOG2E = math.log2(math.e)
 
 MC_MODES = ("model", "physical")
 
@@ -113,7 +109,7 @@ def sample_fas_gain_physical(m2: int, j: np.ndarray, rng: np.random.Generator,
         raise ValueError("m2 must be a positive integer")
     j = np.asarray(j, dtype=float)
     n_ports = j.shape[0]
-    w, v = jacobi_eigh(j)
+    w, v = np.linalg.eigh(j)
     color = v * np.sqrt(np.clip(w, 0.0, None))
     n = size if size is not None else 1
     power = np.zeros((n, n_ports))
@@ -125,16 +121,6 @@ def sample_fas_gain_physical(m2: int, j: np.ndarray, rng: np.random.Generator,
     power /= m2
     best = power.max(axis=1)
     return best if size is not None else float(best[0])
-
-
-def _instantaneous_bler_vec(gamma: np.ndarray, rate: float, blocklength: int) -> np.ndarray:
-    cap = np.log2(1.0 + gamma)
-    disp = (1.0 - 1.0 / (1.0 + gamma) ** 2) * _LOG2E * _LOG2E
-    out = np.ones_like(gamma)
-    ok = gamma > 0.0
-    arg = (cap[ok] - rate) / np.sqrt(disp[ok] / blocklength)
-    out[ok] = 0.5 * special.erfc(arg / math.sqrt(2.0))
-    return out
 
 
 def simulate_batch(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
@@ -174,8 +160,8 @@ def simulate_batch(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
     beta2 = np.where(los2, geo.beta2["los"], geo.beta2["nlos"])
     gamma1 = cfg.p1 * beta1 / cfg.noise_power * g1
     gamma2 = p2 * beta2 / cfg.noise_power * g2
-    eps1 = _instantaneous_bler_vec(gamma1, fbl.rate, fbl.blocklength)
-    eps2 = _instantaneous_bler_vec(gamma2, fbl.rate, fbl.blocklength)
+    eps1 = instantaneous_bler(gamma1, fbl.rate, fbl.blocklength)
+    eps2 = instantaneous_bler(gamma2, fbl.rate, fbl.blocklength)
     eps_t = 1.0 - (1.0 - eps1) * (1.0 - eps2)
     return float(eps_t.sum()), float((eps_t * eps_t).sum()), n
 

@@ -1,15 +1,17 @@
 import math
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from fasrelay import (ScenarioConfig, chebyshev_nodes, linearize,
                       sample_fas_gain_model, sample_hop1_gain)
 from fasrelay.geometry import trajectory_geometry
-from fasrelay.numerics import gamma_lower_cdf
 
 _LOG2E = math.log2(math.e)
+_EPS = 2.2e-16
 
 
 @pytest.fixture
@@ -24,10 +26,29 @@ def fbl100():
     return linearize(0.8, 100)
 
 
+def gamma_lower_cdf(z, m):
+    """Regularized lower incomplete gamma P(m, z)."""
+    return float(special.gammainc(m, z))
+
+
+def _saturation(m):
+    # argument beyond which P(m, z) is 1 to double precision
+    return 40.0 + 5.0 * m
+
+
+def _breakpoints(params, vartheta, m, lambdas):
+    """Knees m * lambda_n / vartheta of the branch CDFs and the point past
+    which every branch is saturated, inside the ramp."""
+    pts = [m * lam / vartheta for lam in lambdas]
+    pts.append(_saturation(m) * max(lambdas) / vartheta)
+    return sorted(p for p in pts if params.rho_l < p < params.rho_h) or None
+
+
 def quad_hop1(params, vartheta, m):
     """Independent quadrature oracle for the hop-1 average BLER."""
     val, _ = integrate.quad(lambda x: gamma_lower_cdf(x * vartheta, m),
                             params.rho_l, params.rho_h,
+                            points=_breakpoints(params, vartheta, m, (1.0,)),
                             epsabs=1e-300, epsrel=1e-12, limit=300)
     return params.chi * val
 
@@ -41,8 +62,130 @@ def quad_hop2(params, vartheta, m, lambdas):
         return prod
 
     val, _ = integrate.quad(integrand, params.rho_l, params.rho_h,
+                            points=_breakpoints(params, vartheta, m, lambdas),
                             epsabs=1e-300, epsrel=1e-11, limit=300)
     return params.chi * val
+
+
+# ---------------------------------------------------------------------------
+# The paper's closed form for the hop-2 average: prod_n (1 - S_n(x)) expands
+# over branch subsets; each subset contributes e^{-b_S x} times a polynomial
+# whose coefficients are the convolution of the per-branch survival
+# polynomials, and G(x; a, b) is the antiderivative of x^a e^{-b x}. The
+# alternating sum cancels when every branch CDF is tiny, so it is evaluated
+# in doubles only where the predicted rounding loss allows, and in mpmath
+# elsewhere.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=512)
+def _subset_table(m, lambdas):
+    """(sign, sum of reciprocal eigenvalues, scale-free coefficients) per
+    non-empty branch subset; actual coefficients are c_a = vartheta^a * c~_a."""
+    table = []
+    for mask in range(1, 1 << len(lambdas)):
+        coeffs = np.array([1.0])
+        inv_sum = 0.0
+        for idx, lam in enumerate(lambdas):
+            if mask >> idx & 1:
+                inv_sum += 1.0 / lam
+                branch = np.array([(1.0 / lam) ** j / math.factorial(j) for j in range(m)])
+                coeffs = np.convolve(coeffs, branch)
+        sign = -1.0 if bin(mask).count("1") % 2 else 1.0
+        table.append((sign, inv_sum, tuple(coeffs)))
+    return tuple(table)
+
+
+def _g_anti(x, a, b):
+    """Antiderivative of t^a e^{-b t} at t = x in doubles; the zero limit
+    when the exponential underflows."""
+    u = b * x
+    if u > 745.0:
+        return 0.0
+    if x == 0.0:
+        ln = math.lgamma(a + 1) - (a + 1) * math.log(b)
+        return -math.exp(ln) if ln < 709.0 else -math.inf
+    # terms (a!/j!) x^j / b^{a-j+1}, j = a down to 0
+    terms = [x ** a / b]
+    for j in range(a, 0, -1):
+        terms.append(terms[-1] * j / (x * b))
+    return -math.exp(-u) * math.fsum(sorted(terms))
+
+
+def _subset_double(params, vartheta, m, lambdas):
+    acc = params.width
+    for sign, inv_sum, coeffs in _subset_table(m, lambdas):
+        b = vartheta * inv_sum
+        s = 0.0
+        for a, c in enumerate(coeffs):
+            if c:
+                s += c * vartheta ** a * (_g_anti(params.rho_h, a, b)
+                                          - _g_anti(params.rho_l, a, b))
+        acc += sign * s
+    return params.chi * acc
+
+
+def _subset_mp(params, vartheta, m, lambdas, dps):
+    with mp.workdps(dps):
+        rho_l, rho_h = mp.mpf(params.rho_l), mp.mpf(params.rho_h)
+        vt = mp.mpf(vartheta)
+        lams = [mp.mpf(l) for l in lambdas]
+
+        def g_anti(x, a, b):
+            if x == 0:
+                return -mp.factorial(a) / b ** (a + 1)
+            t = x ** a / b
+            s = t
+            for j in range(a, 0, -1):
+                t = t * j / (x * b)
+                s += t
+            return -mp.e ** (-b * x) * s
+
+        acc = rho_h - rho_l
+        for mask in range(1, 1 << len(lams)):
+            coeffs = [mp.mpf(1)]
+            b = mp.mpf(0)
+            for idx, lam in enumerate(lams):
+                if mask >> idx & 1:
+                    c = vt / lam
+                    b += c
+                    branch = [c ** j / mp.factorial(j) for j in range(m)]
+                    new = [mp.mpf(0)] * (len(coeffs) + m - 1)
+                    for i, ci in enumerate(coeffs):
+                        for j, bj in enumerate(branch):
+                            new[i + j] += ci * bj
+                    coeffs = new
+            sign = -1 if bin(mask).count("1") % 2 else 1
+            acc += sign * mp.fsum(c * (g_anti(rho_h, a, b) - g_anti(rho_l, a, b))
+                                  for a, c in enumerate(coeffs))
+        return float(mp.mpf(params.chi) * acc)
+
+
+def closed_form_hop2(params, vartheta, m, lambdas):
+    """Hop-2 average BLER by the paper's subset expansion.
+
+    Branches saturated over the whole ramp (CDF factor 1 in doubles) are
+    dropped. The predicted relative rounding loss in doubles has two
+    channels: the alternating subset sum collapses the leading width term
+    down to about F * width, and for small b the antiderivative terms grow
+    like lambda / vartheta before the endpoint difference cancels them.
+    Where that loss exceeds 1e-10 the expansion runs in mpmath with enough
+    guard digits.
+    """
+    lams = tuple(float(l) for l in lambdas)
+    if params.rho_l > 0.0:
+        lams = tuple(l for l in lams if params.rho_l * vartheta / l < _saturation(m))
+    if not lams:
+        return min(1.0, params.chi * params.width)
+    x_ref = params.rho_l if params.rho_l > 0.0 else 0.5 * params.rho_h
+    f_ref = math.prod(gamma_lower_cdf(x_ref * vartheta / l, m) for l in lams)
+    intermediate = 2.0 ** len(lams) * params.width + max(lams) / vartheta
+    loss = _EPS * intermediate / (max(f_ref, 1e-300) * params.width)
+    if loss <= 1e-10:
+        val = _subset_double(params, vartheta, m, lams)
+        if math.isfinite(val):
+            return min(max(val, 0.0), 1.0)
+    digits = 30 + len(lams) + max(0, math.ceil(math.log10(max(loss / _EPS, 1.0))))
+    return min(max(_subset_mp(params, vartheta, m, lams, min(digits, 400)), 0.0), 1.0)
 
 
 def exact_avg_bler(vartheta, m, lambdas, rate, blocklength):

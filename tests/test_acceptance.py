@@ -21,13 +21,12 @@ from fasrelay import (McConfig, avg_bler_hop1, avg_bler_hop2,
                       error_floor, fas_spectrum, linearize, mc_average_bler,
                       min_power, sample_fas_gain_model, sample_hop1_gain,
                       trajectory_avg_bler)
-from fasrelay.blercore import _avg_bler_hop1_vec, _avg_bler_hop2_vec
 from fasrelay.cli import parse_config, run
 from fasrelay.geometry import trajectory_geometry
 from fasrelay.optimizer import EeConfig
 
-from conftest import (exact_traj_bler, ks_statistic, quad_hop1, quad_hop2,
-                      surrogate_mc_bler)
+from conftest import (closed_form_hop2, exact_traj_bler, ks_statistic,
+                      quad_hop1, quad_hop2, surrogate_mc_bler)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -48,9 +47,11 @@ def _read_rows(path):
 
 
 def test_c01_closed_forms_match_quadrature(fbl100):
+    # hop 2 is checked against two references: quadrature of the CDF
+    # product and the paper's subset expansion
     start = time.time()
     rng = np.random.default_rng(11)
-    worst = 0.0
+    worst = worst_closed = 0.0
     thetas = np.logspace(-3.0, 2.0, 6)
     for m in (1, 2, 5):
         for vt in thetas:
@@ -61,14 +62,17 @@ def test_c01_closed_forms_match_quadrature(fbl100):
             for _ in range(20):
                 lams = tuple(rng.uniform(0.2, 2.0, ne))
                 for vt in thetas:
+                    val = avg_bler_hop2(fbl100, vt, m, lams)
                     ref = quad_hop2(fbl100, vt, m, lams)
-                    rel = abs(avg_bler_hop2(fbl100, vt, m, lams) - ref) \
-                        / max(ref, 1e-300)
-                    worst = max(worst, rel)
+                    closed = closed_form_hop2(fbl100, vt, m, lams)
+                    worst = max(worst, abs(val - ref) / max(ref, 1e-300))
+                    worst_closed = max(worst_closed,
+                                       abs(val - closed) / max(closed, 1e-300))
     elapsed = time.time() - start
-    _report("C01 closed-form vs quadrature",
-            worst < 1e-8 and elapsed < 10.0,
-            f"max rel err {worst:.3e} (tol 1e-8), {elapsed:.1f}s (budget 10s)")
+    _report("C01 closed-form vs quadrature and subset expansion",
+            worst < 1e-8 and worst_closed < 1e-8 and elapsed < 10.0,
+            f"max rel err {worst:.3e} vs quadrature, {worst_closed:.3e} vs "
+            f"subset expansion (tol 1e-8), {elapsed:.1f}s (budget 10s)")
 
 
 def test_c02_analytic_matches_monte_carlo(tmp_path):
@@ -397,9 +401,9 @@ def test_c12_trajectory_quadrature_crosscheck(urban, fbl100):
     for lt, w1, w2 in (("los", geo.p_los1, geo.p_los2),
                        ("nlos", 1.0 - geo.p_los1, 1.0 - geo.p_los2)):
         m = urban.nakagami_m(lt)
-        eps1 += w1 * _avg_bler_hop1_vec(
+        eps1 += w1 * avg_bler_hop1(
             fbl100, m * urban.noise_power / (urban.p1 * geo.beta1[lt]), m)
-        eps2 += w2 * _avg_bler_hop2_vec(
+        eps2 += w2 * avg_bler_hop2(
             fbl100, m * urban.noise_power / (p2 * geo.beta2[lt]), m, fas.lambdas)
     ref = float(np.mean(1.0 - (1.0 - eps1) * (1.0 - eps2)))
     err = abs(approx - ref)

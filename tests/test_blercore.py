@@ -11,8 +11,7 @@ from fasrelay import (BlerBreakdown, ScenarioConfig, avg_bler_hop1,
                       e2e_bler, error_floor, fas_spectrum, fbl_rate,
                       instantaneous_bler, linearize, mixture_bler,
                       trajectory_avg_bler)
-from fasrelay.blercore import TrajectoryEvaluator, _avg_bler_hop2_vec
-from fasrelay.numerics import poisson_survival
+from fasrelay.blercore import TrajectoryEvaluator
 
 from conftest import exact_avg_bler, quad_hop1, quad_hop2
 
@@ -126,8 +125,9 @@ def test_hop1_matches_printed_nested_sum(fbl100):
         for vt in (0.05, 0.7, 3.0, 40.0):
             total = 0.0
             for j in range(m):
-                total += (poisson_survival(fbl100.rho_l * vt, j + 1)
-                          - poisson_survival(fbl100.rho_h * vt, j + 1))
+                # Poisson survival e^-z sum_{i<=j} z^i/i! = Q(j + 1, z)
+                total += (special.gammaincc(j + 1, fbl100.rho_l * vt)
+                          - special.gammaincc(j + 1, fbl100.rho_h * vt))
             literal = fbl100.chi * (fbl100.width - total / vt)
             assert avg_bler_hop1(fbl100, vt, m) == pytest.approx(literal, rel=1e-9)
 
@@ -194,28 +194,39 @@ def test_hop2_extreme_branch_spread(fbl100):
 
 
 def test_hop2_clamped_interval_contract():
-    p = linearize(0.0004, 2000)
-    for m, lams, vt in ((1, (1.0,), 0.5), (2, (1.3, 0.7), 3.0),
-                        (5, (1.0, 0.5), 200.0), (1, (1.0, 0.2), 1e5)):
-        assert avg_bler_hop2(p, vt, m, lams) == pytest.approx(
-            quad_hop2(p, vt, m, lams), rel=1e-8, abs=1e-300)
+    # A clamped ramp (rho_l = 0) or a near-clamped one (rho_l = 0.05 width)
+    # puts the knees of the branch CDFs close to the lower edge; large
+    # vartheta and many branches sharpen them.
+    clamped = linearize(0.0004, 2000)
+    near = linearize(math.log2(1.0 + 0.55 ** 2 * 2.0 * math.pi / 100.0), 100)
+    assert clamped.rho_l == 0.0
+    assert near.rho_l == pytest.approx(0.05 * near.width, rel=1e-9)
+    cases = [(1, (1.0,), 0.5), (2, (1.3, 0.7), 3.0), (5, (1.0, 0.5), 200.0),
+             (1, (1.0, 0.2), 1e5), (1, (1.0,), 1e6), (5, (1.3, 0.7), 1e6)]
+    for n_ports in (8, 12):
+        lams = fas_spectrum(n_ports, 4.0).lambdas
+        cases += [(m, lams, vt) for m in (1, 5) for vt in (1e-2, 1.0, 1e2, 1e4, 1e6)]
+    cases += [(m, (1.0,) * 16, vt) for m in (1, 5) for vt in (1e-3, 1.0, 1e3, 1e6)]
+    for p in (clamped, near):
+        for m, lams, vt in cases:
+            assert avg_bler_hop2(p, vt, m, lams) == pytest.approx(
+                quad_hop2(p, vt, m, lams), rel=1e-8, abs=1e-300)
+    # one branch, m = 1 on a clamped ramp has the closed form
+    # chi * (rho_h - (1 - e^{-vartheta rho_h}) / vartheta)
+    p = linearize(0.01, 50)
+    assert p.rho_l == 0.0
+    for vt in (1.0, 1e3, 1e6):
+        ref = p.chi * (p.rho_h + math.expm1(-vt * p.rho_h) / vt)
+        assert quad_hop2(p, vt, 1, (1.0,)) == pytest.approx(ref, rel=1e-10)
+        assert avg_bler_hop2(p, vt, 1, (1.0,)) == pytest.approx(ref, rel=1e-8)
 
 
 def test_hop2_many_branches_uses_quadrature_route(fbl100):
-    lams = tuple(np.full(16, 1.0))  # above the subset cap
+    # 2^16 subsets put the closed form out of reach; quadrature is the reference
+    lams = tuple(np.full(16, 1.0))
     val = avg_bler_hop2(fbl100, 0.9, 1, lams)
     ref = quad_hop2(fbl100, 0.9, 1, lams)
     assert val == pytest.approx(ref, rel=1e-8)
-
-
-def test_hop2_engine_matches_scalar(fbl100):
-    for m, lams in ((1, (1.30425, 0.69575)), (5, (1.30425, 0.69575)),
-                    (2, (0.9, 0.7, 0.4)), (5, (2.2, 1.3, 0.5, 0.02, 1e-4))):
-        vts = np.logspace(-6, 4, 50)
-        vec = _avg_bler_hop2_vec(fbl100, vts, m, lams)
-        ref = np.array([avg_bler_hop2(fbl100, v, m, lams) for v in vts])
-        assert np.max(np.abs(vec - ref)) < 1e-9
-        assert np.max(np.abs(vec - ref) / np.maximum(ref, 1e-12)) < 1e-4
 
 
 def test_hop2_validation_errors(fbl100):
@@ -323,7 +334,6 @@ def test_trajectory_matches_midpoint_reference(urban, fbl100):
     theta = (np.arange(k) + 0.5) * 2.0 * math.pi / k
     ev = TrajectoryEvaluator.__new__(TrajectoryEvaluator)
     # midpoint reference through the same per-angle composition
-    from fasrelay.blercore import _avg_bler_hop1_vec
     from fasrelay.geometry import trajectory_geometry
     geo = trajectory_geometry(urban, theta)
     eps1 = np.zeros(k)
@@ -333,8 +343,8 @@ def test_trajectory_matches_midpoint_reference(urban, fbl100):
         m = urban.nakagami_m(lt)
         vt1 = m * urban.noise_power / (urban.p1 * geo.beta1[lt])
         vt2 = m * urban.noise_power / (p2 * geo.beta2[lt])
-        eps1 += prob1 * _avg_bler_hop1_vec(fbl100, vt1, m)
-        eps2 += prob2 * _avg_bler_hop2_vec(fbl100, vt2, m, fas.lambdas)
+        eps1 += prob1 * avg_bler_hop1(fbl100, vt1, m)
+        eps2 += prob2 * avg_bler_hop2(fbl100, vt2, m, fas.lambdas)
     ref = float(np.mean(1.0 - (1.0 - eps1) * (1.0 - eps2)))
     assert abs(approx - ref) < 1e-6
 

@@ -1,7 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fasrelay
 from fasrelay import ConfigError
 from fasrelay.cli import main, parse_config, render, run
 
@@ -250,3 +255,15 @@ def test_main_threads_flag_preserves_output(tmp_path):
     assert main(["bler-sweep", "--config", str(conf), "--out", str(out2),
                  "--threads", "4"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_import_leaves_out_mpmath():
+    # mpmath is a test-only dependency: the package must run without it
+    src = str(Path(fasrelay.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fasrelay.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

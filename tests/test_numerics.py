@@ -1,25 +1,39 @@
+"""Accuracy of the special functions the closed forms and the correlation
+model rest on, each against an mpmath reference: Bessel J0 in the port
+correlation matrix, Q and its inverse in the rate and the instantaneous BLER,
+the regularized incomplete gamma functions in the hop CDFs and averages, and
+the symmetric eigensolver behind the eigen-spectrum."""
+
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import special
 
-from fasrelay.numerics import (adaptive_quad, bessel_j0, gamma_lower_cdf,
-                               gamma_lower_cdf_vec, jacobi_eigh,
-                               poisson_survival, q_func, q_func_inv)
+from fasrelay import (cdf_hop1, cdf_hop2, eigen_spectrum, fbl_rate,
+                      instantaneous_bler, jakes_matrix)
+from fasrelay.blercore import q_func
+
+_LOG2E = math.log2(math.e)
 
 
 def test_bessel_j0_absolute_accuracy():
-    xs = np.concatenate([np.linspace(0.0, 7.999, 2000),
-                         np.linspace(8.0, 150.0, 4000)])
-    err = max(abs(bessel_j0(x) - special.j0(x)) for x in xs)
-    assert err < 1e-12
+    # the first row of the correlation matrix is J0(2 pi W delta / (N - 1));
+    # these apertures cover arguments from 0 to about 150
+    for n_ports, aperture in ((401, 1.3), (301, 24.0)):
+        row = jakes_matrix(n_ports, aperture)[0]
+        args = 2.0 * math.pi * aperture * np.arange(n_ports) / (n_ports - 1)
+        ref = np.array([float(mp.besselj(0, x)) for x in args])
+        assert np.max(np.abs(row - ref)) < 1e-12
 
 
 def test_bessel_j0_known_points():
-    assert bessel_j0(0.0) == 1.0
-    assert abs(bessel_j0(math.pi) - special.j0(math.pi)) < 1e-14
-    assert bessel_j0(-3.1) == bessel_j0(3.1)
+    # half-wavelength spacing of two ports correlates them by J0(pi)
+    j = jakes_matrix(2, 0.5)
+    assert j[0, 0] == j[1, 1] == 1.0
+    assert j[0, 1] == j[1, 0]
+    assert j[0, 1] == pytest.approx(float(mp.besselj(0, mp.pi)), abs=1e-14)
 
 
 def test_q_func_identities():
@@ -32,83 +46,85 @@ def test_q_func_identities():
 @pytest.mark.parametrize("eps", [1e-15, 1e-9, 1e-6, 1e-3, 0.0228, 0.3, 0.5,
                                  0.77, 0.999, 1 - 1e-9])
 def test_q_func_inv_against_library(eps):
-    ref = -special.ndtri(eps)
-    got = q_func_inv(eps)
+    # fbl_rate = C - sqrt(V / L) Q^-1(eps); Q^-1(eps) = sqrt(2) erfinv(1 - 2 eps)
+    gamma, length = 1.0, 100
+    scale = math.sqrt(0.75 * _LOG2E * _LOG2E / length)
+    got = (math.log2(1.0 + gamma) - fbl_rate(gamma, length, eps)) / scale
+    with mp.workdps(40):
+        ref = float(mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(eps)))
     assert got == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
 def test_q_func_inv_round_trip():
+    # the instantaneous BLER (Q) at the rate fbl_rate solved (Q^-1)
     for eps in np.logspace(-12, -0.05, 50):
-        assert q_func(q_func_inv(eps)) == pytest.approx(eps, rel=1e-9)
+        rate = fbl_rate(10.0, 100, eps)
+        assert instantaneous_bler(10.0, rate, 100) == pytest.approx(eps, rel=1e-9)
 
 
 def test_q_func_inv_rejects_bad_domain():
     for eps in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            q_func_inv(eps)
+            fbl_rate(1.0, 100, eps)
 
 
 def test_gamma_cdf_matches_library_across_shapes():
-    # two-sided evaluation must agree with the regularized lower gamma
     zs = np.concatenate([[0.0], np.logspace(-8, np.log10(50.0), 200)])
     for m in range(1, 9):
-        ref = special.gammainc(m, zs)
-        got = np.array([gamma_lower_cdf(z, m) for z in zs])
-        vec = gamma_lower_cdf_vec(zs, m)
+        ref = np.array([float(mp.gammainc(m, 0, z, regularized=True)) for z in zs])
+        got = np.array([cdf_hop1(z, 1.0, m) for z in zs])
         assert np.max(np.abs(got - ref)) < 1e-12
-        assert np.max(np.abs(vec - ref)) < 1e-12
 
 
 def test_gamma_cdf_deep_tail_keeps_relative_accuracy():
-    for m in (1, 2, 5):
-        for z in (1e-8, 1e-4, 1e-2):
-            ref = float(special.gammainc(m, z))
-            assert gamma_lower_cdf(z, m) == pytest.approx(ref, rel=1e-12)
+    # the hop averages rest on scipy's regularized lower gamma; it keeps
+    # full relative accuracy down to the deep tail the high-SNR regime uses
+    zs = np.logspace(-60, np.log10(80.0), 160)
+    worst = 0.0
+    with mp.workdps(30):
+        for m in range(1, 14):
+            got = special.gammainc(m, zs)
+            for z, g in zip(zs, got):
+                ref = float(mp.gammainc(m, 0, z, regularized=True))
+                if ref >= 1e-300:
+                    worst = max(worst, abs(g - ref) / ref)
+    assert worst < 1e-12
 
 
 def test_gamma_cdf_survival_complement():
+    # the upper function is the Poisson survival sum e^-z sum_{j<m} z^j / j!
+    # and complements the hop CDF
     for m in (1, 3, 6):
         for z in (0.5, 2.0, 10.0):
-            assert gamma_lower_cdf(z, m) + poisson_survival(z, m) == pytest.approx(1.0, abs=1e-14)
+            with mp.workdps(30):
+                poisson = float(mp.exp(-z) * mp.fsum(
+                    mp.mpf(z) ** j / mp.factorial(j) for j in range(m)))
+            assert special.gammaincc(m, z) == pytest.approx(poisson, rel=1e-13)
+            assert cdf_hop1(z, 1.0, m) + special.gammaincc(m, z) == pytest.approx(
+                1.0, abs=1e-14)
 
 
 def test_gamma_cdf_rejects_non_integer_shape():
     with pytest.raises(ValueError):
-        gamma_lower_cdf(1.0, 0)
+        cdf_hop1(1.0, 1.0, 0)
     with pytest.raises(ValueError):
-        gamma_lower_cdf_vec(np.array([1.0]), -2)
+        cdf_hop1(1.0, 1.0, 1.5)
+    with pytest.raises(ValueError):
+        cdf_hop2(1.0, 1.0, -2, (1.0,))
 
 
 def test_jacobi_matches_library_eigensolver():
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 3, 8, 16, 32):
-        a = rng.standard_normal((n, n))
-        a = 0.5 * (a + a.T)
-        w, v = jacobi_eigh(a)
-        ref = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(np.sort(w) - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
-        assert np.max(np.abs(v @ np.diag(w) @ v.T - a)) < 1e-11
-        assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-12
+    # eigen-spectra of correlation matrices against mpmath's eigensolver
+    for n_ports, aperture in ((1, 0.5), (2, 0.5), (3, 1.0), (8, 0.5),
+                              (16, 2.0), (32, 0.5)):
+        j = jakes_matrix(n_ports, aperture)
+        with mp.workdps(30):
+            ref = mp.eigsy(mp.matrix(j.tolist()), eigvals_only=True)
+        ref = np.clip(sorted((float(e) for e in ref), reverse=True), 0.0, None)
+        got = np.array(eigen_spectrum(j).eigenvalues)
+        assert np.max(np.abs(got - ref)) < 1e-11 * ref[0]
 
 
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_adaptive_quad_smooth_integrand():
-    val = adaptive_quad(lambda x: np.exp(-x) * np.sin(3.0 * x), 0.0, 10.0,
-                        rel_tol=1e-12)
-    ref, _ = integrate.quad(lambda x: math.exp(-x) * math.sin(3.0 * x), 0, 10)
-    assert val == pytest.approx(ref, rel=1e-11)
-
-
-def test_adaptive_quad_empty_interval():
-    assert adaptive_quad(lambda x: x, 1.0, 1.0) == 0.0
-
-
-def test_adaptive_quad_peaked_integrand():
-    # narrow bump needs subdivision
-    val = adaptive_quad(lambda x: np.exp(-((x - 0.3) / 1e-3) ** 2), 0.0, 1.0,
-                        rel_tol=1e-10)
-    assert val == pytest.approx(1e-3 * math.sqrt(math.pi), rel=1e-8)
+        eigen_spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
