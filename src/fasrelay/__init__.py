@@ -12,7 +12,7 @@ from .blercore import (BlerBreakdown, FblParams, TrajectoryBler,
 from .chanmodel import (FasSpectrum, cdf_hop1, cdf_hop2, eigen_spectrum,
                         fas_spectrum, jakes_matrix)
 from .errors import (CausalityError, ConfigError, DegenerateGeometryError,
-                     FasRelayError, MonotonicityError)
+                     FasRelayError, MonotonicityError, TableAccuracyError)
 from .geometry import (LinkState, ScenarioConfig, elevation_angle, link_state,
                        los_probability, path_loss_coeff, slant_ranges)
 from .mcoracle import (McConfig, McEstimate, mc_average_bler,
@@ -30,7 +30,7 @@ __all__ = [
     "FasSpectrum", "cdf_hop1", "cdf_hop2", "eigen_spectrum", "fas_spectrum",
     "jakes_matrix",
     "CausalityError", "ConfigError", "DegenerateGeometryError",
-    "FasRelayError", "MonotonicityError",
+    "FasRelayError", "MonotonicityError", "TableAccuracyError",
     "LinkState", "ScenarioConfig", "elevation_angle", "link_state",
     "los_probability", "path_loss_coeff", "slant_ranges",
     "McConfig", "McEstimate", "mc_average_bler", "sample_fas_gain_model",

@@ -23,6 +23,22 @@ and benchmark workload), 2.5e-10 on the rest of the one-panel range and
 order 80) deep in the tail. The test suite holds the kernel to 1e-8
 relative against quadrature and against the paper's subset expansion.
 
+Hop 2 depends on the relay power and the altitude only through vartheta, so
+a power search can read it from a table instead (`Hop2Table`, one per link
+type, built from a `TrajectoryEvaluator` by `TabulatedEvaluator`): log eps2
+against log vartheta, piecewise Chebyshev with one panel per decade and 32
+first-kind nodes per panel, filled by one kernel call. A table spans the
+vartheta the trajectory reaches over the search's power range,
+[min_i c_i / p_hi, max_i c_i / p_lo] with c_i = m sigma^2 / beta2_i, capped
+where rho_l > 0 at vartheta_sat = _saturation_z(m) max(lambda) / rho_l,
+past which the kernel returns the constant min(chi width, 1); it never
+extrapolates. For the optimizer's power range p_max [1e-8, 1] at
+p_max = 40 dBm (L = 100, 300, 600; altitude 100, 400, 500, 800 m;
+N = 1, 2, 4, 8, 12; both link types) a table holds 128-288 nodes and stays
+within 9.7e-13 relative of the kernel on 801 log-spaced points; on clamped
+ramps (rho_l = 0, no cap, vartheta 1e-6-1e4, m = 1, 2, 5) within 3.0e-12.
+The tests hold tables to 1e-8.
+
 The surrogate is the linearization of Makki, Svensson & Zorzi (IEEE WCL
 2014); the Monte Carlo engine in `mcoracle` averages the exact normal-
 approximation BLER of Polyanskiy, Poor & Verdu (IEEE T-IT 2010) instead. The
@@ -70,6 +86,14 @@ def _unit_rule(panels) -> tuple[np.ndarray, np.ndarray]:
 # docstring for the rule that picks one and the accuracy each reaches.
 _ONE_PANEL = _unit_rule(((0.0, 1.0, 32),))
 _GRADED = _unit_rule(((0.0, 0.125, 32), (0.125, 1.0, 32)))
+
+# Hop-2 table panels (see Hop2Table): first-kind Chebyshev nodes on [-1, 1],
+# ascending, and their barycentric weights (-1)^j sin((2j + 1) pi / 2n).
+_CHEB_N = 32
+_CHEB_T = np.polynomial.chebyshev.chebpts1(_CHEB_N)
+_CHEB_W = (-1.0) ** np.arange(_CHEB_N) * np.sqrt(1.0 - _CHEB_T ** 2)
+_LN10 = math.log(10.0)
+_TINY = np.finfo(float).tiny
 
 
 def q_func(x):
@@ -238,6 +262,69 @@ def avg_bler_hop2(params: FblParams, vartheta2, m2: int, lambdas):
     return _as_result(np.clip(val, 0.0, 1.0))
 
 
+class Hop2Table:
+    """Interpolant of the hop-2 average BLER on [vt_lo, vt_hi], filled by
+    one `avg_bler_hop2` call and never extrapolated.
+
+    log eps2 is piecewise Chebyshev in log vartheta: the range is cut into
+    panels of equal width, each at most one decade, and each panel holds
+    the polynomial interpolating log eps2 at its 32 first-kind Chebyshev
+    nodes, evaluated by the barycentric formula. With rho_l > 0 the panels
+    stop at vartheta_sat = _saturation_z(m2) * max(lambda) / rho_l; from
+    there on the kernel returns the constant min(chi * width, 1), and so
+    does the table. `nodes` and `values` hold the sampled vartheta
+    (ascending) and the kernel's values there.
+    """
+
+    def __init__(self, params: FblParams, m2: int, lambdas, vt_lo: float,
+                 vt_hi: float):
+        if not 0.0 < vt_lo < vt_hi:
+            raise ValueError("need 0 < vt_lo < vt_hi")
+        lams = _validated_lambdas(lambdas)
+        self.lo, self.hi = float(vt_lo), float(vt_hi)
+        self.saturated = min(params.chi * params.width, 1.0)
+        top = self.hi
+        if params.rho_l > 0.0:
+            top = min(top, _saturation_z(_shape(m2, "m2")) * max(lams) / params.rho_l)
+        self._x0 = math.log(self.lo)
+        span = math.log(top) - self._x0 if top > self.lo else 0.0
+        panels = max(1, math.ceil(span / _LN10 - 1e-9)) if span > 0.0 else 0
+        # the polynomials cover [lo, top]; with no panel every value saturates
+        self.top = top if panels else 0.0
+        self._h = span / panels if panels else 1.0
+        x = self._x0 + self._h * (np.arange(panels)[:, None] + 0.5 * (_CHEB_T + 1.0))
+        self.nodes = np.exp(x).ravel()
+        self.values = avg_bler_hop2(params, self.nodes, m2, lams)
+        # an underflowed value enters as the smallest normal double
+        self._log_values = np.log(np.maximum(self.values, _TINY)).reshape(
+            panels, _CHEB_N)
+
+    def __call__(self, vartheta):
+        vt = np.asarray(vartheta, dtype=float)
+        flat = vt.reshape(-1)
+        vt_max = flat.max() if flat.size else self.lo
+        if flat.size and not (flat.min() >= self.lo and vt_max <= self.hi):
+            raise ValueError(f"vartheta outside the table range "
+                             f"[{self.lo:.6e}, {self.hi:.6e}]")
+        if vt_max <= self.top:
+            out = self._interpolate(flat)
+        else:
+            out = np.full(flat.shape, self.saturated)
+            live = flat <= self.top
+            out[live] = self._interpolate(flat[live])
+        return _as_result(out.reshape(vt.shape))
+
+    def _interpolate(self, vt: np.ndarray) -> np.ndarray:
+        pos = (np.log(vt) - self._x0) / self._h
+        idx = np.minimum(pos.astype(int), len(self._log_values) - 1)
+        dist = (2.0 * (pos - idx) - 1.0)[:, None] - _CHEB_T
+        dist[dist == 0.0] = 1e-300      # at a node the formula gives its value
+        bary = _CHEB_W / dist
+        log_eps = np.einsum("ij,ij->i", bary, self._log_values[idx]) / bary.sum(axis=1)
+        # a rounding error must not lift a value near saturation above 1
+        return np.exp(np.minimum(log_eps, 0.0))
+
+
 def avg_bler_hop2_asymptotic(params: FblParams, vartheta2, m2: int, lambdas):
     """Leading-order hop-2 average BLER in the high-SNR (small vartheta)
     regime, at a scalar or an array of vartheta2; the value is a power law
@@ -299,6 +386,7 @@ class BlerBreakdown:
 # ---------------------------------------------------------------------------
 
 DEFAULT_TRAJECTORY_NODES = 128
+_LINK_TYPES = ("los", "nlos")
 
 
 def chebyshev_nodes(n_nodes: int):
@@ -318,6 +406,13 @@ class TrajectoryEvaluator:
     """Caches per-angle geometry so repeated evaluations at different
     transmit powers (bisection, port sweeps) only redo the hop-2 averages.
 
+    `TabulatedEvaluator` gives the same end-to-end BLER with hop 2 read
+    from one `Hop2Table` per link type over a power range: two kernel calls
+    on about 200 vartheta each for the whole range, against two calls on
+    the 128 nodes per power here; the tables agree with this direct path to about
+    1e-12 relative (see the module docstring). Both paths share the mixing,
+    combining and averaging below.
+
     The weighted reduction runs in fixed node order, so results are
     bit-reproducible for a given node count.
     """
@@ -334,7 +429,7 @@ class TrajectoryEvaluator:
         self.geo = geo
         sigma2 = cfg.noise_power
         self._eps1 = {}
-        for lt in ("los", "nlos"):
+        for lt in _LINK_TYPES:
             vt1 = cfg.nakagami_m(lt) * sigma2 / (cfg.p1 * geo.beta1[lt])
             self._eps1[lt] = avg_bler_hop1(fbl, vt1, cfg.nakagami_m(lt))
         self.eps1_mixed = (geo.p_los1 * self._eps1["los"]
@@ -355,26 +450,65 @@ class TrajectoryEvaluator:
     def hop1_avg(self) -> float:
         return float(self.weights @ self.eps1_mixed)
 
-    def hop2_components(self, p2: float):
+    def hop2_varthetas(self, p2: float):
+        """Hop-2 rate parameters m sigma^2 / (p2 beta2) at every node, for
+        LoS then NLoS."""
         if self.fas is None:
             raise ValueError("hop-2 evaluation requires a FasSpectrum")
         if p2 <= 0:
             raise ValueError("p2 must be positive")
         cfg = self.cfg
-        eps2 = {}
-        for lt in ("los", "nlos"):
-            m = cfg.nakagami_m(lt)
-            vt2 = m * cfg.noise_power / (p2 * self.geo.beta2[lt])
-            eps2[lt] = avg_bler_hop2(self.fbl, vt2, m, self.fas.lambdas)
-        return eps2["los"], eps2["nlos"]
+        return tuple(cfg.nakagami_m(lt) * cfg.noise_power / (p2 * self.geo.beta2[lt])
+                     for lt in _LINK_TYPES)
 
-    def e2e_nodes(self, p2: float) -> np.ndarray:
-        e2_los, e2_nlos = self.hop2_components(p2)
-        eps2_mixed = self.geo.p_los2 * e2_los + (1.0 - self.geo.p_los2) * e2_nlos
+    def hop2_components(self, p2: float):
+        return tuple(avg_bler_hop2(self.fbl, vt, self.cfg.nakagami_m(lt),
+                                   self.fas.lambdas)
+                     for lt, vt in zip(_LINK_TYPES, self.hop2_varthetas(p2)))
+
+    def hop2_mixed(self, e2_los, e2_nlos):
+        """LoS/NLoS mixture of per-node hop-2 values."""
+        return self.geo.p_los2 * e2_los + (1.0 - self.geo.p_los2) * e2_nlos
+
+    def end_to_end(self, eps2_mixed):
+        """Decode-and-forward combination with hop 1 at every node."""
         return 1.0 - (1.0 - self.eps1_mixed) * (1.0 - eps2_mixed)
 
+    def e2e_avg_from(self, e2_los, e2_nlos) -> float:
+        """Trajectory-averaged end-to-end BLER from per-node hop-2 values."""
+        return float(self.weights @ self.end_to_end(self.hop2_mixed(e2_los, e2_nlos)))
+
     def e2e_avg(self, p2: float) -> float:
-        return float(self.weights @ self.e2e_nodes(p2))
+        return self.e2e_avg_from(*self.hop2_components(p2))
+
+
+class TabulatedEvaluator:
+    """End-to-end BLER of a `TrajectoryEvaluator` at relay powers in
+    [p_lo, p_hi], with hop 2 read from one `Hop2Table` per link type.
+
+    Each table spans the vartheta the trajectory reaches over that power
+    range, [min_i c_i / p_hi, max_i c_i / p_lo] with c_i = m sigma^2 /
+    beta2_i, so it costs one kernel call on about 200-300 vartheta instead
+    of 128 per power. Mixing, combining and the trajectory average are the
+    evaluator's own.
+    """
+
+    def __init__(self, ev: TrajectoryEvaluator, p_lo: float, p_hi: float):
+        if not 0.0 < p_lo < p_hi:
+            raise ValueError("need 0 < p_lo < p_hi")
+        self.ev = ev
+        near, far = ev.hop2_varthetas(p_hi), ev.hop2_varthetas(p_lo)
+        self.tables = tuple(
+            Hop2Table(ev.fbl, ev.cfg.nakagami_m(lt), ev.fas.lambdas,
+                      float(lo.min()), float(hi.max()))
+            for lt, lo, hi in zip(_LINK_TYPES, near, far))
+
+    def hop2_components(self, p2: float):
+        return tuple(table(vt) for table, vt
+                     in zip(self.tables, self.ev.hop2_varthetas(p2)))
+
+    def e2e_avg(self, p2: float) -> float:
+        return self.ev.e2e_avg_from(*self.hop2_components(p2))
 
 
 @dataclass(frozen=True)
@@ -397,8 +531,8 @@ def trajectory_avg_bler(cfg: ScenarioConfig, fas, fbl: FblParams, p2: float,
     ev = TrajectoryEvaluator(cfg, fbl, fas, nodes)
     e1_los, e1_nlos = ev.hop1_components()
     e2_los, e2_nlos = ev.hop2_components(p2)
-    eps2_mixed = ev.geo.p_los2 * e2_los + (1.0 - ev.geo.p_los2) * e2_nlos
-    e2e = 1.0 - (1.0 - ev.eps1_mixed) * (1.0 - eps2_mixed)
+    eps2_mixed = ev.hop2_mixed(e2_los, e2_nlos)
+    e2e = ev.end_to_end(eps2_mixed)
     breakdowns = tuple(
         BlerBreakdown(hop1_los=float(e1_los[i]), hop1_nlos=float(e1_nlos[i]),
                       hop2_los=float(e2_los[i]), hop2_nlos=float(e2_nlos[i]),

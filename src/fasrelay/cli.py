@@ -22,13 +22,13 @@ import numpy as np
 
 from . import __version__
 from .blercore import (CHI_VARIANTS, TrajectoryEvaluator,
-                       avg_bler_hop2_asymptotic, error_floor, linearize)
+                       avg_bler_hop2_asymptotic, linearize)
 from .chanmodel import fas_spectrum
 from .errors import ConfigError
 from .geometry import ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
-from .optimizer import (EeConfig, best_port_count, energy_efficiency,
-                        global_optimize, min_power, violates_causality)
+from .optimizer import (EeConfig, best_port_count, global_optimize, min_power,
+                        port_entry)
 
 COMMANDS = ("bler-sweep", "validate", "aperture-sweep", "power-vs-altitude",
             "ee-vs-ports", "ee-contour", "optimize")
@@ -384,23 +384,26 @@ def _axis(spec: ExperimentSpec, name: str, default) -> list | None:
     return None if value is None else list(value)
 
 
-def _analytic_point(spec: ExperimentSpec, scn: ScenarioConfig, n_ports: int,
-                    aperture: float, blocklength: int, p2: float) -> dict:
+def _base_evaluator(spec: ExperimentSpec,
+                    blocklength: int) -> TrajectoryEvaluator:
+    """Geometry and hop-1 arrays of the spec's scenario at one blocklength,
+    shared by every row of a sweep at that blocklength."""
     fbl = linearize(spec.ee.payload_bits / blocklength, blocklength,
                     spec.chi_variant)
+    return TrajectoryEvaluator(spec.scenario, fbl, None, spec.traj_nodes)
+
+
+def _analytic_point(spec: ExperimentSpec, base: TrajectoryEvaluator,
+                    n_ports: int, aperture: float, p2: float) -> dict:
     fas = fas_spectrum(n_ports, aperture, spec.rank_tolerance)
-    ev = TrajectoryEvaluator(scn, fbl, fas, spec.traj_nodes)
-    e2_los, e2_nlos = ev.hop2_components(p2)
-    eps2 = ev.geo.p_los2 * e2_los + (1.0 - ev.geo.p_los2) * e2_nlos
-    e2e = 1.0 - (1.0 - ev.eps1_mixed) * (1.0 - eps2)
-    asym = {}
-    for lt in ("los", "nlos"):
-        m = scn.nakagami_m(lt)
-        vt2 = m * scn.noise_power / (p2 * ev.geo.beta2[lt])
-        asym[lt] = avg_bler_hop2_asymptotic(fbl, vt2, m, fas.lambdas)
-    eps2_asym = np.minimum(
-        ev.geo.p_los2 * asym["los"] + (1.0 - ev.geo.p_los2) * asym["nlos"], 1.0)
-    e2e_asym = 1.0 - (1.0 - ev.eps1_mixed) * (1.0 - eps2_asym)
+    ev = base.with_spectrum(fas)
+    eps2 = ev.hop2_mixed(*ev.hop2_components(p2))
+    e2e = ev.end_to_end(eps2)
+    asym = [avg_bler_hop2_asymptotic(ev.fbl, vt2, ev.cfg.nakagami_m(lt),
+                                     fas.lambdas)
+            for lt, vt2 in zip(("los", "nlos"), ev.hop2_varthetas(p2))]
+    eps2_asym = np.minimum(ev.hop2_mixed(*asym), 1.0)
+    e2e_asym = ev.end_to_end(eps2_asym)
     return {
         "n_eff": fas.n_eff,
         "bler_analytic": float(ev.weights @ e2e),
@@ -421,6 +424,7 @@ def _rows_bler_like(spec: ExperimentSpec, seed: int, with_mc: bool):
         for w in w_axis:
             for p2_dbm in p2_axis:
                 jobs.append((int(n), float(w), float(p2_dbm)))
+    base = _base_evaluator(spec, spec.blocklength)
 
     def compute(args):
         idx, (n, w, p2_dbm) = args
@@ -430,14 +434,13 @@ def _rows_bler_like(spec: ExperimentSpec, seed: int, with_mc: bool):
         row.update({"uav_altitude_m": scn.uav_altitude, "n_ports": n,
                     "aperture": w, "blocklength": spec.blocklength,
                     "p2_dbm": p2_dbm})
-        fbl = linearize(spec.ee.payload_bits / spec.blocklength,
-                        spec.blocklength, spec.chi_variant)
-        row.update(_analytic_point(spec, scn, n, w, spec.blocklength, p2))
-        row["error_floor"] = error_floor(scn, fbl, spec.traj_nodes)
+        row.update(_analytic_point(spec, base, n, w, p2))
+        # the limit of the end-to-end BLER as the relay power grows
+        row["error_floor"] = row["bler_hop1"]
         if with_mc:
             mc = replace(spec.mc, seed=_row_seed(seed, idx))
             fas = fas_spectrum(n, w, spec.rank_tolerance)
-            est = mc_average_bler(scn, fas, fbl, p2, mc)
+            est = mc_average_bler(scn, fas, base.fbl, p2, mc)
             row.update({"bler_mc": est.mean, "bler_mc_se": est.std_error,
                         "mc_trials": est.trials, "mc_mode": mc.mode,
                         "row_seed": mc.seed})
@@ -454,6 +457,7 @@ def _rows_aperture(spec: ExperimentSpec, seed: int):
         raise ConfigError("aperture-sweep requires p2 or sweep_p2_dbm")
     p2_axis = _axis(spec, "sweep_p2_dbm", [_to_dbm(spec.p2)] if spec.p2 else None)
     jobs = [(float(w), float(p)) for w in w_axis for p in p2_axis]
+    base = _base_evaluator(spec, spec.blocklength)
 
     def compute(args):
         idx, (w, p2_dbm) = args
@@ -462,8 +466,8 @@ def _rows_aperture(spec: ExperimentSpec, seed: int):
         row.update({"uav_altitude_m": scn.uav_altitude,
                     "n_ports": spec.n_ports, "aperture": w,
                     "blocklength": spec.blocklength, "p2_dbm": p2_dbm})
-        row.update(_analytic_point(spec, scn, spec.n_ports, w,
-                                   spec.blocklength, _from_dbm(p2_dbm)))
+        row.update(_analytic_point(spec, base, spec.n_ports, w,
+                                   _from_dbm(p2_dbm)))
         return row
 
     return list(enumerate(jobs)), compute
@@ -499,6 +503,7 @@ def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int):
                    list(range(spec.ee.n_range[0], spec.ee.n_range[1] + 1)))
     l_axis = _axis(spec, "sweep_blocklength", [spec.blocklength])
     jobs = [(int(l), int(n)) for l in l_axis for n in n_axis]
+    bases = {l: _base_evaluator(spec, l) for l, _ in jobs}
 
     def compute(args):
         idx, (l, n) = args
@@ -506,26 +511,12 @@ def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int):
         row.update({"uav_altitude_m": spec.scenario.uav_altitude,
                     "n_ports": n, "aperture": spec.aperture,
                     "blocklength": l})
-        if violates_causality(n, spec.ee.port_time, l, spec.ee.bandwidth):
-            row.update({"feasible": False, "p2_star_dbm": "", "eps_o": "",
-                        "ee_bits_per_joule": 0.0})
-            return row
-        fbl = linearize(spec.ee.payload_bits / l, l, spec.chi_variant)
-        fas = fas_spectrum(n, spec.aperture, spec.rank_tolerance)
-        scn = replace(spec.scenario, uav_altitude=spec.scenario.uav_altitude)
-        ev = TrajectoryEvaluator(scn, fbl, fas, spec.traj_nodes)
-        from .optimizer import _min_power_on
-        found = _min_power_on(ev, spec.ee)
-        if found is None:
-            row.update({"feasible": False, "p2_star_dbm": "", "eps_o": "",
-                        "ee_bits_per_joule": 0.0})
-            return row
-        p2, eps_o = found
-        val = energy_efficiency(spec.ee.payload_bits, eps_o, p2, l,
-                                spec.ee.bandwidth, n, spec.ee.port_time,
-                                spec.ee.circuit_power, spec.ee.switch_power)
-        row.update({"feasible": True, "p2_star_dbm": _to_dbm(p2),
-                    "eps_o": eps_o, "ee_bits_per_joule": val})
+        entry = port_entry(bases[l], n, spec.aperture, spec.ee,
+                           spec.rank_tolerance)
+        row.update({"feasible": entry.feasible,
+                    "p2_star_dbm": _to_dbm(entry.p2) if entry.feasible else "",
+                    "eps_o": entry.eps_o if entry.feasible else "",
+                    "ee_bits_per_joule": entry.ee})
         return row
 
     return list(enumerate(jobs)), compute
@@ -592,7 +583,8 @@ def run(spec: ExperimentSpec, seed: int | None = None, threads: int = 1,
         summary = {"feasible": sol.feasible, "l_star": sol.l_star,
                    "z_star": sol.z_star, "n_star": sol.n_star,
                    "p2_star_w": sol.p2_star, "ee_star": sol.ee_star,
-                   "eps_star": sol.eps_star}
+                   "eps_star": sol.eps_star,
+                   "table_check_max_rel": sol.table_check_max_rel}
     else:
         builders = {
             "bler-sweep": lambda: _rows_bler_like(spec, base_seed, False),
@@ -653,7 +645,8 @@ def main(argv=None) -> int:
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the base random seed")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for sweep points")
+                         help="worker threads for sweep points (optimize "
+                              "ignores it)")
     args = parser.parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

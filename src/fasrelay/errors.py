@@ -17,6 +17,11 @@ class MonotonicityError(FasRelayError, RuntimeError):
     """Raised when the BLER-vs-power precheck finds a non-monotone profile."""
 
 
+class TableAccuracyError(FasRelayError, RuntimeError):
+    """Raised when a tabulated BLER departs from the direct kernel by more
+    than its accuracy contract."""
+
+
 class ConfigError(FasRelayError, ValueError):
     """Config-file parse or validation failure, annotated with a line number."""
 

@@ -6,6 +6,16 @@ by bisection after an explicit monotonicity precheck; the outer levels are
 exhaustive over their discrete grids, so no unimodality assumption is ever
 exploited. Infeasible points carry a zero-EE sentinel plus an explicit
 flag so that "zero goodput" and "constraint violating" stay distinguishable.
+
+Each power solve builds one hop-2 table per link type over the precheck
+grid's power range (`blercore.TabulatedEvaluator`; the table design and
+its measured accuracy, about 1e-12 relative, are in `blercore`). The
+tables' sampled values must rise with vartheta, and the precheck and the
+bisection read the end-to-end BLER from them. The power found is then
+re-evaluated by the direct kernel: that value is the one reported and used
+for the efficiency, and a solve whose table value there is more than 1e-8
+relative off it raises `TableAccuracyError`. The largest such gap of a
+search is reported as `table_check_max_rel`.
 """
 
 from __future__ import annotations
@@ -15,10 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blercore import (DEFAULT_TRAJECTORY_NODES, FblParams, TrajectoryEvaluator,
-                       linearize)
+from .blercore import (DEFAULT_TRAJECTORY_NODES, FblParams,
+                       TabulatedEvaluator, TrajectoryEvaluator, linearize)
 from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
-from .errors import CausalityError, MonotonicityError
+from .errors import CausalityError, MonotonicityError, TableAccuracyError
 from .geometry import ScenarioConfig
 
 
@@ -110,13 +120,35 @@ def energy_efficiency(payload_bits: float, eps_o: float, p2: float,
 
 _PRECHECK_POINTS = 10
 _PRECHECK_SLACK = 1e-12
+# Largest relative gap allowed between the tabulated and the direct
+# end-to-end BLER at the power a solve returns.
+_TABLE_CHECK_REL = 1e-8
+
+
+def _check_monotone(table) -> None:
+    falls = np.flatnonzero(np.diff(table.values) < -_PRECHECK_SLACK)
+    if falls.size:
+        i = falls[0]
+        raise MonotonicityError(
+            "hop-2 BLER table failed to increase with vartheta: "
+            f"eps({table.nodes[i]:.3e})={table.values[i]:.6e} -> "
+            f"eps({table.nodes[i + 1]:.3e})={table.values[i + 1]:.6e}")
 
 
 def _min_power_on(ev: TrajectoryEvaluator, ee: EeConfig):
     """Bisection for the smallest feasible transmit power on a prepared
-    evaluator; returns (power, bler at power) or None when infeasible."""
+    evaluator.
+
+    The precheck and the bisection read hop 2 from the evaluator's tables
+    over the precheck grid's power range; the power found is re-evaluated by
+    the direct kernel. Returns (power, direct bler at power, relative gap of
+    the table there) or None when infeasible.
+    """
     grid = ee.p_max * np.logspace(-8.0, 0.0, _PRECHECK_POINTS)
-    eps = [ev.e2e_avg(p) for p in grid]
+    tab = TabulatedEvaluator(ev, float(grid[0]), float(grid[-1]))
+    for table in tab.tables:
+        _check_monotone(table)
+    eps = [tab.e2e_avg(p) for p in grid]
     for i in range(len(eps) - 1):
         if eps[i + 1] > eps[i] + _PRECHECK_SLACK:
             raise MonotonicityError(
@@ -126,20 +158,27 @@ def _min_power_on(ev: TrajectoryEvaluator, ee: EeConfig):
     if eps[-1] > ee.bler_threshold:
         return None
     if eps[0] <= ee.bler_threshold:
-        return float(grid[0]), eps[0]
-    idx = max(i for i in range(len(eps)) if eps[i] > ee.bler_threshold)
-    lo, hi = float(grid[idx]), float(grid[idx + 1])
-    eps_hi = eps[idx + 1]
-    for _ in range(ee.max_bisect_iters):
-        if hi - lo <= ee.bisect_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        e_mid = ev.e2e_avg(mid)
-        if e_mid <= ee.bler_threshold:
-            hi, eps_hi = mid, e_mid
-        else:
-            lo = mid
-    return hi, eps_hi
+        hi, eps_hi = float(grid[0]), eps[0]
+    else:
+        idx = max(i for i in range(len(eps)) if eps[i] > ee.bler_threshold)
+        lo, hi = float(grid[idx]), float(grid[idx + 1])
+        eps_hi = eps[idx + 1]
+        for _ in range(ee.max_bisect_iters):
+            if hi - lo <= ee.bisect_tol * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            e_mid = tab.e2e_avg(mid)
+            if e_mid <= ee.bler_threshold:
+                hi, eps_hi = mid, e_mid
+            else:
+                lo = mid
+    direct = ev.e2e_avg(hi)
+    gap = abs(eps_hi - direct) / max(direct, np.finfo(float).tiny)
+    if gap > _TABLE_CHECK_REL:
+        raise TableAccuracyError(
+            f"tabulated end-to-end BLER {eps_hi:.12e} at {hi:.6e} W is "
+            f"{gap:.2e} relative off the direct value {direct:.12e}")
+    return hi, direct, gap
 
 
 def min_power(cfg: ScenarioConfig, fas, fbl: FblParams, ee: EeConfig,
@@ -154,11 +193,38 @@ def min_power(cfg: ScenarioConfig, fas, fbl: FblParams, ee: EeConfig,
 
 @dataclass(frozen=True)
 class PortEntry:
+    """One port count's solve; table_check_rel is the table-vs-direct relative
+    gap at the solved power (None when no power was solved)."""
+
     n_ports: int
     feasible: bool
     p2: float | None
     eps_o: float | None
     ee: float
+    table_check_rel: float | None = None
+
+
+def port_entry(ev: TrajectoryEvaluator, n_ports: int, aperture: float,
+               ee: EeConfig,
+               rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PortEntry:
+    """Causality cut, minimum-power solve and energy efficiency of n_ports
+    ports on the scenario and blocklength of ev (its spectrum is replaced
+    by the n_ports spectrum at the given aperture)."""
+    blocklength = ev.fbl.blocklength
+    infeasible = PortEntry(n_ports=n_ports, feasible=False, p2=None,
+                           eps_o=None, ee=0.0)
+    if violates_causality(n_ports, ee.port_time, blocklength, ee.bandwidth):
+        return infeasible
+    fas = fas_spectrum(n_ports, aperture, rank_tolerance)
+    found = _min_power_on(ev.with_spectrum(fas), ee)
+    if found is None:
+        return infeasible
+    p2, eps_o, gap = found
+    val = energy_efficiency(ee.payload_bits, eps_o, p2, blocklength,
+                            ee.bandwidth, n_ports, ee.port_time,
+                            ee.circuit_power, ee.switch_power)
+    return PortEntry(n_ports=n_ports, feasible=True, p2=p2, eps_o=eps_o,
+                     ee=val, table_check_rel=gap)
 
 
 @dataclass(frozen=True)
@@ -169,6 +235,13 @@ class PortSearchResult:
     feasible: bool
     entries: tuple[PortEntry, ...]
 
+    @property
+    def table_check_max_rel(self) -> float:
+        """Largest table-vs-direct relative gap over the solved powers."""
+        return max((e.table_check_rel for e in self.entries
+                    if e.table_check_rel is not None),
+                   default=0.0)
+
 
 def best_port_count(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
                     z_u: float, aperture: float,
@@ -177,40 +250,18 @@ def best_port_count(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
     """Evaluate every admissible port count at fixed altitude and pick the
     EE maximizer. The correlation spectrum is rebuilt per N at the fixed
     aperture, so port spacing shrinks as ports are added."""
-    scenario = replace(cfg, uav_altitude=float(z_u))
-    entries = []
-    best = None
-    base_ev = None
-    for n in range(ee.n_range[0], ee.n_range[1] + 1):
-        if violates_causality(n, ee.port_time, fbl.blocklength, ee.bandwidth):
-            entries.append(PortEntry(n_ports=n, feasible=False, p2=None,
-                                     eps_o=None, ee=0.0))
-            continue
-        fas = fas_spectrum(n, aperture, rank_tolerance)
-        if base_ev is None:
-            base_ev = TrajectoryEvaluator(scenario, fbl, fas, nodes)
-            ev = base_ev
-        else:
-            ev = base_ev.with_spectrum(fas)
-        found = _min_power_on(ev, ee)
-        if found is None:
-            entries.append(PortEntry(n_ports=n, feasible=False, p2=None,
-                                     eps_o=None, ee=0.0))
-            continue
-        p2, eps_o = found
-        val = energy_efficiency(ee.payload_bits, eps_o, p2, fbl.blocklength,
-                                ee.bandwidth, n, ee.port_time,
-                                ee.circuit_power, ee.switch_power)
-        entry = PortEntry(n_ports=n, feasible=True, p2=p2, eps_o=eps_o, ee=val)
-        entries.append(entry)
-        if best is None or entry.ee > best.ee:
-            best = entry
-    if best is None:
+    ev = TrajectoryEvaluator(replace(cfg, uav_altitude=float(z_u)), fbl,
+                             None, nodes)
+    entries = tuple(port_entry(ev, n, aperture, ee, rank_tolerance)
+                    for n in range(ee.n_range[0], ee.n_range[1] + 1))
+    feasible = [e for e in entries if e.feasible]
+    if not feasible:
         return PortSearchResult(n_star=None, p2_star=None, ee_star=0.0,
-                                feasible=False, entries=tuple(entries))
+                                feasible=False, entries=entries)
+    # max keeps the first maximizer, so ties go to the smaller N
+    best = max(feasible, key=lambda e: e.ee)
     return PortSearchResult(n_star=best.n_ports, p2_star=best.p2,
-                            ee_star=best.ee, feasible=True,
-                            entries=tuple(entries))
+                            ee_star=best.ee, feasible=True, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -220,6 +271,7 @@ class AltitudeEntry:
     n_ports: int | None
     p2: float | None
     ee: float
+    table_check_max_rel: float
 
 
 @dataclass(frozen=True)
@@ -245,7 +297,8 @@ def best_altitude(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
         sub = best_port_count(cfg, fbl, ee, float(z), aperture,
                               rank_tolerance, nodes)
         entry = AltitudeEntry(z_u=float(z), feasible=sub.feasible,
-                              n_ports=sub.n_star, p2=sub.p2_star, ee=sub.ee_star)
+                              n_ports=sub.n_star, p2=sub.p2_star, ee=sub.ee_star,
+                              table_check_max_rel=sub.table_check_max_rel)
         entries.append(entry)
         if sub.feasible and (best is None or entry.ee > best.ee):
             best = entry
@@ -270,7 +323,11 @@ class TracePoint:
 
 @dataclass(frozen=True)
 class EeSolution:
-    """Outcome of the full hierarchical search, with the per-(L, Z) trace."""
+    """Outcome of the full hierarchical search, with the per-(L, Z) trace.
+
+    eps_star is the direct kernel's BLER at the optimum; table_check_max_rel
+    is the largest table-vs-direct relative gap at any solved power.
+    """
 
     l_star: int | None
     z_star: float | None
@@ -280,6 +337,7 @@ class EeSolution:
     eps_star: float | None
     feasible: bool
     trace: tuple[TracePoint, ...]
+    table_check_max_rel: float
 
 
 def global_optimize(cfg: ScenarioConfig, ee: EeConfig, aperture: float,
@@ -291,11 +349,13 @@ def global_optimize(cfg: ScenarioConfig, ee: EeConfig, aperture: float,
     keeps the result invariant to the ordering of l_set."""
     trace = []
     best = None           # (ee, l, z, n, p2)
+    table_rel = 0.0
     for l in ee.l_set:
         l = int(l)
         fbl = linearize(ee.payload_bits / l, l, chi_variant)
         alt = best_altitude(cfg, fbl, ee, aperture, rank_tolerance, nodes)
         for entry in alt.entries:
+            table_rel = max(table_rel, entry.table_check_max_rel)
             trace.append(TracePoint(blocklength=l, z_u=entry.z_u,
                                     n_ports=entry.n_ports, p2=entry.p2,
                                     ee=entry.ee, feasible=entry.feasible))
@@ -307,7 +367,7 @@ def global_optimize(cfg: ScenarioConfig, ee: EeConfig, aperture: float,
     if best is None:
         return EeSolution(l_star=None, z_star=None, n_star=None, p2_star=None,
                           ee_star=0.0, eps_star=None, feasible=False,
-                          trace=tuple(trace))
+                          trace=tuple(trace), table_check_max_rel=table_rel)
     ee_star, l_star, z_star, n_star, p2_star = best
     fbl = linearize(ee.payload_bits / l_star, l_star, chi_variant)
     scenario = replace(cfg, uav_altitude=z_star)
@@ -316,4 +376,5 @@ def global_optimize(cfg: ScenarioConfig, ee: EeConfig, aperture: float,
     eps_star = ev.e2e_avg(p2_star)
     return EeSolution(l_star=l_star, z_star=z_star, n_star=n_star,
                       p2_star=p2_star, ee_star=ee_star, eps_star=eps_star,
-                      feasible=True, trace=tuple(trace))
+                      feasible=True, trace=tuple(trace),
+                      table_check_max_rel=table_rel)

@@ -293,3 +293,29 @@ def ks_statistic(samples, cdf):
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
     return max(upper, lower)
+
+
+def direct_min_power(ev, ee, points=10, slack=1e-12):
+    """Reference minimum-power solve: the precheck grid and bisection of the
+    optimizer run on direct `e2e_avg` calls instead of the hop-2 tables.
+    Returns (power, bler at power) or None when p_max misses the target."""
+    grid = ee.p_max * np.logspace(-8.0, 0.0, points)
+    eps = [ev.e2e_avg(p) for p in grid]
+    assert all(b <= a + slack for a, b in zip(eps, eps[1:]))
+    if eps[-1] > ee.bler_threshold:
+        return None
+    if eps[0] <= ee.bler_threshold:
+        return float(grid[0]), eps[0]
+    idx = max(i for i in range(len(eps)) if eps[i] > ee.bler_threshold)
+    lo, hi = float(grid[idx]), float(grid[idx + 1])
+    eps_hi = eps[idx + 1]
+    for _ in range(ee.max_bisect_iters):
+        if hi - lo <= ee.bisect_tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        e_mid = ev.e2e_avg(mid)
+        if e_mid <= ee.bler_threshold:
+            hi, eps_hi = mid, e_mid
+        else:
+            lo = mid
+    return hi, eps_hi

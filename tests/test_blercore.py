@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from fasrelay import (BlerBreakdown, ScenarioConfig, avg_bler_hop1,
                       e2e_bler, error_floor, fas_spectrum, fbl_rate,
                       instantaneous_bler, linearize, mixture_bler,
                       trajectory_avg_bler)
-from fasrelay.blercore import TrajectoryEvaluator
+from fasrelay.blercore import (Hop2Table, TabulatedEvaluator,
+                               TrajectoryEvaluator)
 
 from conftest import exact_avg_bler, quad_hop1, quad_hop2
 
@@ -236,6 +238,90 @@ def test_hop2_validation_errors(fbl100):
         avg_bler_hop2(fbl100, -1.0, 1, (1.0,))
     with pytest.raises(ValueError):
         avg_bler_hop2(fbl100, 1.0, 1.5, (1.0,))
+
+
+# ---------------------------------------------------------------------------
+# hop-2 tables
+# ---------------------------------------------------------------------------
+
+# the accuracy the optimizer checks at every solved power
+_TABLE_REL = 1e-8
+
+
+def _table_gap(table, params, m, lambdas, points=801):
+    """Largest relative gap to the kernel on a log grid over the table's
+    whole range (about 90 points per decade, saturated part included)."""
+    vt = np.geomspace(table.lo, table.hi, points)
+    direct = avg_bler_hop2(params, vt, m, lambdas)
+    return float(np.max(np.abs(table(vt) - direct) / direct))
+
+
+def test_hop2_table_matches_kernel():
+    # the optimizer's tables: relay power p_max * [1e-8, 1] with p_max = 10 W
+    cfg = ScenarioConfig(p1=10.0 ** 1.6)
+    worst, capped = 0.0, 0
+    for blocklength in (100, 300, 600):
+        fbl = linearize(80.0 / blocklength, blocklength)
+        for z in (100.0, 400.0, 500.0, 800.0):
+            base = TrajectoryEvaluator(replace(cfg, uav_altitude=z), fbl)
+            for n in (1, 2, 4, 8, 12):
+                fas = fas_spectrum(n, 0.5)
+                tab = TabulatedEvaluator(base.with_spectrum(fas), 1e-7, 10.0)
+                for lt, table in zip(("los", "nlos"), tab.tables):
+                    m = cfg.nakagami_m(lt)
+                    worst = max(worst, _table_gap(table, fbl, m, fas.lambdas))
+                    if table.top < table.hi:
+                        capped += 1
+                        # past vartheta_sat the kernel's exact constant
+                        assert table(table.hi) == avg_bler_hop2(
+                            fbl, table.hi, m, fas.lambdas)
+    assert capped > 0
+    assert worst <= _TABLE_REL
+
+
+def test_hop2_table_clamped_ramp():
+    # rho_l = 0 has no saturation point: the panels span the whole range
+    fbl = linearize(0.02, 100)
+    assert fbl.rho_l == 0.0
+    for n in (1, 4, 12):
+        lams = fas_spectrum(n, 0.5).lambdas
+        for m in (1, 5):
+            table = Hop2Table(fbl, m, lams, 1e-6, 1e4)
+            assert table.top == table.hi
+            assert table.nodes.size == 10 * 32
+            assert _table_gap(table, fbl, m, lams) <= _TABLE_REL
+
+
+def test_hop2_table_never_extrapolates(fbl100):
+    table = Hop2Table(fbl100, 5, (1.3, 0.7), 1e-4, 1e3)
+    assert table(1e-4) > 0.0
+    assert table(1e3) == pytest.approx(1.0, rel=1e-15)
+    for vt in (1e-4 * (1.0 - 1e-12), 1e3 * (1.0 + 1e-12), [1e-3, 2e3],
+               float("nan")):
+        with pytest.raises(ValueError):
+            table(vt)
+    with pytest.raises(ValueError):
+        Hop2Table(fbl100, 5, (1.0,), 1.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(z=st.floats(100.0, 800.0), n=st.integers(1, 12),
+       blocklength=st.sampled_from((100, 300, 600)),
+       u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+def test_tabulated_e2e_bounded_and_monotone(z, n, blocklength, u, v):
+    cfg = ScenarioConfig(p1=10.0 ** 1.6, uav_altitude=z)
+    fbl = linearize(80.0 / blocklength, blocklength)
+    ev = TrajectoryEvaluator(cfg, fbl, fas_spectrum(n, 0.5))
+    p_lo, p_hi = 1e-7, 10.0
+    tab = TabulatedEvaluator(ev, p_lo, p_hi)
+    p_a, p_b = np.clip(p_lo * (p_hi / p_lo) ** np.sort([u, v]), p_lo, p_hi)
+    e_a, e_b = tab.e2e_avg(p_a), tab.e2e_avg(p_b)
+    for p, e in ((p_a, e_a), (p_b, e_b)):
+        nodes = ev.end_to_end(ev.hop2_mixed(*tab.hop2_components(p)))
+        assert np.all(ev.eps1_mixed <= nodes) and np.all(nodes <= 1.0)
+        # the trajectory rule's weights sum to slightly above 1
+        assert ev.hop1_avg() <= e <= float(np.sum(ev.weights))
+    assert e_b <= e_a * (1.0 + 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fasrelay import (CausalityError, EeConfig, ScenarioConfig, best_altitude,
+from fasrelay import (CausalityError, EeConfig, MonotonicityError,
+                      ScenarioConfig, TableAccuracyError, best_altitude,
                       best_port_count, energy_efficiency, fas_spectrum,
                       global_optimize, linearize, min_power,
                       trajectory_avg_bler)
-from fasrelay.optimizer import violates_causality
+from fasrelay import blercore
+from fasrelay.blercore import TrajectoryEvaluator
+from fasrelay.optimizer import _min_power_on, violates_causality
+
+from conftest import direct_min_power
 
 
 @pytest.fixture
@@ -100,6 +105,66 @@ def test_bler_strictly_decreasing_on_power_grid(cfg46, fbl200):
         assert b <= a + 1e-12
 
 
+def test_min_power_matches_direct_bisection(cfg46):
+    # the table-driven solve against the same bisection on direct kernel
+    # calls: same feasibility, power within bisect_tol, and the reported
+    # BLER is the direct value; p_max = 40 dBm (the presets') and 10 dBm,
+    # where most of the grid is infeasible
+    outcomes = {True: 0, False: 0}
+    for p_max in (10.0, 1e-2):
+        ee = EeConfig(p_max=p_max, bler_threshold=1e-3, bisect_tol=1e-4)
+        for blocklength in (100, 300, 600):
+            fbl = linearize(80.0 / blocklength, blocklength)
+            for z in (100.0, 400.0, 800.0):
+                base = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl)
+                for n in range(1, 13):
+                    ev = base.with_spectrum(fas_spectrum(n, 0.5))
+                    want = direct_min_power(ev, ee)
+                    got = _min_power_on(ev, ee)
+                    assert (got is None) == (want is None), (p_max, blocklength, z, n)
+                    outcomes[want is None] += 1
+                    if want is None:
+                        continue
+                    p2, eps, gap = got
+                    assert p2 == pytest.approx(want[0], rel=ee.bisect_tol)
+                    assert eps == ev.e2e_avg(p2)
+                    assert 0.0 <= gap <= 1e-8
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def test_min_power_rejects_falling_hop2_table(cfg46, fbl200, monkeypatch):
+    kernel = blercore.avg_bler_hop2
+
+    def wavy(params, vartheta, m2, lambdas):
+        # not monotone in vartheta
+        vt = np.asarray(vartheta, dtype=float)
+        return kernel(params, vt, m2, lambdas) * (1.0 + 0.5 * np.sin(20.0 * np.log(vt)))
+
+    monkeypatch.setattr(blercore, "avg_bler_hop2", wavy)
+    with pytest.raises(MonotonicityError, match="table"):
+        min_power(cfg46, fas_spectrum(4, 0.5), fbl200, EeConfig(p_max=10.0),
+                  450.0)
+
+
+def test_min_power_rejects_rising_precheck(cfg46, fbl200, monkeypatch):
+    # end-to-end BLER that grows with power on the precheck grid
+    monkeypatch.setattr(blercore.TabulatedEvaluator, "e2e_avg",
+                        lambda self, p2: min(1.0, 1e-3 * p2))
+    with pytest.raises(MonotonicityError, match="decrease"):
+        min_power(cfg46, fas_spectrum(4, 0.5), fbl200, EeConfig(p_max=10.0),
+                  450.0)
+
+
+def test_min_power_checks_table_against_direct(cfg46, fbl200, monkeypatch):
+    # a table 1e-6 off the kernel fails the check at the solved power
+    interpolate = blercore.Hop2Table._interpolate
+    monkeypatch.setattr(blercore.Hop2Table, "_interpolate",
+                        lambda self, vt: interpolate(self, vt) * (1.0 - 1e-6))
+    with pytest.raises(TableAccuracyError):
+        min_power(cfg46, fas_spectrum(4, 0.5), fbl200, EeConfig(p_max=10.0),
+                  450.0)
+
+
 def test_best_port_count_singleton(cfg46, fbl200):
     ee = EeConfig(p_max=10.0, n_range=(4, 4))
     res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5)
@@ -185,6 +250,7 @@ def test_global_optimize_trace_and_self_consistency(cfg46):
                             ee.port_time, ee.circuit_power, ee.switch_power)
     assert val == pytest.approx(sol.ee_star, rel=1e-12)
     assert sol.eps_star <= ee.bler_threshold
+    assert 0.0 <= sol.table_check_max_rel <= 1e-8
     assert not violates_causality(sol.n_star, ee.port_time, sol.l_star,
                                   ee.bandwidth)
 
