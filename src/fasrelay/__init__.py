@@ -18,7 +18,7 @@ from .geometry import (LinkState, ScenarioConfig, elevation_angle, link_state,
 from .mcoracle import (McConfig, McEstimate, mc_average_bler,
                        sample_fas_gain_model, sample_fas_gain_physical,
                        sample_hop1_gain)
-from .optimizer import (EeConfig, EeSolution, best_altitude, best_port_count,
+from .optimizer import (EeConfig, EeSolution, best_port_count,
                         energy_efficiency, global_optimize, min_power)
 
 __all__ = [
@@ -35,6 +35,6 @@ __all__ = [
     "los_probability", "path_loss_coeff", "slant_ranges",
     "McConfig", "McEstimate", "mc_average_bler", "sample_fas_gain_model",
     "sample_fas_gain_physical", "sample_hop1_gain",
-    "EeConfig", "EeSolution", "best_altitude", "best_port_count",
-    "energy_efficiency", "global_optimize", "min_power",
+    "EeConfig", "EeSolution", "best_port_count", "energy_efficiency",
+    "global_optimize", "min_power",
 ]

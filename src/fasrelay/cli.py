@@ -27,15 +27,20 @@ from .chanmodel import fas_spectrum
 from .errors import ConfigError
 from .geometry import ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
-from .optimizer import (EeConfig, best_port_count, global_optimize, min_power,
-                        port_entry)
+from .optimizer import (EeConfig, PortSearchResult, best_port_count,
+                        global_optimize, min_power, port_entry)
 
 COMMANDS = ("bler-sweep", "validate", "aperture-sweep", "power-vs-altitude",
             "ee-vs-ports", "ee-contour", "optimize")
 
-_WATT_UNITS = {"w": 1.0, "mw": 1e-3, "uw": 1e-6}
-_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
-_TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9}
+# dimension -> unit suffix -> SI factor; "dbm" is a power unit of its own
+_UNITS = {
+    "power": {"w": 1.0, "mw": 1e-3, "uw": 1e-6},
+    "frequency": {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9},
+    "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9},
+    "level": {"db": 1.0},
+    "plain": {},
+}
 
 
 def _to_dbm(watts: float) -> float:
@@ -48,55 +53,55 @@ def _from_dbm(dbm: float) -> float:
 
 def _parse_number(token: str, line: int) -> float:
     try:
-        return float(token)
+        x = float(token)
     except ValueError:
         raise ConfigError(f"expected a number, got {token!r}", line)
+    if not math.isfinite(x):
+        raise ConfigError(f"expected a finite number, got {token!r}", line)
+    return x
 
 
 def _parse_quantity(value: str, dimension: str, line: int) -> float:
     """Parse a scalar with an optional unit suffix, checked against the
     key's dimension (power, frequency, time, level, or plain)."""
     parts = value.split()
-    if len(parts) == 1:
-        num, unit = parts[0], None
-    elif len(parts) == 2:
-        num, unit = parts
-    else:
+    if len(parts) not in (1, 2):
         raise ConfigError(f"cannot parse quantity {value!r}", line)
-    x = _parse_number(num, line)
-    u = unit.lower() if unit is not None else None
-    if dimension == "power":
-        if u is None or u in _WATT_UNITS:
-            return x * _WATT_UNITS.get(u, 1.0)
-        if u == "dbm":
-            return _from_dbm(x)
-        raise ConfigError(f"unit {unit!r} invalid for a power value", line)
-    if dimension == "frequency":
-        if u is None or u in _FREQ_UNITS:
-            return x * _FREQ_UNITS.get(u, 1.0)
-        raise ConfigError(f"unit {unit!r} invalid for a frequency value", line)
-    if dimension == "time":
-        if u is None or u in _TIME_UNITS:
-            return x * _TIME_UNITS.get(u, 1.0)
-        raise ConfigError(f"unit {unit!r} invalid for a time value", line)
-    if dimension == "level":
-        if u is None or u == "db":
-            return x
-        raise ConfigError(f"unit {unit!r} invalid for a dB value", line)
-    if u is not None:
-        raise ConfigError(f"key takes a plain number, got unit {unit!r}", line)
-    return x
+    x = _parse_number(parts[0], line)
+    if len(parts) == 1:
+        return x
+    unit = parts[1].lower()
+    if dimension == "power" and unit == "dbm":
+        try:
+            out = _from_dbm(x)
+        except OverflowError:
+            out = math.inf
+    elif unit in _UNITS[dimension]:
+        out = x * _UNITS[dimension][unit]
+    else:
+        raise ConfigError(
+            f"unit {parts[1]!r} invalid for a {dimension} value", line)
+    if not math.isfinite(out):
+        raise ConfigError(f"{value!r} is out of range", line)
+    return out
 
 
 def _parse_int(value: str, line: int) -> int:
+    """An integer literal (exact at any size) or a number without a
+    fractional part, such as 1e3."""
+    try:
+        return int(value)
+    except ValueError:
+        pass
     x = _parse_number(value, line)
     if x != int(x):
         raise ConfigError(f"expected an integer, got {value!r}", line)
     return int(x)
 
 
-def _parse_list(value: str, line: int) -> list[float]:
-    """Comma list (1, 2, 3) or linspace shorthand lo:hi:count."""
+def _parse_list(value: str, line: int, parse=_parse_number) -> list:
+    """Comma list (1, 2, 3) or linspace shorthand lo:hi:count; every point
+    goes through parse."""
     if ":" in value:
         parts = value.split(":")
         if len(parts) != 3:
@@ -107,12 +112,15 @@ def _parse_list(value: str, line: int) -> list[float]:
         if count < 1:
             raise ConfigError("range count must be >= 1", line)
         if count == 1:
-            return [lo]
-        return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    out = [_parse_number(tok.strip(), line) for tok in value.split(",") if tok.strip()]
-    if not out:
+            tokens = [repr(lo)]
+        else:
+            tokens = [repr(lo + (hi - lo) * i / (count - 1))
+                      for i in range(count)]
+    else:
+        tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
+    if not tokens:
         raise ConfigError("empty list", line)
-    return out
+    return [parse(tok, line) for tok in tokens]
 
 
 def _parse_vec3(value: str, line: int) -> tuple[float, float, float]:
@@ -213,6 +221,10 @@ class ExperimentSpec:
         for name, pts in self.sweeps.items():
             if len(pts) < 1:
                 raise ValueError(f"sweep axis {name} must have >= 1 point")
+            if name in ("sweep_n_ports", "sweep_blocklength") and min(pts) < 1:
+                raise ValueError(f"{name} entries must be >= 1")
+            if name == "sweep_aperture" and min(pts) <= 0:
+                raise ValueError(f"{name} entries must be positive")
 
 
 def parse_config(text: str, command: str) -> ExperimentSpec:
@@ -252,18 +264,15 @@ def parse_config(text: str, command: str) -> ExperimentSpec:
         elif kind == "list":
             raw[key] = tuple(_parse_list(value, lineno))
         elif kind == "intlist":
-            raw[key] = tuple(_parse_int(tok.strip(), lineno)
-                             for tok in (value.split(",") if ":" not in value else [])) \
-                or tuple(int(v) for v in _parse_list(value, lineno))
+            raw[key] = tuple(_parse_list(value, lineno, _parse_int))
         else:
             raw[key] = value
         lines[key] = lineno
 
     def line_of(message: str) -> int | None:
-        for key, lineno in lines.items():
-            if key in message:
-                return lineno
-        return None
+        # the longest key named wins: sweep_n_ports over n_ports
+        named = [key for key in lines if key in message]
+        return lines[max(named, key=len)] if named else None
 
     scenario_fields = {k: raw[k] for k in
                        ("bs_position", "ue_position", "flight_radius",
@@ -522,26 +531,34 @@ def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int):
     return list(enumerate(jobs)), compute
 
 
+def _port_search_columns(spec: ExperimentSpec, res: PortSearchResult) -> dict:
+    """Echo columns plus the outcome of one port search at one (L, Z), shared
+    by the ee-contour and optimize rows."""
+    row = _echo_columns(spec)
+    row.update({"uav_altitude_m": res.z_u, "blocklength": res.blocklength,
+                "aperture": spec.aperture,
+                "feasible": res.feasible,
+                "n_star": res.n_star if res.feasible else "",
+                "p2_star_dbm": _to_dbm(res.p2_star) if res.feasible else "",
+                "ee_bits_per_joule": res.ee_star})
+    return row
+
+
 def _rows_ee_contour(spec: ExperimentSpec, seed: int):
     z_axis = _axis(spec, "sweep_z", None)
     l_axis = _axis(spec, "sweep_blocklength", None)
     if z_axis is None or l_axis is None:
         raise ConfigError("ee-contour requires sweep_z and sweep_blocklength")
     jobs = [(int(l), float(z)) for l in l_axis for z in z_axis]
+    fbls = {l: linearize(spec.ee.payload_bits / l, l, spec.chi_variant)
+            for l, _ in jobs}
 
     def compute(args):
         idx, (l, z) = args
-        fbl = linearize(spec.ee.payload_bits / l, l, spec.chi_variant)
-        res = best_port_count(spec.scenario, fbl, spec.ee, z, spec.aperture,
-                              spec.rank_tolerance, spec.traj_nodes)
-        row = _echo_columns(spec)
-        row.update({"uav_altitude_m": z, "blocklength": l,
-                    "aperture": spec.aperture,
-                    "feasible": res.feasible,
-                    "n_star": res.n_star if res.feasible else "",
-                    "p2_star_dbm": _to_dbm(res.p2_star) if res.feasible else "",
-                    "ee_bits_per_joule": res.ee_star})
-        return row
+        res = best_port_count(spec.scenario, fbls[l], spec.ee, z,
+                              spec.aperture, spec.rank_tolerance,
+                              spec.traj_nodes)
+        return _port_search_columns(spec, res)
 
     return list(enumerate(jobs)), compute
 
@@ -550,21 +567,11 @@ def _rows_optimize(spec: ExperimentSpec, seed: int):
     sol = global_optimize(spec.scenario, spec.ee, spec.aperture,
                           spec.rank_tolerance, spec.traj_nodes,
                           spec.chi_variant)
-    rows = []
-    for point in sol.trace:
-        row = _echo_columns(spec)
-        is_opt = (sol.feasible and point.feasible
-                  and point.blocklength == sol.l_star
-                  and point.z_u == sol.z_star)
-        row.update({"uav_altitude_m": point.z_u,
-                    "blocklength": point.blocklength,
-                    "aperture": spec.aperture,
-                    "feasible": point.feasible,
-                    "n_star": point.n_ports if point.feasible else "",
-                    "p2_star_dbm": _to_dbm(point.p2) if point.feasible else "",
-                    "ee_bits_per_joule": point.ee,
-                    "is_optimum": is_opt})
-        rows.append(row)
+    rows = [dict(_port_search_columns(spec, res),
+                 is_optimum=(sol.feasible and res.feasible
+                             and res.blocklength == sol.l_star
+                             and res.z_u == sol.z_star))
+            for res in sol.trace]
     return rows, sol
 
 

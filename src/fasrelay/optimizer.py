@@ -229,6 +229,11 @@ def port_entry(ev: TrajectoryEvaluator, n_ports: int, aperture: float,
 
 @dataclass(frozen=True)
 class PortSearchResult:
+    """Port-count search at one (blocklength, altitude): every port count's
+    entry and the EE maximizer among the feasible ones."""
+
+    blocklength: int
+    z_u: float
     n_star: int | None
     p2_star: float | None
     ee_star: float
@@ -250,80 +255,26 @@ def best_port_count(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
     """Evaluate every admissible port count at fixed altitude and pick the
     EE maximizer. The correlation spectrum is rebuilt per N at the fixed
     aperture, so port spacing shrinks as ports are added."""
-    ev = TrajectoryEvaluator(replace(cfg, uav_altitude=float(z_u)), fbl,
-                             None, nodes)
+    z_u = float(z_u)
+    ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, None, nodes)
     entries = tuple(port_entry(ev, n, aperture, ee, rank_tolerance)
                     for n in range(ee.n_range[0], ee.n_range[1] + 1))
     feasible = [e for e in entries if e.feasible]
     if not feasible:
-        return PortSearchResult(n_star=None, p2_star=None, ee_star=0.0,
+        return PortSearchResult(blocklength=fbl.blocklength, z_u=z_u,
+                                n_star=None, p2_star=None, ee_star=0.0,
                                 feasible=False, entries=entries)
     # max keeps the first maximizer, so ties go to the smaller N
     best = max(feasible, key=lambda e: e.ee)
-    return PortSearchResult(n_star=best.n_ports, p2_star=best.p2,
+    return PortSearchResult(blocklength=fbl.blocklength, z_u=z_u,
+                            n_star=best.n_ports, p2_star=best.p2,
                             ee_star=best.ee, feasible=True, entries=entries)
 
 
 @dataclass(frozen=True)
-class AltitudeEntry:
-    z_u: float
-    feasible: bool
-    n_ports: int | None
-    p2: float | None
-    ee: float
-    table_check_max_rel: float
-
-
-@dataclass(frozen=True)
-class AltitudeSearchResult:
-    z_star: float | None
-    n_star: int | None
-    p2_star: float | None
-    ee_star: float
-    feasible: bool
-    entries: tuple[AltitudeEntry, ...]
-
-
-def best_altitude(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
-                  aperture: float,
-                  rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-                  nodes: int = DEFAULT_TRAJECTORY_NODES) -> AltitudeSearchResult:
-    """Plain grid search over altitude; every point solves the port-count
-    subproblem. Grid search is kept deliberately assumption-free since
-    EE versus altitude is not known to be unimodal."""
-    entries = []
-    best = None
-    for z in ee.altitude_grid():
-        sub = best_port_count(cfg, fbl, ee, float(z), aperture,
-                              rank_tolerance, nodes)
-        entry = AltitudeEntry(z_u=float(z), feasible=sub.feasible,
-                              n_ports=sub.n_star, p2=sub.p2_star, ee=sub.ee_star,
-                              table_check_max_rel=sub.table_check_max_rel)
-        entries.append(entry)
-        if sub.feasible and (best is None or entry.ee > best.ee):
-            best = entry
-    if best is None:
-        return AltitudeSearchResult(z_star=None, n_star=None, p2_star=None,
-                                    ee_star=0.0, feasible=False,
-                                    entries=tuple(entries))
-    return AltitudeSearchResult(z_star=best.z_u, n_star=best.n_ports,
-                                p2_star=best.p2, ee_star=best.ee,
-                                feasible=True, entries=tuple(entries))
-
-
-@dataclass(frozen=True)
-class TracePoint:
-    blocklength: int
-    z_u: float
-    n_ports: int | None
-    p2: float | None
-    ee: float
-    feasible: bool
-
-
-@dataclass(frozen=True)
 class EeSolution:
-    """Outcome of the full hierarchical search, with the per-(L, Z) trace.
+    """Outcome of the full hierarchical search; the trace holds the port
+    search of every (L, Z) with all of its per-N entries.
 
     eps_star is the direct kernel's BLER at the optimum; table_check_max_rel
     is the largest table-vs-direct relative gap at any solved power.
@@ -336,7 +287,7 @@ class EeSolution:
     ee_star: float
     eps_star: float | None
     feasible: bool
-    trace: tuple[TracePoint, ...]
+    trace: tuple[PortSearchResult, ...]
     table_check_max_rel: float
 
 
@@ -344,37 +295,29 @@ def global_optimize(cfg: ScenarioConfig, ee: EeConfig, aperture: float,
                     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
                     nodes: int = DEFAULT_TRAJECTORY_NODES,
                     chi_variant: str = "2^R-1") -> EeSolution:
-    """Exhaustive sweep over the blocklength set, solving the altitude
-    problem at each length. Ties break toward smaller (L, Z, N), which
-    keeps the result invariant to the ordering of l_set."""
+    """Exhaustive search over the blocklength set and the altitude grid,
+    solving the port-count problem at every (L, Z). Grid search is kept
+    deliberately assumption-free since EE versus altitude is not known to
+    be unimodal. Ties break toward smaller (L, Z, N), which keeps the
+    result invariant to the ordering of l_set."""
     trace = []
-    best = None           # (ee, l, z, n, p2)
-    table_rel = 0.0
     for l in ee.l_set:
-        l = int(l)
-        fbl = linearize(ee.payload_bits / l, l, chi_variant)
-        alt = best_altitude(cfg, fbl, ee, aperture, rank_tolerance, nodes)
-        for entry in alt.entries:
-            table_rel = max(table_rel, entry.table_check_max_rel)
-            trace.append(TracePoint(blocklength=l, z_u=entry.z_u,
-                                    n_ports=entry.n_ports, p2=entry.p2,
-                                    ee=entry.ee, feasible=entry.feasible))
-            if not entry.feasible:
-                continue
-            key = (entry.ee, -l, -entry.z_u, -entry.n_ports)
-            if best is None or key > (best[0], -best[1], -best[2], -best[3]):
-                best = (entry.ee, l, entry.z_u, entry.n_ports, entry.p2)
-    if best is None:
+        fbl = linearize(ee.payload_bits / int(l), int(l), chi_variant)
+        trace.extend(best_port_count(cfg, fbl, ee, z, aperture,
+                                     rank_tolerance, nodes)
+                     for z in ee.altitude_grid())
+    trace = tuple(trace)
+    table_rel = max((res.table_check_max_rel for res in trace), default=0.0)
+    feasible = [res for res in trace if res.feasible]
+    if not feasible:
         return EeSolution(l_star=None, z_star=None, n_star=None, p2_star=None,
                           ee_star=0.0, eps_star=None, feasible=False,
-                          trace=tuple(trace), table_check_max_rel=table_rel)
-    ee_star, l_star, z_star, n_star, p2_star = best
-    fbl = linearize(ee.payload_bits / l_star, l_star, chi_variant)
-    scenario = replace(cfg, uav_altitude=z_star)
-    fas = fas_spectrum(n_star, aperture, rank_tolerance)
-    ev = TrajectoryEvaluator(scenario, fbl, fas, nodes)
-    eps_star = ev.e2e_avg(p2_star)
-    return EeSolution(l_star=l_star, z_star=z_star, n_star=n_star,
-                      p2_star=p2_star, ee_star=ee_star, eps_star=eps_star,
-                      feasible=True, trace=tuple(trace),
-                      table_check_max_rel=table_rel)
+                          trace=trace, table_check_max_rel=table_rel)
+    best = max(feasible, key=lambda r: (r.ee_star, -r.blocklength, -r.z_u,
+                                        -r.n_star))
+    # the winning entry's BLER is the direct kernel's value at p2_star
+    eps_star = next(e.eps_o for e in best.entries if e.n_ports == best.n_star)
+    return EeSolution(l_star=best.blocklength, z_star=best.z_u,
+                      n_star=best.n_star, p2_star=best.p2_star,
+                      ee_star=best.ee_star, eps_star=eps_star, feasible=True,
+                      trace=trace, table_check_max_rel=table_rel)

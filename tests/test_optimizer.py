@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fasrelay import (CausalityError, EeConfig, MonotonicityError,
-                      ScenarioConfig, TableAccuracyError, best_altitude,
-                      best_port_count, energy_efficiency, fas_spectrum,
-                      global_optimize, linearize, min_power,
-                      trajectory_avg_bler)
+                      ScenarioConfig, TableAccuracyError, best_port_count,
+                      energy_efficiency, fas_spectrum, global_optimize,
+                      linearize, min_power, trajectory_avg_bler)
 from fasrelay import blercore
 from fasrelay.blercore import TrajectoryEvaluator
 from fasrelay.optimizer import _min_power_on, violates_causality
@@ -204,38 +203,50 @@ def test_best_port_count_excludes_causality_violations(cfg46, fbl200):
             assert entry.ee == 0.0
 
 
-def test_best_altitude_singleton_grid(cfg46, fbl200):
+def _enumerate_altitudes(cfg, fbl, ee, aperture):
+    """Port search at every altitude of the grid and the first EE maximizer
+    among the feasible ones (ties to the lower altitude)."""
+    searches = [best_port_count(cfg, fbl, ee, float(z), aperture)
+                for z in ee.altitude_grid()]
+    best = None
+    for res in searches:
+        if res.feasible and (best is None or res.ee_star > best.ee_star):
+            best = res
+    return searches, best
+
+
+def test_global_optimize_singleton_grid(cfg46, fbl200):
     ee = EeConfig(p_max=10.0, n_range=(2, 2), z_range=(400.0, 401.0),
-                  z_step=10.0)
-    res = best_altitude(cfg46, fbl200, ee, 0.5)
-    assert res.feasible
-    assert res.z_star == 400.0
-    assert len(res.entries) == 1
+                  z_step=10.0, l_set=(200,))
+    sol = global_optimize(cfg46, ee, 0.5)
+    assert sol.feasible
+    assert (sol.l_star, sol.z_star, sol.n_star) == (200, 400.0, 2)
+    assert len(sol.trace) == 1
+    assert sol.trace[0] == best_port_count(cfg46, fbl200, ee, 400.0, 0.5)
 
 
-def test_best_altitude_grid_argmax_property(cfg46, fbl200):
+def test_global_optimize_altitude_argmax(cfg46, fbl200):
     ee = EeConfig(p_max=10.0, n_range=(2, 2), z_range=(200.0, 600.0),
-                  z_step=100.0)
-    res = best_altitude(cfg46, fbl200, ee, 0.5)
-    assert res.feasible
-    values = {e.z_u: e.ee for e in res.entries}
-    zs = sorted(values)
-    idx = zs.index(res.z_star)
-    for neighbor in zs[max(0, idx - 1):idx + 2]:
-        assert values[res.z_star] >= values[neighbor]
+                  z_step=100.0, l_set=(200,))
+    sol = global_optimize(cfg46, ee, 0.5)
+    searches, best = _enumerate_altitudes(cfg46, fbl200, ee, 0.5)
+    assert sol.feasible
+    assert sol.trace == tuple(searches)
+    assert sol.z_star == best.z_u
+    assert sol.ee_star == best.ee_star
+    assert all(sol.ee_star >= res.ee_star for res in searches)
 
 
-def test_global_optimize_singleton_reduces_to_altitude_search(cfg46):
+def test_global_optimize_single_blocklength_matches_enumeration(cfg46):
     ee = EeConfig(p_max=10.0, n_range=(1, 4), z_range=(300.0, 500.0),
                   z_step=100.0, l_set=(300,))
     sol = global_optimize(cfg46, ee, 0.5)
     fbl = linearize(80.0 / 300.0, 300)
-    alt = best_altitude(cfg46, fbl, ee, 0.5)
-    assert sol.feasible and alt.feasible
+    _, best = _enumerate_altitudes(cfg46, fbl, ee, 0.5)
+    assert sol.feasible and best is not None
     assert sol.l_star == 300
-    assert sol.z_star == alt.z_star
-    assert sol.n_star == alt.n_star
-    assert sol.ee_star == pytest.approx(alt.ee_star, rel=1e-12)
+    assert (sol.z_star, sol.n_star) == (best.z_u, best.n_star)
+    assert (sol.p2_star, sol.ee_star) == (best.p2_star, best.ee_star)
 
 
 def test_global_optimize_trace_and_self_consistency(cfg46):
@@ -243,7 +254,25 @@ def test_global_optimize_trace_and_self_consistency(cfg46):
                   z_step=100.0, l_set=(300, 400))
     sol = global_optimize(cfg46, ee, 0.5)
     assert len(sol.trace) == 2 * 3  # two lengths, three altitudes
+    assert [(res.blocklength, res.z_u) for res in sol.trace] == \
+        [(l, z) for l in (300, 400) for z in (300.0, 400.0, 500.0)]
+    # every port count's entry stays in the trace
+    assert all([e.n_ports for e in res.entries] == [1, 2, 3]
+               for res in sol.trace)
     assert sol.feasible
+    # eps_star is the winning entry's BLER, which is the direct kernel's
+    # value at the optimum
+    win = next(res for res in sol.trace
+               if (res.blocklength, res.z_u) == (sol.l_star, sol.z_star))
+    entry = win.entries[sol.n_star - ee.n_range[0]]
+    assert entry.n_ports == sol.n_star and entry.p2 == sol.p2_star
+    assert sol.eps_star == entry.eps_o
+    direct = TrajectoryEvaluator(replace(cfg46, uav_altitude=sol.z_star),
+                                 linearize(80.0 / sol.l_star, sol.l_star),
+                                 fas_spectrum(sol.n_star, 0.5))
+    assert sol.eps_star == direct.e2e_avg(sol.p2_star)
+    assert sol.table_check_max_rel == max(res.table_check_max_rel
+                                          for res in sol.trace)
     # re-evaluating the EE at the returned tuple reproduces ee_star
     val = energy_efficiency(ee.payload_bits, sol.eps_star, sol.p2_star,
                             sol.l_star, ee.bandwidth, sol.n_star,
@@ -272,7 +301,8 @@ def test_global_optimize_all_infeasible_flag(cfg46):
     assert sol.ee_star == 0.0
     assert sol.l_star is None
     assert len(sol.trace) == 2
-    assert all(not p.feasible and p.ee == 0.0 for p in sol.trace)
+    assert all(not res.feasible and res.ee_star == 0.0 for res in sol.trace)
+    assert all(len(res.entries) == 2 for res in sol.trace)
 
 
 def test_ee_config_validation():
