@@ -237,7 +237,7 @@ def test_global_optimize_altitude_argmax(cfg46, fbl200):
     assert all(sol.ee_star >= res.ee_star for res in searches)
 
 
-def test_global_optimize_single_blocklength_matches_enumeration(cfg46):
+def test_global_optimize_singleton_reduces_to_altitude_search(cfg46):
     ee = EeConfig(p_max=10.0, n_range=(1, 4), z_range=(300.0, 500.0),
                   z_step=100.0, l_set=(300,))
     sol = global_optimize(cfg46, ee, 0.5)
