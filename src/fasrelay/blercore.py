@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .geometry import ScenarioConfig, trajectory_geometry
+from .geometry import LINK_TYPES, ScenarioConfig, trajectory_geometry
 
 _LOG2E = math.log2(math.e)
 _SQRT2 = math.sqrt(2.0)
@@ -342,51 +342,11 @@ def avg_bler_hop2_asymptotic(params: FblParams, vartheta2, m2: int, lambdas):
     return _as_result(np.where(ln > 709.0, np.inf, np.exp(np.minimum(ln, 709.0))))
 
 
-def mixture_bler(eps_los: float, eps_nlos: float, p_los: float) -> float:
-    """Expectation of the per-type BLERs over the link-type probabilities."""
-    for name, v in (("eps_los", eps_los), ("eps_nlos", eps_nlos), ("p_los", p_los)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    return eps_los * p_los + eps_nlos * (1.0 - p_los)
-
-
-def e2e_bler(eps1: float, eps2: float) -> float:
-    """Decode-and-forward end-to-end combining: 1 - (1-eps1)(1-eps2)."""
-    for name, v in (("eps1", eps1), ("eps2", eps2)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    return 1.0 - (1.0 - eps1) * (1.0 - eps2)
-
-
-@dataclass(frozen=True)
-class BlerBreakdown:
-    """Per-angle BLER components: four hop/type values, mixed hop values,
-    and the end-to-end combination (consistency-checked on construction)."""
-
-    hop1_los: float
-    hop1_nlos: float
-    hop2_los: float
-    hop2_nlos: float
-    hop1_mixed: float
-    hop2_mixed: float
-    end_to_end: float
-
-    def __post_init__(self):
-        vals = (self.hop1_los, self.hop1_nlos, self.hop2_los, self.hop2_nlos,
-                self.hop1_mixed, self.hop2_mixed, self.end_to_end)
-        if any(not 0.0 <= v <= 1.0 for v in vals):
-            raise ValueError("all BLER components must lie in [0, 1]")
-        expected = 1.0 - (1.0 - self.hop1_mixed) * (1.0 - self.hop2_mixed)
-        if abs(self.end_to_end - expected) > 1e-12:
-            raise ValueError("end_to_end inconsistent with the hop mixture values")
-
-
 # ---------------------------------------------------------------------------
 # Trajectory averaging.
 # ---------------------------------------------------------------------------
 
 DEFAULT_TRAJECTORY_NODES = 128
-_LINK_TYPES = ("los", "nlos")
 
 
 def chebyshev_nodes(n_nodes: int):
@@ -410,15 +370,24 @@ def chebyshev_nodes(n_nodes: int):
 
 
 class TrajectoryEvaluator:
-    """Caches per-angle geometry so repeated evaluations at different
-    transmit powers (bisection, port sweeps) only redo the hop-2 averages.
+    """The trajectory-averaged BLER of one scenario and blocklength, and its
+    per-node parts.
 
-    `TabulatedEvaluator` gives the same end-to-end BLER with hop 2 read
-    from one `Hop2Table` per link type over a power range: two kernel calls
-    on about 200 vartheta each for the whole range, against two calls on
-    the 128 nodes per power here; the tables agree with this direct path to about
-    1e-12 relative (see the module docstring). Both paths share the mixing,
-    combining and averaging below.
+    `e2e_avg(p2)` is the end-to-end BLER averaged around the circle at relay
+    power p2, and `hop1_avg()` its limit as p2 grows (the error floor). The
+    per-node arrays compose it: `eps1_mixed` (hop 1, LoS/NLoS mixed),
+    `hop2_components` (hop 2 per link type), `hop2_mixed` and `end_to_end`.
+    The Chebyshev rule of `chebyshev_nodes` agrees with direct integration
+    of the same integrand to well below 1e-6 absolute for nodes >= 64.
+
+    Geometry and hop 1 are computed once, so repeated evaluations at
+    different transmit powers (bisection, port sweeps) only redo the hop-2
+    averages. `TabulatedEvaluator` gives the same end-to-end BLER with hop 2
+    read from one `Hop2Table` per link type over a power range: two kernel
+    calls on about 200 vartheta each for the whole range, against two calls
+    on the 128 nodes per power here; the tables agree with this direct path
+    to about 1e-12 relative (see the module docstring). Both paths share the
+    mixing, combining and averaging below.
 
     The weighted reduction runs in fixed node order, so results are
     bit-reproducible for a given node count.
@@ -434,13 +403,11 @@ class TrajectoryEvaluator:
         self.weights = weights
         geo = trajectory_geometry(cfg, theta)
         self.geo = geo
-        sigma2 = cfg.noise_power
-        self._eps1 = {}
-        for lt in _LINK_TYPES:
-            vt1 = cfg.nakagami_m(lt) * sigma2 / (cfg.p1 * geo.beta1[lt])
-            self._eps1[lt] = avg_bler_hop1(fbl, vt1, cfg.nakagami_m(lt))
-        self.eps1_mixed = (geo.p_los1 * self._eps1["los"]
-                           + (1.0 - geo.p_los1) * self._eps1["nlos"])
+        eps1_los, eps1_nlos = (
+            avg_bler_hop1(fbl, cfg.nakagami_m(lt) * cfg.noise_power
+                          / (cfg.p1 * geo.beta1[lt]), cfg.nakagami_m(lt))
+            for lt in LINK_TYPES)
+        self.eps1_mixed = geo.p_los1 * eps1_los + (1.0 - geo.p_los1) * eps1_nlos
 
     def with_spectrum(self, fas) -> "TrajectoryEvaluator":
         """Shallow copy sharing the geometry and hop-1 arrays but swapping
@@ -450,9 +417,6 @@ class TrajectoryEvaluator:
         clone.__dict__.update(self.__dict__)
         clone.fas = fas
         return clone
-
-    def hop1_components(self):
-        return self._eps1["los"], self._eps1["nlos"]
 
     def hop1_avg(self) -> float:
         return float(self.weights @ self.eps1_mixed)
@@ -466,12 +430,12 @@ class TrajectoryEvaluator:
             raise ValueError("p2 must be positive")
         cfg = self.cfg
         return tuple(cfg.nakagami_m(lt) * cfg.noise_power / (p2 * self.geo.beta2[lt])
-                     for lt in _LINK_TYPES)
+                     for lt in LINK_TYPES)
 
     def hop2_components(self, p2: float):
         return tuple(avg_bler_hop2(self.fbl, vt, self.cfg.nakagami_m(lt),
                                    self.fas.lambdas)
-                     for lt, vt in zip(_LINK_TYPES, self.hop2_varthetas(p2)))
+                     for lt, vt in zip(LINK_TYPES, self.hop2_varthetas(p2)))
 
     def hop2_mixed(self, e2_los, e2_nlos):
         """LoS/NLoS mixture of per-node hop-2 values."""
@@ -508,7 +472,7 @@ class TabulatedEvaluator:
         self.tables = tuple(
             Hop2Table(ev.fbl, ev.cfg.nakagami_m(lt), ev.fas.lambdas,
                       float(lo.min()), float(hi.max()))
-            for lt, lo, hi in zip(_LINK_TYPES, near, far))
+            for lt, lo, hi in zip(LINK_TYPES, near, far))
 
     def hop2_components(self, p2: float):
         return tuple(table(vt) for table, vt
@@ -516,45 +480,3 @@ class TabulatedEvaluator:
 
     def e2e_avg(self, p2: float) -> float:
         return self.ev.e2e_avg_from(*self.hop2_components(p2))
-
-
-@dataclass(frozen=True)
-class TrajectoryBler:
-    """Trajectory-averaged end-to-end BLER with the per-node breakdowns."""
-
-    value: float
-    theta: tuple[float, ...]
-    weights: tuple[float, ...]
-    nodes: tuple[BlerBreakdown, ...]
-
-
-def trajectory_avg_bler(cfg: ScenarioConfig, fas, fbl: FblParams, p2: float,
-                        nodes: int = DEFAULT_TRAJECTORY_NODES) -> TrajectoryBler:
-    """Average the end-to-end BLER around the circular trajectory.
-
-    Uses the Chebyshev-node rule above; agrees with direct integration of
-    the same integrand to well below 1e-6 absolute for nodes >= 64.
-    """
-    ev = TrajectoryEvaluator(cfg, fbl, fas, nodes)
-    e1_los, e1_nlos = ev.hop1_components()
-    e2_los, e2_nlos = ev.hop2_components(p2)
-    eps2_mixed = ev.hop2_mixed(e2_los, e2_nlos)
-    e2e = ev.end_to_end(eps2_mixed)
-    breakdowns = tuple(
-        BlerBreakdown(hop1_los=float(e1_los[i]), hop1_nlos=float(e1_nlos[i]),
-                      hop2_los=float(e2_los[i]), hop2_nlos=float(e2_nlos[i]),
-                      hop1_mixed=float(ev.eps1_mixed[i]),
-                      hop2_mixed=float(eps2_mixed[i]),
-                      end_to_end=float(e2e[i]))
-        for i in range(len(ev.theta)))
-    return TrajectoryBler(value=float(ev.weights @ e2e),
-                          theta=tuple(float(t) for t in ev.theta),
-                          weights=tuple(float(w) for w in ev.weights),
-                          nodes=breakdowns)
-
-
-def error_floor(cfg: ScenarioConfig, fbl: FblParams,
-                nodes: int = DEFAULT_TRAJECTORY_NODES) -> float:
-    """Limit of the trajectory-averaged BLER as the relay power grows:
-    the first-hop average alone."""
-    return TrajectoryEvaluator(cfg, fbl, None, nodes).hop1_avg()

@@ -1,4 +1,4 @@
-"""Spatial correlation model of the multi-port receiver and per-hop SNR CDFs.
+"""Spatial correlation model of the multi-port receiver.
 
 Port positions are spread uniformly over an aperture of W wavelengths, which
 gives the classic isotropic-scattering correlation J0(2 pi W (m-n)/(N-1))
@@ -51,10 +51,6 @@ class FasSpectrum:
     def lambdas(self) -> tuple[float, ...]:
         return self.eigenvalues[: self.n_eff]
 
-    @property
-    def lambda_sum(self) -> float:
-        return float(sum(self.lambdas))
-
 
 def jakes_matrix(n_ports: int, aperture: float) -> np.ndarray:
     """Port correlation matrix J[m, n] = J0(2 pi W (m - n) / (N - 1)).
@@ -104,38 +100,3 @@ def fas_spectrum(n_ports: int, aperture: float,
     """Build and decompose the correlation matrix for (N, W) in one step."""
     return eigen_spectrum(jakes_matrix(n_ports, aperture), rank_tolerance,
                           aperture=aperture)
-
-
-def _gamma_cdf(z, m: int) -> float:
-    """Regularized lower gamma P(m, z) for an integer shape m >= 1."""
-    if m < 1 or int(m) != m:
-        raise ValueError(f"shape m must be a positive integer, got {m}")
-    return float(special.gammainc(m, z))
-
-
-def cdf_hop1(x: float, vartheta: float, m1: int) -> float:
-    """First-hop SNR CDF: regularized lower gamma P(m1, x * vartheta)."""
-    if x < 0:
-        raise ValueError("SNR argument must be nonnegative")
-    if vartheta <= 0:
-        raise ValueError("vartheta must be positive")
-    return _gamma_cdf(x * vartheta, m1)
-
-
-def cdf_hop2(x: float, vartheta2: float, m2: int, lambdas) -> float:
-    """Second-hop selected-port SNR CDF: product of per-branch gamma CDFs."""
-    if x < 0:
-        raise ValueError("SNR argument must be nonnegative")
-    if vartheta2 <= 0:
-        raise ValueError("vartheta2 must be positive")
-    lams = [float(l) for l in lambdas]
-    if not lams:
-        raise ValueError("lambdas must be non-empty")
-    if any(l <= 0 for l in lams):
-        raise ValueError("lambdas must be positive")
-    prod = 1.0
-    for lam in lams:
-        prod *= _gamma_cdf(x * vartheta2 / lam, m2)
-        if prod == 0.0:
-            return 0.0
-    return prod

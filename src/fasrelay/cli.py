@@ -25,7 +25,7 @@ from .blercore import (CHI_VARIANTS, TrajectoryEvaluator,
                        avg_bler_hop2_asymptotic, linearize)
 from .chanmodel import fas_spectrum
 from .errors import ConfigError
-from .geometry import ScenarioConfig
+from .geometry import LINK_TYPES, ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
 from .optimizer import (EeConfig, PortSearchResult, best_port_count,
                         global_optimize, min_power, port_entry)
@@ -48,7 +48,10 @@ def _to_dbm(watts: float) -> float:
 
 
 def _from_dbm(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _parse_number(token: str, line: int) -> float:
@@ -72,10 +75,7 @@ def _parse_quantity(value: str, dimension: str, line: int) -> float:
         return x
     unit = parts[1].lower()
     if dimension == "power" and unit == "dbm":
-        try:
-            out = _from_dbm(x)
-        except OverflowError:
-            out = math.inf
+        out = _from_dbm(x)
     elif unit in _UNITS[dimension]:
         out = x * _UNITS[dimension][unit]
     else:
@@ -223,8 +223,12 @@ class ExperimentSpec:
                 raise ValueError(f"sweep axis {name} must have >= 1 point")
             if name in ("sweep_n_ports", "sweep_blocklength") and min(pts) < 1:
                 raise ValueError(f"{name} entries must be >= 1")
-            if name == "sweep_aperture" and min(pts) <= 0:
+            if name in ("sweep_aperture", "sweep_z") and min(pts) <= 0:
                 raise ValueError(f"{name} entries must be positive")
+            if name == "sweep_p2_dbm" and not all(
+                    0.0 < _from_dbm(p) < math.inf for p in pts):
+                raise ValueError(f"{name} entries must give a finite "
+                                 "positive power in watts")
 
 
 def parse_config(text: str, command: str) -> ExperimentSpec:
@@ -410,13 +414,13 @@ def _analytic_point(spec: ExperimentSpec, base: TrajectoryEvaluator,
     e2e = ev.end_to_end(eps2)
     asym = [avg_bler_hop2_asymptotic(ev.fbl, vt2, ev.cfg.nakagami_m(lt),
                                      fas.lambdas)
-            for lt, vt2 in zip(("los", "nlos"), ev.hop2_varthetas(p2))]
+            for lt, vt2 in zip(LINK_TYPES, ev.hop2_varthetas(p2))]
     eps2_asym = np.minimum(ev.hop2_mixed(*asym), 1.0)
     e2e_asym = ev.end_to_end(eps2_asym)
     return {
         "n_eff": fas.n_eff,
         "bler_analytic": float(ev.weights @ e2e),
-        "bler_hop1": float(ev.weights @ ev.eps1_mixed),
+        "bler_hop1": ev.hop1_avg(),
         "bler_hop2": float(ev.weights @ eps2),
         "bler_e2e_asym": float(ev.weights @ e2e_asym),
     }
@@ -488,11 +492,11 @@ def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int):
         raise ConfigError("power-vs-altitude requires sweep_z")
     n_axis = _axis(spec, "sweep_n_ports", [spec.n_ports])
     jobs = [(float(z), int(n)) for n in n_axis for z in z_axis]
+    fbl = linearize(spec.ee.payload_bits / spec.blocklength, spec.blocklength,
+                    spec.chi_variant)
 
     def compute(args):
         idx, (z, n) = args
-        fbl = linearize(spec.ee.payload_bits / spec.blocklength,
-                        spec.blocklength, spec.chi_variant)
         fas = fas_spectrum(n, spec.aperture, spec.rank_tolerance)
         p2 = min_power(spec.scenario, fas, fbl, spec.ee, z, spec.traj_nodes)
         row = _echo_columns(spec)

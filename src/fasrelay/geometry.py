@@ -1,9 +1,11 @@
-"""Trajectory geometry, LoS/NLoS mixing, path loss, and average SNRs.
+"""Scenario constants and the per-angle geometry of both hops.
 
 The UAV flies a circle of radius r at altitude Z_U around the origin; the
-base station and user are fixed. Everything here is a pure function of the
-scenario constants and the trajectory angle, so callers can evaluate
-angles in parallel freely.
+base station and user are fixed. `trajectory_geometry` gives, at an array
+of trajectory angles, each hop's slant range, signed elevation angle seen
+from the ground node, LoS probability 1 / (1 + a exp(-b (phi - a))) and
+linear large-scale gain (c / 4 pi f d)^2 10^(-eta/10) per link type. It is
+a pure function of the scenario constants and the angles.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class ScenarioConfig:
             raise ValueError("node positions must be 3-vectors")
         if self.flight_radius <= 0:
             raise ValueError("flight_radius must be positive")
+        if self.uav_altitude <= 0:
+            raise ValueError("uav_altitude must be positive")
         if self.carrier_freq <= 0:
             raise ValueError("carrier_freq must be positive")
         if self.noise_power <= 0:
@@ -74,124 +78,6 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class LinkState:
-    """Derived quantities for one hop, one link type, at one trajectory angle."""
-
-    hop: int
-    link_type: str
-    theta: float
-    distance: float
-    elevation: float      # degrees, signed
-    link_prob: float      # probability that this record's link type occurs
-    beta: float           # linear large-scale power gain
-    gamma_bar: float      # linear average SNR
-    vartheta: float       # linear rate parameter m / (normalized average SNR)
-
-    def __post_init__(self):
-        if self.hop not in (1, 2):
-            raise ValueError("hop must be 1 or 2")
-        if self.link_type not in LINK_TYPES:
-            raise ValueError(f"unknown link type {self.link_type!r}")
-        if self.distance <= 0 or self.beta <= 0 or self.gamma_bar <= 0 or self.vartheta <= 0:
-            raise ValueError("distance, beta, gamma_bar, vartheta must be positive")
-        if not 0.0 <= self.link_prob <= 1.0:
-            raise ValueError("link_prob must lie in [0, 1]")
-
-
-def _uav_position(cfg: ScenarioConfig, theta: float) -> tuple[float, float, float]:
-    r = cfg.flight_radius
-    return (r * math.cos(theta), r * math.sin(theta), cfg.uav_altitude)
-
-
-def slant_ranges(cfg: ScenarioConfig, theta: float) -> tuple[float, float]:
-    """Distances from the UAV at angle theta to the BS and to the UE."""
-    ux, uy, uz = _uav_position(cfg, theta)
-    d = []
-    for node in (cfg.bs_position, cfg.ue_position):
-        dist = math.sqrt((ux - node[0]) ** 2 + (uy - node[1]) ** 2 + (uz - node[2]) ** 2)
-        if dist == 0.0:
-            raise DegenerateGeometryError(
-                f"UAV position coincides with a link endpoint at theta={theta}")
-        d.append(dist)
-    return d[0], d[1]
-
-
-def elevation_angle(distance: float, delta_z: float) -> float:
-    """Signed elevation angle in degrees seen from the ground node.
-
-    Negative when the UAV flies below the node height; the LoS probability
-    model accepts the signed value unchanged.
-    """
-    if distance <= 0:
-        raise ValueError("distance must be positive")
-    if abs(delta_z) > distance:
-        raise ValueError(f"|delta_z|={abs(delta_z)} exceeds distance={distance}")
-    return math.degrees(math.asin(delta_z / distance))
-
-
-def los_probability(phi_deg: float, a: float, b: float) -> float:
-    """Probability of a line-of-sight condition at elevation phi (degrees)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
-    return 1.0 / (1.0 + a * math.exp(-b * (phi_deg - a)))
-
-
-def path_loss_coeff(distance: float, carrier_freq: float, eta_db: float) -> float:
-    """Linear large-scale gain (c / 4 pi f d)^2 * 10^(-eta/10)."""
-    if distance <= 0 or carrier_freq <= 0:
-        raise ValueError("distance and carrier_freq must be positive")
-    amp = SPEED_OF_LIGHT / (4.0 * math.pi * carrier_freq * distance)
-    return amp * amp * 10.0 ** (-eta_db / 10.0)
-
-
-def link_state(cfg: ScenarioConfig, fas, p2: float, theta: float,
-               hop: int, link_type: str) -> LinkState:
-    """Assemble the full per-angle link description for one hop and type.
-
-    For hop 2 a FasSpectrum must be supplied; its retained eigenvalue sum
-    enters both the average SNR and the rate parameter, so the two stay
-    consistent (their ratio reduces to m * sigma^2 / (P2 * beta)).
-    """
-    if link_type not in LINK_TYPES:
-        raise ValueError(f"unknown link type {link_type!r}")
-    d1, d2 = slant_ranges(cfg, theta)
-    m = cfg.nakagami_m(link_type)
-    eta = cfg.eta_db(link_type)
-    if hop == 1:
-        d = d1
-        delta_z = cfg.uav_altitude - cfg.bs_position[2]
-        power = cfg.p1
-    elif hop == 2:
-        d = d2
-        delta_z = cfg.uav_altitude - cfg.ue_position[2]
-        if fas is None or fas.n_eff < 1:
-            raise ValueError("hop 2 requires a FasSpectrum with n_eff >= 1")
-        if p2 is None or p2 <= 0:
-            raise ValueError("hop 2 requires a positive transmit power")
-        power = p2
-    else:
-        raise ValueError("hop must be 1 or 2")
-    phi = elevation_angle(d, delta_z)
-    p_los = los_probability(phi, cfg.los_a, cfg.los_b)
-    prob = p_los if link_type == "los" else 1.0 - p_los
-    beta = path_loss_coeff(d, cfg.carrier_freq, eta)
-    if hop == 1:
-        gamma_bar = power * beta / cfg.noise_power
-        vartheta = m / gamma_bar
-    else:
-        lam_sum = float(sum(fas.lambdas))
-        gamma_bar = power * beta * lam_sum / cfg.noise_power
-        vartheta = m * lam_sum / gamma_bar
-    return LinkState(hop=hop, link_type=link_type, theta=theta, distance=d,
-                     elevation=phi, link_prob=prob, beta=beta,
-                     gamma_bar=gamma_bar, vartheta=vartheta)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized trajectory geometry (private fast path for averaging engines).
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
 class TrajectoryGeometry:
     """Per-angle geometry arrays for both hops, shared by the BLER engines."""
 
@@ -207,6 +93,9 @@ class TrajectoryGeometry:
 
 
 def trajectory_geometry(cfg: ScenarioConfig, theta: np.ndarray) -> TrajectoryGeometry:
+    """Geometry of both hops at the trajectory angles theta (index 1: UAV
+    to BS, index 2: UAV to UE); raises DegenerateGeometryError where the UAV
+    coincides with a ground node."""
     theta = np.asarray(theta, dtype=float)
     r = cfg.flight_radius
     ux = r * np.cos(theta)

@@ -61,6 +61,8 @@ class EeConfig:
             raise ValueError("bler_threshold must lie in (0, 1)")
         if self.p_max <= 0:
             raise ValueError("p_max must be positive")
+        if self.z_range[0] <= 0:
+            raise ValueError("z_min must be positive")
         if not self.z_range[0] < self.z_range[1]:
             raise ValueError("z_range must satisfy z_min < z_max")
         if not self.l_set:

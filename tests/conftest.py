@@ -31,6 +31,18 @@ def gamma_lower_cdf(z, m):
     return float(special.gammainc(m, z))
 
 
+def cdf_hop1(x, vartheta, m):
+    """First-hop SNR CDF P(m, x vartheta), at a scalar or an array of x."""
+    return special.gammainc(m, np.multiply(x, vartheta))
+
+
+def cdf_hop2(x, vartheta2, m, lambdas):
+    """Selected-port SNR CDF: the product over the retained branches of
+    P(m, x vartheta2 / lambda_n)."""
+    return math.prod(special.gammainc(m, np.multiply(x, vartheta2) / lam)
+                     for lam in lambdas)
+
+
 def _saturation(m):
     # argument beyond which P(m, z) is 1 to double precision
     return 40.0 + 5.0 * m

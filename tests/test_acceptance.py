@@ -16,17 +16,16 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from fasrelay import (McConfig, avg_bler_hop1, avg_bler_hop2,
-                      avg_bler_hop2_asymptotic, cdf_hop1, cdf_hop2,
-                      error_floor, fas_spectrum, linearize, mc_average_bler,
-                      min_power, sample_fas_gain_model, sample_hop1_gain,
-                      trajectory_avg_bler)
+from fasrelay import (McConfig, TrajectoryEvaluator, avg_bler_hop1,
+                      avg_bler_hop2, avg_bler_hop2_asymptotic, fas_spectrum,
+                      linearize, mc_average_bler, min_power,
+                      sample_fas_gain_model, sample_hop1_gain)
 from fasrelay.cli import parse_config, run
 from fasrelay.geometry import trajectory_geometry
 from fasrelay.optimizer import EeConfig
 
-from conftest import (closed_form_hop2, exact_traj_bler, ks_statistic,
-                      quad_hop1, quad_hop2, surrogate_mc_bler)
+from conftest import (cdf_hop1, cdf_hop2, closed_form_hop2, exact_traj_bler,
+                      ks_statistic, quad_hop1, quad_hop2, surrogate_mc_bler)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -199,10 +198,11 @@ def test_c04_asymptotic_consistency(fbl100):
 def test_c05_error_floor(urban, fbl100):
     start = time.time()
     fas = fas_spectrum(2, 0.5)
-    floor = error_floor(urban, fbl100)
+    ev = TrajectoryEvaluator(urban, fbl100, fas)
+    floor = ev.hop1_avg()
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3)
     p_star = min_power(urban, fas, fbl100, ee, urban.uav_altitude)
-    val = trajectory_avg_bler(urban, fas, fbl100, p_star * 1e4).value
+    val = ev.e2e_avg(p_star * 1e4)
     rel = abs(val - floor) / floor
     elapsed = time.time() - start
     _report("C05 error floor reached 40 dB past the threshold power",
@@ -392,7 +392,7 @@ def test_c11_sampler_distributions():
 def test_c12_trajectory_quadrature_crosscheck(urban, fbl100):
     fas = fas_spectrum(2, 0.5)
     p2 = 10.0 ** ((18.0 - 30.0) / 10.0)  # near the reliability operating zone
-    approx = trajectory_avg_bler(urban, fas, fbl100, p2, nodes=128).value
+    approx = TrajectoryEvaluator(urban, fbl100, fas, nodes=128).e2e_avg(p2)
     k = 10_000
     theta = (np.arange(k) + 0.5) * 2.0 * math.pi / k
     geo = trajectory_geometry(urban, theta)

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from fasrelay import (BlerBreakdown, ScenarioConfig, avg_bler_hop1,
+from fasrelay import (ScenarioConfig, TrajectoryEvaluator, avg_bler_hop1,
                       avg_bler_hop2, avg_bler_hop2_asymptotic, chebyshev_nodes,
-                      e2e_bler, error_floor, fas_spectrum, fbl_rate,
-                      instantaneous_bler, linearize, mixture_bler,
-                      trajectory_avg_bler)
-from fasrelay.blercore import (Hop2Table, TabulatedEvaluator,
-                               TrajectoryEvaluator)
+                      fas_spectrum, fbl_rate, instantaneous_bler, linearize)
+from fasrelay.blercore import Hop2Table, TabulatedEvaluator
+from fasrelay.geometry import trajectory_geometry
 
 from conftest import exact_avg_bler, quad_hop1, quad_hop2
 
@@ -315,13 +313,15 @@ def test_tabulated_e2e_bounded_and_monotone(z, n, blocklength, u, v):
     p_lo, p_hi = 1e-7, 10.0
     tab = TabulatedEvaluator(ev, p_lo, p_hi)
     p_a, p_b = np.clip(p_lo * (p_hi / p_lo) ** np.sort([u, v]), p_lo, p_hi)
-    e_a, e_b = tab.e2e_avg(p_a), tab.e2e_avg(p_b)
-    for p, e in ((p_a, e_a), (p_b, e_b)):
-        nodes = ev.end_to_end(ev.hop2_mixed(*tab.hop2_components(p)))
-        assert np.all(ev.eps1_mixed <= nodes) and np.all(nodes <= 1.0)
-        # the trajectory rule's weights sum to slightly above 1
-        assert ev.hop1_avg() <= e <= float(np.sum(ev.weights))
-    assert e_b <= e_a * (1.0 + 1e-10)
+    # the same bounds and monotonicity on the tables and the direct kernel
+    for path in (tab, ev):
+        e_a, e_b = path.e2e_avg(p_a), path.e2e_avg(p_b)
+        for p, e in ((p_a, e_a), (p_b, e_b)):
+            nodes = ev.end_to_end(ev.hop2_mixed(*path.hop2_components(p)))
+            assert np.all(ev.eps1_mixed <= nodes) and np.all(nodes <= 1.0)
+            # the trajectory rule's weights sum to slightly above 1
+            assert ev.hop1_avg() <= e <= float(np.sum(ev.weights))
+        assert e_b <= e_a * (1.0 + 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -358,36 +358,42 @@ def test_asymptotic_converges_to_exact(fbl100):
 # mixing and combining
 # ---------------------------------------------------------------------------
 
+def _mixing_evaluator(p_los2=0.5, eps1_mixed=0.0):
+    """An evaluator whose hop-2 LoS probabilities and mixed hop-1 values are
+    set by hand, to check its mixing and combining on given numbers."""
+    ev = TrajectoryEvaluator(ScenarioConfig(), linearize(0.8, 100), nodes=2)
+    ev.geo = replace(ev.geo, p_los2=np.asarray(p_los2, dtype=float))
+    ev.eps1_mixed = np.asarray(eps1_mixed, dtype=float)
+    return ev
+
+
 def test_mixture_reference_cases():
-    assert mixture_bler(0.4, 0.9, 1.0) == 0.4
-    assert mixture_bler(0.1, 0.3, 0.5) == pytest.approx(0.2)
+    ev = _mixing_evaluator(p_los2=[1.0, 0.5])
+    val = ev.hop2_mixed(np.array([0.4, 0.1]), np.array([0.9, 0.3]))
+    assert val[0] == 0.4
+    assert val[1] == pytest.approx(0.2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=st.floats(0, 1), b=st.floats(0, 1), p=st.floats(0, 1))
 def test_mixture_is_convex_combination(a, b, p):
-    val = mixture_bler(a, b, p)
-    assert min(a, b) - 1e-15 <= val <= max(a, b) + 1e-15
+    val = _mixing_evaluator(p_los2=[p]).hop2_mixed(np.array([a]), np.array([b]))
+    assert min(a, b) - 1e-15 <= val[0] <= max(a, b) + 1e-15
 
 
 def test_e2e_reference_cases():
-    assert e2e_bler(0.0, 0.3) == pytest.approx(0.3)
-    assert e2e_bler(0.1, 0.1) == pytest.approx(0.19)
-    assert e2e_bler(1.0, 0.05) == 1.0
+    ev = _mixing_evaluator(eps1_mixed=[0.0, 0.1, 1.0])
+    val = ev.end_to_end(np.array([0.3, 0.1, 0.05]))
+    assert val[0] == pytest.approx(0.3)
+    assert val[1] == pytest.approx(0.19)
+    assert val[2] == 1.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=st.floats(0, 1), b=st.floats(0, 1))
 def test_e2e_bounds(a, b):
-    val = e2e_bler(a, b)
+    val = _mixing_evaluator(eps1_mixed=[a]).end_to_end(np.array([b]))[0]
     assert max(a, b) - 1e-15 <= val <= min(1.0, a + b) + 1e-15
-
-
-def test_breakdown_checks_consistency():
-    with pytest.raises(ValueError):
-        BlerBreakdown(hop1_los=0.1, hop1_nlos=0.2, hop2_los=0.1,
-                      hop2_nlos=0.2, hop1_mixed=0.15, hop2_mixed=0.15,
-                      end_to_end=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +421,10 @@ def test_chebyshev_constant_integrand_error():
 def test_trajectory_matches_midpoint_reference(urban, fbl100):
     fas = fas_spectrum(2, 0.5)
     p2 = 10.0 ** ((18.0 - 30.0) / 10.0)
-    approx = trajectory_avg_bler(urban, fas, fbl100, p2, nodes=128).value
+    approx = TrajectoryEvaluator(urban, fbl100, fas, nodes=128).e2e_avg(p2)
     k = 10_000
     theta = (np.arange(k) + 0.5) * 2.0 * math.pi / k
-    ev = TrajectoryEvaluator.__new__(TrajectoryEvaluator)
     # midpoint reference through the same per-angle composition
-    from fasrelay.geometry import trajectory_geometry
     geo = trajectory_geometry(urban, theta)
     eps1 = np.zeros(k)
     eps2 = np.zeros(k)
@@ -437,20 +441,23 @@ def test_trajectory_matches_midpoint_reference(urban, fbl100):
 
 def test_trajectory_breakdown_nodes(urban, fbl100):
     fas = fas_spectrum(2, 0.5)
-    out = trajectory_avg_bler(urban, fas, fbl100, 0.05, nodes=16)
-    assert len(out.nodes) == 16
-    manual = sum(w * n.end_to_end for w, n in zip(out.weights, out.nodes))
-    assert out.value == pytest.approx(manual, rel=1e-12)
-    for node in out.nodes:
-        assert node.end_to_end == pytest.approx(
-            e2e_bler(node.hop1_mixed, node.hop2_mixed), abs=1e-12)
+    ev = TrajectoryEvaluator(urban, fbl100, fas, nodes=16)
+    e2_los, e2_nlos = ev.hop2_components(0.05)
+    eps2 = ev.hop2_mixed(e2_los, e2_nlos)
+    nodes = ev.end_to_end(eps2)
+    assert len(nodes) == 16
+    manual = sum(w * e for w, e in zip(ev.weights, nodes))
+    assert ev.e2e_avg(0.05) == pytest.approx(manual, rel=1e-12)
+    assert np.all((0.0 <= eps2) & (eps2 <= 1.0))
+    assert nodes == pytest.approx(
+        1.0 - (1.0 - ev.eps1_mixed) * (1.0 - eps2), abs=1e-12)
 
 
 def test_error_floor_bounds_trajectory(urban, fbl100):
-    fas = fas_spectrum(2, 0.5)
-    floor = error_floor(urban, fbl100)
+    ev = TrajectoryEvaluator(urban, fbl100, fas_spectrum(2, 0.5))
+    floor = ev.hop1_avg()
     for p2_dbm in (5.0, 15.0, 25.0, 45.0):
-        val = trajectory_avg_bler(urban, fas, fbl100, 10 ** ((p2_dbm - 30) / 10)).value
+        val = ev.e2e_avg(10 ** ((p2_dbm - 30) / 10))
         assert val >= floor - 1e-12
 
 
@@ -459,8 +466,12 @@ def test_error_floor_constant_hop1():
     cfg = ScenarioConfig()
     p = linearize(0.8, 100)
     ev = TrajectoryEvaluator(cfg, p, None, nodes=64)
-    assert error_floor(cfg, p, nodes=64) == pytest.approx(
-        float(ev.weights @ ev.eps1_mixed), rel=1e-14)
+    geo = trajectory_geometry(cfg, ev.theta)
+    eps1 = sum(prob * avg_bler_hop1(
+        p, cfg.nakagami_m(lt) * cfg.noise_power / (cfg.p1 * geo.beta1[lt]),
+        cfg.nakagami_m(lt))
+        for lt, prob in (("los", geo.p_los1), ("nlos", 1.0 - geo.p_los1)))
+    assert ev.hop1_avg() == pytest.approx(float(ev.weights @ eps1), rel=1e-14)
 
 
 def test_error_floor_angle_independent_first_hop():
@@ -473,7 +484,7 @@ def test_error_floor_angle_independent_first_hop():
     eps1 = np.asarray(ev.eps1_mixed)
     assert eps1.max() - eps1.min() < 1e-15
     const = float(eps1[0])
-    floor = error_floor(cfg, p, nodes=128)
+    floor = ev.hop1_avg()
     assert floor == pytest.approx(const, rel=3e-5)
     quad_const = (math.pi / 256.0) / math.sin(math.pi / 256.0)
     assert floor == pytest.approx(const * quad_const, rel=1e-12)

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from fasrelay import cdf_hop1, cdf_hop2, eigen_spectrum, fas_spectrum, jakes_matrix
+from fasrelay import (avg_bler_hop1, avg_bler_hop2, eigen_spectrum,
+                      fas_spectrum, jakes_matrix)
 from fasrelay.chanmodel import FasSpectrum
+
+from conftest import cdf_hop1, cdf_hop2
 
 
 def test_jakes_unit_diagonal_any_aperture():
@@ -100,7 +103,7 @@ def test_cdf_hop1_matches_incomplete_gamma_form():
     xs = np.linspace(0.0, 50.0, 101)
     for m in range(1, 9):
         for vt in (0.3, 1.0, 2.7):
-            got = np.array([cdf_hop1(x, vt, m) for x in xs])
+            got = cdf_hop1(xs, vt, m)
             ref = special.gammainc(m, xs * vt)
             assert np.max(np.abs(got - ref)) < 1e-12
 
@@ -123,7 +126,7 @@ def test_cdf_hop2_matches_per_branch_product():
     lams = (1.30425, 0.69575)
     xs = np.linspace(0.0, 50.0, 81)
     for m in (1, 2, 5):
-        got = np.array([cdf_hop2(x, 0.9, m, lams) for x in xs])
+        got = cdf_hop2(xs, 0.9, m, lams)
         ref = np.ones_like(xs)
         for lam in lams:
             ref *= special.gammainc(m, xs * 0.9 / lam)
@@ -140,12 +143,10 @@ def test_cdf_hop2_more_branches_dominated(x, m, lams):
     assert full <= subset + 1e-14
 
 
-def test_cdf_domain_errors():
+def test_cdf_domain_errors(fbl100):
+    # the hop averages reject an empty branch set and a non-positive rate
+    # parameter
     with pytest.raises(ValueError):
-        cdf_hop1(-0.1, 1.0, 1)
+        avg_bler_hop2(fbl100, 1.0, 1, ())
     with pytest.raises(ValueError):
-        cdf_hop2(-0.1, 1.0, 1, (1.0,))
-    with pytest.raises(ValueError):
-        cdf_hop2(1.0, 1.0, 1, ())
-    with pytest.raises(ValueError):
-        cdf_hop1(1.0, 0.0, 1)
+        avg_bler_hop1(fbl100, 0.0, 1)

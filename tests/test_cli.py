@@ -289,18 +289,33 @@ def test_main_threads_flag_preserves_output(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _package_env():
+    """Environment for a subprocess that imports this checkout's package."""
+    src = str(Path(fasrelay.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_cli_import_leaves_out_mpmath():
     # mpmath is a test-only dependency: the package must run without it;
     # scipy.interpolate costs 0.36 s and 24 MB to import and is not used
-    src = str(Path(fasrelay.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, fasrelay.cli; "
          "print('mpmath' in sys.modules, 'scipy.interpolate' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
+        env=_package_env(), capture_output=True, text=True, check=True,
+        timeout=60)
     assert out.stdout.strip() == "False False"
+
+
+def test_public_surface_resolves():
+    # an export left behind by a deleted name fails here
+    missing = [name for name in fasrelay.__all__ if not hasattr(fasrelay, name)]
+    assert not missing
+    out = subprocess.run([sys.executable, "-c", "from fasrelay import *"],
+                         env=_package_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 # Malformed values that used to be accepted or to end in a traceback; each
@@ -321,6 +336,11 @@ _BAD_LINES = [
     "p1 = 4000 dBm",
     "carrier_freq = 1e305 GHz",
     "sweep_z = -1e308:1e308:3",
+    "sweep_p2_dbm = 4000",
+    "sweep_p2_dbm = -4000",
+    "sweep_z = -50, 0, 100",
+    "uav_altitude = 0",
+    "z_min = -10",
 ]
 
 
@@ -375,6 +395,8 @@ _TOKEN = st.one_of(
 @example(lines=[("seed", "1e400")], command="validate")
 @example(lines=[("blocklength", "nan")], command="bler-sweep")
 @example(lines=[("sweep_p2_dbm", "nan")], command="bler-sweep")
+@example(lines=[("sweep_p2_dbm", "4000")], command="bler-sweep")
+@example(lines=[("sweep_p2_dbm", "-4000")], command="bler-sweep")
 @example(lines=[("p1", "nan dBm")], command="bler-sweep")
 @example(lines=[("z_step", "nan")], command="optimize")
 @example(lines=[("sweep_n_ports", "1:12:5")], command="ee-vs-ports")
@@ -394,6 +416,8 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 _UNIT = st.floats(min_value=1e-12, max_value=1.0, exclude_max=True)
 _COUNT = st.integers(min_value=1, max_value=2 ** 64)
+# relay powers whose value in watts is finite and positive
+_DBM = st.floats(min_value=-3000.0, max_value=3000.0)
 
 
 @st.composite
@@ -402,12 +426,12 @@ def _specs(draw):
     scenario = ScenarioConfig(
         bs_position=draw(st.tuples(_FINITE, _FINITE, _FINITE)),
         ue_position=draw(st.tuples(_FINITE, _FINITE, _FINITE)),
-        flight_radius=draw(_POSITIVE), uav_altitude=draw(_FINITE),
+        flight_radius=draw(_POSITIVE), uav_altitude=draw(_POSITIVE),
         los_a=draw(_POSITIVE), los_b=draw(_POSITIVE),
         eta_los=eta[0], eta_nlos=eta[1], carrier_freq=draw(_POSITIVE),
         noise_power=draw(_POSITIVE), p1=draw(_POSITIVE),
         m_los=draw(_COUNT), m_nlos=draw(_COUNT))
-    z = sorted(draw(st.lists(_FINITE, min_size=2, max_size=2, unique=True)))
+    z = sorted(draw(st.lists(_POSITIVE, min_size=2, max_size=2, unique=True)))
     n = sorted(draw(st.lists(_COUNT, min_size=2, max_size=2)))
     ee = EeConfig(
         payload_bits=draw(_POSITIVE), bandwidth=draw(_POSITIVE),
@@ -424,7 +448,7 @@ def _specs(draw):
         mc = McConfig(seed=draw(st.integers(0, 2 ** 64 - 1)),
                       trials=draw(_COUNT), mode=draw(st.sampled_from(MC_MODES)),
                       batch=draw(_COUNT))
-    axes = {"sweep_p2_dbm": _FINITE, "sweep_z": _FINITE,
+    axes = {"sweep_p2_dbm": _DBM, "sweep_z": _POSITIVE,
             "sweep_aperture": _POSITIVE, "sweep_n_ports": _COUNT,
             "sweep_blocklength": _COUNT}
     names = draw(st.lists(st.sampled_from(_SWEEP_KEYS), unique=True))
@@ -449,13 +473,10 @@ def test_render_parse_round_trip(spec):
 def test_main_reports_bad_config_line_without_traceback(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("n_ports = 2\nsweep_n_ports = 0\nsweep_p2_dbm = 10\n")
-    src = str(Path(fasrelay.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-m", "fasrelay.cli", "bler-sweep", "--config",
          str(conf), "--out", str(tmp_path / "x.csv")],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=_package_env(), capture_output=True, text=True, timeout=60)
     assert out.returncode == 1
     assert out.stderr.startswith("error: line 2: sweep_n_ports")
     assert "Traceback" not in out.stderr

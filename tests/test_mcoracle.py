@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fasrelay import (McConfig, McEstimate, cdf_hop1, cdf_hop2,
+from fasrelay import (McConfig, McEstimate, TrajectoryEvaluator,
                       fas_spectrum, jakes_matrix, mc_average_bler,
                       sample_fas_gain_model, sample_fas_gain_physical,
-                      sample_hop1_gain, trajectory_avg_bler)
+                      sample_hop1_gain)
 from fasrelay.mcoracle import substreams
 
-from conftest import ks_statistic
+from conftest import cdf_hop1, cdf_hop2, ks_statistic
 
 # 1% critical value of the one-sample KS statistic (asymptotic)
 _KS_CRIT = 1.6276
@@ -201,9 +201,10 @@ def test_mc_matches_analytic_within_sampling_noise(urban, fbl100):
     # the surrogate's bias against the exact Q-average (-4.9% to +0.6% on the
     # validate preset, see the blercore module docstring)
     fas = fas_spectrum(2, 0.5)
+    ev = TrajectoryEvaluator(urban, fbl100, fas)
     for p2_dbm in (6.0, 24.0):
         p2 = 10 ** ((p2_dbm - 30) / 10)
-        ana = trajectory_avg_bler(urban, fas, fbl100, p2).value
+        ana = ev.e2e_avg(p2)
         est = mc_average_bler(urban, fas, fbl100, p2,
                               McConfig(seed=31337, trials=150_000))
         assert abs(ana - est.mean) < 3.0 * est.std_error + 0.06 * ana

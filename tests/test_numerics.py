@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fasrelay import (cdf_hop1, cdf_hop2, eigen_spectrum, fbl_rate,
-                      instantaneous_bler, jakes_matrix)
+from fasrelay import (avg_bler_hop1, avg_bler_hop2, eigen_spectrum,
+                      fbl_rate, instantaneous_bler, jakes_matrix)
 from fasrelay.blercore import q_func
+
+from conftest import cdf_hop1
 
 _LOG2E = math.log2(math.e)
 
@@ -72,7 +74,7 @@ def test_gamma_cdf_matches_library_across_shapes():
     zs = np.concatenate([[0.0], np.logspace(-8, np.log10(50.0), 200)])
     for m in range(1, 9):
         ref = np.array([float(mp.gammainc(m, 0, z, regularized=True)) for z in zs])
-        got = np.array([cdf_hop1(z, 1.0, m) for z in zs])
+        got = cdf_hop1(zs, 1.0, m)
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
@@ -104,13 +106,14 @@ def test_gamma_cdf_survival_complement():
                 1.0, abs=1e-14)
 
 
-def test_gamma_cdf_rejects_non_integer_shape():
+def test_gamma_cdf_rejects_non_integer_shape(fbl100):
+    # the hop averages take the shape of their gamma CDFs as an integer
     with pytest.raises(ValueError):
-        cdf_hop1(1.0, 1.0, 0)
+        avg_bler_hop1(fbl100, 1.0, 0)
     with pytest.raises(ValueError):
-        cdf_hop1(1.0, 1.0, 1.5)
+        avg_bler_hop1(fbl100, 1.0, 1.5)
     with pytest.raises(ValueError):
-        cdf_hop2(1.0, 1.0, -2, (1.0,))
+        avg_bler_hop2(fbl100, 1.0, -2, (1.0,))
 
 
 def test_jacobi_matches_library_eigensolver():

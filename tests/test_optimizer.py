@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from fasrelay import (CausalityError, EeConfig, MonotonicityError,
-                      ScenarioConfig, TableAccuracyError, best_port_count,
-                      energy_efficiency, fas_spectrum, global_optimize,
-                      linearize, min_power, trajectory_avg_bler)
+                      ScenarioConfig, TableAccuracyError, TrajectoryEvaluator,
+                      best_port_count, energy_efficiency, fas_spectrum,
+                      global_optimize, linearize, min_power)
 from fasrelay import blercore
-from fasrelay.blercore import TrajectoryEvaluator
 from fasrelay.optimizer import _min_power_on, violates_causality
 
 from conftest import direct_min_power
@@ -59,10 +58,9 @@ def test_min_power_bracket_contract(cfg46, fbl200):
     fas = fas_spectrum(8, 0.5)
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3, bisect_tol=1e-4)
     p_star = min_power(cfg46, fas, fbl200, ee, 450.0)
-    scn = replace(cfg46, uav_altitude=450.0)
-    at = trajectory_avg_bler(scn, fas, fbl200, p_star).value
-    below = trajectory_avg_bler(scn, fas, fbl200,
-                                p_star * (1.0 - 2.0 * ee.bisect_tol)).value
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200, fas)
+    at = ev.e2e_avg(p_star)
+    below = ev.e2e_avg(p_star * (1.0 - 2.0 * ee.bisect_tol))
     assert at <= ee.bler_threshold < below
 
 
@@ -71,12 +69,12 @@ def test_min_power_matches_grid_scan_oracle(cfg46, fbl200):
     fas = fas_spectrum(8, 0.5)
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3, bisect_tol=1e-4)
     p_star = min_power(cfg46, fas, fbl200, ee, 450.0)
-    scn = replace(cfg46, uav_altitude=450.0)
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200, fas)
     grid_dbm = np.arange(0.0, 20.0, 0.01)
     feas = None
     for dbm_val in grid_dbm:
         p = 10.0 ** ((dbm_val - 30.0) / 10.0)
-        if trajectory_avg_bler(scn, fas, fbl200, p).value <= ee.bler_threshold:
+        if ev.e2e_avg(p) <= ee.bler_threshold:
             feas = p
             break
     assert feas is not None
@@ -88,18 +86,17 @@ def test_feasible_set_monotone(cfg46, fbl200):
     fas = fas_spectrum(8, 0.5)
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3)
     p_star = min_power(cfg46, fas, fbl200, ee, 450.0)
-    scn = replace(cfg46, uav_altitude=450.0)
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200, fas)
     for factor in (1.5, 4.0, 40.0):
-        assert trajectory_avg_bler(scn, fas, fbl200, p_star * factor).value \
-            <= ee.bler_threshold
+        assert ev.e2e_avg(p_star * factor) <= ee.bler_threshold
 
 
 def test_bler_strictly_decreasing_on_power_grid(cfg46, fbl200):
     # the precheck grid the bisection relies on
     fas = fas_spectrum(2, 0.5)
-    scn = replace(cfg46, uav_altitude=450.0)
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200, fas)
     grid = 10.0 * np.logspace(-8, 0, 10)
-    eps = [trajectory_avg_bler(scn, fas, fbl200, p).value for p in grid]
+    eps = [ev.e2e_avg(p) for p in grid]
     for a, b in zip(eps, eps[1:]):
         assert b <= a + 1e-12
 
@@ -183,8 +180,8 @@ def test_best_port_count_matches_enumeration(cfg46, fbl200):
         p2 = min_power(cfg46, fas, fbl200, ee, 450.0)
         if p2 is None:
             continue
-        scn = replace(cfg46, uav_altitude=450.0)
-        eps = trajectory_avg_bler(scn, fas, fbl200, p2).value
+        eps = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200,
+                                  fas).e2e_avg(p2)
         val = energy_efficiency(ee.payload_bits, eps, p2, 200, ee.bandwidth,
                                 n, ee.port_time, ee.circuit_power,
                                 ee.switch_power)
