@@ -6,6 +6,9 @@ with every input echoed per row plus a metadata sidecar (config hash, seed,
 version). Same config + same seed produces byte-identical CSV bodies; Monte
 Carlo rows derive their substream seed from the base seed and the row index
 via numpy's SeedSequence (spawn_key = row index).
+
+The key table ``_KEYS`` is the config schema: parsing and ``render`` both
+read it, and a key the config omits keeps its dataclass default.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .blercore import (CHI_VARIANTS, TrajectoryEvaluator,
-                       avg_bler_hop2_asymptotic, linearize)
-from .chanmodel import fas_spectrum
+from .blercore import (CHI_VARIANTS, DEFAULT_TRAJECTORY_NODES,
+                       TrajectoryEvaluator, avg_bler_hop2_asymptotic,
+                       linearize)
+from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
 from .errors import ConfigError
 from .geometry import LINK_TYPES, ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
@@ -130,58 +134,62 @@ def _parse_vec3(value: str, line: int) -> tuple[float, float, float]:
     return tuple(_parse_number(p, line) for p in parts)
 
 
-# key -> (kind, dimension) ; kind drives the parser, dimension the units
+# The config schema: key -> (kind, dimension, home), in render order. kind
+# drives the parser and dimension the units; home is (section, field), or
+# (section, field, index) for one end of a range, with sections scenario,
+# ee, mc (the dataclasses), spec (ExperimentSpec) and sweeps (its axes).
+# parse_config and render name no key themselves; a key the config omits
+# keeps its dataclass default.
 _KEYS = {
-    "bs_position": ("vec3", None),
-    "ue_position": ("vec3", None),
-    "flight_radius": ("scalar", "plain"),
-    "uav_altitude": ("scalar", "plain"),
-    "los_a": ("scalar", "plain"),
-    "los_b": ("scalar", "plain"),
-    "eta_los": ("scalar", "level"),
-    "eta_nlos": ("scalar", "level"),
-    "carrier_freq": ("scalar", "frequency"),
-    "noise_power": ("scalar", "power"),
-    "p1": ("scalar", "power"),
-    "m_los": ("int", None),
-    "m_nlos": ("int", None),
-    "payload_bits": ("scalar", "plain"),
-    "blocklength": ("int", None),
-    "chi_variant": ("enum", CHI_VARIANTS),
-    "n_ports": ("int", None),
-    "aperture": ("scalar", "plain"),
-    "rank_tolerance": ("scalar", "plain"),
-    "traj_nodes": ("int", None),
-    "p2": ("scalar", "power"),
-    "bandwidth": ("scalar", "frequency"),
-    "circuit_power": ("scalar", "power"),
-    "switch_power": ("scalar", "power"),
-    "port_time": ("scalar", "time"),
-    "bler_threshold": ("scalar", "plain"),
-    "p_max": ("scalar", "power"),
-    "z_min": ("scalar", "plain"),
-    "z_max": ("scalar", "plain"),
-    "z_step": ("scalar", "plain"),
-    "l_set": ("intlist", None),
-    "n_min": ("int", None),
-    "n_max": ("int", None),
-    "bisect_tol": ("scalar", "plain"),
-    "max_bisect_iters": ("int", None),
-    "seed": ("int", None),
-    "trials": ("int", None),
-    "mc_mode": ("enum", MC_MODES),
-    "mc_batch": ("int", None),
-    "sweep_p2_dbm": ("list", None),
-    "sweep_n_ports": ("intlist", None),
-    "sweep_aperture": ("list", None),
-    "sweep_z": ("list", None),
-    "sweep_blocklength": ("intlist", None),
-    "output": ("str", None),
+    "bs_position": ("vec3", None, ("scenario", "bs_position")),
+    "ue_position": ("vec3", None, ("scenario", "ue_position")),
+    "flight_radius": ("scalar", "plain", ("scenario", "flight_radius")),
+    "uav_altitude": ("scalar", "plain", ("scenario", "uav_altitude")),
+    "los_a": ("scalar", "plain", ("scenario", "los_a")),
+    "los_b": ("scalar", "plain", ("scenario", "los_b")),
+    "eta_los": ("scalar", "level", ("scenario", "eta_los")),
+    "eta_nlos": ("scalar", "level", ("scenario", "eta_nlos")),
+    "carrier_freq": ("scalar", "frequency", ("scenario", "carrier_freq")),
+    "noise_power": ("scalar", "power", ("scenario", "noise_power")),
+    "p1": ("scalar", "power", ("scenario", "p1")),
+    "m_los": ("int", None, ("scenario", "m_los")),
+    "m_nlos": ("int", None, ("scenario", "m_nlos")),
+    "payload_bits": ("scalar", "plain", ("ee", "payload_bits")),
+    "bandwidth": ("scalar", "frequency", ("ee", "bandwidth")),
+    "circuit_power": ("scalar", "power", ("ee", "circuit_power")),
+    "switch_power": ("scalar", "power", ("ee", "switch_power")),
+    "port_time": ("scalar", "time", ("ee", "port_time")),
+    "bler_threshold": ("scalar", "plain", ("ee", "bler_threshold")),
+    "p_max": ("scalar", "power", ("ee", "p_max")),
+    "z_min": ("scalar", "plain", ("ee", "z_range", 0)),
+    "z_max": ("scalar", "plain", ("ee", "z_range", 1)),
+    "z_step": ("scalar", "plain", ("ee", "z_step")),
+    "bisect_tol": ("scalar", "plain", ("ee", "bisect_tol")),
+    "max_bisect_iters": ("int", None, ("ee", "max_bisect_iters")),
+    "l_set": ("intlist", None, ("ee", "l_set")),
+    "n_min": ("int", None, ("ee", "n_range", 0)),
+    "n_max": ("int", None, ("ee", "n_range", 1)),
+    "blocklength": ("int", None, ("spec", "blocklength")),
+    "chi_variant": ("enum", CHI_VARIANTS, ("spec", "chi_variant")),
+    "n_ports": ("int", None, ("spec", "n_ports")),
+    "aperture": ("scalar", "plain", ("spec", "aperture")),
+    "rank_tolerance": ("scalar", "plain", ("spec", "rank_tolerance")),
+    "traj_nodes": ("int", None, ("spec", "traj_nodes")),
+    "p2": ("scalar", "power", ("spec", "p2")),
+    "seed": ("int", None, ("mc", "seed")),
+    "trials": ("int", None, ("mc", "trials")),
+    "mc_mode": ("enum", MC_MODES, ("mc", "mode")),
+    "mc_batch": ("int", None, ("mc", "batch")),
+    "sweep_p2_dbm": ("list", None, ("sweeps", "sweep_p2_dbm")),
+    "sweep_n_ports": ("intlist", None, ("sweeps", "sweep_n_ports")),
+    "sweep_aperture": ("list", None, ("sweeps", "sweep_aperture")),
+    "sweep_z": ("list", None, ("sweeps", "sweep_z")),
+    "sweep_blocklength": ("intlist", None, ("sweeps", "sweep_blocklength")),
+    "output": ("str", None, ("spec", "output_path")),
 }
 
-_MC_KEYS = ("seed", "trials", "mc_mode", "mc_batch")
-_SWEEP_KEYS = ("sweep_p2_dbm", "sweep_n_ports", "sweep_aperture", "sweep_z",
-               "sweep_blocklength")
+_SWEEP_KEYS = tuple(key for key, (_, _, home) in _KEYS.items()
+                    if home[0] == "sweeps")
 
 
 @dataclass(frozen=True)
@@ -197,8 +205,8 @@ class ExperimentSpec:
     chi_variant: str = "2^R-1"
     n_ports: int = 2
     aperture: float = 0.5
-    rank_tolerance: float = 1e-9
-    traj_nodes: int = 128
+    rank_tolerance: float = DEFAULT_RANK_TOLERANCE
+    traj_nodes: int = DEFAULT_TRAJECTORY_NODES
     p2: float | None = None
     sweeps: dict = field(default_factory=dict)
     output_path: str = "out.csv"
@@ -247,14 +255,12 @@ def parse_config(text: str, command: str) -> ExperimentSpec:
             continue
         if "=" not in body:
             raise ConfigError("expected key = value", lineno)
-        key, value = body.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in body.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if not value:
             raise ConfigError(f"empty value for {key!r}", lineno)
-        kind, dim = _KEYS[key]
+        kind, dim, _ = _KEYS[key]
         if kind == "scalar":
             raw[key] = _parse_quantity(value, dim, lineno)
         elif kind == "int":
@@ -278,88 +284,47 @@ def parse_config(text: str, command: str) -> ExperimentSpec:
         named = [key for key in lines if key in message]
         return lines[max(named, key=len)] if named else None
 
-    scenario_fields = {k: raw[k] for k in
-                       ("bs_position", "ue_position", "flight_radius",
-                        "uav_altitude", "los_a", "los_b", "eta_los",
-                        "eta_nlos", "carrier_freq", "noise_power", "p1",
-                        "m_los", "m_nlos") if k in raw}
-    ee_fields = {k: raw[k] for k in
-                 ("payload_bits", "bandwidth", "circuit_power", "switch_power",
-                  "port_time", "bler_threshold", "p_max", "l_set",
-                  "z_step", "bisect_tol", "max_bisect_iters") if k in raw}
-    if "z_min" in raw or "z_max" in raw:
-        ee_fields["z_range"] = (raw.get("z_min", 100.0), raw.get("z_max", 800.0))
-    if "n_min" in raw or "n_max" in raw:
-        ee_fields["n_range"] = (raw.get("n_min", 1), raw.get("n_max", 12))
-    mc_fields = {"seed": raw.get("seed"), "trials": raw.get("trials"),
-                 "mode": raw.get("mc_mode"), "batch": raw.get("mc_batch")}
-    mc_fields = {k: v for k, v in mc_fields.items() if v is not None}
+    # each section gets the fields the config names and nothing else; the
+    # sweeps go in table order, which fixes the order their checks run in
+    kwargs = {s: {} for s in ("scenario", "ee", "mc", "spec", "sweeps")}
+    for key, (_, _, (section, name, *index)) in _KEYS.items():
+        if key not in raw:
+            continue
+        value = raw[key]
+        if index:
+            # one end of a range; the other keeps the dataclass default,
+            # which is the class attribute of the field (ranges are in ee)
+            ends = list(kwargs[section].get(name, getattr(EeConfig, name)))
+            ends[index[0]] = value
+            value = tuple(ends)
+        kwargs[section][name] = list(value) if section == "sweeps" else value
     try:
-        scenario = ScenarioConfig(**scenario_fields)
-        ee = EeConfig(**ee_fields)
-        mc = McConfig(**mc_fields) if (mc_fields or command == "validate") else None
-        return ExperimentSpec(
-            command=command, scenario=scenario, ee=ee, mc=mc,
-            blocklength=raw.get("blocklength", 100),
-            chi_variant=raw.get("chi_variant", "2^R-1"),
-            n_ports=raw.get("n_ports", 2),
-            aperture=raw.get("aperture", 0.5),
-            rank_tolerance=raw.get("rank_tolerance", 1e-9),
-            traj_nodes=raw.get("traj_nodes", 128),
-            p2=raw.get("p2"),
-            sweeps={k: list(raw[k]) for k in _SWEEP_KEYS if k in raw},
-            output_path=raw.get("output", "out.csv"),
-        )
+        scenario = ScenarioConfig(**kwargs["scenario"])
+        ee = EeConfig(**kwargs["ee"])
+        mc = (McConfig(**kwargs["mc"]) if kwargs["mc"] or command == "validate"
+              else None)
+        return ExperimentSpec(command, scenario, ee, mc,
+                              sweeps=kwargs["sweeps"], **kwargs["spec"])
     except ValueError as exc:
         raise ConfigError(str(exc), line_of(str(exc))) from exc
 
 
 def render(spec: ExperimentSpec) -> str:
-    """Emit a flat config that parses back to the same spec (SI units)."""
+    """Emit a flat config that parses back to the same spec (SI units): one
+    line per key of the schema that has a value, in table order."""
+    sections = {"scenario": vars(spec.scenario), "ee": vars(spec.ee),
+                "mc": vars(spec.mc) if spec.mc else {}, "spec": vars(spec),
+                "sweeps": spec.sweeps}
     out = []
-    scn = spec.scenario
-    out.append("bs_position = " + ", ".join(repr(v) for v in scn.bs_position))
-    out.append("ue_position = " + ", ".join(repr(v) for v in scn.ue_position))
-    for key, val in (("flight_radius", scn.flight_radius),
-                     ("uav_altitude", scn.uav_altitude),
-                     ("los_a", scn.los_a), ("los_b", scn.los_b),
-                     ("eta_los", scn.eta_los), ("eta_nlos", scn.eta_nlos),
-                     ("carrier_freq", scn.carrier_freq),
-                     ("noise_power", scn.noise_power), ("p1", scn.p1),
-                     ("m_los", scn.m_los), ("m_nlos", scn.m_nlos)):
-        out.append(f"{key} = {val!r}")
-    ee = spec.ee
-    for key, val in (("payload_bits", ee.payload_bits),
-                     ("bandwidth", ee.bandwidth),
-                     ("circuit_power", ee.circuit_power),
-                     ("switch_power", ee.switch_power),
-                     ("port_time", ee.port_time),
-                     ("bler_threshold", ee.bler_threshold),
-                     ("p_max", ee.p_max), ("z_min", ee.z_range[0]),
-                     ("z_max", ee.z_range[1]), ("z_step", ee.z_step),
-                     ("bisect_tol", ee.bisect_tol),
-                     ("max_bisect_iters", ee.max_bisect_iters)):
-        out.append(f"{key} = {val!r}")
-    out.append("l_set = " + ", ".join(str(l) for l in ee.l_set))
-    out.append(f"n_min = {ee.n_range[0]}")
-    out.append(f"n_max = {ee.n_range[1]}")
-    for key, val in (("blocklength", spec.blocklength),
-                     ("chi_variant", spec.chi_variant),
-                     ("n_ports", spec.n_ports), ("aperture", spec.aperture),
-                     ("rank_tolerance", spec.rank_tolerance),
-                     ("traj_nodes", spec.traj_nodes)):
-        out.append(f"{key} = {val!r}" if not isinstance(val, str) else f"{key} = {val}")
-    if spec.p2 is not None:
-        out.append(f"p2 = {spec.p2!r}")
-    if spec.mc is not None:
-        out.append(f"seed = {spec.mc.seed}")
-        out.append(f"trials = {spec.mc.trials}")
-        out.append(f"mc_mode = {spec.mc.mode}")
-        out.append(f"mc_batch = {spec.mc.batch}")
-    for name in _SWEEP_KEYS:
-        if name in spec.sweeps:
-            out.append(f"{name} = " + ", ".join(repr(v) for v in spec.sweeps[name]))
-    out.append(f"output = {spec.output_path}")
+    for key, (_, _, (section, name, *index)) in _KEYS.items():
+        value = sections[section].get(name)
+        if value is None:
+            continue
+        if index:
+            value = value[index[0]]
+        if isinstance(value, (tuple, list)):
+            value = ", ".join(map(str, value))
+        out.append(f"{key} = {value}")
     return "\n".join(out) + "\n"
 
 
@@ -397,13 +362,18 @@ def _axis(spec: ExperimentSpec, name: str, default) -> list | None:
     return None if value is None else list(value)
 
 
+def _fbl(spec: ExperimentSpec, blocklength: int):
+    """Linearized finite-blocklength parameters of the spec's packet."""
+    return linearize(spec.ee.payload_bits / blocklength, blocklength,
+                     spec.chi_variant)
+
+
 def _base_evaluator(spec: ExperimentSpec,
                     blocklength: int) -> TrajectoryEvaluator:
     """Geometry and hop-1 arrays of the spec's scenario at one blocklength,
     shared by every row of a sweep at that blocklength."""
-    fbl = linearize(spec.ee.payload_bits / blocklength, blocklength,
-                    spec.chi_variant)
-    return TrajectoryEvaluator(spec.scenario, fbl, None, spec.traj_nodes)
+    return TrajectoryEvaluator(spec.scenario, _fbl(spec, blocklength), None,
+                               spec.traj_nodes)
 
 
 def _analytic_point(spec: ExperimentSpec, base: TrajectoryEvaluator,
@@ -426,17 +396,14 @@ def _analytic_point(spec: ExperimentSpec, base: TrajectoryEvaluator,
     }
 
 
-def _rows_bler_like(spec: ExperimentSpec, seed: int, with_mc: bool):
+def _rows_bler_like(spec: ExperimentSpec, seed: int):
     p2_axis = _axis(spec, "sweep_p2_dbm", None)
     if p2_axis is None:
         raise ConfigError("this command requires sweep_p2_dbm")
     n_axis = _axis(spec, "sweep_n_ports", [spec.n_ports])
     w_axis = _axis(spec, "sweep_aperture", [spec.aperture])
-    jobs = []
-    for n in n_axis:
-        for w in w_axis:
-            for p2_dbm in p2_axis:
-                jobs.append((int(n), float(w), float(p2_dbm)))
+    jobs = [(int(n), float(w), float(p2_dbm))
+            for n in n_axis for w in w_axis for p2_dbm in p2_axis]
     base = _base_evaluator(spec, spec.blocklength)
 
     def compute(args):
@@ -450,7 +417,7 @@ def _rows_bler_like(spec: ExperimentSpec, seed: int, with_mc: bool):
         row.update(_analytic_point(spec, base, n, w, p2))
         # the limit of the end-to-end BLER as the relay power grows
         row["error_floor"] = row["bler_hop1"]
-        if with_mc:
+        if spec.command == "validate":
             mc = replace(spec.mc, seed=_row_seed(seed, idx))
             fas = fas_spectrum(n, w, spec.rank_tolerance)
             est = mc_average_bler(scn, fas, base.fbl, p2, mc)
@@ -468,19 +435,20 @@ def _rows_aperture(spec: ExperimentSpec, seed: int):
         raise ConfigError("aperture-sweep requires sweep_aperture")
     if spec.p2 is None and "sweep_p2_dbm" not in spec.sweeps:
         raise ConfigError("aperture-sweep requires p2 or sweep_p2_dbm")
-    p2_axis = _axis(spec, "sweep_p2_dbm", [_to_dbm(spec.p2)] if spec.p2 else None)
-    jobs = [(float(w), float(p)) for w in w_axis for p in p2_axis]
+    # (echoed dBm, evaluated watts): a p2 given in watts is evaluated as is
+    powers = ([(p, _from_dbm(p)) for p in _axis(spec, "sweep_p2_dbm", [])]
+              or [(_to_dbm(spec.p2), spec.p2)])
+    jobs = [(float(w), float(p2_dbm), p2) for w in w_axis
+            for p2_dbm, p2 in powers]
     base = _base_evaluator(spec, spec.blocklength)
 
     def compute(args):
-        idx, (w, p2_dbm) = args
-        scn = spec.scenario
+        idx, (w, p2_dbm, p2) = args
         row = _echo_columns(spec)
-        row.update({"uav_altitude_m": scn.uav_altitude,
+        row.update({"uav_altitude_m": spec.scenario.uav_altitude,
                     "n_ports": spec.n_ports, "aperture": w,
                     "blocklength": spec.blocklength, "p2_dbm": p2_dbm})
-        row.update(_analytic_point(spec, base, spec.n_ports, w,
-                                   _from_dbm(p2_dbm)))
+        row.update(_analytic_point(spec, base, spec.n_ports, w, p2))
         return row
 
     return list(enumerate(jobs)), compute
@@ -492,8 +460,7 @@ def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int):
         raise ConfigError("power-vs-altitude requires sweep_z")
     n_axis = _axis(spec, "sweep_n_ports", [spec.n_ports])
     jobs = [(float(z), int(n)) for n in n_axis for z in z_axis]
-    fbl = linearize(spec.ee.payload_bits / spec.blocklength, spec.blocklength,
-                    spec.chi_variant)
+    fbl = _fbl(spec, spec.blocklength)
 
     def compute(args):
         idx, (z, n) = args
@@ -554,8 +521,7 @@ def _rows_ee_contour(spec: ExperimentSpec, seed: int):
     if z_axis is None or l_axis is None:
         raise ConfigError("ee-contour requires sweep_z and sweep_blocklength")
     jobs = [(int(l), float(z)) for l in l_axis for z in z_axis]
-    fbls = {l: linearize(spec.ee.payload_bits / l, l, spec.chi_variant)
-            for l, _ in jobs}
+    fbls = {l: _fbl(spec, l) for l, _ in jobs}
 
     def compute(args):
         idx, (l, z) = args
@@ -567,7 +533,7 @@ def _rows_ee_contour(spec: ExperimentSpec, seed: int):
     return list(enumerate(jobs)), compute
 
 
-def _rows_optimize(spec: ExperimentSpec, seed: int):
+def _rows_optimize(spec: ExperimentSpec):
     sol = global_optimize(spec.scenario, spec.ee, spec.aperture,
                           spec.rank_tolerance, spec.traj_nodes,
                           spec.chi_variant)
@@ -579,6 +545,13 @@ def _rows_optimize(spec: ExperimentSpec, seed: int):
     return rows, sol
 
 
+# command -> builder(spec, seed) -> (indexed jobs, per-job row function)
+_BUILDERS = {"bler-sweep": _rows_bler_like, "validate": _rows_bler_like,
+             "aperture-sweep": _rows_aperture,
+             "power-vs-altitude": _rows_power_vs_altitude,
+             "ee-vs-ports": _rows_ee_vs_ports, "ee-contour": _rows_ee_contour}
+
+
 def run(spec: ExperimentSpec, seed: int | None = None, threads: int = 1,
         out_path: str | None = None) -> int:
     """Execute the experiment and write CSV plus a metadata sidecar.
@@ -587,25 +560,17 @@ def run(spec: ExperimentSpec, seed: int | None = None, threads: int = 1,
     optimization points are data, not errors.
     """
     path = out_path or spec.output_path
-    base_seed = seed if seed is not None else (spec.mc.seed if spec.mc else 20240801)
+    base_seed = seed if seed is not None else (spec.mc or McConfig()).seed
     summary = {}
     if spec.command == "optimize":
-        rows, sol = _rows_optimize(spec, base_seed)
+        rows, sol = _rows_optimize(spec)
         summary = {"feasible": sol.feasible, "l_star": sol.l_star,
                    "z_star": sol.z_star, "n_star": sol.n_star,
                    "p2_star_w": sol.p2_star, "ee_star": sol.ee_star,
                    "eps_star": sol.eps_star,
                    "table_check_max_rel": sol.table_check_max_rel}
     else:
-        builders = {
-            "bler-sweep": lambda: _rows_bler_like(spec, base_seed, False),
-            "validate": lambda: _rows_bler_like(spec, base_seed, True),
-            "aperture-sweep": lambda: _rows_aperture(spec, base_seed),
-            "power-vs-altitude": lambda: _rows_power_vs_altitude(spec, base_seed),
-            "ee-vs-ports": lambda: _rows_ee_vs_ports(spec, base_seed),
-            "ee-contour": lambda: _rows_ee_contour(spec, base_seed),
-        }
-        jobs, compute = builders[spec.command]()
+        jobs, compute = _BUILDERS[spec.command](spec, base_seed)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 rows = list(pool.map(compute, jobs))

@@ -298,10 +298,11 @@ def surrogate_mc_bler(cfg, lambdas, fbl, p2, seed, trials, batch):
 
 
 def ks_statistic(samples, cdf):
-    """One-sample Kolmogorov-Smirnov statistic against a callable CDF."""
+    """One-sample Kolmogorov-Smirnov statistic against a CDF that takes
+    an array of points."""
     xs = np.sort(np.asarray(samples))
     n = xs.size
-    f = np.array([cdf(x) for x in xs])
+    f = np.asarray(cdf(xs))
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
     return max(upper, lower)

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fasrelay
-from fasrelay import ConfigError, EeConfig, McConfig, ScenarioConfig
+from fasrelay import (ConfigError, EeConfig, McConfig, ScenarioConfig,
+                      TrajectoryEvaluator, fas_spectrum, linearize)
 from fasrelay.blercore import CHI_VARIANTS
 from fasrelay.cli import (_KEYS, _SWEEP_KEYS, COMMANDS, ExperimentSpec, main,
                           parse_config, render, run)
@@ -38,6 +40,25 @@ def test_empty_config_gives_reference_defaults():
     assert spec.ee.bler_threshold == 1e-3
     assert spec.aperture == 0.5
     assert spec.blocklength == 100
+    # an empty config is the dataclass defaults, under every command
+    for cmd in COMMANDS:
+        mc = McConfig() if cmd == "validate" else None
+        assert parse_config("", cmd) == ExperimentSpec(
+            cmd, ScenarioConfig(), EeConfig(), mc)
+    # one end of a range keeps the other end's default
+    assert (parse_config("z_min = 300\n", "optimize").ee.z_range
+            == (300.0, EeConfig().z_range[1]))
+    assert (parse_config("n_max = 7\n", "optimize").ee.n_range
+            == (EeConfig().n_range[0], 7))
+
+
+def test_sweep_axes_checked_in_schema_order():
+    # sweep_n_ports precedes sweep_z in the schema, so its error is the one
+    # reported, whatever the order of the lines
+    with pytest.raises(ConfigError) as err:
+        parse_config("sweep_z = -1\nsweep_n_ports = 0\n", "bler-sweep")
+    assert err.value.line == 2
+    assert "sweep_n_ports" in str(err.value)
 
 
 def test_dbm_and_unit_suffixes():
@@ -172,6 +193,21 @@ def test_aperture_sweep_rows(tmp_path):
     assert [r["aperture"] for r in rows] == ["0.5", "1.0", "2.0"]
     blers = [float(r["bler_analytic"]) for r in rows]
     assert blers[0] > blers[-1]
+
+
+def test_aperture_sweep_evaluates_p2_in_watts(tmp_path):
+    # this p2 does not survive a round trip through dBm; the row must be
+    # evaluated at p2 itself and echo its dBm value
+    p2 = 0.00033761994411113367
+    out = tmp_path / "w.csv"
+    spec = parse_config(f"n_ports = 2\np2 = {p2!r}\nsweep_aperture = 0.5\n"
+                        f"traj_nodes = 32\noutput = {out}\n", "aperture-sweep")
+    assert run(spec) == 0
+    row = read_csv(out)[0]
+    fbl = linearize(80 / 100, 100, "2^R-1")
+    ev = TrajectoryEvaluator(ScenarioConfig(), fbl, fas_spectrum(2, 0.5), 32)
+    assert float(row["bler_analytic"]) == ev.e2e_avg(p2)
+    assert float(row["p2_dbm"]) == 10.0 * math.log10(p2 * 1000.0)
 
 
 def test_power_vs_altitude_rows(tmp_path):

@@ -44,6 +44,18 @@ def test_hop1_gain_ks_against_cdf():
         assert stat < _KS_CRIT / math.sqrt(n)
 
 
+def test_ks_statistic_matches_pointwise_cdf():
+    # one array call to the CDF gives the statistic of one call per sample
+    lams = fas_spectrum(2, 0.5).lambdas
+    draws = sample_fas_gain_model(2, lams, _rng(9), 2_000) / sum(lams)
+    cdf = lambda x: cdf_hop2(x, 2 * sum(lams), 2, lams)  # noqa: E731
+    xs = np.sort(draws)
+    f = np.array([cdf(x) for x in xs])
+    loop = max(np.max(np.arange(1, xs.size + 1) / xs.size - f),
+               np.max(f - np.arange(0, xs.size) / xs.size))
+    assert ks_statistic(draws, cdf) == loop
+
+
 def test_fas_gain_model_single_branch_matches_hop1():
     n = 200_000
     a = sample_fas_gain_model(3, (1.0,), _rng(5), n)
