@@ -11,7 +11,13 @@ one kernel for an array of vartheta: a fixed Gauss-Legendre table integrates
 the product of `scipy.special.gammainc` factors over [rho_l, top], where
 top = clip(_saturation_z(m) * max(lambda) / vartheta, rho_l, rho_h), and the
 remainder chi * (rho_h - top) is added exactly, since beyond top every factor
-is 1 to double precision. The table follows from the ramp. Where
+is 1 to double precision. Inside [rho_l, top] the factors of the branches
+with smaller lambda_n saturate too: a factor whose argument is at or past
+_saturation_z(m) is exactly 1.0 (`gammainc` returns 1.0 there for m = 1-40
+up to inf; the tests check it), so it is left at 1.0 and `gammainc` runs
+only on the others, with the same result to the bit. This skips 35% of
+the factors on the optimize-grid benchmark workload and 13% on bler-sweep.
+The table follows from the ramp. Where
 rho_l >= width / 4 it is one 32-node panel; a clamped or near-clamped ramp
 (payload of a few bits) puts the knees of the branch CDFs close to the lower
 edge, and there it is two 32-node panels split at 1/8 of [rho_l, top].
@@ -26,18 +32,23 @@ relative against quadrature and against the paper's subset expansion.
 Hop 2 depends on the relay power and the altitude only through vartheta, so
 a power search can read it from a table instead (`Hop2Table`, one per link
 type, built from a `TrajectoryEvaluator` by `TabulatedEvaluator`): log eps2
-against log vartheta, piecewise Chebyshev with one panel per decade and 32
-first-kind nodes per panel, filled by one kernel call. A table spans the
-vartheta the trajectory reaches over the search's power range,
-[min_i c_i / p_hi, max_i c_i / p_lo] with c_i = m sigma^2 / beta2_i, capped
-where rho_l > 0 at vartheta_sat = _saturation_z(m) max(lambda) / rho_l,
-past which the kernel returns the constant min(chi width, 1); it never
-extrapolates. For the optimizer's power range p_max [1e-8, 1] at
-p_max = 40 dBm (L = 100, 300, 600; altitude 100, 400, 500, 800 m;
-N = 1, 2, 4, 8, 12; both link types) a table holds 128-288 nodes and stays
-within 9.7e-13 relative of the kernel on 801 log-spaced points; on clamped
-ramps (rho_l = 0, no cap, vartheta 1e-6-1e4, m = 1, 2, 5) within 3.0e-12.
-The tests hold tables to 1e-8.
+against log vartheta, piecewise Chebyshev with 32 first-kind nodes per
+panel, filled by one kernel call. The panels are whole decades of a fixed
+lattice, counted from vartheta_sat = _saturation_z(m) max(lambda) / rho_l
+where rho_l > 0 (past it the kernel returns the constant
+min(chi width, 1)) and from 1 where rho_l = 0, so a table's value at a
+vartheta depends on (fbl, m, lambda, vartheta) and not on the table's
+range. A table spans the vartheta the trajectory reaches over the search's
+power range, [min_i c_i / p_hi, max_i c_i / p_lo] with c_i =
+m sigma^2 / beta2_i, capped at vartheta_sat; it never extrapolates. Since
+the range does not change the values, one table over the union of the
+ranges of many altitudes (`hop2_vartheta_bounds`, `hop2_tables`) serves
+each of their searches with the values of its own. For the optimizer's
+power range p_max [1e-8, 1] at p_max = 40 dBm (L = 100, 300, 600;
+altitude 100, 400, 500, 800 m; N = 1, 2, 4, 8, 12; both link types) a table
+holds 128-288 nodes and stays within 1.05e-12 relative of the kernel on 801
+log-spaced points; on clamped ramps (rho_l = 0, no cap, vartheta 1e-6-1e4,
+m = 1, 2, 5) within 3.0e-12. The tests hold tables to 1e-8.
 
 The surrogate is the linearization of Makki, Svensson & Zorzi (IEEE WCL
 2014); the Monte Carlo engine in `mcoracle` averages the exact normal-
@@ -92,7 +103,6 @@ _GRADED = _unit_rule(((0.0, 0.125, 32), (0.125, 1.0, 32)))
 _CHEB_N = 32
 _CHEB_T = np.polynomial.chebyshev.chebpts1(_CHEB_N)
 _CHEB_W = (-1.0) ** np.arange(_CHEB_N) * np.sqrt(1.0 - _CHEB_T ** 2)
-_LN10 = math.log(10.0)
 _TINY = np.finfo(float).tiny
 
 
@@ -252,12 +262,18 @@ def avg_bler_hop2(params: FblParams, vartheta2, m2: int, lambdas):
     lams = _validated_lambdas(lambdas)
     x_unit, w_unit = (_ONE_PANEL if params.rho_l >= 0.25 * params.width
                       else _GRADED)
-    top = np.clip(_saturation_z(m2) * max(lams) / vt, params.rho_l, params.rho_h)
+    sat = _saturation_z(m2)
+    top = np.clip(sat * max(lams) / vt, params.rho_l, params.rho_h)
     span = top - params.rho_l
     x = params.rho_l + span[..., None] * x_unit
     prod = np.ones_like(x)
     for lam in lams:
-        prod *= special.gammainc(m2, x * (vt[..., None] / lam))
+        # gammainc is exactly 1.0 from sat on, so only the factors below it
+        # are evaluated. Boolean indexing, not gammainc's out=/where=: with
+        # scipy 1.17 that form leaves 1.0 at some entries the mask selects.
+        z = x * (vt[..., None] / lam)
+        live = z < sat
+        prod[live] *= special.gammainc(m2, z[live])
     val = params.chi * (span * (prod @ w_unit) + (params.rho_h - top))
     return _as_result(np.clip(val, 0.0, 1.0))
 
@@ -266,14 +282,23 @@ class Hop2Table:
     """Interpolant of the hop-2 average BLER on [vt_lo, vt_hi], filled by
     one `avg_bler_hop2` call and never extrapolated.
 
-    log eps2 is piecewise Chebyshev in log vartheta: the range is cut into
-    panels of equal width, each at most one decade, and each panel holds
-    the polynomial interpolating log eps2 at its 32 first-kind Chebyshev
-    nodes, evaluated by the barycentric formula. With rho_l > 0 the panels
-    stop at vartheta_sat = _saturation_z(m2) * max(lambda) / rho_l; from
-    there on the kernel returns the constant min(chi * width, 1), and so
-    does the table. `nodes` and `values` hold the sampled vartheta
-    (ascending) and the kernel's values there.
+    log eps2 is piecewise Chebyshev in log vartheta on a fixed lattice of
+    whole decades, each panel holding the polynomial that interpolates
+    log eps2 at its 32 first-kind Chebyshev nodes, evaluated by the
+    barycentric formula. The lattice is anchored at vartheta_sat =
+    _saturation_z(m2) * max(lambda) / rho_l when rho_l > 0 and at 1 when
+    rho_l = 0; a table holds the panels that meet [vt_lo, top], with top =
+    min(vt_hi, vartheta_sat) (vt_hi on a clamped ramp). From vartheta_sat on
+    the kernel returns the constant min(chi * width, 1), and so does the
+    table. Nodes, panel choice and the local coordinate depend on
+    (params, m2, lambdas, vartheta) only, and each panel fills 32 whole
+    rows of the one kernel call (the kernel's BLAS reduction can round a
+    row in the last bit according to how many rows the call holds, but it
+    rounds a panel's 32 rows alike in every table; the tests check this).
+    So a table's value at a vartheta does not depend on its range: a table
+    over a superset returns the same bits on the shared range, which lets
+    one table serve every altitude of a grid. `nodes` and `values` hold the
+    sampled vartheta (ascending) and the kernel's values there.
     """
 
     def __init__(self, params: FblParams, m2: int, lambdas, vt_lo: float,
@@ -283,21 +308,24 @@ class Hop2Table:
         lams = _validated_lambdas(lambdas)
         self.lo, self.hi = float(vt_lo), float(vt_hi)
         self.saturated = min(params.chi * params.width, 1.0)
-        top = self.hi
+        top, self._anchor = self.hi, 0.0
         if params.rho_l > 0.0:
-            top = min(top, _saturation_z(_shape(m2, "m2")) * max(lams) / params.rho_l)
-        self._x0 = math.log(self.lo)
-        span = math.log(top) - self._x0 if top > self.lo else 0.0
-        panels = max(1, math.ceil(span / _LN10 - 1e-9)) if span > 0.0 else 0
-        # the polynomials cover [lo, top]; with no panel every value saturates
-        self.top = top if panels else 0.0
-        self._h = span / panels if panels else 1.0
-        x = self._x0 + self._h * (np.arange(panels)[:, None] + 0.5 * (_CHEB_T + 1.0))
-        self.nodes = np.exp(x).ravel()
+            vt_sat = _saturation_z(_shape(m2, "m2")) * max(lams) / params.rho_l
+            top, self._anchor = min(top, vt_sat), math.log10(vt_sat)
+        # panel k spans the decades [k, k + 1] counted from the anchor; the
+        # polynomials cover [lo, top], and with no panel every value saturates
+        k_lo = math.floor(math.log10(self.lo) - self._anchor)
+        k_hi = k_lo - 1
+        if top > self.lo:
+            k_hi = math.ceil(math.log10(top) - self._anchor) - 1
+        self.top = top if k_hi >= k_lo else 0.0
+        self._k_lo = k_lo
+        k = np.arange(k_lo, k_hi + 1, dtype=float)[:, None]
+        self.nodes = (10.0 ** (self._anchor + (k + 0.5 * (_CHEB_T + 1.0)))).ravel()
         self.values = avg_bler_hop2(params, self.nodes, m2, lams)
         # an underflowed value enters as the smallest normal double
         self._log_values = np.log(np.maximum(self.values, _TINY)).reshape(
-            panels, _CHEB_N)
+            k.size, _CHEB_N)
 
     def __call__(self, vartheta):
         vt = np.asarray(vartheta, dtype=float)
@@ -315,9 +343,11 @@ class Hop2Table:
         return _as_result(out.reshape(vt.shape))
 
     def _interpolate(self, vt: np.ndarray) -> np.ndarray:
-        pos = (np.log(vt) - self._x0) / self._h
-        idx = np.minimum(pos.astype(int), len(self._log_values) - 1)
-        dist = (2.0 * (pos - idx) - 1.0)[:, None] - _CHEB_T
+        s = np.log10(vt) - self._anchor
+        # the panel below s; truncation toward zero and the cap keep a point
+        # on a lattice line at either end of the range in the panel inside
+        idx = np.minimum((s - self._k_lo).astype(int), len(self._log_values) - 1)
+        dist = (2.0 * (s - (idx + self._k_lo)) - 1.0)[:, None] - _CHEB_T
         dist[dist == 0.0] = 1e-300      # at a node the formula gives its value
         bary = _CHEB_W / dist
         log_eps = np.einsum("ij,ij->i", bary, self._log_values[idx]) / bary.sum(axis=1)
@@ -428,9 +458,7 @@ class TrajectoryEvaluator:
             raise ValueError("hop-2 evaluation requires a FasSpectrum")
         if p2 <= 0:
             raise ValueError("p2 must be positive")
-        cfg = self.cfg
-        return tuple(cfg.nakagami_m(lt) * cfg.noise_power / (p2 * self.geo.beta2[lt])
-                     for lt in LINK_TYPES)
+        return _hop2_varthetas(self.cfg, self.geo.beta2, p2)
 
     def hop2_components(self, p2: float):
         return tuple(avg_bler_hop2(self.fbl, vt, self.cfg.nakagami_m(lt),
@@ -453,6 +481,30 @@ class TrajectoryEvaluator:
         return self.e2e_avg_from(*self.hop2_components(p2))
 
 
+def _hop2_varthetas(cfg: ScenarioConfig, beta2: dict, p2: float):
+    return tuple(cfg.nakagami_m(lt) * cfg.noise_power / (p2 * beta2[lt])
+                 for lt in LINK_TYPES)
+
+
+def hop2_vartheta_bounds(cfg: ScenarioConfig, geos, p_lo: float,
+                         p_hi: float):
+    """Per link type, the smallest and the largest hop-2 vartheta over the
+    trajectory geometries geos and relay powers [p_lo, p_hi], computed as
+    `TrajectoryEvaluator.hop2_varthetas` does: a table over these bounds
+    serves a power search on each of the geometries."""
+    near = [_hop2_varthetas(cfg, geo.beta2, p_hi) for geo in geos]
+    far = [_hop2_varthetas(cfg, geo.beta2, p_lo) for geo in geos]
+    return tuple((min(float(vts[i].min()) for vts in near),
+                  max(float(vts[i].max()) for vts in far))
+                 for i in range(len(LINK_TYPES)))
+
+
+def hop2_tables(fbl: FblParams, cfg: ScenarioConfig, lambdas, bounds):
+    """One `Hop2Table` per link type over the (lo, hi) vartheta bounds."""
+    return tuple(Hop2Table(fbl, cfg.nakagami_m(lt), lambdas, lo, hi)
+                 for lt, (lo, hi) in zip(LINK_TYPES, bounds))
+
+
 class TabulatedEvaluator:
     """End-to-end BLER of a `TrajectoryEvaluator` at relay powers in
     [p_lo, p_hi], with hop 2 read from one `Hop2Table` per link type.
@@ -460,19 +512,23 @@ class TabulatedEvaluator:
     Each table spans the vartheta the trajectory reaches over that power
     range, [min_i c_i / p_hi, max_i c_i / p_lo] with c_i = m sigma^2 /
     beta2_i, so it costs one kernel call on about 200-300 vartheta instead
-    of 128 per power. Mixing, combining and the trajectory average are the
-    evaluator's own.
+    of 128 per power. `tables` may instead pass in tables of the same
+    blocklength, Nakagami shapes and spectrum over any range that holds
+    this one (`hop2_tables` over `hop2_vartheta_bounds`); on the lattice of
+    `Hop2Table` they give the same values. Mixing, combining and the
+    trajectory average are the evaluator's own.
     """
 
-    def __init__(self, ev: TrajectoryEvaluator, p_lo: float, p_hi: float):
+    def __init__(self, ev: TrajectoryEvaluator, p_lo: float, p_hi: float,
+                 tables=None):
         if not 0.0 < p_lo < p_hi:
             raise ValueError("need 0 < p_lo < p_hi")
         self.ev = ev
-        near, far = ev.hop2_varthetas(p_hi), ev.hop2_varthetas(p_lo)
-        self.tables = tuple(
-            Hop2Table(ev.fbl, ev.cfg.nakagami_m(lt), ev.fas.lambdas,
-                      float(lo.min()), float(hi.max()))
-            for lt, lo, hi in zip(LINK_TYPES, near, far))
+        if tables is None:
+            tables = hop2_tables(ev.fbl, ev.cfg, ev.fas.lambdas,
+                                 hop2_vartheta_bounds(ev.cfg, [ev.geo],
+                                                      p_lo, p_hi))
+        self.tables = tables
 
     def hop2_components(self, p2: float):
         return tuple(table(vt) for table, vt

@@ -31,8 +31,9 @@ from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
 from .errors import ConfigError
 from .geometry import LINK_TYPES, ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
-from .optimizer import (EeConfig, PortSearchResult, best_port_count,
-                        global_optimize, min_power, port_entry)
+from .optimizer import (EeConfig, PortSearchResult, altitude_tables,
+                        best_port_count, global_optimize, min_power,
+                        port_entry)
 
 COMMANDS = ("bler-sweep", "validate", "aperture-sweep", "power-vs-altitude",
             "ee-vs-ports", "ee-contour", "optimize")
@@ -522,12 +523,15 @@ def _rows_ee_contour(spec: ExperimentSpec, seed: int):
         raise ConfigError("ee-contour requires sweep_z and sweep_blocklength")
     jobs = [(int(l), float(z)) for l in l_axis for z in z_axis]
     fbls = {l: _fbl(spec, l) for l, _ in jobs}
+    tables = altitude_tables(spec.scenario, fbls.values(), spec.ee, z_axis,
+                             spec.aperture, spec.rank_tolerance,
+                             spec.traj_nodes)
 
     def compute(args):
         idx, (l, z) = args
         res = best_port_count(spec.scenario, fbls[l], spec.ee, z,
                               spec.aperture, spec.rank_tolerance,
-                              spec.traj_nodes)
+                              spec.traj_nodes, tables[l])
         return _port_search_columns(spec, res)
 
     return list(enumerate(jobs)), compute

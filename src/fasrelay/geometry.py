@@ -61,8 +61,9 @@ class ScenarioConfig:
             m = getattr(self, name)
             if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
                 raise ValueError(f"{name} must be a positive integer, got {m!r}")
-        if self.los_a <= 0 or self.los_b <= 0:
-            raise ValueError("LoS constants a, b must be positive")
+        for name in ("los_a", "los_b"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.eta_los > self.eta_nlos:
             raise ValueError("eta_los must not exceed eta_nlos")
 

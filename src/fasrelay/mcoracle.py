@@ -45,7 +45,7 @@ class McConfig:
         if self.mode not in MC_MODES:
             raise ValueError(f"mode must be one of {MC_MODES}")
         if self.batch < 1:
-            raise ValueError("batch must be positive")
+            raise ValueError("batch (mc_batch) must be positive")
 
 
 @dataclass(frozen=True)

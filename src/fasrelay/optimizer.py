@@ -7,15 +7,21 @@ exhaustive over their discrete grids, so no unimodality assumption is ever
 exploited. Infeasible points carry a zero-EE sentinel plus an explicit
 flag so that "zero goodput" and "constraint violating" stay distinguishable.
 
-Each power solve builds one hop-2 table per link type over the precheck
-grid's power range (`blercore.TabulatedEvaluator`; the table design and
-its measured accuracy, about 1e-12 relative, are in `blercore`). The
-tables' sampled values must rise with vartheta, and the precheck and the
-bisection read the end-to-end BLER from them. The power found is then
-re-evaluated by the direct kernel: that value is the one reported and used
-for the efficiency, and a solve whose table value there is more than 1e-8
-relative off it raises `TableAccuracyError`. The largest such gap of a
-search is reported as `table_check_max_rel`.
+Each power solve reads hop 2 from one table per link type over the
+precheck grid's power range (`blercore.TabulatedEvaluator`; the table
+design and its measured accuracy, about 1e-12 relative, are in
+`blercore`). A lone solve builds its own pair. `global_optimize` and the
+ee-contour study build one pair per (L, N) over the vartheta of the whole
+altitude grid (`altitude_tables`) and pass it down through
+`best_port_count` and `port_entry`. Tables sit on a fixed lattice of
+decades, so a shared table gives the same values as a solve's own and no
+result changes, while the table fills of the `optimize` preset fall from
+2,784 to 96. The tables' sampled values must rise with vartheta, and the
+precheck and the bisection read the end-to-end BLER from them. The power
+found is then re-evaluated by the direct kernel: that value is the one
+reported and used for the efficiency, and a solve whose table value there
+is more than 1e-8 relative off it raises `TableAccuracyError`. The largest
+such gap of a search is reported as `table_check_max_rel`.
 """
 
 from __future__ import annotations
@@ -26,10 +32,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blercore import (DEFAULT_TRAJECTORY_NODES, FblParams,
-                       TabulatedEvaluator, TrajectoryEvaluator, linearize)
+                       TabulatedEvaluator, TrajectoryEvaluator,
+                       chebyshev_nodes, hop2_tables, hop2_vartheta_bounds,
+                       linearize)
 from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
 from .errors import CausalityError, MonotonicityError, TableAccuracyError
-from .geometry import ScenarioConfig
+from .geometry import ScenarioConfig, trajectory_geometry
 
 
 @dataclass(frozen=True)
@@ -51,10 +59,12 @@ class EeConfig:
     max_bisect_iters: int = 60
 
     def __post_init__(self):
-        if self.payload_bits <= 0 or self.bandwidth <= 0:
-            raise ValueError("payload_bits and bandwidth must be positive")
-        if self.circuit_power < 0 or self.switch_power < 0:
-            raise ValueError("static powers must be nonnegative")
+        for name in ("payload_bits", "bandwidth"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("circuit_power", "switch_power"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.port_time <= 0:
             raise ValueError("port_time must be positive")
         if not 0.0 < self.bler_threshold < 1.0:
@@ -137,17 +147,21 @@ def _check_monotone(table) -> None:
             f"eps({table.nodes[i + 1]:.3e})={table.values[i + 1]:.6e}")
 
 
-def _min_power_on(ev: TrajectoryEvaluator, ee: EeConfig):
+def _precheck_grid(ee: EeConfig) -> np.ndarray:
+    return ee.p_max * np.logspace(-8.0, 0.0, _PRECHECK_POINTS)
+
+
+def _min_power_on(ev: TrajectoryEvaluator, ee: EeConfig, tables=None):
     """Bisection for the smallest feasible transmit power on a prepared
     evaluator.
 
-    The precheck and the bisection read hop 2 from the evaluator's tables
-    over the precheck grid's power range; the power found is re-evaluated by
-    the direct kernel. Returns (power, direct bler at power, relative gap of
-    the table there) or None when infeasible.
+    The precheck and the bisection read hop 2 from tables over the precheck
+    grid's power range (`tables`, or a pair built for ev); the power found
+    is re-evaluated by the direct kernel. Returns (power, direct bler at
+    power, relative gap of the table there) or None when infeasible.
     """
-    grid = ee.p_max * np.logspace(-8.0, 0.0, _PRECHECK_POINTS)
-    tab = TabulatedEvaluator(ev, float(grid[0]), float(grid[-1]))
+    grid = _precheck_grid(ee)
+    tab = TabulatedEvaluator(ev, float(grid[0]), float(grid[-1]), tables)
     for table in tab.tables:
         _check_monotone(table)
     eps = [tab.e2e_avg(p) for p in grid]
@@ -207,18 +221,19 @@ class PortEntry:
 
 
 def port_entry(ev: TrajectoryEvaluator, n_ports: int, aperture: float,
-               ee: EeConfig,
-               rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PortEntry:
+               ee: EeConfig, rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
+               tables=None) -> PortEntry:
     """Causality cut, minimum-power solve and energy efficiency of n_ports
     ports on the scenario and blocklength of ev (its spectrum is replaced
-    by the n_ports spectrum at the given aperture)."""
+    by the n_ports spectrum at the given aperture). `tables` is an optional
+    hop-2 table pair for this port count from `altitude_tables`."""
     blocklength = ev.fbl.blocklength
     infeasible = PortEntry(n_ports=n_ports, feasible=False, p2=None,
                            eps_o=None, ee=0.0)
     if violates_causality(n_ports, ee.port_time, blocklength, ee.bandwidth):
         return infeasible
     fas = fas_spectrum(n_ports, aperture, rank_tolerance)
-    found = _min_power_on(ev.with_spectrum(fas), ee)
+    found = _min_power_on(ev.with_spectrum(fas), ee, tables)
     if found is None:
         return infeasible
     p2, eps_o, gap = found
@@ -250,16 +265,45 @@ class PortSearchResult:
                    default=0.0)
 
 
+def altitude_tables(cfg: ScenarioConfig, fbls, ee: EeConfig, altitudes,
+                    aperture: float,
+                    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
+                    nodes: int = DEFAULT_TRAJECTORY_NODES) -> dict:
+    """Hop-2 tables shared by the port searches at every altitude:
+    {blocklength: {n_ports: (LoS table, NLoS table)}} for each port count
+    whose scan fits in the block. Each table spans the vartheta that any of
+    the altitudes reaches over the precheck grid's powers; on the lattice
+    of `blercore.Hop2Table` it returns the values of the table a single
+    solve builds, so passing it to `best_port_count` changes no result."""
+    theta, _ = chebyshev_nodes(nodes)
+    geos = [trajectory_geometry(replace(cfg, uav_altitude=float(z)), theta)
+            for z in altitudes]
+    grid = _precheck_grid(ee)
+    bounds = hop2_vartheta_bounds(cfg, geos, float(grid[0]), float(grid[-1]))
+    return {fbl.blocklength: {
+                n: hop2_tables(fbl, cfg,
+                               fas_spectrum(n, aperture, rank_tolerance).lambdas,
+                               bounds)
+                for n in range(ee.n_range[0], ee.n_range[1] + 1)
+                if not violates_causality(n, ee.port_time, fbl.blocklength,
+                                          ee.bandwidth)}
+            for fbl in fbls}
+
+
 def best_port_count(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
                     z_u: float, aperture: float,
                     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-                    nodes: int = DEFAULT_TRAJECTORY_NODES) -> PortSearchResult:
+                    nodes: int = DEFAULT_TRAJECTORY_NODES,
+                    tables: dict | None = None) -> PortSearchResult:
     """Evaluate every admissible port count at fixed altitude and pick the
     EE maximizer. The correlation spectrum is rebuilt per N at the fixed
-    aperture, so port spacing shrinks as ports are added."""
+    aperture, so port spacing shrinks as ports are added. `tables` maps a
+    port count to its hop-2 table pair (one blocklength's entry of
+    `altitude_tables`); without it each solve builds its own."""
     z_u = float(z_u)
     ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, None, nodes)
-    entries = tuple(port_entry(ev, n, aperture, ee, rank_tolerance)
+    entries = tuple(port_entry(ev, n, aperture, ee, rank_tolerance,
+                               None if tables is None else tables.get(n))
                     for n in range(ee.n_range[0], ee.n_range[1] + 1))
     feasible = [e for e in entries if e.feasible]
     if not feasible:
@@ -301,14 +345,18 @@ def global_optimize(cfg: ScenarioConfig, ee: EeConfig, aperture: float,
     solving the port-count problem at every (L, Z). Grid search is kept
     deliberately assumption-free since EE versus altitude is not known to
     be unimodal. Ties break toward smaller (L, Z, N), which keeps the
-    result invariant to the ordering of l_set."""
-    trace = []
-    for l in ee.l_set:
-        fbl = linearize(ee.payload_bits / int(l), int(l), chi_variant)
-        trace.extend(best_port_count(cfg, fbl, ee, z, aperture,
-                                     rank_tolerance, nodes)
-                     for z in ee.altitude_grid())
-    trace = tuple(trace)
+    result invariant to the ordering of l_set. The hop-2 tables of each
+    (L, N) are built once for the whole altitude grid (`altitude_tables`)."""
+    fbls = [linearize(ee.payload_bits / int(l), int(l), chi_variant)
+            for l in ee.l_set]
+    grid = ee.altitude_grid()
+    tables = altitude_tables(cfg, fbls, ee, grid, aperture, rank_tolerance,
+                             nodes)
+    # best_port_count is called by its module-level name, so wrapping it
+    # (a profiler, a tracer) sees every port search
+    trace = tuple(best_port_count(cfg, fbl, ee, z, aperture, rank_tolerance,
+                                  nodes, tables[fbl.blocklength])
+                  for fbl in fbls for z in grid)
     table_rel = max((res.table_check_max_rel for res in trace), default=0.0)
     feasible = [res for res in trace if res.feasible]
     if not feasible:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from fasrelay import (ScenarioConfig, chebyshev_nodes, linearize,
+from fasrelay import (ScenarioConfig, blercore, chebyshev_nodes, linearize,
                       sample_fas_gain_model, sample_hop1_gain)
 from fasrelay.geometry import trajectory_geometry
 
@@ -77,6 +77,25 @@ def quad_hop2(params, vartheta, m, lambdas):
                             points=_breakpoints(params, vartheta, m, lambdas),
                             epsabs=1e-300, epsrel=1e-11, limit=300)
     return params.chi * val
+
+
+def avg_bler_hop2_all_factors(params, vartheta2, m2, lambdas):
+    """`blercore.avg_bler_hop2` with every gamma factor evaluated, the
+    saturated ones included: same node tables, same products and the same
+    reduction, so the kernel that skips saturated factors must match it bit
+    for bit."""
+    vt = np.asarray(vartheta2, dtype=float)
+    x_unit, w_unit = (blercore._ONE_PANEL if params.rho_l >= 0.25 * params.width
+                      else blercore._GRADED)
+    top = np.clip(blercore._saturation_z(m2) * max(lambdas) / vt,
+                  params.rho_l, params.rho_h)
+    span = top - params.rho_l
+    x = params.rho_l + span[..., None] * x_unit
+    prod = np.ones_like(x)
+    for lam in lambdas:
+        prod *= special.gammainc(m2, x * (vt[..., None] / lam))
+    return np.clip(params.chi * (span * (prod @ w_unit) + (params.rho_h - top)),
+                   0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

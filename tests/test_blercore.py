@@ -10,10 +10,12 @@ from scipy import special
 from fasrelay import (ScenarioConfig, TrajectoryEvaluator, avg_bler_hop1,
                       avg_bler_hop2, avg_bler_hop2_asymptotic, chebyshev_nodes,
                       fas_spectrum, fbl_rate, instantaneous_bler, linearize)
-from fasrelay.blercore import Hop2Table, TabulatedEvaluator
+from fasrelay.blercore import (Hop2Table, TabulatedEvaluator, _GRADED,
+                               _ONE_PANEL, _saturation_z)
 from fasrelay.geometry import trajectory_geometry
 
-from conftest import exact_avg_bler, quad_hop1, quad_hop2
+from conftest import (avg_bler_hop2_all_factors, exact_avg_bler, quad_hop1,
+                      quad_hop2)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,50 @@ def test_hop2_validation_errors(fbl100):
         avg_bler_hop2(fbl100, 1.0, 1.5, (1.0,))
 
 
+def test_gammainc_is_one_past_saturation():
+    # the kernel leaves every factor with argument >= _saturation_z(m) at 1.0
+    for m in range(1, 41):
+        sat = _saturation_z(m)
+        z = np.concatenate([[sat, np.nextafter(sat, np.inf)],
+                            np.geomspace(sat, 1e300, 3000), [np.inf]])
+        assert np.all(special.gammainc(m, z) == 1.0), m
+
+
+def _saturated_share(params, vt, m, lams):
+    """Share of the kernel's gamma factors at or past the saturation point,
+    per vartheta."""
+    x_unit = (_ONE_PANEL if params.rho_l >= 0.25 * params.width else _GRADED)[0]
+    sat = _saturation_z(m)
+    top = np.clip(sat * max(lams) / vt, params.rho_l, params.rho_h)
+    x = params.rho_l + (top - params.rho_l)[:, None] * x_unit
+    z = x[:, :, None] * (vt[:, None, None] / np.asarray(lams))
+    return np.mean(z >= sat, axis=(1, 2))
+
+
+def test_hop2_skip_matches_all_factors():
+    # no, partial and full saturation of the factors, on the one-panel node
+    # table (rho_l >= width / 4) and the graded one (clamped ramp)
+    one_panel, clamped = linearize(80.0 / 300.0, 300), linearize(0.02, 100)
+    assert one_panel.rho_l >= 0.25 * one_panel.width and clamped.rho_l == 0.0
+    vt = np.geomspace(1e-6, 1e8, 141)
+    regimes = set()
+    for params in (one_panel, clamped):
+        for n in (1, 2, 8, 12):
+            lams = fas_spectrum(n, 0.5).lambdas
+            for m in (1, 2, 5):
+                got = avg_bler_hop2(params, vt, m, lams)
+                assert np.array_equal(
+                    got, avg_bler_hop2_all_factors(params, vt, m, lams))
+                assert avg_bler_hop2(params, vt[70], m, lams) == float(
+                    avg_bler_hop2_all_factors(params, vt[70], m, lams))
+                share = _saturated_share(params, vt, m, lams)
+                regimes.update((params is clamped, r) for r in
+                               ("none" if f == 0.0 else "full" if f == 1.0
+                                else "partial" for f in share))
+    assert {r for c, r in regimes if not c} == {"none", "partial", "full"}
+    assert {r for c, r in regimes if c} >= {"none", "partial"}
+
+
 # ---------------------------------------------------------------------------
 # hop-2 tables
 # ---------------------------------------------------------------------------
@@ -300,6 +346,46 @@ def test_hop2_table_never_extrapolates(fbl100):
             table(vt)
     with pytest.raises(ValueError):
         Hop2Table(fbl100, 5, (1.0,), 1.0, 1.0)
+
+
+def _lattice_anchor(params, m, lams):
+    """log10 of the table lattice's anchor: vartheta_sat, or 1 on a clamped
+    ramp."""
+    if params.rho_l == 0.0:
+        return 0.0
+    return math.log10(_saturation_z(m) * max(lams) / params.rho_l)
+
+
+def _off_lattice(vt, anchor):
+    """The points at least 1e-6 decades away from a panel edge."""
+    s = np.log10(vt) - anchor
+    return vt[np.abs(s - np.round(s)) > 1e-6]
+
+
+def test_hop2_table_value_does_not_depend_on_its_range():
+    # sub-ranges of a table give the same bits on their shared range:
+    # capped (rho_l > 0) and clamped (rho_l = 0) ramps, ranges inside one
+    # panel, across several, starting on a lattice line, or past saturation
+    capped, clamped = linearize(80.0 / 300.0, 300), linearize(0.02, 100)
+    assert capped.rho_l > 0.0 and clamped.rho_l == 0.0
+    for params in (capped, clamped):
+        for n in (1, 4, 12):
+            lams = fas_spectrum(n, 0.5).lambdas
+            for m in (1, 5):
+                a = _lattice_anchor(params, m, lams)
+                sup = Hop2Table(params, m, lams, 10.0 ** (a - 8.3),
+                                10.0 ** (a + 1.2))
+                if params is capped:
+                    assert sup.top < sup.hi
+                for lo, hi in ((a - 8.3, a + 1.2), (a - 5.4, a - 0.35),
+                               (a - 3.0, a - 0.6), (a - 2.2, a - 1.9),
+                               (a - 4.7, a + 0.9), (a - 7.0, a - 5.5)):
+                    sub = Hop2Table(params, m, lams, 10.0 ** lo, 10.0 ** hi)
+                    vt = _off_lattice(np.geomspace(sub.lo, sub.hi, 301), a)
+                    assert vt.size > 250
+                    assert np.array_equal(sub(vt), sup(vt)), (lo, hi)
+                    nodes = np.isin(sup.nodes, sub.nodes)
+                    assert np.array_equal(sub.values, sup.values[nodes])
 
 
 @settings(max_examples=25, deadline=None)

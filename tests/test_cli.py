@@ -390,6 +390,21 @@ def test_malformed_value_reports_its_line(bad):
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("text", [
+    "los_a = 1\nlos_b = -1\n",
+    "switch_power = 0\ncircuit_power = -1\n",
+    "trials = 10\nmc_batch = 0\n",
+    "payload_bits = 80\nbandwidth = -1\n",
+])
+def test_invariant_error_reports_its_own_line(text):
+    # a check on a dataclass field names that field's key, so the error
+    # carries the line of the offending key and not of a valid neighbour
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, "validate")
+    assert err.value.line == 2
+    assert text.splitlines()[1].split(" =")[0] in str(err.value)
+
+
 def test_integer_lists_share_one_parser():
     spec = parse_config("sweep_n_ports = 1:12:12\nsweep_blocklength = 2e2, 300\n"
                         "l_set = 3e2:6e2:4\n", "ee-vs-ports")

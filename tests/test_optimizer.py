@@ -8,7 +8,8 @@ from fasrelay import (CausalityError, EeConfig, MonotonicityError,
                       best_port_count, energy_efficiency, fas_spectrum,
                       global_optimize, linearize, min_power)
 from fasrelay import blercore
-from fasrelay.optimizer import _min_power_on, violates_causality
+from fasrelay.optimizer import (_min_power_on, altitude_tables,
+                                violates_causality)
 
 from conftest import direct_min_power
 
@@ -279,6 +280,40 @@ def test_global_optimize_trace_and_self_consistency(cfg46):
     assert 0.0 <= sol.table_check_max_rel <= 1e-8
     assert not violates_causality(sol.n_star, ee.port_time, sol.l_star,
                                   ee.bandwidth)
+
+
+def test_best_port_count_shared_tables_change_nothing(cfg46):
+    # tables over the union of three altitudes' vartheta ranges against the
+    # tables each solve builds: equal entries, table_check_rel included
+    ee = EeConfig(p_max=10.0, n_range=(1, 12), l_set=(200,))
+    fbl = linearize(80.0 / 200.0, 200)
+    altitudes = (150.0, 450.0, 750.0)
+    tables = altitude_tables(cfg46, [fbl], ee, altitudes, 0.5)
+    admissible = [n for n in range(1, 13)
+                  if not violates_causality(n, ee.port_time, 200, ee.bandwidth)]
+    assert list(tables) == [200] and list(tables[200]) == admissible
+    for z in altitudes:
+        own = best_port_count(cfg46, fbl, ee, z, 0.5)
+        shared = best_port_count(cfg46, fbl, ee, z, 0.5, tables=tables[200])
+        assert shared == own
+        assert any(e.feasible for e in own.entries)
+
+
+def test_global_optimize_fills_one_table_pair_per_l_and_n(cfg46, monkeypatch):
+    fills = []
+    init = blercore.Hop2Table.__init__
+
+    def counted(self, *args):
+        fills.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(blercore.Hop2Table, "__init__", counted)
+    ee = EeConfig(p_max=10.0, n_range=(1, 3), z_range=(200.0, 600.0),
+                  z_step=100.0, l_set=(300, 400))
+    sol = global_optimize(cfg46, ee, 0.5)
+    assert len(sol.trace) == 2 * 5
+    # 2 blocklengths x 3 port counts x 2 link types, not one pair per solve
+    assert len(fills) == 2 * 3 * 2
 
 
 def test_global_optimize_order_invariant(cfg46):
