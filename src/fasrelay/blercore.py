@@ -15,19 +15,26 @@ is 1 to double precision. Inside [rho_l, top] the factors of the branches
 with smaller lambda_n saturate too: a factor whose argument is at or past
 _saturation_z(m) is exactly 1.0 (`gammainc` returns 1.0 there for m = 1-40
 up to inf; the tests check it), so it is left at 1.0 and `gammainc` runs
-only on the others, with the same result to the bit. This skips 35% of
-the factors on the optimize-grid benchmark workload and 13% on bler-sweep.
-The table follows from the ramp. Where
-rho_l >= width / 4 it is one 32-node panel; a clamped or near-clamped ramp
-(payload of a few bits) puts the knees of the branch CDFs close to the lower
-edge, and there it is two 32-node panels split at 1/8 of [rho_l, top].
-Against breakpoint-aware quadrature (L = 50-2000, N = 1-40 at apertures
-0.5-4 and 16 equal branches, m = 1, 2, 5, vartheta = 1e-6-1e8) the kernel
-stays within 1.3e-13 relative on ramps with rho_l >= 2.5 width (every preset
-and benchmark workload), 2.5e-10 on the rest of the one-panel range and
-2.5e-9 with two panels; the worst case is 16 branches at m = 5 (diversity
-order 80) deep in the tail. The test suite holds the kernel to 1e-8
-relative against quadrature and against the paper's subset expansion.
+only on the others, with the same result to the bit.
+The table follows from the ramp (`_node_table`): the further rho_l sits
+above 0 in ramp widths, the smoother the branch CDFs are over [rho_l, top].
+Where rho_l >= 2 width it is one 16-node panel: every preset and
+benchmark workload runs there (rho_l / width is 2.54-2.93; an 80-bit
+payload tends to 2.47 as L grows), and the tests fail if a preset leaves it.
+Where width / 4 <= rho_l < 2 width it is one 32-node panel. A clamped or
+near-clamped ramp (payload of a few bits) puts the knees of the branch CDFs
+close to the lower edge, and there it is two 32-node panels split at 1/8 of
+[rho_l, top]. Against a 32 x 48-node composite Gauss-Legendre reference on
+[rho_l, top] (L = 50, 300, 2000, rho_l / width from 0 to 3; N = 1-40 at
+apertures 0.5-4 and 16 equal branches; m = 1, 2, 5; vartheta = 1e-6-1e8 at
+8 points per decade; values above 1e-290) the kernel stays within 5.5e-14
+relative with 16 nodes, 6.0e-14 with 32 and 6.4e-14 with two panels where
+rho_l >= width / 10, and within 1.7e-11 on clamped ramps (rho_l = 0; six
+branches spread over decades at m = 1 and vartheta 1e5-4e6). With 16 nodes
+the skip above leaves 35% of the factors on the optimize-grid benchmark
+workload and 13% on bler-sweep at 1.0, as with 32. The tests hold every
+table to 1e-8 relative against quadrature and against the paper's subset
+expansion.
 
 Hop 2 depends on the relay power and the altitude only through vartheta, so
 a power search can read it from a table instead (`Hop2Table`, one per link
@@ -95,7 +102,8 @@ def _unit_rule(panels) -> tuple[np.ndarray, np.ndarray]:
 
 # Hop-2 node tables on [rho_l, top], scaled from [0, 1]; see the module
 # docstring for the rule that picks one and the accuracy each reaches.
-_ONE_PANEL = _unit_rule(((0.0, 1.0, 32),))
+_GL16 = _unit_rule(((0.0, 1.0, 16),))
+_GL32 = _unit_rule(((0.0, 1.0, 32),))
 _GRADED = _unit_rule(((0.0, 0.125, 32), (0.125, 1.0, 32)))
 
 # Hop-2 table panels (see Hop2Table): first-kind Chebyshev nodes on [-1, 1],
@@ -252,6 +260,17 @@ def _validated_lambdas(lambdas) -> tuple:
     return lams
 
 
+def _node_table(params: FblParams) -> tuple[np.ndarray, np.ndarray]:
+    """The hop-2 node table (nodes, weights on [0, 1]) for a ramp: the
+    further rho_l sits from 0 in ramp widths, the smoother the branch CDFs
+    are over [rho_l, top] and the fewer nodes reach double precision."""
+    if params.rho_l >= 2.0 * params.width:
+        return _GL16
+    if params.rho_l >= 0.25 * params.width:
+        return _GL32
+    return _GRADED
+
+
 def avg_bler_hop2(params: FblParams, vartheta2, m2: int, lambdas):
     """Average BLER of the selected-port hop at rate parameter vartheta2
     (a scalar or an array): chi * int_{rho_l}^{rho_h} of the product of the
@@ -260,8 +279,7 @@ def avg_bler_hop2(params: FblParams, vartheta2, m2: int, lambdas):
     vt = _positive(vartheta2, "vartheta2")
     m2 = _shape(m2, "m2")
     lams = _validated_lambdas(lambdas)
-    x_unit, w_unit = (_ONE_PANEL if params.rho_l >= 0.25 * params.width
-                      else _GRADED)
+    x_unit, w_unit = _node_table(params)
     sat = _saturation_z(m2)
     top = np.clip(sat * max(lams) / vt, params.rho_l, params.rho_h)
     span = top - params.rho_l
@@ -274,7 +292,10 @@ def avg_bler_hop2(params: FblParams, vartheta2, m2: int, lambdas):
         z = x * (vt[..., None] / lam)
         live = z < sat
         prod[live] *= special.gammainc(m2, z[live])
-    val = params.chi * (span * (prod @ w_unit) + (params.rho_h - top))
+    # einsum sums each row on its own, so a value's bits do not depend on
+    # how many vartheta share the call; a BLAS matvec rounds rows in blocks
+    quad = np.einsum("...j,j->...", prod, w_unit)
+    val = params.chi * (span * quad + (params.rho_h - top))
     return _as_result(np.clip(val, 0.0, 1.0))
 
 
@@ -291,10 +312,8 @@ class Hop2Table:
     min(vt_hi, vartheta_sat) (vt_hi on a clamped ramp). From vartheta_sat on
     the kernel returns the constant min(chi * width, 1), and so does the
     table. Nodes, panel choice and the local coordinate depend on
-    (params, m2, lambdas, vartheta) only, and each panel fills 32 whole
-    rows of the one kernel call (the kernel's BLAS reduction can round a
-    row in the last bit according to how many rows the call holds, but it
-    rounds a panel's 32 rows alike in every table; the tests check this).
+    (params, m2, lambdas, vartheta) only, and the kernel's value at a
+    vartheta does not depend on the other vartheta of the call.
     So a table's value at a vartheta does not depend on its range: a table
     over a superset returns the same bits on the shared range, which lets
     one table serve every altitude of a grid. `nodes` and `values` hold the

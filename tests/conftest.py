@@ -85,8 +85,7 @@ def avg_bler_hop2_all_factors(params, vartheta2, m2, lambdas):
     reduction, so the kernel that skips saturated factors must match it bit
     for bit."""
     vt = np.asarray(vartheta2, dtype=float)
-    x_unit, w_unit = (blercore._ONE_PANEL if params.rho_l >= 0.25 * params.width
-                      else blercore._GRADED)
+    x_unit, w_unit = blercore._node_table(params)
     top = np.clip(blercore._saturation_z(m2) * max(lambdas) / vt,
                   params.rho_l, params.rho_h)
     span = top - params.rho_l
@@ -94,8 +93,8 @@ def avg_bler_hop2_all_factors(params, vartheta2, m2, lambdas):
     prod = np.ones_like(x)
     for lam in lambdas:
         prod *= special.gammainc(m2, x * (vt[..., None] / lam))
-    return np.clip(params.chi * (span * (prod @ w_unit) + (params.rho_h - top)),
-                   0.0, 1.0)
+    quad = np.einsum("...j,j->...", prod, w_unit)
+    return np.clip(params.chi * (span * quad + (params.rho_h - top)), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from scipy import special
 from fasrelay import (ScenarioConfig, TrajectoryEvaluator, avg_bler_hop1,
                       avg_bler_hop2, avg_bler_hop2_asymptotic, chebyshev_nodes,
                       fas_spectrum, fbl_rate, instantaneous_bler, linearize)
-from fasrelay.blercore import (Hop2Table, TabulatedEvaluator, _GRADED,
-                               _ONE_PANEL, _saturation_z)
+from fasrelay.blercore import (Hop2Table, TabulatedEvaluator, _GL16, _GL32,
+                               _GRADED, _node_table, _saturation_z)
+from fasrelay.cli import _fbl, parse_config
 from fasrelay.geometry import trajectory_geometry
 
 from conftest import (avg_bler_hop2_all_factors, exact_avg_bler, quad_hop1,
@@ -223,6 +225,48 @@ def test_hop2_clamped_interval_contract():
         assert avg_bler_hop2(p, vt, 1, (1.0,)) == pytest.approx(ref, rel=1e-8)
 
 
+def _ramp(r, blocklength):
+    """The ramp at blocklength whose rho_l is r widths: with tau = 2^R - 1,
+    rho_l / width = sqrt(tau blocklength / 2 pi) - 1/2."""
+    tau = 2.0 * math.pi * (r + 0.5) ** 2 / blocklength
+    return linearize(math.log2(1.0 + tau), blocklength)
+
+
+def test_hop2_short_table_contract():
+    # 16 nodes from rho_l = 2 width on: just below that the kernel keeps the
+    # 32-node panel, and at it (the nearest double above) it switches
+    below, at = _ramp(1.999, 300), _ramp(2.0, 300)
+    assert below.rho_l < 2.0 * below.width <= at.rho_l < 2.0 * at.width + 1e-12
+    ramps = ((below, _GL32), (at, _GL16), (_ramp(2.5, 300), _GL16),
+             (_ramp(3.0, 300), _GL16))
+    spectra = [fas_spectrum(n, w).lambdas for n in (1, 2, 8, 12, 40)
+               for w in (0.5, 4.0)] + [(1.0,) * 16]
+    for p, table in ramps:
+        assert _node_table(p) is table
+        for m in (1, 2, 5):
+            for lams in spectra:
+                for vt in np.geomspace(1e-6, 1e8, 29):
+                    assert avg_bler_hop2(p, vt, m, lams) == pytest.approx(
+                        quad_hop2(p, vt, m, lams), rel=1e-8, abs=1e-300)
+
+
+def test_presets_run_on_the_short_table():
+    # every blocklength a preset can evaluate has rho_l >= 2 width, so the
+    # presets and the benchmark studies built from them run on 16 nodes; a
+    # preset that leaves that table should fail here, not slow down quietly
+    presets = sorted((Path(__file__).resolve().parent.parent
+                      / "configs").glob("*.conf"))
+    assert presets
+    for path in presets:
+        # the blocklength keys do not depend on the command
+        spec = parse_config(path.read_text(encoding="utf-8"), "optimize")
+        lengths = {spec.blocklength, *spec.ee.l_set,
+                   *spec.sweeps.get("sweep_blocklength", ())}
+        for blocklength in lengths:
+            assert _node_table(_fbl(spec, blocklength)) is _GL16, (
+                path.name, blocklength)
+
+
 def test_hop2_many_branches_uses_quadrature_route(fbl100):
     # 2^16 subsets put the closed form out of reach; quadrature is the reference
     lams = tuple(np.full(16, 1.0))
@@ -252,7 +296,7 @@ def test_gammainc_is_one_past_saturation():
 def _saturated_share(params, vt, m, lams):
     """Share of the kernel's gamma factors at or past the saturation point,
     per vartheta."""
-    x_unit = (_ONE_PANEL if params.rho_l >= 0.25 * params.width else _GRADED)[0]
+    x_unit = _node_table(params)[0]
     sat = _saturation_z(m)
     top = np.clip(sat * max(lams) / vt, params.rho_l, params.rho_h)
     x = params.rho_l + (top - params.rho_l)[:, None] * x_unit
@@ -260,14 +304,19 @@ def _saturated_share(params, vt, m, lams):
     return np.mean(z >= sat, axis=(1, 2))
 
 
+# a ramp on each hop-2 node table: 16 nodes (rho_l >= 2 width), 32 nodes
+# (width / 4 <= rho_l < 2 width) and the graded rule (a clamped ramp)
+_TABLE_RAMPS = ((linearize(80.0 / 300.0, 300), _GL16),
+                (linearize(0.4, 50), _GL32), (linearize(0.02, 100), _GRADED))
+
+
 def test_hop2_skip_matches_all_factors():
-    # no, partial and full saturation of the factors, on the one-panel node
-    # table (rho_l >= width / 4) and the graded one (clamped ramp)
-    one_panel, clamped = linearize(80.0 / 300.0, 300), linearize(0.02, 100)
-    assert one_panel.rho_l >= 0.25 * one_panel.width and clamped.rho_l == 0.0
+    # no, partial and full saturation of the factors, on every node table
+    assert _TABLE_RAMPS[2][0].rho_l == 0.0
     vt = np.geomspace(1e-6, 1e8, 141)
-    regimes = set()
-    for params in (one_panel, clamped):
+    for params, table in _TABLE_RAMPS:
+        assert _node_table(params) is table
+        regimes = set()
         for n in (1, 2, 8, 12):
             lams = fas_spectrum(n, 0.5).lambdas
             for m in (1, 2, 5):
@@ -277,11 +326,27 @@ def test_hop2_skip_matches_all_factors():
                 assert avg_bler_hop2(params, vt[70], m, lams) == float(
                     avg_bler_hop2_all_factors(params, vt[70], m, lams))
                 share = _saturated_share(params, vt, m, lams)
-                regimes.update((params is clamped, r) for r in
-                               ("none" if f == 0.0 else "full" if f == 1.0
-                                else "partial" for f in share))
-    assert {r for c, r in regimes if not c} == {"none", "partial", "full"}
-    assert {r for c, r in regimes if c} >= {"none", "partial"}
+                regimes.update("none" if f == 0.0 else "full" if f == 1.0
+                               else "partial" for f in share)
+        assert regimes >= ({"none", "partial"} if params.rho_l == 0.0
+                           else {"none", "partial", "full"})
+
+
+def test_hop2_value_does_not_depend_on_the_batch():
+    # each value is reduced on its own, so its bits are the same alone, in a
+    # 141-point call and in sub-batches of 1-64 points of a 1,000-point call
+    p = _TABLE_RAMPS[0][0]
+    vt = np.geomspace(1e-6, 1e8, 141)
+    vt[70] = 10.0
+    assert avg_bler_hop2(p, 10.0, 1, (1.0,)) == avg_bler_hop2(p, vt, 1, (1.0,))[70]
+    vt = np.geomspace(1e-6, 1e8, 1000)
+    lams = fas_spectrum(8, 0.5).lambdas
+    for (params, _), m in zip(_TABLE_RAMPS, (1, 2, 5)):
+        whole = avg_bler_hop2(params, vt, m, lams)
+        for size in range(1, 65):
+            parts = [np.atleast_1d(avg_bler_hop2(params, vt[i:i + size], m, lams))
+                     for i in range(0, vt.size, size)]
+            assert np.array_equal(np.concatenate(parts), whole), size
 
 
 # ---------------------------------------------------------------------------
