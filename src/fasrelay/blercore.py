@@ -38,7 +38,7 @@ expansion.
 
 Hop 2 depends on the relay power and the altitude only through vartheta, so
 a power search can read it from a table instead (`Hop2Table`, one per link
-type, built from a `TrajectoryEvaluator` by `TabulatedEvaluator`): log eps2
+type; `optimizer.altitude_tables` is the one source of them): log eps2
 against log vartheta, piecewise Chebyshev with 32 first-kind nodes per
 panel, filled by one kernel call. The panels are whole decades of a fixed
 lattice, counted from vartheta_sat = _saturation_z(m) max(lambda) / rho_l
@@ -431,12 +431,12 @@ class TrajectoryEvaluator:
 
     Geometry and hop 1 are computed once, so repeated evaluations at
     different transmit powers (bisection, port sweeps) only redo the hop-2
-    averages. `TabulatedEvaluator` gives the same end-to-end BLER with hop 2
-    read from one `Hop2Table` per link type over a power range: two kernel
-    calls on about 200 vartheta each for the whole range, against two calls
-    on the 128 nodes per power here; the tables agree with this direct path
-    to about 1e-12 relative (see the module docstring). Both paths share the
-    mixing, combining and averaging below.
+    averages. A power solve instead reads hop 2 from one `Hop2Table` per
+    link type at `hop2_varthetas(p2)` and combines through `e2e_avg_from`:
+    two kernel calls on about 200 vartheta each fill a table for a whole
+    power range, against two calls on the 128 nodes per power here, and
+    the tables agree with this direct path to about 1e-12 relative (see the
+    module docstring).
 
     The weighted reduction runs in fixed node order, so results are
     bit-reproducible for a given node count.
@@ -522,36 +522,3 @@ def hop2_tables(fbl: FblParams, cfg: ScenarioConfig, lambdas, bounds):
     """One `Hop2Table` per link type over the (lo, hi) vartheta bounds."""
     return tuple(Hop2Table(fbl, cfg.nakagami_m(lt), lambdas, lo, hi)
                  for lt, (lo, hi) in zip(LINK_TYPES, bounds))
-
-
-class TabulatedEvaluator:
-    """End-to-end BLER of a `TrajectoryEvaluator` at relay powers in
-    [p_lo, p_hi], with hop 2 read from one `Hop2Table` per link type.
-
-    Each table spans the vartheta the trajectory reaches over that power
-    range, [min_i c_i / p_hi, max_i c_i / p_lo] with c_i = m sigma^2 /
-    beta2_i, so it costs one kernel call on about 200-300 vartheta instead
-    of 128 per power. `tables` may instead pass in tables of the same
-    blocklength, Nakagami shapes and spectrum over any range that holds
-    this one (`hop2_tables` over `hop2_vartheta_bounds`); on the lattice of
-    `Hop2Table` they give the same values. Mixing, combining and the
-    trajectory average are the evaluator's own.
-    """
-
-    def __init__(self, ev: TrajectoryEvaluator, p_lo: float, p_hi: float,
-                 tables=None):
-        if not 0.0 < p_lo < p_hi:
-            raise ValueError("need 0 < p_lo < p_hi")
-        self.ev = ev
-        if tables is None:
-            tables = hop2_tables(ev.fbl, ev.cfg, ev.fas.lambdas,
-                                 hop2_vartheta_bounds(ev.cfg, [ev.geo],
-                                                      p_lo, p_hi))
-        self.tables = tables
-
-    def hop2_components(self, p2: float):
-        return tuple(table(vt) for table, vt
-                     in zip(self.tables, self.ev.hop2_varthetas(p2)))
-
-    def e2e_avg(self, p2: float) -> float:
-        return self.ev.e2e_avg_from(*self.hop2_components(p2))

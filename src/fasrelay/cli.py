@@ -462,11 +462,17 @@ def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int):
     n_axis = _axis(spec, "sweep_n_ports", [spec.n_ports])
     jobs = [(float(z), int(n)) for n in n_axis for z in z_axis]
     fbl = _fbl(spec, spec.blocklength)
+    # one evaluator per altitude, shared by its port counts
+    bases = {float(z): TrajectoryEvaluator(
+                 replace(spec.scenario, uav_altitude=float(z)), fbl, None,
+                 spec.traj_nodes) for z in z_axis}
+    tables = altitude_tables(spec.scenario, spec.ee, z_axis, spec.traj_nodes)
 
     def compute(args):
         idx, (z, n) = args
         fas = fas_spectrum(n, spec.aperture, spec.rank_tolerance)
-        p2 = min_power(spec.scenario, fas, fbl, spec.ee, z, spec.traj_nodes)
+        found = min_power(bases[z].with_spectrum(fas), spec.ee, tables)
+        p2 = None if found is None else found[0]
         row = _echo_columns(spec)
         row.update({"uav_altitude_m": z, "n_ports": n,
                     "aperture": spec.aperture, "blocklength": spec.blocklength,
@@ -484,7 +490,9 @@ def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int):
                    list(range(spec.ee.n_range[0], spec.ee.n_range[1] + 1)))
     l_axis = _axis(spec, "sweep_blocklength", [spec.blocklength])
     jobs = [(int(l), int(n)) for l in l_axis for n in n_axis]
-    bases = {l: _base_evaluator(spec, l) for l, _ in jobs}
+    bases = {int(l): _base_evaluator(spec, int(l)) for l in l_axis}
+    tables = altitude_tables(spec.scenario, spec.ee,
+                             [spec.scenario.uav_altitude], spec.traj_nodes)
 
     def compute(args):
         idx, (l, n) = args
@@ -492,7 +500,7 @@ def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int):
         row.update({"uav_altitude_m": spec.scenario.uav_altitude,
                     "n_ports": n, "aperture": spec.aperture,
                     "blocklength": l})
-        entry = port_entry(bases[l], n, spec.aperture, spec.ee,
+        entry = port_entry(bases[l], n, spec.aperture, spec.ee, tables,
                            spec.rank_tolerance)
         row.update({"feasible": entry.feasible,
                     "p2_star_dbm": _to_dbm(entry.p2) if entry.feasible else "",
@@ -522,16 +530,14 @@ def _rows_ee_contour(spec: ExperimentSpec, seed: int):
     if z_axis is None or l_axis is None:
         raise ConfigError("ee-contour requires sweep_z and sweep_blocklength")
     jobs = [(int(l), float(z)) for l in l_axis for z in z_axis]
-    fbls = {l: _fbl(spec, l) for l, _ in jobs}
-    tables = altitude_tables(spec.scenario, fbls.values(), spec.ee, z_axis,
-                             spec.aperture, spec.rank_tolerance,
-                             spec.traj_nodes)
+    fbls = {int(l): _fbl(spec, int(l)) for l in l_axis}
+    tables = altitude_tables(spec.scenario, spec.ee, z_axis, spec.traj_nodes)
 
     def compute(args):
         idx, (l, z) = args
         res = best_port_count(spec.scenario, fbls[l], spec.ee, z,
-                              spec.aperture, spec.rank_tolerance,
-                              spec.traj_nodes, tables[l])
+                              spec.aperture, tables, spec.rank_tolerance,
+                              spec.traj_nodes)
         return _port_search_columns(spec, res)
 
     return list(enumerate(jobs)), compute
@@ -612,6 +618,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _thread_count(text: str) -> int:
+    """A --threads value: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fasrelay",
@@ -624,7 +642,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default=None, help="output CSV path")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the base random seed")
-        cmd.add_argument("--threads", type=int, default=1,
+        cmd.add_argument("--threads", type=_thread_count, default=1,
                          help="worker threads for sweep points (optimize "
                               "ignores it)")
     args = parser.parse_args(argv)

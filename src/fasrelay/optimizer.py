@@ -7,16 +7,15 @@ exhaustive over their discrete grids, so no unimodality assumption is ever
 exploited. Infeasible points carry a zero-EE sentinel plus an explicit
 flag so that "zero goodput" and "constraint violating" stay distinguishable.
 
-Each power solve reads hop 2 from one table per link type over the
-precheck grid's power range (`blercore.TabulatedEvaluator`; the table
-design and its measured accuracy, about 1e-12 relative, are in
-`blercore`). A lone solve builds its own pair. `global_optimize` and the
-ee-contour study build one pair per (L, N) over the vartheta of the whole
-altitude grid (`altitude_tables`) and pass it down through
-`best_port_count` and `port_entry`. Tables sit on a fixed lattice of
-decades, so a shared table gives the same values as a solve's own and no
-result changes, while the table fills of the `optimize` preset fall from
-2,784 to 96. The tables' sampled values must rise with vartheta, and the
+Each power solve reads hop 2 from one table per link type
+(`blercore.Hop2Table`; the table design and its measured accuracy, about
+1e-12 relative, are in `blercore`). Every solve gets its tables from one
+source, `altitude_tables`: a callable over an altitude grid that fills the
+pair of each (L, N) on first use, over the vartheta that any of the
+altitudes reaches on the precheck grid's powers. Tables sit on a fixed
+lattice of decades, so their values do not depend on how many altitudes a
+source covers, and the `optimize` preset fills one pair per (L, N): 96
+tables. The tables' sampled values must rise with vartheta, and the
 precheck and the bisection read the end-to-end BLER from them. The power
 found is then re-evaluated by the direct kernel: that value is the one
 reported and used for the efficiency, and a solve whose table value there
@@ -26,15 +25,15 @@ such gap of a search is reported as `table_check_max_rel`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .blercore import (DEFAULT_TRAJECTORY_NODES, FblParams,
-                       TabulatedEvaluator, TrajectoryEvaluator,
-                       chebyshev_nodes, hop2_tables, hop2_vartheta_bounds,
-                       linearize)
+                       TrajectoryEvaluator, chebyshev_nodes, hop2_tables,
+                       hop2_vartheta_bounds, linearize)
 from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
 from .errors import CausalityError, MonotonicityError, TableAccuracyError
 from .geometry import ScenarioConfig, trajectory_geometry
@@ -151,20 +150,46 @@ def _precheck_grid(ee: EeConfig) -> np.ndarray:
     return ee.p_max * np.logspace(-8.0, 0.0, _PRECHECK_POINTS)
 
 
-def _min_power_on(ev: TrajectoryEvaluator, ee: EeConfig, tables=None):
-    """Bisection for the smallest feasible transmit power on a prepared
-    evaluator.
+def altitude_tables(cfg: ScenarioConfig, ee: EeConfig, altitudes,
+                    nodes: int = DEFAULT_TRAJECTORY_NODES):
+    """The hop-2 table source of the power solves at the given altitudes of
+    cfg: a callable (fbl, lambdas) -> (LoS table, NLoS table) that fills
+    each pair on first use. Each table spans the vartheta that any of the
+    altitudes reaches over the precheck grid's powers on the nodes-point
+    trajectory rule. On the lattice of `blercore.Hop2Table` a table's values
+    do not depend on its range, so one source serves every altitude, port
+    count and blocklength of a study with the values of a source over one
+    altitude. Threads may share a source; two that miss the same pair at
+    once both fill it, with the same values."""
+    theta, _ = chebyshev_nodes(nodes)
+    geos = [trajectory_geometry(replace(cfg, uav_altitude=float(z)), theta)
+            for z in altitudes]
+    grid = _precheck_grid(ee)
+    bounds = hop2_vartheta_bounds(cfg, geos, float(grid[0]), float(grid[-1]))
+    return functools.cache(
+        lambda fbl, lambdas: hop2_tables(fbl, cfg, lambdas, bounds))
 
-    The precheck and the bisection read hop 2 from tables over the precheck
-    grid's power range (`tables`, or a pair built for ev); the power found
-    is re-evaluated by the direct kernel. Returns (power, direct bler at
-    power, relative gap of the table there) or None when infeasible.
+
+def min_power(ev: TrajectoryEvaluator, ee: EeConfig, tables):
+    """Bisection for the smallest transmit power in (0, p_max] that meets
+    the reliability target on ev (scenario, blocklength and spectrum).
+
+    The precheck and the bisection read hop 2 from the pair
+    tables(ev.fbl, ev.fas.lambdas) of an `altitude_tables` source that
+    covers ev's altitude; the power found is re-evaluated by the direct
+    kernel. Returns (power, direct BLER at power, relative gap of the
+    tables there), or None when even p_max misses the target.
     """
     grid = _precheck_grid(ee)
-    tab = TabulatedEvaluator(ev, float(grid[0]), float(grid[-1]), tables)
-    for table in tab.tables:
+    pair = tables(ev.fbl, ev.fas.lambdas)
+    for table in pair:
         _check_monotone(table)
-    eps = [tab.e2e_avg(p) for p in grid]
+
+    def e2e_avg(p2: float) -> float:
+        return ev.e2e_avg_from(*(table(vt) for table, vt
+                                 in zip(pair, ev.hop2_varthetas(p2))))
+
+    eps = [e2e_avg(p) for p in grid]
     for i in range(len(eps) - 1):
         if eps[i + 1] > eps[i] + _PRECHECK_SLACK:
             raise MonotonicityError(
@@ -183,7 +208,7 @@ def _min_power_on(ev: TrajectoryEvaluator, ee: EeConfig, tables=None):
             if hi - lo <= ee.bisect_tol * hi:
                 break
             mid = 0.5 * (lo + hi)
-            e_mid = tab.e2e_avg(mid)
+            e_mid = e2e_avg(mid)
             if e_mid <= ee.bler_threshold:
                 hi, eps_hi = mid, e_mid
             else:
@@ -195,16 +220,6 @@ def _min_power_on(ev: TrajectoryEvaluator, ee: EeConfig, tables=None):
             f"tabulated end-to-end BLER {eps_hi:.12e} at {hi:.6e} W is "
             f"{gap:.2e} relative off the direct value {direct:.12e}")
     return hi, direct, gap
-
-
-def min_power(cfg: ScenarioConfig, fas, fbl: FblParams, ee: EeConfig,
-              z_u: float, nodes: int = DEFAULT_TRAJECTORY_NODES):
-    """Smallest transmit power in (0, p_max] meeting the reliability target
-    at altitude z_u, or None when even p_max misses it."""
-    scenario = replace(cfg, uav_altitude=float(z_u))
-    ev = TrajectoryEvaluator(scenario, fbl, fas, nodes)
-    found = _min_power_on(ev, ee)
-    return None if found is None else found[0]
 
 
 @dataclass(frozen=True)
@@ -221,19 +236,19 @@ class PortEntry:
 
 
 def port_entry(ev: TrajectoryEvaluator, n_ports: int, aperture: float,
-               ee: EeConfig, rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-               tables=None) -> PortEntry:
+               ee: EeConfig, tables,
+               rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PortEntry:
     """Causality cut, minimum-power solve and energy efficiency of n_ports
     ports on the scenario and blocklength of ev (its spectrum is replaced
-    by the n_ports spectrum at the given aperture). `tables` is an optional
-    hop-2 table pair for this port count from `altitude_tables`."""
+    by the n_ports spectrum at the given aperture), with hop 2 from the
+    `altitude_tables` source tables. A cut port count fills no table."""
     blocklength = ev.fbl.blocklength
     infeasible = PortEntry(n_ports=n_ports, feasible=False, p2=None,
                            eps_o=None, ee=0.0)
     if violates_causality(n_ports, ee.port_time, blocklength, ee.bandwidth):
         return infeasible
     fas = fas_spectrum(n_ports, aperture, rank_tolerance)
-    found = _min_power_on(ev.with_spectrum(fas), ee, tables)
+    found = min_power(ev.with_spectrum(fas), ee, tables)
     if found is None:
         return infeasible
     p2, eps_o, gap = found
@@ -265,45 +280,17 @@ class PortSearchResult:
                    default=0.0)
 
 
-def altitude_tables(cfg: ScenarioConfig, fbls, ee: EeConfig, altitudes,
-                    aperture: float,
-                    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-                    nodes: int = DEFAULT_TRAJECTORY_NODES) -> dict:
-    """Hop-2 tables shared by the port searches at every altitude:
-    {blocklength: {n_ports: (LoS table, NLoS table)}} for each port count
-    whose scan fits in the block. Each table spans the vartheta that any of
-    the altitudes reaches over the precheck grid's powers; on the lattice
-    of `blercore.Hop2Table` it returns the values of the table a single
-    solve builds, so passing it to `best_port_count` changes no result."""
-    theta, _ = chebyshev_nodes(nodes)
-    geos = [trajectory_geometry(replace(cfg, uav_altitude=float(z)), theta)
-            for z in altitudes]
-    grid = _precheck_grid(ee)
-    bounds = hop2_vartheta_bounds(cfg, geos, float(grid[0]), float(grid[-1]))
-    return {fbl.blocklength: {
-                n: hop2_tables(fbl, cfg,
-                               fas_spectrum(n, aperture, rank_tolerance).lambdas,
-                               bounds)
-                for n in range(ee.n_range[0], ee.n_range[1] + 1)
-                if not violates_causality(n, ee.port_time, fbl.blocklength,
-                                          ee.bandwidth)}
-            for fbl in fbls}
-
-
 def best_port_count(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
-                    z_u: float, aperture: float,
+                    z_u: float, aperture: float, tables,
                     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-                    nodes: int = DEFAULT_TRAJECTORY_NODES,
-                    tables: dict | None = None) -> PortSearchResult:
+                    nodes: int = DEFAULT_TRAJECTORY_NODES) -> PortSearchResult:
     """Evaluate every admissible port count at fixed altitude and pick the
     EE maximizer. The correlation spectrum is rebuilt per N at the fixed
-    aperture, so port spacing shrinks as ports are added. `tables` maps a
-    port count to its hop-2 table pair (one blocklength's entry of
-    `altitude_tables`); without it each solve builds its own."""
+    aperture, so port spacing shrinks as ports are added. `tables` is an
+    `altitude_tables` source that covers z_u on the same nodes."""
     z_u = float(z_u)
     ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, None, nodes)
-    entries = tuple(port_entry(ev, n, aperture, ee, rank_tolerance,
-                               None if tables is None else tables.get(n))
+    entries = tuple(port_entry(ev, n, aperture, ee, tables, rank_tolerance)
                     for n in range(ee.n_range[0], ee.n_range[1] + 1))
     feasible = [e for e in entries if e.feasible]
     if not feasible:
@@ -345,17 +332,16 @@ def global_optimize(cfg: ScenarioConfig, ee: EeConfig, aperture: float,
     solving the port-count problem at every (L, Z). Grid search is kept
     deliberately assumption-free since EE versus altitude is not known to
     be unimodal. Ties break toward smaller (L, Z, N), which keeps the
-    result invariant to the ordering of l_set. The hop-2 tables of each
-    (L, N) are built once for the whole altitude grid (`altitude_tables`)."""
+    result invariant to the ordering of l_set. One table source covers the
+    whole altitude grid (`altitude_tables`)."""
     fbls = [linearize(ee.payload_bits / int(l), int(l), chi_variant)
             for l in ee.l_set]
     grid = ee.altitude_grid()
-    tables = altitude_tables(cfg, fbls, ee, grid, aperture, rank_tolerance,
-                             nodes)
+    tables = altitude_tables(cfg, ee, grid, nodes)
     # best_port_count is called by its module-level name, so wrapping it
     # (a profiler, a tracer) sees every port search
-    trace = tuple(best_port_count(cfg, fbl, ee, z, aperture, rank_tolerance,
-                                  nodes, tables[fbl.blocklength])
+    trace = tuple(best_port_count(cfg, fbl, ee, z, aperture, tables,
+                                  rank_tolerance, nodes)
                   for fbl in fbls for z in grid)
     table_rel = max((res.table_check_max_rel for res in trace), default=0.0)
     feasible = [res for res in trace if res.feasible]

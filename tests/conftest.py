@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import mpmath as mp
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from fasrelay import (ScenarioConfig, blercore, chebyshev_nodes, linearize,
+from fasrelay import (ScenarioConfig, TrajectoryEvaluator, altitude_tables,
+                      blercore, chebyshev_nodes, linearize, min_power,
                       sample_fas_gain_model, sample_hop1_gain)
 from fasrelay.geometry import trajectory_geometry
 
@@ -324,6 +326,14 @@ def ks_statistic(samples, cdf):
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
     return max(upper, lower)
+
+
+def solved_power(cfg, fas, fbl, ee, z_u):
+    """The power `min_power` solves at altitude z_u on a table source over
+    that altitude alone, or None when p_max misses the target."""
+    ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, fas)
+    found = min_power(ev, ee, altitude_tables(cfg, ee, [z_u]))
+    return None if found is None else found[0]
 
 
 def direct_min_power(ev, ee, points=10, slack=1e-12):

@@ -18,14 +18,15 @@ from scipy import optimize
 
 from fasrelay import (McConfig, TrajectoryEvaluator, avg_bler_hop1,
                       avg_bler_hop2, avg_bler_hop2_asymptotic, fas_spectrum,
-                      linearize, mc_average_bler, min_power,
-                      sample_fas_gain_model, sample_hop1_gain)
+                      linearize, mc_average_bler, sample_fas_gain_model,
+                      sample_hop1_gain)
 from fasrelay.cli import parse_config, run
 from fasrelay.geometry import trajectory_geometry
 from fasrelay.optimizer import EeConfig
 
 from conftest import (cdf_hop1, cdf_hop2, closed_form_hop2, exact_traj_bler,
-                      ks_statistic, quad_hop1, quad_hop2, surrogate_mc_bler)
+                      ks_statistic, quad_hop1, quad_hop2, solved_power,
+                      surrogate_mc_bler)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -201,7 +202,7 @@ def test_c05_error_floor(urban, fbl100):
     ev = TrajectoryEvaluator(urban, fbl100, fas)
     floor = ev.hop1_avg()
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3)
-    p_star = min_power(urban, fas, fbl100, ee, urban.uav_altitude)
+    p_star = solved_power(urban, fas, fbl100, ee, urban.uav_altitude)
     val = ev.e2e_avg(p_star * 1e4)
     rel = abs(val - floor) / floor
     elapsed = time.time() - start

@@ -11,8 +11,9 @@ from scipy import special
 from fasrelay import (ScenarioConfig, TrajectoryEvaluator, avg_bler_hop1,
                       avg_bler_hop2, avg_bler_hop2_asymptotic, chebyshev_nodes,
                       fas_spectrum, fbl_rate, instantaneous_bler, linearize)
-from fasrelay.blercore import (Hop2Table, TabulatedEvaluator, _GL16, _GL32,
-                               _GRADED, _node_table, _saturation_z)
+from fasrelay.blercore import (Hop2Table, _GL16, _GL32, _GRADED, _node_table,
+                               _saturation_z, hop2_tables,
+                               hop2_vartheta_bounds)
 from fasrelay.cli import _fbl, parse_config
 from fasrelay.geometry import trajectory_geometry
 
@@ -373,10 +374,11 @@ def test_hop2_table_matches_kernel():
         fbl = linearize(80.0 / blocklength, blocklength)
         for z in (100.0, 400.0, 500.0, 800.0):
             base = TrajectoryEvaluator(replace(cfg, uav_altitude=z), fbl)
+            bounds = hop2_vartheta_bounds(cfg, [base.geo], 1e-7, 10.0)
             for n in (1, 2, 4, 8, 12):
                 fas = fas_spectrum(n, 0.5)
-                tab = TabulatedEvaluator(base.with_spectrum(fas), 1e-7, 10.0)
-                for lt, table in zip(("los", "nlos"), tab.tables):
+                tables = hop2_tables(fbl, cfg, fas.lambdas, bounds)
+                for lt, table in zip(("los", "nlos"), tables):
                     m = cfg.nakagami_m(lt)
                     worst = max(worst, _table_gap(table, fbl, m, fas.lambdas))
                     if table.top < table.hi:
@@ -462,13 +464,19 @@ def test_tabulated_e2e_bounded_and_monotone(z, n, blocklength, u, v):
     fbl = linearize(80.0 / blocklength, blocklength)
     ev = TrajectoryEvaluator(cfg, fbl, fas_spectrum(n, 0.5))
     p_lo, p_hi = 1e-7, 10.0
-    tab = TabulatedEvaluator(ev, p_lo, p_hi)
+    tables = hop2_tables(fbl, cfg, ev.fas.lambdas,
+                         hop2_vartheta_bounds(cfg, [ev.geo], p_lo, p_hi))
+
+    def tabulated(p2):
+        return tuple(table(vt) for table, vt
+                     in zip(tables, ev.hop2_varthetas(p2)))
+
     p_a, p_b = np.clip(p_lo * (p_hi / p_lo) ** np.sort([u, v]), p_lo, p_hi)
     # the same bounds and monotonicity on the tables and the direct kernel
-    for path in (tab, ev):
-        e_a, e_b = path.e2e_avg(p_a), path.e2e_avg(p_b)
+    for hop2 in (tabulated, ev.hop2_components):
+        e_a, e_b = (ev.e2e_avg_from(*hop2(p)) for p in (p_a, p_b))
         for p, e in ((p_a, e_a), (p_b, e_b)):
-            nodes = ev.end_to_end(ev.hop2_mixed(*path.hop2_components(p)))
+            nodes = ev.end_to_end(ev.hop2_mixed(*hop2(p)))
             assert np.all(ev.eps1_mixed <= nodes) and np.all(nodes <= 1.0)
             # the trajectory rule's weights sum to slightly above 1
             assert ev.hop1_avg() <= e <= float(np.sum(ev.weights))

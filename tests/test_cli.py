@@ -314,15 +314,45 @@ def test_main_entry_point(tmp_path):
     assert main(["bler-sweep", "--config", str(tmp_path / "nope.conf")]) == 1
 
 
-def test_main_threads_flag_preserves_output(tmp_path):
+_SOLVES = "p1 = 46 dBm\ntraj_nodes = 32\np_max = 40 dBm\n"
+
+
+# the solve commands share one lazily filled hop-2 table source across the
+# worker threads
+@pytest.mark.parametrize("command, text, threads", [
+    pytest.param("bler-sweep", "sweep_p2_dbm = 0:20:6\ntraj_nodes = 32\n",
+                 "4", id="bler-sweep"),
+    pytest.param("power-vs-altitude", _SOLVES + "blocklength = 200\n"
+                 "sweep_z = 200, 400, 600\nsweep_n_ports = 1, 8\n", "2",
+                 id="power-vs-altitude"),
+    pytest.param("ee-vs-ports", _SOLVES + "uav_altitude = 400\n"
+                 "sweep_blocklength = 200, 300\nsweep_n_ports = 2, 8, 14\n",
+                 "2", id="ee-vs-ports"),
+    pytest.param("ee-contour", _SOLVES + "n_max = 3\nsweep_z = 300, 400\n"
+                 "sweep_blocklength = 300, 400\n", "2", id="ee-contour"),
+])
+def test_main_threads_flag_preserves_output(tmp_path, command, text, threads):
     conf = tmp_path / "c.conf"
-    conf.write_text("sweep_p2_dbm = 0:20:6\ntraj_nodes = 32\n")
+    conf.write_text(text)
     out1 = tmp_path / "s.csv"
     out2 = tmp_path / "t.csv"
-    assert main(["bler-sweep", "--config", str(conf), "--out", str(out1)]) == 0
-    assert main(["bler-sweep", "--config", str(conf), "--out", str(out2),
-                 "--threads", "4"]) == 0
+    assert main([command, "--config", str(conf), "--out", str(out1)]) == 0
+    assert main([command, "--config", str(conf), "--out", str(out2),
+                 "--threads", threads]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_main_rejects_thread_counts_below_one(tmp_path, capsys, threads):
+    conf = tmp_path / "c.conf"
+    conf.write_text("sweep_p2_dbm = 10\ntraj_nodes = 32\n")
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bler-sweep", "--config", str(conf), "--out", str(out),
+              "--threads", threads])
+    assert exc.value.code != 0
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _package_env():

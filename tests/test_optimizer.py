@@ -5,13 +5,13 @@ import pytest
 
 from fasrelay import (CausalityError, EeConfig, MonotonicityError,
                       ScenarioConfig, TableAccuracyError, TrajectoryEvaluator,
-                      best_port_count, energy_efficiency, fas_spectrum,
-                      global_optimize, linearize, min_power)
+                      altitude_tables, best_port_count, energy_efficiency,
+                      fas_spectrum, global_optimize, linearize, min_power)
 from fasrelay import blercore
-from fasrelay.optimizer import (_min_power_on, altitude_tables,
-                                violates_causality)
+from fasrelay.cli import parse_config, run
+from fasrelay.optimizer import violates_causality
 
-from conftest import direct_min_power
+from conftest import direct_min_power, solved_power
 
 
 @pytest.fixture
@@ -52,13 +52,13 @@ def test_causality_violation_is_exact():
 def test_min_power_infeasible_when_cap_misses(cfg46, fbl200):
     fas = fas_spectrum(1, 0.5)
     ee = EeConfig(p_max=1e-6, bler_threshold=1e-3)
-    assert min_power(cfg46, fas, fbl200, ee, 450.0) is None
+    assert solved_power(cfg46, fas, fbl200, ee, 450.0) is None
 
 
 def test_min_power_bracket_contract(cfg46, fbl200):
     fas = fas_spectrum(8, 0.5)
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3, bisect_tol=1e-4)
-    p_star = min_power(cfg46, fas, fbl200, ee, 450.0)
+    p_star = solved_power(cfg46, fas, fbl200, ee, 450.0)
     ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200, fas)
     at = ev.e2e_avg(p_star)
     below = ev.e2e_avg(p_star * (1.0 - 2.0 * ee.bisect_tol))
@@ -69,7 +69,7 @@ def test_min_power_matches_grid_scan_oracle(cfg46, fbl200):
     # 0.01 dB-resolution exhaustive scan as the independent reference
     fas = fas_spectrum(8, 0.5)
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3, bisect_tol=1e-4)
-    p_star = min_power(cfg46, fas, fbl200, ee, 450.0)
+    p_star = solved_power(cfg46, fas, fbl200, ee, 450.0)
     ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200, fas)
     grid_dbm = np.arange(0.0, 20.0, 0.01)
     feas = None
@@ -86,7 +86,7 @@ def test_min_power_matches_grid_scan_oracle(cfg46, fbl200):
 def test_feasible_set_monotone(cfg46, fbl200):
     fas = fas_spectrum(8, 0.5)
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3)
-    p_star = min_power(cfg46, fas, fbl200, ee, 450.0)
+    p_star = solved_power(cfg46, fas, fbl200, ee, 450.0)
     ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200, fas)
     for factor in (1.5, 4.0, 40.0):
         assert ev.e2e_avg(p_star * factor) <= ee.bler_threshold
@@ -114,10 +114,11 @@ def test_min_power_matches_direct_bisection(cfg46):
             fbl = linearize(80.0 / blocklength, blocklength)
             for z in (100.0, 400.0, 800.0):
                 base = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl)
+                tables = altitude_tables(cfg46, ee, [z])
                 for n in range(1, 13):
                     ev = base.with_spectrum(fas_spectrum(n, 0.5))
                     want = direct_min_power(ev, ee)
-                    got = _min_power_on(ev, ee)
+                    got = min_power(ev, ee, tables)
                     assert (got is None) == (want is None), (p_max, blocklength, z, n)
                     outcomes[want is None] += 1
                     if want is None:
@@ -139,17 +140,18 @@ def test_min_power_rejects_falling_hop2_table(cfg46, fbl200, monkeypatch):
 
     monkeypatch.setattr(blercore, "avg_bler_hop2", wavy)
     with pytest.raises(MonotonicityError, match="table"):
-        min_power(cfg46, fas_spectrum(4, 0.5), fbl200, EeConfig(p_max=10.0),
-                  450.0)
+        solved_power(cfg46, fas_spectrum(4, 0.5), fbl200,
+                     EeConfig(p_max=10.0), 450.0)
 
 
 def test_min_power_rejects_rising_precheck(cfg46, fbl200, monkeypatch):
-    # end-to-end BLER that grows with power on the precheck grid
-    monkeypatch.setattr(blercore.TabulatedEvaluator, "e2e_avg",
-                        lambda self, p2: min(1.0, 1e-3 * p2))
+    # end-to-end BLER that grows with power on the precheck grid: one minus
+    # the tabulated hop-2 values, which fall with power
+    monkeypatch.setattr(blercore.TrajectoryEvaluator, "e2e_avg_from",
+                        lambda self, e2_los, e2_nlos: 1.0 - e2_los.mean())
     with pytest.raises(MonotonicityError, match="decrease"):
-        min_power(cfg46, fas_spectrum(4, 0.5), fbl200, EeConfig(p_max=10.0),
-                  450.0)
+        solved_power(cfg46, fas_spectrum(4, 0.5), fbl200,
+                     EeConfig(p_max=10.0), 450.0)
 
 
 def test_min_power_checks_table_against_direct(cfg46, fbl200, monkeypatch):
@@ -158,13 +160,14 @@ def test_min_power_checks_table_against_direct(cfg46, fbl200, monkeypatch):
     monkeypatch.setattr(blercore.Hop2Table, "_interpolate",
                         lambda self, vt: interpolate(self, vt) * (1.0 - 1e-6))
     with pytest.raises(TableAccuracyError):
-        min_power(cfg46, fas_spectrum(4, 0.5), fbl200, EeConfig(p_max=10.0),
-                  450.0)
+        solved_power(cfg46, fas_spectrum(4, 0.5), fbl200,
+                     EeConfig(p_max=10.0), 450.0)
 
 
 def test_best_port_count_singleton(cfg46, fbl200):
     ee = EeConfig(p_max=10.0, n_range=(4, 4))
-    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5)
+    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5,
+                          altitude_tables(cfg46, ee, [450.0]))
     assert res.feasible
     assert res.n_star == 4
     assert len(res.entries) == 1
@@ -172,13 +175,14 @@ def test_best_port_count_singleton(cfg46, fbl200):
 
 def test_best_port_count_matches_enumeration(cfg46, fbl200):
     ee = EeConfig(p_max=10.0, n_range=(1, 6))
-    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5)
+    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5,
+                          altitude_tables(cfg46, ee, [450.0]))
     # independent enumeration over the same grid
     best_ee = 0.0
     best_n = None
     for n in range(1, 7):
         fas = fas_spectrum(n, 0.5)
-        p2 = min_power(cfg46, fas, fbl200, ee, 450.0)
+        p2 = solved_power(cfg46, fas, fbl200, ee, 450.0)
         if p2 is None:
             continue
         eps = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200,
@@ -194,7 +198,8 @@ def test_best_port_count_matches_enumeration(cfg46, fbl200):
 
 def test_best_port_count_excludes_causality_violations(cfg46, fbl200):
     ee = EeConfig(p_max=10.0, n_range=(1, 12))
-    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5)
+    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5,
+                          altitude_tables(cfg46, ee, [450.0]))
     for entry in res.entries:
         if entry.n_ports >= 10:
             assert not entry.feasible
@@ -204,7 +209,8 @@ def test_best_port_count_excludes_causality_violations(cfg46, fbl200):
 def _enumerate_altitudes(cfg, fbl, ee, aperture):
     """Port search at every altitude of the grid and the first EE maximizer
     among the feasible ones (ties to the lower altitude)."""
-    searches = [best_port_count(cfg, fbl, ee, float(z), aperture)
+    searches = [best_port_count(cfg, fbl, ee, float(z), aperture,
+                                altitude_tables(cfg, ee, [float(z)]))
                 for z in ee.altitude_grid()]
     best = None
     for res in searches:
@@ -220,7 +226,8 @@ def test_global_optimize_singleton_grid(cfg46, fbl200):
     assert sol.feasible
     assert (sol.l_star, sol.z_star, sol.n_star) == (200, 400.0, 2)
     assert len(sol.trace) == 1
-    assert sol.trace[0] == best_port_count(cfg46, fbl200, ee, 400.0, 0.5)
+    assert sol.trace[0] == best_port_count(
+        cfg46, fbl200, ee, 400.0, 0.5, altitude_tables(cfg46, ee, [400.0]))
 
 
 def test_global_optimize_altitude_argmax(cfg46, fbl200):
@@ -283,23 +290,34 @@ def test_global_optimize_trace_and_self_consistency(cfg46):
 
 
 def test_best_port_count_shared_tables_change_nothing(cfg46):
-    # tables over the union of three altitudes' vartheta ranges against the
-    # tables each solve builds: equal entries, table_check_rel included
+    # a source over the union of three altitudes' vartheta ranges against a
+    # source over each altitude alone: equal entries, table_check_rel
+    # included, and pairs filled for the admissible port counts only
     ee = EeConfig(p_max=10.0, n_range=(1, 12), l_set=(200,))
     fbl = linearize(80.0 / 200.0, 200)
     altitudes = (150.0, 450.0, 750.0)
-    tables = altitude_tables(cfg46, [fbl], ee, altitudes, 0.5)
+    union = altitude_tables(cfg46, ee, altitudes)
+    asked = set()
+
+    def shared_source(fbl_, lambdas):
+        asked.add((fbl_, lambdas))
+        return union(fbl_, lambdas)
+
     admissible = [n for n in range(1, 13)
                   if not violates_causality(n, ee.port_time, 200, ee.bandwidth)]
-    assert list(tables) == [200] and list(tables[200]) == admissible
     for z in altitudes:
-        own = best_port_count(cfg46, fbl, ee, z, 0.5)
-        shared = best_port_count(cfg46, fbl, ee, z, 0.5, tables=tables[200])
+        own = best_port_count(cfg46, fbl, ee, z, 0.5,
+                              altitude_tables(cfg46, ee, [z]))
+        shared = best_port_count(cfg46, fbl, ee, z, 0.5, shared_source)
         assert shared == own
         assert any(e.feasible for e in own.entries)
+    assert asked == {(fbl, fas_spectrum(n, 0.5).lambdas) for n in admissible}
 
 
-def test_global_optimize_fills_one_table_pair_per_l_and_n(cfg46, monkeypatch):
+@pytest.fixture
+def table_fills(monkeypatch):
+    """The arguments (params, m2, lambdas, vt_lo, vt_hi) of every
+    `Hop2Table` filled while the test runs."""
     fills = []
     init = blercore.Hop2Table.__init__
 
@@ -308,12 +326,42 @@ def test_global_optimize_fills_one_table_pair_per_l_and_n(cfg46, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(blercore.Hop2Table, "__init__", counted)
+    return fills
+
+
+def test_global_optimize_fills_one_table_pair_per_l_and_n(cfg46, table_fills):
     ee = EeConfig(p_max=10.0, n_range=(1, 3), z_range=(200.0, 600.0),
                   z_step=100.0, l_set=(300, 400))
     sol = global_optimize(cfg46, ee, 0.5)
     assert len(sol.trace) == 2 * 5
     # 2 blocklengths x 3 port counts x 2 link types, not one pair per solve
-    assert len(fills) == 2 * 3 * 2
+    assert len(table_fills) == 2 * 3 * 2
+
+
+def test_power_vs_altitude_fills_one_table_pair_per_port_count(tmp_path,
+                                                              table_fills):
+    spec = parse_config(
+        "p1 = 46 dBm\nblocklength = 200\nsweep_z = 200, 400, 600\n"
+        "sweep_n_ports = 1, 8\ntraj_nodes = 32\np_max = 40 dBm\n",
+        "power-vs-altitude")
+    assert run(spec, out_path=str(tmp_path / "z.csv")) == 0
+    # 2 port counts x 2 link types for the whole altitude sweep
+    assert len(table_fills) == 2 * 2
+    assert {args[2] for args in table_fills} == {
+        fas_spectrum(n, 0.5).lambdas for n in (1, 8)}
+
+
+def test_ee_vs_ports_fills_no_table_for_a_cut_port_count(tmp_path,
+                                                         table_fills):
+    # at L = 200 the scan of 10 or more ports outlasts the block
+    spec = parse_config(
+        "p1 = 46 dBm\nuav_altitude = 400\nsweep_blocklength = 200\n"
+        "sweep_n_ports = 8, 9, 10, 11\ntraj_nodes = 32\np_max = 40 dBm\n",
+        "ee-vs-ports")
+    assert run(spec, out_path=str(tmp_path / "n.csv")) == 0
+    assert len(table_fills) == 2 * 2
+    assert {args[2] for args in table_fills} == {
+        fas_spectrum(n, 0.5).lambdas for n in (8, 9)}
 
 
 def test_global_optimize_order_invariant(cfg46):
