@@ -8,14 +8,21 @@ combining, and averaging around the circular trajectory.
 Hop 1 has a closed form in regularized gamma functions. Hop 2 is the average
 chi * int_{rho_l}^{rho_h} prod_n P(m, x vartheta / lambda_n) dx, computed by
 one kernel for an array of vartheta: a fixed Gauss-Legendre table integrates
-the product of `scipy.special.gammainc` factors over [rho_l, top], where
+the product of the branch CDFs over [rho_l, top], where
 top = clip(_saturation_z(m) * max(lambda) / vartheta, rho_l, rho_h), and the
 remainder chi * (rho_h - top) is added exactly, since beyond top every factor
-is 1 to double precision. Inside [rho_l, top] the factors of the branches
-with smaller lambda_n saturate too: a factor whose argument is at or past
-_saturation_z(m) is exactly 1.0 (`gammainc` returns 1.0 there for m = 1-40
-up to inf; the tests check it), so it is left at 1.0 and `gammainc` runs
-only on the others, with the same result to the bit.
+is 1 to double precision. One rule gives the factors (`_branch_cdf`): for
+m = 1, the Rayleigh NLoS default, P(1, z) = 1 - e^-z is -expm1(-z), which
+equals mpmath's P(1, z) correctly rounded on 3,000 log-spaced z in
+[1e-300, 100], where `gammainc(1, z)` is up to 5.7e-14 off, and costs about
+a tenth of a `gammainc` call; m >= 2 uses `scipy.special.gammainc`. Inside
+[rho_l, top] the factors of the branches with smaller lambda_n saturate
+too: a factor whose argument is at or past _saturation_z(m) is exactly 1.0
+(`gammainc` returns 1.0 there for m = 1-40 up to inf, and -expm1(-z) from
+z = 37.43 on; the tests check both). For m >= 2 such a factor is left at
+1.0 and `gammainc` runs only on the others, with the same result to the
+bit; for m = 1 every factor is evaluated, because the boolean gather and
+scatter of the skip would cost more than -expm1 itself.
 The table follows from the ramp (`_node_table`): the further rho_l sits
 above 0 in ramp widths, the smoother the branch CDFs are over [rho_l, top].
 Where rho_l >= 2 width it is one 16-node panel: every preset and
@@ -30,11 +37,16 @@ apertures 0.5-4 and 16 equal branches; m = 1, 2, 5; vartheta = 1e-6-1e8 at
 8 points per decade; values above 1e-290) the kernel stays within 5.5e-14
 relative with 16 nodes, 6.0e-14 with 32 and 6.4e-14 with two panels where
 rho_l >= width / 10, and within 1.7e-11 on clamped ramps (rho_l = 0; six
-branches spread over decades at m = 1 and vartheta 1e5-4e6). With 16 nodes
-the skip above leaves 35% of the factors on the optimize-grid benchmark
-workload and 13% on bler-sweep at 1.0, as with 32. The tests hold every
-table to 1e-8 relative against quadrature and against the paper's subset
-expansion.
+branches spread over decades at m = 1 and vartheta 1e5-4e6). At m = 1,
+against the same reference built from -expm1 factors, the -expm1 kernel
+stays within 2.2e-15 with 16 nodes, 6.3e-15 with 32 and 6.2e-15 with two
+panels (1.8e-14, 1.8e-14 and 3.3e-14 with `gammainc` factors). On one
+seed-1 cycle of the benchmark workloads the skip leaves 31% of the m = 5
+(LoS) factors at 1.0 on optimize-grid and 10% on bler-sweep, and the m = 1
+(NLoS) factors, nearly half of all, need no `gammainc` call: 0.70 M gamma
+evaluations instead of 1.21 M on optimize-grid and 3.09 M instead of
+5.95 M on bler-sweep. The tests hold every table to 1e-8 relative against
+quadrature and against the paper's subset expansion.
 
 Hop 2 depends on the relay power and the altitude only through vartheta, so
 a power search can read it from a table instead (`Hop2Table`, one per link
@@ -86,6 +98,15 @@ CHI_VARIANTS = ("2^R-1", "2^2R-1")
 def _saturation_z(m: int) -> float:
     # Beyond this argument a branch CDF equals 1 to better than 1e-16.
     return 40.0 + 5.0 * m
+
+
+def _branch_cdf(m: int, z):
+    """Branch CDF P(m, z) of the hop-2 kernel. For m = 1 (Rayleigh) it is
+    1 - e^-z, which -expm1(-z) gives correctly rounded and an order of
+    magnitude faster than `gammainc`; other shapes use `gammainc`."""
+    if m == 1:
+        return -np.expm1(-z)
+    return special.gammainc(m, z)
 
 
 def _unit_rule(panels) -> tuple[np.ndarray, np.ndarray]:
@@ -286,12 +307,17 @@ def avg_bler_hop2(params: FblParams, vartheta2, m2: int, lambdas):
     x = params.rho_l + span[..., None] * x_unit
     prod = np.ones_like(x)
     for lam in lams:
-        # gammainc is exactly 1.0 from sat on, so only the factors below it
-        # are evaluated. Boolean indexing, not gammainc's out=/where=: with
-        # scipy 1.17 that form leaves 1.0 at some entries the mask selects.
         z = x * (vt[..., None] / lam)
-        live = z < sat
-        prod[live] *= special.gammainc(m2, z[live])
+        if m2 == 1:
+            # -expm1 on every factor costs less than a mask's gather/scatter
+            prod *= _branch_cdf(m2, z)
+        else:
+            # gammainc is exactly 1.0 from sat on, so only the factors below
+            # it are evaluated. Boolean indexing, not gammainc's out=/where=:
+            # with scipy 1.17 that form leaves 1.0 at some entries the mask
+            # selects.
+            live = z < sat
+            prod[live] *= _branch_cdf(m2, z[live])
     # einsum sums each row on its own, so a value's bits do not depend on
     # how many vartheta share the call; a BLAS matvec rounds rows in blocks
     quad = np.einsum("...j,j->...", prod, w_unit)
@@ -490,7 +516,9 @@ class TrajectoryEvaluator:
 
     def end_to_end(self, eps2_mixed):
         """Decode-and-forward combination with hop 1 at every node."""
-        return 1.0 - (1.0 - self.eps1_mixed) * (1.0 - eps2_mixed)
+        # eps1 + eps2 (1 - eps1) never rounds below eps1; 1 - (1 - eps1)
+        # (1 - eps2) can where eps2 is below the spacing of doubles at 1
+        return self.eps1_mixed + eps2_mixed * (1.0 - self.eps1_mixed)
 
     def e2e_avg_from(self, e2_los, e2_nlos) -> float:
         """Trajectory-averaged end-to-end BLER from per-node hop-2 values."""

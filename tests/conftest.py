@@ -82,10 +82,10 @@ def quad_hop2(params, vartheta, m, lambdas):
 
 
 def avg_bler_hop2_all_factors(params, vartheta2, m2, lambdas):
-    """`blercore.avg_bler_hop2` with every gamma factor evaluated, the
-    saturated ones included: same node tables, same products and the same
-    reduction, so the kernel that skips saturated factors must match it bit
-    for bit."""
+    """`blercore.avg_bler_hop2` with every branch factor evaluated, the
+    saturated ones included: same node tables, same factor rule
+    (`blercore._branch_cdf`), same products and the same reduction, so the
+    kernel that skips saturated factors must match it bit for bit."""
     vt = np.asarray(vartheta2, dtype=float)
     x_unit, w_unit = blercore._node_table(params)
     top = np.clip(blercore._saturation_z(m2) * max(lambdas) / vt,
@@ -94,7 +94,7 @@ def avg_bler_hop2_all_factors(params, vartheta2, m2, lambdas):
     x = params.rho_l + span[..., None] * x_unit
     prod = np.ones_like(x)
     for lam in lambdas:
-        prod *= special.gammainc(m2, x * (vt[..., None] / lam))
+        prod *= blercore._branch_cdf(m2, x * (vt[..., None] / lam))
     quad = np.einsum("...j,j->...", prod, w_unit)
     return np.clip(params.chi * (span * quad + (params.rho_h - top)), 0.0, 1.0)
 

@@ -11,8 +11,9 @@ from scipy import special
 from fasrelay import (ScenarioConfig, TrajectoryEvaluator, avg_bler_hop1,
                       avg_bler_hop2, avg_bler_hop2_asymptotic, chebyshev_nodes,
                       fas_spectrum, fbl_rate, instantaneous_bler, linearize)
-from fasrelay.blercore import (Hop2Table, _GL16, _GL32, _GRADED, _node_table,
-                               _saturation_z, hop2_tables,
+from fasrelay import blercore
+from fasrelay.blercore import (Hop2Table, _GL16, _GL32, _GRADED, _branch_cdf,
+                               _node_table, _saturation_z, hop2_tables,
                                hop2_vartheta_bounds)
 from fasrelay.cli import _fbl, parse_config
 from fasrelay.geometry import trajectory_geometry
@@ -286,12 +287,15 @@ def test_hop2_validation_errors(fbl100):
 
 
 def test_gammainc_is_one_past_saturation():
-    # the kernel leaves every factor with argument >= _saturation_z(m) at 1.0
+    # the kernel leaves every factor with argument >= _saturation_z(m) at 1.0;
+    # the m = 1 route evaluates every factor and must give 1.0 there as well
     for m in range(1, 41):
         sat = _saturation_z(m)
         z = np.concatenate([[sat, np.nextafter(sat, np.inf)],
                             np.geomspace(sat, 1e300, 3000), [np.inf]])
         assert np.all(special.gammainc(m, z) == 1.0), m
+        if m == 1:
+            assert np.all(_branch_cdf(m, z) == 1.0)
 
 
 def _saturated_share(params, vt, m, lams):
@@ -331,6 +335,31 @@ def test_hop2_skip_matches_all_factors():
                                else "partial" for f in share)
         assert regimes >= ({"none", "partial"} if params.rho_l == 0.0
                            else {"none", "partial", "full"})
+
+
+def test_rayleigh_factors_do_not_call_gammainc(monkeypatch):
+    # the m = 1 factors go through -expm1(-z); a gammainc call at m = 1 from
+    # the kernel or a table fill would bring back the slow path
+    calls = []
+    gammainc = special.gammainc
+
+    def guarded(m, z):
+        if m == 1:
+            raise AssertionError("gammainc called with m = 1")
+        calls.append(m)
+        return gammainc(m, z)
+
+    monkeypatch.setattr(blercore.special, "gammainc", guarded)
+    vt = np.geomspace(1e-6, 1e8, 141)
+    lams = fas_spectrum(8, 0.5).lambdas
+    for params, table in _TABLE_RAMPS:
+        assert _node_table(params) is table
+        assert np.all(np.isfinite(avg_bler_hop2(params, vt, 1, lams)))
+        assert np.all(np.isfinite(Hop2Table(params, 1, lams, 1e-6, 1e4).values))
+    assert not calls
+    # the guard is live: other shapes still reach gammainc
+    avg_bler_hop2(_TABLE_RAMPS[0][0], 1.0, 5, lams)
+    assert calls
 
 
 def test_hop2_value_does_not_depend_on_the_batch():
@@ -481,6 +510,23 @@ def test_tabulated_e2e_bounded_and_monotone(z, n, blocklength, u, v):
             # the trajectory rule's weights sum to slightly above 1
             assert ev.hop1_avg() <= e <= float(np.sum(ev.weights))
         assert e_b <= e_a * (1.0 + 1e-10)
+
+
+def test_e2e_not_below_hop1_where_hop2_is_below_rounding():
+    # at some of these nodes hop 2 is below the spacing of doubles at 1, so
+    # 1 - (1 - eps1)(1 - eps2) loses it and can round below eps1; combining
+    # must keep the end-to-end value >= hop 1 on the table and direct paths
+    cfg = ScenarioConfig(p1=10.0 ** 1.6, uav_altitude=100.0)
+    fbl = linearize(80.0 / 600, 600)
+    ev = TrajectoryEvaluator(cfg, fbl, fas_spectrum(7, 0.5))
+    tables = hop2_tables(fbl, cfg, ev.fas.lambdas,
+                         hop2_vartheta_bounds(cfg, [ev.geo], 1e-7, 10.0))
+    tabulated = tuple(table(vt) for table, vt
+                      in zip(tables, ev.hop2_varthetas(10.0)))
+    for e2 in (tabulated, ev.hop2_components(10.0)):
+        eps2 = ev.hop2_mixed(*e2)
+        assert np.any(eps2 < np.finfo(float).eps)
+        assert np.all(ev.end_to_end(eps2) >= ev.eps1_mixed)
 
 
 # ---------------------------------------------------------------------------

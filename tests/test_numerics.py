@@ -13,7 +13,7 @@ from scipy import special
 
 from fasrelay import (avg_bler_hop1, avg_bler_hop2, eigen_spectrum,
                       fbl_rate, instantaneous_bler, jakes_matrix)
-from fasrelay.blercore import q_func
+from fasrelay.blercore import _branch_cdf, q_func
 
 from conftest import cdf_hop1
 
@@ -91,6 +91,16 @@ def test_gamma_cdf_deep_tail_keeps_relative_accuracy():
                 if ref >= 1e-300:
                     worst = max(worst, abs(g - ref) / ref)
     assert worst < 1e-12
+
+
+def test_rayleigh_branch_cdf_is_correctly_rounded():
+    # the hop-2 kernel's m = 1 factor -expm1(-z) is P(1, z) correctly
+    # rounded, from the deep tail to past saturation
+    zs = np.geomspace(1e-300, 1e2, 3000)
+    got = _branch_cdf(1, zs)
+    with mp.workdps(40):
+        ref = [float(mp.gammainc(1, 0, mp.mpf(z), regularized=True)) for z in zs]
+    assert np.array_equal(got, ref)
 
 
 def test_gamma_cdf_survival_complement():
