@@ -220,3 +220,33 @@ def test_mc_matches_analytic_within_sampling_noise(urban, fbl100):
         est = mc_average_bler(urban, fas, fbl100, p2,
                               McConfig(seed=31337, trials=150_000))
         assert abs(ana - est.mean) < 3.0 * est.std_error + 0.06 * ana
+
+
+# (sum, sum of squares) of one 20,000-trial batch at p2 = 0.01 W on the
+# PCG64(2024) stream, as produced by the reference implementation. The stream
+# order and the floating-point order of every per-trial operation are part of
+# the contract: a rewrite of the batch arithmetic must reproduce these bits.
+_PINNED_BATCHES = {
+    # (ports, mode, fixed_gains): (sum, sum of squares)
+    (2, "model", None): ("0x1.fc7e890072b92p+10", "0x1.b123fecd5c693p+10"),
+    (8, "model", None): ("0x1.aeb78400eb9c5p+7", "0x1.58334c925e7d0p+7"),
+    (4, "physical", None): ("0x1.3861839d59a6fp+10", "0x1.fa5c023afc488p+9"),
+    (2, "model", (0.3, 0.1)): ("0x1.2ae7fffd7f72ep+13", "0x1.2ae7fffafee5ep+13"),
+}
+
+
+def test_simulate_batch_bits_are_pinned(urban, fbl100):
+    from fasrelay.mcoracle import simulate_batch
+    for (n_ports, mode, fixed), (s_hex, sq_hex) in _PINNED_BATCHES.items():
+        fas = fas_spectrum(n_ports, 0.5)
+        corr = jakes_matrix(n_ports, 0.5) if mode == "physical" else None
+        s, sq, n = simulate_batch(urban, fas, fbl100, 0.01, mode, _rng(2024),
+                                  20_000, corr, fixed)
+        assert n == 20_000
+        assert (s.hex(), sq.hex()) == (s_hex, sq_hex), (n_ports, mode, fixed)
+    # two batches (20,000 + 10,000) pooled by mc_average_bler
+    est = mc_average_bler(urban, fas_spectrum(2, 0.5), fbl100, 0.01,
+                          McConfig(seed=77, trials=30_000, batch=20_000))
+    assert est.trials == 30_000
+    assert (est.mean.hex(), est.std_error.hex()) == (
+        "0x1.a096b08662b42p-4", "0x1.a0cbf592ce7e7p-10")
