@@ -236,21 +236,29 @@ def fbl_rate(gamma: float, blocklength: int, epsilon: float) -> float:
 
 
 def instantaneous_bler(gamma, rate: float, blocklength: int):
-    """Q((C - R) / sqrt(V / L)) at an SNR or an array of SNRs; 1 at
-    gamma = 0, where the rate is unreachable and the dispersion vanishes."""
+    """Q((C - R) / sqrt(V / L)) at an SNR or an array of SNRs, with
+    C = log2(1 + gamma) and V = (1 - (1 + gamma)^-2) log2(e)^2. Exactly 1
+    where 1 + gamma rounds to 1 (gamma = 0 included): there C = V = 0, the
+    argument is -inf and Q(-inf) = 1. A NaN SNR raises ValueError."""
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
+    if not np.all(g >= 0):
         raise ValueError("gamma must be nonnegative")
     if rate <= 0:
         raise ValueError("rate must be positive")
-    cap = np.log2(1.0 + g)
-    disp = (1.0 - 1.0 / (1.0 + g) ** 2) * _LOG2E * _LOG2E
-    out = np.ones_like(g)
-    ok = g > 0.0
-    # a gamma so small that the dispersion rounds to 0 gives Q(-inf) = 1
+    # in place on two arrays, in the operation order of the formula
+    opg = 1.0 + np.atleast_1d(g)
+    arg = np.log2(opg)
+    arg -= rate
+    np.square(opg, out=opg)
+    np.divide(1.0, opg, out=opg)
+    np.subtract(1.0, opg, out=opg)
+    opg *= _LOG2E
+    opg *= _LOG2E
+    opg /= blocklength
+    np.sqrt(opg, out=opg)
     with np.errstate(divide="ignore"):
-        out[ok] = q_func((cap[ok] - rate) / np.sqrt(disp[ok] / blocklength))
-    return _as_result(out)
+        arg /= opg
+    return _as_result(q_func(arg).reshape(g.shape))
 
 
 def avg_bler_hop1(params: FblParams, vartheta, m1: int):

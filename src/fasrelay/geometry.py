@@ -99,18 +99,39 @@ def trajectory_geometry(cfg: ScenarioConfig, theta: np.ndarray) -> TrajectoryGeo
     coincides with a ground node."""
     theta = np.asarray(theta, dtype=float)
     r = cfg.flight_radius
-    ux = r * np.cos(theta)
-    uy = r * np.sin(theta)
+    ux = np.cos(theta)
+    ux *= r
+    uy = np.sin(theta)
+    uy *= r
     uz = cfg.uav_altitude
     out = {}
+    # each array below is built in place, in the operation order of
+    # d = sqrt((ux - x)^2 + (uy - y)^2 + (uz - z)^2),
+    # phi = degrees(arcsin((uz - z) / d)),
+    # p_los = 1 / (1 + a exp(-b (phi - a))) and beta = (c / (4 pi f d))^2 10^(-eta/10)
     for name, node in (("1", cfg.bs_position), ("2", cfg.ue_position)):
-        d = np.sqrt((ux - node[0]) ** 2 + (uy - node[1]) ** 2 + (uz - node[2]) ** 2)
+        d = np.subtract(ux, node[0])
+        np.square(d, out=d)
+        dy = np.subtract(uy, node[1])
+        np.square(dy, out=dy)
+        d += dy
+        del dy
+        d += (uz - node[2]) ** 2
+        np.sqrt(d, out=d)
         if np.any(d == 0.0):
             raise DegenerateGeometryError("trajectory grid touches a link endpoint")
-        phi = np.degrees(np.arcsin((uz - node[2]) / d))
-        p_los = 1.0 / (1.0 + cfg.los_a * np.exp(-cfg.los_b * (phi - cfg.los_a)))
-        amp = SPEED_OF_LIGHT / (4.0 * math.pi * cfg.carrier_freq * d)
-        fspl = amp * amp
+        phi = np.divide(uz - node[2], d)
+        np.arcsin(phi, out=phi)
+        np.degrees(phi, out=phi)
+        p_los = np.subtract(phi, cfg.los_a)
+        p_los *= -cfg.los_b
+        np.exp(p_los, out=p_los)
+        p_los *= cfg.los_a
+        p_los += 1.0
+        np.divide(1.0, p_los, out=p_los)
+        fspl = np.multiply(d, 4.0 * math.pi * cfg.carrier_freq)
+        np.divide(SPEED_OF_LIGHT, fspl, out=fspl)
+        np.square(fspl, out=fspl)
         betas = {lt: fspl * 10.0 ** (-cfg.eta_db(lt) / 10.0) for lt in LINK_TYPES}
         out[name] = (d, phi, p_los, betas)
     return TrajectoryGeometry(

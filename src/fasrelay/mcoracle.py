@@ -14,6 +14,19 @@ All randomness flows from one 64-bit seed through numpy's SeedSequence;
 trial batches draw from spawned child streams (spawn key = batch index), so
 identical (seed, trials, batch) inputs give bit-identical estimates and
 pooling externally run batches reproduces the internal result.
+
+The order in which a batch consumes its stream is a contract: trajectory
+angles, hop-1 then hop-2 LoS uniforms, hop-1 gains (LoS trials, then NLoS),
+hop-2 gains (likewise, one branch or one Gaussian pair after another). So is
+the floating-point order of every per-trial operation: a rewrite of the
+batch arithmetic must reproduce the estimates bit for bit
+(`tests/test_mcoracle.py` pins them).
+
+Batch memory: a `simulate_batch` of n trials holds at most about 14 float64
+arrays of length n at once in ``model`` mode (tracemalloc peak 28 MB at
+n = 250,000), reached inside `trajectory_geometry`. Each trial keeps only its
+large-scale gains of the geometry, which is dropped before the fading draws;
+the SNRs, BLERs and the decode-and-forward combination are formed in place.
 """
 
 from __future__ import annotations
@@ -67,18 +80,28 @@ def substreams(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
-def _gamma_unit_mean(m: int, rng: np.random.Generator, size) -> np.ndarray:
-    # Sum of m exponential draws, scaled to unit mean: Gamma(m, 1/m).
-    u = rng.random((size, m) if size is not None else m)
-    draws = -np.log1p(-u)
-    return draws.sum(axis=-1) / m
+def _gamma_unit_mean(m: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    # Sum of m exponential draws, scaled to unit mean: Gamma(m, 1/m). The
+    # columns are summed left to right, the order sum(axis=-1) takes.
+    u = rng.random((n, m))
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    if m == 1:
+        return u[:, 0]
+    total = u[:, 0] + u[:, 1]
+    for k in range(2, m):
+        total += u[:, k]
+    total /= m
+    return total
 
 
 def sample_hop1_gain(m1: int, rng: np.random.Generator, size=None):
     """Unit-mean Nakagami power gain |g|^2 ~ Gamma(m1, 1/m1)."""
     if m1 < 1 or int(m1) != m1:
         raise ValueError("m1 must be a positive integer")
-    return _gamma_unit_mean(int(m1), rng, size)
+    g = _gamma_unit_mean(int(m1), rng, size if size is not None else 1)
+    return g if size is not None else float(g[0])
 
 
 def sample_fas_gain_model(m2: int, lambdas, rng: np.random.Generator, size=None):
@@ -91,7 +114,9 @@ def sample_fas_gain_model(m2: int, lambdas, rng: np.random.Generator, size=None)
     n = size if size is not None else 1
     best = np.full(n, -np.inf)
     for lam in lams:
-        best = np.maximum(best, lam * _gamma_unit_mean(int(m2), rng, n))
+        branch = _gamma_unit_mean(int(m2), rng, n)
+        branch *= lam
+        np.maximum(best, branch, out=best)
     return best if size is not None else float(best[0])
 
 
@@ -113,11 +138,15 @@ def sample_fas_gain_physical(m2: int, j: np.ndarray, rng: np.random.Generator,
     color = v * np.sqrt(np.clip(w, 0.0, None))
     n = size if size is not None else 1
     power = np.zeros((n, n_ports))
+    g = np.empty((n, n_ports), dtype=complex)
+    re_im = g.view(float).reshape(n, n_ports, 2)
     for _ in range(int(m2)):
-        g = (rng.standard_normal((n, n_ports)) + 1j * rng.standard_normal((n, n_ports)))
-        g *= math.sqrt(0.5)
-        h = g @ color.T
-        power += np.abs(h) ** 2
+        re_im[..., 0] = rng.standard_normal((n, n_ports))
+        re_im[..., 1] = rng.standard_normal((n, n_ports))
+        re_im *= math.sqrt(0.5)
+        h = np.abs(g @ color.T)
+        np.square(h, out=h)
+        power += h
     power /= m2
     best = power.max(axis=1)
     return best if size is not None else float(best[0])
@@ -136,34 +165,50 @@ def simulate_batch(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
     geo = trajectory_geometry(cfg, theta)
     los1 = rng.random(n) < geo.p_los1
     los2 = rng.random(n) < geo.p_los2
+    # the large-scale gains are all the fading step needs of the geometry
+    gamma1 = np.where(los1, geo.beta1["los"], geo.beta1["nlos"])
+    gamma2 = np.where(los2, geo.beta2["los"], geo.beta2["nlos"])
+    del theta, geo
 
+    # gamma = p * beta / sigma^2 * g, in that operation order
+    gamma1 *= cfg.p1
+    gamma1 /= cfg.noise_power
+    gamma2 *= p2
+    gamma2 /= cfg.noise_power
     if fixed_gains is None:
-        g1 = np.empty(n)
+        # one buffer takes each hop's gains: the two masks of a hop cover it
+        g = np.empty(n)
         for lt, mask in (("los", los1), ("nlos", ~los1)):
             cnt = int(mask.sum())
             if cnt:
-                g1[mask] = sample_hop1_gain(cfg.nakagami_m(lt), rng, cnt)
-        g2 = np.empty(n)
+                g[mask] = sample_hop1_gain(cfg.nakagami_m(lt), rng, cnt)
+        gamma1 *= g
         for lt, mask in (("los", los2), ("nlos", ~los2)):
             cnt = int(mask.sum())
             if cnt:
                 m2 = cfg.nakagami_m(lt)
                 if mode == "model":
-                    g2[mask] = sample_fas_gain_model(m2, fas.lambdas, rng, cnt)
+                    g[mask] = sample_fas_gain_model(m2, fas.lambdas, rng, cnt)
                 else:
-                    g2[mask] = sample_fas_gain_physical(m2, corr_matrix, rng, cnt)
+                    g[mask] = sample_fas_gain_physical(m2, corr_matrix, rng, cnt)
+        gamma2 *= g
+        del g
     else:
-        g1 = np.full(n, float(fixed_gains[0]))
-        g2 = np.full(n, float(fixed_gains[1]))
+        gamma1 *= float(fixed_gains[0])
+        gamma2 *= float(fixed_gains[1])
 
-    beta1 = np.where(los1, geo.beta1["los"], geo.beta1["nlos"])
-    beta2 = np.where(los2, geo.beta2["los"], geo.beta2["nlos"])
-    gamma1 = cfg.p1 * beta1 / cfg.noise_power * g1
-    gamma2 = p2 * beta2 / cfg.noise_power * g2
-    eps1 = instantaneous_bler(gamma1, fbl.rate, fbl.blocklength)
+    # eps_t = 1 - (1 - eps1)(1 - eps2), in place
+    eps_t = instantaneous_bler(gamma1, fbl.rate, fbl.blocklength)
+    del gamma1
     eps2 = instantaneous_bler(gamma2, fbl.rate, fbl.blocklength)
-    eps_t = 1.0 - (1.0 - eps1) * (1.0 - eps2)
-    return float(eps_t.sum()), float((eps_t * eps_t).sum()), n
+    del gamma2
+    np.subtract(1.0, eps_t, out=eps_t)
+    np.subtract(1.0, eps2, out=eps2)
+    eps_t *= eps2
+    np.subtract(1.0, eps_t, out=eps_t)
+    total = float(eps_t.sum())
+    np.multiply(eps_t, eps_t, out=eps2)
+    return total, float(eps2.sum()), n
 
 
 def mc_average_bler(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,

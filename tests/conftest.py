@@ -28,6 +28,27 @@ def fbl100():
     return linearize(0.8, 100)
 
 
+def direct_trajectory_geometry(cfg, theta):
+    """Both hops' geometry by the direct array formulas, one expression per
+    quantity: the reference for `trajectory_geometry`'s in-place form, with
+    names d1, phi1, p_los1, beta1_los, beta1_nlos and likewise for hop 2."""
+    from fasrelay.geometry import SPEED_OF_LIGHT
+    ux = cfg.flight_radius * np.cos(theta)
+    uy = cfg.flight_radius * np.sin(theta)
+    uz = cfg.uav_altitude
+    out = {}
+    for hop, node in (("1", cfg.bs_position), ("2", cfg.ue_position)):
+        d = np.sqrt((ux - node[0]) ** 2 + (uy - node[1]) ** 2 + (uz - node[2]) ** 2)
+        phi = np.degrees(np.arcsin((uz - node[2]) / d))
+        amp = SPEED_OF_LIGHT / (4.0 * math.pi * cfg.carrier_freq * d)
+        out["d" + hop] = d
+        out["phi" + hop] = phi
+        out["p_los" + hop] = 1.0 / (1.0 + cfg.los_a * np.exp(-cfg.los_b * (phi - cfg.los_a)))
+        for lt in ("los", "nlos"):
+            out[f"beta{hop}_{lt}"] = amp * amp * 10.0 ** (-cfg.eta_db(lt) / 10.0)
+    return out
+
+
 def gamma_lower_cdf(z, m):
     """Regularized lower incomplete gamma P(m, z)."""
     return float(special.gammainc(m, z))

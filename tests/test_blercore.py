@@ -100,6 +100,13 @@ def test_instantaneous_bler_half_at_threshold():
 def test_instantaneous_bler_limits():
     assert instantaneous_bler(0.0, 0.8, 100) == 1.0
     assert instantaneous_bler(1e9, 0.8, 100) == 0.0
+    # 1 + gamma rounds to 1 at 1e-300: the Q argument is -inf there too
+    vals = instantaneous_bler(np.array([0.0, 1e-300, np.inf]), 0.8, 100)
+    assert vals.tolist() == [1.0, 1.0, 0.0]
+    with pytest.raises(ValueError):
+        instantaneous_bler(np.array([1.0, np.nan]), 0.8, 100)
+    with pytest.raises(ValueError):
+        instantaneous_bler(math.nan, 0.8, 100)
 
 
 def test_instantaneous_bler_inverts_rate():

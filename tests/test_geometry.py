@@ -10,6 +10,8 @@ from fasrelay import (DegenerateGeometryError, ScenarioConfig,
                       TrajectoryEvaluator, avg_bler_hop1, fas_spectrum)
 from fasrelay.geometry import SPEED_OF_LIGHT, trajectory_geometry
 
+from conftest import direct_trajectory_geometry
+
 
 def _bs_at(dx, dz, **fields):
     """Scenario whose BS sits dx metres short of the UAV along x and dz
@@ -222,3 +224,26 @@ def test_trajectory_geometry_matches_scalar_ops(urban):
         for lt in ("los", "nlos"):
             assert geo.beta2[lt][i] == pytest.approx(
                 _free_space(urban, d2, urban.eta_db(lt)), rel=1e-13)
+
+
+def test_trajectory_geometry_in_place_matches_direct_formula(urban):
+    # the arrays are built in place: the input angles stay untouched, no two
+    # returned arrays share a buffer, and every value is the direct formula's
+    for cfg in (urban, replace(urban, uav_altitude=450.0, flight_radius=120.0)):
+        theta = np.random.default_rng(12).uniform(0.0, 2.0 * math.pi, 1_000)
+        before = theta.copy()
+        geo = trajectory_geometry(cfg, theta)
+        assert np.array_equal(theta, before)
+        got = {"d1": geo.d1, "d2": geo.d2, "phi1": geo.phi1, "phi2": geo.phi2,
+               "p_los1": geo.p_los1, "p_los2": geo.p_los2}
+        for hop, betas in (("1", geo.beta1), ("2", geo.beta2)):
+            for lt in ("los", "nlos"):
+                got[f"beta{hop}_{lt}"] = betas[lt]
+        arrays = [theta, *got.values()]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        ref = direct_trajectory_geometry(cfg, theta)
+        assert got.keys() == ref.keys()
+        for name, ref_values in ref.items():
+            assert np.array_equal(got[name], ref_values), name

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,3 +251,19 @@ def test_simulate_batch_bits_are_pinned(urban, fbl100):
     assert est.trials == 30_000
     assert (est.mean.hex(), est.std_error.hex()) == (
         "0x1.a096b08662b42p-4", "0x1.a0cbf592ce7e7p-10")
+
+
+def test_simulate_batch_memory_peak(urban, fbl100):
+    # one 250,000-trial model batch holds at most 16 trial-length float64
+    # arrays at once; the geometry is dropped before the fading draws and
+    # the SNRs and BLERs are formed in place
+    from fasrelay.mcoracle import simulate_batch
+    n = 250_000
+    fas = fas_spectrum(2, 0.5)
+    tracemalloc.start()
+    try:
+        simulate_batch(urban, fas, fbl100, 0.01, "model", _rng(5), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * 8
