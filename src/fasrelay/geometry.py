@@ -95,9 +95,10 @@ class TrajectoryGeometry:
 
 def trajectory_geometry(cfg: ScenarioConfig, theta: np.ndarray) -> TrajectoryGeometry:
     """Geometry of both hops at the trajectory angles theta (index 1: UAV
-    to BS, index 2: UAV to UE); raises DegenerateGeometryError where the UAV
-    coincides with a ground node."""
-    theta = np.asarray(theta, dtype=float)
+    to BS, index 2: UAV to UE; a scalar angle gives arrays of length 1);
+    raises DegenerateGeometryError where the UAV coincides with a ground
+    node."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     r = cfg.flight_radius
     ux = np.cos(theta)
     ux *= r
@@ -107,8 +108,8 @@ def trajectory_geometry(cfg: ScenarioConfig, theta: np.ndarray) -> TrajectoryGeo
     out = {}
     # each array below is built in place, in the operation order of
     # d = sqrt((ux - x)^2 + (uy - y)^2 + (uz - z)^2),
-    # phi = degrees(arcsin((uz - z) / d)),
-    # p_los = 1 / (1 + a exp(-b (phi - a))) and beta = (c / (4 pi f d))^2 10^(-eta/10)
+    # phi = degrees(arcsin((uz - z) / d)), p_los = 1 / (1 + a exp(-b (phi - a)))
+    # and beta = (c / (4 pi f d))^2 10^(-eta/10)
     for name, node in (("1", cfg.bs_position), ("2", cfg.ue_position)):
         d = np.subtract(ux, node[0])
         np.square(d, out=d)

@@ -247,3 +247,7 @@ def test_trajectory_geometry_in_place_matches_direct_formula(urban):
         assert got.keys() == ref.keys()
         for name, ref_values in ref.items():
             assert np.array_equal(got[name], ref_values), name
+    # a scalar angle is one angle
+    one = trajectory_geometry(urban, 0.3)
+    assert one.d1.shape == (1,)
+    assert one.d1[0] == trajectory_geometry(urban, np.array([0.3])).d1[0]
