@@ -130,6 +130,33 @@ def test_min_power_matches_direct_bisection(cfg46):
     assert outcomes[True] > 0 and outcomes[False] > 0
 
 
+# (blocklength, altitude, port count, p_max, (power, direct BLER, table gap)
+# as float.hex) of solves on cfg46 at the default threshold and tolerance:
+# the last one meets the target at the precheck grid's first power, 1 W
+_PINNED_SOLVES = (
+    (100, 100.0, 1, 10.0, ("0x1.7b0cb16072830p+1", "0x1.06203ce32849cp-10", "0x0.0p+0")),
+    (100, 800.0, 12, 10.0, ("0x1.5ae3519a442ecp-5", "0x1.0621b14bf7f0bp-10", "0x1.770489780ab04p-51")),
+    (300, 400.0, 4, 10.0, ("0x1.2603a7f3f2e86p-6", "0x1.06215c5c0019bp-10", "0x1.770502fc21b03p-51")),
+    (300, 100.0, 12, 10.0, ("0x1.60e23a2249456p-8", "0x1.061ee2c4a586ep-10", "0x1.f40b674bf0399p-53")),
+    (600, 800.0, 1, 10.0, ("0x1.898582d84db8ep-4", "0x1.06225d1ed2ed9p-10", "0x1.f404c4deb22f5p-53")),
+    (600, 400.0, 12, 10.0, ("0x1.8a0f1ea970e1ap-9", "0x1.0621c31d345f6p-10", "0x0.0p+0")),
+    (600, 100.0, 4, 1e-2, ("0x1.af849b298fa7dp-8", "0x1.061d2a6669a05p-10", "0x0.0p+0")),
+    (300, 400.0, 4, 1e8, ("0x1.0000000000000p+0", "0x1.5730858f6f51ep-19", "0x0.0p+0")),
+)
+
+
+def test_min_power_bits_are_pinned(cfg46):
+    # a change to the solve's search must keep every bit it returns
+    for blocklength, z, n, p_max, want in _PINNED_SOLVES:
+        ee = EeConfig(p_max=p_max)
+        ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z),
+                                 linearize(80.0 / blocklength, blocklength),
+                                 fas_spectrum(n, 0.5))
+        got = min_power(ev, ee, altitude_tables(cfg46, ee, [z]))
+        assert tuple(float.hex(float(x)) for x in got) == want, \
+            (blocklength, z, n, p_max)
+
+
 def test_min_power_rejects_falling_hop2_table(cfg46, fbl200, monkeypatch):
     kernel = blercore.avg_bler_hop2
 
