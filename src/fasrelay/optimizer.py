@@ -21,6 +21,18 @@ found is then re-evaluated by the direct kernel: that value is the one
 reported and used for the efficiency, and a solve whose table value there
 is more than 1e-8 relative off it raises `TableAccuracyError`. The largest
 such gap of a search is reported as `table_check_max_rel`.
+
+The bisection is certified rather than looked up step by step. Illinois
+steps on log eps against log power (`_locate`) find the crossing and
+certify powers whose tabulated BLER clears the threshold by the relative
+margin delta = _CERTIFY_REL = 1e-6; the unchanged bisection is then
+replayed, and only a midpoint between the nearest certificates is looked
+up. The kernel falls with power and the tables hold it to within 1e-8
+(about 1e-12 measured), so delta >> 2e-8 decides each comparison as a
+lookup would, and every solve returns the bits of the plain bisection. On
+the `optimize` preset a solve makes 15.0 table evaluations (a lookup per
+link type each) where the plain bisection makes 25.1: the 10 of the
+precheck, then 5.0 instead of 15.1.
 """
 
 from __future__ import annotations
@@ -134,6 +146,9 @@ _PRECHECK_SLACK = 1e-12
 # Largest relative gap allowed between the tabulated and the direct
 # end-to-end BLER at the power a solve returns.
 _TABLE_CHECK_REL = 1e-8
+# Relative margin by which a tabulated BLER must clear the threshold to
+# settle the bisection's comparison at every power on its far side.
+_CERTIFY_REL = 1e-6
 
 
 def _check_monotone(table) -> None:
@@ -170,6 +185,116 @@ def altitude_tables(cfg: ScenarioConfig, ee: EeConfig, altitudes,
         lambda fbl, lambdas: hop2_tables(fbl, cfg, lambdas, bounds))
 
 
+def _bisect(lo: float, hi: float, feasible, ee: EeConfig):
+    """The bisection of a power solve from infeasible lo and feasible hi:
+    halve until hi - lo <= bisect_tol * hi or for max_bisect_iters steps,
+    keeping the half that feasible(mid) picks. Returns the final (lo, hi)."""
+    for _ in range(ee.max_bisect_iters):
+        if hi - lo <= ee.bisect_tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _wanted_certificates(lo: float, hi: float, x: float, h: float,
+                         ee: EeConfig):
+    """On the bisection path from [lo, hi] to a crossing at log p = x, the
+    last infeasible and the last feasible point at least h from x in log p
+    (lo and hi when there is none)."""
+    root = math.exp(x)
+    below, above = [lo], [hi]
+
+    def feasible(mid):
+        (above if mid >= root else below).append(mid)
+        return mid >= root
+
+    _bisect(lo, hi, feasible, ee)
+    return (max((p for p in below if p <= root * math.exp(-h)), default=lo),
+            min((p for p in above if p >= root * math.exp(h)), default=hi))
+
+
+def _log_ratio(eps: float, threshold: float) -> float:
+    return math.log(eps / threshold) if eps > 0.0 else -math.inf
+
+
+def _locate(table_eps, threshold: float, lo: float, hi: float, ee: EeConfig):
+    """Certificates (p_a, p_b) for the bisection from the precheck bracket
+    [lo, hi]: p_a is lo or the largest evaluated power whose tabulated BLER
+    exceeds threshold * (1 + _CERTIFY_REL), p_b is hi or the smallest one
+    whose BLER is at most threshold * (1 - _CERTIFY_REL).
+
+    Illinois steps (Dowell & Jarratt, BIT 1971: regula falsi that halves
+    the value of an end kept twice in a row) on g = log(eps / threshold)
+    against x = log p, about linear where the BLER is a power law, close
+    in on the crossing. A step is the midpoint of the bracket instead when
+    it is not finite or not strictly inside, or when the last step did not
+    halve g on its side (a plateau of the BLER). The crossing x_r, the
+    regula falsi point of the bracket, predicts the bisection's path; the
+    certificates wanted are its points nearest x_r but at least h = 2
+    _CERTIFY_REL / |slope| from it, where they clear the margin. A wanted
+    point is probed once the error of x_r, taken as the product of its
+    last two moves (the secant error recursion), is below its distance to
+    x_r. Stops when both are certified, when a step would repeat a power,
+    or after ten evaluations.
+    """
+    upper = threshold * (1.0 + _CERTIFY_REL)
+    lower = threshold * (1.0 - _CERTIFY_REL)
+    p_a, p_b = lo, hi
+    a, ga = math.log(lo), _log_ratio(table_eps(lo), threshold)
+    b, gb = math.log(hi), _log_ratio(table_eps(hi), threshold)
+    wa, wb = ga, gb                     # the ends' Illinois weights
+    kept, stalled = 0, False
+    seen = {lo, hi}
+    x_prev = move_prev = math.inf
+    for _ in range(10):
+        x = b - gb * (b - a) / (gb - ga)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        h = 2.0 * _CERTIFY_REL * (b - a) / abs(gb - ga)
+        q_a, q_b = _wanted_certificates(lo, hi, x, h, ee)
+        if p_a >= q_a and p_b <= q_b:
+            break
+        move = abs(x - x_prev)
+        err, x_prev, move_prev = move * move_prev, x, move
+        if p_a < q_a and err < x - math.log(q_a):
+            p = q_a
+        elif p_b > q_b and err < math.log(q_b) - x:
+            p = q_b
+        else:
+            y = b - wb * (b - a) / (wb - wa)
+            if stalled or not a < y < b:
+                y = 0.5 * (a + b)
+            p = math.exp(y)
+        if p in seen:
+            break
+        seen.add(p)
+        eps = table_eps(p)
+        if eps > upper:
+            p_a = max(p_a, p)
+        elif eps <= lower:
+            p_b = min(p_b, p)
+        y, g = math.log(p), _log_ratio(eps, threshold)
+        if not a < y < b:
+            continue
+        if eps > threshold:
+            stalled = g > 0.5 * ga
+            a, ga, wa = y, g, g
+            if kept < 0:
+                wb *= 0.5
+            kept = -1
+        else:
+            stalled = g < 0.5 * gb
+            b, gb, wb = y, g, g
+            if kept > 0:
+                wa *= 0.5
+            kept = 1
+    return p_a, p_b
+
+
 def min_power(ev: TrajectoryEvaluator, ee: EeConfig, tables):
     """Bisection for the smallest transmit power in (0, p_max] that meets
     the reliability target on ev (scenario, blocklength and spectrum).
@@ -179,40 +304,60 @@ def min_power(ev: TrajectoryEvaluator, ee: EeConfig, tables):
     covers ev's altitude; the power found is re-evaluated by the direct
     kernel. Returns (power, direct BLER at power, relative gap of the
     tables there), or None when even p_max misses the target.
+
+    The bisection is replayed against certificates from `_locate`: a
+    midpoint at or above p_b is feasible and one at or below p_a is
+    infeasible without a lookup, and one in between is looked up. The
+    kernel falls with power and the tables hold it to within 1e-8 (about
+    1e-12 measured), so a margin of _CERTIFY_REL = 1e-6 decides each
+    comparison as a lookup would, and the bits are those of the plain
+    bisection. A final power never looked up is looked up once; above the
+    threshold it raises `MonotonicityError`. On the `optimize` preset a
+    solve makes 5.0 table evaluations (a lookup per link type each) after
+    the precheck's 10, against 15.1 for the plain bisection.
     """
     grid = _precheck_grid(ee)
     pair = tables(ev.fbl, ev.fas.lambdas)
     for table in pair:
         _check_monotone(table)
+    known = {}
 
-    def e2e_avg(p2: float) -> float:
-        return ev.e2e_avg_from(*(table(vt) for table, vt
-                                 in zip(pair, ev.hop2_varthetas(p2))))
+    def table_eps(p2: float) -> float:
+        if p2 not in known:
+            known[p2] = ev.e2e_avg_from(*(table(vt) for table, vt
+                                          in zip(pair, ev.hop2_varthetas(p2))))
+        return known[p2]
 
-    eps = [e2e_avg(p) for p in grid]
+    eps = [table_eps(float(p)) for p in grid]
     for i in range(len(eps) - 1):
         if eps[i + 1] > eps[i] + _PRECHECK_SLACK:
             raise MonotonicityError(
                 "end-to-end BLER failed to decrease with transmit power: "
                 f"eps({grid[i]:.3e} W)={eps[i]:.6e} -> "
                 f"eps({grid[i + 1]:.3e} W)={eps[i + 1]:.6e}")
-    if eps[-1] > ee.bler_threshold:
+    threshold = ee.bler_threshold
+    if eps[-1] > threshold:
         return None
-    if eps[0] <= ee.bler_threshold:
-        hi, eps_hi = float(grid[0]), eps[0]
+    if eps[0] <= threshold:
+        hi = float(grid[0])
     else:
-        idx = max(i for i in range(len(eps)) if eps[i] > ee.bler_threshold)
+        idx = max(i for i in range(len(eps)) if eps[i] > threshold)
         lo, hi = float(grid[idx]), float(grid[idx + 1])
-        eps_hi = eps[idx + 1]
-        for _ in range(ee.max_bisect_iters):
-            if hi - lo <= ee.bisect_tol * hi:
-                break
-            mid = 0.5 * (lo + hi)
-            e_mid = e2e_avg(mid)
-            if e_mid <= ee.bler_threshold:
-                hi, eps_hi = mid, e_mid
-            else:
-                lo = mid
+        p_a, p_b = _locate(table_eps, threshold, lo, hi, ee)
+
+        def feasible(mid: float) -> bool:
+            if mid in known or p_a < mid < p_b:
+                return table_eps(mid) <= threshold
+            return mid >= p_b
+
+        _, hi = _bisect(lo, hi, feasible, ee)
+        if hi not in known and table_eps(hi) > threshold:
+            raise MonotonicityError(
+                "end-to-end BLER failed to decrease with transmit power: "
+                f"eps({p_b:.6e} W) <= {threshold:.6e} * "
+                f"(1 - {_CERTIFY_REL:g}) but eps({hi:.6e} W)="
+                f"{known[hi]:.6e}")
+    eps_hi = known[hi]
     direct = ev.e2e_avg(hi)
     gap = abs(eps_hi - direct) / max(direct, np.finfo(float).tiny)
     if gap > _TABLE_CHECK_REL:

@@ -357,12 +357,24 @@ def solved_power(cfg, fas, fbl, ee, z_u):
     return None if found is None else found[0]
 
 
-def direct_min_power(ev, ee, points=10, slack=1e-12):
-    """Reference minimum-power solve: the precheck grid and bisection of the
-    optimizer run on direct `e2e_avg` calls instead of the hop-2 tables.
+def table_e2e_avg(ev, tables):
+    """The end-to-end BLER of ev as a function of the relay power, with hop 2
+    read from the pair tables(ev.fbl, ev.fas.lambdas) of an `altitude_tables`
+    source, as `min_power` reads it."""
+    pair = tables(ev.fbl, ev.fas.lambdas)
+    return lambda p: ev.e2e_avg_from(*(table(vt) for table, vt
+                                       in zip(pair, ev.hop2_varthetas(p))))
+
+
+def direct_min_power(ev, ee, e2e_avg=None, points=10, slack=1e-12):
+    """Reference minimum-power solve: the precheck grid and the plain
+    bisection of the optimizer, every comparison evaluated by e2e_avg, a
+    function of the power (default: the direct kernel, ev.e2e_avg; on
+    `table_e2e_avg(ev, tables)` it is the plain table-driven bisection).
     Returns (power, bler at power) or None when p_max misses the target."""
+    e2e_avg = ev.e2e_avg if e2e_avg is None else e2e_avg
     grid = ee.p_max * np.logspace(-8.0, 0.0, points)
-    eps = [ev.e2e_avg(p) for p in grid]
+    eps = [e2e_avg(p) for p in grid]
     assert all(b <= a + slack for a, b in zip(eps, eps[1:]))
     if eps[-1] > ee.bler_threshold:
         return None
@@ -375,7 +387,7 @@ def direct_min_power(ev, ee, points=10, slack=1e-12):
         if hi - lo <= ee.bisect_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        e_mid = ev.e2e_avg(mid)
+        e_mid = e2e_avg(mid)
         if e_mid <= ee.bler_threshold:
             hi, eps_hi = mid, e_mid
         else:

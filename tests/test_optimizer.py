@@ -7,11 +7,11 @@ from fasrelay import (CausalityError, EeConfig, MonotonicityError,
                       ScenarioConfig, TableAccuracyError, TrajectoryEvaluator,
                       altitude_tables, best_port_count, energy_efficiency,
                       fas_spectrum, global_optimize, linearize, min_power)
-from fasrelay import blercore
+from fasrelay import blercore, optimizer
 from fasrelay.cli import parse_config, run
 from fasrelay.optimizer import violates_causality
 
-from conftest import direct_min_power, solved_power
+from conftest import direct_min_power, solved_power, table_e2e_avg
 
 
 @pytest.fixture
@@ -354,6 +354,140 @@ def table_fills(monkeypatch):
 
     monkeypatch.setattr(blercore.Hop2Table, "__init__", counted)
     return fills
+
+
+@pytest.fixture
+def table_lookups(monkeypatch):
+    """The table of every `Hop2Table` lookup made while the test runs."""
+    lookups = []
+    call = blercore.Hop2Table.__call__
+
+    def counted(self, vartheta):
+        lookups.append(self)
+        return call(self, vartheta)
+
+    monkeypatch.setattr(blercore.Hop2Table, "__call__", counted)
+    return lookups
+
+
+def _expected_solve(ev, ee, tables):
+    """What `min_power` must return: the plain table-driven bisection's
+    power and the gap of its tabulated BLER to the direct one there."""
+    want = direct_min_power(ev, ee, table_e2e_avg(ev, tables))
+    if want is None:
+        return None
+    p2, eps_table = want
+    direct = ev.e2e_avg(p2)
+    return p2, direct, abs(eps_table - direct) / max(direct, np.finfo(float).tiny)
+
+
+def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
+    # the certified bisection returns the plain table bisection's bits with
+    # at most half its lookups after the precheck (2 per power)
+    precheck = 2 * 10
+    looked_up = {"plain": 0, "certified": 0}
+    outcomes = {True: 0, False: 0}
+    cases = [EeConfig(p_max=p_max, bler_threshold=thr, bisect_tol=tol)
+             for p_max in (10.0, 1e-2) for thr in (1e-2, 1e-3, 1e-5)
+             for tol in (1e-4, 1e-7)]
+    cases.append(EeConfig(p_max=10.0, max_bisect_iters=3))
+    altitudes = (100.0, 400.0, 800.0)
+    for blocklength in (100, 300, 600):
+        fbl = linearize(80.0 / blocklength, blocklength)
+        for z in altitudes:
+            base = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl)
+            for n in range(1, 13):
+                ev = base.with_spectrum(fas_spectrum(n, 0.5))
+                for ee in cases:
+                    tables = altitude_tables(cfg46, ee, altitudes)
+                    tables(ev.fbl, ev.fas.lambdas)
+                    del table_lookups[:]
+                    want = _expected_solve(ev, ee, tables)
+                    plain = len(table_lookups) - precheck
+                    del table_lookups[:]
+                    got = min_power(ev, ee, tables)
+                    certified = len(table_lookups) - precheck
+                    assert got == want, (ee, blocklength, z, n)
+                    outcomes[want is None] += 1
+                    looked_up["plain"] += plain
+                    looked_up["certified"] += certified
+    assert outcomes[True] > 0 and outcomes[False] > 0
+    assert looked_up["certified"] <= 0.5 * looked_up["plain"], looked_up
+
+
+def test_min_power_on_a_staircase_bler(cfg46, fbl200, monkeypatch):
+    # a BLER flat between quarter-decade steps: the secant sees no slope
+    # there, and the threshold 1e-3 is one of the steps
+    e2e_avg_from = blercore.TrajectoryEvaluator.e2e_avg_from
+
+    def staircase(self, e2_los, e2_nlos):
+        eps = e2e_avg_from(self, e2_los, e2_nlos)
+        return 10.0 ** (np.ceil(4.0 * np.log10(eps)) / 4.0)
+
+    monkeypatch.setattr(blercore.TrajectoryEvaluator, "e2e_avg_from",
+                        staircase)
+    for thr in (1e-3, 3e-3):
+        ee = EeConfig(p_max=10.0, bler_threshold=thr)
+        for z in (100.0, 400.0, 800.0):
+            tables = altitude_tables(cfg46, ee, [z])
+            base = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200)
+            for n in (1, 4, 8):
+                ev = base.with_spectrum(fas_spectrum(n, 0.5))
+                want = _expected_solve(ev, ee, tables)
+                assert want is not None
+                assert min_power(ev, ee, tables) == want, (thr, z, n)
+
+
+def test_min_power_threshold_equal_to_a_grid_bler(cfg46, fbl200):
+    # the target is met with equality at a precheck power
+    ee = EeConfig(p_max=10.0)
+    grid = ee.p_max * np.logspace(-8.0, 0.0, 10)
+    for z, n in ((100.0, 1), (400.0, 4), (800.0, 8)):
+        tables = altitude_tables(cfg46, ee, [z])
+        ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200,
+                                 fas_spectrum(n, 0.5))
+        eps = [table_e2e_avg(ev, tables)(p) for p in grid]
+        k = next(i for i, e in enumerate(eps) if e < 0.5)
+        tied = replace(ee, bler_threshold=eps[k])
+        want = _expected_solve(ev, tied, tables)
+        assert want is not None and want[0] <= grid[k]
+        assert min_power(ev, tied, tables) == want
+
+
+def test_min_power_infeasible_looks_up_only_the_precheck(cfg46, fbl200,
+                                                         table_lookups):
+    ee = EeConfig(p_max=1e-6, bler_threshold=1e-3)
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200,
+                             fas_spectrum(1, 0.5))
+    assert min_power(ev, ee, altitude_tables(cfg46, ee, [450.0])) is None
+    assert len(table_lookups) == 2 * 10
+
+
+def test_min_power_met_at_the_first_grid_power_skips_the_search(
+        cfg46, table_lookups, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("no search when the first power meets the target")
+
+    monkeypatch.setattr(optimizer, "_locate", no_search)
+    ee = EeConfig(p_max=1e8)
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=400.0),
+                             linearize(80.0 / 300.0, 300), fas_spectrum(4, 0.5))
+    p2, _, _ = min_power(ev, ee, altitude_tables(cfg46, ee, [400.0]))
+    assert p2 == ee.p_max * 1e-8
+    assert len(table_lookups) == 2 * 10
+
+
+def test_min_power_rejects_a_final_bler_above_target(cfg46, fbl200,
+                                                     monkeypatch):
+    # certificates the BLER contradicts: every power above the bracket's
+    # lower end passes for feasible, so the search ends at a power the
+    # tables put above the target
+    monkeypatch.setattr(optimizer, "_locate",
+                        lambda table_eps, thr, lo, hi, ee:
+                        (lo, np.nextafter(lo, hi)))
+    with pytest.raises(MonotonicityError, match="but eps"):
+        solved_power(cfg46, fas_spectrum(4, 0.5), fbl200,
+                     EeConfig(p_max=10.0), 450.0)
 
 
 def test_global_optimize_fills_one_table_pair_per_l_and_n(cfg46, table_fills):
