@@ -392,6 +392,9 @@ def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
              for tol in (1e-4, 1e-7)]
     cases.append(EeConfig(p_max=10.0, max_bisect_iters=3))
     altitudes = (100.0, 400.0, 800.0)
+    # the table source depends on p_max alone
+    sources = {p_max: altitude_tables(cfg46, EeConfig(p_max=p_max), altitudes)
+               for p_max in (10.0, 1e-2)}
     for blocklength in (100, 300, 600):
         fbl = linearize(80.0 / blocklength, blocklength)
         for z in altitudes:
@@ -399,8 +402,7 @@ def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
             for n in range(1, 13):
                 ev = base.with_spectrum(fas_spectrum(n, 0.5))
                 for ee in cases:
-                    tables = altitude_tables(cfg46, ee, altitudes)
-                    tables(ev.fbl, ev.fas.lambdas)
+                    tables = sources[ee.p_max]
                     del table_lookups[:]
                     want = _expected_solve(ev, ee, tables)
                     plain = len(table_lookups) - precheck
