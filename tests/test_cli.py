@@ -299,6 +299,45 @@ def test_ee_contour_rows_match_optimize_trace(tmp_path):
     assert [r[command] for r in contour_rows[1:]] == ["ee-contour"] * 4
 
 
+_ECHO_HEADER = [
+    "command", "p1_dbm", "noise_dbm", "carrier_freq_hz", "flight_radius_m",
+    "eta_los_db", "eta_nlos_db", "m_los", "m_nlos", "payload_bits",
+    "bandwidth_hz", "circuit_power_w", "switch_power_w", "port_time_s",
+    "bler_threshold", "chi_variant", "rank_tolerance", "traj_nodes",
+    "uav_altitude_m"]
+_ANALYTIC_HEADER = ["n_ports", "aperture", "blocklength", "p2_dbm", "n_eff",
+                    "bler_analytic", "bler_hop1", "bler_hop2", "bler_e2e_asym"]
+_SEARCH_HEADER = ["blocklength", "aperture", "feasible", "n_star",
+                  "p2_star_dbm", "ee_bits_per_joule"]
+
+
+@pytest.mark.parametrize("command, text, header", [
+    ("bler-sweep", "sweep_p2_dbm = 10\n", _ANALYTIC_HEADER + ["error_floor"]),
+    ("validate", "sweep_p2_dbm = 10\ntrials = 1000\n",
+     _ANALYTIC_HEADER + ["error_floor", "bler_mc", "bler_mc_se", "mc_trials",
+                         "mc_mode", "row_seed"]),
+    ("aperture-sweep", "p2 = 10 dBm\nsweep_aperture = 0.5\n",
+     _ANALYTIC_HEADER),
+    ("power-vs-altitude", "sweep_z = 300\n",
+     ["n_ports", "aperture", "blocklength", "n_eff", "feasible", "p2_star_w",
+      "p2_star_dbm"]),
+    ("ee-vs-ports", "sweep_n_ports = 2\n",
+     ["n_ports", "aperture", "blocklength", "feasible", "p2_star_dbm",
+      "eps_o", "ee_bits_per_joule"]),
+    ("ee-contour", "sweep_z = 300\nsweep_blocklength = 300\nn_max = 2\n",
+     _SEARCH_HEADER),
+    ("optimize", "z_min = 300\nz_max = 300.5\nl_set = 300\nn_max = 2\n",
+     _SEARCH_HEADER + ["is_optimum"]),
+])
+def test_csv_header_is_pinned(tmp_path, command, text, header):
+    # the exact columns of each command, in order
+    out = tmp_path / "h.csv"
+    assert run(parse_config(text + "traj_nodes = 32\n", command),
+               out_path=str(out)) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert next(csv.reader(fh)) == _ECHO_HEADER + header
+
+
 def test_run_unwritable_output_is_an_error(tmp_path):
     spec = parse_config("sweep_p2_dbm = 10\ntraj_nodes = 32\n", "bler-sweep")
     with pytest.raises(OSError):
