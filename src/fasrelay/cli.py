@@ -18,8 +18,8 @@ import csv
 import hashlib
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -238,6 +238,14 @@ class ExperimentSpec:
                     0.0 < _from_dbm(p) < math.inf for p in pts):
                 raise ValueError(f"{name} entries must give a finite "
                                  "positive power in watts")
+        # the payload must have a surrogate at every blocklength in use
+        for l in sorted({self.blocklength, *self.ee.l_set,
+                         *self.sweeps.get("sweep_blocklength", ())}):
+            try:
+                _fbl(self, l)
+            except ValueError as exc:
+                raise ValueError(f"payload_bits = {self.ee.payload_bits!r} at "
+                                 f"blocklength {l}: {exc}") from exc
 
 
 def parse_config(text: str, command: str) -> ExperimentSpec:
@@ -369,19 +377,10 @@ def _fbl(spec: ExperimentSpec, blocklength: int):
                      spec.chi_variant)
 
 
-def _base_evaluator(spec: ExperimentSpec,
-                    blocklength: int) -> TrajectoryEvaluator:
-    """Geometry and hop-1 arrays of the spec's scenario at one blocklength,
-    shared by every row of a sweep at that blocklength."""
-    return TrajectoryEvaluator(spec.scenario, _fbl(spec, blocklength), None,
-                               spec.traj_nodes)
-
-
-def _analytic_point(spec: ExperimentSpec, base: TrajectoryEvaluator,
+def _analytic_point(spec: ExperimentSpec, ev: TrajectoryEvaluator,
                     n_ports: int, aperture: float, p2: float) -> dict:
     fas = fas_spectrum(n_ports, aperture, spec.rank_tolerance)
-    ev = base.with_spectrum(fas)
-    eps2 = ev.hop2_mixed(*ev.hop2_components(p2))
+    eps2 = ev.hop2_mixed(*ev.hop2_components(p2, fas.lambdas))
     e2e = ev.end_to_end(eps2)
     asym = [avg_bler_hop2_asymptotic(ev.fbl, vt2, ev.cfg.nakagami_m(lt),
                                      fas.lambdas)
@@ -397,40 +396,38 @@ def _analytic_point(spec: ExperimentSpec, base: TrajectoryEvaluator,
     }
 
 
-def _rows_bler_like(spec: ExperimentSpec, seed: int):
+def _rows_bler_like(spec: ExperimentSpec, seed: int) -> list[dict]:
     p2_axis = _axis(spec, "sweep_p2_dbm", None)
     if p2_axis is None:
         raise ConfigError("this command requires sweep_p2_dbm")
     n_axis = _axis(spec, "sweep_n_ports", [spec.n_ports])
     w_axis = _axis(spec, "sweep_aperture", [spec.aperture])
-    jobs = [(int(n), float(w), float(p2_dbm))
-            for n in n_axis for w in w_axis for p2_dbm in p2_axis]
-    base = _base_evaluator(spec, spec.blocklength)
-
-    def compute(args):
-        idx, (n, w, p2_dbm) = args
+    scn = spec.scenario
+    ev = TrajectoryEvaluator(scn, _fbl(spec, spec.blocklength),
+                             spec.traj_nodes)
+    rows = []
+    for idx, (n, w, p2_dbm) in enumerate(product(n_axis, w_axis, p2_axis)):
+        n, w, p2_dbm = int(n), float(w), float(p2_dbm)
         p2 = _from_dbm(p2_dbm)
-        scn = spec.scenario
         row = _echo_columns(spec)
         row.update({"uav_altitude_m": scn.uav_altitude, "n_ports": n,
                     "aperture": w, "blocklength": spec.blocklength,
                     "p2_dbm": p2_dbm})
-        row.update(_analytic_point(spec, base, n, w, p2))
+        row.update(_analytic_point(spec, ev, n, w, p2))
         # the limit of the end-to-end BLER as the relay power grows
         row["error_floor"] = row["bler_hop1"]
         if spec.command == "validate":
             mc = replace(spec.mc, seed=_row_seed(seed, idx))
             fas = fas_spectrum(n, w, spec.rank_tolerance)
-            est = mc_average_bler(scn, fas, base.fbl, p2, mc)
+            est = mc_average_bler(scn, fas, ev.fbl, p2, mc)
             row.update({"bler_mc": est.mean, "bler_mc_se": est.std_error,
                         "mc_trials": est.trials, "mc_mode": mc.mode,
                         "row_seed": mc.seed})
-        return row
+        rows.append(row)
+    return rows
 
-    return list(enumerate(jobs)), compute
 
-
-def _rows_aperture(spec: ExperimentSpec, seed: int):
+def _rows_aperture(spec: ExperimentSpec, seed: int) -> list[dict]:
     w_axis = _axis(spec, "sweep_aperture", None)
     if w_axis is None:
         raise ConfigError("aperture-sweep requires sweep_aperture")
@@ -439,39 +436,35 @@ def _rows_aperture(spec: ExperimentSpec, seed: int):
     # (echoed dBm, evaluated watts): a p2 given in watts is evaluated as is
     powers = ([(p, _from_dbm(p)) for p in _axis(spec, "sweep_p2_dbm", [])]
               or [(_to_dbm(spec.p2), spec.p2)])
-    jobs = [(float(w), float(p2_dbm), p2) for w in w_axis
-            for p2_dbm, p2 in powers]
-    base = _base_evaluator(spec, spec.blocklength)
-
-    def compute(args):
-        idx, (w, p2_dbm, p2) = args
+    ev = TrajectoryEvaluator(spec.scenario, _fbl(spec, spec.blocklength),
+                             spec.traj_nodes)
+    rows = []
+    for w, (p2_dbm, p2) in product(w_axis, powers):
         row = _echo_columns(spec)
         row.update({"uav_altitude_m": spec.scenario.uav_altitude,
-                    "n_ports": spec.n_ports, "aperture": w,
-                    "blocklength": spec.blocklength, "p2_dbm": p2_dbm})
-        row.update(_analytic_point(spec, base, spec.n_ports, w, p2))
-        return row
+                    "n_ports": spec.n_ports, "aperture": float(w),
+                    "blocklength": spec.blocklength, "p2_dbm": float(p2_dbm)})
+        row.update(_analytic_point(spec, ev, spec.n_ports, float(w), p2))
+        rows.append(row)
+    return rows
 
-    return list(enumerate(jobs)), compute
 
-
-def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int):
+def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int) -> list[dict]:
     z_axis = _axis(spec, "sweep_z", None)
     if z_axis is None:
         raise ConfigError("power-vs-altitude requires sweep_z")
     n_axis = _axis(spec, "sweep_n_ports", [spec.n_ports])
-    jobs = [(float(z), int(n)) for n in n_axis for z in z_axis]
     fbl = _fbl(spec, spec.blocklength)
     # one evaluator per altitude, shared by its port counts
-    bases = {float(z): TrajectoryEvaluator(
-                 replace(spec.scenario, uav_altitude=float(z)), fbl, None,
-                 spec.traj_nodes) for z in z_axis}
+    evs = {float(z): TrajectoryEvaluator(
+               replace(spec.scenario, uav_altitude=float(z)), fbl,
+               spec.traj_nodes) for z in z_axis}
     tables = altitude_tables(spec.scenario, spec.ee, z_axis, spec.traj_nodes)
-
-    def compute(args):
-        idx, (z, n) = args
+    rows = []
+    for n, z in product(n_axis, z_axis):
+        n, z = int(n), float(z)
         fas = fas_spectrum(n, spec.aperture, spec.rank_tolerance)
-        found = min_power(bases[z].with_spectrum(fas), spec.ee, tables)
+        found = min_power(evs[z], fas.lambdas, spec.ee, tables)
         p2 = None if found is None else found[0]
         row = _echo_columns(spec)
         row.update({"uav_altitude_m": z, "n_ports": n,
@@ -480,35 +473,32 @@ def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int):
                     "feasible": p2 is not None,
                     "p2_star_w": p2 if p2 is not None else "",
                     "p2_star_dbm": _to_dbm(p2) if p2 is not None else ""})
-        return row
+        rows.append(row)
+    return rows
 
-    return list(enumerate(jobs)), compute
 
-
-def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int):
+def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int) -> list[dict]:
     n_axis = _axis(spec, "sweep_n_ports",
                    list(range(spec.ee.n_range[0], spec.ee.n_range[1] + 1)))
     l_axis = _axis(spec, "sweep_blocklength", [spec.blocklength])
-    jobs = [(int(l), int(n)) for l in l_axis for n in n_axis]
-    bases = {int(l): _base_evaluator(spec, int(l)) for l in l_axis}
     tables = altitude_tables(spec.scenario, spec.ee,
                              [spec.scenario.uav_altitude], spec.traj_nodes)
-
-    def compute(args):
-        idx, (l, n) = args
-        row = _echo_columns(spec)
-        row.update({"uav_altitude_m": spec.scenario.uav_altitude,
-                    "n_ports": n, "aperture": spec.aperture,
-                    "blocklength": l})
-        entry = port_entry(bases[l], n, spec.aperture, spec.ee, tables,
+    rows = []
+    for l in l_axis:
+        ev = TrajectoryEvaluator(spec.scenario, _fbl(spec, int(l)),
+                                 spec.traj_nodes)
+        for n in n_axis:
+            e = port_entry(ev, int(n), spec.aperture, spec.ee, tables,
                            spec.rank_tolerance)
-        row.update({"feasible": entry.feasible,
-                    "p2_star_dbm": _to_dbm(entry.p2) if entry.feasible else "",
-                    "eps_o": entry.eps_o if entry.feasible else "",
-                    "ee_bits_per_joule": entry.ee})
-        return row
-
-    return list(enumerate(jobs)), compute
+            row = _echo_columns(spec)
+            row.update({"uav_altitude_m": spec.scenario.uav_altitude,
+                        "n_ports": int(n), "aperture": spec.aperture,
+                        "blocklength": int(l), "feasible": e.feasible,
+                        "p2_star_dbm": _to_dbm(e.p2) if e.feasible else "",
+                        "eps_o": e.eps_o if e.feasible else "",
+                        "ee_bits_per_joule": e.ee})
+            rows.append(row)
+    return rows
 
 
 def _port_search_columns(spec: ExperimentSpec, res: PortSearchResult) -> dict:
@@ -524,23 +514,17 @@ def _port_search_columns(spec: ExperimentSpec, res: PortSearchResult) -> dict:
     return row
 
 
-def _rows_ee_contour(spec: ExperimentSpec, seed: int):
+def _rows_ee_contour(spec: ExperimentSpec, seed: int) -> list[dict]:
     z_axis = _axis(spec, "sweep_z", None)
     l_axis = _axis(spec, "sweep_blocklength", None)
     if z_axis is None or l_axis is None:
         raise ConfigError("ee-contour requires sweep_z and sweep_blocklength")
-    jobs = [(int(l), float(z)) for l in l_axis for z in z_axis]
     fbls = {int(l): _fbl(spec, int(l)) for l in l_axis}
     tables = altitude_tables(spec.scenario, spec.ee, z_axis, spec.traj_nodes)
-
-    def compute(args):
-        idx, (l, z) = args
-        res = best_port_count(spec.scenario, fbls[l], spec.ee, z,
-                              spec.aperture, tables, spec.rank_tolerance,
-                              spec.traj_nodes)
-        return _port_search_columns(spec, res)
-
-    return list(enumerate(jobs)), compute
+    return [_port_search_columns(spec, best_port_count(
+                spec.scenario, fbls[int(l)], spec.ee, float(z), spec.aperture,
+                tables, spec.rank_tolerance, spec.traj_nodes))
+            for l in l_axis for z in z_axis]
 
 
 def _rows_optimize(spec: ExperimentSpec):
@@ -555,14 +539,14 @@ def _rows_optimize(spec: ExperimentSpec):
     return rows, sol
 
 
-# command -> builder(spec, seed) -> (indexed jobs, per-job row function)
+# command -> builder(spec, seed) -> rows, in CSV order
 _BUILDERS = {"bler-sweep": _rows_bler_like, "validate": _rows_bler_like,
              "aperture-sweep": _rows_aperture,
              "power-vs-altitude": _rows_power_vs_altitude,
              "ee-vs-ports": _rows_ee_vs_ports, "ee-contour": _rows_ee_contour}
 
 
-def run(spec: ExperimentSpec, seed: int | None = None, threads: int = 1,
+def run(spec: ExperimentSpec, seed: int | None = None,
         out_path: str | None = None) -> int:
     """Execute the experiment and write CSV plus a metadata sidecar.
 
@@ -580,12 +564,7 @@ def run(spec: ExperimentSpec, seed: int | None = None, threads: int = 1,
                    "eps_star": sol.eps_star,
                    "table_check_max_rel": sol.table_check_max_rel}
     else:
-        jobs, compute = _BUILDERS[spec.command](spec, base_seed)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(compute, jobs))
-        else:
-            rows = [compute(job) for job in jobs]
+        rows = _BUILDERS[spec.command](spec, base_seed)
 
     if not rows:
         raise RuntimeError("no rows produced")
@@ -618,18 +597,6 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _thread_count(text: str) -> int:
-    """A --threads value: an integer of at least 1."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return count
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fasrelay",
@@ -642,16 +609,12 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default=None, help="output CSV path")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the base random seed")
-        cmd.add_argument("--threads", type=_thread_count, default=1,
-                         help="worker threads for sweep points (optimize "
-                              "ignores it)")
     args = parser.parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
         spec = parse_config(text, args.command)
-        return run(spec, seed=args.seed, threads=args.threads,
-                   out_path=args.out)
+        return run(spec, seed=args.seed, out_path=args.out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -174,8 +174,7 @@ def altitude_tables(cfg: ScenarioConfig, ee: EeConfig, altitudes,
     trajectory rule. On the lattice of `blercore.Hop2Table` a table's values
     do not depend on its range, so one source serves every altitude, port
     count and blocklength of a study with the values of a source over one
-    altitude. Threads may share a source; two that miss the same pair at
-    once both fill it, with the same values."""
+    altitude."""
     theta, _ = chebyshev_nodes(nodes)
     geos = [trajectory_geometry(replace(cfg, uav_altitude=float(z)), theta)
             for z in altitudes]
@@ -295,12 +294,13 @@ def _locate(table_eps, threshold: float, lo: float, hi: float, ee: EeConfig):
     return p_a, p_b
 
 
-def min_power(ev: TrajectoryEvaluator, ee: EeConfig, tables):
+def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig, tables):
     """Bisection for the smallest transmit power in (0, p_max] that meets
-    the reliability target on ev (scenario, blocklength and spectrum).
+    the reliability target on ev (scenario and blocklength) with the port
+    spectrum lambdas.
 
     The precheck and the bisection read hop 2 from the pair
-    tables(ev.fbl, ev.fas.lambdas) of an `altitude_tables` source that
+    tables(ev.fbl, lambdas) of an `altitude_tables` source that
     covers ev's altitude; the power found is re-evaluated by the direct
     kernel. Returns (power, direct BLER at power, relative gap of the
     tables there), or None when even p_max misses the target.
@@ -317,7 +317,7 @@ def min_power(ev: TrajectoryEvaluator, ee: EeConfig, tables):
     the precheck's 10, against 15.1 for the plain bisection.
     """
     grid = _precheck_grid(ee)
-    pair = tables(ev.fbl, ev.fas.lambdas)
+    pair = tables(ev.fbl, lambdas)
     for table in pair:
         _check_monotone(table)
     known = {}
@@ -358,7 +358,7 @@ def min_power(ev: TrajectoryEvaluator, ee: EeConfig, tables):
                 f"(1 - {_CERTIFY_REL:g}) but eps({hi:.6e} W)="
                 f"{known[hi]:.6e}")
     eps_hi = known[hi]
-    direct = ev.e2e_avg(hi)
+    direct = ev.e2e_avg(hi, lambdas)
     gap = abs(eps_hi - direct) / max(direct, np.finfo(float).tiny)
     if gap > _TABLE_CHECK_REL:
         raise TableAccuracyError(
@@ -384,16 +384,16 @@ def port_entry(ev: TrajectoryEvaluator, n_ports: int, aperture: float,
                ee: EeConfig, tables,
                rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PortEntry:
     """Causality cut, minimum-power solve and energy efficiency of n_ports
-    ports on the scenario and blocklength of ev (its spectrum is replaced
-    by the n_ports spectrum at the given aperture), with hop 2 from the
-    `altitude_tables` source tables. A cut port count fills no table."""
+    ports at the given aperture on the scenario and blocklength of ev, with
+    hop 2 from the `altitude_tables` source tables. A cut port count fills
+    no table."""
     blocklength = ev.fbl.blocklength
     infeasible = PortEntry(n_ports=n_ports, feasible=False, p2=None,
                            eps_o=None, ee=0.0)
     if violates_causality(n_ports, ee.port_time, blocklength, ee.bandwidth):
         return infeasible
     fas = fas_spectrum(n_ports, aperture, rank_tolerance)
-    found = min_power(ev.with_spectrum(fas), ee, tables)
+    found = min_power(ev, fas.lambdas, ee, tables)
     if found is None:
         return infeasible
     p2, eps_o, gap = found
@@ -434,7 +434,7 @@ def best_port_count(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
     aperture, so port spacing shrinks as ports are added. `tables` is an
     `altitude_tables` source that covers z_u on the same nodes."""
     z_u = float(z_u)
-    ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, None, nodes)
+    ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, nodes)
     entries = tuple(port_entry(ev, n, aperture, ee, tables, rank_tolerance)
                     for n in range(ee.n_range[0], ee.n_range[1] + 1))
     feasible = [e for e in entries if e.feasible]

@@ -1,6 +1,6 @@
 import math
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath as mp
 import numpy as np
@@ -352,27 +352,29 @@ def ks_statistic(samples, cdf):
 def solved_power(cfg, fas, fbl, ee, z_u):
     """The power `min_power` solves at altitude z_u on a table source over
     that altitude alone, or None when p_max misses the target."""
-    ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, fas)
-    found = min_power(ev, ee, altitude_tables(cfg, ee, [z_u]))
+    ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl)
+    found = min_power(ev, fas.lambdas, ee, altitude_tables(cfg, ee, [z_u]))
     return None if found is None else found[0]
 
 
-def table_e2e_avg(ev, tables):
-    """The end-to-end BLER of ev as a function of the relay power, with hop 2
-    read from the pair tables(ev.fbl, ev.fas.lambdas) of an `altitude_tables`
-    source, as `min_power` reads it."""
-    pair = tables(ev.fbl, ev.fas.lambdas)
+def table_e2e_avg(ev, lambdas, tables):
+    """The end-to-end BLER of ev on the spectrum lambdas as a function of the
+    relay power, with hop 2 read from the pair tables(ev.fbl, lambdas) of an
+    `altitude_tables` source, as `min_power` reads it."""
+    pair = tables(ev.fbl, lambdas)
     return lambda p: ev.e2e_avg_from(*(table(vt) for table, vt
                                        in zip(pair, ev.hop2_varthetas(p))))
 
 
-def direct_min_power(ev, ee, e2e_avg=None, points=10, slack=1e-12):
-    """Reference minimum-power solve: the precheck grid and the plain
-    bisection of the optimizer, every comparison evaluated by e2e_avg, a
-    function of the power (default: the direct kernel, ev.e2e_avg; on
-    `table_e2e_avg(ev, tables)` it is the plain table-driven bisection).
-    Returns (power, bler at power) or None when p_max misses the target."""
-    e2e_avg = ev.e2e_avg if e2e_avg is None else e2e_avg
+def direct_min_power(ev, lambdas, ee, e2e_avg=None, points=10, slack=1e-12):
+    """Reference minimum-power solve on the spectrum lambdas: the precheck
+    grid and the plain bisection of the optimizer, every comparison
+    evaluated by e2e_avg, a function of the power (default: the direct
+    kernel, ev.e2e_avg; on `table_e2e_avg(ev, lambdas, tables)` it is the
+    plain table-driven bisection). Returns (power, bler at power) or None
+    when p_max misses the target."""
+    if e2e_avg is None:
+        e2e_avg = partial(ev.e2e_avg, lambdas=lambdas)
     grid = ee.p_max * np.logspace(-8.0, 0.0, points)
     eps = [e2e_avg(p) for p in grid]
     assert all(b <= a + slack for a, b in zip(eps, eps[1:]))

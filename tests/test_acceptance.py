@@ -199,11 +199,11 @@ def test_c04_asymptotic_consistency(fbl100):
 def test_c05_error_floor(urban, fbl100):
     start = time.time()
     fas = fas_spectrum(2, 0.5)
-    ev = TrajectoryEvaluator(urban, fbl100, fas)
+    ev = TrajectoryEvaluator(urban, fbl100)
     floor = ev.hop1_avg()
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3)
     p_star = solved_power(urban, fas, fbl100, ee, urban.uav_altitude)
-    val = ev.e2e_avg(p_star * 1e4)
+    val = ev.e2e_avg(p_star * 1e4, fas.lambdas)
     rel = abs(val - floor) / floor
     elapsed = time.time() - start
     _report("C05 error floor reached 40 dB past the threshold power",
@@ -346,6 +346,13 @@ def test_c09_efficiency_vs_ports_structure(tmp_path):
         ok &= interior and above_ends
         details.append(f"L={l}: peak at N={sorted(by_l[l])[peak]} "
                        f"(interior={interior}, above endpoints={above_ends})")
+    # whether a peak is the causality cut rather than a turn of the curve
+    for l, by_n in sorted(by_l.items()):
+        last = max((n for n, r in by_n.items() if r["feasible"] == "true"),
+                   default=None)
+        peak_n = max(by_n, key=lambda n: float(by_n[n]["ee_bits_per_joule"]))
+        details.append(f"L={l}: last feasible N={last}, "
+                       f"peak on it={peak_n == last}")
     elapsed = time.time() - start
     _report("C09 efficiency-vs-ports structure",
             ok and True, "; ".join(details) + f"; {elapsed:.0f}s")
@@ -393,7 +400,8 @@ def test_c11_sampler_distributions():
 def test_c12_trajectory_quadrature_crosscheck(urban, fbl100):
     fas = fas_spectrum(2, 0.5)
     p2 = 10.0 ** ((18.0 - 30.0) / 10.0)  # near the reliability operating zone
-    approx = TrajectoryEvaluator(urban, fbl100, fas, nodes=128).e2e_avg(p2)
+    approx = TrajectoryEvaluator(urban, fbl100, nodes=128).e2e_avg(
+        p2, fas.lambdas)
     k = 10_000
     theta = (np.arange(k) + 0.5) * 2.0 * math.pi / k
     geo = trajectory_geometry(urban, theta)

@@ -498,18 +498,22 @@ def test_hop2_table_value_does_not_depend_on_its_range():
 def test_tabulated_e2e_bounded_and_monotone(z, n, blocklength, u, v):
     cfg = ScenarioConfig(p1=10.0 ** 1.6, uav_altitude=z)
     fbl = linearize(80.0 / blocklength, blocklength)
-    ev = TrajectoryEvaluator(cfg, fbl, fas_spectrum(n, 0.5))
+    ev = TrajectoryEvaluator(cfg, fbl)
+    lambdas = fas_spectrum(n, 0.5).lambdas
     p_lo, p_hi = 1e-7, 10.0
-    tables = hop2_tables(fbl, cfg, ev.fas.lambdas,
+    tables = hop2_tables(fbl, cfg, lambdas,
                          hop2_vartheta_bounds(cfg, [ev.geo], p_lo, p_hi))
 
     def tabulated(p2):
         return tuple(table(vt) for table, vt
                      in zip(tables, ev.hop2_varthetas(p2)))
 
+    def direct(p2):
+        return ev.hop2_components(p2, lambdas)
+
     p_a, p_b = np.clip(p_lo * (p_hi / p_lo) ** np.sort([u, v]), p_lo, p_hi)
     # the same bounds and monotonicity on the tables and the direct kernel
-    for hop2 in (tabulated, ev.hop2_components):
+    for hop2 in (tabulated, direct):
         e_a, e_b = (ev.e2e_avg_from(*hop2(p)) for p in (p_a, p_b))
         for p, e in ((p_a, e_a), (p_b, e_b)):
             nodes = ev.end_to_end(ev.hop2_mixed(*hop2(p)))
@@ -525,12 +529,13 @@ def test_e2e_not_below_hop1_where_hop2_is_below_rounding():
     # must keep the end-to-end value >= hop 1 on the table and direct paths
     cfg = ScenarioConfig(p1=10.0 ** 1.6, uav_altitude=100.0)
     fbl = linearize(80.0 / 600, 600)
-    ev = TrajectoryEvaluator(cfg, fbl, fas_spectrum(7, 0.5))
-    tables = hop2_tables(fbl, cfg, ev.fas.lambdas,
+    ev = TrajectoryEvaluator(cfg, fbl)
+    lambdas = fas_spectrum(7, 0.5).lambdas
+    tables = hop2_tables(fbl, cfg, lambdas,
                          hop2_vartheta_bounds(cfg, [ev.geo], 1e-7, 10.0))
     tabulated = tuple(table(vt) for table, vt
                       in zip(tables, ev.hop2_varthetas(10.0)))
-    for e2 in (tabulated, ev.hop2_components(10.0)):
+    for e2 in (tabulated, ev.hop2_components(10.0, lambdas)):
         eps2 = ev.hop2_mixed(*e2)
         assert np.any(eps2 < np.finfo(float).eps)
         assert np.all(ev.end_to_end(eps2) >= ev.eps1_mixed)
@@ -633,7 +638,8 @@ def test_chebyshev_constant_integrand_error():
 def test_trajectory_matches_midpoint_reference(urban, fbl100):
     fas = fas_spectrum(2, 0.5)
     p2 = 10.0 ** ((18.0 - 30.0) / 10.0)
-    approx = TrajectoryEvaluator(urban, fbl100, fas, nodes=128).e2e_avg(p2)
+    approx = TrajectoryEvaluator(urban, fbl100, nodes=128).e2e_avg(
+        p2, fas.lambdas)
     k = 10_000
     theta = (np.arange(k) + 0.5) * 2.0 * math.pi / k
     # midpoint reference through the same per-angle composition
@@ -653,23 +659,24 @@ def test_trajectory_matches_midpoint_reference(urban, fbl100):
 
 def test_trajectory_breakdown_nodes(urban, fbl100):
     fas = fas_spectrum(2, 0.5)
-    ev = TrajectoryEvaluator(urban, fbl100, fas, nodes=16)
-    e2_los, e2_nlos = ev.hop2_components(0.05)
+    ev = TrajectoryEvaluator(urban, fbl100, nodes=16)
+    e2_los, e2_nlos = ev.hop2_components(0.05, fas.lambdas)
     eps2 = ev.hop2_mixed(e2_los, e2_nlos)
     nodes = ev.end_to_end(eps2)
     assert len(nodes) == 16
     manual = sum(w * e for w, e in zip(ev.weights, nodes))
-    assert ev.e2e_avg(0.05) == pytest.approx(manual, rel=1e-12)
+    assert ev.e2e_avg(0.05, fas.lambdas) == pytest.approx(manual, rel=1e-12)
     assert np.all((0.0 <= eps2) & (eps2 <= 1.0))
     assert nodes == pytest.approx(
         1.0 - (1.0 - ev.eps1_mixed) * (1.0 - eps2), abs=1e-12)
 
 
 def test_error_floor_bounds_trajectory(urban, fbl100):
-    ev = TrajectoryEvaluator(urban, fbl100, fas_spectrum(2, 0.5))
+    ev = TrajectoryEvaluator(urban, fbl100)
     floor = ev.hop1_avg()
     for p2_dbm in (5.0, 15.0, 25.0, 45.0):
-        val = ev.e2e_avg(10 ** ((p2_dbm - 30) / 10))
+        val = ev.e2e_avg(10 ** ((p2_dbm - 30) / 10),
+                         fas_spectrum(2, 0.5).lambdas)
         assert val >= floor - 1e-12
 
 
@@ -677,7 +684,7 @@ def test_error_floor_constant_hop1():
     # the floor is the weighted node average of the first-hop mixture
     cfg = ScenarioConfig()
     p = linearize(0.8, 100)
-    ev = TrajectoryEvaluator(cfg, p, None, nodes=64)
+    ev = TrajectoryEvaluator(cfg, p, nodes=64)
     geo = trajectory_geometry(cfg, ev.theta)
     eps1 = sum(prob * avg_bler_hop1(
         p, cfg.nakagami_m(lt) * cfg.noise_power / (cfg.p1 * geo.beta1[lt]),
@@ -692,7 +699,7 @@ def test_error_floor_angle_independent_first_hop():
     # known constant-mode error (pi/2M)/sin(pi/2M)
     cfg = ScenarioConfig(bs_position=(0.0, 0.0, 40.0))
     p = linearize(0.8, 100)
-    ev = TrajectoryEvaluator(cfg, p, None, nodes=128)
+    ev = TrajectoryEvaluator(cfg, p, nodes=128)
     eps1 = np.asarray(ev.eps1_mixed)
     assert eps1.max() - eps1.min() < 1e-15
     const = float(eps1[0])
@@ -707,7 +714,7 @@ def test_linearized_average_tracks_exact_average(urban, fbl100):
     # 1e-2 on the rate-parameter states the reference scenario actually
     # produces (both hops, both link types, relay power swept 0..27 dBm)
     fas = fas_spectrum(2, 0.5)
-    ev = TrajectoryEvaluator(urban, fbl100, fas, nodes=8)
+    ev = TrajectoryEvaluator(urban, fbl100, nodes=8)
     states = []
     for lt in ("los", "nlos"):
         m = urban.nakagami_m(lt)

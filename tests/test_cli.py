@@ -205,8 +205,9 @@ def test_aperture_sweep_evaluates_p2_in_watts(tmp_path):
     assert run(spec) == 0
     row = read_csv(out)[0]
     fbl = linearize(80 / 100, 100, "2^R-1")
-    ev = TrajectoryEvaluator(ScenarioConfig(), fbl, fas_spectrum(2, 0.5), 32)
-    assert float(row["bler_analytic"]) == ev.e2e_avg(p2)
+    ev = TrajectoryEvaluator(ScenarioConfig(), fbl, 32)
+    assert float(row["bler_analytic"]) == ev.e2e_avg(
+        p2, fas_spectrum(2, 0.5).lambdas)
     assert float(row["p2_dbm"]) == 10.0 * math.log10(p2 * 1000.0)
 
 
@@ -353,45 +354,37 @@ def test_main_entry_point(tmp_path):
     assert main(["bler-sweep", "--config", str(tmp_path / "nope.conf")]) == 1
 
 
-_SOLVES = "p1 = 46 dBm\ntraj_nodes = 32\np_max = 40 dBm\n"
-
-
-# the solve commands share one lazily filled hop-2 table source across the
-# worker threads
-@pytest.mark.parametrize("command, text, threads", [
-    pytest.param("bler-sweep", "sweep_p2_dbm = 0:20:6\ntraj_nodes = 32\n",
-                 "4", id="bler-sweep"),
-    pytest.param("power-vs-altitude", _SOLVES + "blocklength = 200\n"
-                 "sweep_z = 200, 400, 600\nsweep_n_ports = 1, 8\n", "2",
-                 id="power-vs-altitude"),
-    pytest.param("ee-vs-ports", _SOLVES + "uav_altitude = 400\n"
-                 "sweep_blocklength = 200, 300\nsweep_n_ports = 2, 8, 14\n",
-                 "2", id="ee-vs-ports"),
-    pytest.param("ee-contour", _SOLVES + "n_max = 3\nsweep_z = 300, 400\n"
-                 "sweep_blocklength = 300, 400\n", "2", id="ee-contour"),
+@pytest.mark.parametrize("command, text", [
+    ("bler-sweep", "sweep_p2_dbm = 10\n"),
+    ("optimize", "n_max = 2\n"),
 ])
-def test_main_threads_flag_preserves_output(tmp_path, command, text, threads):
+def test_main_rejects_a_payload_without_a_surrogate(tmp_path, capsys, command,
+                                                    text):
+    # 2^rate overflows from 1024 bits per symbol on
     conf = tmp_path / "c.conf"
-    conf.write_text(text)
-    out1 = tmp_path / "s.csv"
-    out2 = tmp_path / "t.csv"
-    assert main([command, "--config", str(conf), "--out", str(out1)]) == 0
-    assert main([command, "--config", str(conf), "--out", str(out2),
-                 "--threads", threads]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_main_rejects_thread_counts_below_one(tmp_path, capsys, threads):
-    conf = tmp_path / "c.conf"
-    conf.write_text("sweep_p2_dbm = 10\ntraj_nodes = 32\n")
+    conf.write_text(text + "payload_bits = 1e6\n")
     out = tmp_path / "o.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["bler-sweep", "--config", str(conf), "--out", str(out),
-              "--threads", threads])
-    assert exc.value.code != 0
-    assert "--threads" in capsys.readouterr().err
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: payload_bits")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    # 2^rate overflows at rate 1250 (blocklength 4)
+    "payload_bits = 5e3\nsweep_blocklength = 300, 4\n",
+    "payload_bits = 5e3\nl_set = 4\n",
+    # the ramp is below the spacing of doubles at tau (rate 200)
+    "payload_bits = 2e4\n",
+    # 2^(2 rate) overflows at rate 600
+    "payload_bits = 6e4\nchi_variant = 2^2R-1\n",
+])
+def test_payload_is_checked_at_every_blocklength(text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, "ee-vs-ports")
+    assert err.value.line == 1
+    # the surrogate exists at rate 50 (2^R-1) and at rate 200 (2^2R-1)
+    parse_config("payload_bits = 5e3\n", "ee-vs-ports")
+    parse_config("payload_bits = 2e4\nchi_variant = 2^2R-1\n", "ee-vs-ports")
 
 
 def _package_env():
@@ -446,6 +439,8 @@ _BAD_LINES = [
     "sweep_z = -50, 0, 100",
     "uav_altitude = 0",
     "z_min = -10",
+    "payload_bits = 1e6",
+    "payload_bits = 1e-300",
 ]
 
 
@@ -536,6 +531,10 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 _UNIT = st.floats(min_value=1e-12, max_value=1.0, exclude_max=True)
 _COUNT = st.integers(min_value=1, max_value=2 ** 64)
+# a payload and blocklengths whose rates, 1e-12 to 50 bits per symbol, all
+# have a surrogate
+_PAYLOAD = st.floats(min_value=1e-3, max_value=50.0)
+_BLOCKLENGTH = st.integers(min_value=1, max_value=10 ** 9)
 # relay powers whose value in watts is finite and positive
 _DBM = st.floats(min_value=-3000.0, max_value=3000.0)
 
@@ -554,12 +553,12 @@ def _specs(draw):
     z = sorted(draw(st.lists(_POSITIVE, min_size=2, max_size=2, unique=True)))
     n = sorted(draw(st.lists(_COUNT, min_size=2, max_size=2)))
     ee = EeConfig(
-        payload_bits=draw(_POSITIVE), bandwidth=draw(_POSITIVE),
+        payload_bits=draw(_PAYLOAD), bandwidth=draw(_POSITIVE),
         circuit_power=draw(st.just(0.0) | _POSITIVE),
         switch_power=draw(st.just(0.0) | _POSITIVE),
         port_time=draw(_POSITIVE), bler_threshold=draw(_UNIT),
         p_max=draw(_POSITIVE), z_range=tuple(z),
-        l_set=tuple(draw(st.lists(_COUNT, min_size=1, max_size=4))),
+        l_set=tuple(draw(st.lists(_BLOCKLENGTH, min_size=1, max_size=4))),
         n_range=tuple(n), z_step=draw(_POSITIVE), bisect_tol=draw(_UNIT),
         max_bisect_iters=draw(_COUNT))
     command = draw(st.sampled_from(COMMANDS))
@@ -570,13 +569,14 @@ def _specs(draw):
                       batch=draw(_COUNT))
     axes = {"sweep_p2_dbm": _DBM, "sweep_z": _POSITIVE,
             "sweep_aperture": _POSITIVE, "sweep_n_ports": _COUNT,
-            "sweep_blocklength": _COUNT}
+            "sweep_blocklength": _BLOCKLENGTH}
     names = draw(st.lists(st.sampled_from(_SWEEP_KEYS), unique=True))
     sweeps = {name: draw(st.lists(axes[name], min_size=1, max_size=4))
               for name in names}
     return ExperimentSpec(
         command=command, scenario=scenario, ee=ee, mc=mc,
-        blocklength=draw(_COUNT), chi_variant=draw(st.sampled_from(CHI_VARIANTS)),
+        blocklength=draw(_BLOCKLENGTH),
+        chi_variant=draw(st.sampled_from(CHI_VARIANTS)),
         n_ports=draw(_COUNT), aperture=draw(_POSITIVE),
         rank_tolerance=draw(_UNIT),
         traj_nodes=draw(st.integers(min_value=2, max_value=2 ** 64)),

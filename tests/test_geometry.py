@@ -170,7 +170,7 @@ def test_link_state_hop1_fields(urban, fbl100):
 
 def test_link_state_probability_pairing(urban, fbl100):
     # the hop-2 LoS and NLoS probabilities sum to one at every node
-    ev = TrajectoryEvaluator(urban, fbl100, fas_spectrum(2, 0.5))
+    ev = TrajectoryEvaluator(urban, fbl100)
     ones = np.ones_like(ev.theta)
     assert ev.hop2_mixed(ones, ones) == pytest.approx(ones, abs=1e-14)
 
@@ -181,7 +181,7 @@ def test_link_state_hop2_vartheta_cancellation(urban, fbl100):
     fas = fas_spectrum(2, 0.5)
     lam_sum = sum(fas.lambdas)
     p2 = 0.37
-    ev = TrajectoryEvaluator(urban, fbl100, fas, nodes=16)
+    ev = TrajectoryEvaluator(urban, fbl100, nodes=16)
     vt_los, _ = ev.hop2_varthetas(p2)
     for i, t in enumerate(ev.theta):
         beta = _free_space(urban, _slant_range(urban, t, urban.ue_position),
@@ -192,8 +192,8 @@ def test_link_state_hop2_vartheta_cancellation(urban, fbl100):
 
 
 def test_link_state_requires_spectrum_for_hop2(urban, fbl100):
-    with pytest.raises(ValueError):
-        TrajectoryEvaluator(urban, fbl100).e2e_avg(0.1)
+    with pytest.raises(ValueError, match="lambdas"):
+        TrajectoryEvaluator(urban, fbl100).e2e_avg(0.1, ())
 
 
 def test_scenario_validation_rejects_bad_fields():

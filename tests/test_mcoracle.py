@@ -214,10 +214,10 @@ def test_mc_matches_analytic_within_sampling_noise(urban, fbl100):
     # the surrogate's bias against the exact Q-average (-4.9% to +0.6% on the
     # validate preset, see the blercore module docstring)
     fas = fas_spectrum(2, 0.5)
-    ev = TrajectoryEvaluator(urban, fbl100, fas)
+    ev = TrajectoryEvaluator(urban, fbl100)
     for p2_dbm in (6.0, 24.0):
         p2 = 10 ** ((p2_dbm - 30) / 10)
-        ana = ev.e2e_avg(p2)
+        ana = ev.e2e_avg(p2, fas.lambdas)
         est = mc_average_bler(urban, fas, fbl100, p2,
                               McConfig(seed=31337, trials=150_000))
         assert abs(ana - est.mean) < 3.0 * est.std_error + 0.06 * ana

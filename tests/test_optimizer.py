@@ -59,9 +59,9 @@ def test_min_power_bracket_contract(cfg46, fbl200):
     fas = fas_spectrum(8, 0.5)
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3, bisect_tol=1e-4)
     p_star = solved_power(cfg46, fas, fbl200, ee, 450.0)
-    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200, fas)
-    at = ev.e2e_avg(p_star)
-    below = ev.e2e_avg(p_star * (1.0 - 2.0 * ee.bisect_tol))
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200)
+    at = ev.e2e_avg(p_star, fas.lambdas)
+    below = ev.e2e_avg(p_star * (1.0 - 2.0 * ee.bisect_tol), fas.lambdas)
     assert at <= ee.bler_threshold < below
 
 
@@ -70,12 +70,12 @@ def test_min_power_matches_grid_scan_oracle(cfg46, fbl200):
     fas = fas_spectrum(8, 0.5)
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3, bisect_tol=1e-4)
     p_star = solved_power(cfg46, fas, fbl200, ee, 450.0)
-    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200, fas)
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200)
     grid_dbm = np.arange(0.0, 20.0, 0.01)
     feas = None
     for dbm_val in grid_dbm:
         p = 10.0 ** ((dbm_val - 30.0) / 10.0)
-        if ev.e2e_avg(p) <= ee.bler_threshold:
+        if ev.e2e_avg(p, fas.lambdas) <= ee.bler_threshold:
             feas = p
             break
     assert feas is not None
@@ -87,17 +87,17 @@ def test_feasible_set_monotone(cfg46, fbl200):
     fas = fas_spectrum(8, 0.5)
     ee = EeConfig(p_max=10.0, bler_threshold=1e-3)
     p_star = solved_power(cfg46, fas, fbl200, ee, 450.0)
-    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200, fas)
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200)
     for factor in (1.5, 4.0, 40.0):
-        assert ev.e2e_avg(p_star * factor) <= ee.bler_threshold
+        assert ev.e2e_avg(p_star * factor, fas.lambdas) <= ee.bler_threshold
 
 
 def test_bler_strictly_decreasing_on_power_grid(cfg46, fbl200):
     # the precheck grid the bisection relies on
     fas = fas_spectrum(2, 0.5)
-    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200, fas)
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200)
     grid = 10.0 * np.logspace(-8, 0, 10)
-    eps = [ev.e2e_avg(p) for p in grid]
+    eps = [ev.e2e_avg(p, fas.lambdas) for p in grid]
     for a, b in zip(eps, eps[1:]):
         assert b <= a + 1e-12
 
@@ -113,19 +113,19 @@ def test_min_power_matches_direct_bisection(cfg46):
         for blocklength in (100, 300, 600):
             fbl = linearize(80.0 / blocklength, blocklength)
             for z in (100.0, 400.0, 800.0):
-                base = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl)
+                ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl)
                 tables = altitude_tables(cfg46, ee, [z])
                 for n in range(1, 13):
-                    ev = base.with_spectrum(fas_spectrum(n, 0.5))
-                    want = direct_min_power(ev, ee)
-                    got = min_power(ev, ee, tables)
+                    lambdas = fas_spectrum(n, 0.5).lambdas
+                    want = direct_min_power(ev, lambdas, ee)
+                    got = min_power(ev, lambdas, ee, tables)
                     assert (got is None) == (want is None), (p_max, blocklength, z, n)
                     outcomes[want is None] += 1
                     if want is None:
                         continue
                     p2, eps, gap = got
                     assert p2 == pytest.approx(want[0], rel=ee.bisect_tol)
-                    assert eps == ev.e2e_avg(p2)
+                    assert eps == ev.e2e_avg(p2, lambdas)
                     assert 0.0 <= gap <= 1e-8
     assert outcomes[True] > 0 and outcomes[False] > 0
 
@@ -150,9 +150,9 @@ def test_min_power_bits_are_pinned(cfg46):
     for blocklength, z, n, p_max, want in _PINNED_SOLVES:
         ee = EeConfig(p_max=p_max)
         ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z),
-                                 linearize(80.0 / blocklength, blocklength),
-                                 fas_spectrum(n, 0.5))
-        got = min_power(ev, ee, altitude_tables(cfg46, ee, [z]))
+                                 linearize(80.0 / blocklength, blocklength))
+        got = min_power(ev, fas_spectrum(n, 0.5).lambdas, ee,
+                        altitude_tables(cfg46, ee, [z]))
         assert tuple(float.hex(float(x)) for x in got) == want, \
             (blocklength, z, n, p_max)
 
@@ -212,8 +212,8 @@ def test_best_port_count_matches_enumeration(cfg46, fbl200):
         p2 = solved_power(cfg46, fas, fbl200, ee, 450.0)
         if p2 is None:
             continue
-        eps = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200,
-                                  fas).e2e_avg(p2)
+        eps = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0),
+                                  fbl200).e2e_avg(p2, fas.lambdas)
         val = energy_efficiency(ee.payload_bits, eps, p2, 200, ee.bandwidth,
                                 n, ee.port_time, ee.circuit_power,
                                 ee.switch_power)
@@ -300,9 +300,9 @@ def test_global_optimize_trace_and_self_consistency(cfg46):
     assert entry.n_ports == sol.n_star and entry.p2 == sol.p2_star
     assert sol.eps_star == entry.eps_o
     direct = TrajectoryEvaluator(replace(cfg46, uav_altitude=sol.z_star),
-                                 linearize(80.0 / sol.l_star, sol.l_star),
-                                 fas_spectrum(sol.n_star, 0.5))
-    assert sol.eps_star == direct.e2e_avg(sol.p2_star)
+                                 linearize(80.0 / sol.l_star, sol.l_star))
+    assert sol.eps_star == direct.e2e_avg(
+        sol.p2_star, fas_spectrum(sol.n_star, 0.5).lambdas)
     assert sol.table_check_max_rel == max(res.table_check_max_rel
                                           for res in sol.trace)
     # re-evaluating the EE at the returned tuple reproduces ee_star
@@ -370,14 +370,15 @@ def table_lookups(monkeypatch):
     return lookups
 
 
-def _expected_solve(ev, ee, tables):
+def _expected_solve(ev, lambdas, ee, tables):
     """What `min_power` must return: the plain table-driven bisection's
     power and the gap of its tabulated BLER to the direct one there."""
-    want = direct_min_power(ev, ee, table_e2e_avg(ev, tables))
+    want = direct_min_power(ev, lambdas, ee,
+                            table_e2e_avg(ev, lambdas, tables))
     if want is None:
         return None
     p2, eps_table = want
-    direct = ev.e2e_avg(p2)
+    direct = ev.e2e_avg(p2, lambdas)
     return p2, direct, abs(eps_table - direct) / max(direct, np.finfo(float).tiny)
 
 
@@ -398,16 +399,16 @@ def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
     for blocklength in (100, 300, 600):
         fbl = linearize(80.0 / blocklength, blocklength)
         for z in altitudes:
-            base = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl)
+            ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl)
             for n in range(1, 13):
-                ev = base.with_spectrum(fas_spectrum(n, 0.5))
+                lambdas = fas_spectrum(n, 0.5).lambdas
                 for ee in cases:
                     tables = sources[ee.p_max]
                     del table_lookups[:]
-                    want = _expected_solve(ev, ee, tables)
+                    want = _expected_solve(ev, lambdas, ee, tables)
                     plain = len(table_lookups) - precheck
                     del table_lookups[:]
-                    got = min_power(ev, ee, tables)
+                    got = min_power(ev, lambdas, ee, tables)
                     certified = len(table_lookups) - precheck
                     assert got == want, (ee, blocklength, z, n)
                     outcomes[want is None] += 1
@@ -432,12 +433,12 @@ def test_min_power_on_a_staircase_bler(cfg46, fbl200, monkeypatch):
         ee = EeConfig(p_max=10.0, bler_threshold=thr)
         for z in (100.0, 400.0, 800.0):
             tables = altitude_tables(cfg46, ee, [z])
-            base = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200)
+            ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200)
             for n in (1, 4, 8):
-                ev = base.with_spectrum(fas_spectrum(n, 0.5))
-                want = _expected_solve(ev, ee, tables)
+                lambdas = fas_spectrum(n, 0.5).lambdas
+                want = _expected_solve(ev, lambdas, ee, tables)
                 assert want is not None
-                assert min_power(ev, ee, tables) == want, (thr, z, n)
+                assert min_power(ev, lambdas, ee, tables) == want, (thr, z, n)
 
 
 def test_min_power_threshold_equal_to_a_grid_bler(cfg46, fbl200):
@@ -446,22 +447,22 @@ def test_min_power_threshold_equal_to_a_grid_bler(cfg46, fbl200):
     grid = ee.p_max * np.logspace(-8.0, 0.0, 10)
     for z, n in ((100.0, 1), (400.0, 4), (800.0, 8)):
         tables = altitude_tables(cfg46, ee, [z])
-        ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200,
-                                 fas_spectrum(n, 0.5))
-        eps = [table_e2e_avg(ev, tables)(p) for p in grid]
+        ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200)
+        lambdas = fas_spectrum(n, 0.5).lambdas
+        eps = [table_e2e_avg(ev, lambdas, tables)(p) for p in grid]
         k = next(i for i, e in enumerate(eps) if e < 0.5)
         tied = replace(ee, bler_threshold=eps[k])
-        want = _expected_solve(ev, tied, tables)
+        want = _expected_solve(ev, lambdas, tied, tables)
         assert want is not None and want[0] <= grid[k]
-        assert min_power(ev, tied, tables) == want
+        assert min_power(ev, lambdas, tied, tables) == want
 
 
 def test_min_power_infeasible_looks_up_only_the_precheck(cfg46, fbl200,
                                                          table_lookups):
     ee = EeConfig(p_max=1e-6, bler_threshold=1e-3)
-    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200,
-                             fas_spectrum(1, 0.5))
-    assert min_power(ev, ee, altitude_tables(cfg46, ee, [450.0])) is None
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200)
+    assert min_power(ev, fas_spectrum(1, 0.5).lambdas, ee,
+                     altitude_tables(cfg46, ee, [450.0])) is None
     assert len(table_lookups) == 2 * 10
 
 
@@ -473,8 +474,9 @@ def test_min_power_met_at_the_first_grid_power_skips_the_search(
     monkeypatch.setattr(optimizer, "_locate", no_search)
     ee = EeConfig(p_max=1e8)
     ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=400.0),
-                             linearize(80.0 / 300.0, 300), fas_spectrum(4, 0.5))
-    p2, _, _ = min_power(ev, ee, altitude_tables(cfg46, ee, [400.0]))
+                             linearize(80.0 / 300.0, 300))
+    p2, _, _ = min_power(ev, fas_spectrum(4, 0.5).lambdas, ee,
+                         altitude_tables(cfg46, ee, [400.0]))
     assert p2 == ee.p_max * 1e-8
     assert len(table_lookups) == 2 * 10
 
