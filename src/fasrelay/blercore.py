@@ -486,11 +486,8 @@ class TrajectoryEvaluator:
                  nodes: int = DEFAULT_TRAJECTORY_NODES):
         self.cfg = cfg
         self.fbl = fbl
-        theta, weights = chebyshev_nodes(nodes)
-        self.theta = theta
-        self.weights = weights
-        geo = trajectory_geometry(cfg, theta)
-        self.geo = geo
+        self.theta, self.weights = chebyshev_nodes(nodes)
+        geo = self.geo = trajectory_geometry(cfg, self.theta)
         eps1_los, eps1_nlos = (
             avg_bler_hop1(fbl, cfg.nakagami_m(lt) * cfg.noise_power
                           / (cfg.p1 * geo.beta1[lt]), cfg.nakagami_m(lt))

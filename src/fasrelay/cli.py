@@ -238,9 +238,8 @@ class ExperimentSpec:
                     0.0 < _from_dbm(p) < math.inf for p in pts):
                 raise ValueError(f"{name} entries must give a finite "
                                  "positive power in watts")
-        # the payload must have a surrogate at every blocklength in use
-        for l in sorted({self.blocklength, *self.ee.l_set,
-                         *self.sweeps.get("sweep_blocklength", ())}):
+        # the payload needs a surrogate at each blocklength in use
+        for l in sorted(set(_blocklengths(self))):
             try:
                 _fbl(self, l)
             except ValueError as exc:
@@ -371,6 +370,17 @@ def _axis(spec: ExperimentSpec, name: str, default) -> list | None:
     return None if value is None else list(value)
 
 
+def _blocklengths(spec: ExperimentSpec) -> list[int]:
+    """The blocklengths the spec's command evaluates."""
+    if spec.command == "optimize":
+        return list(spec.ee.l_set)
+    if spec.command == "ee-contour":
+        return list(spec.sweeps.get("sweep_blocklength", []))
+    if spec.command == "ee-vs-ports":
+        return list(spec.sweeps.get("sweep_blocklength", [spec.blocklength]))
+    return [spec.blocklength]
+
+
 def _fbl(spec: ExperimentSpec, blocklength: int):
     """Linearized finite-blocklength parameters of the spec's packet."""
     return linearize(spec.ee.payload_bits / blocklength, blocklength,
@@ -480,11 +490,10 @@ def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int) -> list[dict]:
 def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int) -> list[dict]:
     n_axis = _axis(spec, "sweep_n_ports",
                    list(range(spec.ee.n_range[0], spec.ee.n_range[1] + 1)))
-    l_axis = _axis(spec, "sweep_blocklength", [spec.blocklength])
     tables = altitude_tables(spec.scenario, spec.ee,
                              [spec.scenario.uav_altitude], spec.traj_nodes)
     rows = []
-    for l in l_axis:
+    for l in _blocklengths(spec):
         ev = TrajectoryEvaluator(spec.scenario, _fbl(spec, int(l)),
                                  spec.traj_nodes)
         for n in n_axis:
@@ -516,8 +525,8 @@ def _port_search_columns(spec: ExperimentSpec, res: PortSearchResult) -> dict:
 
 def _rows_ee_contour(spec: ExperimentSpec, seed: int) -> list[dict]:
     z_axis = _axis(spec, "sweep_z", None)
-    l_axis = _axis(spec, "sweep_blocklength", None)
-    if z_axis is None or l_axis is None:
+    l_axis = _blocklengths(spec)
+    if z_axis is None or not l_axis:
         raise ConfigError("ee-contour requires sweep_z and sweep_blocklength")
     fbls = {int(l): _fbl(spec, int(l)) for l in l_axis}
     tables = altitude_tables(spec.scenario, spec.ee, z_axis, spec.traj_nodes)
@@ -576,14 +585,11 @@ def run(spec: ExperimentSpec, seed: int | None = None,
             writer.writerow([_format_cell(row[k]) for k in header])
 
     digest = hashlib.sha256(render(spec).encode("utf-8")).hexdigest()
+    meta = {"command": spec.command, "config_sha256": digest,
+            "seed": base_seed, "version": __version__, "rows": len(rows),
+            **summary}
     with open(path + ".meta", "w", encoding="utf-8") as fh:
-        fh.write(f"command = {spec.command}\n")
-        fh.write(f"config_sha256 = {digest}\n")
-        fh.write(f"seed = {base_seed}\n")
-        fh.write(f"version = {__version__}\n")
-        fh.write(f"rows = {len(rows)}\n")
-        for key, val in summary.items():
-            fh.write(f"{key} = {val}\n")
+        fh.writelines(f"{key} = {val}\n" for key, val in meta.items())
     return 0
 
 
@@ -612,8 +618,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        spec = parse_config(text, args.command)
+            spec = parse_config(fh.read(), args.command)
         return run(spec, seed=args.seed, out_path=args.out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

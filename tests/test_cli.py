@@ -369,22 +369,43 @@ def test_main_rejects_a_payload_without_a_surrogate(tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [
+@pytest.mark.parametrize("command, text", [
     # 2^rate overflows at rate 1250 (blocklength 4)
-    "payload_bits = 5e3\nsweep_blocklength = 300, 4\n",
-    "payload_bits = 5e3\nl_set = 4\n",
+    ("ee-vs-ports", "payload_bits = 5e3\nsweep_blocklength = 300, 4\n"),
+    ("ee-contour", "payload_bits = 5e3\nsweep_blocklength = 300, 4\n"),
+    ("optimize", "payload_bits = 5e3\nl_set = 4\n"),
     # the ramp is below the spacing of doubles at tau (rate 200)
-    "payload_bits = 2e4\n",
+    ("ee-vs-ports", "payload_bits = 2e4\n"),
+    ("bler-sweep", "payload_bits = 2e4\n"),
     # 2^(2 rate) overflows at rate 600
-    "payload_bits = 6e4\nchi_variant = 2^2R-1\n",
+    ("power-vs-altitude", "payload_bits = 6e4\nchi_variant = 2^2R-1\n"),
 ])
-def test_payload_is_checked_at_every_blocklength(text):
+def test_payload_is_checked_at_every_blocklength_in_use(command, text):
     with pytest.raises(ConfigError) as err:
-        parse_config(text, "ee-vs-ports")
+        parse_config(text, command)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("command, payload, text", [
     # the surrogate exists at rate 50 (2^R-1) and at rate 200 (2^2R-1)
-    parse_config("payload_bits = 5e3\n", "ee-vs-ports")
-    parse_config("payload_bits = 2e4\nchi_variant = 2^2R-1\n", "ee-vs-ports")
+    ("ee-vs-ports", "5e3", ""),
+    ("ee-vs-ports", "2e4", "chi_variant = 2^2R-1\n"),
+    # rate 20 at the one blocklength optimize uses, 200 at the default
+    # blocklength it does not
+    ("optimize", "2e4", "l_set = 1000\n"),
+    # rate 13.3 at the one blocklength bler-sweep uses, 133 at the l_set
+    # entry 300 it does not
+    ("bler-sweep", "4e4", "blocklength = 3000\n"),
+    ("ee-vs-ports", "4e4", "sweep_blocklength = 3000, 4000\n"),
+    ("ee-contour", "4e4", "sweep_blocklength = 3000\n"),
+])
+def test_payload_is_not_checked_at_unused_blocklengths(command, payload,
+                                                       text):
+    parse_config(f"payload_bits = {payload}\n{text}", command)
+    # 1e6 bits have no surrogate at the blocklengths in use either
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"payload_bits = 1e6\n{text}", command)
+    assert err.value.line == 1
 
 
 def _package_env():
@@ -531,10 +552,12 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 _UNIT = st.floats(min_value=1e-12, max_value=1.0, exclude_max=True)
 _COUNT = st.integers(min_value=1, max_value=2 ** 64)
-# a payload and blocklengths whose rates, 1e-12 to 50 bits per symbol, all
-# have a surrogate
-_PAYLOAD = st.floats(min_value=1e-3, max_value=50.0)
-_BLOCKLENGTH = st.integers(min_value=1, max_value=10 ** 9)
+# the rate at the shortest blocklength a command uses; its other
+# blocklengths are up to 1e6 times longer, so every rate it sees lies in
+# [1e-15, 30] bits per symbol, where the surrogate exists at any blocklength
+# up to 2^64 (2^rate - 1 is 0 below 1.6e-16, and the ramp is below the
+# spacing of doubles at tau from about 40 on at 2^64 symbols)
+_RATE = st.floats(min_value=1e-9, max_value=30.0)
 # relay powers whose value in watts is finite and positive
 _DBM = st.floats(min_value=-3000.0, max_value=3000.0)
 
@@ -552,30 +575,43 @@ def _specs(draw):
         m_los=draw(_COUNT), m_nlos=draw(_COUNT))
     z = sorted(draw(st.lists(_POSITIVE, min_size=2, max_size=2, unique=True)))
     n = sorted(draw(st.lists(_COUNT, min_size=2, max_size=2)))
+    command = draw(st.sampled_from(COMMANDS))
+    names = draw(st.lists(st.sampled_from(_SWEEP_KEYS), unique=True))
+    # the one source of the blocklengths the command evaluates
+    in_use = {"optimize": "l_set", "ee-contour": "sweep_blocklength",
+              "ee-vs-ports": ("sweep_blocklength"
+                              if "sweep_blocklength" in names
+                              else "blocklength")}.get(command, "blocklength")
+    shortest = draw(_COUNT)
+    near = st.integers(shortest, min(2 ** 64, shortest * 10 ** 6))
+    lengths = {source: near if source == in_use else _COUNT
+               for source in ("blocklength", "l_set", "sweep_blocklength")}
+    blocklength = draw(lengths["blocklength"])
+    l_set = tuple(draw(st.lists(lengths["l_set"], min_size=1, max_size=4)))
+    axes = {"sweep_p2_dbm": _DBM, "sweep_z": _POSITIVE,
+            "sweep_aperture": _POSITIVE, "sweep_n_ports": _COUNT,
+            "sweep_blocklength": lengths["sweep_blocklength"]}
+    sweeps = {name: draw(st.lists(axes[name], min_size=1, max_size=4))
+              for name in names}
+    used = {"blocklength": [blocklength], "l_set": l_set,
+            "sweep_blocklength": sweeps.get("sweep_blocklength", [])}[in_use]
     ee = EeConfig(
-        payload_bits=draw(_PAYLOAD), bandwidth=draw(_POSITIVE),
+        payload_bits=(draw(_RATE) * min(used) if used else draw(_POSITIVE)),
+        bandwidth=draw(_POSITIVE),
         circuit_power=draw(st.just(0.0) | _POSITIVE),
         switch_power=draw(st.just(0.0) | _POSITIVE),
         port_time=draw(_POSITIVE), bler_threshold=draw(_UNIT),
         p_max=draw(_POSITIVE), z_range=tuple(z),
-        l_set=tuple(draw(st.lists(_BLOCKLENGTH, min_size=1, max_size=4))),
-        n_range=tuple(n), z_step=draw(_POSITIVE), bisect_tol=draw(_UNIT),
-        max_bisect_iters=draw(_COUNT))
-    command = draw(st.sampled_from(COMMANDS))
+        l_set=l_set, n_range=tuple(n), z_step=draw(_POSITIVE),
+        bisect_tol=draw(_UNIT), max_bisect_iters=draw(_COUNT))
     mc = None
     if command == "validate" or draw(st.booleans()):
         mc = McConfig(seed=draw(st.integers(0, 2 ** 64 - 1)),
                       trials=draw(_COUNT), mode=draw(st.sampled_from(MC_MODES)),
                       batch=draw(_COUNT))
-    axes = {"sweep_p2_dbm": _DBM, "sweep_z": _POSITIVE,
-            "sweep_aperture": _POSITIVE, "sweep_n_ports": _COUNT,
-            "sweep_blocklength": _BLOCKLENGTH}
-    names = draw(st.lists(st.sampled_from(_SWEEP_KEYS), unique=True))
-    sweeps = {name: draw(st.lists(axes[name], min_size=1, max_size=4))
-              for name in names}
     return ExperimentSpec(
         command=command, scenario=scenario, ee=ee, mc=mc,
-        blocklength=draw(_BLOCKLENGTH),
+        blocklength=blocklength,
         chi_variant=draw(st.sampled_from(CHI_VARIANTS)),
         n_ports=draw(_COUNT), aperture=draw(_POSITIVE),
         rank_tolerance=draw(_UNIT),
