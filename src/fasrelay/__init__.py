@@ -15,9 +15,8 @@ from .geometry import ScenarioConfig
 from .mcoracle import (McConfig, McEstimate, mc_average_bler,
                        sample_fas_gain_model, sample_fas_gain_physical,
                        sample_hop1_gain)
-from .optimizer import (EeConfig, EeSolution, altitude_tables,
-                        best_port_count, energy_efficiency, global_optimize,
-                        min_power)
+from .optimizer import (EeConfig, EeSolution, best_port_count,
+                        energy_efficiency, global_optimize, min_power)
 
 __all__ = [
     "__version__",
@@ -30,6 +29,6 @@ __all__ = [
     "ScenarioConfig",
     "McConfig", "McEstimate", "mc_average_bler", "sample_fas_gain_model",
     "sample_fas_gain_physical", "sample_hop1_gain",
-    "EeConfig", "EeSolution", "altitude_tables", "best_port_count",
-    "energy_efficiency", "global_optimize", "min_power",
+    "EeConfig", "EeSolution", "best_port_count", "energy_efficiency",
+    "global_optimize", "min_power",
 ]

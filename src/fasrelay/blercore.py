@@ -50,22 +50,19 @@ quadrature and against the paper's subset expansion.
 
 Hop 2 depends on the relay power and the altitude only through vartheta, so
 a power search can read it from a table instead (`Hop2Table`, one per link
-type; `optimizer.altitude_tables` is the one source of them): log eps2
+type and spectrum, from the process-wide cache `hop2_table`): log eps2
 against log vartheta, piecewise Chebyshev with 32 first-kind nodes per
-panel, filled by one kernel call. The panels are whole decades of a fixed
-lattice, counted from vartheta_sat = _saturation_z(m) max(lambda) / rho_l
-where rho_l > 0 (past it the kernel returns the constant
-min(chi width, 1)) and from 1 where rho_l = 0, so a table's value at a
-vartheta depends on (fbl, m, lambda, vartheta) and not on the table's
-range. A table spans the vartheta the trajectory reaches over the search's
-power range, [min_i c_i / p_hi, max_i c_i / p_lo] with c_i =
-m sigma^2 / beta2_i, capped at vartheta_sat; it never extrapolates. Since
-the range does not change the values, one table over the union of the
-ranges of many altitudes (`hop2_vartheta_bounds`, `hop2_tables`) serves
-each of their searches with the values of its own. For the optimizer's
-power range p_max [1e-8, 1] at p_max = 40 dBm (L = 100, 300, 600;
-altitude 100, 400, 500, 800 m; N = 1, 2, 4, 8, 12; both link types) a table
-holds 128-288 nodes and stays within 1.05e-12 relative of the kernel on 801
+panel. The panels are whole decades of a fixed lattice, counted from
+vartheta_sat = _saturation_z(m) max(lambda) / rho_l where rho_l > 0 (past
+it the kernel returns the constant min(chi width, 1)) and from 1 where
+rho_l = 0, so a table's value at a vartheta depends on (fbl, m, lambda,
+vartheta) and not on the panels it holds. Each power search covers
+(`Hop2Table.cover`) the vartheta its trajectory reaches over its power
+range, [min_i c_i / p_hi, max_i c_i / p_lo] with c_i = m sigma^2 / beta2_i,
+capped at vartheta_sat; a table never extrapolates. For the optimizer's
+power range p_max [1e-8, 1] at p_max = 40 dBm (L = 100, 300, 600; altitude
+100, 400, 500, 800 m; N = 1, 2, 4, 8, 12; both link types) a table holds
+128-288 nodes and stays within 1.05e-12 relative of the kernel on 801
 log-spaced points; on clamped ramps (rho_l = 0, no cap, vartheta 1e-6-1e4,
 m = 1, 2, 5) within 3.0e-12. The tests hold tables to 1e-8.
 
@@ -81,6 +78,7 @@ rule; at 1e6 trials per point that bias is up to 8.5 standard errors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -338,48 +336,58 @@ def avg_bler_hop2(params: FblParams, vartheta2, m2: int, lambdas):
 
 
 class Hop2Table:
-    """Interpolant of the hop-2 average BLER on [vt_lo, vt_hi], filled by
-    one `avg_bler_hop2` call and never extrapolated.
+    """Interpolant of the hop-2 average BLER on the lattice panels that
+    `cover` asked for, never extrapolated.
 
     log eps2 is piecewise Chebyshev in log vartheta on a fixed lattice of
     whole decades, each panel holding the polynomial that interpolates
     log eps2 at its 32 first-kind Chebyshev nodes, evaluated by the
-    barycentric formula. The lattice is anchored at vartheta_sat =
+    barycentric formula. The lattice is anchored at vt_sat =
     _saturation_z(m2) * max(lambda) / rho_l when rho_l > 0 and at 1 when
-    rho_l = 0; a table holds the panels that meet [vt_lo, top], with top =
-    min(vt_hi, vartheta_sat) (vt_hi on a clamped ramp). From vartheta_sat on
-    the kernel returns the constant min(chi * width, 1), and so does the
-    table. Nodes, panel choice and the local coordinate depend on
-    (params, m2, lambdas, vartheta) only, and the kernel's value at a
-    vartheta does not depend on the other vartheta of the call.
-    So a table's value at a vartheta does not depend on its range: a table
-    over a superset returns the same bits on the shared range, which lets
-    one table serve every altitude of a grid. `nodes` and `values` hold the
-    sampled vartheta (ascending) and the kernel's values there.
+    rho_l = 0 (vt_sat = inf). Past vt_sat the kernel returns the constant
+    min(chi * width, 1), and so does the table, panels or none; a lookup
+    below the panels or between them and vt_sat raises ValueError. Nodes,
+    panel choice, the local coordinate and the kernel's value depend on
+    (params, m2, lambdas, vartheta) only, so a value does not depend on
+    the panels held or the order `cover` added them in. `nodes` and
+    `values` hold the sampled vartheta (ascending) and the kernel's values.
     """
 
-    def __init__(self, params: FblParams, m2: int, lambdas, vt_lo: float,
-                 vt_hi: float):
-        if not 0.0 < vt_lo < vt_hi:
-            raise ValueError("need 0 < vt_lo < vt_hi")
-        lams = _validated_lambdas(lambdas)
-        self.lo, self.hi = float(vt_lo), float(vt_hi)
+    def __init__(self, params: FblParams, m2: int, lambdas):
+        self._params, self._m2 = params, _shape(m2, "m2")
+        self._lambdas = _validated_lambdas(lambdas)
         self.saturated = min(params.chi * params.width, 1.0)
-        top, self._anchor = self.hi, 0.0
+        self.vt_sat, self._anchor = math.inf, 0.0
         if params.rho_l > 0.0:
-            vt_sat = _saturation_z(_shape(m2, "m2")) * max(lams) / params.rho_l
-            top, self._anchor = min(top, vt_sat), math.log10(vt_sat)
-        # panel k spans the decades [k, k + 1] counted from the anchor; the
-        # polynomials cover [lo, top], and with no panel every value saturates
-        k_lo = math.floor(math.log10(self.lo) - self._anchor)
-        k_hi = k_lo - 1
-        if top > self.lo:
-            k_hi = math.ceil(math.log10(top) - self._anchor) - 1
-        self.top = top if k_hi >= k_lo else 0.0
-        self._k_lo = k_lo
-        k = np.arange(k_lo, k_hi + 1, dtype=float)[:, None]
+            self.vt_sat = (_saturation_z(self._m2) * max(self._lambdas)
+                           / params.rho_l)
+            self._anchor = math.log10(self.vt_sat)
+        # panel k spans the decades [k, k + 1] counted from the anchor
+        self.panels = range(0)
+        self.nodes = self.values = np.empty(0)
+        self._log_values = np.empty((0, _CHEB_N))
+
+    def cover(self, lo: float, hi: float) -> None:
+        """Grow the table to the panels that meet [lo, min(hi, vt_sat)]: one
+        kernel call refills every panel from the lowest held or asked for
+        to the highest. A range at or past vt_sat needs none."""
+        if not 0.0 < lo < hi:
+            raise ValueError("need 0 < lo < hi")
+        top = min(hi, self.vt_sat)
+        if top <= lo:
+            return
+        k_lo = math.floor(math.log10(lo) - self._anchor)
+        k_end = math.ceil(math.log10(top) - self._anchor)
+        if self.panels:
+            k_lo = min(k_lo, self.panels.start)
+            k_end = max(k_end, self.panels.stop)
+        if range(k_lo, k_end) == self.panels:
+            return
+        self.panels = range(k_lo, k_end)
+        k = np.arange(k_lo, k_end, dtype=float)[:, None]
         self.nodes = (10.0 ** (self._anchor + (k + 0.5 * (_CHEB_T + 1.0)))).ravel()
-        self.values = avg_bler_hop2(params, self.nodes, m2, lams)
+        self.values = avg_bler_hop2(self._params, self.nodes, self._m2,
+                                    self._lambdas)
         # an underflowed value enters as the smallest normal double
         self._log_values = np.log(np.maximum(self.values, _TINY)).reshape(
             k.size, _CHEB_N)
@@ -387,29 +395,37 @@ class Hop2Table:
     def __call__(self, vartheta):
         vt = np.asarray(vartheta, dtype=float)
         flat = vt.reshape(-1)
-        vt_max = flat.max() if flat.size else self.lo
-        if flat.size and not (flat.min() >= self.lo and vt_max <= self.hi):
-            raise ValueError(f"vartheta outside the table range "
-                             f"[{self.lo:.6e}, {self.hi:.6e}]")
-        if vt_max <= self.top:
-            out = self._interpolate(flat)
-        else:
+        if flat.size and flat.max() > self.vt_sat:
             out = np.full(flat.shape, self.saturated)
-            live = flat <= self.top
+            live = flat <= self.vt_sat
             out[live] = self._interpolate(flat[live])
+        else:
+            out = self._interpolate(flat)
         return _as_result(out.reshape(vt.shape))
 
     def _interpolate(self, vt: np.ndarray) -> np.ndarray:
         s = np.log10(vt) - self._anchor
+        k_lo, k_end = self.panels.start, self.panels.stop
+        if s.size and not (self.panels and k_lo <= s.min() and s.max() <= k_end):
+            raise ValueError(f"vartheta outside the table's panels: decades "
+                             f"[{k_lo}, {k_end}] from 10^{self._anchor:.6f}")
         # the panel below s; truncation toward zero and the cap keep a point
-        # on a lattice line at either end of the range in the panel inside
-        idx = np.minimum((s - self._k_lo).astype(int), len(self._log_values) - 1)
-        dist = (2.0 * (s - (idx + self._k_lo)) - 1.0)[:, None] - _CHEB_T
+        # on a lattice line at either end of the panels in the panel inside
+        idx = np.minimum((s - k_lo).astype(int), len(self.panels) - 1)
+        dist = (2.0 * (s - (idx + k_lo)) - 1.0)[:, None] - _CHEB_T
         dist[dist == 0.0] = 1e-300      # at a node the formula gives its value
         bary = _CHEB_W / dist
         log_eps = np.einsum("ij,ij->i", bary, self._log_values[idx]) / bary.sum(axis=1)
         # a rounding error must not lift a value near saturation above 1
         return np.exp(np.minimum(log_eps, 0.0))
+
+
+@functools.lru_cache(maxsize=256)
+def hop2_table(params: FblParams, m2: int, lambdas) -> Hop2Table:
+    """The process-wide `Hop2Table` of (params, m2, lambdas); every power
+    search covers the range it reads, so the searches of a study share
+    one table per link type and spectrum."""
+    return Hop2Table(params, m2, lambdas)
 
 
 def avg_bler_hop2_asymptotic(params: FblParams, vartheta2, m2: int, lambdas):
@@ -473,10 +489,10 @@ class TrajectoryEvaluator:
     different transmit powers (bisection, port sweeps) only redo the hop-2
     averages. A power solve instead reads hop 2 from one `Hop2Table` per
     link type at `hop2_varthetas(p2)` and combines through `e2e_avg_from`:
-    two kernel calls on about 200 vartheta each fill a table for a whole
-    power range, against two calls on the 128 nodes per power here, and
-    the tables agree with this direct path to about 1e-12 relative (see the
-    module docstring).
+    the tables of a spectrum are filled once for every solve of a study
+    that reads them, against two kernel calls on the 128 nodes per power
+    here, and agree with this direct path to about 1e-12 relative (see
+    the module docstring).
 
     The weighted reduction runs in fixed node order, so results are
     bit-reproducible for a given node count.
@@ -502,7 +518,8 @@ class TrajectoryEvaluator:
         LoS then NLoS."""
         if p2 <= 0:
             raise ValueError("p2 must be positive")
-        return _hop2_varthetas(self.cfg, self.geo.beta2, p2)
+        return tuple(self.cfg.nakagami_m(lt) * self.cfg.noise_power
+                     / (p2 * self.geo.beta2[lt]) for lt in LINK_TYPES)
 
     def hop2_components(self, p2: float, lambdas):
         return tuple(avg_bler_hop2(self.fbl, vt, self.cfg.nakagami_m(lt),
@@ -526,26 +543,3 @@ class TrajectoryEvaluator:
     def e2e_avg(self, p2: float, lambdas) -> float:
         return self.e2e_avg_from(*self.hop2_components(p2, lambdas))
 
-
-def _hop2_varthetas(cfg: ScenarioConfig, beta2: dict, p2: float):
-    return tuple(cfg.nakagami_m(lt) * cfg.noise_power / (p2 * beta2[lt])
-                 for lt in LINK_TYPES)
-
-
-def hop2_vartheta_bounds(cfg: ScenarioConfig, geos, p_lo: float,
-                         p_hi: float):
-    """Per link type, the smallest and the largest hop-2 vartheta over the
-    trajectory geometries geos and relay powers [p_lo, p_hi], computed as
-    `TrajectoryEvaluator.hop2_varthetas` does: a table over these bounds
-    serves a power search on each of the geometries."""
-    near = [_hop2_varthetas(cfg, geo.beta2, p_hi) for geo in geos]
-    far = [_hop2_varthetas(cfg, geo.beta2, p_lo) for geo in geos]
-    return tuple((min(float(vts[i].min()) for vts in near),
-                  max(float(vts[i].max()) for vts in far))
-                 for i in range(len(LINK_TYPES)))
-
-
-def hop2_tables(fbl: FblParams, cfg: ScenarioConfig, lambdas, bounds):
-    """One `Hop2Table` per link type over the (lo, hi) vartheta bounds."""
-    return tuple(Hop2Table(fbl, cfg.nakagami_m(lt), lambdas, lo, hi)
-                 for lt, (lo, hi) in zip(LINK_TYPES, bounds))

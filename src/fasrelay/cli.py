@@ -31,9 +31,8 @@ from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
 from .errors import ConfigError
 from .geometry import LINK_TYPES, ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
-from .optimizer import (EeConfig, PortSearchResult, altitude_tables,
-                        best_port_count, global_optimize, min_power,
-                        port_entry)
+from .optimizer import (EeConfig, PortSearchResult, best_port_count,
+                        global_optimize, min_power, port_entry)
 
 COMMANDS = ("bler-sweep", "validate", "aperture-sweep", "power-vs-altitude",
             "ee-vs-ports", "ee-contour", "optimize")
@@ -266,6 +265,9 @@ def parse_config(text: str, command: str) -> ExperimentSpec:
         key, value = (part.strip() for part in body.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
+        if key in lines:
+            raise ConfigError(f"{key!r} is already set on line {lines[key]}",
+                              lineno)
         if not value:
             raise ConfigError(f"empty value for {key!r}", lineno)
         kind, dim, _ = _KEYS[key]
@@ -469,12 +471,11 @@ def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int) -> list[dict]:
     evs = {float(z): TrajectoryEvaluator(
                replace(spec.scenario, uav_altitude=float(z)), fbl,
                spec.traj_nodes) for z in z_axis}
-    tables = altitude_tables(spec.scenario, spec.ee, z_axis, spec.traj_nodes)
     rows = []
     for n, z in product(n_axis, z_axis):
         n, z = int(n), float(z)
         fas = fas_spectrum(n, spec.aperture, spec.rank_tolerance)
-        found = min_power(evs[z], fas.lambdas, spec.ee, tables)
+        found = min_power(evs[z], fas.lambdas, spec.ee)
         p2 = None if found is None else found[0]
         row = _echo_columns(spec)
         row.update({"uav_altitude_m": z, "n_ports": n,
@@ -490,14 +491,12 @@ def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int) -> list[dict]:
 def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int) -> list[dict]:
     n_axis = _axis(spec, "sweep_n_ports",
                    list(range(spec.ee.n_range[0], spec.ee.n_range[1] + 1)))
-    tables = altitude_tables(spec.scenario, spec.ee,
-                             [spec.scenario.uav_altitude], spec.traj_nodes)
     rows = []
     for l in _blocklengths(spec):
         ev = TrajectoryEvaluator(spec.scenario, _fbl(spec, int(l)),
                                  spec.traj_nodes)
         for n in n_axis:
-            e = port_entry(ev, int(n), spec.aperture, spec.ee, tables,
+            e = port_entry(ev, int(n), spec.aperture, spec.ee,
                            spec.rank_tolerance)
             row = _echo_columns(spec)
             row.update({"uav_altitude_m": spec.scenario.uav_altitude,
@@ -529,10 +528,9 @@ def _rows_ee_contour(spec: ExperimentSpec, seed: int) -> list[dict]:
     if z_axis is None or not l_axis:
         raise ConfigError("ee-contour requires sweep_z and sweep_blocklength")
     fbls = {int(l): _fbl(spec, int(l)) for l in l_axis}
-    tables = altitude_tables(spec.scenario, spec.ee, z_axis, spec.traj_nodes)
     return [_port_search_columns(spec, best_port_count(
                 spec.scenario, fbls[int(l)], spec.ee, float(z), spec.aperture,
-                tables, spec.rank_tolerance, spec.traj_nodes))
+                spec.rank_tolerance, spec.traj_nodes))
             for l in l_axis for z in z_axis]
 
 
@@ -603,6 +601,14 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _seed(text: str) -> int:
+    """The --seed argument: an integer in McConfig's range, 0 <= seed < 2^64."""
+    try:
+        return McConfig(seed=int(text)).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fasrelay",
@@ -613,7 +619,7 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="config file path")
         cmd.add_argument("--out", default=None, help="output CSV path")
-        cmd.add_argument("--seed", type=int, default=None,
+        cmd.add_argument("--seed", type=_seed, default=None,
                          help="override the base random seed")
     args = parser.parse_args(argv)
     try:

@@ -7,20 +7,17 @@ exhaustive over their discrete grids, so no unimodality assumption is ever
 exploited. Infeasible points carry a zero-EE sentinel plus an explicit
 flag so that "zero goodput" and "constraint violating" stay distinguishable.
 
-Each power solve reads hop 2 from one table per link type
-(`blercore.Hop2Table`; the table design and its measured accuracy, about
-1e-12 relative, are in `blercore`). Every solve gets its tables from one
-source, `altitude_tables`: a callable over an altitude grid that fills the
-pair of each (L, N) on first use, over the vartheta that any of the
-altitudes reaches on the precheck grid's powers. Tables sit on a fixed
-lattice of decades, so their values do not depend on how many altitudes a
-source covers, and the `optimize` preset fills one pair per (L, N): 96
-tables. The tables' sampled values must rise with vartheta, and the
-precheck and the bisection read the end-to-end BLER from them. The power
-found is then re-evaluated by the direct kernel: that value is the one
-reported and used for the efficiency, and a solve whose table value there
-is more than 1e-8 relative off it raises `TableAccuracyError`. The largest
-such gap of a search is reported as `table_check_max_rel`.
+Each power solve reads hop 2 from the cached table pair of its blocklength
+and spectrum (`blercore.hop2_table`; the table design and its measured
+accuracy, about 1e-12 relative, are in `blercore`), covered over the
+vartheta its trajectory reaches on the precheck grid's powers: the
+`optimize` preset fills one pair per (L, N), 96 tables. The tables' sampled
+values must rise with vartheta, and the precheck and the bisection read the
+end-to-end BLER from them. The power found is then re-evaluated by the
+direct kernel: that value is the one reported and used for the efficiency,
+and a solve whose table value there is more than 1e-8 relative off it
+raises `TableAccuracyError`. The largest such gap of a search is reported
+as `table_check_max_rel`.
 
 The bisection is certified rather than looked up step by step. Illinois
 steps on log eps against log power (`_locate`) find the crossing and
@@ -37,18 +34,16 @@ precheck, then 5.0 instead of 15.1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .blercore import (DEFAULT_TRAJECTORY_NODES, FblParams,
-                       TrajectoryEvaluator, chebyshev_nodes, hop2_tables,
-                       hop2_vartheta_bounds, linearize)
+                       TrajectoryEvaluator, hop2_table, linearize)
 from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
 from .errors import CausalityError, MonotonicityError, TableAccuracyError
-from .geometry import ScenarioConfig, trajectory_geometry
+from .geometry import LINK_TYPES, ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -161,29 +156,6 @@ def _check_monotone(table) -> None:
             f"eps({table.nodes[i + 1]:.3e})={table.values[i + 1]:.6e}")
 
 
-def _precheck_grid(ee: EeConfig) -> np.ndarray:
-    return ee.p_max * np.logspace(-8.0, 0.0, _PRECHECK_POINTS)
-
-
-def altitude_tables(cfg: ScenarioConfig, ee: EeConfig, altitudes,
-                    nodes: int = DEFAULT_TRAJECTORY_NODES):
-    """The hop-2 table source of the power solves at the given altitudes of
-    cfg: a callable (fbl, lambdas) -> (LoS table, NLoS table) that fills
-    each pair on first use. Each table spans the vartheta that any of the
-    altitudes reaches over the precheck grid's powers on the nodes-point
-    trajectory rule. On the lattice of `blercore.Hop2Table` a table's values
-    do not depend on its range, so one source serves every altitude, port
-    count and blocklength of a study with the values of a source over one
-    altitude."""
-    theta, _ = chebyshev_nodes(nodes)
-    geos = [trajectory_geometry(replace(cfg, uav_altitude=float(z)), theta)
-            for z in altitudes]
-    grid = _precheck_grid(ee)
-    bounds = hop2_vartheta_bounds(cfg, geos, float(grid[0]), float(grid[-1]))
-    return functools.cache(
-        lambda fbl, lambdas: hop2_tables(fbl, cfg, lambdas, bounds))
-
-
 def _bisect(lo: float, hi: float, feasible, ee: EeConfig):
     """The bisection of a power solve from infeasible lo and feasible hi:
     halve until hi - lo <= bisect_tol * hi or for max_bisect_iters steps,
@@ -294,15 +266,15 @@ def _locate(table_eps, threshold: float, lo: float, hi: float, ee: EeConfig):
     return p_a, p_b
 
 
-def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig, tables):
+def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
     """Bisection for the smallest transmit power in (0, p_max] that meets
     the reliability target on ev (scenario and blocklength) with the port
     spectrum lambdas.
 
-    The precheck and the bisection read hop 2 from the pair
-    tables(ev.fbl, lambdas) of an `altitude_tables` source that
-    covers ev's altitude; the power found is re-evaluated by the direct
-    kernel. Returns (power, direct BLER at power, relative gap of the
+    The precheck and the bisection read hop 2 from the cached table pair
+    of (ev.fbl, lambdas), covered over the vartheta of ev's trajectory on
+    the precheck grid's powers; the power found is re-evaluated by the
+    direct kernel. Returns (power, direct BLER at power, relative gap of the
     tables there), or None when even p_max misses the target.
 
     The bisection is replayed against certificates from `_locate`: a
@@ -316,9 +288,12 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig, tables):
     solve makes 5.0 table evaluations (a lookup per link type each) after
     the precheck's 10, against 15.1 for the plain bisection.
     """
-    grid = _precheck_grid(ee)
-    pair = tables(ev.fbl, lambdas)
-    for table in pair:
+    grid = ee.p_max * np.logspace(-8.0, 0.0, _PRECHECK_POINTS)
+    pair = tuple(hop2_table(ev.fbl, ev.cfg.nakagami_m(lt), lambdas)
+                 for lt in LINK_TYPES)
+    for table, near, far in zip(pair, ev.hop2_varthetas(grid[-1]),
+                                ev.hop2_varthetas(grid[0])):
+        table.cover(float(near.min()), float(far.max()))
         _check_monotone(table)
     known = {}
 
@@ -381,19 +356,18 @@ class PortEntry:
 
 
 def port_entry(ev: TrajectoryEvaluator, n_ports: int, aperture: float,
-               ee: EeConfig, tables,
+               ee: EeConfig,
                rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PortEntry:
     """Causality cut, minimum-power solve and energy efficiency of n_ports
-    ports at the given aperture on the scenario and blocklength of ev, with
-    hop 2 from the `altitude_tables` source tables. A cut port count fills
-    no table."""
+    ports at the given aperture on the scenario and blocklength of ev. A
+    cut port count fills no table."""
     blocklength = ev.fbl.blocklength
     infeasible = PortEntry(n_ports=n_ports, feasible=False, p2=None,
                            eps_o=None, ee=0.0)
     if violates_causality(n_ports, ee.port_time, blocklength, ee.bandwidth):
         return infeasible
     fas = fas_spectrum(n_ports, aperture, rank_tolerance)
-    found = min_power(ev, fas.lambdas, ee, tables)
+    found = min_power(ev, fas.lambdas, ee)
     if found is None:
         return infeasible
     p2, eps_o, gap = found
@@ -426,16 +400,15 @@ class PortSearchResult:
 
 
 def best_port_count(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
-                    z_u: float, aperture: float, tables,
+                    z_u: float, aperture: float,
                     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
                     nodes: int = DEFAULT_TRAJECTORY_NODES) -> PortSearchResult:
     """Evaluate every admissible port count at fixed altitude and pick the
     EE maximizer. The correlation spectrum is rebuilt per N at the fixed
-    aperture, so port spacing shrinks as ports are added. `tables` is an
-    `altitude_tables` source that covers z_u on the same nodes."""
+    aperture, so port spacing shrinks as ports are added."""
     z_u = float(z_u)
     ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, nodes)
-    entries = tuple(port_entry(ev, n, aperture, ee, tables, rank_tolerance)
+    entries = tuple(port_entry(ev, n, aperture, ee, rank_tolerance)
                     for n in range(ee.n_range[0], ee.n_range[1] + 1))
     feasible = [e for e in entries if e.feasible]
     if not feasible:
@@ -477,16 +450,14 @@ def global_optimize(cfg: ScenarioConfig, ee: EeConfig, aperture: float,
     solving the port-count problem at every (L, Z). Grid search is kept
     deliberately assumption-free since EE versus altitude is not known to
     be unimodal. Ties break toward smaller (L, Z, N), which keeps the
-    result invariant to the ordering of l_set. One table source covers the
-    whole altitude grid (`altitude_tables`)."""
+    result invariant to the ordering of l_set."""
     fbls = [linearize(ee.payload_bits / int(l), int(l), chi_variant)
             for l in ee.l_set]
     grid = ee.altitude_grid()
-    tables = altitude_tables(cfg, ee, grid, nodes)
     # best_port_count is called by its module-level name, so wrapping it
     # (a profiler, a tracer) sees every port search
-    trace = tuple(best_port_count(cfg, fbl, ee, z, aperture, tables,
-                                  rank_tolerance, nodes)
+    trace = tuple(best_port_count(cfg, fbl, ee, z, aperture, rank_tolerance,
+                                  nodes)
                   for fbl in fbls for z in grid)
     table_rel = max((res.table_check_max_rel for res in trace), default=0.0)
     feasible = [res for res in trace if res.feasible]

@@ -7,13 +7,20 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from fasrelay import (ScenarioConfig, TrajectoryEvaluator, altitude_tables,
-                      blercore, chebyshev_nodes, linearize, min_power,
+from fasrelay import (ScenarioConfig, TrajectoryEvaluator, blercore,
+                      chebyshev_nodes, linearize, min_power,
                       sample_fas_gain_model, sample_hop1_gain)
 from fasrelay.geometry import trajectory_geometry
 
 _LOG2E = math.log2(math.e)
 _EPS = 2.2e-16
+
+
+@pytest.fixture(autouse=True)
+def fresh_hop2_tables():
+    """Every test starts with an empty hop-2 table cache, so no test reads
+    tables that an earlier one filled or grew."""
+    blercore.hop2_table.cache_clear()
 
 
 @pytest.fixture
@@ -350,19 +357,27 @@ def ks_statistic(samples, cdf):
 
 
 def solved_power(cfg, fas, fbl, ee, z_u):
-    """The power `min_power` solves at altitude z_u on a table source over
-    that altitude alone, or None when p_max misses the target."""
+    """The power `min_power` solves at altitude z_u, or None when p_max
+    misses the target."""
     ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl)
-    found = min_power(ev, fas.lambdas, ee, altitude_tables(cfg, ee, [z_u]))
+    found = min_power(ev, fas.lambdas, ee)
     return None if found is None else found[0]
 
 
-def table_e2e_avg(ev, lambdas, tables):
+def table_e2e_avg(ev, lambdas):
     """The end-to-end BLER of ev on the spectrum lambdas as a function of the
-    relay power, with hop 2 read from the pair tables(ev.fbl, lambdas) of an
-    `altitude_tables` source, as `min_power` reads it."""
-    pair = tables(ev.fbl, lambdas)
-    return lambda p: ev.e2e_avg_from(*(table(vt) for table, vt
+    relay power, with hop 2 read from the cached table pair of (ev.fbl,
+    lambdas), as `min_power` reads it. Each table is first covered over the
+    vartheta it is read at, so the pair grows in the order of the powers
+    asked for rather than in `min_power`'s."""
+    pair = [blercore.hop2_table(ev.fbl, ev.cfg.nakagami_m(lt), lambdas)
+            for lt in ("los", "nlos")]
+
+    def read(table, vt):
+        table.cover(float(vt.min()), float(vt.max()))
+        return table(vt)
+
+    return lambda p: ev.e2e_avg_from(*(read(table, vt) for table, vt
                                        in zip(pair, ev.hop2_varthetas(p))))
 
 
@@ -370,7 +385,7 @@ def direct_min_power(ev, lambdas, ee, e2e_avg=None, points=10, slack=1e-12):
     """Reference minimum-power solve on the spectrum lambdas: the precheck
     grid and the plain bisection of the optimizer, every comparison
     evaluated by e2e_avg, a function of the power (default: the direct
-    kernel, ev.e2e_avg; on `table_e2e_avg(ev, lambdas, tables)` it is the
+    kernel, ev.e2e_avg; on `table_e2e_avg(ev, lambdas)` it is the
     plain table-driven bisection). Returns (power, bler at power) or None
     when p_max misses the target."""
     if e2e_avg is None:

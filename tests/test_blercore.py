@@ -13,8 +13,7 @@ from fasrelay import (ScenarioConfig, TrajectoryEvaluator, avg_bler_hop1,
                       fas_spectrum, fbl_rate, instantaneous_bler, linearize)
 from fasrelay import blercore
 from fasrelay.blercore import (Hop2Table, _GL16, _GL32, _GRADED, _branch_cdf,
-                               _node_table, _saturation_z, hop2_tables,
-                               hop2_vartheta_bounds)
+                               _node_table, _saturation_z)
 from fasrelay.cli import _fbl, parse_config
 from fasrelay.geometry import trajectory_geometry
 
@@ -362,7 +361,9 @@ def test_rayleigh_factors_do_not_call_gammainc(monkeypatch):
     for params, table in _TABLE_RAMPS:
         assert _node_table(params) is table
         assert np.all(np.isfinite(avg_bler_hop2(params, vt, 1, lams)))
-        assert np.all(np.isfinite(Hop2Table(params, 1, lams, 1e-6, 1e4).values))
+        table = Hop2Table(params, 1, lams)
+        table.cover(1e-6, 1e4)
+        assert np.all(np.isfinite(table.values))
     assert not calls
     # the guard is live: other shapes still reach gammainc
     avg_bler_hop2(_TABLE_RAMPS[0][0], 1.0, 5, lams)
@@ -394,12 +395,25 @@ def test_hop2_value_does_not_depend_on_the_batch():
 _TABLE_REL = 1e-8
 
 
-def _table_gap(table, params, m, lambdas, points=801):
-    """Largest relative gap to the kernel on a log grid over the table's
-    whole range (about 90 points per decade, saturated part included)."""
-    vt = np.geomspace(table.lo, table.hi, points)
+def _table_gap(table, params, m, lambdas, lo, hi, points=801):
+    """Largest relative gap to the kernel on a log grid over [lo, hi]
+    (about 90 points per decade, saturated part included)."""
+    vt = np.geomspace(lo, hi, points)
     direct = avg_bler_hop2(params, vt, m, lambdas)
     return float(np.max(np.abs(table(vt) - direct) / direct))
+
+
+def _covered_tables(ev, lambdas, p_lo, p_hi):
+    """A LoS and an NLoS table covering the vartheta of ev's trajectory over
+    relay powers [p_lo, p_hi], as a power solve covers them, and those
+    (lo, hi) ranges."""
+    ranges = [(float(near.min()), float(far.max())) for near, far
+              in zip(ev.hop2_varthetas(p_hi), ev.hop2_varthetas(p_lo))]
+    tables = []
+    for lt, (lo, hi) in zip(("los", "nlos"), ranges):
+        tables.append(Hop2Table(ev.fbl, ev.cfg.nakagami_m(lt), lambdas))
+        tables[-1].cover(lo, hi)
+    return tables, ranges
 
 
 def test_hop2_table_matches_kernel():
@@ -409,19 +423,19 @@ def test_hop2_table_matches_kernel():
     for blocklength in (100, 300, 600):
         fbl = linearize(80.0 / blocklength, blocklength)
         for z in (100.0, 400.0, 500.0, 800.0):
-            base = TrajectoryEvaluator(replace(cfg, uav_altitude=z), fbl)
-            bounds = hop2_vartheta_bounds(cfg, [base.geo], 1e-7, 10.0)
+            ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z), fbl)
             for n in (1, 2, 4, 8, 12):
                 fas = fas_spectrum(n, 0.5)
-                tables = hop2_tables(fbl, cfg, fas.lambdas, bounds)
-                for lt, table in zip(("los", "nlos"), tables):
+                tables, ranges = _covered_tables(ev, fas.lambdas, 1e-7, 10.0)
+                for lt, table, (lo, hi) in zip(("los", "nlos"), tables, ranges):
                     m = cfg.nakagami_m(lt)
-                    worst = max(worst, _table_gap(table, fbl, m, fas.lambdas))
-                    if table.top < table.hi:
+                    worst = max(worst, _table_gap(table, fbl, m, fas.lambdas,
+                                                  lo, hi))
+                    if table.vt_sat < hi:
                         capped += 1
                         # past vartheta_sat the kernel's exact constant
-                        assert table(table.hi) == avg_bler_hop2(
-                            fbl, table.hi, m, fas.lambdas)
+                        assert table(hi) == avg_bler_hop2(fbl, hi, m,
+                                                          fas.lambdas)
     assert capped > 0
     assert worst <= _TABLE_REL
 
@@ -433,22 +447,11 @@ def test_hop2_table_clamped_ramp():
     for n in (1, 4, 12):
         lams = fas_spectrum(n, 0.5).lambdas
         for m in (1, 5):
-            table = Hop2Table(fbl, m, lams, 1e-6, 1e4)
-            assert table.top == table.hi
+            table = Hop2Table(fbl, m, lams)
+            table.cover(1e-6, 1e4)
+            assert table.vt_sat == math.inf
             assert table.nodes.size == 10 * 32
-            assert _table_gap(table, fbl, m, lams) <= _TABLE_REL
-
-
-def test_hop2_table_never_extrapolates(fbl100):
-    table = Hop2Table(fbl100, 5, (1.3, 0.7), 1e-4, 1e3)
-    assert table(1e-4) > 0.0
-    assert table(1e3) == pytest.approx(1.0, rel=1e-15)
-    for vt in (1e-4 * (1.0 - 1e-12), 1e3 * (1.0 + 1e-12), [1e-3, 2e3],
-               float("nan")):
-        with pytest.raises(ValueError):
-            table(vt)
-    with pytest.raises(ValueError):
-        Hop2Table(fbl100, 5, (1.0,), 1.0, 1.0)
+            assert _table_gap(table, fbl, m, lams, 1e-6, 1e4) <= _TABLE_REL
 
 
 def _lattice_anchor(params, m, lams):
@@ -465,30 +468,77 @@ def _off_lattice(vt, anchor):
     return vt[np.abs(s - np.round(s)) > 1e-6]
 
 
+def test_hop2_table_never_extrapolates(fbl100):
+    # panels [a - 5, a - 3) of the lattice anchored at a = log10 vartheta_sat
+    lams = (1.3, 0.7)
+    a = _lattice_anchor(fbl100, 5, lams)
+    table = Hop2Table(fbl100, 5, lams)
+    table.cover(10.0 ** (a - 4.5), 10.0 ** (a - 3.5))
+    assert table.nodes.size == 2 * 32
+    inside = 10.0 ** np.array([a - 5.0 + 1e-9, a - 4.0, a - 3.0 - 1e-9])
+    assert np.all(table(inside) > 0.0)
+    # past vartheta_sat the saturated constant, with no panel there
+    assert table(10.0 ** (a + 0.5)) == avg_bler_hop2(fbl100, 10.0 ** (a + 0.5),
+                                                     5, lams)
+    # below the panels, between them and vartheta_sat, and NaN
+    for vt in (10.0 ** (a - 5.0 - 1e-9), 10.0 ** (a - 3.0 + 1e-9),
+               10.0 ** (a - 0.5), [10.0 ** (a - 4.0), 10.0 ** (a - 2.0)],
+               float("nan")):
+        with pytest.raises(ValueError):
+            table(vt)
+    with pytest.raises(ValueError):
+        table.cover(1.0, 1.0)
+
+
+def test_hop2_table_with_no_panels_saturates(fbl100):
+    lams = (1.3, 0.7)
+    table = Hop2Table(fbl100, 5, lams)
+    assert table.vt_sat < math.inf
+    # a range at or past vartheta_sat needs no panel
+    table.cover(table.vt_sat, 10.0 * table.vt_sat)
+    assert table.nodes.size == 0
+    vt = table.vt_sat * np.array([1.0 + 1e-12, 2.0, 1e6])
+    assert np.array_equal(table(vt), avg_bler_hop2(fbl100, vt, 5, lams))
+    assert np.all(table(vt) == table.saturated)
+    with pytest.raises(ValueError):
+        table(0.5 * table.vt_sat)
+    # a clamped ramp has no vartheta_sat: an empty table answers nothing
+    clamped = Hop2Table(linearize(0.02, 100), 1, lams)
+    with pytest.raises(ValueError):
+        clamped(1e8)
+
+
 def test_hop2_table_value_does_not_depend_on_its_range():
-    # sub-ranges of a table give the same bits on their shared range:
-    # capped (rho_l > 0) and clamped (rho_l = 0) ramps, ranges inside one
-    # panel, across several, starting on a lattice line, or past saturation
+    # tables grown by cover calls in several orders hold the nodes and
+    # values of one cover of the union, and every lookup in the panels
+    # covered so far returns that table's bits: capped (rho_l > 0) and
+    # clamped (rho_l = 0) ramps, ranges inside one panel, across several,
+    # starting on a lattice line, past saturation, and apart
     capped, clamped = linearize(80.0 / 300.0, 300), linearize(0.02, 100)
     assert capped.rho_l > 0.0 and clamped.rho_l == 0.0
+    ranges = ((-5.4, -0.35), (-3.0, -0.6), (-2.2, -1.9), (-4.7, 0.9),
+              (-7.0, -5.5), (-6.0, -4.0))
+    orders = (ranges, ranges[::-1], tuple(ranges[i] for i in (2, 4, 0, 5, 3, 1)))
     for params in (capped, clamped):
         for n in (1, 4, 12):
             lams = fas_spectrum(n, 0.5).lambdas
             for m in (1, 5):
                 a = _lattice_anchor(params, m, lams)
-                sup = Hop2Table(params, m, lams, 10.0 ** (a - 8.3),
-                                10.0 ** (a + 1.2))
+                union = Hop2Table(params, m, lams)
+                union.cover(10.0 ** (a - 7.0), 10.0 ** (a + 0.9))
                 if params is capped:
-                    assert sup.top < sup.hi
-                for lo, hi in ((a - 8.3, a + 1.2), (a - 5.4, a - 0.35),
-                               (a - 3.0, a - 0.6), (a - 2.2, a - 1.9),
-                               (a - 4.7, a + 0.9), (a - 7.0, a - 5.5)):
-                    sub = Hop2Table(params, m, lams, 10.0 ** lo, 10.0 ** hi)
-                    vt = _off_lattice(np.geomspace(sub.lo, sub.hi, 301), a)
-                    assert vt.size > 250
-                    assert np.array_equal(sub(vt), sup(vt)), (lo, hi)
-                    nodes = np.isin(sup.nodes, sub.nodes)
-                    assert np.array_equal(sub.values, sup.values[nodes])
+                    assert union.vt_sat < 10.0 ** (a + 0.9)
+                for order in orders:
+                    grown = Hop2Table(params, m, lams)
+                    for lo, hi in order:
+                        grown.cover(10.0 ** (a + lo), 10.0 ** (a + hi))
+                        vt = _off_lattice(
+                            np.geomspace(10.0 ** (a + lo), 10.0 ** (a + hi),
+                                         301), a)
+                        assert vt.size > 250
+                        assert np.array_equal(grown(vt), union(vt)), (lo, hi)
+                    assert np.array_equal(grown.nodes, union.nodes)
+                    assert np.array_equal(grown.values, union.values)
 
 
 @settings(max_examples=25, deadline=None)
@@ -501,8 +551,7 @@ def test_tabulated_e2e_bounded_and_monotone(z, n, blocklength, u, v):
     ev = TrajectoryEvaluator(cfg, fbl)
     lambdas = fas_spectrum(n, 0.5).lambdas
     p_lo, p_hi = 1e-7, 10.0
-    tables = hop2_tables(fbl, cfg, lambdas,
-                         hop2_vartheta_bounds(cfg, [ev.geo], p_lo, p_hi))
+    tables, _ = _covered_tables(ev, lambdas, p_lo, p_hi)
 
     def tabulated(p2):
         return tuple(table(vt) for table, vt
@@ -531,8 +580,7 @@ def test_e2e_not_below_hop1_where_hop2_is_below_rounding():
     fbl = linearize(80.0 / 600, 600)
     ev = TrajectoryEvaluator(cfg, fbl)
     lambdas = fas_spectrum(7, 0.5).lambdas
-    tables = hop2_tables(fbl, cfg, lambdas,
-                         hop2_vartheta_bounds(cfg, [ev.geo], 1e-7, 10.0))
+    tables, _ = _covered_tables(ev, lambdas, 1e-7, 10.0)
     tabulated = tuple(table(vt) for table, vt
                       in zip(tables, ev.hop2_varthetas(10.0)))
     for e2 in (tabulated, ev.hop2_components(10.0, lambdas)):

@@ -85,6 +85,15 @@ def test_unknown_key_reports_line():
     assert err.value.line == 2
 
 
+def test_repeated_key_reports_both_lines():
+    # the second blocklength would silently override the first
+    with pytest.raises(ConfigError) as err:
+        parse_config("blocklength = 100\np1 = 40 dBm\nblocklength = 200\n",
+                     "bler-sweep")
+    assert err.value.line == 3
+    assert "already set on line 1" in str(err.value)
+
+
 def test_unit_mismatch_reports_line():
     with pytest.raises(ConfigError) as err:
         parse_config("\ncarrier_freq = 40 dBm\n", "bler-sweep")
@@ -259,13 +268,15 @@ def test_optimize_writes_trace_and_summary(tmp_path):
 
 
 def test_ee_contour_preset_reduced_grid(tmp_path):
-    # exercise the checked-in contour preset end to end on a reduced grid
-    # (later keys override earlier ones)
+    # exercise the checked-in contour preset end to end on a reduced grid;
+    # a key may be set once, so the preset's lines for the reduced keys go
     from pathlib import Path
     preset = Path(__file__).resolve().parent.parent / "configs" / "ee_contour.conf"
-    text = preset.read_text() + (
-        "\nsweep_z = 300, 400\nsweep_blocklength = 300\nn_max = 3\n"
-        "traj_nodes = 32\n")
+    reduced = ("sweep_z = 300, 400\nsweep_blocklength = 300\nn_max = 3\n"
+               "traj_nodes = 32\n")
+    names = {line.split("=")[0].strip() for line in reduced.splitlines()}
+    text = "".join(line + "\n" for line in preset.read_text().splitlines()
+                   if line.split("=")[0].strip() not in names) + reduced
     out = tmp_path / "contour.csv"
     spec = parse_config(text, "ee-contour")
     assert run(spec, out_path=str(out)) == 0
@@ -352,6 +363,20 @@ def test_main_entry_point(tmp_path):
     assert main(["bler-sweep", "--config", str(conf), "--out", str(out)]) == 0
     assert out.exists()
     assert main(["bler-sweep", "--config", str(tmp_path / "nope.conf")]) == 1
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_main_rejects_a_seed_outside_64_bits(tmp_path, capsys, command, seed):
+    conf = tmp_path / "c.conf"
+    conf.write_text("sweep_p2_dbm = 10\ntraj_nodes = 32\n")
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(conf), "--out", str(out),
+              "--seed", str(seed)])
+    assert exc.value.code == 2
+    assert "argument --seed: seed must fit in 64 bits" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, text", [

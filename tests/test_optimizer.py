@@ -5,8 +5,8 @@ import pytest
 
 from fasrelay import (CausalityError, EeConfig, MonotonicityError,
                       ScenarioConfig, TableAccuracyError, TrajectoryEvaluator,
-                      altitude_tables, best_port_count, energy_efficiency,
-                      fas_spectrum, global_optimize, linearize, min_power)
+                      best_port_count, energy_efficiency, fas_spectrum,
+                      global_optimize, linearize, min_power)
 from fasrelay import blercore, optimizer
 from fasrelay.cli import parse_config, run
 from fasrelay.optimizer import violates_causality
@@ -114,11 +114,10 @@ def test_min_power_matches_direct_bisection(cfg46):
             fbl = linearize(80.0 / blocklength, blocklength)
             for z in (100.0, 400.0, 800.0):
                 ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl)
-                tables = altitude_tables(cfg46, ee, [z])
                 for n in range(1, 13):
                     lambdas = fas_spectrum(n, 0.5).lambdas
                     want = direct_min_power(ev, lambdas, ee)
-                    got = min_power(ev, lambdas, ee, tables)
+                    got = min_power(ev, lambdas, ee)
                     assert (got is None) == (want is None), (p_max, blocklength, z, n)
                     outcomes[want is None] += 1
                     if want is None:
@@ -151,8 +150,7 @@ def test_min_power_bits_are_pinned(cfg46):
         ee = EeConfig(p_max=p_max)
         ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z),
                                  linearize(80.0 / blocklength, blocklength))
-        got = min_power(ev, fas_spectrum(n, 0.5).lambdas, ee,
-                        altitude_tables(cfg46, ee, [z]))
+        got = min_power(ev, fas_spectrum(n, 0.5).lambdas, ee)
         assert tuple(float.hex(float(x)) for x in got) == want, \
             (blocklength, z, n, p_max)
 
@@ -193,8 +191,7 @@ def test_min_power_checks_table_against_direct(cfg46, fbl200, monkeypatch):
 
 def test_best_port_count_singleton(cfg46, fbl200):
     ee = EeConfig(p_max=10.0, n_range=(4, 4))
-    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5,
-                          altitude_tables(cfg46, ee, [450.0]))
+    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5)
     assert res.feasible
     assert res.n_star == 4
     assert len(res.entries) == 1
@@ -202,8 +199,7 @@ def test_best_port_count_singleton(cfg46, fbl200):
 
 def test_best_port_count_matches_enumeration(cfg46, fbl200):
     ee = EeConfig(p_max=10.0, n_range=(1, 6))
-    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5,
-                          altitude_tables(cfg46, ee, [450.0]))
+    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5)
     # independent enumeration over the same grid
     best_ee = 0.0
     best_n = None
@@ -225,8 +221,7 @@ def test_best_port_count_matches_enumeration(cfg46, fbl200):
 
 def test_best_port_count_excludes_causality_violations(cfg46, fbl200):
     ee = EeConfig(p_max=10.0, n_range=(1, 12))
-    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5,
-                          altitude_tables(cfg46, ee, [450.0]))
+    res = best_port_count(cfg46, fbl200, ee, 450.0, 0.5)
     for entry in res.entries:
         if entry.n_ports >= 10:
             assert not entry.feasible
@@ -236,8 +231,7 @@ def test_best_port_count_excludes_causality_violations(cfg46, fbl200):
 def _enumerate_altitudes(cfg, fbl, ee, aperture):
     """Port search at every altitude of the grid and the first EE maximizer
     among the feasible ones (ties to the lower altitude)."""
-    searches = [best_port_count(cfg, fbl, ee, float(z), aperture,
-                                altitude_tables(cfg, ee, [float(z)]))
+    searches = [best_port_count(cfg, fbl, ee, float(z), aperture)
                 for z in ee.altitude_grid()]
     best = None
     for res in searches:
@@ -253,8 +247,7 @@ def test_global_optimize_singleton_grid(cfg46, fbl200):
     assert sol.feasible
     assert (sol.l_star, sol.z_star, sol.n_star) == (200, 400.0, 2)
     assert len(sol.trace) == 1
-    assert sol.trace[0] == best_port_count(
-        cfg46, fbl200, ee, 400.0, 0.5, altitude_tables(cfg46, ee, [400.0]))
+    assert sol.trace[0] == best_port_count(cfg46, fbl200, ee, 400.0, 0.5)
 
 
 def test_global_optimize_altitude_argmax(cfg46, fbl200):
@@ -316,43 +309,46 @@ def test_global_optimize_trace_and_self_consistency(cfg46):
                                   ee.bandwidth)
 
 
-def test_best_port_count_shared_tables_change_nothing(cfg46):
-    # a source over the union of three altitudes' vartheta ranges against a
-    # source over each altitude alone: equal entries, table_check_rel
-    # included, and pairs filled for the admissible port counts only
+def test_best_port_count_shared_tables_change_nothing(cfg46, table_fills):
+    # port searches on tables that the searches at other altitudes grew,
+    # in rising and in falling altitude order, against searches on fresh
+    # tables: equal entries, table_check_rel included, and tables filled
+    # for the admissible port counts only
     ee = EeConfig(p_max=10.0, n_range=(1, 12), l_set=(200,))
     fbl = linearize(80.0 / 200.0, 200)
     altitudes = (150.0, 450.0, 750.0)
-    union = altitude_tables(cfg46, ee, altitudes)
-    asked = set()
-
-    def shared_source(fbl_, lambdas):
-        asked.add((fbl_, lambdas))
-        return union(fbl_, lambdas)
-
+    own = {}
+    for z in altitudes:
+        blercore.hop2_table.cache_clear()
+        own[z] = best_port_count(cfg46, fbl, ee, z, 0.5)
+        assert any(e.feasible for e in own[z].entries)
     admissible = [n for n in range(1, 13)
                   if not violates_causality(n, ee.port_time, 200, ee.bandwidth)]
-    for z in altitudes:
-        own = best_port_count(cfg46, fbl, ee, z, 0.5,
-                              altitude_tables(cfg46, ee, [z]))
-        shared = best_port_count(cfg46, fbl, ee, z, 0.5, shared_source)
-        assert shared == own
-        assert any(e.feasible for e in own.entries)
-    assert asked == {(fbl, fas_spectrum(n, 0.5).lambdas) for n in admissible}
+    for order in (altitudes, altitudes[::-1]):
+        blercore.hop2_table.cache_clear()
+        del table_fills[:]
+        for z in order:
+            assert best_port_count(cfg46, fbl, ee, z, 0.5) == own[z], (order, z)
+        assert {args[2] for args in table_fills} == {
+            fas_spectrum(n, 0.5).lambdas for n in admissible}
+    # falling altitudes lower the smallest vartheta: the tables grew
+    assert len(table_fills) > 2 * len(admissible)
 
 
 @pytest.fixture
 def table_fills(monkeypatch):
-    """The arguments (params, m2, lambdas, vt_lo, vt_hi) of every
-    `Hop2Table` filled while the test runs."""
+    """The (params, m2, lambdas) of the table of every kernel fill that
+    `Hop2Table.cover` makes while the test runs."""
     fills = []
-    init = blercore.Hop2Table.__init__
+    cover = blercore.Hop2Table.cover
 
-    def counted(self, *args):
-        fills.append(args)
-        init(self, *args)
+    def counted(self, lo, hi):
+        nodes = self.nodes
+        cover(self, lo, hi)
+        if self.nodes is not nodes:
+            fills.append((self._params, self._m2, self._lambdas))
 
-    monkeypatch.setattr(blercore.Hop2Table, "__init__", counted)
+    monkeypatch.setattr(blercore.Hop2Table, "cover", counted)
     return fills
 
 
@@ -370,11 +366,10 @@ def table_lookups(monkeypatch):
     return lookups
 
 
-def _expected_solve(ev, lambdas, ee, tables):
+def _expected_solve(ev, lambdas, ee):
     """What `min_power` must return: the plain table-driven bisection's
     power and the gap of its tabulated BLER to the direct one there."""
-    want = direct_min_power(ev, lambdas, ee,
-                            table_e2e_avg(ev, lambdas, tables))
+    want = direct_min_power(ev, lambdas, ee, table_e2e_avg(ev, lambdas))
     if want is None:
         return None
     p2, eps_table = want
@@ -393,9 +388,6 @@ def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
              for tol in (1e-4, 1e-7)]
     cases.append(EeConfig(p_max=10.0, max_bisect_iters=3))
     altitudes = (100.0, 400.0, 800.0)
-    # the table source depends on p_max alone
-    sources = {p_max: altitude_tables(cfg46, EeConfig(p_max=p_max), altitudes)
-               for p_max in (10.0, 1e-2)}
     for blocklength in (100, 300, 600):
         fbl = linearize(80.0 / blocklength, blocklength)
         for z in altitudes:
@@ -403,12 +395,11 @@ def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
             for n in range(1, 13):
                 lambdas = fas_spectrum(n, 0.5).lambdas
                 for ee in cases:
-                    tables = sources[ee.p_max]
                     del table_lookups[:]
-                    want = _expected_solve(ev, lambdas, ee, tables)
+                    want = _expected_solve(ev, lambdas, ee)
                     plain = len(table_lookups) - precheck
                     del table_lookups[:]
-                    got = min_power(ev, lambdas, ee, tables)
+                    got = min_power(ev, lambdas, ee)
                     certified = len(table_lookups) - precheck
                     assert got == want, (ee, blocklength, z, n)
                     outcomes[want is None] += 1
@@ -432,13 +423,12 @@ def test_min_power_on_a_staircase_bler(cfg46, fbl200, monkeypatch):
     for thr in (1e-3, 3e-3):
         ee = EeConfig(p_max=10.0, bler_threshold=thr)
         for z in (100.0, 400.0, 800.0):
-            tables = altitude_tables(cfg46, ee, [z])
             ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200)
             for n in (1, 4, 8):
                 lambdas = fas_spectrum(n, 0.5).lambdas
-                want = _expected_solve(ev, lambdas, ee, tables)
+                want = _expected_solve(ev, lambdas, ee)
                 assert want is not None
-                assert min_power(ev, lambdas, ee, tables) == want, (thr, z, n)
+                assert min_power(ev, lambdas, ee) == want, (thr, z, n)
 
 
 def test_min_power_threshold_equal_to_a_grid_bler(cfg46, fbl200):
@@ -446,23 +436,21 @@ def test_min_power_threshold_equal_to_a_grid_bler(cfg46, fbl200):
     ee = EeConfig(p_max=10.0)
     grid = ee.p_max * np.logspace(-8.0, 0.0, 10)
     for z, n in ((100.0, 1), (400.0, 4), (800.0, 8)):
-        tables = altitude_tables(cfg46, ee, [z])
         ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200)
         lambdas = fas_spectrum(n, 0.5).lambdas
-        eps = [table_e2e_avg(ev, lambdas, tables)(p) for p in grid]
+        eps = [table_e2e_avg(ev, lambdas)(p) for p in grid]
         k = next(i for i, e in enumerate(eps) if e < 0.5)
         tied = replace(ee, bler_threshold=eps[k])
-        want = _expected_solve(ev, lambdas, tied, tables)
+        want = _expected_solve(ev, lambdas, tied)
         assert want is not None and want[0] <= grid[k]
-        assert min_power(ev, lambdas, tied, tables) == want
+        assert min_power(ev, lambdas, tied) == want
 
 
 def test_min_power_infeasible_looks_up_only_the_precheck(cfg46, fbl200,
                                                          table_lookups):
     ee = EeConfig(p_max=1e-6, bler_threshold=1e-3)
     ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200)
-    assert min_power(ev, fas_spectrum(1, 0.5).lambdas, ee,
-                     altitude_tables(cfg46, ee, [450.0])) is None
+    assert min_power(ev, fas_spectrum(1, 0.5).lambdas, ee) is None
     assert len(table_lookups) == 2 * 10
 
 
@@ -475,8 +463,7 @@ def test_min_power_met_at_the_first_grid_power_skips_the_search(
     ee = EeConfig(p_max=1e8)
     ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=400.0),
                              linearize(80.0 / 300.0, 300))
-    p2, _, _ = min_power(ev, fas_spectrum(4, 0.5).lambdas, ee,
-                         altitude_tables(cfg46, ee, [400.0]))
+    p2, _, _ = min_power(ev, fas_spectrum(4, 0.5).lambdas, ee)
     assert p2 == ee.p_max * 1e-8
     assert len(table_lookups) == 2 * 10
 
