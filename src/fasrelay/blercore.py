@@ -423,8 +423,8 @@ class Hop2Table:
 @functools.lru_cache(maxsize=256)
 def hop2_table(params: FblParams, m2: int, lambdas) -> Hop2Table:
     """The process-wide `Hop2Table` of (params, m2, lambdas); every power
-    search covers the range it reads, so the searches of a study share
-    one table per link type and spectrum."""
+    search covers the range it reads, so the searches of a study share one
+    table per blocklength, link type and spectrum."""
     return Hop2Table(params, m2, lambdas)
 
 
