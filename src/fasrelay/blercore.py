@@ -368,9 +368,10 @@ class Hop2Table:
         self._log_values = np.empty((0, _CHEB_N))
 
     def cover(self, lo: float, hi: float) -> None:
-        """Grow the table to the panels that meet [lo, min(hi, vt_sat)]: one
-        kernel call refills every panel from the lowest held or asked for
-        to the highest. A range at or past vt_sat needs none."""
+        """Grow the table to the panels that meet [lo, min(hi, vt_sat)],
+        keeping them contiguous: one kernel call fills the panels below and
+        above the ones held, which are kept as they are. A range at or past
+        vt_sat needs none."""
         if not 0.0 < lo < hi:
             raise ValueError("need 0 < lo < hi")
         top = min(hi, self.vt_sat)
@@ -378,19 +379,25 @@ class Hop2Table:
             return
         k_lo = math.floor(math.log10(lo) - self._anchor)
         k_end = math.ceil(math.log10(top) - self._anchor)
-        if self.panels:
-            k_lo = min(k_lo, self.panels.start)
-            k_end = max(k_end, self.panels.stop)
-        if range(k_lo, k_end) == self.panels:
+        # with no panels held, every panel asked for is new
+        held = self.panels or range(k_end, k_end)
+        k_lo, k_end = min(k_lo, held.start), max(k_end, held.stop)
+        new = np.r_[k_lo:held.start, held.stop:k_end]
+        if not new.size:
             return
-        self.panels = range(k_lo, k_end)
-        k = np.arange(k_lo, k_end, dtype=float)[:, None]
-        self.nodes = (10.0 ** (self._anchor + (k + 0.5 * (_CHEB_T + 1.0)))).ravel()
-        self.values = avg_bler_hop2(self._params, self.nodes, self._m2,
-                                    self._lambdas)
+        k = new.astype(float)[:, None]
+        nodes = (10.0 ** (self._anchor + (k + 0.5 * (_CHEB_T + 1.0)))).ravel()
+        values = avg_bler_hop2(self._params, nodes, self._m2, self._lambdas)
         # an underflowed value enters as the smallest normal double
-        self._log_values = np.log(np.maximum(self.values, _TINY)).reshape(
-            k.size, _CHEB_N)
+        log_values = np.log(np.maximum(values, _TINY)).reshape(k.size, _CHEB_N)
+        # the new panels below the held ones, then those above
+        below = held.start - k_lo
+        cut = below * _CHEB_N
+        self.panels = range(k_lo, k_end)
+        self.nodes = np.concatenate((nodes[:cut], self.nodes, nodes[cut:]))
+        self.values = np.concatenate((values[:cut], self.values, values[cut:]))
+        self._log_values = np.concatenate(
+            (log_values[:below], self._log_values, log_values[below:]))
 
     def __call__(self, vartheta):
         vt = np.asarray(vartheta, dtype=float)
@@ -413,8 +420,10 @@ class Hop2Table:
         # on a lattice line at either end of the panels in the panel inside
         idx = np.minimum((s - k_lo).astype(int), len(self.panels) - 1)
         dist = (2.0 * (s - (idx + k_lo)) - 1.0)[:, None] - _CHEB_T
-        dist[dist == 0.0] = 1e-300      # at a node the formula gives its value
-        bary = _CHEB_W / dist
+        # at a node the formula gives its value
+        np.copyto(dist, 1e-300, where=dist == 0.0)
+        # in place: a (points x 32) array fewer to allocate per lookup
+        bary = np.divide(_CHEB_W, dist, out=dist)
         log_eps = np.einsum("ij,ij->i", bary, self._log_values[idx]) / bary.sum(axis=1)
         # a rounding error must not lift a value near saturation above 1
         return np.exp(np.minimum(log_eps, 0.0))
@@ -487,15 +496,18 @@ class TrajectoryEvaluator:
 
     Geometry and hop 1 are computed once, so repeated evaluations at
     different transmit powers (bisection, port sweeps) only redo the hop-2
-    averages. A power solve instead reads hop 2 from one `Hop2Table` per
+    averages. Several powers go through one call per link type: given a
+    column of P powers, `hop2_varthetas` and `hop2_components` return
+    (P, nodes) arrays, and a row is the same to the bit as that power's
+    own call, since the kernel reduces each row on its own and every other
+    step is elementwise. A power solve reads hop 2 from one `Hop2Table` per
     link type at `hop2_varthetas(p2)` and combines through `e2e_avg_from`:
     the tables of a spectrum are filled once for every solve of a study
-    that reads them, against two kernel calls on the 128 nodes per power
-    here, and agree with this direct path to about 1e-12 relative (see
-    the module docstring).
+    that reads them, and agree with this direct path to about 1e-12
+    relative (see the module docstring).
 
-    The weighted reduction runs in fixed node order, so results are
-    bit-reproducible for a given node count.
+    The weighted reduction runs in fixed node order, one `weights @ row`
+    per power, so results are bit-reproducible for a given node count.
     """
 
     def __init__(self, cfg: ScenarioConfig, fbl: FblParams,
@@ -513,10 +525,11 @@ class TrajectoryEvaluator:
     def hop1_avg(self) -> float:
         return float(self.weights @ self.eps1_mixed)
 
-    def hop2_varthetas(self, p2: float):
+    def hop2_varthetas(self, p2):
         """Hop-2 rate parameters m sigma^2 / (p2 beta2) at every node, for
-        LoS then NLoS."""
-        if p2 <= 0:
+        LoS then NLoS. A column of P powers, shape (P, 1), gives (P, nodes)
+        arrays whose rows hold the bits each power gives alone."""
+        if np.any(np.asarray(p2) <= 0):
             raise ValueError("p2 must be positive")
         return tuple(self.cfg.nakagami_m(lt) * self.cfg.noise_power
                      / (p2 * self.geo.beta2[lt]) for lt in LINK_TYPES)

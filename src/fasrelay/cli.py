@@ -28,7 +28,7 @@ from .blercore import (CHI_VARIANTS, DEFAULT_TRAJECTORY_NODES,
                        TrajectoryEvaluator, avg_bler_hop2_asymptotic,
                        linearize)
 from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
-from .errors import ConfigError
+from .errors import ConfigError, FasRelayError
 from .geometry import LINK_TYPES, ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
 from .optimizer import (EeConfig, PortSearchResult, best_port_count,
@@ -389,23 +389,32 @@ def _fbl(spec: ExperimentSpec, blocklength: int):
                      spec.chi_variant)
 
 
-def _analytic_point(spec: ExperimentSpec, ev: TrajectoryEvaluator,
-                    n_ports: int, aperture: float, p2: float) -> dict:
+def _analytic_points(spec: ExperimentSpec, ev: TrajectoryEvaluator,
+                     n_ports: int, aperture: float, p2s) -> list[dict]:
+    """The analytic columns of n_ports ports at the aperture, one dict per
+    relay power of p2s: one kernel and one asymptote call per link type
+    cover all the powers, and each power's row is averaged on its own."""
     fas = fas_spectrum(n_ports, aperture, spec.rank_tolerance)
+    p2 = np.asarray(p2s, dtype=float)[:, None]
     eps2 = ev.hop2_mixed(*ev.hop2_components(p2, fas.lambdas))
     e2e = ev.end_to_end(eps2)
     asym = [avg_bler_hop2_asymptotic(ev.fbl, vt2, ev.cfg.nakagami_m(lt),
                                      fas.lambdas)
             for lt, vt2 in zip(LINK_TYPES, ev.hop2_varthetas(p2))]
-    eps2_asym = np.minimum(ev.hop2_mixed(*asym), 1.0)
-    e2e_asym = ev.end_to_end(eps2_asym)
-    return {
-        "n_eff": fas.n_eff,
-        "bler_analytic": float(ev.weights @ e2e),
-        "bler_hop1": ev.hop1_avg(),
-        "bler_hop2": float(ev.weights @ eps2),
-        "bler_e2e_asym": float(ev.weights @ e2e_asym),
-    }
+    # a link of weight 0 adds 0, also where its asymptote is inf (0 * inf
+    # is nan); every other term keeps the bits of hop2_mixed
+    mixed = np.zeros_like(asym[0])
+    for weight, term in zip((ev.geo.p_los2, 1.0 - ev.geo.p_los2), asym):
+        mixed += np.multiply(weight, term, out=np.zeros_like(term),
+                             where=weight > 0.0)
+    e2e_asym = ev.end_to_end(np.minimum(mixed, 1.0))
+    hop1 = ev.hop1_avg()
+    return [{"n_eff": fas.n_eff,
+             "bler_analytic": float(ev.weights @ e2e[i]),
+             "bler_hop1": hop1,
+             "bler_hop2": float(ev.weights @ eps2[i]),
+             "bler_e2e_asym": float(ev.weights @ e2e_asym[i])}
+            for i in range(len(p2))]
 
 
 def _rows_bler_like(spec: ExperimentSpec, seed: int) -> list[dict]:
@@ -417,25 +426,28 @@ def _rows_bler_like(spec: ExperimentSpec, seed: int) -> list[dict]:
     scn = spec.scenario
     ev = TrajectoryEvaluator(scn, _fbl(spec, spec.blocklength),
                              spec.traj_nodes)
+    p2_axis = [float(p) for p in p2_axis]
+    p2s = [_from_dbm(p) for p in p2_axis]
     rows = []
-    for idx, (n, w, p2_dbm) in enumerate(product(n_axis, w_axis, p2_axis)):
-        n, w, p2_dbm = int(n), float(w), float(p2_dbm)
-        p2 = _from_dbm(p2_dbm)
-        row = _echo_columns(spec)
-        row.update({"uav_altitude_m": scn.uav_altitude, "n_ports": n,
-                    "aperture": w, "blocklength": spec.blocklength,
-                    "p2_dbm": p2_dbm})
-        row.update(_analytic_point(spec, ev, n, w, p2))
-        # the limit of the end-to-end BLER as the relay power grows
-        row["error_floor"] = row["bler_hop1"]
-        if spec.command == "validate":
-            mc = replace(spec.mc, seed=_row_seed(seed, idx))
-            fas = fas_spectrum(n, w, spec.rank_tolerance)
-            est = mc_average_bler(scn, fas, ev.fbl, p2, mc)
-            row.update({"bler_mc": est.mean, "bler_mc_se": est.std_error,
-                        "mc_trials": est.trials, "mc_mode": mc.mode,
-                        "row_seed": mc.seed})
-        rows.append(row)
+    for n, w in product(n_axis, w_axis):
+        n, w = int(n), float(w)
+        points = _analytic_points(spec, ev, n, w, p2s)
+        for p2_dbm, p2, point in zip(p2_axis, p2s, points):
+            row = _echo_columns(spec)
+            row.update({"uav_altitude_m": scn.uav_altitude, "n_ports": n,
+                        "aperture": w, "blocklength": spec.blocklength,
+                        "p2_dbm": p2_dbm})
+            row.update(point)
+            # the limit of the end-to-end BLER as the relay power grows
+            row["error_floor"] = row["bler_hop1"]
+            if spec.command == "validate":
+                mc = replace(spec.mc, seed=_row_seed(seed, len(rows)))
+                fas = fas_spectrum(n, w, spec.rank_tolerance)
+                est = mc_average_bler(scn, fas, ev.fbl, p2, mc)
+                row.update({"bler_mc": est.mean, "bler_mc_se": est.std_error,
+                            "mc_trials": est.trials, "mc_mode": mc.mode,
+                            "row_seed": mc.seed})
+            rows.append(row)
     return rows
 
 
@@ -451,13 +463,17 @@ def _rows_aperture(spec: ExperimentSpec, seed: int) -> list[dict]:
     ev = TrajectoryEvaluator(spec.scenario, _fbl(spec, spec.blocklength),
                              spec.traj_nodes)
     rows = []
-    for w, (p2_dbm, p2) in product(w_axis, powers):
-        row = _echo_columns(spec)
-        row.update({"uav_altitude_m": spec.scenario.uav_altitude,
-                    "n_ports": spec.n_ports, "aperture": float(w),
-                    "blocklength": spec.blocklength, "p2_dbm": float(p2_dbm)})
-        row.update(_analytic_point(spec, ev, spec.n_ports, float(w), p2))
-        rows.append(row)
+    for w in w_axis:
+        points = _analytic_points(spec, ev, spec.n_ports, float(w),
+                                  [p2 for _, p2 in powers])
+        for (p2_dbm, _), point in zip(powers, points):
+            row = _echo_columns(spec)
+            row.update({"uav_altitude_m": spec.scenario.uav_altitude,
+                        "n_ports": spec.n_ports, "aperture": float(w),
+                        "blocklength": spec.blocklength,
+                        "p2_dbm": float(p2_dbm)})
+            row.update(point)
+            rows.append(row)
     return rows
 
 
@@ -626,7 +642,7 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             spec = parse_config(fh.read(), args.command)
         return run(spec, seed=args.seed, out_path=args.out)
-    except (ConfigError, OSError) as exc:
+    except (FasRelayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,11 +13,13 @@ accuracy, about 1e-12 relative, are in `blercore`), covered over the
 vartheta its trajectory reaches on the precheck grid's powers: the
 `optimize` preset fills one pair per (L, N), 96 tables. The tables' sampled
 values must rise with vartheta, and the precheck and the bisection read the
-end-to-end BLER from them. The power found is then re-evaluated by the
-direct kernel: that value is the one reported and used for the efficiency,
-and a solve whose table value there is more than 1e-8 relative off it
-raises `TableAccuracyError`. The largest such gap of a search is reported
-as `table_check_max_rel`.
+end-to-end BLER from them. The precheck reads its 10 powers in one lookup
+per link type over their (10 x nodes) varthetas; a row's values and
+average are the bits of its power's own lookup. The power found is then
+re-evaluated by the direct kernel: that value is the one reported and used
+for the efficiency, and a solve whose table value there is more than 1e-8
+relative off it raises `TableAccuracyError`. The largest such gap of a
+search is reported as `table_check_max_rel`.
 
 The bisection is certified rather than looked up step by step. Illinois
 steps on log eps against log power (`_locate`) find the crossing and
@@ -27,9 +29,9 @@ replayed, and only a midpoint between the nearest certificates is looked
 up. The kernel falls with power and the tables hold it to within 1e-8
 (about 1e-12 measured), so delta >> 2e-8 decides each comparison as a
 lookup would, and every solve returns the bits of the plain bisection. On
-the `optimize` preset a solve makes 15.0 table evaluations (a lookup per
-link type each) where the plain bisection makes 25.1: the 10 of the
-precheck, then 5.0 instead of 15.1.
+the `optimize` preset a solve makes 12.0 table lookups: one per link type
+for the precheck, then one per link type at each of 5.0 powers, where the
+plain bisection evaluates 15.1.
 """
 
 from __future__ import annotations
@@ -273,9 +275,10 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
 
     The precheck and the bisection read hop 2 from the cached table pair
     of (ev.fbl, lambdas), covered over the vartheta of ev's trajectory on
-    the precheck grid's powers; the power found is re-evaluated by the
-    direct kernel. Returns (power, direct BLER at power, relative gap of the
-    tables there), or None when even p_max misses the target.
+    the precheck grid's powers, which each table reads in one lookup; the
+    power found is re-evaluated by the direct kernel. Returns (power,
+    direct BLER at power, relative gap of the tables there), or None when
+    even p_max misses the target.
 
     The bisection is replayed against certificates from `_locate`: a
     midpoint at or above p_b is feasible and one at or below p_a is
@@ -285,17 +288,21 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
     comparison as a lookup would, and the bits are those of the plain
     bisection. A final power never looked up is looked up once; above the
     threshold it raises `MonotonicityError`. On the `optimize` preset a
-    solve makes 5.0 table evaluations (a lookup per link type each) after
-    the precheck's 10, against 15.1 for the plain bisection.
+    solve evaluates 5.0 powers (a lookup per link type each) after the
+    precheck's one lookup per link type, against 15.1 for the plain
+    bisection.
     """
     grid = ee.p_max * np.logspace(-8.0, 0.0, _PRECHECK_POINTS)
     pair = tuple(hop2_table(ev.fbl, ev.cfg.nakagami_m(lt), lambdas)
                  for lt in LINK_TYPES)
-    for table, near, far in zip(pair, ev.hop2_varthetas(grid[-1]),
-                                ev.hop2_varthetas(grid[0])):
-        table.cover(float(near.min()), float(far.max()))
+    # the precheck's (powers x nodes) varthetas, one lookup per link type;
+    # a row's lookup and average are those of its power alone
+    vts = ev.hop2_varthetas(grid[:, None])
+    for table, vt in zip(pair, vts):
+        table.cover(float(vt[-1].min()), float(vt[0].max()))
         _check_monotone(table)
-    known = {}
+    known = {float(p): ev.e2e_avg_from(e2_los, e2_nlos) for p, e2_los, e2_nlos
+             in zip(grid, *(table(vt) for table, vt in zip(pair, vts)))}
 
     def table_eps(p2: float) -> float:
         if p2 not in known:
@@ -303,7 +310,7 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
                                           in zip(pair, ev.hop2_varthetas(p2))))
         return known[p2]
 
-    eps = [table_eps(float(p)) for p in grid]
+    eps = [known[float(p)] for p in grid]
     for i in range(len(eps) - 1):
         if eps[i + 1] > eps[i] + _PRECHECK_SLACK:
             raise MonotonicityError(

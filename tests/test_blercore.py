@@ -541,6 +541,74 @@ def test_hop2_table_value_does_not_depend_on_its_range():
                     assert np.array_equal(grown.values, union.values)
 
 
+def test_hop2_table_fills_each_panel_once(monkeypatch):
+    # growing a table in any order runs the kernel on each panel's nodes
+    # once: as many points as one cover of the union
+    points = []
+    kernel = blercore.avg_bler_hop2
+
+    def counted(params, vartheta2, m2, lambdas):
+        points.append(np.size(vartheta2))
+        return kernel(params, vartheta2, m2, lambdas)
+
+    monkeypatch.setattr(blercore, "avg_bler_hop2", counted)
+    params, lams = linearize(80.0 / 300.0, 300), fas_spectrum(4, 0.5).lambdas
+    a = _lattice_anchor(params, 5, lams)
+    ranges = ((-2.2, -1.9), (-5.4, -0.35), (-7.0, -5.5), (-4.7, 0.9))
+    for order in (ranges, ranges[::-1]):
+        del points[:]
+        table = Hop2Table(params, 5, lams)
+        for lo, hi in order:
+            table.cover(10.0 ** (a + lo), 10.0 ** (a + hi))
+        assert table.panels == range(-7, 0)
+        assert sum(points) == table.nodes.size == 7 * 32
+
+
+def test_batched_rows_match_per_row_calls():
+    # a (P, nodes) vartheta array through the kernel and through a table
+    # gives each row the bits of that row's own call: P = 1, 2 and 10 rows,
+    # m = 1, 2 and 5, the three node tables (the last a clamped ramp), and
+    # a last row wholly past vartheta_sat on the capped ramps
+    rng = np.random.default_rng(7)
+    lams = fas_spectrum(6, 0.5).lambdas
+    for params, _ in _TABLE_RAMPS:
+        for m in (1, 2, 5):
+            a = _lattice_anchor(params, m, lams)
+            for rows in (1, 2, 10):
+                vt = 10.0 ** (a + rng.uniform(-6.0, 0.5, (rows, 128)))
+                # a clamped ramp has no vartheta_sat: its last row lies
+                # 4-5 decades above the lattice anchor instead
+                capped = params.rho_l > 0.0
+                vt[-1] = 10.0 ** (a + (0.2 if capped else 4.0)
+                                  + rng.uniform(0.0, 1.0, 128))
+                table = Hop2Table(params, m, lams)
+                table.cover(float(vt.min()), float(vt.max()))
+                kernel = avg_bler_hop2(params, vt, m, lams)
+                looked_up = table(vt)
+                for i in range(rows):
+                    assert np.array_equal(
+                        kernel[i], avg_bler_hop2(params, vt[i], m, lams))
+                    assert np.array_equal(looked_up[i], table(vt[i]))
+                if capped:
+                    assert np.all(kernel[-1] == table.saturated)
+
+
+def test_evaluator_rows_match_per_power_calls(urban, fbl100):
+    # a column of powers gives per-node varthetas, hop-2 values and
+    # end-to-end averages with the bits of each power's own call
+    ev = TrajectoryEvaluator(urban, fbl100)
+    lams = fas_spectrum(4, 0.5).lambdas
+    p2 = 10.0 ** np.linspace(-9.0, 1.0, 10)
+    vts = ev.hop2_varthetas(p2[:, None])
+    comps = ev.hop2_components(p2[:, None], lams)
+    for i, p in enumerate(p2):
+        for got, want in zip(vts, ev.hop2_varthetas(float(p))):
+            assert np.array_equal(got[i], want)
+        assert ev.e2e_avg_from(*(c[i] for c in comps)) == ev.e2e_avg(p, lams)
+    with pytest.raises(ValueError):
+        ev.hop2_varthetas(np.array([[1.0], [0.0]]))
+
+
 @settings(max_examples=25, deadline=None)
 @given(z=st.floats(100.0, 800.0), n=st.integers(1, 12),
        blocklength=st.sampled_from((100, 300, 600)),

@@ -3,18 +3,21 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fasrelay
+from fasrelay import blercore
 from fasrelay import (ConfigError, EeConfig, McConfig, ScenarioConfig,
                       TrajectoryEvaluator, fas_spectrum, linearize)
 from fasrelay.blercore import CHI_VARIANTS
-from fasrelay.cli import (_KEYS, _SWEEP_KEYS, COMMANDS, ExperimentSpec, main,
-                          parse_config, render, run)
+from fasrelay.cli import (_KEYS, _SWEEP_KEYS, COMMANDS, ExperimentSpec,
+                          _analytic_points, main, parse_config, render, run)
 from fasrelay.mcoracle import MC_MODES
 
 
@@ -662,3 +665,81 @@ def test_main_reports_bad_config_line_without_traceback(tmp_path):
     assert out.stderr.startswith("error: line 2: sweep_n_ports")
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_main_reports_a_run_time_error_without_traceback(tmp_path, capsys):
+    # at m_los = 40 the LoS table misses its 1e-8 contract at the solved
+    # power (a gap of 9.6e-8): a TableAccuracyError, reported as an error
+    conf = tmp_path / "m40.conf"
+    conf.write_text("blocklength = 50\np1 = 46 dBm\nm_los = 40\n"
+                    "sweep_z = 1000\nsweep_n_ports = 4\naperture = 2\n"
+                    "bler_threshold = 1e-2\np_max = 20 dBm\ntraj_nodes = 16\n")
+    code = main(["power-vs-altitude", "--config", str(conf),
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: tabulated end-to-end BLER")
+    assert "Traceback" not in err
+
+
+def test_asymptote_of_a_link_with_zero_weight_adds_zero(tmp_path):
+    # at L = 10 the NLoS asymptote overflows to inf at every node, and
+    # where p_los2 is 1 its weight is 0: every probability cell stays
+    # finite and at most the sum of the trajectory weights, with no warning
+    conf = tmp_path / "inf.conf"
+    conf.write_text("blocklength = 10\npayload_bits = 917.6\np1 = 40 dBm\n"
+                    "uav_altitude = 1000\nlos_b = 20\nm_nlos = 3\n"
+                    "n_ports = 8\naperture = 4\nsweep_p2_dbm = -20:20:3\n")
+    out = tmp_path / "inf.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bler-sweep", "--config", str(conf),
+                     "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 3
+    # (pi / 2M) / sin(pi / 2M) at M = 128, plus the rounding of the sum
+    bound = (math.pi / 256.0) / math.sin(math.pi / 256.0) * (1.0 + 1e-14)
+    for r in rows:
+        for col in ("bler_analytic", "bler_hop1", "bler_hop2",
+                    "bler_e2e_asym", "error_floor"):
+            assert 0.0 <= float(r[col]) <= bound, (col, r[col])
+
+
+def test_analytic_points_match_per_power_calls(urban):
+    # one call for a power axis gives each power the columns of its own call
+    spec = parse_config("sweep_p2_dbm = 0\n", "bler-sweep")
+    ev = TrajectoryEvaluator(urban, linearize(0.8, 100))
+    p2s = [10.0 ** (k / 4.0 - 6.0) for k in range(20)]
+    for n, w in ((1, 0.5), (4, 0.5), (12, 2.0)):
+        whole = _analytic_points(spec, ev, n, w, p2s)
+        assert whole == [_analytic_points(spec, ev, n, w, [p])[0]
+                         for p in p2s]
+
+
+def test_falling_altitude_axis_fills_no_panel_twice(tmp_path, monkeypatch):
+    # the power-vs-altitude preset on its altitude axis reversed: tables
+    # grown downward run the kernel on as many points as grown upward, and
+    # the rows are the same
+    points = []
+    kernel = blercore.avg_bler_hop2
+
+    def counted(params, vartheta2, m2, lambdas):
+        points.append(np.size(vartheta2))
+        return kernel(params, vartheta2, m2, lambdas)
+
+    monkeypatch.setattr(blercore, "avg_bler_hop2", counted)
+    preset = Path(__file__).resolve().parent.parent / "configs" / \
+        "power_vs_altitude.conf"
+    text = "".join(line + "\n" for line in preset.read_text().splitlines()
+                   if not line.startswith(("sweep_z", "output")))
+    made, rows = {}, {}
+    for axis in ("100:800:71", "800:100:71"):
+        blercore.hop2_table.cache_clear()
+        del points[:]
+        out = tmp_path / "pva.csv"
+        run(parse_config(text + f"sweep_z = {axis}\n", "power-vs-altitude"),
+            out_path=str(out))
+        made[axis] = sum(points)
+        rows[axis] = sorted(tuple(r.items()) for r in read_csv(out))
+    assert made["100:800:71"] == made["800:100:71"]
+    assert rows["100:800:71"] == rows["800:100:71"]

@@ -379,8 +379,8 @@ def _expected_solve(ev, lambdas, ee):
 
 def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
     # the certified bisection returns the plain table bisection's bits with
-    # at most half its lookups after the precheck (2 per power)
-    precheck = 2 * 10
+    # at most half its lookups after the precheck (2 per power); the plain
+    # path looks the precheck up per power, min_power once per link type
     looked_up = {"plain": 0, "certified": 0}
     outcomes = {True: 0, False: 0}
     cases = [EeConfig(p_max=p_max, bler_threshold=thr, bisect_tol=tol)
@@ -397,10 +397,10 @@ def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
                 for ee in cases:
                     del table_lookups[:]
                     want = _expected_solve(ev, lambdas, ee)
-                    plain = len(table_lookups) - precheck
+                    plain = len(table_lookups) - 2 * 10
                     del table_lookups[:]
                     got = min_power(ev, lambdas, ee)
-                    certified = len(table_lookups) - precheck
+                    certified = len(table_lookups) - 2
                     assert got == want, (ee, blocklength, z, n)
                     outcomes[want is None] += 1
                     looked_up["plain"] += plain
@@ -451,7 +451,7 @@ def test_min_power_infeasible_looks_up_only_the_precheck(cfg46, fbl200,
     ee = EeConfig(p_max=1e-6, bler_threshold=1e-3)
     ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200)
     assert min_power(ev, fas_spectrum(1, 0.5).lambdas, ee) is None
-    assert len(table_lookups) == 2 * 10
+    assert len(table_lookups) == 2
 
 
 def test_min_power_met_at_the_first_grid_power_skips_the_search(
@@ -465,7 +465,7 @@ def test_min_power_met_at_the_first_grid_power_skips_the_search(
                              linearize(80.0 / 300.0, 300))
     p2, _, _ = min_power(ev, fas_spectrum(4, 0.5).lambdas, ee)
     assert p2 == ee.p_max * 1e-8
-    assert len(table_lookups) == 2 * 10
+    assert len(table_lookups) == 2
 
 
 def test_min_power_rejects_a_final_bler_above_target(cfg46, fbl200,

@@ -1,0 +1,128 @@
+"""Time every preset in configs/ and fingerprint what it writes.
+
+    python tools/bench.py LABEL [--repeats K] [--against BENCH_OTHER.json]
+
+Each preset runs with its command (``python -m fasrelay.cli COMMAND
+--config PRESET``) in a fresh interpreter with one BLAS thread, on the
+``src/`` tree next to this script. The K repeats are interleaved: every
+preset once, then every preset again. The script writes BENCH_<LABEL>.json
+in the current directory, holding per preset the command, the wall time of
+each run and their median, and the sha256 of the CSV and of its ``.meta``
+sidecar. A preset whose output differs between repeats is an error.
+
+With --against, it then prints per preset whether the CSV and ``.meta``
+are identical to those of the other file, with both median times, and
+exits 1 if any preset differs or is missing from either file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# preset -> the command it is written for
+PRESETS = {
+    "bler_fas_vs_fpa": "bler-sweep",
+    "bler_vs_aperture": "aperture-sweep",
+    "ee_contour": "ee-contour",
+    "ee_vs_ports": "ee-vs-ports",
+    "optimize_global": "optimize",
+    "power_vs_altitude": "power-vs-altitude",
+    "validate_bler_vs_power": "validate",
+}
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_preset(name: str, command: str, workdir: Path, env: dict):
+    """One fresh-process run of a preset: its wall time and the sha256 of
+    its CSV and .meta."""
+    out = workdir / f"{name}.csv"
+    argv = [sys.executable, "-m", "fasrelay.cli", command,
+            "--config", str(ROOT / "configs" / f"{name}.conf"),
+            "--out", str(out)]
+    start = time.perf_counter()
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if done.returncode != 0:
+        raise SystemExit(f"{name}: exit {done.returncode}\n{done.stderr}")
+    return wall, {"csv": _sha256(out),
+                  "meta": _sha256(out.with_name(out.name + ".meta"))}
+
+
+def bench(repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.update({var: "1" for var in THREAD_VARS})
+    presets = {name: {"command": command, "wall_s": []}
+               for name, command in PRESETS.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(repeats):
+            for name, entry in presets.items():
+                wall, sha = run_preset(name, entry["command"], Path(tmp), env)
+                entry["wall_s"].append(wall)
+                if entry.setdefault("sha256", sha) != sha:
+                    raise SystemExit(f"{name}: output differs between repeats")
+    for entry in presets.values():
+        entry["wall_s_median"] = statistics.median(entry["wall_s"])
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine(),
+            "nproc": os.cpu_count(), "repeats": repeats, "presets": presets}
+
+
+def compare(ours: dict, other: dict) -> bool:
+    """Print one line per preset; True when every preset is identical."""
+    same = True
+    for name in sorted(set(ours["presets"]) | set(other["presets"])):
+        a, b = ours["presets"].get(name), other["presets"].get(name)
+        if a is None or b is None:
+            print(f"{name:24s} missing")
+            same = False
+            continue
+        identical = a["sha256"] == b["sha256"]
+        same &= identical
+        print(f"{name:24s} {'identical' if identical else 'differs':9s} "
+              f"{b['wall_s_median']:7.2f} s -> {a['wall_s_median']:7.2f} s")
+    return same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("label", help="names the output, BENCH_<label>.json")
+    parser.add_argument("--repeats", type=int, default=1,
+                        help="interleaved runs of every preset (default 1)")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="a BENCH_*.json to compare the outputs with")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    result = dict(label=args.label, **bench(args.repeats))
+    Path(f"BENCH_{args.label}.json").write_text(
+        json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    if args.against is None:
+        return 0
+    other = json.loads(args.against.read_text(encoding="utf-8"))
+    return 0 if compare(result, other) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
