@@ -21,16 +21,17 @@ for the efficiency, and a solve whose table value there is more than 1e-8
 relative off it raises `TableAccuracyError`. The largest such gap of a
 search is reported as `table_check_max_rel`.
 
-The bisection is certified rather than looked up step by step. Illinois
-steps on log eps against log power (`_locate`) find the crossing and
-certify powers whose tabulated BLER clears the threshold by the relative
-margin delta = _CERTIFY_REL = 1e-6; the unchanged bisection is then
-replayed, and only a midpoint between the nearest certificates is looked
-up. The kernel falls with power and the tables hold it to within 1e-8
-(about 1e-12 measured), so delta >> 2e-8 decides each comparison as a
+The bisection is certified rather than looked up step by step. One
+Illinois sequence on log eps against log power (`_locate`) predicts the
+crossing, and each round looks up a point of the bisection's path near it,
+certifying powers whose tabulated BLER clears the threshold by the
+relative margin delta = _CERTIFY_REL = 1e-6; the unchanged bisection is
+then replayed, and only a midpoint between the nearest certificates is
+looked up. The kernel falls with power and the tables hold it to within
+1e-8 (about 1e-12 measured), so delta >> 2e-8 decides each comparison as a
 lookup would, and every solve returns the bits of the plain bisection. On
-the `optimize` preset a solve makes 12.0 table lookups: one per link type
-for the precheck, then one per link type at each of 5.0 powers, where the
+the `optimize` preset a solve makes 11.7 table lookups: one per link type
+for the precheck, then one per link type at each of 4.85 powers, where the
 plain bisection evaluates 15.1.
 """
 
@@ -200,19 +201,18 @@ def _locate(table_eps, threshold: float, lo: float, hi: float, ee: EeConfig):
     exceeds threshold * (1 + _CERTIFY_REL), p_b is hi or the smallest one
     whose BLER is at most threshold * (1 - _CERTIFY_REL).
 
-    Illinois steps (Dowell & Jarratt, BIT 1971: regula falsi that halves
-    the value of an end kept twice in a row) on g = log(eps / threshold)
-    against x = log p, about linear where the BLER is a power law, close
-    in on the crossing. A step is the midpoint of the bracket instead when
-    it is not finite or not strictly inside, or when the last step did not
-    halve g on its side (a plateau of the BLER). The crossing x_r, the
-    regula falsi point of the bracket, predicts the bisection's path; the
-    certificates wanted are its points nearest x_r but at least h = 2
-    _CERTIFY_REL / |slope| from it, where they clear the margin. A wanted
-    point is probed once the error of x_r, taken as the product of its
-    last two moves (the secant error recursion), is below its distance to
-    x_r. Stops when both are certified, when a step would repeat a power,
-    or after ten evaluations.
+    One Illinois sequence (Dowell & Jarratt, BIT 1971: regula falsi that
+    halves the value of an end kept twice in a row) on g = log(eps /
+    threshold) against x = log p, about linear where the BLER is a power
+    law. Each round's Illinois point x (the bracket's midpoint when x is
+    not strictly inside) predicts the crossing, and so the bisection's
+    path; the certificates wanted are the points of that path nearest x
+    but at least h = 2 _CERTIFY_REL / |slope| from it, where they clear
+    the margin. The round looks up the wanted p_b while p_b is not
+    certified, else the wanted p_a, and that power replaces the bracket's
+    end on its side of the threshold. Stops when both are certified, when
+    a round would look up the last round's power again, or after ten
+    rounds.
     """
     upper = threshold * (1.0 + _CERTIFY_REL)
     lower = threshold * (1.0 - _CERTIFY_REL)
@@ -220,31 +220,19 @@ def _locate(table_eps, threshold: float, lo: float, hi: float, ee: EeConfig):
     a, ga = math.log(lo), _log_ratio(table_eps(lo), threshold)
     b, gb = math.log(hi), _log_ratio(table_eps(hi), threshold)
     wa, wb = ga, gb                     # the ends' Illinois weights
-    kept, stalled = 0, False
-    seen = {lo, hi}
-    x_prev = move_prev = math.inf
+    kept, p = 0, hi
     for _ in range(10):
-        x = b - gb * (b - a) / (gb - ga)
+        x = b - wb * (b - a) / (wb - wa)
         if not a < x < b:
             x = 0.5 * (a + b)
         h = 2.0 * _CERTIFY_REL * (b - a) / abs(gb - ga)
         q_a, q_b = _wanted_certificates(lo, hi, x, h, ee)
         if p_a >= q_a and p_b <= q_b:
             break
-        move = abs(x - x_prev)
-        err, x_prev, move_prev = move * move_prev, x, move
-        if p_a < q_a and err < x - math.log(q_a):
-            p = q_a
-        elif p_b > q_b and err < math.log(q_b) - x:
-            p = q_b
-        else:
-            y = b - wb * (b - a) / (wb - wa)
-            if stalled or not a < y < b:
-                y = 0.5 * (a + b)
-            p = math.exp(y)
-        if p in seen:
+        q = q_b if p_b > q_b else q_a
+        if q == p:
             break
-        seen.add(p)
+        p = q
         eps = table_eps(p)
         if eps > upper:
             p_a = max(p_a, p)
@@ -254,13 +242,11 @@ def _locate(table_eps, threshold: float, lo: float, hi: float, ee: EeConfig):
         if not a < y < b:
             continue
         if eps > threshold:
-            stalled = g > 0.5 * ga
             a, ga, wa = y, g, g
             if kept < 0:
                 wb *= 0.5
             kept = -1
         else:
-            stalled = g < 0.5 * gb
             b, gb, wb = y, g, g
             if kept > 0:
                 wa *= 0.5
@@ -288,7 +274,7 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
     comparison as a lookup would, and the bits are those of the plain
     bisection. A final power never looked up is looked up once; above the
     threshold it raises `MonotonicityError`. On the `optimize` preset a
-    solve evaluates 5.0 powers (a lookup per link type each) after the
+    solve evaluates 4.85 powers (a lookup per link type each) after the
     precheck's one lookup per link type, against 15.1 for the plain
     bisection.
     """

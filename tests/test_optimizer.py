@@ -380,8 +380,11 @@ def _expected_solve(ev, lambdas, ee):
 def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
     # the certified bisection returns the plain table bisection's bits with
     # at most half its lookups after the precheck (2 per power); the plain
-    # path looks the precheck up per power, min_power once per link type
+    # path looks the precheck up per power, min_power once per link type.
+    # The presets' tolerance and iteration cap get their own bound, since
+    # the 1e-7 cases dominate the sum over all cases
     looked_up = {"plain": 0, "certified": 0}
+    presets_regime = {"plain": 0, "certified": 0}
     outcomes = {True: 0, False: 0}
     cases = [EeConfig(p_max=p_max, bler_threshold=thr, bisect_tol=tol)
              for p_max in (10.0, 1e-2) for thr in (1e-2, 1e-3, 1e-5)
@@ -405,8 +408,13 @@ def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
                     outcomes[want is None] += 1
                     looked_up["plain"] += plain
                     looked_up["certified"] += certified
+                    if ee.bisect_tol == 1e-4 and ee.max_bisect_iters == 60:
+                        presets_regime["plain"] += plain
+                        presets_regime["certified"] += certified
     assert outcomes[True] > 0 and outcomes[False] > 0
     assert looked_up["certified"] <= 0.5 * looked_up["plain"], looked_up
+    assert (presets_regime["certified"]
+            <= 0.45 * presets_regime["plain"]), presets_regime
 
 
 def test_min_power_on_a_staircase_bler(cfg46, fbl200, monkeypatch):
@@ -421,6 +429,27 @@ def test_min_power_on_a_staircase_bler(cfg46, fbl200, monkeypatch):
     monkeypatch.setattr(blercore.TrajectoryEvaluator, "e2e_avg_from",
                         staircase)
     for thr in (1e-3, 3e-3):
+        ee = EeConfig(p_max=10.0, bler_threshold=thr)
+        for z in (100.0, 400.0, 800.0):
+            ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200)
+            for n in (1, 4, 8):
+                lambdas = fas_spectrum(n, 0.5).lambdas
+                want = _expected_solve(ev, lambdas, ee)
+                assert want is not None
+                assert min_power(ev, lambdas, ee) == want, (thr, z, n)
+
+
+def test_min_power_on_a_bler_that_reaches_zero(cfg46, fbl200, monkeypatch):
+    # a BLER that drops to exactly 0 below 1e-3: log(eps / threshold) is
+    # -inf at a feasible end, so the regula falsi point is not finite
+    e2e_avg_from = blercore.TrajectoryEvaluator.e2e_avg_from
+
+    def cut(self, e2_los, e2_nlos):
+        eps = e2e_avg_from(self, e2_los, e2_nlos)
+        return eps if eps >= 1e-3 else 0.0
+
+    monkeypatch.setattr(blercore.TrajectoryEvaluator, "e2e_avg_from", cut)
+    for thr in (1e-3, 5e-4, 2e-3):
         ee = EeConfig(p_max=10.0, bler_threshold=thr)
         for z in (100.0, 400.0, 800.0):
             ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200)
