@@ -253,6 +253,39 @@ def test_simulate_batch_bits_are_pinned(urban, fbl100):
         "0x1.a096b08662b42p-4", "0x1.a0cbf592ce7e7p-10")
 
 
+# (sum, sum of squares) of batches that span several row chunks of the batch
+# arithmetic (the validate preset's 250,000-trial batch; 65,537 trials ends
+# in a one-trial chunk) and of one- and two-trial batches, on the PCG64(2024)
+# stream, as produced by the whole-array implementation.
+_PINNED_LONG_AND_SHORT_BATCHES = {
+    # (trials, ports, mode, fixed_gains, p2 in W): (sum, sum of squares)
+    (250_000, 2, "model", None, 0.01): (
+        "0x1.9667a9f51ac0ap+14", "0x1.5ba505dcb5e77p+14"),
+    (65_537, 8, "model", None, 0.01): (
+        "0x1.6006df5ec206ep+9", "0x1.172f311518788p+9"),
+    (65_537, 4, "physical", None, 0.01): (
+        "0x1.022aa2a4a3d8fp+12", "0x1.a1f245f8e1d52p+11"),
+    (65_537, 2, "model", (0.3, 0.1), 0.01): (
+        "0x1.f0d3fffbfee61p+14", "0x1.f0d3fff7fdcc2p+14"),
+    (1, 2, "model", None, 1e-4): (
+        "0x1.87a3f49c40000p-18", "0x1.2b931f1b5a19ep-35"),
+    (2, 2, "model", None, 1e-4): (
+        "0x1.000000000202cp+0", "0x1.0000000000000p+0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_LONG_AND_SHORT_BATCHES, key=str))
+def test_simulate_batch_bits_are_pinned_long_and_short(urban, fbl100, case):
+    from fasrelay.mcoracle import simulate_batch
+    trials, n_ports, mode, fixed, p2 = case
+    fas = fas_spectrum(n_ports, 0.5)
+    corr = jakes_matrix(n_ports, 0.5) if mode == "physical" else None
+    s, sq, n = simulate_batch(urban, fas, fbl100, p2, mode, _rng(2024),
+                              trials, corr, fixed)
+    assert n == trials
+    assert (s.hex(), sq.hex()) == _PINNED_LONG_AND_SHORT_BATCHES[case]
+
+
 def test_simulate_batch_memory_peak(urban, fbl100):
     # one 250,000-trial model batch holds at most 16 trial-length float64
     # arrays at once; the geometry is dropped before the fading draws and
