@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -15,10 +16,10 @@ import fasrelay
 from fasrelay import blercore
 from fasrelay import (ConfigError, EeConfig, McConfig, ScenarioConfig,
                       TrajectoryEvaluator, fas_spectrum, linearize)
-from fasrelay.blercore import CHI_VARIANTS
+from fasrelay.blercore import CHI_VARIANTS, chebyshev_nodes
 from fasrelay.cli import (_KEYS, _SWEEP_KEYS, COMMANDS, ExperimentSpec,
                           _analytic_points, main, parse_config, render, run)
-from fasrelay.mcoracle import MC_MODES
+from fasrelay.mcoracle import _CHUNK, MC_MODES
 
 
 def read_csv(path):
@@ -743,3 +744,84 @@ def test_falling_altitude_axis_fills_no_panel_twice(tmp_path, monkeypatch):
         rows[axis] = sorted(tuple(r.items()) for r in read_csv(out))
     assert made["100:800:71"] == made["800:100:71"]
     assert rows["100:800:71"] == rows["800:100:71"]
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _random_valid_config(rng, command):
+    """A small config of the command, with scenario constants drawn from the
+    ranges of the run-time fuzzing probe (ROADMAP item 3) and p_max from 0
+    to 80 dBm. validate draws trials across up to three row chunks of the
+    Monte Carlo batch and a batch size that may leave a partial last batch,
+    at most 64 batches."""
+    lines = [f"p1 = {rng.uniform(-20, 80)!r} dBm",
+             f"noise_power = {rng.uniform(-150, -60)!r} dBm",
+             f"uav_altitude = {_log_uniform(rng, 1, 1e4)!r}",
+             f"m_los = {rng.choice((1, 2, 5, 10, 40))}",
+             f"m_nlos = {rng.choice((1, 2, 3))}",
+             f"payload_bits = {_log_uniform(rng, 1, 3000)!r}",
+             f"aperture = {_log_uniform(rng, 0.03, 30)!r}",
+             f"bler_threshold = {_log_uniform(rng, 1e-9, 0.3)!r}",
+             f"p_max = {rng.uniform(0, 80)!r} dBm",
+             f"traj_nodes = {rng.randint(2, 128)}",
+             f"blocklength = {rng.randint(10, 1000)}",
+             f"n_ports = {rng.randint(1, 6)}"]
+    if command in ("bler-sweep", "validate"):
+        lines.append("sweep_p2_dbm = " + ", ".join(
+            repr(rng.uniform(-20, 60)) for _ in range(2)))
+    if command == "validate":
+        trials = rng.randint(1, 3 * _CHUNK)
+        lines += [f"trials = {trials}",
+                  f"mc_batch = {rng.randint(-(-trials // 64), trials + _CHUNK)}",
+                  f"mc_mode = {rng.choice(MC_MODES)}",
+                  f"seed = {rng.randrange(2 ** 64)}"]
+    if command == "power-vs-altitude":
+        lines.append("sweep_z = " + ", ".join(
+            repr(_log_uniform(rng, 1, 1e4)) for _ in range(2)))
+    if command == "optimize":
+        z = _log_uniform(rng, 1, 1e4)
+        lines += [f"z_min = {z!r}", f"z_max = {2 * z!r}", f"z_step = {z!r}",
+                  f"l_set = {rng.randint(10, 1000)}", "n_min = 1",
+                  f"n_max = {rng.randint(1, 3)}"]
+    return "\n".join(lines) + "\n"
+
+
+# the probability cells averaged over the trajectory rule
+_RULE_AVERAGED = ("bler_analytic", "bler_hop1", "bler_hop2", "bler_e2e_asym",
+                  "error_floor")
+
+
+def test_random_valid_configs_through_main(tmp_path, capsys):
+    # every run writes finite cells and probabilities in [0, 1], or exits 1
+    # with "error:". A trajectory average reads up to the sum of the rule's
+    # weights, (pi / 2M) / sin(pi / 2M) > 1, where all its nodes saturate
+    # (the known defect of chebyshev_nodes; 1.11 at M = 2)
+    rng = random.Random(2026)
+    conf, out = tmp_path / "c.conf", tmp_path / "c.csv"
+    for _ in range(16):
+        for command in ("bler-sweep", "power-vs-altitude", "optimize",
+                        "validate"):
+            text = _random_valid_config(rng, command)
+            conf.write_text(text)
+            out.unlink(missing_ok=True)
+            code = main([command, "--config", str(conf), "--out", str(out)])
+            err = capsys.readouterr().err
+            if code != 0:
+                assert code == 1 and err.startswith("error:"), (text, err)
+                continue
+            nodes = int(parse_config(text, command).traj_nodes)
+            weight_sum = float(chebyshev_nodes(nodes)[1].sum())
+            for row in read_csv(out):
+                for col, cell in row.items():
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), (text, col, cell)
+                    if col == "bler_mc":
+                        assert 0.0 <= value <= 1.0, (text, cell)
+                    if col in _RULE_AVERAGED:
+                        assert 0.0 <= value <= weight_sum * (1.0 + 1e-14), (
+                            text, col, cell)

@@ -6,13 +6,15 @@ Each preset runs with its command (``python -m fasrelay.cli COMMAND
 --config PRESET``) in a fresh interpreter with one BLAS thread, on the
 ``src/`` tree next to this script. The K repeats are interleaved: every
 preset once, then every preset again. The script writes BENCH_<LABEL>.json
-in the current directory, holding per preset the command, the wall time of
-each run and their median, and the sha256 of the CSV and of its ``.meta``
-sidecar. A preset whose output differs between repeats is an error.
+in the current directory, holding per preset the command, the wall time and
+the peak resident memory (``ru_maxrss`` of the process, from ``os.wait4``)
+of each run and their medians, and the sha256 of the CSV and of its
+``.meta`` sidecar. A preset whose output differs between repeats is an error.
 
 With --against, it then prints per preset whether the CSV and ``.meta``
-are identical to those of the other file, with both median times, and
-exits 1 if any preset differs or is missing from either file.
+are identical to those of the other file, with both median times and both
+median peak RSS ("n/a" for a file written before peak RSS was recorded),
+and exits 1 if any preset differs or is missing from either file.
 """
 
 from __future__ import annotations
@@ -54,39 +56,63 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_process(argv: list, env: dict):
+    """Run argv to its end: its exit code, standard error, wall time and
+    peak RSS in MB. Linux carries the high-water RSS of the forked copy
+    over exec, so the peak is at least this process's RSS when it starts
+    the child (about 33 MB with numpy and scipy imported, below every
+    preset's peak)."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    with proc.stderr:
+        stderr = proc.stderr.read()
+    # wait4 reaps the child and returns its rusage; ru_maxrss is in KiB
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, stderr, wall, usage.ru_maxrss / 1024.0
+
+
 def run_preset(name: str, command: str, workdir: Path, env: dict):
-    """One fresh-process run of a preset: its wall time and the sha256 of
-    its CSV and .meta."""
+    """One fresh-process run of a preset: its wall time, its peak RSS in MB
+    and the sha256 of its CSV and .meta."""
     out = workdir / f"{name}.csv"
     argv = [sys.executable, "-m", "fasrelay.cli", command,
             "--config", str(ROOT / "configs" / f"{name}.conf"),
             "--out", str(out)]
-    start = time.perf_counter()
-    done = subprocess.run(argv, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - start
-    if done.returncode != 0:
-        raise SystemExit(f"{name}: exit {done.returncode}\n{done.stderr}")
-    return wall, {"csv": _sha256(out),
-                  "meta": _sha256(out.with_name(out.name + ".meta"))}
+    code, stderr, wall, rss = run_process(argv, env)
+    if code != 0:
+        raise SystemExit(f"{name}: exit {code}\n{stderr}")
+    return wall, rss, {"csv": _sha256(out),
+                       "meta": _sha256(out.with_name(out.name + ".meta"))}
 
 
 def bench(repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in THREAD_VARS})
-    presets = {name: {"command": command, "wall_s": []}
+    presets = {name: {"command": command, "wall_s": [], "peak_rss_mb": []}
                for name, command in PRESETS.items()}
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(repeats):
             for name, entry in presets.items():
-                wall, sha = run_preset(name, entry["command"], Path(tmp), env)
+                wall, rss, sha = run_preset(name, entry["command"], Path(tmp),
+                                            env)
                 entry["wall_s"].append(wall)
+                entry["peak_rss_mb"].append(rss)
                 if entry.setdefault("sha256", sha) != sha:
                     raise SystemExit(f"{name}: output differs between repeats")
     for entry in presets.values():
         entry["wall_s_median"] = statistics.median(entry["wall_s"])
+        entry["peak_rss_mb_median"] = statistics.median(entry["peak_rss_mb"])
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__, "machine": platform.machine(),
             "nproc": os.cpu_count(), "repeats": repeats, "presets": presets}
+
+
+def _rss(entry: dict) -> str:
+    rss = entry.get("peak_rss_mb_median")
+    return "n/a" if rss is None else f"{rss:.1f} MB"
 
 
 def compare(ours: dict, other: dict) -> bool:
@@ -101,7 +127,8 @@ def compare(ours: dict, other: dict) -> bool:
         identical = a["sha256"] == b["sha256"]
         same &= identical
         print(f"{name:24s} {'identical' if identical else 'differs':9s} "
-              f"{b['wall_s_median']:7.2f} s -> {a['wall_s_median']:7.2f} s")
+              f"{b['wall_s_median']:7.2f} s -> {a['wall_s_median']:7.2f} s  "
+              f"{_rss(b)} -> {_rss(a)}")
     return same
 
 
