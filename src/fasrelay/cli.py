@@ -9,6 +9,14 @@ via numpy's SeedSequence (spawn_key = row index).
 
 The key table ``_KEYS`` is the config schema: parsing and ``render`` both
 read it, and a key the config omits keeps its dataclass default.
+
+Each command has one row builder in ``_BUILDERS``: ``builder(spec, seed)``
+returns ``(rows, summary)``, the rows in CSV order (each made by ``_row``:
+the echoed inputs, the altitude, then the command's own columns) and the
+entries its ``.meta`` adds, which only ``optimize`` has. bler-sweep,
+validate and aperture-sweep share one builder over ports x apertures x
+relay powers. ``run`` checks the sweep axes a command cannot run without
+(``_REQUIRED``) before it calls the builder.
 """
 
 from __future__ import annotations
@@ -226,6 +234,8 @@ class ExperimentSpec:
             raise ValueError("traj_nodes must be >= 2")
         if self.p2 is not None and self.p2 <= 0:
             raise ValueError("p2 must be positive")
+        if self.command == "validate" and self.mc is None:
+            raise ValueError("validate needs Monte Carlo settings (mc)")
         for name, pts in self.sweeps.items():
             if len(pts) < 1:
                 raise ValueError(f"sweep axis {name} must have >= 1 point")
@@ -343,7 +353,8 @@ def _row_seed(base_seed: int, row_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _echo_columns(spec: ExperimentSpec) -> dict:
+def _row(spec: ExperimentSpec, z: float, **cols) -> dict:
+    """One CSV row: the echoed inputs, the altitude z, then cols in order."""
     scn = spec.scenario
     return {
         "command": spec.command,
@@ -364,12 +375,9 @@ def _echo_columns(spec: ExperimentSpec) -> dict:
         "chi_variant": spec.chi_variant,
         "rank_tolerance": spec.rank_tolerance,
         "traj_nodes": spec.traj_nodes,
+        "uav_altitude_m": z,
+        **cols,
     }
-
-
-def _axis(spec: ExperimentSpec, name: str, default) -> list | None:
-    value = spec.sweeps.get(name, default)
-    return None if value is None else list(value)
 
 
 def _blocklengths(spec: ExperimentSpec) -> list[int]:
@@ -417,96 +425,67 @@ def _analytic_points(spec: ExperimentSpec, ev: TrajectoryEvaluator,
             for i in range(len(p2))]
 
 
-def _rows_bler_like(spec: ExperimentSpec, seed: int) -> list[dict]:
-    p2_axis = _axis(spec, "sweep_p2_dbm", None)
-    if p2_axis is None:
-        raise ConfigError("this command requires sweep_p2_dbm")
-    n_axis = _axis(spec, "sweep_n_ports", [spec.n_ports])
-    w_axis = _axis(spec, "sweep_aperture", [spec.aperture])
+def _rows_analytic(spec: ExperimentSpec, seed: int):
+    """bler-sweep, validate and aperture-sweep: the analytic columns over
+    ports x apertures x relay powers. bler-sweep and validate add the error
+    floor, and validate adds one Monte Carlo estimate per row."""
+    # (echoed dBm, evaluated watts): a p2 given in watts is evaluated as is
+    if "sweep_p2_dbm" in spec.sweeps:
+        powers = [(float(p), _from_dbm(p))
+                  for p in spec.sweeps["sweep_p2_dbm"]]
+    elif spec.p2 is not None:
+        powers = [(_to_dbm(spec.p2), spec.p2)]
+    else:
+        raise ConfigError(f"{spec.command} requires p2 or sweep_p2_dbm")
     scn = spec.scenario
     ev = TrajectoryEvaluator(scn, _fbl(spec, spec.blocklength),
                              spec.traj_nodes)
-    p2_axis = [float(p) for p in p2_axis]
-    p2s = [_from_dbm(p) for p in p2_axis]
     rows = []
-    for n, w in product(n_axis, w_axis):
+    for n, w in product(spec.sweeps.get("sweep_n_ports", [spec.n_ports]),
+                        spec.sweeps.get("sweep_aperture", [spec.aperture])):
         n, w = int(n), float(w)
-        points = _analytic_points(spec, ev, n, w, p2s)
-        for p2_dbm, p2, point in zip(p2_axis, p2s, points):
-            row = _echo_columns(spec)
-            row.update({"uav_altitude_m": scn.uav_altitude, "n_ports": n,
-                        "aperture": w, "blocklength": spec.blocklength,
-                        "p2_dbm": p2_dbm})
-            row.update(point)
-            # the limit of the end-to-end BLER as the relay power grows
-            row["error_floor"] = row["bler_hop1"]
+        points = _analytic_points(spec, ev, n, w, [p2 for _, p2 in powers])
+        for (p2_dbm, p2), point in zip(powers, points):
+            cols = dict(n_ports=n, aperture=w, blocklength=spec.blocklength,
+                        p2_dbm=p2_dbm, **point)
+            if spec.command != "aperture-sweep":
+                # the limit of the end-to-end BLER as the relay power grows
+                cols["error_floor"] = point["bler_hop1"]
             if spec.command == "validate":
                 mc = replace(spec.mc, seed=_row_seed(seed, len(rows)))
                 fas = fas_spectrum(n, w, spec.rank_tolerance)
                 est = mc_average_bler(scn, fas, ev.fbl, p2, mc)
-                row.update({"bler_mc": est.mean, "bler_mc_se": est.std_error,
-                            "mc_trials": est.trials, "mc_mode": mc.mode,
-                            "row_seed": mc.seed})
-            rows.append(row)
-    return rows
+                cols.update(bler_mc=est.mean, bler_mc_se=est.std_error,
+                            mc_trials=est.trials, mc_mode=mc.mode,
+                            row_seed=mc.seed)
+            rows.append(_row(spec, scn.uav_altitude, **cols))
+    return rows, {}
 
 
-def _rows_aperture(spec: ExperimentSpec, seed: int) -> list[dict]:
-    w_axis = _axis(spec, "sweep_aperture", None)
-    if w_axis is None:
-        raise ConfigError("aperture-sweep requires sweep_aperture")
-    if spec.p2 is None and "sweep_p2_dbm" not in spec.sweeps:
-        raise ConfigError("aperture-sweep requires p2 or sweep_p2_dbm")
-    # (echoed dBm, evaluated watts): a p2 given in watts is evaluated as is
-    powers = ([(p, _from_dbm(p)) for p in _axis(spec, "sweep_p2_dbm", [])]
-              or [(_to_dbm(spec.p2), spec.p2)])
-    ev = TrajectoryEvaluator(spec.scenario, _fbl(spec, spec.blocklength),
-                             spec.traj_nodes)
-    rows = []
-    for w in w_axis:
-        points = _analytic_points(spec, ev, spec.n_ports, float(w),
-                                  [p2 for _, p2 in powers])
-        for (p2_dbm, _), point in zip(powers, points):
-            row = _echo_columns(spec)
-            row.update({"uav_altitude_m": spec.scenario.uav_altitude,
-                        "n_ports": spec.n_ports, "aperture": float(w),
-                        "blocklength": spec.blocklength,
-                        "p2_dbm": float(p2_dbm)})
-            row.update(point)
-            rows.append(row)
-    return rows
-
-
-def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int) -> list[dict]:
-    z_axis = _axis(spec, "sweep_z", None)
-    if z_axis is None:
-        raise ConfigError("power-vs-altitude requires sweep_z")
-    n_axis = _axis(spec, "sweep_n_ports", [spec.n_ports])
+def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int):
+    z_axis = [float(z) for z in spec.sweeps["sweep_z"]]
     fbl = _fbl(spec, spec.blocklength)
     # one evaluator per altitude, shared by its port counts
-    evs = {float(z): TrajectoryEvaluator(
-               replace(spec.scenario, uav_altitude=float(z)), fbl,
-               spec.traj_nodes) for z in z_axis}
+    evs = {z: TrajectoryEvaluator(replace(spec.scenario, uav_altitude=z), fbl,
+                                  spec.traj_nodes) for z in z_axis}
     rows = []
-    for n, z in product(n_axis, z_axis):
-        n, z = int(n), float(z)
-        fas = fas_spectrum(n, spec.aperture, spec.rank_tolerance)
+    for n, z in product(spec.sweeps.get("sweep_n_ports", [spec.n_ports]),
+                        z_axis):
+        fas = fas_spectrum(int(n), spec.aperture, spec.rank_tolerance)
         found = min_power(evs[z], fas.lambdas, spec.ee)
         p2 = None if found is None else found[0]
-        row = _echo_columns(spec)
-        row.update({"uav_altitude_m": z, "n_ports": n,
-                    "aperture": spec.aperture, "blocklength": spec.blocklength,
-                    "n_eff": fas.n_eff,
-                    "feasible": p2 is not None,
-                    "p2_star_w": p2 if p2 is not None else "",
-                    "p2_star_dbm": _to_dbm(p2) if p2 is not None else ""})
-        rows.append(row)
-    return rows
+        rows.append(_row(
+            spec, z, n_ports=int(n), aperture=spec.aperture,
+            blocklength=spec.blocklength, n_eff=fas.n_eff,
+            feasible=p2 is not None,
+            p2_star_w=p2 if p2 is not None else "",
+            p2_star_dbm=_to_dbm(p2) if p2 is not None else ""))
+    return rows, {}
 
 
-def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int) -> list[dict]:
-    n_axis = _axis(spec, "sweep_n_ports",
-                   list(range(spec.ee.n_range[0], spec.ee.n_range[1] + 1)))
+def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int):
+    n_axis = spec.sweeps.get(
+        "sweep_n_ports", range(spec.ee.n_range[0], spec.ee.n_range[1] + 1))
     rows = []
     for l in _blocklengths(spec):
         ev = TrajectoryEvaluator(spec.scenario, _fbl(spec, int(l)),
@@ -514,59 +493,63 @@ def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int) -> list[dict]:
         for n in n_axis:
             e = port_entry(ev, int(n), spec.aperture, spec.ee,
                            spec.rank_tolerance)
-            row = _echo_columns(spec)
-            row.update({"uav_altitude_m": spec.scenario.uav_altitude,
-                        "n_ports": int(n), "aperture": spec.aperture,
-                        "blocklength": int(l), "feasible": e.feasible,
-                        "p2_star_dbm": _to_dbm(e.p2) if e.feasible else "",
-                        "eps_o": e.eps_o if e.feasible else "",
-                        "ee_bits_per_joule": e.ee})
-            rows.append(row)
-    return rows
+            rows.append(_row(
+                spec, spec.scenario.uav_altitude, n_ports=int(n),
+                aperture=spec.aperture, blocklength=int(l),
+                feasible=e.feasible,
+                p2_star_dbm=_to_dbm(e.p2) if e.feasible else "",
+                eps_o=e.eps_o if e.feasible else "",
+                ee_bits_per_joule=e.ee))
+    return rows, {}
 
 
-def _port_search_columns(spec: ExperimentSpec, res: PortSearchResult) -> dict:
-    """Echo columns plus the outcome of one port search at one (L, Z), shared
-    by the ee-contour and optimize rows."""
-    row = _echo_columns(spec)
-    row.update({"uav_altitude_m": res.z_u, "blocklength": res.blocklength,
-                "aperture": spec.aperture,
-                "feasible": res.feasible,
-                "n_star": res.n_star if res.feasible else "",
-                "p2_star_dbm": _to_dbm(res.p2_star) if res.feasible else "",
-                "ee_bits_per_joule": res.ee_star})
-    return row
+def _port_search_row(spec: ExperimentSpec, res: PortSearchResult) -> dict:
+    """The row of one port search at one (L, Z), shared by the ee-contour
+    and optimize rows."""
+    return _row(spec, res.z_u, blocklength=res.blocklength,
+                aperture=spec.aperture, feasible=res.feasible,
+                n_star=res.n_star if res.feasible else "",
+                p2_star_dbm=_to_dbm(res.p2_star) if res.feasible else "",
+                ee_bits_per_joule=res.ee_star)
 
 
-def _rows_ee_contour(spec: ExperimentSpec, seed: int) -> list[dict]:
-    z_axis = _axis(spec, "sweep_z", None)
+def _rows_ee_contour(spec: ExperimentSpec, seed: int):
     l_axis = _blocklengths(spec)
-    if z_axis is None or not l_axis:
-        raise ConfigError("ee-contour requires sweep_z and sweep_blocklength")
     fbls = {int(l): _fbl(spec, int(l)) for l in l_axis}
-    return [_port_search_columns(spec, best_port_count(
+    return [_port_search_row(spec, best_port_count(
                 spec.scenario, fbls[int(l)], spec.ee, float(z), spec.aperture,
                 spec.rank_tolerance, spec.traj_nodes))
-            for l in l_axis for z in z_axis]
+            for l in l_axis for z in spec.sweeps["sweep_z"]], {}
 
 
-def _rows_optimize(spec: ExperimentSpec):
+def _rows_optimize(spec: ExperimentSpec, seed: int):
     sol = global_optimize(spec.scenario, spec.ee, spec.aperture,
                           spec.rank_tolerance, spec.traj_nodes,
                           spec.chi_variant)
-    rows = [dict(_port_search_columns(spec, res),
+    rows = [dict(_port_search_row(spec, res),
                  is_optimum=(sol.feasible and res.feasible
                              and res.blocklength == sol.l_star
                              and res.z_u == sol.z_star))
             for res in sol.trace]
-    return rows, sol
+    summary = {"feasible": sol.feasible, "l_star": sol.l_star,
+               "z_star": sol.z_star, "n_star": sol.n_star,
+               "p2_star_w": sol.p2_star, "ee_star": sol.ee_star,
+               "eps_star": sol.eps_star,
+               "table_check_max_rel": sol.table_check_max_rel}
+    return rows, summary
 
 
-# command -> builder(spec, seed) -> rows, in CSV order
-_BUILDERS = {"bler-sweep": _rows_bler_like, "validate": _rows_bler_like,
-             "aperture-sweep": _rows_aperture,
+# command -> builder(spec, seed) -> (rows in CSV order, .meta summary)
+_BUILDERS = {"bler-sweep": _rows_analytic, "validate": _rows_analytic,
+             "aperture-sweep": _rows_analytic,
              "power-vs-altitude": _rows_power_vs_altitude,
-             "ee-vs-ports": _rows_ee_vs_ports, "ee-contour": _rows_ee_contour}
+             "ee-vs-ports": _rows_ee_vs_ports, "ee-contour": _rows_ee_contour,
+             "optimize": _rows_optimize}
+
+# command -> the sweep axes it cannot run without
+_REQUIRED = {"aperture-sweep": ("sweep_aperture",),
+             "power-vs-altitude": ("sweep_z",),
+             "ee-contour": ("sweep_z", "sweep_blocklength")}
 
 
 def run(spec: ExperimentSpec, seed: int | None = None,
@@ -578,16 +561,11 @@ def run(spec: ExperimentSpec, seed: int | None = None,
     """
     path = out_path or spec.output_path
     base_seed = seed if seed is not None else (spec.mc or McConfig()).seed
-    summary = {}
-    if spec.command == "optimize":
-        rows, sol = _rows_optimize(spec)
-        summary = {"feasible": sol.feasible, "l_star": sol.l_star,
-                   "z_star": sol.z_star, "n_star": sol.n_star,
-                   "p2_star_w": sol.p2_star, "ee_star": sol.ee_star,
-                   "eps_star": sol.eps_star,
-                   "table_check_max_rel": sol.table_check_max_rel}
-    else:
-        rows = _BUILDERS[spec.command](spec, base_seed)
+    missing = [axis for axis in _REQUIRED.get(spec.command, ())
+               if axis not in spec.sweeps]
+    if missing:
+        raise ConfigError(f"{spec.command} requires {' and '.join(missing)}")
+    rows, summary = _BUILDERS[spec.command](spec, base_seed)
 
     if not rows:
         raise RuntimeError("no rows produced")

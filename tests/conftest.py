@@ -276,6 +276,25 @@ def exact_avg_bler(vartheta, m, lambdas, rate, blocklength):
     return val
 
 
+@lru_cache(maxsize=64)
+def _mixed_exact(cfg, fbl, nodes, hop, power, lambdas):
+    """`exact_avg_bler` of one hop at each Chebyshev node, LoS/NLoS mixed.
+    Hop 1 depends on neither p2 nor the ports, so every row of a power or
+    port sweep shares one hop-1 array."""
+    geo = trajectory_geometry(cfg, chebyshev_nodes(nodes)[0])
+    beta, p_los = ((geo.beta1, geo.p_los1) if hop == 1
+                   else (geo.beta2, geo.p_los2))
+    eps = np.zeros(nodes)
+    for lt, share in (("los", p_los), ("nlos", 1.0 - p_los)):
+        m = cfg.nakagami_m(lt)
+        vts = m * cfg.noise_power / (power * beta[lt])
+        eps += share * np.array([
+            exact_avg_bler(vt, m, lambdas, fbl.rate, fbl.blocklength)
+            for vt in vts])
+    eps.flags.writeable = False
+    return eps
+
+
 def exact_traj_bler(cfg, lambdas, fbl, p2, nodes=128):
     """Trajectory average of the exact Q-shaped end-to-end BLER.
 
@@ -284,21 +303,10 @@ def exact_traj_bler(cfg, lambdas, fbl, p2, nodes=128):
     combining; no surrogate closed form is involved. This is the expectation
     the simulation engine estimates.
     """
-    theta, weights = chebyshev_nodes(nodes)
-    geo = trajectory_geometry(cfg, theta)
-    hops = ((cfg.p1, geo.beta1, geo.p_los1, None),
-            (p2, geo.beta2, geo.p_los2, tuple(lambdas)))
-    mixed = []
-    for power, beta, p_los, lams in hops:
-        eps = np.zeros(nodes)
-        for lt, share in (("los", p_los), ("nlos", 1.0 - p_los)):
-            m = cfg.nakagami_m(lt)
-            vts = m * cfg.noise_power / (power * beta[lt])
-            eps += share * np.array([
-                exact_avg_bler(vt, m, lams, fbl.rate, fbl.blocklength)
-                for vt in vts])
-        mixed.append(eps)
-    return float(weights @ (1.0 - (1.0 - mixed[0]) * (1.0 - mixed[1])))
+    weights = chebyshev_nodes(nodes)[1]
+    eps1 = _mixed_exact(cfg, fbl, nodes, 1, cfg.p1, None)
+    eps2 = _mixed_exact(cfg, fbl, nodes, 2, p2, tuple(lambdas))
+    return float(weights @ (1.0 - (1.0 - eps1) * (1.0 - eps2)))
 
 
 def surrogate_mc_bler(cfg, lambdas, fbl, p2, seed, trials, batch):

@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -19,7 +20,7 @@ from fasrelay import (ConfigError, EeConfig, McConfig, ScenarioConfig,
 from fasrelay.blercore import CHI_VARIANTS, chebyshev_nodes
 from fasrelay.cli import (_KEYS, _SWEEP_KEYS, COMMANDS, ExperimentSpec,
                           _analytic_points, main, parse_config, render, run)
-from fasrelay.mcoracle import _CHUNK, MC_MODES
+from fasrelay.mcoracle import _CHUNK, MC_MODES, mc_average_bler
 
 
 def read_csv(path):
@@ -178,6 +179,13 @@ def test_validate_emits_mc_columns_and_is_deterministic(tmp_path):
         assert r["mc_trials"] == "20000"
 
 
+def test_validate_without_monte_carlo_settings_is_a_value_error():
+    # rejected when built, not with a TypeError from run
+    with pytest.raises(ValueError, match="Monte Carlo"):
+        ExperimentSpec("validate", ScenarioConfig(), EeConfig(), None,
+                       sweeps={"sweep_p2_dbm": [10.0]})
+
+
 def test_validate_seed_override_changes_mc(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -190,38 +198,72 @@ def test_validate_seed_override_changes_mc(tmp_path):
     assert a["bler_analytic"] == b["bler_analytic"]
 
 
-def test_aperture_sweep_requires_power(tmp_path):
-    spec = parse_config("sweep_aperture = 0.5, 1\n", "aperture-sweep")
-    with pytest.raises(ConfigError):
-        run(spec, out_path=str(tmp_path / "x.csv"))
+@pytest.mark.parametrize("command, text, missing", [
+    pytest.param("aperture-sweep", "sweep_aperture = 0.5, 1\n",
+                 ("p2", "sweep_p2_dbm"), id="aperture-sweep-p2"),
+    pytest.param("aperture-sweep", "p2 = 10 dBm\n", ("sweep_aperture",),
+                 id="aperture-sweep-sweep_aperture"),
+    pytest.param("bler-sweep", "", ("p2", "sweep_p2_dbm"), id="bler-sweep-p2"),
+    pytest.param("validate", "trials = 100\n", ("p2", "sweep_p2_dbm"),
+                 id="validate-p2"),
+    pytest.param("power-vs-altitude", "sweep_n_ports = 2\n", ("sweep_z",),
+                 id="power-vs-altitude-sweep_z"),
+    pytest.param("ee-contour", "sweep_blocklength = 300\n", ("sweep_z",),
+                 id="ee-contour-sweep_z"),
+    pytest.param("ee-contour", "sweep_z = 300\n", ("sweep_blocklength",),
+                 id="ee-contour-sweep_blocklength"),
+])
+def test_aperture_sweep_requires_power(tmp_path, command, text, missing):
+    # a command without an axis or power it needs stops before any work,
+    # with an error that names the missing key
+    out = tmp_path / "x.csv"
+    with pytest.raises(ConfigError) as err:
+        run(parse_config(text, command), out_path=str(out))
+    for key in missing:
+        assert re.search(rf"\b{key}\b", str(err.value)), (key, str(err.value))
+    assert not out.exists()
 
 
 def test_aperture_sweep_rows(tmp_path):
+    # one row per (N, aperture), N outermost; sweep_n_ports replaces n_ports
     out = tmp_path / "w.csv"
-    spec = parse_config(
-        f"n_ports = 4\np2 = 15 dBm\nsweep_aperture = 0.5, 1, 2\n"
-        f"traj_nodes = 32\noutput = {out}\n", "aperture-sweep")
-    assert run(spec) == 0
-    rows = read_csv(out)
-    assert [r["aperture"] for r in rows] == ["0.5", "1.0", "2.0"]
-    blers = [float(r["bler_analytic"]) for r in rows]
-    assert blers[0] > blers[-1]
+    for ports, n_axis in (("n_ports = 4", ["4"]),
+                          ("sweep_n_ports = 1, 4", ["1", "4"])):
+        spec = parse_config(
+            f"{ports}\np2 = 15 dBm\nsweep_aperture = 0.5, 1, 2\n"
+            f"traj_nodes = 32\noutput = {out}\n", "aperture-sweep")
+        assert run(spec) == 0
+        rows = read_csv(out)
+        assert [(r["n_ports"], r["aperture"]) for r in rows] == [
+            (n, w) for n in n_axis for w in ("0.5", "1.0", "2.0")]
+        blers = [float(r["bler_analytic"]) for r in rows
+                 if r["n_ports"] == "4"]
+        assert blers[0] > blers[-1]
 
 
-def test_aperture_sweep_evaluates_p2_in_watts(tmp_path):
+@pytest.mark.parametrize("command, text", [
+    ("bler-sweep", ""),
+    ("validate", "trials = 1000\n"),
+    ("aperture-sweep", "sweep_aperture = 0.5\n"),
+], ids=["bler-sweep", "validate", "aperture-sweep"])
+def test_aperture_sweep_evaluates_p2_in_watts(tmp_path, command, text):
     # this p2 does not survive a round trip through dBm; the row must be
     # evaluated at p2 itself and echo its dBm value
     p2 = 0.00033761994411113367
     out = tmp_path / "w.csv"
-    spec = parse_config(f"n_ports = 2\np2 = {p2!r}\nsweep_aperture = 0.5\n"
-                        f"traj_nodes = 32\noutput = {out}\n", "aperture-sweep")
+    spec = parse_config(f"n_ports = 2\np2 = {p2!r}\n{text}"
+                        f"traj_nodes = 32\noutput = {out}\n", command)
     assert run(spec) == 0
-    row = read_csv(out)[0]
+    [row] = read_csv(out)
     fbl = linearize(80 / 100, 100, "2^R-1")
     ev = TrajectoryEvaluator(ScenarioConfig(), fbl, 32)
-    assert float(row["bler_analytic"]) == ev.e2e_avg(
-        p2, fas_spectrum(2, 0.5).lambdas)
+    fas = fas_spectrum(2, 0.5)
+    assert float(row["bler_analytic"]) == ev.e2e_avg(p2, fas.lambdas)
     assert float(row["p2_dbm"]) == 10.0 * math.log10(p2 * 1000.0)
+    if command == "validate":
+        mc = McConfig(seed=int(row["row_seed"]), trials=1000)
+        assert float(row["bler_mc"]) == mc_average_bler(
+            ScenarioConfig(), fas, fbl, p2, mc).mean
 
 
 def test_power_vs_altitude_rows(tmp_path):

@@ -38,6 +38,23 @@ def test_compare_identical_presets(bench, capsys):
     assert bench.compare(_result(a="1", b="2"), _result(a="1", b="2"))
     out = capsys.readouterr().out
     assert "identical" in _line(out, "a") and "identical" in _line(out, "b")
+    assert "note:" not in out
+
+
+def test_compare_notes_differing_library_versions(bench, capsys):
+    ours, other = _result(a="1"), _result(a="2")
+    ours.update(python="3.11.7", numpy="2.4.6", scipy="1.17.1")
+    other.update(python="3.12.1", numpy="2.4.6", scipy="1.16.0")
+    # the note does not change the verdict: a differing preset still fails
+    assert not bench.compare(ours, other)
+    out = capsys.readouterr().out
+    [note] = [line for line in out.splitlines() if line.startswith("note:")]
+    assert "python 3.12.1 -> 3.11.7" in note
+    assert "scipy 1.16.0 -> 1.17.1" in note
+    assert "numpy" not in note
+    other["presets"] = ours["presets"]
+    assert bench.compare(ours, other)
+    assert "note:" in capsys.readouterr().out
 
 
 def test_compare_a_differing_preset(bench, capsys):

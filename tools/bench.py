@@ -14,7 +14,10 @@ of each run and their medians, and the sha256 of the CSV and of its
 With --against, it then prints per preset whether the CSV and ``.meta``
 are identical to those of the other file, with both median times and both
 median peak RSS ("n/a" for a file written before peak RSS was recorded),
-and exits 1 if any preset differs or is missing from either file.
+and exits 1 if any preset differs or is missing from either file. When the
+two files record different python, numpy or scipy versions it first prints
+one ``note:`` line naming them, since bits may legitimately differ across
+library versions; the exit code still depends only on the comparison.
 """
 
 from __future__ import annotations
@@ -116,7 +119,14 @@ def _rss(entry: dict) -> str:
 
 
 def compare(ours: dict, other: dict) -> bool:
-    """Print one line per preset; True when every preset is identical."""
+    """Print one line per preset, after a note on any differing library
+    version; True when every preset is identical."""
+    versions = [f"{key} {other.get(key)} -> {ours.get(key)}"
+                for key in ("python", "numpy", "scipy")
+                if ours.get(key) != other.get(key)]
+    if versions:
+        print(f"note: the environments differ ({', '.join(versions)}); "
+              "bits may differ across library versions")
     same = True
     for name in sorted(set(ours["presets"]) | set(other["presets"])):
         a, b = ours["presets"].get(name), other["presets"].get(name)
