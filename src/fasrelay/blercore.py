@@ -85,6 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .errors import MonotonicityError
 from .geometry import LINK_TYPES, ScenarioConfig, trajectory_geometry
 
 _LOG2E = math.log2(math.e)
@@ -131,6 +132,7 @@ _CHEB_N = 32
 _CHEB_T = np.polynomial.chebyshev.chebpts1(_CHEB_N)
 _CHEB_W = (-1.0) ** np.arange(_CHEB_N) * np.sqrt(1.0 - _CHEB_T ** 2)
 _TINY = np.finfo(float).tiny
+_TABLE_SLACK = 1e-12  # how far a table value may fall to the next node's
 
 
 def q_func(x):
@@ -339,18 +341,16 @@ class Hop2Table:
     """Interpolant of the hop-2 average BLER on the lattice panels that
     `cover` asked for, never extrapolated.
 
-    log eps2 is piecewise Chebyshev in log vartheta on a fixed lattice of
-    whole decades, each panel holding the polynomial that interpolates
-    log eps2 at its 32 first-kind Chebyshev nodes, evaluated by the
-    barycentric formula. The lattice is anchored at vt_sat =
-    _saturation_z(m2) * max(lambda) / rho_l when rho_l > 0 and at 1 when
-    rho_l = 0 (vt_sat = inf). Past vt_sat the kernel returns the constant
-    min(chi * width, 1), and so does the table, panels or none; a lookup
-    below the panels or between them and vt_sat raises ValueError. Nodes,
-    panel choice, the local coordinate and the kernel's value depend on
-    (params, m2, lambdas, vartheta) only, so a value does not depend on
-    the panels held or the order `cover` added them in. `nodes` and
-    `values` hold the sampled vartheta (ascending) and the kernel's values.
+    log eps2 is piecewise Chebyshev in log vartheta on the module
+    docstring's lattice of whole decades (vt_sat = inf where rho_l = 0),
+    each panel holding the polynomial that interpolates log eps2 at its 32
+    first-kind Chebyshev nodes, evaluated by the barycentric formula. Past
+    vt_sat the table returns the kernel's constant min(chi * width, 1),
+    panels or none; a lookup below the panels or between them and vt_sat
+    raises ValueError. A value depends on (params, m2, lambdas, vartheta)
+    only, not on the panels held or the order `cover` added them in.
+    `nodes` and `values` hold the sampled vartheta (ascending) and the
+    kernel's values.
     """
 
     def __init__(self, params: FblParams, m2: int, lambdas):
@@ -371,7 +371,8 @@ class Hop2Table:
         """Grow the table to the panels that meet [lo, min(hi, vt_sat)],
         keeping them contiguous: one kernel call fills the panels below and
         above the ones held, which are kept as they are. A range at or past
-        vt_sat needs none."""
+        vt_sat needs none. Held and new values that fall with vartheta by
+        more than _TABLE_SLACK raise `MonotonicityError`, changing nothing."""
         if not 0.0 < lo < hi:
             raise ValueError("need 0 < lo < hi")
         top = min(hi, self.vt_sat)
@@ -393,9 +394,17 @@ class Hop2Table:
         # the new panels below the held ones, then those above
         below = held.start - k_lo
         cut = below * _CHEB_N
+        nodes, values = (np.concatenate((new[:cut], old, new[cut:])) for new, old
+                         in ((nodes, self.nodes), (values, self.values)))
+        falls = np.flatnonzero(np.diff(values) < -_TABLE_SLACK)
+        if falls.size:
+            i = falls[0]
+            raise MonotonicityError(
+                "hop-2 BLER table failed to increase with vartheta: "
+                f"eps({nodes[i]:.3e})={values[i]:.6e} -> "
+                f"eps({nodes[i + 1]:.3e})={values[i + 1]:.6e}")
         self.panels = range(k_lo, k_end)
-        self.nodes = np.concatenate((nodes[:cut], self.nodes, nodes[cut:]))
-        self.values = np.concatenate((values[:cut], self.values, values[cut:]))
+        self.nodes, self.values = nodes, values
         self._log_values = np.concatenate(
             (log_values[:below], self._log_values, log_values[below:]))
 
@@ -481,33 +490,41 @@ def chebyshev_nodes(n_nodes: int):
     return theta, weights
 
 
+def _mix(p_los, los, nlos):
+    """The LoS/NLoS mixture p_los * los + (1 - p_los) * nlos, broadcast. A
+    link of weight 0 adds 0, even where its value is inf (0 * inf is nan);
+    every other value has the bits of the formula."""
+    parts = [np.multiply(w, v, out=np.zeros(np.broadcast(w, v).shape),
+                         where=w > 0.0)
+             for w, v in ((p_los, los), (1.0 - p_los, nlos))]
+    return parts[0] + parts[1]
+
+
 class TrajectoryEvaluator:
     """The trajectory-averaged BLER of one scenario and blocklength, and its
     per-node parts.
 
     `e2e_avg(p2, lambdas)` is the end-to-end BLER averaged around the circle
     at relay power p2 on the port spectrum lambdas, and `hop1_avg()` its
-    limit as p2 grows (the error floor). The per-node arrays compose it: `eps1_mixed` (hop 1, LoS/NLoS
-    mixed), `hop2_components` (hop 2 per link type), `hop2_mixed` and
-    `end_to_end`. Against the 10,000-point midpoint sum of C12 (urban
-    scenario, L = 100, N = 2) the Chebyshev rule of `chebyshev_nodes` is
-    2.5e-5 absolute off at -20 dBm and 1.9e-7 at 18 dBm with 128 nodes, and
-    1.0e-4 and 7.7e-7 with 64; ROADMAP item 1 replaces the rule.
+    limit as p2 grows (the error floor). The per-node arrays compose it:
+    `eps1_mixed` (hop 1, LoS/NLoS mixed), `hop2_components` (hop 2 per link
+    type), `hop2_mixed` and `end_to_end`. Both mixtures are the one rule
+    `_mix`, and every trajectory average is the one reduction `average`.
+    Against the 10,000-point midpoint sum of C12 (urban scenario, L = 100,
+    N = 2) the Chebyshev rule of `chebyshev_nodes` is 2.5e-5 absolute off
+    at -20 dBm and 1.9e-7 at 18 dBm with 128 nodes, and 1.0e-4 and 7.7e-7
+    with 64; ROADMAP item 1 replaces the rule.
 
     Geometry and hop 1 are computed once, so repeated evaluations at
     different transmit powers (bisection, port sweeps) only redo the hop-2
-    averages. Several powers go through one call per link type: given a
-    column of P powers, `hop2_varthetas` and `hop2_components` return
-    (P, nodes) arrays, and a row is the same to the bit as that power's
-    own call, since the kernel reduces each row on its own and every other
-    step is elementwise. A power solve reads hop 2 from one `Hop2Table` per
-    link type at `hop2_varthetas(p2)` and combines through `e2e_avg_from`:
-    the tables of a spectrum are filled once for every solve of a study
-    that reads them, and agree with this direct path to about 1e-12
-    relative (see the module docstring).
-
-    The weighted reduction runs in fixed node order, one `weights @ row`
-    per power, so results are bit-reproducible for a given node count.
+    averages. A column of P powers goes through one call per link type and
+    gives (P, nodes) arrays and one average per row, each row the bits of
+    its power's own call: the kernel and `average` reduce each row on its
+    own, and every other step is elementwise. A power solve reads hop 2
+    from one `Hop2Table` per link type at `hop2_varthetas(p2)` and combines
+    through `e2e_avg_from`: the tables of a spectrum are filled once for
+    every solve of a study that reads them, and agree with this direct
+    path to about 1e-12 relative (see the module docstring).
     """
 
     def __init__(self, cfg: ScenarioConfig, fbl: FblParams,
@@ -520,10 +537,18 @@ class TrajectoryEvaluator:
             avg_bler_hop1(fbl, cfg.nakagami_m(lt) * cfg.noise_power
                           / (cfg.p1 * geo.beta1[lt]), cfg.nakagami_m(lt))
             for lt in LINK_TYPES)
-        self.eps1_mixed = geo.p_los1 * eps1_los + (1.0 - geo.p_los1) * eps1_nlos
+        self.eps1_mixed = _mix(geo.p_los1, eps1_los, eps1_nlos)
+
+    def average(self, values):
+        """A float for a node array, an array of one per row for (P, nodes):
+        each is `weights @ row`, with the bits of its own call (the BLAS
+        matvec of `values @ weights` rounds rows in blocks)."""
+        if np.ndim(values) == 1:
+            return float(self.weights @ values)
+        return np.array([self.weights @ row for row in values])
 
     def hop1_avg(self) -> float:
-        return float(self.weights @ self.eps1_mixed)
+        return self.average(self.eps1_mixed)
 
     def hop2_varthetas(self, p2):
         """Hop-2 rate parameters m sigma^2 / (p2 beta2) at every node, for
@@ -541,7 +566,7 @@ class TrajectoryEvaluator:
 
     def hop2_mixed(self, e2_los, e2_nlos):
         """LoS/NLoS mixture of per-node hop-2 values."""
-        return self.geo.p_los2 * e2_los + (1.0 - self.geo.p_los2) * e2_nlos
+        return _mix(self.geo.p_los2, e2_los, e2_nlos)
 
     def end_to_end(self, eps2_mixed):
         """Decode-and-forward combination with hop 1 at every node."""
@@ -549,9 +574,9 @@ class TrajectoryEvaluator:
         # (1 - eps2) can where eps2 is below the spacing of doubles at 1
         return self.eps1_mixed + eps2_mixed * (1.0 - self.eps1_mixed)
 
-    def e2e_avg_from(self, e2_los, e2_nlos) -> float:
+    def e2e_avg_from(self, e2_los, e2_nlos):
         """Trajectory-averaged end-to-end BLER from per-node hop-2 values."""
-        return float(self.weights @ self.end_to_end(self.hop2_mixed(e2_los, e2_nlos)))
+        return self.average(self.end_to_end(self.hop2_mixed(e2_los, e2_nlos)))
 
     def e2e_avg(self, p2: float, lambdas) -> float:
         return self.e2e_avg_from(*self.hop2_components(p2, lambdas))

@@ -35,7 +35,7 @@ from . import __version__
 from .blercore import (CHI_VARIANTS, DEFAULT_TRAJECTORY_NODES,
                        TrajectoryEvaluator, avg_bler_hop2_asymptotic,
                        linearize)
-from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
+from .chanmodel import DEFAULT_RANK_TOLERANCE, FasSpectrum, fas_spectrum
 from .errors import ConfigError, FasRelayError
 from .geometry import LINK_TYPES, ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
@@ -397,32 +397,24 @@ def _fbl(spec: ExperimentSpec, blocklength: int):
                      spec.chi_variant)
 
 
-def _analytic_points(spec: ExperimentSpec, ev: TrajectoryEvaluator,
-                     n_ports: int, aperture: float, p2s) -> list[dict]:
-    """The analytic columns of n_ports ports at the aperture, one dict per
-    relay power of p2s: one kernel and one asymptote call per link type
-    cover all the powers, and each power's row is averaged on its own."""
-    fas = fas_spectrum(n_ports, aperture, spec.rank_tolerance)
+def _analytic_points(ev: TrajectoryEvaluator, fas: FasSpectrum,
+                     p2s) -> list[dict]:
+    """The analytic columns of the port spectrum fas, one dict per relay
+    power of p2s: one kernel and one asymptote call per link type cover all
+    the powers, and each power's row is averaged on its own."""
     p2 = np.asarray(p2s, dtype=float)[:, None]
     eps2 = ev.hop2_mixed(*ev.hop2_components(p2, fas.lambdas))
-    e2e = ev.end_to_end(eps2)
-    asym = [avg_bler_hop2_asymptotic(ev.fbl, vt2, ev.cfg.nakagami_m(lt),
-                                     fas.lambdas)
-            for lt, vt2 in zip(LINK_TYPES, ev.hop2_varthetas(p2))]
-    # a link of weight 0 adds 0, also where its asymptote is inf (0 * inf
-    # is nan); every other term keeps the bits of hop2_mixed
-    mixed = np.zeros_like(asym[0])
-    for weight, term in zip((ev.geo.p_los2, 1.0 - ev.geo.p_los2), asym):
-        mixed += np.multiply(weight, term, out=np.zeros_like(term),
-                             where=weight > 0.0)
-    e2e_asym = ev.end_to_end(np.minimum(mixed, 1.0))
+    asym = ev.hop2_mixed(*(
+        avg_bler_hop2_asymptotic(ev.fbl, vt2, ev.cfg.nakagami_m(lt),
+                                 fas.lambdas)
+        for lt, vt2 in zip(LINK_TYPES, ev.hop2_varthetas(p2))))
+    e2e_asym = ev.end_to_end(np.minimum(asym, 1.0))
     hop1 = ev.hop1_avg()
-    return [{"n_eff": fas.n_eff,
-             "bler_analytic": float(ev.weights @ e2e[i]),
-             "bler_hop1": hop1,
-             "bler_hop2": float(ev.weights @ eps2[i]),
-             "bler_e2e_asym": float(ev.weights @ e2e_asym[i])}
-            for i in range(len(p2))]
+    averages = zip(*(ev.average(x).tolist()
+                     for x in (ev.end_to_end(eps2), eps2, e2e_asym)))
+    return [{"n_eff": fas.n_eff, "bler_analytic": analytic,
+             "bler_hop1": hop1, "bler_hop2": hop2, "bler_e2e_asym": e2e}
+            for analytic, hop2, e2e in averages]
 
 
 def _rows_analytic(spec: ExperimentSpec, seed: int):
@@ -444,7 +436,8 @@ def _rows_analytic(spec: ExperimentSpec, seed: int):
     for n, w in product(spec.sweeps.get("sweep_n_ports", [spec.n_ports]),
                         spec.sweeps.get("sweep_aperture", [spec.aperture])):
         n, w = int(n), float(w)
-        points = _analytic_points(spec, ev, n, w, [p2 for _, p2 in powers])
+        fas = fas_spectrum(n, w, spec.rank_tolerance)
+        points = _analytic_points(ev, fas, [p2 for _, p2 in powers])
         for (p2_dbm, p2), point in zip(powers, points):
             cols = dict(n_ports=n, aperture=w, blocklength=spec.blocklength,
                         p2_dbm=p2_dbm, **point)
@@ -453,7 +446,6 @@ def _rows_analytic(spec: ExperimentSpec, seed: int):
                 cols["error_floor"] = point["bler_hop1"]
             if spec.command == "validate":
                 mc = replace(spec.mc, seed=_row_seed(seed, len(rows)))
-                fas = fas_spectrum(n, w, spec.rank_tolerance)
                 est = mc_average_bler(scn, fas, ev.fbl, p2, mc)
                 cols.update(bler_mc=est.mean, bler_mc_se=est.std_error,
                             mc_trials=est.trials, mc_mode=mc.mode,

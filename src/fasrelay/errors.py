@@ -14,7 +14,8 @@ class CausalityError(FasRelayError, ValueError):
 
 
 class MonotonicityError(FasRelayError, RuntimeError):
-    """Raised when the BLER-vs-power precheck finds a non-monotone profile."""
+    """Raised when a hop-2 table falls with vartheta (`Hop2Table.cover`) or
+    an end-to-end BLER rises with power (`min_power`'s precheck or result)."""
 
 
 class TableAccuracyError(FasRelayError, RuntimeError):

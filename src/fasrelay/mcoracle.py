@@ -181,12 +181,13 @@ def sample_fas_gain_physical(m2: int, j: np.ndarray, rng: np.random.Generator,
 
 def simulate_batch(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
                    p2: float, mode: str, rng: np.random.Generator, n: int,
-                   corr_matrix=None, fixed_gains=None):
+                   fixed_gains=None):
     """One simulation batch on a supplied generator.
 
     Returns (sum, sum of squares, n) of the per-trial end-to-end error
     probabilities, so externally run batches pool to exactly the estimate
-    `mc_average_bler` produces with the same stream partitioning.
+    `mc_average_bler` produces with the same stream partitioning. The
+    ``physical`` mode colors the ports by the Jakes matrix of fas.
     """
     # three trial-length buffers carry the batch: snr1 holds the angles and
     # then the hop-1 SNRs, snr2 the hop-1 LoS uniforms and then the hop-2
@@ -218,8 +219,8 @@ def simulate_batch(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
             elif hop == 0 or mode == "model":
                 _branch_max(m, fas.lambdas if hop else (1.0,), rng, part)
             elif part.size:
-                part[:] = sample_fas_gain_physical(m, corr_matrix, rng,
-                                                   part.size)
+                part[:] = sample_fas_gain_physical(
+                    m, jakes_matrix(fas.n_ports, fas.aperture), rng, part.size)
         # each trial's SNR times its own gain
         los_at, nlos_at = 0, split
         for s in _chunks(n):
@@ -259,9 +260,6 @@ def mc_average_bler(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
         raise ValueError("p2 must be positive")
     n_batches = (mc.trials + mc.batch - 1) // mc.batch
     rngs = substreams(mc.seed, n_batches)
-    corr = None
-    if mc.mode == "physical" and fixed_gains is None:
-        corr = jakes_matrix(fas.n_ports, fas.aperture)
 
     total = 0
     acc = 0.0
@@ -269,7 +267,7 @@ def mc_average_bler(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
     for b in range(n_batches):
         n = min(mc.batch, mc.trials - b * mc.batch)
         s, sq, n = simulate_batch(cfg, fas, fbl, p2, mc.mode, rngs[b], n,
-                                  corr, fixed_gains)
+                                  fixed_gains)
         total += n
         acc += s
         acc_sq += sq

@@ -11,13 +11,13 @@ Each power solve reads hop 2 from the cached table pair of its blocklength
 and spectrum (`blercore.hop2_table`; the table design and its measured
 accuracy, about 1e-12 relative, are in `blercore`), covered over the
 vartheta its trajectory reaches on the precheck grid's powers: the
-`optimize` preset fills one pair per (L, N), 96 tables. The tables' sampled
-values must rise with vartheta, and the precheck and the bisection read the
-end-to-end BLER from them. The precheck reads its 10 powers in one lookup
-per link type over their (10 x nodes) varthetas; a row's values and
-average are the bits of its power's own lookup. The power found is then
-re-evaluated by the direct kernel: that value is the one reported and used
-for the efficiency, and a solve whose table value there is more than 1e-8
+`optimize` preset fills one pair per (L, N), 96 tables. `Hop2Table.cover`
+checks that a table rises with vartheta. The precheck and the bisection
+combine the tables' values by `e2e_avg_from`, the precheck its 10 powers
+in one lookup per link type and one call; a row's values and average are
+the bits of its power's own. The power found is then re-evaluated by the
+direct kernel: that value is the one reported and used for the
+efficiency, and a solve whose table value there is more than 1e-8
 relative off it raises `TableAccuracyError`. The largest such gap of a
 search is reported as `table_check_max_rel`.
 
@@ -149,16 +149,6 @@ _TABLE_CHECK_REL = 1e-8
 _CERTIFY_REL = 1e-6
 
 
-def _check_monotone(table) -> None:
-    falls = np.flatnonzero(np.diff(table.values) < -_PRECHECK_SLACK)
-    if falls.size:
-        i = falls[0]
-        raise MonotonicityError(
-            "hop-2 BLER table failed to increase with vartheta: "
-            f"eps({table.nodes[i]:.3e})={table.values[i]:.6e} -> "
-            f"eps({table.nodes[i + 1]:.3e})={table.values[i + 1]:.6e}")
-
-
 def _bisect(lo: float, hi: float, feasible, ee: EeConfig):
     """The bisection of a power solve from infeasible lo and feasible hi:
     halve until hi - lo <= bisect_tol * hi or for max_bisect_iters steps,
@@ -261,22 +251,18 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
 
     The precheck and the bisection read hop 2 from the cached table pair
     of (ev.fbl, lambdas), covered over the vartheta of ev's trajectory on
-    the precheck grid's powers, which each table reads in one lookup; the
-    power found is re-evaluated by the direct kernel. Returns (power,
+    the precheck grid's powers, and combine it by `ev.e2e_avg_from` (its
+    one LoS/NLoS mix and trajectory average), the precheck's in one call.
+    The power found is re-evaluated by the direct kernel. Returns (power,
     direct BLER at power, relative gap of the tables there), or None when
     even p_max misses the target.
 
     The bisection is replayed against certificates from `_locate`: a
     midpoint at or above p_b is feasible and one at or below p_a is
-    infeasible without a lookup, and one in between is looked up. The
-    kernel falls with power and the tables hold it to within 1e-8 (about
-    1e-12 measured), so a margin of _CERTIFY_REL = 1e-6 decides each
-    comparison as a lookup would, and the bits are those of the plain
-    bisection. A final power never looked up is looked up once; above the
-    threshold it raises `MonotonicityError`. On the `optimize` preset a
-    solve evaluates 4.85 powers (a lookup per link type each) after the
-    precheck's one lookup per link type, against 15.1 for the plain
-    bisection.
+    infeasible without a lookup, and one in between is looked up, with the
+    bits of the plain bisection (see the module docstring). A final power
+    never looked up is looked up once; above the threshold it raises
+    `MonotonicityError`.
     """
     grid = ee.p_max * np.logspace(-8.0, 0.0, _PRECHECK_POINTS)
     pair = tuple(hop2_table(ev.fbl, ev.cfg.nakagami_m(lt), lambdas)
@@ -286,9 +272,8 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
     vts = ev.hop2_varthetas(grid[:, None])
     for table, vt in zip(pair, vts):
         table.cover(float(vt[-1].min()), float(vt[0].max()))
-        _check_monotone(table)
-    known = {float(p): ev.e2e_avg_from(e2_los, e2_nlos) for p, e2_los, e2_nlos
-             in zip(grid, *(table(vt) for table, vt in zip(pair, vts)))}
+    eps = ev.e2e_avg_from(*(table(vt) for table, vt in zip(pair, vts))).tolist()
+    known = dict(zip(grid.tolist(), eps))
 
     def table_eps(p2: float) -> float:
         if p2 not in known:
@@ -296,7 +281,6 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
                                           in zip(pair, ev.hop2_varthetas(p2))))
         return known[p2]
 
-    eps = [known[float(p)] for p in grid]
     for i in range(len(eps) - 1):
         if eps[i + 1] > eps[i] + _PRECHECK_SLACK:
             raise MonotonicityError(

@@ -11,9 +11,9 @@ from scipy import special
 from fasrelay import (ScenarioConfig, TrajectoryEvaluator, avg_bler_hop1,
                       avg_bler_hop2, avg_bler_hop2_asymptotic, chebyshev_nodes,
                       fas_spectrum, fbl_rate, instantaneous_bler, linearize)
-from fasrelay import blercore
+from fasrelay import MonotonicityError, blercore
 from fasrelay.blercore import (Hop2Table, _GL16, _GL32, _GRADED, _branch_cdf,
-                               _node_table, _saturation_z)
+                               _mix, _node_table, _saturation_z)
 from fasrelay.cli import _fbl, parse_config
 from fasrelay.geometry import trajectory_geometry
 
@@ -490,6 +490,38 @@ def test_hop2_table_never_extrapolates(fbl100):
         table.cover(1.0, 1.0)
 
 
+def test_hop2_table_cover_rejects_a_falling_kernel(fbl100, monkeypatch):
+    # a kernel that falls with vartheta fails the cover that would add its
+    # panels, and the table keeps what it held, so asking again raises again.
+    # The panels asked for hold values above 1e-6, where a fall exceeds the
+    # table's absolute slack
+    lams = (1.3, 0.7)
+    a = _lattice_anchor(fbl100, 5, lams)
+    held = Hop2Table(fbl100, 5, lams)
+    held.cover(10.0 ** (a - 0.9), 10.0 ** (a - 0.1))
+    empty = Hop2Table(fbl100, 5, lams)
+    kernel = blercore.avg_bler_hop2
+
+    def wavy(params, vartheta, m2, lambdas):
+        vt = np.asarray(vartheta, dtype=float)
+        # falls by up to a factor 19 within each decade
+        return kernel(params, vt, m2, lambdas) * (1.0 + 0.9 * np.sin(40.0 * np.log(vt)))
+
+    for table in (held, empty):
+        panels, nodes = table.panels, table.nodes.copy()
+        values = table.values.copy()
+        looked_up = table(nodes)
+        monkeypatch.setattr(blercore, "avg_bler_hop2", wavy)
+        for _ in range(2):
+            with pytest.raises(MonotonicityError, match="table"):
+                table.cover(10.0 ** (a - 1.9), 10.0 ** (a - 0.1))
+            assert table.panels == panels
+            assert np.array_equal(table.nodes, nodes)
+            assert np.array_equal(table.values, values)
+            assert np.array_equal(table(nodes), looked_up)
+        monkeypatch.undo()
+
+
 def test_hop2_table_with_no_panels_saturates(fbl100):
     lams = (1.3, 0.7)
     table = Hop2Table(fbl100, 5, lams)
@@ -601,10 +633,18 @@ def test_evaluator_rows_match_per_power_calls(urban, fbl100):
     p2 = 10.0 ** np.linspace(-9.0, 1.0, 10)
     vts = ev.hop2_varthetas(p2[:, None])
     comps = ev.hop2_components(p2[:, None], lams)
+    # the (powers x nodes) arrays averaged in one call each
+    e2e = ev.e2e_avg_from(*comps)
+    nodes = ev.end_to_end(ev.hop2_mixed(*comps))
+    averages = ev.average(nodes)
+    assert e2e.shape == averages.shape == p2.shape
     for i, p in enumerate(p2):
         for got, want in zip(vts, ev.hop2_varthetas(float(p))):
             assert np.array_equal(got[i], want)
-        assert ev.e2e_avg_from(*(c[i] for c in comps)) == ev.e2e_avg(p, lams)
+        alone = ev.e2e_avg_from(*(c[i] for c in comps))
+        assert isinstance(alone, float)
+        assert e2e[i] == alone == ev.e2e_avg(p, lams)
+        assert averages[i] == ev.average(nodes[i]) == alone
     with pytest.raises(ValueError):
         ev.hop2_varthetas(np.array([[1.0], [0.0]]))
 
@@ -698,6 +738,26 @@ def _mixing_evaluator(p_los2=0.5, eps1_mixed=0.0):
     ev.geo = replace(ev.geo, p_los2=np.asarray(p_los2, dtype=float))
     ev.eps1_mixed = np.asarray(eps1_mixed, dtype=float)
     return ev
+
+
+def test_mix_has_the_bits_of_the_formula():
+    rng = np.random.default_rng(20)
+    p = rng.uniform(0.0, 1.0, 2000)
+    p = p[(0.0 < p) & (p < 1.0)]
+    los, nlos = 10.0 ** rng.uniform(-300.0, 0.0, (2, p.size))
+    assert np.array_equal(_mix(p, los, nlos), p * los + (1.0 - p) * nlos)
+    # (powers x nodes) values against one node array of weights: each row
+    # mixes as it does alone
+    rows = 10.0 ** rng.uniform(-300.0, 0.0, (2, 5, p.size))
+    assert np.array_equal(_mix(p, *rows),
+                          [_mix(p, a, b) for a, b in zip(*rows)])
+
+
+def test_mix_weight_zero_adds_zero_against_inf():
+    got = _mix(np.array([0.0, 1.0, 0.5]), np.array([np.inf, 0.25, 0.5]),
+               np.array([0.5, np.inf, 0.25]))
+    assert np.all(np.isfinite(got))
+    assert got.tolist() == [0.5, 0.25, 0.375]
 
 
 def test_mixture_reference_cases():

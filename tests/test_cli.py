@@ -750,13 +750,12 @@ def test_asymptote_of_a_link_with_zero_weight_adds_zero(tmp_path):
 
 def test_analytic_points_match_per_power_calls(urban):
     # one call for a power axis gives each power the columns of its own call
-    spec = parse_config("sweep_p2_dbm = 0\n", "bler-sweep")
     ev = TrajectoryEvaluator(urban, linearize(0.8, 100))
     p2s = [10.0 ** (k / 4.0 - 6.0) for k in range(20)]
     for n, w in ((1, 0.5), (4, 0.5), (12, 2.0)):
-        whole = _analytic_points(spec, ev, n, w, p2s)
-        assert whole == [_analytic_points(spec, ev, n, w, [p])[0]
-                         for p in p2s]
+        fas = fas_spectrum(n, w)
+        whole = _analytic_points(ev, fas, p2s)
+        assert whole == [_analytic_points(ev, fas, [p])[0] for p in p2s]
 
 
 def test_falling_altitude_axis_fills_no_panel_twice(tmp_path, monkeypatch):

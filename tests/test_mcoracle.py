@@ -240,9 +240,8 @@ def test_simulate_batch_bits_are_pinned(urban, fbl100):
     from fasrelay.mcoracle import simulate_batch
     for (n_ports, mode, fixed), (s_hex, sq_hex) in _PINNED_BATCHES.items():
         fas = fas_spectrum(n_ports, 0.5)
-        corr = jakes_matrix(n_ports, 0.5) if mode == "physical" else None
         s, sq, n = simulate_batch(urban, fas, fbl100, 0.01, mode, _rng(2024),
-                                  20_000, corr, fixed)
+                                  20_000, fixed)
         assert n == 20_000
         assert (s.hex(), sq.hex()) == (s_hex, sq_hex), (n_ports, mode, fixed)
     # two batches (20,000 + 10,000) pooled by mc_average_bler
@@ -280,9 +279,8 @@ def test_simulate_batch_bits_are_pinned_long_and_short(urban, fbl100, case):
     from fasrelay.mcoracle import simulate_batch
     trials, n_ports, mode, fixed, p2 = case
     fas = fas_spectrum(n_ports, 0.5)
-    corr = jakes_matrix(n_ports, 0.5) if mode == "physical" else None
     s, sq, n = simulate_batch(urban, fas, fbl100, p2, mode, _rng(2024),
-                              trials, corr, fixed)
+                              trials, fixed)
     assert n == trials
     assert (s.hex(), sq.hex()) == _PINNED_LONG_AND_SHORT_BATCHES[case]
 

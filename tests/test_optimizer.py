@@ -171,9 +171,11 @@ def test_min_power_rejects_falling_hop2_table(cfg46, fbl200, monkeypatch):
 
 def test_min_power_rejects_rising_precheck(cfg46, fbl200, monkeypatch):
     # end-to-end BLER that grows with power on the precheck grid: one minus
-    # the tabulated hop-2 values, which fall with power
+    # the tabulated hop-2 values, which fall with power; one value per row
+    # of (powers x nodes) arrays, as e2e_avg_from gives
     monkeypatch.setattr(blercore.TrajectoryEvaluator, "e2e_avg_from",
-                        lambda self, e2_los, e2_nlos: 1.0 - e2_los.mean())
+                        lambda self, e2_los, e2_nlos:
+                        1.0 - e2_los.mean(axis=-1))
     with pytest.raises(MonotonicityError, match="decrease"):
         solved_power(cfg46, fas_spectrum(4, 0.5), fbl200,
                      EeConfig(p_max=10.0), 450.0)
@@ -423,6 +425,7 @@ def test_min_power_on_a_staircase_bler(cfg46, fbl200, monkeypatch):
     e2e_avg_from = blercore.TrajectoryEvaluator.e2e_avg_from
 
     def staircase(self, e2_los, e2_nlos):
+        # elementwise, so (powers x nodes) arrays get one value per row
         eps = e2e_avg_from(self, e2_los, e2_nlos)
         return 10.0 ** (np.ceil(4.0 * np.log10(eps)) / 4.0)
 
@@ -445,8 +448,9 @@ def test_min_power_on_a_bler_that_reaches_zero(cfg46, fbl200, monkeypatch):
     e2e_avg_from = blercore.TrajectoryEvaluator.e2e_avg_from
 
     def cut(self, e2_los, e2_nlos):
+        # elementwise, so (powers x nodes) arrays get one value per row
         eps = e2e_avg_from(self, e2_los, e2_nlos)
-        return eps if eps >= 1e-3 else 0.0
+        return eps * (eps >= 1e-3)
 
     monkeypatch.setattr(blercore.TrajectoryEvaluator, "e2e_avg_from", cut)
     for thr in (1e-3, 5e-4, 2e-3):

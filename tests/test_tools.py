@@ -61,14 +61,21 @@ def test_compare_a_differing_preset(bench, capsys):
     assert not bench.compare(_result(a="1", b="2"), _result(a="1", b="3"))
     out = capsys.readouterr().out
     assert "identical" in _line(out, "a")
-    assert "differs" in _line(out, "b")
+    assert "differs: csv " in _line(out, "b")
 
 
 def test_compare_a_differing_meta(bench, capsys):
     other = _result(a="1")
     other["presets"]["a"]["sha256"]["meta"] = "n"
     assert not bench.compare(_result(a="1"), other)
-    assert "differs" in _line(capsys.readouterr().out, "a")
+    assert "differs: meta " in _line(capsys.readouterr().out, "a")
+
+
+def test_compare_a_differing_csv_and_meta(bench, capsys):
+    other = _result(a="2")
+    other["presets"]["a"]["sha256"]["meta"] = "n"
+    assert not bench.compare(_result(a="1"), other)
+    assert "differs: csv, meta " in _line(capsys.readouterr().out, "a")
 
 
 @pytest.mark.parametrize("ours, other", [

@@ -12,7 +12,9 @@ of each run and their medians, and the sha256 of the CSV and of its
 ``.meta`` sidecar. A preset whose output differs between repeats is an error.
 
 With --against, it then prints per preset whether the CSV and ``.meta``
-are identical to those of the other file, with both median times and both
+are identical to those of the other file, or which of them differ
+(``differs: csv``, ``differs: meta`` or ``differs: csv, meta``), with both
+median times and both
 median peak RSS ("n/a" for a file written before peak RSS was recorded),
 and exits 1 if any preset differs or is missing from either file. When the
 two files record different python, numpy or scipy versions it first prints
@@ -134,9 +136,11 @@ def compare(ours: dict, other: dict) -> bool:
             print(f"{name:24s} missing")
             same = False
             continue
-        identical = a["sha256"] == b["sha256"]
-        same &= identical
-        print(f"{name:24s} {'identical' if identical else 'differs':9s} "
+        differs = [part for part in ("csv", "meta")
+                   if a["sha256"][part] != b["sha256"][part]]
+        same &= not differs
+        verdict = f"differs: {', '.join(differs)}" if differs else "identical"
+        print(f"{name:24s} {verdict:18s} "
               f"{b['wall_s_median']:7.2f} s -> {a['wall_s_median']:7.2f} s  "
               f"{_rss(b)} -> {_rss(a)}")
     return same
