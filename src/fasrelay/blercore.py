@@ -90,6 +90,9 @@ from .geometry import LINK_TYPES, ScenarioConfig, trajectory_geometry
 
 _LOG2E = math.log2(math.e)
 _SQRT2 = math.sqrt(2.0)
+# a Q argument from which `instantaneous_bler` is 0.0 without evaluating Q
+# (Q(x) is 0.0 in doubles from x = 37.68 on)
+_Q_ZERO = 40.0
 
 CHI_VARIANTS = ("2^R-1", "2^2R-1")
 
@@ -132,7 +135,8 @@ _CHEB_N = 32
 _CHEB_T = np.polynomial.chebyshev.chebpts1(_CHEB_N)
 _CHEB_W = (-1.0) ** np.arange(_CHEB_N) * np.sqrt(1.0 - _CHEB_T ** 2)
 _TINY = np.finfo(float).tiny
-_TABLE_SLACK = 1e-12  # how far a table value may fall to the next node's
+# how far, relative, a table value may fall to the next node's
+_TABLE_SLACK = 1e-12
 
 
 def q_func(x):
@@ -239,18 +243,20 @@ def fbl_rate(gamma: float, blocklength: int, epsilon: float) -> float:
     return cap + math.sqrt(disp / blocklength) * float(special.ndtri(epsilon))
 
 
-def instantaneous_bler(gamma, rate: float, blocklength: int):
-    """Q((C - R) / sqrt(V / L)) at an SNR or an array of SNRs, with
-    C = log2(1 + gamma) and V = (1 - (1 + gamma)^-2) log2(e)^2. Exactly 1
-    where 1 + gamma rounds to 1 (gamma = 0 included): there C = V = 0, the
-    argument is -inf and Q(-inf) = 1. A NaN SNR raises ValueError."""
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(g >= 0):
-        raise ValueError("gamma must be nonnegative")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+def _zero_snr(rate: float, blocklength: int) -> float:
+    """gamma_0 = 2^(R + _Q_ZERO log2(e) / sqrt(L)) - 1, from which the
+    argument of `instantaneous_bler` is at least _Q_ZERO; inf where that
+    overflows a double, so that every finite SNR is evaluated."""
+    try:
+        return 2.0 ** (rate + _Q_ZERO * _LOG2E / math.sqrt(blocklength)) - 1.0
+    except OverflowError:
+        return math.inf
+
+
+def _normal_approx_bler(g: np.ndarray, rate: float,
+                        blocklength: int) -> np.ndarray:
     # in place on two arrays, in the operation order of the formula
-    opg = 1.0 + np.atleast_1d(g)
+    opg = 1.0 + g
     arg = np.log2(opg)
     arg -= rate
     np.square(opg, out=opg)
@@ -262,7 +268,35 @@ def instantaneous_bler(gamma, rate: float, blocklength: int):
     np.sqrt(opg, out=opg)
     with np.errstate(divide="ignore"):
         arg /= opg
-    return _as_result(q_func(arg).reshape(g.shape))
+    return q_func(arg)
+
+
+def instantaneous_bler(gamma, rate: float, blocklength: int):
+    """Q((C - R) / sqrt(V / L)) at an SNR or an array of SNRs, with
+    C = log2(1 + gamma) and V = (1 - (1 + gamma)^-2) log2(e)^2. Exactly 1
+    where 1 + gamma rounds to 1 (gamma = 0 included): there C = V = 0, the
+    argument is -inf and Q(-inf) = 1. A NaN SNR raises ValueError.
+
+    Exactly 0.0 from gamma_0 = 2^(R + 40 log2(e) / sqrt(L)) - 1 on (inf
+    included): V < log2(e)^2 puts the argument at or above
+    (C - R) sqrt(L) / log2(e) >= 40 there, and Q is 0.0 in doubles from
+    37.68 on, since erfc underflows from 26.64. The formula runs only on
+    the SNRs below gamma_0, with the bits it gives over the whole array;
+    where gamma_0 overflows a double (large R), on every finite SNR. A
+    Monte Carlo batch skips most of its trials this way at high SNR (about
+    98% of the hop-1 BLERs at 40 dBm and 100 m)."""
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(g >= 0):
+        raise ValueError("gamma must be nonnegative")
+    if rate <= 0:
+        raise ValueError("rate must be positive")
+    flat = g.ravel()
+    # index arrays gather and scatter a mixed array in half the time of a
+    # boolean mask
+    live = np.flatnonzero(flat < _zero_snr(rate, blocklength))
+    out = np.zeros(flat.size)
+    out[live] = _normal_approx_bler(flat[live], rate, blocklength)
+    return _as_result(out.reshape(g.shape))
 
 
 def avg_bler_hop1(params: FblParams, vartheta, m1: int):
@@ -371,8 +405,9 @@ class Hop2Table:
         """Grow the table to the panels that meet [lo, min(hi, vt_sat)],
         keeping them contiguous: one kernel call fills the panels below and
         above the ones held, which are kept as they are. A range at or past
-        vt_sat needs none. Held and new values that fall with vartheta by
-        more than _TABLE_SLACK raise `MonotonicityError`, changing nothing."""
+        vt_sat needs none. Held and new values of which one falls to the
+        next node's by more than _TABLE_SLACK relative raise
+        `MonotonicityError`, changing nothing."""
         if not 0.0 < lo < hi:
             raise ValueError("need 0 < lo < hi")
         top = min(hi, self.vt_sat)
@@ -396,7 +431,10 @@ class Hop2Table:
         cut = below * _CHEB_N
         nodes, values = (np.concatenate((new[:cut], old, new[cut:])) for new, old
                          in ((nodes, self.nodes), (values, self.values)))
-        falls = np.flatnonzero(np.diff(values) < -_TABLE_SLACK)
+        log_values = np.concatenate(
+            (log_values[:below], self._log_values, log_values[below:]))
+        # a difference of logs is the relative change, at every magnitude
+        falls = np.flatnonzero(np.diff(log_values.ravel()) < -_TABLE_SLACK)
         if falls.size:
             i = falls[0]
             raise MonotonicityError(
@@ -405,8 +443,7 @@ class Hop2Table:
                 f"eps({nodes[i + 1]:.3e})={values[i + 1]:.6e}")
         self.panels = range(k_lo, k_end)
         self.nodes, self.values = nodes, values
-        self._log_values = np.concatenate(
-            (log_values[:below], self._log_values, log_values[below:]))
+        self._log_values = log_values
 
     def __call__(self, vartheta):
         vt = np.asarray(vartheta, dtype=float)
@@ -433,7 +470,8 @@ class Hop2Table:
         np.copyto(dist, 1e-300, where=dist == 0.0)
         # in place: a (points x 32) array fewer to allocate per lookup
         bary = np.divide(_CHEB_W, dist, out=dist)
-        log_eps = np.einsum("ij,ij->i", bary, self._log_values[idx]) / bary.sum(axis=1)
+        rows = np.take(self._log_values, idx, axis=0)
+        log_eps = np.einsum("ij,ij->i", bary, rows) / bary.sum(axis=1)
         # a rounding error must not lift a value near saturation above 1
         return np.exp(np.minimum(log_eps, 0.0))
 

@@ -32,6 +32,15 @@ n = 250,000; 14 arrays when every step ran over whole arrays). ``physical``
 mode draws each Gaussian block for all of a link type's trials at once,
 because its stream holds every real part before every imaginary part; it
 peaks at 10.5 arrays of length n at N = 2.
+
+Batch time: a trial whose SNR reaches `instantaneous_bler`'s gamma_0 has a
+BLER of exactly 0.0 and costs no Q evaluation. At the ``validate`` preset's
+40 dBm and 100 m that is about 98% of the hop-1 trials, and about half (9
+and 18 dBm) to three quarters (27 dBm) of the hop-2 trials. Each hop's
+packed gains return to trial order through index arrays, which take half
+the time of boolean masks at the preset's LoS shares (42% and 52%). What
+remains of a ``model`` batch there is mostly the geometry and the gain
+draws.
 """
 
 from __future__ import annotations
@@ -221,14 +230,15 @@ def simulate_batch(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
             elif part.size:
                 part[:] = sample_fas_gain_physical(
                     m, jakes_matrix(fas.n_ports, fas.aperture), rng, part.size)
-        # each trial's SNR times its own gain
+        # each trial's SNR times its own gain; index arrays scatter a chunk
+        # at a mixed LoS share in half the time of boolean masks
         los_at, nlos_at = 0, split
         for s in _chunks(n):
             sel = mask[s]
             k = int(np.count_nonzero(sel))
             g = np.empty(sel.size)
-            g[sel] = work[los_at:los_at + k]
-            g[~sel] = work[nlos_at:nlos_at + sel.size - k]
+            g[np.flatnonzero(sel)] = work[los_at:los_at + k]
+            g[np.flatnonzero(~sel)] = work[nlos_at:nlos_at + sel.size - k]
             snr[s] *= g
             los_at += k
             nlos_at += sel.size - k

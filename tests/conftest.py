@@ -56,6 +56,20 @@ def direct_trajectory_geometry(cfg, theta):
     return out
 
 
+def plain_instantaneous_bler(gamma, rate, blocklength):
+    """Q((C - R) / sqrt(V / L)) on every SNR of an array, with
+    C = log2(1 + gamma) and V = (1 - (1 + gamma)^-2) log2(e)^2, written out
+    in the operation order of `blercore.instantaneous_bler` and with no SNR
+    skipped: the reference that holds its zero region to the bit."""
+    opg = 1.0 + np.asarray(gamma, dtype=float)
+    cap = np.log2(opg) - rate
+    with np.errstate(over="ignore"):
+        disp = np.sqrt((1.0 - 1.0 / np.square(opg)) * _LOG2E * _LOG2E
+                       / blocklength)
+    with np.errstate(divide="ignore"):
+        return 0.5 * special.erfc(cap / disp / math.sqrt(2.0))
+
+
 def gamma_lower_cdf(z, m):
     """Regularized lower incomplete gamma P(m, z)."""
     return float(special.gammainc(m, z))

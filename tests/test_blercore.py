@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -17,8 +17,8 @@ from fasrelay.blercore import (Hop2Table, _GL16, _GL32, _GRADED, _branch_cdf,
 from fasrelay.cli import _fbl, parse_config
 from fasrelay.geometry import trajectory_geometry
 
-from conftest import (avg_bler_hop2_all_factors, exact_avg_bler, quad_hop1,
-                      quad_hop2)
+from conftest import (avg_bler_hop2_all_factors, exact_avg_bler,
+                      plain_instantaneous_bler, quad_hop1, quad_hop2)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,44 @@ def test_instantaneous_bler_monotone_in_snr():
     gammas = np.logspace(-3, 2, 60)
     vals = [instantaneous_bler(g, rate, 100) for g in gammas]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+# (1 + gamma)^2 overflows to inf past 1.3e154, where R > 512 leaves SNRs live
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")
+@settings(max_examples=80, deadline=None)
+@given(blocklength=st.integers(1, 100_000), rate=st.floats(1e-3, 1e3),
+       shares=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=40))
+@example(blocklength=1, rate=1e3, shares=[0.0, 0.5, 0.99, 1.0, 1.5])
+@example(blocklength=100_000, rate=1e3, shares=[0.0, 0.999, 1.0, 1.001])
+def test_instantaneous_bler_is_the_plain_formula_to_the_bit(blocklength, rate,
+                                                            shares):
+    # the SNRs whose capacity is a share of that at gamma_0 straddle it
+    c0 = rate + 40.0 * math.log2(math.e) / math.sqrt(blocklength)
+    with np.errstate(over="ignore"):
+        gamma = np.exp2(np.multiply(shares, c0)) - 1.0
+    g0 = blercore._zero_snr(rate, blocklength)
+    if math.isinf(g0):
+        # 2^c0 - 1 overflows a double (c0 > 1024, as at R = 1e3 and L = 1):
+        # every finite SNR is evaluated
+        assert c0 > 1023.0
+    else:
+        above = np.nextafter(g0, math.inf)
+        gamma = np.concatenate((gamma, [np.nextafter(g0, 0.0), g0, above,
+                                        2.0 * g0, math.inf]))
+        assert instantaneous_bler(above, rate, blocklength) == 0.0
+        assert plain_instantaneous_bler(above, rate, blocklength) == 0.0
+    got = instantaneous_bler(gamma, rate, blocklength)
+    assert got.tobytes() == plain_instantaneous_bler(gamma, rate,
+                                                     blocklength).tobytes()
+    # the skip keeps the shape of an n-d array and the bits of its entries
+    square = np.resize(gamma, (2, gamma.size))
+    assert (instantaneous_bler(square, rate, blocklength).tobytes()
+            == plain_instantaneous_bler(square, rate, blocklength).tobytes())
+    # a scalar or 0-d SNR gives a float
+    for scalar in (gamma[0], np.float64(gamma[-1]), np.array(gamma[-1])):
+        value = instantaneous_bler(scalar, rate, blocklength)
+        assert type(value) is float
+        assert value == plain_instantaneous_bler(scalar, rate, blocklength)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +531,11 @@ def test_hop2_table_never_extrapolates(fbl100):
 def test_hop2_table_cover_rejects_a_falling_kernel(fbl100, monkeypatch):
     # a kernel that falls with vartheta fails the cover that would add its
     # panels, and the table keeps what it held, so asking again raises again.
-    # The panels asked for hold values above 1e-6, where a fall exceeds the
-    # table's absolute slack
+    # The slack is relative, so a fall is seen at every magnitude: on the
+    # panels 1-2 decades below vartheta_sat, whose values exceed 1e-6, and
+    # on those 3-7 decades below it, whose values lie below 1e-13
     lams = (1.3, 0.7)
     a = _lattice_anchor(fbl100, 5, lams)
-    held = Hop2Table(fbl100, 5, lams)
-    held.cover(10.0 ** (a - 0.9), 10.0 ** (a - 0.1))
-    empty = Hop2Table(fbl100, 5, lams)
     kernel = blercore.avg_bler_hop2
 
     def wavy(params, vartheta, m2, lambdas):
@@ -507,19 +543,29 @@ def test_hop2_table_cover_rejects_a_falling_kernel(fbl100, monkeypatch):
         # falls by up to a factor 19 within each decade
         return kernel(params, vt, m2, lambdas) * (1.0 + 0.9 * np.sin(40.0 * np.log(vt)))
 
-    for table in (held, empty):
-        panels, nodes = table.panels, table.nodes.copy()
-        values = table.values.copy()
-        looked_up = table(nodes)
-        monkeypatch.setattr(blercore, "avg_bler_hop2", wavy)
-        for _ in range(2):
-            with pytest.raises(MonotonicityError, match="table"):
-                table.cover(10.0 ** (a - 1.9), 10.0 ** (a - 0.1))
-            assert table.panels == panels
-            assert np.array_equal(table.nodes, nodes)
-            assert np.array_equal(table.values, values)
-            assert np.array_equal(table(nodes), looked_up)
-        monkeypatch.undo()
+    # (lowest, highest) panel asked for, in decades from vartheta_sat; the
+    # held table holds the highest
+    for deep, shallow in ((-2, -1), (-7, -4)):
+        held = Hop2Table(fbl100, 5, lams)
+        held.cover(10.0 ** (a + shallow + 0.1), 10.0 ** (a + shallow + 0.9))
+        assert held.panels == range(shallow, shallow + 1)
+        if shallow == -4:
+            assert held.values.max() < 1e-13
+        empty = Hop2Table(fbl100, 5, lams)
+        for table in (held, empty):
+            panels, nodes = table.panels, table.nodes.copy()
+            values = table.values.copy()
+            looked_up = table(nodes)
+            monkeypatch.setattr(blercore, "avg_bler_hop2", wavy)
+            for _ in range(2):
+                with pytest.raises(MonotonicityError, match="table"):
+                    table.cover(10.0 ** (a + deep + 0.1),
+                                10.0 ** (a + shallow + 0.9))
+                assert table.panels == panels
+                assert np.array_equal(table.nodes, nodes)
+                assert np.array_equal(table.values, values)
+                assert np.array_equal(table(nodes), looked_up)
+            monkeypatch.undo()
 
 
 def test_hop2_table_with_no_panels_saturates(fbl100):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from fasrelay import (McConfig, McEstimate, TrajectoryEvaluator,
                       fas_spectrum, jakes_matrix, mc_average_bler,
                       sample_fas_gain_model, sample_fas_gain_physical,
                       sample_hop1_gain)
+from fasrelay.blercore import instantaneous_bler
+from fasrelay.geometry import trajectory_geometry
 from fasrelay.mcoracle import substreams
 
 from conftest import cdf_hop1, cdf_hop2, ks_statistic
@@ -185,8 +188,6 @@ def test_mc_estimate_bounds(urban, fbl100):
 def test_mc_fixed_gain_hook_matches_deterministic_mixture(urban, fbl100):
     # with gains pinned, randomness is only the angle and the type draws;
     # the estimate must match the geometric average of instantaneous values
-    from fasrelay.blercore import instantaneous_bler
-    from fasrelay.geometry import trajectory_geometry
     fas = fas_spectrum(2, 0.5)
     p2 = 0.02
     est = mc_average_bler(urban, fas, fbl100, p2,
@@ -283,6 +284,50 @@ def test_simulate_batch_bits_are_pinned_long_and_short(urban, fbl100, case):
                               trials, fixed)
     assert n == trials
     assert (s.hex(), sq.hex()) == _PINNED_LONG_AND_SHORT_BATCHES[case]
+
+
+# (sum, sum of squares) of batches where the per-trial BLERs are 0.0 for most
+# trials and the LoS shares are lopsided, on the PCG64(2024) stream, as
+# produced by the implementation that evaluated Q on every trial and
+# unpacked the gains by boolean masks: at 400 m the LoS shares are 0.98 on
+# both hops, and at p2 = 100 W every hop-2 BLER of the batch is 0.0.
+_PINNED_HIGH_SNR_BATCHES = {
+    # (trials, ports, mode, altitude in m, p2 in W): (sum, sum of squares)
+    (65_537, 2, "model", 400.0, 0.01): (
+        "0x1.4521cbf73bbe2p+10", "0x1.39d5b8bbdae0bp+10"),
+    (20_000, 4, "physical", 400.0, 0.01): (
+        "0x1.539f95aef5162p+8", "0x1.439fe7c8ea0d6p+8"),
+    (20_000, 2, "model", 100.0, 100.0): (
+        "0x1.1511663ef0504p+2", "0x1.ee27fc2a2c898p+1"),
+}
+
+
+@pytest.mark.parametrize("case", _PINNED_HIGH_SNR_BATCHES, ids=lambda c: (
+    f"{c[3]:.0f}m-{c[4]:g}W-{c[2]}-N{c[1]}"))
+def test_simulate_batch_bits_are_pinned_at_high_snr(urban, fbl100, case,
+                                                    monkeypatch):
+    from fasrelay import mcoracle
+    trials, n_ports, mode, altitude, p2 = case
+    cfg = replace(urban, uav_altitude=altitude)
+    # the batch evaluates hop 1 and then hop 2 per row chunk
+    blers = []
+
+    def recorded(gamma, rate, blocklength):
+        blers.append(instantaneous_bler(gamma, rate, blocklength))
+        return blers[-1].copy()
+
+    monkeypatch.setattr(mcoracle, "instantaneous_bler", recorded)
+    s, sq, n = mcoracle.simulate_batch(cfg, fas_spectrum(n_ports, 0.5), fbl100,
+                                       p2, mode, _rng(2024), trials)
+    assert n == trials
+    assert (s.hex(), sq.hex()) == _PINNED_HIGH_SNR_BATCHES[case]
+    hop1, hop2 = (np.concatenate(blers[hop::2]) for hop in (0, 1))
+    assert hop1.size == hop2.size == trials
+    if p2 == 100.0:
+        assert not hop2.any()
+    else:
+        geo = trajectory_geometry(cfg, np.linspace(0.0, 2.0 * math.pi, 1001))
+        assert min(geo.p_los1.mean(), geo.p_los2.mean()) > 0.97
 
 
 def test_simulate_batch_memory_peak(urban, fbl100):
