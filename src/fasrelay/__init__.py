@@ -10,7 +10,8 @@ from .blercore import (FblParams, TrajectoryEvaluator, avg_bler_hop1,
                        linearize)
 from .chanmodel import FasSpectrum, eigen_spectrum, fas_spectrum, jakes_matrix
 from .errors import (CausalityError, ConfigError, DegenerateGeometryError,
-                     FasRelayError, MonotonicityError, TableAccuracyError)
+                     FasRelayError, MonotonicityError, SnrScaleError,
+                     TableAccuracyError)
 from .geometry import ScenarioConfig
 from .mcoracle import (McConfig, McEstimate, mc_average_bler,
                        sample_fas_gain_model, sample_fas_gain_physical,
@@ -25,7 +26,8 @@ __all__ = [
     "instantaneous_bler", "linearize",
     "FasSpectrum", "eigen_spectrum", "fas_spectrum", "jakes_matrix",
     "CausalityError", "ConfigError", "DegenerateGeometryError",
-    "FasRelayError", "MonotonicityError", "TableAccuracyError",
+    "FasRelayError", "MonotonicityError", "SnrScaleError",
+    "TableAccuracyError",
     "ScenarioConfig",
     "McConfig", "McEstimate", "mc_average_bler", "sample_fas_gain_model",
     "sample_fas_gain_physical", "sample_hop1_gain",

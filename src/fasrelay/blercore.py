@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import MonotonicityError
+from .errors import MonotonicityError, SnrScaleError
 from .geometry import LINK_TYPES, ScenarioConfig, trajectory_geometry
 
 _LOG2E = math.log2(math.e)
@@ -528,14 +528,51 @@ def chebyshev_nodes(n_nodes: int):
     return theta, weights
 
 
+class _Mixture:
+    """The LoS/NLoS mixture of LoS probabilities p_los (an array): called on
+    (los, nlos), p_los * los + (1 - p_los) * nlos, broadcast. A link of
+    weight 0 adds 0, even where its value is inf (0 * inf is nan); every
+    other value has the bits of the formula. The weights and their masks
+    depend only on p_los and are built once, since an evaluator mixes on
+    one geometry at every power."""
+
+    def __init__(self, p_los):
+        self._links = tuple((w, w > 0.0) for w in (p_los, 1.0 - p_los))
+        # where every weight is positive the masks select every value, and
+        # the formula itself gives their bits at a third of the cost
+        self._masked = not all(mask.all() for _, mask in self._links)
+
+    def __call__(self, los, nlos):
+        (w_los, m_los), (w_nlos, m_nlos) = self._links
+        if not self._masked:
+            return w_los * los + w_nlos * nlos
+        shape = np.broadcast_shapes(np.shape(w_los), np.shape(los),
+                                    np.shape(nlos))
+        out = np.multiply(w_los, los, out=np.zeros(shape), where=m_los)
+        out += np.multiply(w_nlos, nlos, out=np.zeros(shape), where=m_nlos)
+        return out
+
+
 def _mix(p_los, los, nlos):
-    """The LoS/NLoS mixture p_los * los + (1 - p_los) * nlos, broadcast. A
-    link of weight 0 adds 0, even where its value is inf (0 * inf is nan);
-    every other value has the bits of the formula."""
-    parts = [np.multiply(w, v, out=np.zeros(np.broadcast(w, v).shape),
-                         where=w > 0.0)
-             for w, v in ((p_los, los), (1.0 - p_los, nlos))]
-    return parts[0] + parts[1]
+    """One mixture by `_Mixture`."""
+    return _Mixture(p_los)(los, nlos)
+
+
+def _check_snr_scale(name: str, scale, chi: float) -> None:
+    """Raise `SnrScaleError` unless every value of the arrays scale (a rate
+    parameter m sigma^2 / (p beta) per link type, or its p-free part) is
+    positive and finite, with chi / scale finite: outside that the BLERs
+    overflow to inf or NaN."""
+    for values in scale:
+        # a nan is the min and the max and fails every comparison; chi /
+        # scale is largest at the smallest scale
+        lo, hi = float(values.min()), float(values.max())
+        if not (0.0 < lo and hi < math.inf and chi / lo < math.inf):
+            raise SnrScaleError(
+                f"{name} spans [{lo:.3e}, {hi:.3e}] over the trajectory, "
+                "outside the double range (sigma^2 is noise_power; beta the "
+                "path gain of carrier_freq, eta_los, eta_nlos and the node "
+                "positions)")
 
 
 class TrajectoryEvaluator:
@@ -547,11 +584,12 @@ class TrajectoryEvaluator:
     limit as p2 grows (the error floor). The per-node arrays compose it:
     `eps1_mixed` (hop 1, LoS/NLoS mixed), `hop2_components` (hop 2 per link
     type), `hop2_mixed` and `end_to_end`. Both mixtures are the one rule
-    `_mix`, and every trajectory average is the one reduction `average`.
+    `_Mixture`, and every trajectory average is the one reduction
+    `average`.
     Against the 10,000-point midpoint sum of C12 (urban scenario, L = 100,
     N = 2) the Chebyshev rule of `chebyshev_nodes` is 2.5e-5 absolute off
     at -20 dBm and 1.9e-7 at 18 dBm with 128 nodes, and 1.0e-4 and 7.7e-7
-    with 64; ROADMAP item 1 replaces the rule.
+    with 64; the ROADMAP item on the periodic midpoint rule replaces it.
 
     Geometry and hop 1 are computed once, so repeated evaluations at
     different transmit powers (bisection, port sweeps) only redo the hop-2
@@ -571,11 +609,19 @@ class TrajectoryEvaluator:
         self.fbl = fbl
         self.theta, self.weights = chebyshev_nodes(nodes)
         geo = self.geo = trajectory_geometry(cfg, self.theta)
-        eps1_los, eps1_nlos = (
-            avg_bler_hop1(fbl, cfg.nakagami_m(lt) * cfg.noise_power
-                          / (cfg.p1 * geo.beta1[lt]), cfg.nakagami_m(lt))
-            for lt in LINK_TYPES)
+        # an SNR scale past the double range divides by 0 or overflows here;
+        # the check below reports it
+        with np.errstate(over="ignore", divide="ignore"):
+            vt1 = [cfg.nakagami_m(lt) * cfg.noise_power / (cfg.p1 * geo.beta1[lt])
+                   for lt in LINK_TYPES]
+            scale2 = [cfg.nakagami_m(lt) * cfg.noise_power / geo.beta2[lt]
+                      for lt in LINK_TYPES]
+        _check_snr_scale("hop-1 vartheta m sigma^2 / (p1 beta1)", vt1, fbl.chi)
+        _check_snr_scale("hop-2 scale m sigma^2 / beta2", scale2, fbl.chi)
+        eps1_los, eps1_nlos = (avg_bler_hop1(fbl, vt, cfg.nakagami_m(lt))
+                               for lt, vt in zip(LINK_TYPES, vt1))
         self.eps1_mixed = _mix(geo.p_los1, eps1_los, eps1_nlos)
+        self._mix2 = _Mixture(geo.p_los2)
 
     def average(self, values):
         """A float for a node array, an array of one per row for (P, nodes):
@@ -604,7 +650,7 @@ class TrajectoryEvaluator:
 
     def hop2_mixed(self, e2_los, e2_nlos):
         """LoS/NLoS mixture of per-node hop-2 values."""
-        return _mix(self.geo.p_los2, e2_los, e2_nlos)
+        return self._mix2(e2_los, e2_nlos)
 
     def end_to_end(self, eps2_mixed):
         """Decode-and-forward combination with hop 1 at every node."""

@@ -9,13 +9,18 @@ class DegenerateGeometryError(FasRelayError, ValueError):
     """Raised when a link distance collapses to zero (UAV on top of an endpoint)."""
 
 
+class SnrScaleError(FasRelayError, ValueError):
+    """Raised when a scenario's SNR scale leaves the double range, so that
+    its BLERs would overflow to inf or NaN."""
+
+
 class CausalityError(FasRelayError, ValueError):
     """Raised when port scanning cannot finish within the transmission block."""
 
 
 class MonotonicityError(FasRelayError, RuntimeError):
     """Raised when a hop-2 table falls with vartheta (`Hop2Table.cover`) or
-    an end-to-end BLER rises with power (`min_power`'s precheck or result)."""
+    an end-to-end BLER rises with power (`min_power`'s precheck)."""
 
 
 class TableAccuracyError(FasRelayError, RuntimeError):

@@ -93,6 +93,17 @@ class TrajectoryGeometry:
     beta2: dict = field(repr=False, default_factory=dict)
 
 
+def _power_ratio(db: float) -> float:
+    """10^(db / 10), inf past the double range."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+# a distance or gain past the double range is inf, 0 or nan here, quietly;
+# `TrajectoryEvaluator` reports the SNR scale it gives
+@np.errstate(over="ignore", invalid="ignore")
 def trajectory_geometry(cfg: ScenarioConfig, theta: np.ndarray) -> TrajectoryGeometry:
     """Geometry of both hops at the trajectory angles theta (index 1: UAV
     to BS, index 2: UAV to UE; a scalar angle gives arrays of length 1);
@@ -133,7 +144,7 @@ def trajectory_geometry(cfg: ScenarioConfig, theta: np.ndarray) -> TrajectoryGeo
         fspl = np.multiply(d, 4.0 * math.pi * cfg.carrier_freq)
         np.divide(SPEED_OF_LIGHT, fspl, out=fspl)
         np.square(fspl, out=fspl)
-        betas = {lt: fspl * 10.0 ** (-cfg.eta_db(lt) / 10.0) for lt in LINK_TYPES}
+        betas = {lt: fspl * _power_ratio(-cfg.eta_db(lt)) for lt in LINK_TYPES}
         out[name] = (d, phi, p_los, betas)
     return TrajectoryGeometry(
         theta=theta,

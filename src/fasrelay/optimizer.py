@@ -2,17 +2,18 @@
 (blocklength, altitude, port count, transmit power).
 
 The inner problem (minimum power meeting the reliability target) is solved
-by bisection after an explicit monotonicity precheck; the outer levels are
-exhaustive over their discrete grids, so no unimodality assumption is ever
-exploited. Infeasible points carry a zero-EE sentinel plus an explicit
-flag so that "zero goodput" and "constraint violating" stay distinguishable.
+by a bracketed root search after an explicit monotonicity precheck; the
+outer levels are exhaustive over their discrete grids, so no unimodality
+assumption is ever exploited. Infeasible points carry a zero-EE sentinel
+plus an explicit flag so that "zero goodput" and "constraint violating"
+stay distinguishable.
 
 Each power solve reads hop 2 from the cached table pair of its blocklength
 and spectrum (`blercore.hop2_table`; the table design and its measured
 accuracy, about 1e-12 relative, are in `blercore`), covered over the
 vartheta its trajectory reaches on the precheck grid's powers: the
 `optimize` preset fills one pair per (L, N), 96 tables. `Hop2Table.cover`
-checks that a table rises with vartheta. The precheck and the bisection
+checks that a table rises with vartheta. The precheck and the search
 combine the tables' values by `e2e_avg_from`, the precheck its 10 powers
 in one lookup per link type and one call; a row's values and average are
 the bits of its power's own. The power found is then re-evaluated by the
@@ -21,18 +22,13 @@ efficiency, and a solve whose table value there is more than 1e-8
 relative off it raises `TableAccuracyError`. The largest such gap of a
 search is reported as `table_check_max_rel`.
 
-The bisection is certified rather than looked up step by step. One
-Illinois sequence on log eps against log power (`_locate`) predicts the
-crossing, and each round looks up a point of the bisection's path near it,
-certifying powers whose tabulated BLER clears the threshold by the
-relative margin delta = _CERTIFY_REL = 1e-6; the unchanged bisection is
-then replayed, and only a midpoint between the nearest certificates is
-looked up. The kernel falls with power and the tables hold it to within
-1e-8 (about 1e-12 measured), so delta >> 2e-8 decides each comparison as a
-lookup would, and every solve returns the bits of the plain bisection. On
-the `optimize` preset a solve makes 11.7 table lookups: one per link type
-for the precheck, then one per link type at each of 4.85 powers, where the
-plain bisection evaluates 15.1.
+The search from the precheck bracket is one ITP sequence (`_itp`) on
+log eps against log power: regula falsi steps, truncated and projected so
+that it never takes more steps than bisection plus one, and ends where
+the bracket is at most bisect_tol wide relative to its feasible end. On the
+`optimize` preset a solve makes 11.2 table lookups: one per link type for
+the precheck, then one per link type at each of 4.59 powers, where a plain
+bisection evaluates about 15.
 """
 
 from __future__ import annotations
@@ -144,125 +140,81 @@ _PRECHECK_SLACK = 1e-12
 # Largest relative gap allowed between the tabulated and the direct
 # end-to-end BLER at the power a solve returns.
 _TABLE_CHECK_REL = 1e-8
-# Relative margin by which a tabulated BLER must clear the threshold to
-# settle the bisection's comparison at every power on its far side.
-_CERTIFY_REL = 1e-6
+# ITP constants (Oliveira & Takahashi 2020): the truncation scale kappa1
+# over the initial log-width, the truncation exponent kappa2 and the slack
+# n0 of steps over bisection's count
+_ITP_KAPPA1 = 0.05
+_ITP_KAPPA2 = 2.0
+_ITP_N0 = 1
 
 
-def _bisect(lo: float, hi: float, feasible, ee: EeConfig):
-    """The bisection of a power solve from infeasible lo and feasible hi:
-    halve until hi - lo <= bisect_tol * hi or for max_bisect_iters steps,
-    keeping the half that feasible(mid) picks. Returns the final (lo, hi)."""
-    for _ in range(ee.max_bisect_iters):
+def _itp(table_eps, threshold: float, lo: float, eps_lo: float, hi: float,
+         eps_hi: float, ee: EeConfig):
+    """The smallest feasible power of the bracket [lo, hi], lo infeasible
+    (BLER eps_lo > threshold) and hi feasible (eps_hi <= threshold), to
+    bisect_tol: (hi, eps_hi) once hi - lo <= bisect_tol * hi, or after
+    max_bisect_iters or n_max lookups, whichever comes first.
+
+    One ITP sequence (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on
+    g = log(eps / threshold) against x = log p, about linear where the BLER
+    is a power law. Each step takes the regula falsi point of the bracket
+    [a, b] (its midpoint where eps_hi is 0, g = -inf), moves it toward the
+    midpoint by kappa1 (b - a)^kappa2 and projects it into the midpoint's
+    neighbourhood of radius e 2^(n_max - j) - (b - a) / 2, where
+    2 e = -log1p(-bisect_tol) is the log-width at which hi - lo =
+    bisect_tol * hi and n_max = ceil(log2((b0 - a0) / 2 e)) + n0 is
+    bisection's step count plus n0. The power looked up replaces the end on
+    its side of the threshold. Whatever the BLER, the bracket is at most
+    2 e wide after n_max steps, so that cap binds only through the rounding
+    of log p, which leaves hi - lo above bisect_tol * hi by at most 2e-8 of
+    it (measured at bisect_tol = 1e-7).
+    """
+    a, b = math.log(lo), math.log(hi)
+    two_eps = -math.log1p(-ee.bisect_tol)
+    kappa1 = _ITP_KAPPA1 / (b - a)
+    n_max = math.ceil(math.log2((b - a) / two_eps)) + _ITP_N0
+    ga = math.log(eps_lo / threshold)
+    for j in range(min(ee.max_bisect_iters, n_max)):
         if hi - lo <= ee.bisect_tol * hi:
             break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
+        mid = 0.5 * (a + b)
+        if eps_hi > 0.0:
+            gb = math.log(eps_hi / threshold)
+            x = (a * gb - b * ga) / (gb - ga)
         else:
-            lo = mid
-    return lo, hi
-
-
-def _wanted_certificates(lo: float, hi: float, x: float, h: float,
-                         ee: EeConfig):
-    """On the bisection path from [lo, hi] to a crossing at log p = x, the
-    last infeasible and the last feasible point at least h from x in log p
-    (lo and hi when there is none)."""
-    root = math.exp(x)
-    below, above = [lo], [hi]
-
-    def feasible(mid):
-        (above if mid >= root else below).append(mid)
-        return mid >= root
-
-    _bisect(lo, hi, feasible, ee)
-    return (max((p for p in below if p <= root * math.exp(-h)), default=lo),
-            min((p for p in above if p >= root * math.exp(h)), default=hi))
-
-
-def _log_ratio(eps: float, threshold: float) -> float:
-    return math.log(eps / threshold) if eps > 0.0 else -math.inf
-
-
-def _locate(table_eps, threshold: float, lo: float, hi: float, ee: EeConfig):
-    """Certificates (p_a, p_b) for the bisection from the precheck bracket
-    [lo, hi]: p_a is lo or the largest evaluated power whose tabulated BLER
-    exceeds threshold * (1 + _CERTIFY_REL), p_b is hi or the smallest one
-    whose BLER is at most threshold * (1 - _CERTIFY_REL).
-
-    One Illinois sequence (Dowell & Jarratt, BIT 1971: regula falsi that
-    halves the value of an end kept twice in a row) on g = log(eps /
-    threshold) against x = log p, about linear where the BLER is a power
-    law. Each round's Illinois point x (the bracket's midpoint when x is
-    not strictly inside) predicts the crossing, and so the bisection's
-    path; the certificates wanted are the points of that path nearest x
-    but at least h = 2 _CERTIFY_REL / |slope| from it, where they clear
-    the margin. The round looks up the wanted p_b while p_b is not
-    certified, else the wanted p_a, and that power replaces the bracket's
-    end on its side of the threshold. Stops when both are certified, when
-    a round would look up the last round's power again, or after ten
-    rounds.
-    """
-    upper = threshold * (1.0 + _CERTIFY_REL)
-    lower = threshold * (1.0 - _CERTIFY_REL)
-    p_a, p_b = lo, hi
-    a, ga = math.log(lo), _log_ratio(table_eps(lo), threshold)
-    b, gb = math.log(hi), _log_ratio(table_eps(hi), threshold)
-    wa, wb = ga, gb                     # the ends' Illinois weights
-    kept, p = 0, hi
-    for _ in range(10):
-        x = b - wb * (b - a) / (wb - wa)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        h = 2.0 * _CERTIFY_REL * (b - a) / abs(gb - ga)
-        q_a, q_b = _wanted_certificates(lo, hi, x, h, ee)
-        if p_a >= q_a and p_b <= q_b:
-            break
-        q = q_b if p_b > q_b else q_a
-        if q == p:
-            break
-        p = q
+            x = mid
+        delta = kappa1 * (b - a) ** _ITP_KAPPA2
+        side = math.copysign(1.0, mid - x)
+        x = x + side * delta if delta <= abs(mid - x) else mid
+        radius = 0.5 * two_eps * 2.0 ** (n_max - j) - 0.5 * (b - a)
+        if abs(x - mid) > radius:
+            x = mid - side * radius
+        p = math.exp(x)
         eps = table_eps(p)
-        if eps > upper:
-            p_a = max(p_a, p)
-        elif eps <= lower:
-            p_b = min(p_b, p)
-        y, g = math.log(p), _log_ratio(eps, threshold)
-        if not a < y < b:
-            continue
         if eps > threshold:
-            a, ga, wa = y, g, g
-            if kept < 0:
-                wb *= 0.5
-            kept = -1
+            a, lo, ga = x, p, math.log(eps / threshold)
         else:
-            b, gb, wb = y, g, g
-            if kept > 0:
-                wa *= 0.5
-            kept = 1
-    return p_a, p_b
+            b, hi, eps_hi = x, p, eps
+    return hi, eps_hi
 
 
 def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
-    """Bisection for the smallest transmit power in (0, p_max] that meets
-    the reliability target on ev (scenario and blocklength) with the port
-    spectrum lambdas.
+    """The smallest transmit power in (0, p_max] that meets the reliability
+    target on ev (scenario and blocklength) with the port spectrum lambdas,
+    to within bisect_tol.
 
-    The precheck and the bisection read hop 2 from the cached table pair
-    of (ev.fbl, lambdas), covered over the vartheta of ev's trajectory on
-    the precheck grid's powers, and combine it by `ev.e2e_avg_from` (its
-    one LoS/NLoS mix and trajectory average), the precheck's in one call.
-    The power found is re-evaluated by the direct kernel. Returns (power,
-    direct BLER at power, relative gap of the tables there), or None when
-    even p_max misses the target.
-
-    The bisection is replayed against certificates from `_locate`: a
-    midpoint at or above p_b is feasible and one at or below p_a is
-    infeasible without a lookup, and one in between is looked up, with the
-    bits of the plain bisection (see the module docstring). A final power
-    never looked up is looked up once; above the threshold it raises
-    `MonotonicityError`.
+    Hop 2 is read from the cached table pair of (ev.fbl, lambdas), covered
+    over the vartheta of ev's trajectory on the precheck grid's powers, and
+    combined by `ev.e2e_avg_from` (its one LoS/NLoS mix and trajectory
+    average). The precheck looks its 10 powers up in one call per link type
+    and checks that the BLER falls across them; its last infeasible and
+    first feasible power bracket the search `_itp`, which looks up one
+    power at a time. The power found is re-evaluated by the direct kernel.
+    Returns (power, direct BLER at power, relative gap of the tables
+    there), or None when even p_max misses the target. The power meets the
+    target on the tables, and on a BLER that falls with power,
+    power * (1 - bisect_tol) does not, unless max_bisect_iters ends the
+    search.
     """
     grid = ee.p_max * np.logspace(-8.0, 0.0, _PRECHECK_POINTS)
     pair = tuple(hop2_table(ev.fbl, ev.cfg.nakagami_m(lt), lambdas)
@@ -273,13 +225,10 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
     for table, vt in zip(pair, vts):
         table.cover(float(vt[-1].min()), float(vt[0].max()))
     eps = ev.e2e_avg_from(*(table(vt) for table, vt in zip(pair, vts))).tolist()
-    known = dict(zip(grid.tolist(), eps))
 
     def table_eps(p2: float) -> float:
-        if p2 not in known:
-            known[p2] = ev.e2e_avg_from(*(table(vt) for table, vt
-                                          in zip(pair, ev.hop2_varthetas(p2))))
-        return known[p2]
+        return ev.e2e_avg_from(*(table(vt) for table, vt
+                                 in zip(pair, ev.hop2_varthetas(p2))))
 
     for i in range(len(eps) - 1):
         if eps[i + 1] > eps[i] + _PRECHECK_SLACK:
@@ -291,25 +240,11 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
     if eps[-1] > threshold:
         return None
     if eps[0] <= threshold:
-        hi = float(grid[0])
+        hi, eps_hi = float(grid[0]), eps[0]
     else:
-        idx = max(i for i in range(len(eps)) if eps[i] > threshold)
-        lo, hi = float(grid[idx]), float(grid[idx + 1])
-        p_a, p_b = _locate(table_eps, threshold, lo, hi, ee)
-
-        def feasible(mid: float) -> bool:
-            if mid in known or p_a < mid < p_b:
-                return table_eps(mid) <= threshold
-            return mid >= p_b
-
-        _, hi = _bisect(lo, hi, feasible, ee)
-        if hi not in known and table_eps(hi) > threshold:
-            raise MonotonicityError(
-                "end-to-end BLER failed to decrease with transmit power: "
-                f"eps({p_b:.6e} W) <= {threshold:.6e} * "
-                f"(1 - {_CERTIFY_REL:g}) but eps({hi:.6e} W)="
-                f"{known[hi]:.6e}")
-    eps_hi = known[hi]
+        i = max(i for i in range(len(eps)) if eps[i] > threshold)
+        hi, eps_hi = _itp(table_eps, threshold, float(grid[i]), eps[i],
+                          float(grid[i + 1]), eps[i + 1], ee)
     direct = ev.e2e_avg(hi, lambdas)
     gap = abs(eps_hi - direct) / max(direct, np.finfo(float).tiny)
     if gap > _TABLE_CHECK_REL:

@@ -13,7 +13,7 @@ from fasrelay import (ScenarioConfig, TrajectoryEvaluator, avg_bler_hop1,
                       fas_spectrum, fbl_rate, instantaneous_bler, linearize)
 from fasrelay import MonotonicityError, blercore
 from fasrelay.blercore import (Hop2Table, _GL16, _GL32, _GRADED, _branch_cdf,
-                               _mix, _node_table, _saturation_z)
+                               _Mixture, _mix, _node_table, _saturation_z)
 from fasrelay.cli import _fbl, parse_config
 from fasrelay.geometry import trajectory_geometry
 
@@ -782,6 +782,8 @@ def _mixing_evaluator(p_los2=0.5, eps1_mixed=0.0):
     set by hand, to check its mixing and combining on given numbers."""
     ev = TrajectoryEvaluator(ScenarioConfig(), linearize(0.8, 100), nodes=2)
     ev.geo = replace(ev.geo, p_los2=np.asarray(p_los2, dtype=float))
+    # the evaluator builds its hop-2 mixture from the geometry once
+    ev._mix2 = _Mixture(ev.geo.p_los2)
     ev.eps1_mixed = np.asarray(eps1_mixed, dtype=float)
     return ev
 

@@ -710,6 +710,39 @@ def test_main_reports_bad_config_line_without_traceback(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+# the optimize-grid benchmark study at 400 m, L = 300 and N = 1-3, and the
+# bler-sweep one at 400 m, L = 100 and N = 1, 2 at 20 and 40 dBm
+_OPTIMIZE_AT_400 = ("aperture = 0.5\np1 = 46 dBm\nbler_threshold = 1e-3\n"
+                    "p_max = 40 dBm\nn_min = 1\nn_max = 3\nz_min = 400\n"
+                    "z_max = 410\nz_step = 20\nl_set = 300\n")
+_BLER_SWEEP_AT_400 = ("blocklength = 100\np1 = 40 dBm\nuav_altitude = 400\n"
+                      "sweep_n_ports = 1, 2\nsweep_aperture = 0.5\n"
+                      "sweep_p2_dbm = 20, 40\n")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("optimize", _OPTIMIZE_AT_400), ("bler-sweep", _BLER_SWEEP_AT_400)],
+    ids=["optimize", "bler-sweep"])
+@pytest.mark.parametrize("extreme", [
+    "noise_power = 1e300", "noise_power = 1e-320", "eta_nlos = 1e308",
+    "eta_los = -1e308", "carrier_freq = 1e308", "carrier_freq = 1e-300"])
+def test_main_rejects_an_snr_scale_outside_the_double_range(
+        tmp_path, capsys, command, text, extreme):
+    # hop 1's vartheta m sigma^2 / (p1 beta1) is inf, 0 or so small that
+    # chi / vartheta overflows: optimize raised a ValueError from deep in
+    # the solve, and bler-sweep wrote nan cells (both an OverflowError at
+    # eta_los = -1e308). No warning reaches stderr before the error either
+    conf = tmp_path / "c.conf"
+    conf.write_text(text + extreme + "\n")
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(conf), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: hop-1 vartheta")
+    assert not out.exists()
+
+
 def test_main_reports_a_run_time_error_without_traceback(tmp_path, capsys):
     # at m_los = 40 the LoS table misses its 1e-8 contract at the solved
     # power (a gap of 9.6e-8): a TableAccuracyError, reported as an error
@@ -793,10 +826,11 @@ def _log_uniform(rng, lo, hi):
 
 def _random_valid_config(rng, command):
     """A small config of the command, with scenario constants drawn from the
-    ranges of the run-time fuzzing probe (ROADMAP item 3) and p_max from 0
-    to 80 dBm. validate draws trials across up to three row chunks of the
-    Monte Carlo batch and a batch size that may leave a partial last batch,
-    at most 64 batches."""
+    ranges of the run-time fuzzing probe behind the ROADMAP item on
+    contracts at every valid input, and p_max from 0 to 80 dBm. validate
+    draws trials across up to three row chunks of the Monte Carlo batch and
+    a batch size that may leave a partial last batch, at most 64
+    batches."""
     lines = [f"p1 = {rng.uniform(-20, 80)!r} dBm",
              f"noise_power = {rng.uniform(-150, -60)!r} dBm",
              f"uav_altitude = {_log_uniform(rng, 1, 1e4)!r}",

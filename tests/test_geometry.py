@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fasrelay import (DegenerateGeometryError, ScenarioConfig,
+from fasrelay import (DegenerateGeometryError, ScenarioConfig, SnrScaleError,
                       TrajectoryEvaluator, avg_bler_hop1, fas_spectrum)
 from fasrelay.geometry import SPEED_OF_LIGHT, trajectory_geometry
 
@@ -47,6 +47,14 @@ def test_slant_ranges_degenerate_endpoint():
     cfg = ScenarioConfig(bs_position=(50.0, 0.0, 100.0), uav_altitude=100.0)
     with pytest.raises(DegenerateGeometryError):
         trajectory_geometry(cfg, np.array([0.0]))
+
+
+def test_evaluator_rejects_a_hop2_scale_outside_the_double_range(fbl100):
+    # a UE 1e200 m away: beta2 underflows to 0 and m sigma^2 / beta2 is inf,
+    # while hop 1 stays in range
+    cfg = ScenarioConfig(ue_position=(-1e200, 100.0, 0.0))
+    with pytest.raises(SnrScaleError, match="^hop-2 scale"):
+        TrajectoryEvaluator(cfg, fbl100, nodes=16)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -133,13 +134,13 @@ def test_min_power_matches_direct_bisection(cfg46):
 # as float.hex) of solves on cfg46 at the default threshold and tolerance:
 # the last one meets the target at the precheck grid's first power, 1 W
 _PINNED_SOLVES = (
-    (100, 100.0, 1, 10.0, ("0x1.7b0cb16072830p+1", "0x1.06203ce32849cp-10", "0x0.0p+0")),
-    (100, 800.0, 12, 10.0, ("0x1.5ae3519a442ecp-5", "0x1.0621b14bf7f0bp-10", "0x1.770489780ab04p-51")),
-    (300, 400.0, 4, 10.0, ("0x1.2603a7f3f2e86p-6", "0x1.06215c5c0019bp-10", "0x1.770502fc21b03p-51")),
-    (300, 100.0, 12, 10.0, ("0x1.60e23a2249456p-8", "0x1.061ee2c4a586ep-10", "0x1.f40b674bf0399p-53")),
-    (600, 800.0, 1, 10.0, ("0x1.898582d84db8ep-4", "0x1.06225d1ed2ed9p-10", "0x1.f404c4deb22f5p-53")),
-    (600, 400.0, 12, 10.0, ("0x1.8a0f1ea970e1ap-9", "0x1.0621c31d345f6p-10", "0x0.0p+0")),
-    (600, 100.0, 4, 1e-2, ("0x1.af849b298fa7dp-8", "0x1.061d2a6669a05p-10", "0x0.0p+0")),
+    (100, 100.0, 1, 10.0, ("0x1.7b05b0244dcbcp+1", "0x1.0624dd078a184p-10", "0x0.0p+0")),
+    (100, 800.0, 12, 10.0, ("0x1.5ae09df4f2512p-5", "0x1.0624ce664acf1p-10", "0x1.7700152638a99p-51")),
+    (300, 400.0, 4, 10.0, ("0x1.26019f062a839p-6", "0x1.0624dcade6bd1p-10", "0x1.f40000f66f3f3p-52")),
+    (300, 100.0, 12, 10.0, ("0x1.60dee5de50d7cp-8", "0x1.0624dd2a64f9ep-10", "0x1.f4000008fb974p-53")),
+    (600, 800.0, 1, 10.0, ("0x1.8981aeb87b0b4p-4", "0x1.0624b9cbf7d63p-10", "0x1.f400437ef74e8p-53")),
+    (600, 400.0, 12, 10.0, ("0x1.8a0c8481be6c5p-9", "0x1.0624dd2d5ceb2p-10", "0x1.f4000003521dbp-52")),
+    (600, 100.0, 4, 1e-2, ("0x1.af7fb6b03dcafp-8", "0x1.0624c8ebd44d7p-10", "0x1.f40026a5f3f57p-53")),
     (300, 400.0, 4, 1e8, ("0x1.0000000000000p+0", "0x1.5730858f6f51ep-19", "0x0.0p+0")),
 )
 
@@ -369,8 +370,9 @@ def table_lookups(monkeypatch):
 
 
 def _expected_solve(ev, lambdas, ee):
-    """What `min_power` must return: the plain table-driven bisection's
-    power and the gap of its tabulated BLER to the direct one there."""
+    """The plain table-driven bisection's solve, as `min_power` reports
+    one: its power, the direct BLER there and the gap of its tabulated
+    BLER to the direct one."""
     want = direct_min_power(ev, lambdas, ee, table_e2e_avg(ev, lambdas))
     if want is None:
         return None
@@ -379,14 +381,53 @@ def _expected_solve(ev, lambdas, ee):
     return p2, direct, abs(eps_table - direct) / max(direct, np.finfo(float).tiny)
 
 
-def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
-    # the certified bisection returns the plain table bisection's bits with
-    # at most half its lookups after the precheck (2 per power); the plain
-    # path looks the precheck up per power, min_power once per link type.
-    # The presets' tolerance and iteration cap get their own bound, since
-    # the 1e-7 cases dominate the sum over all cases
-    looked_up = {"plain": 0, "certified": 0}
-    presets_regime = {"plain": 0, "certified": 0}
+def _search_bound(ee):
+    """ITP's bound on the powers a solve looks up after the precheck,
+    ceil(log2(log(hi0 / lo0) / w)) + 1 with w = -log1p(-bisect_tol) for
+    the precheck bracket [lo0, hi0], or max_bisect_iters when smaller."""
+    grid = ee.p_max * np.logspace(-8.0, 0.0, 10)
+    width = float(np.max(np.diff(np.log(grid))))
+    bound = math.ceil(math.log2(width / -math.log1p(-ee.bisect_tol))) + 1
+    return min(bound, ee.max_bisect_iters)
+
+
+def _solve_and_check(ev, lambdas, ee, table_lookups):
+    """min_power on ev and lambdas against the plain table bisection
+    `_expected_solve`: the same feasibility; a power that meets the target
+    on the tables, within bisect_tol of the plain one unless the iteration
+    cap ends both searches; the direct BLER there and the tables' gap to
+    it; and at most `_search_bound` powers looked up after the precheck,
+    two lookups each. Returns the lookups after the precheck of the plain
+    bisection (which looks the precheck up per power) and of min_power
+    (once per link type), and whether the target is met."""
+    del table_lookups[:]
+    want = _expected_solve(ev, lambdas, ee)
+    plain = len(table_lookups) - 2 * 10
+    del table_lookups[:]
+    got = min_power(ev, lambdas, ee)
+    looked_up = len(table_lookups) - 2
+    case = (ee, ev.fbl.blocklength, ev.cfg.uav_altitude, len(lambdas))
+    assert (got is None) == (want is None), case
+    assert looked_up <= 2 * _search_bound(ee), (looked_up, case)
+    if got is None:
+        return plain, looked_up, False
+    p2, eps, gap = got
+    tabulated = table_e2e_avg(ev, lambdas)(p2)
+    assert tabulated <= ee.bler_threshold, case
+    if ee.max_bisect_iters == EeConfig().max_bisect_iters:
+        assert abs(p2 - want[0]) <= ee.bisect_tol * max(p2, want[0]), case
+    assert eps == ev.e2e_avg(p2, lambdas)
+    assert gap == abs(tabulated - eps) / max(eps, np.finfo(float).tiny)
+    return plain, looked_up, True
+
+
+def test_min_power_meets_the_table_bisection_contract(cfg46, table_lookups):
+    # the ITP search against the plain table bisection, with at most half
+    # its lookups after the precheck. The presets' tolerance and iteration
+    # cap get their own bound, since the 1e-7 cases dominate the sum over
+    # all cases; the cap of 3 bounds the lookups and keeps the target met
+    looked_up = {"plain": 0, "itp": 0}
+    presets_regime = {"plain": 0, "itp": 0}
     outcomes = {True: 0, False: 0}
     cases = [EeConfig(p_max=p_max, bler_threshold=thr, bisect_tol=tol)
              for p_max in (10.0, 1e-2) for thr in (1e-2, 1e-3, 1e-5)
@@ -400,28 +441,24 @@ def test_min_power_matches_table_bisection_bit_for_bit(cfg46, table_lookups):
             for n in range(1, 13):
                 lambdas = fas_spectrum(n, 0.5).lambdas
                 for ee in cases:
-                    del table_lookups[:]
-                    want = _expected_solve(ev, lambdas, ee)
-                    plain = len(table_lookups) - 2 * 10
-                    del table_lookups[:]
-                    got = min_power(ev, lambdas, ee)
-                    certified = len(table_lookups) - 2
-                    assert got == want, (ee, blocklength, z, n)
-                    outcomes[want is None] += 1
+                    plain, itp, met = _solve_and_check(ev, lambdas, ee,
+                                                       table_lookups)
+                    outcomes[met] += 1
                     looked_up["plain"] += plain
-                    looked_up["certified"] += certified
+                    looked_up["itp"] += itp
                     if ee.bisect_tol == 1e-4 and ee.max_bisect_iters == 60:
                         presets_regime["plain"] += plain
-                        presets_regime["certified"] += certified
+                        presets_regime["itp"] += itp
     assert outcomes[True] > 0 and outcomes[False] > 0
-    assert looked_up["certified"] <= 0.5 * looked_up["plain"], looked_up
-    assert (presets_regime["certified"]
-            <= 0.45 * presets_regime["plain"]), presets_regime
+    assert looked_up["itp"] <= 0.5 * looked_up["plain"], looked_up
+    assert presets_regime["itp"] <= 0.45 * presets_regime["plain"], \
+        presets_regime
 
 
-def test_min_power_on_a_staircase_bler(cfg46, fbl200, monkeypatch):
-    # a BLER flat between quarter-decade steps: the secant sees no slope
-    # there, and the threshold 1e-3 is one of the steps
+def test_min_power_on_a_staircase_bler(cfg46, fbl200, monkeypatch,
+                                       table_lookups):
+    # a BLER flat between quarter-decade steps: the regula falsi point
+    # sees no slope there, and the threshold 1e-3 is one of the steps
     e2e_avg_from = blercore.TrajectoryEvaluator.e2e_avg_from
 
     def staircase(self, e2_los, e2_nlos):
@@ -437,12 +474,11 @@ def test_min_power_on_a_staircase_bler(cfg46, fbl200, monkeypatch):
             ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200)
             for n in (1, 4, 8):
                 lambdas = fas_spectrum(n, 0.5).lambdas
-                want = _expected_solve(ev, lambdas, ee)
-                assert want is not None
-                assert min_power(ev, lambdas, ee) == want, (thr, z, n)
+                assert _solve_and_check(ev, lambdas, ee, table_lookups)[2]
 
 
-def test_min_power_on_a_bler_that_reaches_zero(cfg46, fbl200, monkeypatch):
+def test_min_power_on_a_bler_that_reaches_zero(cfg46, fbl200, monkeypatch,
+                                               table_lookups):
     # a BLER that drops to exactly 0 below 1e-3: log(eps / threshold) is
     # -inf at a feasible end, so the regula falsi point is not finite
     e2e_avg_from = blercore.TrajectoryEvaluator.e2e_avg_from
@@ -459,9 +495,7 @@ def test_min_power_on_a_bler_that_reaches_zero(cfg46, fbl200, monkeypatch):
             ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200)
             for n in (1, 4, 8):
                 lambdas = fas_spectrum(n, 0.5).lambdas
-                want = _expected_solve(ev, lambdas, ee)
-                assert want is not None
-                assert min_power(ev, lambdas, ee) == want, (thr, z, n)
+                assert _solve_and_check(ev, lambdas, ee, table_lookups)[2]
 
 
 def test_min_power_threshold_equal_to_a_grid_bler(cfg46, fbl200):
@@ -492,26 +526,13 @@ def test_min_power_met_at_the_first_grid_power_skips_the_search(
     def no_search(*args):
         raise AssertionError("no search when the first power meets the target")
 
-    monkeypatch.setattr(optimizer, "_locate", no_search)
+    monkeypatch.setattr(optimizer, "_itp", no_search)
     ee = EeConfig(p_max=1e8)
     ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=400.0),
                              linearize(80.0 / 300.0, 300))
     p2, _, _ = min_power(ev, fas_spectrum(4, 0.5).lambdas, ee)
     assert p2 == ee.p_max * 1e-8
     assert len(table_lookups) == 2
-
-
-def test_min_power_rejects_a_final_bler_above_target(cfg46, fbl200,
-                                                     monkeypatch):
-    # certificates the BLER contradicts: every power above the bracket's
-    # lower end passes for feasible, so the search ends at a power the
-    # tables put above the target
-    monkeypatch.setattr(optimizer, "_locate",
-                        lambda table_eps, thr, lo, hi, ee:
-                        (lo, np.nextafter(lo, hi)))
-    with pytest.raises(MonotonicityError, match="but eps"):
-        solved_power(cfg46, fas_spectrum(4, 0.5), fbl200,
-                     EeConfig(p_max=10.0), 450.0)
 
 
 def test_global_optimize_fills_one_table_pair_per_l_and_n(cfg46, table_fills):

@@ -102,9 +102,12 @@ def test_compare_a_file_without_peak_rss(bench, capsys):
 def test_bench_records_each_peak_rss_and_the_median(bench, monkeypatch):
     runs = iter([(1.0, 80.0), (3.0, 60.0), (2.0, 70.0), (4.0, 90.0)])
 
+    values = {"csv": {"n_star": ["2"]}, "meta": {"rows": "1"}}
+
     def fake_run(name, command, workdir, env):
         wall, rss = next(runs)
-        return wall, rss, {"csv": name, "meta": "m"}
+        return wall, rss, {"sha256": {"csv": name, "meta": "m"},
+                           "values": values}
 
     monkeypatch.setattr(bench, "PRESETS", {"a": "bler-sweep"})
     monkeypatch.setattr(bench, "run_preset", fake_run)
@@ -112,6 +115,7 @@ def test_bench_records_each_peak_rss_and_the_median(bench, monkeypatch):
     assert entry["peak_rss_mb"] == [80.0, 60.0, 70.0, 90.0]
     assert entry["peak_rss_mb_median"] == 75.0
     assert entry["wall_s_median"] == 2.5
+    assert entry["values"] == values
 
 
 def test_run_process_reports_the_child_peak_rss(bench):
@@ -132,3 +136,58 @@ def test_run_process_reports_the_exit_code(bench):
         dict(os.environ))
     assert code == 1
     assert "boom" in stderr
+
+
+def test_read_outputs_keeps_the_cells_as_written(bench, tmp_path):
+    out = tmp_path / "a.csv"
+    out.write_text("feasible,p2_star_dbm\ntrue,7.25\nfalse,\n")
+    out.with_name("a.csv.meta").write_text("rows = 2\nz_star = 100.0\n")
+    got = bench.read_outputs(out)
+    assert got["values"] == {
+        "csv": {"feasible": ["true", "false"], "p2_star_dbm": ["7.25", ""]},
+        "meta": {"rows": "2", "z_star": "100.0"}}
+    assert got["sha256"]["csv"] == bench._sha256(out)
+
+
+def _valued(values):
+    """A bench result of one preset "a" holding values, its sha256 a digest
+    of them."""
+    result = _result(a=repr(values))
+    result["presets"]["a"]["values"] = values
+    return result
+
+
+def test_compare_prints_the_moves_of_a_doctored_file(bench, capsys):
+    before = {"csv": {"bler_analytic": ["0.25", "0.5"],
+                      "bler_mc": ["0.25", "0.5"],
+                      "p2_star_dbm": ["10.0", "12.0"],
+                      "feasible": ["true", "true"], "n_star": ["2", "3"],
+                      "p1_dbm": ["46.0", "46.0"]},
+              "meta": {"feasible": "True", "n_star": "3",
+                       "p2_star_w": "0.01", "rows": "2"}}
+    doctored = {"csv": {**before["csv"],
+                        "bler_analytic": ["0.25", "0.5000005"],
+                        "p2_star_dbm": ["10.001", "12.0"],
+                        "feasible": ["true", "false"], "n_star": ["2", "2"],
+                        "p1_dbm": ["46.0", "40.0"]},
+                "meta": {**before["meta"], "n_star": "2",
+                         "p2_star_w": "0.010002"}}
+    # 10 -> 10.001 dBm is 2.3e-4 in watts, above p2_star_w's 2e-4
+    assert not bench.compare(_valued(doctored), _valued(before))
+    out = capsys.readouterr().out.splitlines()
+    assert "differs: csv" in out[0]
+    assert [line.split() for line in out[1:]] == [
+        ["analytic", "1e-06", "(bler_analytic)"],
+        ["solved", "0.00023", "(p2_star_dbm)"],
+        ["monte", "carlo", "identical"],
+        ["feasible", "row", "2:", "true", "->", "false"],
+        ["n_star", "row", "2:", "3", "->", "2"],
+        ["optimum", "n_star:", "3", "->", "2"],
+        ["other", "changes:", "p1_dbm"]]
+    # an identical preset, or one whose values a file lacks, prints no moves
+    assert bench.compare(_valued(before), _valued(before))
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    lacking = _valued(before)
+    del lacking["presets"]["a"]["values"]
+    assert not bench.compare(_valued(doctored), lacking)
+    assert len(capsys.readouterr().out.splitlines()) == 1

@@ -8,8 +8,10 @@ Each preset runs with its command (``python -m fasrelay.cli COMMAND
 preset once, then every preset again. The script writes BENCH_<LABEL>.json
 in the current directory, holding per preset the command, the wall time and
 the peak resident memory (``ru_maxrss`` of the process, from ``os.wait4``)
-of each run and their medians, and the sha256 of the CSV and of its
-``.meta`` sidecar. A preset whose output differs between repeats is an error.
+of each run and their medians, the sha256 of the CSV and of its ``.meta``
+sidecar, and their values: the CSV's cells by column and the ``.meta``
+entries, as written. A preset whose output differs between repeats is an
+error.
 
 With --against, it then prints per preset whether the CSV and ``.meta``
 are identical to those of the other file, or which of them differ
@@ -20,13 +22,31 @@ and exits 1 if any preset differs or is missing from either file. When the
 two files record different python, numpy or scipy versions it first prints
 one ``note:`` line naming them, since bits may legitimately differ across
 library versions; the exit code still depends only on the comparison.
+
+Under a preset that differs and whose values both files hold, indented
+lines say what moved. For each column class present it prints the largest
+relative move |a - b| / max(|a|, |b|) and its column, or ``identical``; a
+``*_dbm`` column moves as the power in watts it stands for:
+
+* ``analytic``: ``error_floor`` and the ``bler_*`` columns but the Monte
+  Carlo ones and the ``bler_threshold`` echo;
+* ``solved``: ``p2_star_*``, ``ee_bits_per_joule``, ``eps_o`` and the
+  ``.meta`` ``p2_star_w``, ``ee_star`` and ``eps_star``;
+* ``monte carlo``: ``bler_mc*``.
+
+Then it prints one line per changed ``feasible``, ``is_optimum`` or
+``n_star`` cell, one per changed ``.meta`` optimum entry (``feasible``,
+``l_star``, ``z_star``, ``n_star``), and one naming every other column or
+entry that differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -79,9 +99,23 @@ def run_process(argv: list, env: dict):
     return proc.returncode, stderr, wall, usage.ru_maxrss / 1024.0
 
 
+def read_outputs(out: Path) -> dict:
+    """The sha256 and the values of a CSV and its .meta: the CSV's cells by
+    column and the .meta entries, as written."""
+    meta = out.with_name(out.name + ".meta")
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    entries = (line.split(" = ", 1) for line in
+               meta.read_text(encoding="utf-8").splitlines())
+    return {"sha256": {"csv": _sha256(out), "meta": _sha256(meta)},
+            "values": {"csv": {col: [row[i] for row in rows]
+                               for i, col in enumerate(header)},
+                       "meta": dict(entries)}}
+
+
 def run_preset(name: str, command: str, workdir: Path, env: dict):
     """One fresh-process run of a preset: its wall time, its peak RSS in MB
-    and the sha256 of its CSV and .meta."""
+    and its outputs (`read_outputs`)."""
     out = workdir / f"{name}.csv"
     argv = [sys.executable, "-m", "fasrelay.cli", command,
             "--config", str(ROOT / "configs" / f"{name}.conf"),
@@ -89,8 +123,7 @@ def run_preset(name: str, command: str, workdir: Path, env: dict):
     code, stderr, wall, rss = run_process(argv, env)
     if code != 0:
         raise SystemExit(f"{name}: exit {code}\n{stderr}")
-    return wall, rss, {"csv": _sha256(out),
-                       "meta": _sha256(out.with_name(out.name + ".meta"))}
+    return wall, rss, read_outputs(out)
 
 
 def bench(repeats: int) -> dict:
@@ -101,12 +134,14 @@ def bench(repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(repeats):
             for name, entry in presets.items():
-                wall, rss, sha = run_preset(name, entry["command"], Path(tmp),
-                                            env)
+                wall, rss, outputs = run_preset(name, entry["command"],
+                                                Path(tmp), env)
                 entry["wall_s"].append(wall)
                 entry["peak_rss_mb"].append(rss)
-                if entry.setdefault("sha256", sha) != sha:
+                if entry.setdefault("sha256", outputs["sha256"]) != \
+                        outputs["sha256"]:
                     raise SystemExit(f"{name}: output differs between repeats")
+                entry["values"] = outputs["values"]
     for entry in presets.values():
         entry["wall_s_median"] = statistics.median(entry["wall_s"])
         entry["peak_rss_mb_median"] = statistics.median(entry["peak_rss_mb"])
@@ -118,6 +153,85 @@ def bench(repeats: int) -> dict:
 def _rss(entry: dict) -> str:
     rss = entry.get("peak_rss_mb_median")
     return "n/a" if rss is None else f"{rss:.1f} MB"
+
+
+_CLASSES = ("analytic", "solved", "monte carlo")
+# the cells and .meta entries --against prints every change of
+_FLAGS = ("feasible", "is_optimum", "n_star")
+_OPTIMUM = ("feasible", "l_star", "z_star", "n_star")
+
+
+def _column_class(col: str):
+    """The class of a CSV column or a .meta entry ("meta <key>") whose
+    largest move --against prints, or None."""
+    if col.startswith("bler_mc"):
+        return "monte carlo"
+    if col == "error_floor" or (col.startswith("bler_")
+                                and col != "bler_threshold"):
+        return "analytic"
+    name = col.removeprefix("meta ")
+    if name.startswith("p2_star_") or name in (
+            "ee_bits_per_joule", "eps_o", "ee_star", "eps_star"):
+        return "solved"
+    return None
+
+
+def _rel_move(a: str, b: str, dbm: bool = False) -> float:
+    """|a - b| / max(|a|, |b|) of two cells as written, dBm cells (dbm) as
+    the powers they stand for: 0 when the cells are equal, inf when either
+    is not a finite number."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+        if dbm:
+            x, y = 10.0 ** (x / 10.0), 10.0 ** (y / 10.0)
+    except (ValueError, OverflowError):
+        return math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def value_moves(ours: dict, other: dict) -> list:
+    """The indented lines that say what moved between the values of one
+    preset in two files (`read_outputs`), other first."""
+    a_csv, b_csv = ours["csv"], other["csv"]
+    a_rows = len(next(iter(a_csv.values()), []))
+    b_rows = len(next(iter(b_csv.values()), []))
+    if a_csv.keys() != b_csv.keys() or a_rows != b_rows:
+        return [f"    columns or rows differ: {len(b_csv)} x {b_rows} -> "
+                f"{len(a_csv)} x {a_rows}"]
+    # a .meta entry joins the columns as a one-cell column "meta <key>"
+    cols = {**a_csv, **{f"meta {k}": [v] for k, v in ours["meta"].items()}}
+    before = {**b_csv, **{f"meta {k}": [v] for k, v in other["meta"].items()}}
+    lines, seen = [], set()
+    for label in _CLASSES:
+        moves = {col: max((_rel_move(a, b, col.endswith("_dbm")) for a, b
+                           in zip(cells, before.get(col, ()))),
+                          default=math.inf)
+                 for col, cells in cols.items() if _column_class(col) == label}
+        seen |= moves.keys()
+        if moves:
+            col = max(moves, key=moves.get)
+            verdict = f"{moves[col]:.3g} ({col})" if moves[col] else "identical"
+            lines.append(f"    {label:12s} {verdict}")
+    for col in _FLAGS:
+        seen.add(col)
+        for row, (a, b) in enumerate(zip(cols.get(col, ()),
+                                         before.get(col, ()))):
+            if a != b:
+                lines.append(f"    {col} row {row + 1}: {b} -> {a}")
+    for key in _OPTIMUM:
+        seen.add(f"meta {key}")
+        a, b = ours["meta"].get(key), other["meta"].get(key)
+        if a != b:
+            lines.append(f"    optimum {key}: {b} -> {a}")
+    others = sorted(col for col in cols.keys() | before.keys()
+                    if col not in seen and cols.get(col) != before.get(col))
+    if others:
+        lines.append(f"    other changes: {', '.join(others)}")
+    return lines
 
 
 def compare(ours: dict, other: dict) -> bool:
@@ -143,6 +257,8 @@ def compare(ours: dict, other: dict) -> bool:
         print(f"{name:24s} {verdict:18s} "
               f"{b['wall_s_median']:7.2f} s -> {a['wall_s_median']:7.2f} s  "
               f"{_rss(b)} -> {_rss(a)}")
+        if differs and "values" in a and "values" in b:
+            print("\n".join(value_moves(a["values"], b["values"])))
     return same
 
 
