@@ -22,25 +22,39 @@ the floating-point order of every per-trial operation: a rewrite of the
 batch arithmetic must reproduce the estimates bit for bit
 (`tests/test_mcoracle.py` pins them).
 
+Angle lattice: every trial draws its own angle, as the fraction u in [0, 1)
+of the circle that ``rng.uniform(0, 2 pi)`` would scale, and reads the
+geometry (LoS probabilities and p beta / sigma^2 per link type) of node
+k = floor(u _ANGLES) of the midpoint lattice theta_k = 2 pi (k + 1/2) /
+_ANGLES, built once per batch. k is exact and each node has probability
+1/_ANGLES, so a batch is an unbiased estimate of the lattice mean of the
+trajectory integrand. The integrand is smooth and periodic in the angle,
+where the midpoint rule converges geometrically: on the closed-form BLER the
+4,096-node mean is within 5.6e-16 relative of the 65,536-node mean over 225
+configs (altitudes 20-800 m, p1 30-46 dBm, N = 1, 2, 8, p2 0-40 dBm), far
+below any standard error the engine reports.
+
 Batch memory: three float64 arrays of length n carry a `simulate_batch` of
-n trials, with two boolean LoS masks. The geometry, the gain draws, each
-trial's share of its hop's gains and the BLERs are formed over chunks of
-`_CHUNK` trials, whose temporaries stay in cache; only the two final sums
+n trials, with two boolean LoS masks. The lattice reads, the gain draws,
+each trial's share of its hop's gains and the BLERs are formed over chunks
+of `_CHUNK` trials, whose temporaries stay in cache; only the two final sums
 run over whole arrays, because a chunked sum would round differently. In
-``model`` mode the tracemalloc peak is 4.24 arrays of length n (8.5 MB at
+``model`` mode the tracemalloc peak is 3.80 arrays of length n (7.6 MB at
 n = 250,000; 14 arrays when every step ran over whole arrays). ``physical``
 mode draws each Gaussian block for all of a link type's trials at once,
 because its stream holds every real part before every imaginary part; it
-peaks at 10.5 arrays of length n at N = 2.
+peaks at 10.6 arrays of length n at N = 2.
 
-Batch time: a trial whose SNR reaches `instantaneous_bler`'s gamma_0 has a
-BLER of exactly 0.0 and costs no Q evaluation. At the ``validate`` preset's
-40 dBm and 100 m that is about 98% of the hop-1 trials, and about half (9
-and 18 dBm) to three quarters (27 dBm) of the hop-2 trials. Each hop's
-packed gains return to trial order through index arrays, which take half
-the time of boolean masks at the preset's LoS shares (42% and 52%). What
-remains of a ``model`` batch there is mostly the geometry and the gain
-draws.
+Batch time: the geometry costs one evaluation on the lattice per batch,
+where an angle per trial spent about a third of a 250,000-trial ``model``
+batch in it (sin and cos alone take about 20 ns each per angle). A trial
+whose SNR reaches `instantaneous_bler`'s gamma_0 has a BLER of exactly 0.0
+and costs no Q evaluation. At the ``validate`` preset's 40 dBm and 100 m
+that is about 98% of the hop-1 trials, and about half (9 and 18 dBm) to
+three quarters (27 dBm) of the hop-2 trials. Each hop's packed gains return
+to trial order through index arrays, which take half the time of boolean
+masks at the preset's LoS shares (42% and 52%). What remains of a ``model``
+batch there is mostly the gain draws.
 """
 
 from __future__ import annotations
@@ -52,13 +66,17 @@ import numpy as np
 
 from .blercore import FblParams, instantaneous_bler
 from .chanmodel import FasSpectrum, jakes_matrix
-from .geometry import ScenarioConfig, trajectory_geometry
+from .geometry import LINK_TYPES, ScenarioConfig, trajectory_geometry
 
 MC_MODES = ("model", "physical")
 
 # rows per chunk of the batch arithmetic: a chunk's float64 temporaries
 # (128 KB each) stay in cache
 _CHUNK = 16_384
+
+# nodes of the trajectory angle lattice (module docstring); a power of 2, so
+# that each trial's node is exact
+_ANGLES = 4096
 
 
 @dataclass(frozen=True)
@@ -101,6 +119,12 @@ def substreams(seed: int, count: int) -> list[np.random.Generator]:
 def _chunks(n: int):
     """Slices of _CHUNK consecutive rows covering range(n)."""
     return (slice(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK))
+
+
+def _node(turns: np.ndarray) -> np.ndarray:
+    """Lattice node of each angle given as a fraction of the circle in
+    [0, 1): floor(turns * _ANGLES), exact, since _ANGLES is a power of 2."""
+    return np.multiply(turns, _ANGLES).astype(np.intp)
 
 
 def _gamma_unit_mean(m: int, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -198,24 +222,34 @@ def simulate_batch(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
     `mc_average_bler` produces with the same stream partitioning. The
     ``physical`` mode colors the ports by the Jakes matrix of fas.
     """
-    # three trial-length buffers carry the batch: snr1 holds the angles and
-    # then the hop-1 SNRs, snr2 the hop-1 LoS uniforms and then the hop-2
-    # SNRs, work the hop-2 LoS uniforms, then each hop's gains, then the BLERs
-    snr1 = rng.uniform(0.0, 2.0 * math.pi, n)
+    # three trial-length buffers carry the batch: snr1 holds the angles (as
+    # fractions of the circle) and then the hop-1 SNRs, snr2 the hop-1 LoS
+    # uniforms and then the hop-2 SNRs, work the hop-2 LoS uniforms, then
+    # each hop's gains, then the BLERs. rng.random draws the values
+    # rng.uniform(0, 2 pi) would scale to the angles.
+    snr1 = rng.random(n)
     snr2 = rng.random(n)
     work = rng.random(n)
     los = (np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+    # gamma = p * beta / sigma^2 * g, in that operation order; per hop, a
+    # table of the LoS and then the NLoS p * beta / sigma^2 of every node
+    geo = trajectory_geometry(cfg, (np.arange(_ANGLES) + 0.5)
+                              * (2.0 * math.pi / _ANGLES))
+    scales = [np.concatenate([np.multiply(beta[lt], p) / cfg.noise_power
+                              for lt in LINK_TYPES])
+              for beta, p in ((geo.beta1, cfg.p1), (geo.beta2, p2))]
     for s in _chunks(n):
-        geo = trajectory_geometry(cfg, snr1[s])
-        np.less(snr2[s], geo.p_los1, out=los[0][s])
-        np.less(work[s], geo.p_los2, out=los[1][s])
-        # gamma = p * beta / sigma^2 * g, in that operation order
-        for snr, mask, beta, p in ((snr1, los[0], geo.beta1, cfg.p1),
-                                   (snr2, los[1], geo.beta2, p2)):
-            np.multiply(np.where(mask[s], beta["los"], beta["nlos"]), p,
-                        out=snr[s])
-            snr[s] /= cfg.noise_power
-        del geo  # before the next chunk's geometry is built
+        node = _node(snr1[s])
+        np.less(snr2[s], geo.p_los1[node], out=los[0][s])
+        np.less(work[s], geo.p_los2[node], out=los[1][s])
+        for snr, mask, scale in ((snr1, los[0], scales[0]),
+                                 (snr2, los[1], scales[1])):
+            # an NLoS trial reads the second half of the scale table
+            at = np.logical_not(mask[s]).astype(np.intp)
+            at *= _ANGLES
+            at += node
+            np.take(scale, at, out=snr[s])
+    del geo, scales  # not held through the gain draws
 
     for hop, (snr, mask) in enumerate(zip((snr1, snr2), los)):
         # the hop's gains packed in work: its LoS trials in order, then its
@@ -260,8 +294,9 @@ def mc_average_bler(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
                     p2: float, mc: McConfig, fixed_gains=None) -> McEstimate:
     """Estimate the trajectory-averaged end-to-end BLER by simulation.
 
-    Per trial: a uniform trajectory angle, LoS/NLoS states drawn from the
-    elevation-dependent probabilities, fading gains per hop, exact
+    Per trial: a uniform trajectory angle, whose geometry is read at its
+    node of the angle lattice (module docstring), LoS/NLoS states drawn
+    from the elevation-dependent probabilities, fading gains per hop, exact
     instantaneous BLERs, and decode-and-forward combining. `fixed_gains`
     substitutes deterministic channel gains (g1, g2) for the fading draws,
     leaving only the geometric randomness (validation hook).

@@ -10,8 +10,9 @@ from fasrelay import (McConfig, McEstimate, TrajectoryEvaluator,
                       fas_spectrum, jakes_matrix, mc_average_bler,
                       sample_fas_gain_model, sample_fas_gain_physical,
                       sample_hop1_gain)
-from fasrelay.blercore import instantaneous_bler
-from fasrelay.geometry import trajectory_geometry
+from fasrelay.blercore import (_mix, avg_bler_hop1, avg_bler_hop2,
+                               instantaneous_bler)
+from fasrelay.geometry import LINK_TYPES, trajectory_geometry
 from fasrelay.mcoracle import substreams
 
 from conftest import cdf_hop1, cdf_hop2, ks_statistic
@@ -210,6 +211,98 @@ def test_mc_fixed_gain_hook_matches_deterministic_mixture(urban, fbl100):
     assert est.mean == pytest.approx(ref, abs=4.0 * est.std_error)
 
 
+_LATTICE_GRID = {
+    "altitude": (20.0, 100.0, 200.0, 400.0, 800.0),
+    "p1_dbm": (30.0, 40.0, 46.0),
+    "ports": (1, 2, 8),
+    "p2_dbm": (0.0, 10.0, 20.0, 30.0, 40.0),
+}
+
+
+def _lattice_means(cfg, fbl, nodes):
+    """Mean over the `nodes`-node midpoint lattice of the trajectory of the
+    closed-form end-to-end BLER, per (p1 dBm, ports, p2 dBm) of
+    _LATTICE_GRID."""
+    theta = (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
+    geo = trajectory_geometry(cfg, theta)
+
+    def mixed(p_los, beta, dbm, avg):
+        p = 10.0 ** ((dbm - 30.0) / 10.0)
+        return _mix(p_los, *(avg(cfg.nakagami_m(lt) * cfg.noise_power
+                                 / (p * beta[lt]), cfg.nakagami_m(lt))
+                             for lt in LINK_TYPES))
+
+    eps1 = {p1: mixed(geo.p_los1, geo.beta1, p1,
+                      lambda vt, m: avg_bler_hop1(fbl, vt, m))
+            for p1 in _LATTICE_GRID["p1_dbm"]}
+    means = {}
+    for n_ports in _LATTICE_GRID["ports"]:
+        lams = fas_spectrum(n_ports, 0.5).lambdas
+        for p2 in _LATTICE_GRID["p2_dbm"]:
+            eps2 = mixed(geo.p_los2, geo.beta2, p2,
+                         lambda vt, m: avg_bler_hop2(fbl, vt, m, lams))
+            for p1, e1 in eps1.items():
+                means[p1, n_ports, p2] = float(np.mean(e1 + eps2 * (1.0 - e1)))
+    return means
+
+
+@pytest.mark.parametrize("altitude", _LATTICE_GRID["altitude"],
+                         ids=lambda z: f"{z:.0f}m")
+def test_angle_lattice_mean_matches_a_16x_finer_lattice(urban, fbl100,
+                                                        altitude):
+    # a batch estimates the mean of the trajectory integrand over the
+    # 4,096-node midpoint lattice; on the closed-form BLER, a smooth periodic
+    # integrand like the exact one, that mean is the 65,536-node mean to
+    # rounding (at most 5.6e-16 relative over the 225 configs of the grid)
+    from fasrelay.mcoracle import _ANGLES
+    cfg = replace(urban, uav_altitude=altitude)
+    coarse = _lattice_means(cfg, fbl100, _ANGLES)
+    fine = _lattice_means(cfg, fbl100, 16 * _ANGLES)
+    assert max(abs(coarse[k] / fine[k] - 1.0) for k in fine) <= 1e-13
+
+
+def test_lattice_node_of_each_angle():
+    # a trial draws its angle as a fraction of the circle in [0, 1) and
+    # reads node k on [k, k + 1) / _ANGLES: exactly, at every arc boundary
+    from fasrelay.mcoracle import _ANGLES, _node
+    k = np.arange(1, _ANGLES)
+    assert _node(np.zeros(1))[0] == 0
+    np.testing.assert_array_equal(_node(k / _ANGLES), k)
+    np.testing.assert_array_equal(_node(np.nextafter(k / _ANGLES, 0.0)), k - 1)
+    # the largest fraction below 1 (an angle just short of 2 pi) reads the
+    # last node, and no draw reads past it
+    assert _node(np.array([np.nextafter(1.0, 0.0)]))[0] == _ANGLES - 1
+    assert _node(_rng(3).random(1_000_000)).max() == _ANGLES - 1
+    # each node's angle lies in its own arc
+    mid = (np.arange(_ANGLES) + 0.5) / _ANGLES
+    np.testing.assert_array_equal(_node(mid), np.arange(_ANGLES))
+    # the fractions are the draws rng.uniform(0, 2 pi) scales to the angles
+    n = 100_000
+    assert np.array_equal(_rng(4).uniform(0.0, 2.0 * math.pi, n),
+                          2.0 * math.pi * _rng(4).random(n))
+
+
+@pytest.mark.parametrize("mode, fixed", [("model", None), ("physical", None),
+                                         ("model", (0.3, 0.1))])
+def test_simulate_batch_builds_the_lattice_geometry_once(urban, fbl100,
+                                                        monkeypatch, mode,
+                                                        fixed):
+    from fasrelay import mcoracle
+    angles = []
+
+    def counted(cfg, theta):
+        angles.append(np.array(theta))
+        return trajectory_geometry(cfg, theta)
+
+    monkeypatch.setattr(mcoracle, "trajectory_geometry", counted)
+    # three row chunks of the batch arithmetic
+    mcoracle.simulate_batch(urban, fas_spectrum(2, 0.5), fbl100, 0.01, mode,
+                            _rng(8), 40_000, fixed)
+    assert len(angles) == 1
+    np.testing.assert_array_equal(
+        angles[0], (np.arange(4096) + 0.5) * (2.0 * math.pi / 4096))
+
+
 def test_mc_matches_analytic_within_sampling_noise(urban, fbl100):
     # closed forms and simulation agree within a few standard errors plus
     # the surrogate's bias against the exact Q-average (-4.9% to +0.6% on the
@@ -225,15 +318,16 @@ def test_mc_matches_analytic_within_sampling_noise(urban, fbl100):
 
 
 # (sum, sum of squares) of one 20,000-trial batch at p2 = 0.01 W on the
-# PCG64(2024) stream, as produced by the reference implementation. The stream
-# order and the floating-point order of every per-trial operation are part of
-# the contract: a rewrite of the batch arithmetic must reproduce these bits.
+# PCG64(2024) stream, each trial's geometry read at the node of its angle on
+# the 4,096-node lattice. The stream order and the floating-point order of
+# every per-trial operation are part of the contract: a rewrite of the batch
+# arithmetic must reproduce these bits.
 _PINNED_BATCHES = {
     # (ports, mode, fixed_gains): (sum, sum of squares)
-    (2, "model", None): ("0x1.fc7e890072b92p+10", "0x1.b123fecd5c693p+10"),
-    (8, "model", None): ("0x1.aeb78400eb9c5p+7", "0x1.58334c925e7d0p+7"),
-    (4, "physical", None): ("0x1.3861839d59a6fp+10", "0x1.fa5c023afc488p+9"),
-    (2, "model", (0.3, 0.1)): ("0x1.2ae7fffd7f72ep+13", "0x1.2ae7fffafee5ep+13"),
+    (2, "model", None): ("0x1.018a612138269p+11", "0x1.b9bdf5b3c04f3p+10"),
+    (8, "model", None): ("0x1.b7c0b8945f3a9p+7", "0x1.60f8d896a2a7ap+7"),
+    (4, "physical", None): ("0x1.3556a340f4dd3p+10", "0x1.f57103e4a5b3ap+9"),
+    (2, "model", (0.3, 0.1)): ("0x1.2ae7fffd80662p+13", "0x1.2ae7fffb00cc3p+13"),
 }
 
 
@@ -250,27 +344,27 @@ def test_simulate_batch_bits_are_pinned(urban, fbl100):
                           McConfig(seed=77, trials=30_000, batch=20_000))
     assert est.trials == 30_000
     assert (est.mean.hex(), est.std_error.hex()) == (
-        "0x1.a096b08662b42p-4", "0x1.a0cbf592ce7e7p-10")
+        "0x1.9d22cbdcd55afp-4", "0x1.9f9bc7cca7952p-10")
 
 
 # (sum, sum of squares) of batches that span several row chunks of the batch
 # arithmetic (the validate preset's 250,000-trial batch; 65,537 trials ends
 # in a one-trial chunk) and of one- and two-trial batches, on the PCG64(2024)
-# stream, as produced by the whole-array implementation.
+# stream, as the lattice batch produces them.
 _PINNED_LONG_AND_SHORT_BATCHES = {
     # (trials, ports, mode, fixed_gains, p2 in W): (sum, sum of squares)
     (250_000, 2, "model", None, 0.01): (
-        "0x1.9667a9f51ac0ap+14", "0x1.5ba505dcb5e77p+14"),
+        "0x1.9066169dff292p+14", "0x1.55a932304b57cp+14"),
     (65_537, 8, "model", None, 0.01): (
-        "0x1.6006df5ec206ep+9", "0x1.172f311518788p+9"),
+        "0x1.64b3e73b71146p+9", "0x1.1c2af01defbbep+9"),
     (65_537, 4, "physical", None, 0.01): (
-        "0x1.022aa2a4a3d8fp+12", "0x1.a1f245f8e1d52p+11"),
+        "0x1.061fdb63d66afp+12", "0x1.aa6f0ea33a354p+11"),
     (65_537, 2, "model", (0.3, 0.1), 0.01): (
-        "0x1.f0d3fffbfee61p+14", "0x1.f0d3fff7fdcc2p+14"),
+        "0x1.f0d7fffbfeed0p+14", "0x1.f0d7fff7fdda1p+14"),
     (1, 2, "model", None, 1e-4): (
-        "0x1.87a3f49c40000p-18", "0x1.2b931f1b5a19ep-35"),
+        "0x1.897b3c7da0000p-18", "0x1.2e65cd8672217p-35"),
     (2, 2, "model", None, 1e-4): (
-        "0x1.000000000202cp+0", "0x1.0000000000000p+0"),
+        "0x1.000000000209ap+0", "0x1.0000000000000p+0"),
 }
 
 
@@ -287,18 +381,18 @@ def test_simulate_batch_bits_are_pinned_long_and_short(urban, fbl100, case):
 
 
 # (sum, sum of squares) of batches where the per-trial BLERs are 0.0 for most
-# trials and the LoS shares are lopsided, on the PCG64(2024) stream, as
-# produced by the implementation that evaluated Q on every trial and
-# unpacked the gains by boolean masks: at 400 m the LoS shares are 0.98 on
-# both hops, and at p2 = 100 W every hop-2 BLER of the batch is 0.0.
+# trials and the LoS shares are lopsided, on the PCG64(2024) stream, as the
+# lattice batch produces them: at 400 m the LoS shares are 0.98 on both hops,
+# and at p2 = 100 W one hop-2 BLER of the batch is not 0.0 (3e-277), so the
+# hop-2 call of the last row chunk skips every Q evaluation.
 _PINNED_HIGH_SNR_BATCHES = {
     # (trials, ports, mode, altitude in m, p2 in W): (sum, sum of squares)
     (65_537, 2, "model", 400.0, 0.01): (
-        "0x1.4521cbf73bbe2p+10", "0x1.39d5b8bbdae0bp+10"),
+        "0x1.45a52781d694cp+10", "0x1.3a524f760dee8p+10"),
     (20_000, 4, "physical", 400.0, 0.01): (
-        "0x1.539f95aef5162p+8", "0x1.439fe7c8ea0d6p+8"),
+        "0x1.539fb9f0b9948p+8", "0x1.43a0125aadc1fp+8"),
     (20_000, 2, "model", 100.0, 100.0): (
-        "0x1.1511663ef0504p+2", "0x1.ee27fc2a2c898p+1"),
+        "0x1.9f02509115d2fp+1", "0x1.601086a5c5d34p+1"),
 }
 
 
@@ -324,7 +418,8 @@ def test_simulate_batch_bits_are_pinned_at_high_snr(urban, fbl100, case,
     hop1, hop2 = (np.concatenate(blers[hop::2]) for hop in (0, 1))
     assert hop1.size == hop2.size == trials
     if p2 == 100.0:
-        assert not hop2.any()
+        assert np.count_nonzero(hop2) == 1
+        assert not blers[-1].any()
     else:
         geo = trajectory_geometry(cfg, np.linspace(0.0, 2.0 * math.pi, 1001))
         assert min(geo.p_los1.mean(), geo.p_los2.mean()) > 0.97
@@ -332,9 +427,10 @@ def test_simulate_batch_bits_are_pinned_at_high_snr(urban, fbl100, case,
 
 def test_simulate_batch_memory_peak(urban, fbl100):
     # one 250,000-trial model batch holds at most 4.5 trial-length float64
-    # arrays at once (4.24 measured): three trial-length buffers and two
-    # LoS masks carry the batch, and the geometry, gains and BLERs are
-    # formed in row chunks whose temporaries are 16,384 doubles each
+    # arrays at once (3.80 measured): three trial-length buffers and two
+    # LoS masks carry the batch, the geometry is that of 4,096 lattice
+    # nodes, and the gathers, gains and BLERs are formed in row chunks
+    # whose temporaries are 16,384 elements each
     from fasrelay.mcoracle import simulate_batch
     n = 250_000
     fas = fas_spectrum(2, 0.5)
