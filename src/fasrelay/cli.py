@@ -33,11 +33,10 @@ import numpy as np
 
 from . import __version__
 from .blercore import (CHI_VARIANTS, DEFAULT_TRAJECTORY_NODES,
-                       TrajectoryEvaluator, avg_bler_hop2_asymptotic,
-                       linearize)
+                       TrajectoryEvaluator, linearize)
 from .chanmodel import DEFAULT_RANK_TOLERANCE, FasSpectrum, fas_spectrum
 from .errors import ConfigError, FasRelayError
-from .geometry import LINK_TYPES, ScenarioConfig
+from .geometry import ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
 from .optimizer import (EeConfig, PortSearchResult, best_port_count,
                         global_optimize, min_power, port_entry)
@@ -403,12 +402,9 @@ def _analytic_points(ev: TrajectoryEvaluator, fas: FasSpectrum,
     power of p2s: one kernel and one asymptote call per link type cover all
     the powers, and each power's row is averaged on its own."""
     p2 = np.asarray(p2s, dtype=float)[:, None]
-    eps2 = ev.hop2_mixed(*ev.hop2_components(p2, fas.lambdas))
-    asym = ev.hop2_mixed(*(
-        avg_bler_hop2_asymptotic(ev.fbl, vt2, ev.cfg.nakagami_m(lt),
-                                 fas.lambdas)
-        for lt, vt2 in zip(LINK_TYPES, ev.hop2_varthetas(p2))))
-    e2e_asym = ev.end_to_end(np.minimum(asym, 1.0))
+    asym = ev.hop2_asymptotes(p2, fas.lambdas)
+    eps2 = ev.hop2_mixed(*ev.hop2_components(p2, fas.lambdas, asym[0]))
+    e2e_asym = ev.end_to_end(np.minimum(ev.hop2_mixed(*asym), 1.0))
     hop1 = ev.hop1_avg()
     averages = zip(*(ev.average(x).tolist()
                      for x in (ev.end_to_end(eps2), eps2, e2e_asym)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from fasrelay import MonotonicityError, blercore
 from fasrelay.blercore import (Hop2Table, _GL16, _GL32, _GRADED, _branch_cdf,
                                _Mixture, _mix, _node_table, _saturation_z)
 from fasrelay.cli import _fbl, parse_config
-from fasrelay.geometry import trajectory_geometry
+from fasrelay.geometry import LINK_TYPES, trajectory_geometry
 
 from conftest import (avg_bler_hop2_all_factors, exact_avg_bler,
                       plain_instantaneous_bler, quad_hop1, quad_hop2)
@@ -695,6 +696,71 @@ def test_evaluator_rows_match_per_power_calls(urban, fbl100):
         ev.hop2_varthetas(np.array([[1.0], [0.0]]))
 
 
+def _full_components(ev, p2, lambdas):
+    """Both kernels at every node, LoS then NLoS: the reference for
+    `hop2_components`, which skips LoS nodes."""
+    return tuple(avg_bler_hop2(ev.fbl, vt, ev.cfg.nakagami_m(lt), lambdas)
+                 for lt, vt in zip(LINK_TYPES, ev.hop2_varthetas(p2)))
+
+
+def test_skipped_los_nodes_keep_the_bits_of_the_mix():
+    # seeded random scenarios, relay powers 1e-12 to 1e8 W: the LoS entry
+    # is the kernel or 0.0, and the mix, the end-to-end averages and
+    # `e2e_avg` have the bits of the full kernels
+    rng = np.random.default_rng(24)
+    # the zero-weight case of the CLI tests: p_los2 = 1 at every node and an
+    # inf asymptote on both links
+    cases = [(ScenarioConfig(p1=10.0, uav_altitude=1000.0, los_b=20.0,
+                             m_nlos=3), linearize(91.76, 10),
+              fas_spectrum(8, 4.0).lambdas)]
+    for _ in range(60):
+        eta_los = rng.uniform(0.0, 10.0)
+        cfg = ScenarioConfig(uav_altitude=10.0 ** rng.uniform(1.0, 3.3),
+                             eta_los=eta_los,
+                             eta_nlos=eta_los + rng.uniform(0.0, 25.0),
+                             m_los=int(rng.integers(1, 11)),
+                             m_nlos=int(rng.integers(1, 11)))
+        blocklength = int(rng.choice((50, 100, 300, 2000)))
+        # 2 bits is a clamped ramp (rho_l = 0)
+        bits = float(rng.choice((80.0, 2.0)))
+        lambdas = fas_spectrum(int(rng.integers(1, 13)),
+                               float(rng.choice((0.5, 1.0, 4.0)))).lambdas
+        cases.append((cfg, linearize(bits / blocklength, blocklength),
+                      lambdas))
+    seen = dict(skipped=0, kept=0, weight_0=0, weight_1=0, m_nlos_above=0,
+                nlos_not_normal=0)
+    for i, (cfg, fbl, lambdas) in enumerate(cases):
+        ev = TrajectoryEvaluator(cfg, fbl)
+        if i % 3 == 1:
+            # LoS probabilities of exactly 0 and 1 at random nodes
+            p = ev.geo.p_los2.copy()
+            p[rng.random(p.size) < 0.3] = 0.0
+            p[rng.random(p.size) < 0.3] = 1.0
+            ev.geo = replace(ev.geo, p_los2=p)
+            ev._mix2 = _Mixture(p)
+        p2 = 10.0 ** rng.uniform(-12.0, 8.0, 6)
+        got = ev.hop2_components(p2[:, None], lambdas)
+        full = _full_components(ev, p2[:, None], lambdas)
+        kept = got[0] != 0.0
+        assert got[1].tobytes() == full[1].tobytes()
+        assert np.array_equal(got[0][kept], full[0][kept])
+        mixed = ev.hop2_mixed(*got)
+        assert mixed.tobytes() == ev.hop2_mixed(*full).tobytes()
+        assert (ev.e2e_avg_from(*got).tobytes()
+                == ev.e2e_avg_from(*full).tobytes())
+        # the scalar path of the optimizer's direct checks
+        for p in p2[:2]:
+            assert (ev.e2e_avg(float(p), lambdas)
+                    == ev.e2e_avg_from(*_full_components(ev, p, lambdas)))
+        seen["skipped"] += int(np.sum(full[0][~kept] != 0.0))
+        seen["kept"] += int(kept.sum())
+        seen["weight_0"] += int(np.sum(ev.geo.p_los2 == 0.0))
+        seen["weight_1"] += int(np.sum(ev.geo.p_los2 == 1.0))
+        seen["m_nlos_above"] += cfg.m_nlos > cfg.m_los
+        seen["nlos_not_normal"] += int(np.sum(full[1] < np.finfo(float).tiny))
+    assert all(seen.values()), seen
+
+
 @settings(max_examples=25, deadline=None)
 @given(z=st.floats(100.0, 800.0), n=st.integers(1, 12),
        blocklength=st.sampled_from((100, 300, 600)),
@@ -773,6 +839,48 @@ def test_asymptotic_converges_to_exact(fbl100):
         assert asym / exact == pytest.approx(1.0, abs=2e-3)
 
 
+def test_kernel_never_exceeds_the_asymptote():
+    # P(m, z) <= z^m / m!, and Gauss-Legendre falls short of the integral of
+    # the monomial z^(m N): the kernel is at most the asymptote wherever
+    # both are normal doubles (largest ratio 0.99999999994 on this grid).
+    # The skip of `hop2_components` relies on it there, not on subnormals
+    # (ratio up to 1.154)
+    tiny = np.finfo(float).tiny
+    fbls = [linearize(80.0 / L, L) for L in (50, 100, 300, 2000)]
+    # clamped ramps (rho_l = 0)
+    fbls += [linearize(2.0 / 100, 100), linearize(0.4 / 50, 50)]
+    spectra = [fas_spectrum(n, w).lambdas for n, w in
+               [(n, 0.5) for n in (1, 2, 4, 8, 12)]
+               + [(12, 4.0), (40, 4.0), (16, 100.0)]]
+    vt = 10.0 ** (np.arange(-160, 161) / 20.0)
+    normal = 0
+    for fbl in fbls:
+        for m in (1, 2, 3, 5, 10, 20, 40):
+            for lams in spectra:
+                kernel = avg_bler_hop2(fbl, vt, m, lams)
+                asym = avg_bler_hop2_asymptotic(fbl, vt, m, lams)
+                both = (kernel >= tiny) & (tiny <= asym) & (asym < np.inf)
+                assert np.all(kernel[both] <= asym[both]), (fbl, m, lams)
+                normal += int(both.sum())
+    assert normal > 70_000
+
+
+def test_asymptote_is_finite_up_to_the_largest_double(fbl100):
+    # one branch at m = 1: the asymptote is tau * vartheta / lambda, its
+    # log ln here; inf only where exp(ln) passes the largest double (ln >
+    # 709.78)
+    lam = 1e-100
+    ln = np.array([709.5, 709.78, 709.79, 720.0])
+    vt = np.exp(ln + math.log(lam) - math.log(fbl100.tau))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        asym = avg_bler_hop2_asymptotic(fbl100, vt, 1, (lam,))
+    assert asym[:2] == pytest.approx(np.exp(ln[:2]), rel=1e-12)
+    assert np.all(asym[2:] == np.inf)
+    assert avg_bler_hop2_asymptotic(fbl100, float(vt[0]), 1,
+                                     (lam,)) == asym[0]
+
+
 # ---------------------------------------------------------------------------
 # mixing and combining
 # ---------------------------------------------------------------------------
@@ -806,6 +914,38 @@ def test_mix_weight_zero_adds_zero_against_inf():
                np.array([0.5, np.inf, 0.25]))
     assert np.all(np.isfinite(got))
     assert got.tolist() == [0.5, 0.25, 0.375]
+
+
+def test_negligible_los_values_leave_the_mix_bits():
+    # wherever `los_negligible` holds, any LoS value up to twice
+    # max(bound, tiny) gives the bits of LoS value 0.0, on all-positive and
+    # masked (weights 0 and 1) mixtures
+    tiny = np.finfo(float).tiny
+    rng = np.random.default_rng(7)
+    p = rng.uniform(0.0, 1.0, 4000)
+    nlos = 10.0 ** rng.uniform(-320.0, 0.0, p.size)
+    bound = nlos * 10.0 ** rng.uniform(-40.0, 3.0, p.size)
+    for weights in (p, np.where(rng.random(p.size) < 0.2,
+                                rng.choice((0.0, 1.0), p.size), p)):
+        mix = _Mixture(weights)
+        skip = mix.los_negligible(bound, nlos)
+        zero = mix(0.0, nlos)[skip]
+        for share in (0.0, 0.3, 1.0, 2.0):
+            los = share * np.maximum(bound, tiny)
+            assert mix(los, nlos)[skip].tobytes() == zero.tobytes()
+        assert 1000 < skip.sum() < p.size
+        # never where w_nlos * nlos is subnormal or 0
+        assert not np.any(skip & ((1.0 - weights) * nlos < tiny))
+    # a bound at or past the rule, inf, or nan (0 * inf) is never
+    # negligible, and gives no warning
+    mix = _Mixture(np.array([0.5, 0.5, 0.5, 0.0, 0.0, 1.0]))
+    nlos = np.array([1.0, 1.0, 1e-310, 0.5, 0.5, 0.5])
+    edge = np.spacing(0.5) / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mix.los_negligible(
+            np.array([edge / 2.0, edge, 0.0, 1.0, np.inf, 0.0]), nlos)
+    assert got.tolist() == [True, False, False, True, False, False]
 
 
 def test_mixture_reference_cases():

@@ -791,6 +791,28 @@ def test_analytic_points_match_per_power_calls(urban):
         assert whole == [_analytic_points(ev, fas, [p])[0] for p in p2s]
 
 
+def test_bler_sweep_runs_the_los_kernel_on_few_nodes(tmp_path, monkeypatch):
+    # the benchmark's bler-sweep study at 400 m (96 rows, 128 nodes): the
+    # NLoS kernel runs at every (power, node) point, the LoS kernel only
+    # where its asymptote leaves it a bit of the mix (2,176 of 12,288)
+    points = {}
+    kernel = blercore.avg_bler_hop2
+
+    def counted(params, vartheta2, m2, lambdas):
+        points[m2] = points.get(m2, 0) + np.size(vartheta2)
+        return kernel(params, vartheta2, m2, lambdas)
+
+    monkeypatch.setattr(blercore, "avg_bler_hop2", counted)
+    text = ("blocklength = 100\np1 = 40 dBm\nuav_altitude = 400\n"
+            "sweep_n_ports = 1:12:12\nsweep_aperture = 0.5, 1, 2, 4\n"
+            "sweep_p2_dbm = 20:40:2\n")
+    run(parse_config(text, "bler-sweep"), out_path=str(tmp_path / "b.csv"))
+    all_points = 96 * 128
+    # m_los = 5, m_nlos = 1
+    assert points[1] == all_points
+    assert 0 < points[5] <= 0.25 * all_points
+
+
 def test_falling_altitude_axis_fills_no_panel_twice(tmp_path, monkeypatch):
     # the power-vs-altitude preset on its altitude axis reversed: tables
     # grown downward run the kernel on as many points as grown upward, and
