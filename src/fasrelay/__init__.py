@@ -14,8 +14,7 @@ from .errors import (CausalityError, ConfigError, DegenerateGeometryError,
                      TableAccuracyError)
 from .geometry import ScenarioConfig
 from .mcoracle import (McConfig, McEstimate, mc_average_bler,
-                       sample_fas_gain_model, sample_fas_gain_physical,
-                       sample_hop1_gain)
+                       sample_fas_gain_model, sample_fas_gain_physical)
 from .optimizer import (EeConfig, EeSolution, best_port_count,
                         energy_efficiency, global_optimize, min_power)
 
@@ -30,7 +29,7 @@ __all__ = [
     "TableAccuracyError",
     "ScenarioConfig",
     "McConfig", "McEstimate", "mc_average_bler", "sample_fas_gain_model",
-    "sample_fas_gain_physical", "sample_hop1_gain",
+    "sample_fas_gain_physical",
     "EeConfig", "EeSolution", "best_port_count", "energy_efficiency",
     "global_optimize", "min_power",
 ]

@@ -43,10 +43,9 @@ stays within 2.2e-15 with 16 nodes, 6.3e-15 with 32 and 6.2e-15 with two
 panels (1.8e-14, 1.8e-14 and 3.3e-14 with `gammainc` factors). On one
 seed-1 cycle of the benchmark workloads the skip leaves 31% of the m = 5
 (LoS) factors at 1.0 on optimize-grid and 10% on bler-sweep, and the m = 1
-(NLoS) factors, nearly half of all, need no `gammainc` call: 0.70 M gamma
-evaluations instead of 1.21 M on optimize-grid and 3.09 M instead of
-5.95 M on bler-sweep when that rule came in. The tests hold every table to
-1e-8 relative against quadrature and against the paper's subset expansion.
+(NLoS) factors, nearly half of all, need no `gammainc` call. The tests hold
+every table to 1e-8 relative against quadrature and against the paper's
+subset expansion.
 
 The direct path (`TrajectoryEvaluator.hop2_components`) runs the NLoS
 kernel at every (power, node) point and the LoS kernel only where its value
@@ -79,10 +78,10 @@ panel. The panels are whole decades of a fixed lattice, counted from
 vartheta_sat = _saturation_z(m) max(lambda) / rho_l where rho_l > 0 (past
 it the kernel returns the constant min(chi width, 1)) and from 1 where
 rho_l = 0, so a table's value at a vartheta depends on (fbl, m, lambda,
-vartheta) and not on the panels it holds. Each power search covers
-(`Hop2Table.cover`) the vartheta its trajectory reaches over its power
-range, [min_i c_i / p_hi, max_i c_i / p_lo] with c_i = m sigma^2 / beta2_i,
-capped at vartheta_sat; a table never extrapolates. For the optimizer's
+vartheta) and not on the panels it holds. A lookup first grows the table
+to the panels that its points below vartheta_sat meet, so a table never
+extrapolates, and `TrajectoryEvaluator.e2e_avg_tabulated` reads a power
+solve's end-to-end BLER through the pair of a spectrum. For the optimizer's
 power range p_max [1e-8, 1] at p_max = 40 dBm (L = 100, 300, 600; altitude
 100, 400, 500, 800 m; N = 1, 2, 4, 8, 12; both link types) a table holds
 128-288 nodes and stays within 1.05e-12 relative of the kernel on 801
@@ -175,7 +174,8 @@ def _shape(m, name: str) -> int:
 
 def _positive(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if np.any(arr <= 0):
+    # a NaN fails the comparison
+    if not np.all(arr > 0):
         raise ValueError(f"{name} must be positive")
     return arr
 
@@ -345,7 +345,7 @@ def _validated_lambdas(lambdas) -> tuple:
     lams = tuple(float(l) for l in lambdas)
     if not lams:
         raise ValueError("lambdas must be non-empty")
-    if any(l <= 0 for l in lams):
+    if not all(l > 0 for l in lams):
         raise ValueError("lambdas must be positive")
     return lams
 
@@ -395,19 +395,19 @@ def avg_bler_hop2(params: FblParams, vartheta2, m2: int, lambdas):
 
 
 class Hop2Table:
-    """Interpolant of the hop-2 average BLER on the lattice panels that
-    `cover` asked for, never extrapolated.
+    """Interpolant of the hop-2 average BLER on the lattice panels its
+    lookups and `cover` calls asked for, never extrapolated.
 
     log eps2 is piecewise Chebyshev in log vartheta on the module
     docstring's lattice of whole decades (vt_sat = inf where rho_l = 0),
     each panel holding the polynomial that interpolates log eps2 at its 32
-    first-kind Chebyshev nodes, evaluated by the barycentric formula. Past
-    vt_sat the table returns the kernel's constant min(chi * width, 1),
-    panels or none; a lookup below the panels or between them and vt_sat
-    raises ValueError. A value depends on (params, m2, lambdas, vartheta)
-    only, not on the panels held or the order `cover` added them in.
-    `nodes` and `values` hold the sampled vartheta (ascending) and the
-    kernel's values.
+    first-kind Chebyshev nodes, evaluated by the barycentric formula. A
+    lookup first grows the table to the panels its points below vt_sat
+    meet; past vt_sat it returns the kernel's constant min(chi * width, 1).
+    A NaN or non-positive vartheta raises ValueError. A value depends on
+    (params, m2, lambdas, vartheta) only, not on the panels held or the
+    order they were added in. `nodes` and `values` hold the sampled
+    vartheta (ascending) and the kernel's values.
     """
 
     def __init__(self, params: FblParams, m2: int, lambdas):
@@ -425,25 +425,35 @@ class Hop2Table:
         self._log_values = np.empty((0, _CHEB_N))
 
     def cover(self, lo: float, hi: float) -> None:
-        """Grow the table to the panels that meet [lo, min(hi, vt_sat)],
-        keeping them contiguous: one kernel call fills the panels below and
-        above the ones held, which are kept as they are. A range at or past
-        vt_sat needs none. Held and new values of which one falls to the
-        next node's by more than _TABLE_SLACK relative raise
-        `MonotonicityError`, changing nothing."""
+        """Grow the table to the panels that meet [lo, min(hi, vt_sat)]; a
+        range at or past vt_sat needs none."""
         if not 0.0 < lo < hi:
             raise ValueError("need 0 < lo < hi")
         top = min(hi, self.vt_sat)
-        if top <= lo:
+        if top > lo:
+            self._grow(math.log10(lo) - self._anchor,
+                       math.log10(top) - self._anchor)
+
+    def _grow(self, s_lo: float, s_hi: float) -> None:
+        """Grow the table to the panels that meet [s_lo, s_hi], in decades
+        from the anchor, keeping them contiguous: one kernel call fills the
+        panels below and above the ones held, which are kept as they are.
+        Held and new values of which one falls to the next node's by more
+        than _TABLE_SLACK relative raise `MonotonicityError`, changing
+        nothing."""
+        if not s_hi < math.inf:
+            raise ValueError("an infinite vartheta has no table value below "
+                             "vt_sat")
+        k_lo = math.floor(s_lo)
+        # a point on a lattice line still needs the panel above it
+        k_end = max(math.ceil(s_hi), k_lo + 1)
+        held = self.panels
+        if held.start <= k_lo and k_end <= held.stop:
             return
-        k_lo = math.floor(math.log10(lo) - self._anchor)
-        k_end = math.ceil(math.log10(top) - self._anchor)
         # with no panels held, every panel asked for is new
-        held = self.panels or range(k_end, k_end)
+        held = held or range(k_end, k_end)
         k_lo, k_end = min(k_lo, held.start), max(k_end, held.stop)
         new = np.r_[k_lo:held.start, held.stop:k_end]
-        if not new.size:
-            return
         k = new.astype(float)[:, None]
         nodes = (10.0 ** (self._anchor + (k + 0.5 * (_CHEB_T + 1.0)))).ravel()
         values = avg_bler_hop2(self._params, nodes, self._m2, self._lambdas)
@@ -471,6 +481,9 @@ class Hop2Table:
     def __call__(self, vartheta):
         vt = np.asarray(vartheta, dtype=float)
         flat = vt.reshape(-1)
+        # a NaN is the min and fails the comparison
+        if flat.size and not flat.min() > 0.0:
+            raise ValueError("vartheta must be positive")
         if flat.size and flat.max() > self.vt_sat:
             out = np.full(flat.shape, self.saturated)
             live = flat <= self.vt_sat
@@ -481,10 +494,10 @@ class Hop2Table:
 
     def _interpolate(self, vt: np.ndarray) -> np.ndarray:
         s = np.log10(vt) - self._anchor
-        k_lo, k_end = self.panels.start, self.panels.stop
-        if s.size and not (self.panels and k_lo <= s.min() and s.max() <= k_end):
-            raise ValueError(f"vartheta outside the table's panels: decades "
-                             f"[{k_lo}, {k_end}] from 10^{self._anchor:.6f}")
+        if not s.size:
+            return s
+        self._grow(float(s.min()), float(s.max()))
+        k_lo = self.panels.start
         # the panel below s; truncation toward zero and the cap keep a point
         # on a lattice line at either end of the panels in the panel inside
         idx = np.minimum((s - k_lo).astype(int), len(self.panels) - 1)
@@ -501,9 +514,9 @@ class Hop2Table:
 
 @functools.lru_cache(maxsize=256)
 def hop2_table(params: FblParams, m2: int, lambdas) -> Hop2Table:
-    """The process-wide `Hop2Table` of (params, m2, lambdas); every power
-    search covers the range it reads, so the searches of a study share one
-    table per blocklength, link type and spectrum."""
+    """The process-wide `Hop2Table` of (params, m2, lambdas), grown by every
+    lookup, so the power solves of a study share one table per blocklength,
+    link type and spectrum."""
     return Hop2Table(params, m2, lambdas)
 
 
@@ -641,11 +654,9 @@ class TrajectoryEvaluator:
     averages. A column of P powers goes through one call per link type and
     gives (P, nodes) arrays and one average per row, each row the bits of
     its power's own call: the kernel and `average` reduce each row on its
-    own, and every other step is elementwise. A power solve reads hop 2
-    from one `Hop2Table` per link type at `hop2_varthetas(p2)` and combines
-    through `e2e_avg_from`: the tables of a spectrum are filled once for
-    every solve of a study that reads them, and agree with this direct
-    path to about 1e-12 relative (see the module docstring).
+    own, and every other step is elementwise. `e2e_avg_tabulated` is
+    `e2e_avg` with hop 2 read from the cached tables instead, as a power
+    solve reads it.
     """
 
     def __init__(self, cfg: ScenarioConfig, fbl: FblParams,
@@ -683,7 +694,7 @@ class TrajectoryEvaluator:
         """Hop-2 rate parameters m sigma^2 / (p2 beta2) at every node, for
         LoS then NLoS. A column of P powers, shape (P, 1), gives (P, nodes)
         arrays whose rows hold the bits each power gives alone."""
-        if np.any(np.asarray(p2) <= 0):
+        if not np.all(np.asarray(p2) > 0):
             raise ValueError("p2 must be positive")
         return tuple(self.cfg.nakagami_m(lt) * self.cfg.noise_power
                      / (p2 * self.geo.beta2[lt]) for lt in LINK_TYPES)
@@ -732,4 +743,14 @@ class TrajectoryEvaluator:
 
     def e2e_avg(self, p2: float, lambdas) -> float:
         return self.e2e_avg_from(*self.hop2_components(p2, lambdas))
+
+    def e2e_avg_tabulated(self, p2, lambdas):
+        """The end-to-end BLER at a relay power, or one per row for a (P, 1)
+        column, with hop 2 read from the `hop2_table` pair of (fbl, m,
+        lambdas) at `hop2_varthetas(p2)`: the tables of a spectrum are filled
+        once for every solve of a study that reads them, and agree with the
+        direct path to about 1e-12 relative (see the module docstring)."""
+        return self.e2e_avg_from(*(
+            hop2_table(self.fbl, self.cfg.nakagami_m(lt), lambdas)(vt)
+            for lt, vt in zip(LINK_TYPES, self.hop2_varthetas(p2))))
 

@@ -172,7 +172,6 @@ _KEYS = {
     "z_max": ("scalar", "plain", ("ee", "z_range", 1)),
     "z_step": ("scalar", "plain", ("ee", "z_step")),
     "bisect_tol": ("scalar", "plain", ("ee", "bisect_tol")),
-    "max_bisect_iters": ("int", None, ("ee", "max_bisect_iters")),
     "l_set": ("intlist", None, ("ee", "l_set")),
     "n_min": ("int", None, ("ee", "n_range", 0)),
     "n_max": ("int", None, ("ee", "n_range", 1)),
@@ -194,10 +193,6 @@ _KEYS = {
     "sweep_blocklength": ("intlist", None, ("sweeps", "sweep_blocklength")),
     "output": ("str", None, ("spec", "output_path")),
 }
-
-_SWEEP_KEYS = tuple(key for key, (_, _, home) in _KEYS.items()
-                    if home[0] == "sweeps")
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -465,9 +460,8 @@ def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int):
         rows.append(_row(
             spec, z, n_ports=int(n), aperture=spec.aperture,
             blocklength=spec.blocklength, n_eff=fas.n_eff,
-            feasible=p2 is not None,
-            p2_star_w=p2 if p2 is not None else "",
-            p2_star_dbm=_to_dbm(p2) if p2 is not None else ""))
+            feasible=p2 is not None, p2_star_w=p2,
+            p2_star_dbm=None if p2 is None else _to_dbm(p2)))
     return rows, {}
 
 
@@ -485,9 +479,8 @@ def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int):
                 spec, spec.scenario.uav_altitude, n_ports=int(n),
                 aperture=spec.aperture, blocklength=int(l),
                 feasible=e.feasible,
-                p2_star_dbm=_to_dbm(e.p2) if e.feasible else "",
-                eps_o=e.eps_o if e.feasible else "",
-                ee_bits_per_joule=e.ee))
+                p2_star_dbm=_to_dbm(e.p2) if e.feasible else None,
+                eps_o=e.eps_o, ee_bits_per_joule=e.ee))
     return rows, {}
 
 
@@ -496,8 +489,8 @@ def _port_search_row(spec: ExperimentSpec, res: PortSearchResult) -> dict:
     and optimize rows."""
     return _row(spec, res.z_u, blocklength=res.blocklength,
                 aperture=spec.aperture, feasible=res.feasible,
-                n_star=res.n_star if res.feasible else "",
-                p2_star_dbm=_to_dbm(res.p2_star) if res.feasible else "",
+                n_star=res.n_star,
+                p2_star_dbm=_to_dbm(res.p2_star) if res.feasible else None,
                 ee_bits_per_joule=res.ee_star)
 
 
@@ -573,14 +566,12 @@ def run(spec: ExperimentSpec, seed: int | None = None,
     return 0
 
 
-def _format_cell(value) -> str:
+def _format_cell(value):
+    # csv.writer writes None as an empty cell and numbers by str(), which
+    # gives repr(float(x)) for numpy floats too; only bools are spelled here
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return str(value)
+    return value
 
 
 def _seed(text: str) -> int:

@@ -19,7 +19,7 @@ class CausalityError(FasRelayError, ValueError):
 
 
 class MonotonicityError(FasRelayError, RuntimeError):
-    """Raised when a hop-2 table falls with vartheta (`Hop2Table.cover`) or
+    """Raised when a hop-2 table falls with vartheta (a `Hop2Table` fill) or
     an end-to-end BLER rises with power (`min_power`'s precheck)."""
 
 

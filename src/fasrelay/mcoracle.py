@@ -159,15 +159,6 @@ def _branch_max(m: int, lambdas, rng: np.random.Generator,
                 np.multiply(branch, lam, out=out[s])
 
 
-def sample_hop1_gain(m1: int, rng: np.random.Generator, size=None):
-    """Unit-mean Nakagami power gain |g|^2 ~ Gamma(m1, 1/m1)."""
-    if m1 < 1 or int(m1) != m1:
-        raise ValueError("m1 must be a positive integer")
-    g = np.empty(size if size is not None else 1)
-    _branch_max(int(m1), (1.0,), rng, g)
-    return g if size is not None else float(g[0])
-
-
 def sample_fas_gain_model(m2: int, lambdas, rng: np.random.Generator, size=None):
     """Selected gain of the eigen-branch model: max_n lambda_n |g_n|^2."""
     if m2 < 1 or int(m2) != m2:

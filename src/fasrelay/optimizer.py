@@ -8,16 +8,14 @@ assumption is ever exploited. Infeasible points carry a zero-EE sentinel
 plus an explicit flag so that "zero goodput" and "constraint violating"
 stay distinguishable.
 
-Each power solve reads hop 2 from the cached table pair of its blocklength
-and spectrum (`blercore.hop2_table`; the table design and its measured
-accuracy, about 1e-12 relative, are in `blercore`), covered over the
-vartheta its trajectory reaches on the precheck grid's powers: the
-`optimize` preset fills one pair per (L, N), 96 tables. `Hop2Table.cover`
-checks that a table rises with vartheta. The precheck and the search
-combine the tables' values by `e2e_avg_from`, the precheck its 10 powers
-in one lookup per link type and one call; a row's values and average are
-the bits of its power's own. The power found is then re-evaluated by the
-direct kernel: that value is the one reported and used for the
+Each power solve reads the end-to-end BLER by
+`TrajectoryEvaluator.e2e_avg_tabulated`, hop 2 from the cached table pair
+of its blocklength and spectrum (the table design and its measured
+accuracy, about 1e-12 relative, are in `blercore`): the precheck its 10
+powers in one call, whose lookups grow the pair to the vartheta they
+reach, and the search one power at a time. The `optimize` preset fills
+one pair per (L, N), 96 tables. The power found is then re-evaluated by
+the direct kernel: that value is the one reported and used for the
 efficiency, and a solve whose table value there is more than 1e-8
 relative off it raises `TableAccuracyError`. The largest such gap of a
 search is reported as `table_check_max_rel`.
@@ -39,10 +37,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blercore import (DEFAULT_TRAJECTORY_NODES, FblParams,
-                       TrajectoryEvaluator, hop2_table, linearize)
+                       TrajectoryEvaluator, linearize)
 from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
 from .errors import CausalityError, MonotonicityError, TableAccuracyError
-from .geometry import LINK_TYPES, ScenarioConfig
+from .geometry import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class EeConfig:
     n_range: tuple[int, int] = (1, 12)
     z_step: float = 10.0
     bisect_tol: float = 1e-4
-    max_bisect_iters: int = 60
 
     def __post_init__(self):
         for name in ("payload_bits", "bandwidth"):
@@ -88,10 +85,12 @@ class EeConfig:
             raise ValueError("n_range must satisfy 1 <= n_min <= n_max")
         if self.z_step <= 0:
             raise ValueError("z_step must be positive")
-        if not 0.0 < self.bisect_tol < 1.0:
-            raise ValueError("bisect_tol must lie in (0, 1)")
-        if self.max_bisect_iters < 1:
-            raise ValueError("max_bisect_iters must be positive")
+        # below 2^-52, the largest spacing of doubles relative to the
+        # larger one, a bracket of adjacent doubles may miss the tolerance;
+        # from 2^-52 on, a solve looks up at most 55 powers after the
+        # precheck
+        if not 2.0 ** -52 <= self.bisect_tol < 1.0:
+            raise ValueError("bisect_tol must lie in [2^-52, 1)")
 
     def altitude_grid(self) -> np.ndarray:
         z_min, z_max = self.z_range
@@ -149,11 +148,11 @@ _ITP_N0 = 1
 
 
 def _itp(table_eps, threshold: float, lo: float, eps_lo: float, hi: float,
-         eps_hi: float, ee: EeConfig):
+         eps_hi: float, bisect_tol: float):
     """The smallest feasible power of the bracket [lo, hi], lo infeasible
     (BLER eps_lo > threshold) and hi feasible (eps_hi <= threshold), to
     bisect_tol: (hi, eps_hi) once hi - lo <= bisect_tol * hi, or after
-    max_bisect_iters or n_max lookups, whichever comes first.
+    n_max lookups of table_eps, a function of the power.
 
     One ITP sequence (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on
     g = log(eps / threshold) against x = log p, about linear where the BLER
@@ -170,12 +169,12 @@ def _itp(table_eps, threshold: float, lo: float, eps_lo: float, hi: float,
     it (measured at bisect_tol = 1e-7).
     """
     a, b = math.log(lo), math.log(hi)
-    two_eps = -math.log1p(-ee.bisect_tol)
+    two_eps = -math.log1p(-bisect_tol)
     kappa1 = _ITP_KAPPA1 / (b - a)
     n_max = math.ceil(math.log2((b - a) / two_eps)) + _ITP_N0
     ga = math.log(eps_lo / threshold)
-    for j in range(min(ee.max_bisect_iters, n_max)):
-        if hi - lo <= ee.bisect_tol * hi:
+    for j in range(n_max):
+        if hi - lo <= bisect_tol * hi:
             break
         mid = 0.5 * (a + b)
         if eps_hi > 0.0:
@@ -203,33 +202,18 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
     target on ev (scenario and blocklength) with the port spectrum lambdas,
     to within bisect_tol.
 
-    Hop 2 is read from the cached table pair of (ev.fbl, lambdas), covered
-    over the vartheta of ev's trajectory on the precheck grid's powers, and
-    combined by `ev.e2e_avg_from` (its one LoS/NLoS mix and trajectory
-    average). The precheck looks its 10 powers up in one call per link type
-    and checks that the BLER falls across them; its last infeasible and
-    first feasible power bracket the search `_itp`, which looks up one
-    power at a time. The power found is re-evaluated by the direct kernel.
-    Returns (power, direct BLER at power, relative gap of the tables
-    there), or None when even p_max misses the target. The power meets the
-    target on the tables, and on a BLER that falls with power,
-    power * (1 - bisect_tol) does not, unless max_bisect_iters ends the
-    search.
+    The BLER is `ev.e2e_avg_tabulated`. The precheck reads its 10 powers
+    in one call and checks that the BLER falls across them; its last
+    infeasible and first feasible power bracket the search `_itp`, which
+    reads one power at a time. The power found is re-evaluated by the
+    direct kernel. Returns (power, direct BLER at power, relative gap of
+    the tables there), or None when even p_max misses the target. The
+    power meets the target on the tables, and on a BLER that falls with
+    power, power * (1 - bisect_tol) does not.
     """
     grid = ee.p_max * np.logspace(-8.0, 0.0, _PRECHECK_POINTS)
-    pair = tuple(hop2_table(ev.fbl, ev.cfg.nakagami_m(lt), lambdas)
-                 for lt in LINK_TYPES)
-    # the precheck's (powers x nodes) varthetas, one lookup per link type;
     # a row's lookup and average are those of its power alone
-    vts = ev.hop2_varthetas(grid[:, None])
-    for table, vt in zip(pair, vts):
-        table.cover(float(vt[-1].min()), float(vt[0].max()))
-    eps = ev.e2e_avg_from(*(table(vt) for table, vt in zip(pair, vts))).tolist()
-
-    def table_eps(p2: float) -> float:
-        return ev.e2e_avg_from(*(table(vt) for table, vt
-                                 in zip(pair, ev.hop2_varthetas(p2))))
-
+    eps = ev.e2e_avg_tabulated(grid[:, None], lambdas).tolist()
     for i in range(len(eps) - 1):
         if eps[i + 1] > eps[i] + _PRECHECK_SLACK:
             raise MonotonicityError(
@@ -243,8 +227,9 @@ def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
         hi, eps_hi = float(grid[0]), eps[0]
     else:
         i = max(i for i in range(len(eps)) if eps[i] > threshold)
-        hi, eps_hi = _itp(table_eps, threshold, float(grid[i]), eps[i],
-                          float(grid[i + 1]), eps[i + 1], ee)
+        hi, eps_hi = _itp(lambda p2: ev.e2e_avg_tabulated(p2, lambdas),
+                          threshold, float(grid[i]), eps[i],
+                          float(grid[i + 1]), eps[i + 1], ee.bisect_tol)
     direct = ev.e2e_avg(hi, lambdas)
     gap = abs(eps_hi - direct) / max(direct, np.finfo(float).tiny)
     if gap > _TABLE_CHECK_REL:

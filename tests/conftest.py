@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 from functools import lru_cache, partial
@@ -9,7 +10,8 @@ from scipy import integrate, special
 
 from fasrelay import (ScenarioConfig, TrajectoryEvaluator, blercore,
                       chebyshev_nodes, linearize, min_power,
-                      sample_fas_gain_model, sample_hop1_gain)
+                      sample_fas_gain_model)
+from fasrelay.cli import run
 from fasrelay.geometry import trajectory_geometry
 
 _LOG2E = math.log2(math.e)
@@ -351,8 +353,8 @@ def surrogate_mc_bler(cfg, lambdas, fbl, p2, seed, trials, batch):
         g1 = np.empty(n)
         for lt, mask in (("los", los1), ("nlos", ~los1)):
             if mask.any():
-                g1[mask] = sample_hop1_gain(cfg.nakagami_m(lt), rng,
-                                            int(mask.sum()))
+                g1[mask] = sample_fas_gain_model(cfg.nakagami_m(lt), (1.0,),
+                                                 rng, int(mask.sum()))
         g2 = np.empty(n)
         for lt, mask in (("los", los2), ("nlos", ~los2)):
             if mask.any():
@@ -381,6 +383,19 @@ def ks_statistic(samples, cdf):
     return max(upper, lower)
 
 
+def read_rows(path):
+    """The rows of a CSV file as dicts of strings."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def run_rows(spec, tmp_path):
+    """The rows `cli.run` writes for spec, to tmp_path / "rows.csv"."""
+    out = tmp_path / "rows.csv"
+    assert run(spec, out_path=str(out)) == 0
+    return read_rows(out)
+
+
 def solved_power(cfg, fas, fbl, ee, z_u):
     """The power `min_power` solves at altitude z_u, or None when p_max
     misses the target."""
@@ -389,32 +404,15 @@ def solved_power(cfg, fas, fbl, ee, z_u):
     return None if found is None else found[0]
 
 
-def table_e2e_avg(ev, lambdas):
-    """The end-to-end BLER of ev on the spectrum lambdas as a function of the
-    relay power, with hop 2 read from the cached table pair of (ev.fbl,
-    lambdas), as `min_power` reads it. Each table is first covered over the
-    vartheta it is read at, so the pair grows in the order of the powers
-    asked for rather than in `min_power`'s."""
-    pair = [blercore.hop2_table(ev.fbl, ev.cfg.nakagami_m(lt), lambdas)
-            for lt in ("los", "nlos")]
-
-    def read(table, vt):
-        table.cover(float(vt.min()), float(vt.max()))
-        return table(vt)
-
-    return lambda p: ev.e2e_avg_from(*(read(table, vt) for table, vt
-                                       in zip(pair, ev.hop2_varthetas(p))))
-
-
-def direct_min_power(ev, lambdas, ee, e2e_avg=None, points=10, slack=1e-12):
+def direct_min_power(ev, lambdas, ee, tabulated=False, points=10,
+                     slack=1e-12):
     """Reference minimum-power solve on the spectrum lambdas: the precheck
     grid and the plain bisection of the optimizer, every comparison
-    evaluated by e2e_avg, a function of the power (default: the direct
-    kernel, ev.e2e_avg; on `table_e2e_avg(ev, lambdas)` it is the
-    plain table-driven bisection). Returns (power, bler at power) or None
-    when p_max misses the target."""
-    if e2e_avg is None:
-        e2e_avg = partial(ev.e2e_avg, lambdas=lambdas)
+    evaluated by the direct kernel, ev.e2e_avg, or where tabulated by
+    ev.e2e_avg_tabulated (the plain table-driven bisection). Returns
+    (power, bler at power) or None when p_max misses the target."""
+    e2e_avg = partial(ev.e2e_avg_tabulated if tabulated else ev.e2e_avg,
+                      lambdas=lambdas)
     grid = ee.p_max * np.logspace(-8.0, 0.0, points)
     eps = [e2e_avg(p) for p in grid]
     assert all(b <= a + slack for a, b in zip(eps, eps[1:]))
@@ -425,9 +423,9 @@ def direct_min_power(ev, lambdas, ee, e2e_avg=None, points=10, slack=1e-12):
     idx = max(i for i in range(len(eps)) if eps[i] > ee.bler_threshold)
     lo, hi = float(grid[idx]), float(grid[idx + 1])
     eps_hi = eps[idx + 1]
-    for _ in range(ee.max_bisect_iters):
-        if hi - lo <= ee.bisect_tol * hi:
-            break
+    # adjacent doubles are at most 2^-52 hi apart, so a bisect_tol of at
+    # least 2^-52 ends the loop
+    while hi - lo > ee.bisect_tol * hi:
         mid = 0.5 * (lo + hi)
         e_mid = e2e_avg(mid)
         if e_mid <= ee.bler_threshold:

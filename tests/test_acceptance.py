@@ -7,7 +7,6 @@ simulation, or an oracle in `conftest`. C10 still fails: the model's optimum
 sits at a corner of the search box (the README gives the measured cause).
 """
 
-import csv
 import math
 import time
 from pathlib import Path
@@ -18,15 +17,14 @@ from scipy import optimize
 
 from fasrelay import (McConfig, TrajectoryEvaluator, avg_bler_hop1,
                       avg_bler_hop2, avg_bler_hop2_asymptotic, fas_spectrum,
-                      linearize, mc_average_bler, sample_fas_gain_model,
-                      sample_hop1_gain)
+                      linearize, mc_average_bler, sample_fas_gain_model)
 from fasrelay.cli import parse_config, run
 from fasrelay.geometry import trajectory_geometry
 from fasrelay.optimizer import EeConfig
 
 from conftest import (cdf_hop1, cdf_hop2, closed_form_hop2, exact_traj_bler,
-                      ks_statistic, quad_hop1, quad_hop2, solved_power,
-                      surrogate_mc_bler)
+                      ks_statistic, quad_hop1, quad_hop2, run_rows,
+                      solved_power, surrogate_mc_bler)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -39,11 +37,6 @@ def _report(tag: str, ok: bool, detail: str):
 def _preset(name: str, command: str):
     text = (CONFIG_DIR / name).read_text(encoding="utf-8")
     return parse_config(text, command)
-
-
-def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
 
 
 def test_c01_closed_forms_match_quadrature(fbl100):
@@ -82,9 +75,7 @@ def test_c02_analytic_matches_monte_carlo(tmp_path):
     # (analytic / exact - 1) is reported per row.
     start = time.time()
     spec = _preset("validate_bler_vs_power.conf", "validate")
-    out = tmp_path / "validate.csv"
-    assert run(spec, out_path=str(out)) == 0
-    rows = _read_rows(out)
+    rows = run_rows(spec, tmp_path)
     assert len(rows) == 10
     fbl = linearize(spec.ee.payload_bits / spec.blocklength, spec.blocklength,
                     spec.chi_variant)
@@ -240,9 +231,7 @@ def test_c06_port_selection_gain_over_fixed_antenna(tmp_path):
     # simulated crossing power.
     start = time.time()
     spec = _preset("bler_fas_vs_fpa.conf", "bler-sweep")
-    out = tmp_path / "fas_fpa.csv"
-    assert run(spec, out_path=str(out)) == 0
-    rows = _read_rows(out)
+    rows = run_rows(spec, tmp_path)
     curves = {n: [r for r in rows if r["n_ports"] == str(n)] for n in (1, 2)}
     cross = {n: _crossing_dbm(curves[n], 1e-4) for n in curves}
     assert None not in cross.values()
@@ -277,10 +266,7 @@ def test_c06_port_selection_gain_over_fixed_antenna(tmp_path):
 
 
 def test_c07_aperture_saturation(tmp_path):
-    spec = _preset("bler_vs_aperture.conf", "aperture-sweep")
-    out = tmp_path / "aperture.csv"
-    assert run(spec, out_path=str(out)) == 0
-    rows = _read_rows(out)
+    rows = run_rows(_preset("bler_vs_aperture.conf", "aperture-sweep"), tmp_path)
     bler = {float(r["aperture"]): float(r["bler_analytic"]) for r in rows}
     decreasing = all(bler[a] > bler[b] for a, b in ((0.5, 1.0), (1.0, 2.0),
                                                     (2.0, 4.0)))
@@ -293,10 +279,7 @@ def test_c07_aperture_saturation(tmp_path):
 
 def test_c08_altitude_tradeoff(tmp_path):
     start = time.time()
-    spec = _preset("power_vs_altitude.conf", "power-vs-altitude")
-    out = tmp_path / "alt.csv"
-    assert run(spec, out_path=str(out)) == 0
-    rows = _read_rows(out)
+    rows = run_rows(_preset("power_vs_altitude.conf", "power-vs-altitude"), tmp_path)
     prof = {}
     for r in rows:
         assert r["feasible"] == "true"
@@ -319,10 +302,7 @@ def test_c08_altitude_tradeoff(tmp_path):
 
 def test_c09_efficiency_vs_ports_structure(tmp_path):
     start = time.time()
-    spec = _preset("ee_vs_ports.conf", "ee-vs-ports")
-    out = tmp_path / "ports.csv"
-    assert run(spec, out_path=str(out)) == 0
-    rows = _read_rows(out)
+    rows = run_rows(_preset("ee_vs_ports.conf", "ee-vs-ports"), tmp_path)
     ok = True
     details = []
     by_l = {}
@@ -381,7 +361,7 @@ def test_c11_sampler_distributions():
     stats = []
     ok = True
     for m in (1, 2, 5):
-        draws = sample_hop1_gain(m, rng, n)
+        draws = sample_fas_gain_model(m, (1.0,), rng, n)
         stat = ks_statistic(draws, lambda x, m=m: cdf_hop1(x, float(m), m))
         stats.append(f"hop1 m={m}: {stat * math.sqrt(n):.3f}")
         ok &= stat < crit

@@ -322,6 +322,24 @@ def test_hop2_many_branches_uses_quadrature_route(fbl100):
     assert val == pytest.approx(ref, rel=1e-8)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, ev: avg_bler_hop1(p, np.array([1.0, _NAN]), 2),
+    lambda p, ev: avg_bler_hop2(p, _NAN, 1, (1.0,)),
+    lambda p, ev: avg_bler_hop2(p, 1.0, 5, (1.0, _NAN)),
+    lambda p, ev: avg_bler_hop2_asymptotic(p, _NAN, 2, (1.0,)),
+    lambda p, ev: avg_bler_hop2_asymptotic(p, 1.0, 2, (_NAN,)),
+    lambda p, ev: ev.e2e_avg(_NAN, (1.0,)),
+    lambda p, ev: ev.e2e_avg(1.0, (0.5, _NAN)),
+    lambda p, ev: ev.e2e_avg_tabulated(np.array([[1.0], [_NAN]]), (1.0,))])
+def test_nan_inputs_raise(urban, fbl100, call):
+    # a NaN fails every comparison, so `x <= 0` let it through to a NaN BLER
+    with pytest.raises(ValueError, match="positive"):
+        call(fbl100, TrajectoryEvaluator(urban, fbl100, 16))
+
+
 def test_hop2_validation_errors(fbl100):
     with pytest.raises(ValueError):
         avg_bler_hop2(fbl100, 1.0, 1, ())
@@ -442,17 +460,11 @@ def _table_gap(table, params, m, lambdas, lo, hi, points=801):
     return float(np.max(np.abs(table(vt) - direct) / direct))
 
 
-def _covered_tables(ev, lambdas, p_lo, p_hi):
-    """A LoS and an NLoS table covering the vartheta of ev's trajectory over
-    relay powers [p_lo, p_hi], as a power solve covers them, and those
-    (lo, hi) ranges."""
-    ranges = [(float(near.min()), float(far.max())) for near, far
-              in zip(ev.hop2_varthetas(p_hi), ev.hop2_varthetas(p_lo))]
-    tables = []
-    for lt, (lo, hi) in zip(("los", "nlos"), ranges):
-        tables.append(Hop2Table(ev.fbl, ev.cfg.nakagami_m(lt), lambdas))
-        tables[-1].cover(lo, hi)
-    return tables, ranges
+def _tabulated(ev, p2, lambdas):
+    """Per-node hop-2 BLERs at p2 from the cached table pair, LoS then NLoS,
+    as `TrajectoryEvaluator.e2e_avg_tabulated` reads them."""
+    return tuple(blercore.hop2_table(ev.fbl, ev.cfg.nakagami_m(lt), lambdas)(vt)
+                 for lt, vt in zip(LINK_TYPES, ev.hop2_varthetas(p2)))
 
 
 def test_hop2_table_matches_kernel():
@@ -465,9 +477,13 @@ def test_hop2_table_matches_kernel():
             ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z), fbl)
             for n in (1, 2, 4, 8, 12):
                 fas = fas_spectrum(n, 0.5)
-                tables, ranges = _covered_tables(ev, fas.lambdas, 1e-7, 10.0)
-                for lt, table, (lo, hi) in zip(("los", "nlos"), tables, ranges):
+                # the lookups grow each table over the vartheta that relay
+                # powers [1e-7, 10] W reach, as a power solve's do
+                for lt, near, far in zip(LINK_TYPES, ev.hop2_varthetas(10.0),
+                                         ev.hop2_varthetas(1e-7)):
+                    lo, hi = float(near.min()), float(far.max())
                     m = cfg.nakagami_m(lt)
+                    table = Hop2Table(fbl, m, fas.lambdas)
                     worst = max(worst, _table_gap(table, fbl, m, fas.lambdas,
                                                   lo, hi))
                     if table.vt_sat < hi:
@@ -507,31 +523,56 @@ def _off_lattice(vt, anchor):
     return vt[np.abs(s - np.round(s)) > 1e-6]
 
 
+def _check_growing_lookup(make, vt, panels):
+    """A lookup of vt on a table make() builds grows it to panels, with the
+    nodes and values of a cover of those panels, and returns the covered
+    table's value there, the kernel's to 1e-8."""
+    grown, covered = make(), make()
+    got = grown(vt)
+    a = _lattice_anchor(grown._params, grown._m2, grown._lambdas)
+    covered.cover(10.0 ** (a + panels.start + 0.25),
+                  10.0 ** (a + panels.stop - 0.25))
+    assert grown.panels == covered.panels == panels
+    for name in ("nodes", "values"):
+        assert np.array_equal(getattr(grown, name), getattr(covered, name))
+    assert np.array_equal(got, covered(vt))
+    direct = avg_bler_hop2(grown._params, vt, grown._m2, grown._lambdas)
+    assert np.all(np.abs(got - direct) <= _TABLE_REL * direct)
+
+
 def test_hop2_table_never_extrapolates(fbl100):
-    # panels [a - 5, a - 3) of the lattice anchored at a = log10 vartheta_sat
+    # panels [a - 5, a - 3) of the lattice anchored at a = log10 vartheta_sat:
+    # a lookup inside them or past vartheta_sat keeps them, and one below
+    # them, between them and vartheta_sat, or across a gap grows them first
     lams = (1.3, 0.7)
     a = _lattice_anchor(fbl100, 5, lams)
-    table = Hop2Table(fbl100, 5, lams)
-    table.cover(10.0 ** (a - 4.5), 10.0 ** (a - 3.5))
-    assert table.nodes.size == 2 * 32
-    inside = 10.0 ** np.array([a - 5.0 + 1e-9, a - 4.0, a - 3.0 - 1e-9])
-    assert np.all(table(inside) > 0.0)
-    # past vartheta_sat the saturated constant, with no panel there
-    assert table(10.0 ** (a + 0.5)) == avg_bler_hop2(fbl100, 10.0 ** (a + 0.5),
-                                                     5, lams)
-    # below the panels, between them and vartheta_sat, and NaN
-    for vt in (10.0 ** (a - 5.0 - 1e-9), 10.0 ** (a - 3.0 + 1e-9),
-               10.0 ** (a - 0.5), [10.0 ** (a - 4.0), 10.0 ** (a - 2.0)],
-               float("nan")):
+
+    def held():
+        table = Hop2Table(fbl100, 5, lams)
+        table.cover(10.0 ** (a - 4.5), 10.0 ** (a - 3.5))
+        return table
+
+    for s, panels in (([-5.0 + 1e-9, -4.0, -3.0 - 1e-9], range(-5, -3)),
+                      (0.5, range(-5, -3)), (-5.0 - 1e-9, range(-6, -3)),
+                      (-3.0 + 1e-9, range(-5, -2)), (-0.5, range(-5, 0)),
+                      ([-4.0, -1.5], range(-5, -1)),
+                      ([-6.5, 0.5], range(-7, -3))):
+        _check_growing_lookup(held, 10.0 ** (a + np.asarray(s)), panels)
+    # NaN and non-positive vartheta raise, and leave the table as it was
+    table = held()
+    for vt in (float("nan"), 0.0, -1.0, [10.0 ** (a - 6.5), float("nan")],
+               [-1.0, 10.0 ** (a + 0.5)]):
         with pytest.raises(ValueError):
             table(vt)
+        assert table.panels == range(-5, -3)
     with pytest.raises(ValueError):
         table.cover(1.0, 1.0)
 
 
 def test_hop2_table_cover_rejects_a_falling_kernel(fbl100, monkeypatch):
-    # a kernel that falls with vartheta fails the cover that would add its
-    # panels, and the table keeps what it held, so asking again raises again.
+    # a kernel that falls with vartheta fails the cover or lookup that would
+    # add its panels, and the table keeps what it held, so asking again
+    # raises again.
     # The slack is relative, so a fall is seen at every magnitude: on the
     # panels 1-2 decades below vartheta_sat, whose values exceed 1e-6, and
     # on those 3-7 decades below it, whose values lie below 1e-13
@@ -558,10 +599,11 @@ def test_hop2_table_cover_rejects_a_falling_kernel(fbl100, monkeypatch):
             values = table.values.copy()
             looked_up = table(nodes)
             monkeypatch.setattr(blercore, "avg_bler_hop2", wavy)
-            for _ in range(2):
+            for grow in (lambda: table.cover(10.0 ** (a + deep + 0.1),
+                                             10.0 ** (a + shallow + 0.9)),
+                         lambda: table(10.0 ** (a + deep + 0.1))) * 2:
                 with pytest.raises(MonotonicityError, match="table"):
-                    table.cover(10.0 ** (a + deep + 0.1),
-                                10.0 ** (a + shallow + 0.9))
+                    grow()
                 assert table.panels == panels
                 assert np.array_equal(table.nodes, nodes)
                 assert np.array_equal(table.values, values)
@@ -579,12 +621,16 @@ def test_hop2_table_with_no_panels_saturates(fbl100):
     vt = table.vt_sat * np.array([1.0 + 1e-12, 2.0, 1e6])
     assert np.array_equal(table(vt), avg_bler_hop2(fbl100, vt, 5, lams))
     assert np.all(table(vt) == table.saturated)
+    assert table.nodes.size == 0
+    # a lookup below vartheta_sat grows an empty table as a cover does; a
+    # clamped ramp has no vartheta_sat, and its lattice counts from 1
+    _check_growing_lookup(lambda: Hop2Table(fbl100, 5, lams),
+                          0.5 * table.vt_sat, range(-1, 0))
+    clamped = linearize(0.02, 100)
+    _check_growing_lookup(lambda: Hop2Table(clamped, 1, lams), 1e8,
+                          range(8, 9))
     with pytest.raises(ValueError):
-        table(0.5 * table.vt_sat)
-    # a clamped ramp has no vartheta_sat: an empty table answers nothing
-    clamped = Hop2Table(linearize(0.02, 100), 1, lams)
-    with pytest.raises(ValueError):
-        clamped(1e8)
+        Hop2Table(clamped, 1, lams)(math.inf)
 
 
 def test_hop2_table_value_does_not_depend_on_its_range():
@@ -661,7 +707,6 @@ def test_batched_rows_match_per_row_calls():
                 vt[-1] = 10.0 ** (a + (0.2 if capped else 4.0)
                                   + rng.uniform(0.0, 1.0, 128))
                 table = Hop2Table(params, m, lams)
-                table.cover(float(vt.min()), float(vt.max()))
                 kernel = avg_bler_hop2(params, vt, m, lams)
                 looked_up = table(vt)
                 for i in range(rows):
@@ -771,18 +816,10 @@ def test_tabulated_e2e_bounded_and_monotone(z, n, blocklength, u, v):
     ev = TrajectoryEvaluator(cfg, fbl)
     lambdas = fas_spectrum(n, 0.5).lambdas
     p_lo, p_hi = 1e-7, 10.0
-    tables, _ = _covered_tables(ev, lambdas, p_lo, p_hi)
-
-    def tabulated(p2):
-        return tuple(table(vt) for table, vt
-                     in zip(tables, ev.hop2_varthetas(p2)))
-
-    def direct(p2):
-        return ev.hop2_components(p2, lambdas)
-
     p_a, p_b = np.clip(p_lo * (p_hi / p_lo) ** np.sort([u, v]), p_lo, p_hi)
     # the same bounds and monotonicity on the tables and the direct kernel
-    for hop2 in (tabulated, direct):
+    for hop2 in (lambda p: _tabulated(ev, p, lambdas),
+                 lambda p: ev.hop2_components(p, lambdas)):
         e_a, e_b = (ev.e2e_avg_from(*hop2(p)) for p in (p_a, p_b))
         for p, e in ((p_a, e_a), (p_b, e_b)):
             nodes = ev.end_to_end(ev.hop2_mixed(*hop2(p)))
@@ -800,10 +837,8 @@ def test_e2e_not_below_hop1_where_hop2_is_below_rounding():
     fbl = linearize(80.0 / 600, 600)
     ev = TrajectoryEvaluator(cfg, fbl)
     lambdas = fas_spectrum(7, 0.5).lambdas
-    tables, _ = _covered_tables(ev, lambdas, 1e-7, 10.0)
-    tabulated = tuple(table(vt) for table, vt
-                      in zip(tables, ev.hop2_varthetas(10.0)))
-    for e2 in (tabulated, ev.hop2_components(10.0, lambdas)):
+    for e2 in (_tabulated(ev, 10.0, lambdas),
+               ev.hop2_components(10.0, lambdas)):
         eps2 = ev.hop2_mixed(*e2)
         assert np.any(eps2 < np.finfo(float).eps)
         assert np.all(ev.end_to_end(eps2) >= ev.eps1_mixed)

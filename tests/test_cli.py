@@ -1,4 +1,3 @@
-import csv
 import math
 import os
 import random
@@ -18,14 +17,14 @@ from fasrelay import blercore
 from fasrelay import (ConfigError, EeConfig, McConfig, ScenarioConfig,
                       TrajectoryEvaluator, fas_spectrum, linearize)
 from fasrelay.blercore import CHI_VARIANTS, chebyshev_nodes
-from fasrelay.cli import (_KEYS, _SWEEP_KEYS, COMMANDS, ExperimentSpec,
-                          _analytic_points, main, parse_config, render, run)
+from fasrelay.cli import (_KEYS, COMMANDS, ExperimentSpec, _analytic_points,
+                          main, parse_config, render, run)
 from fasrelay.mcoracle import _CHUNK, MC_MODES, mc_average_bler
 
+from conftest import read_rows, run_rows
 
-def read_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+_SWEEP_KEYS = tuple(key for key, (_, _, home) in _KEYS.items()
+                    if home[0] == "sweeps")
 
 
 def test_empty_config_gives_reference_defaults():
@@ -144,20 +143,16 @@ def test_unknown_command_rejected():
 
 
 def test_bler_sweep_rows_and_echo(tmp_path):
-    out = tmp_path / "sweep.csv"
-    spec = parse_config(
-        f"sweep_p2_dbm = 0:20:5\nsweep_n_ports = 1, 2\ntraj_nodes = 32\n"
-        f"output = {out}\n", "bler-sweep")
-    assert run(spec) == 0
-    rows = read_csv(out)
+    rows = run_rows(parse_config(
+        "sweep_p2_dbm = 0:20:5\nsweep_n_ports = 1, 2\ntraj_nodes = 32\n",
+        "bler-sweep"), tmp_path)
     assert len(rows) == 10  # cardinality preserved, nothing dropped
     assert {r["n_ports"] for r in rows} == {"1", "2"}
     for r in rows:
         assert float(r["bler_analytic"]) <= 1.0
         assert float(r["error_floor"]) <= float(r["bler_analytic"]) + 1e-12
         assert r["p1_dbm"] == "40.0"
-    meta = (str(out) + ".meta")
-    body = open(meta).read()
+    body = (tmp_path / "rows.csv.meta").read_text()
     assert "config_sha256" in body and "rows = 10" in body
 
 
@@ -171,7 +166,7 @@ def test_validate_emits_mc_columns_and_is_deterministic(tmp_path):
     spec2 = parse_config(text + f"output = {out2}\n", "validate")
     assert run(spec2) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    rows = read_csv(out1)
+    rows = read_rows(out1)
     for r in rows:
         assert abs(float(r["bler_analytic"]) - float(r["bler_mc"])) \
             <= 1.0  # structural check; closeness is asserted elsewhere
@@ -192,8 +187,8 @@ def test_validate_seed_override_changes_mc(tmp_path):
     text = "sweep_p2_dbm = 12\ntrials = 5000\nseed = 77\ntraj_nodes = 32\n"
     run(parse_config(text + f"output = {out1}\n", "validate"))
     run(parse_config(text + f"output = {out2}\n", "validate"), seed=78)
-    a = read_csv(out1)[0]
-    b = read_csv(out2)[0]
+    a = read_rows(out1)[0]
+    b = read_rows(out2)[0]
     assert a["bler_mc"] != b["bler_mc"]
     assert a["bler_analytic"] == b["bler_analytic"]
 
@@ -226,14 +221,11 @@ def test_aperture_sweep_requires_power(tmp_path, command, text, missing):
 
 def test_aperture_sweep_rows(tmp_path):
     # one row per (N, aperture), N outermost; sweep_n_ports replaces n_ports
-    out = tmp_path / "w.csv"
     for ports, n_axis in (("n_ports = 4", ["4"]),
                           ("sweep_n_ports = 1, 4", ["1", "4"])):
-        spec = parse_config(
+        rows = run_rows(parse_config(
             f"{ports}\np2 = 15 dBm\nsweep_aperture = 0.5, 1, 2\n"
-            f"traj_nodes = 32\noutput = {out}\n", "aperture-sweep")
-        assert run(spec) == 0
-        rows = read_csv(out)
+            "traj_nodes = 32\n", "aperture-sweep"), tmp_path)
         assert [(r["n_ports"], r["aperture"]) for r in rows] == [
             (n, w) for n in n_axis for w in ("0.5", "1.0", "2.0")]
         blers = [float(r["bler_analytic"]) for r in rows
@@ -250,11 +242,8 @@ def test_aperture_sweep_evaluates_p2_in_watts(tmp_path, command, text):
     # this p2 does not survive a round trip through dBm; the row must be
     # evaluated at p2 itself and echo its dBm value
     p2 = 0.00033761994411113367
-    out = tmp_path / "w.csv"
-    spec = parse_config(f"n_ports = 2\np2 = {p2!r}\n{text}"
-                        f"traj_nodes = 32\noutput = {out}\n", command)
-    assert run(spec) == 0
-    [row] = read_csv(out)
+    [row] = run_rows(parse_config(f"n_ports = 2\np2 = {p2!r}\n{text}"
+                                  "traj_nodes = 32\n", command), tmp_path)
     fbl = linearize(80 / 100, 100, "2^R-1")
     ev = TrajectoryEvaluator(ScenarioConfig(), fbl, 32)
     fas = fas_spectrum(2, 0.5)
@@ -267,13 +256,10 @@ def test_aperture_sweep_evaluates_p2_in_watts(tmp_path, command, text):
 
 
 def test_power_vs_altitude_rows(tmp_path):
-    out = tmp_path / "z.csv"
-    spec = parse_config(
-        f"p1 = 46 dBm\nblocklength = 200\nsweep_z = 300, 500\n"
-        f"sweep_n_ports = 8\ntraj_nodes = 32\np_max = 40 dBm\n"
-        f"output = {out}\n", "power-vs-altitude")
-    assert run(spec) == 0
-    rows = read_csv(out)
+    rows = run_rows(parse_config(
+        "p1 = 46 dBm\nblocklength = 200\nsweep_z = 300, 500\n"
+        "sweep_n_ports = 8\ntraj_nodes = 32\np_max = 40 dBm\n",
+        "power-vs-altitude"), tmp_path)
     assert len(rows) == 2
     for r in rows:
         assert r["feasible"] == "true"
@@ -281,13 +267,10 @@ def test_power_vs_altitude_rows(tmp_path):
 
 
 def test_ee_vs_ports_infeasible_rows_carry_zero(tmp_path):
-    out = tmp_path / "n.csv"
-    spec = parse_config(
-        f"p1 = 46 dBm\nuav_altitude = 400\nsweep_blocklength = 200\n"
-        f"sweep_n_ports = 8, 9, 10, 11\ntraj_nodes = 32\np_max = 40 dBm\n"
-        f"output = {out}\n", "ee-vs-ports")
-    assert run(spec) == 0
-    rows = read_csv(out)
+    rows = run_rows(parse_config(
+        "p1 = 46 dBm\nuav_altitude = 400\nsweep_blocklength = 200\n"
+        "sweep_n_ports = 8, 9, 10, 11\ntraj_nodes = 32\np_max = 40 dBm\n",
+        "ee-vs-ports"), tmp_path)
     by_n = {r["n_ports"]: r for r in rows}
     for n in ("10", "11"):
         assert by_n[n]["feasible"] == "false"
@@ -296,16 +279,13 @@ def test_ee_vs_ports_infeasible_rows_carry_zero(tmp_path):
 
 
 def test_optimize_writes_trace_and_summary(tmp_path):
-    out = tmp_path / "opt.csv"
-    spec = parse_config(
-        f"p1 = 46 dBm\nz_min = 300\nz_max = 500\nz_step = 100\n"
-        f"l_set = 300\nn_min = 1\nn_max = 3\ntraj_nodes = 32\n"
-        f"p_max = 40 dBm\noutput = {out}\n", "optimize")
-    assert run(spec) == 0
-    rows = read_csv(out)
+    rows = run_rows(parse_config(
+        "p1 = 46 dBm\nz_min = 300\nz_max = 500\nz_step = 100\n"
+        "l_set = 300\nn_min = 1\nn_max = 3\ntraj_nodes = 32\n"
+        "p_max = 40 dBm\n", "optimize"), tmp_path)
     assert len(rows) == 3
     assert sum(r["is_optimum"] == "true" for r in rows) == 1
-    meta = open(str(out) + ".meta").read()
+    meta = (tmp_path / "rows.csv.meta").read_text()
     assert "l_star = 300" in meta
     gap = [line for line in meta.splitlines()
            if line.startswith("table_check_max_rel = ")]
@@ -323,10 +303,7 @@ def test_ee_contour_preset_reduced_grid(tmp_path):
     names = {line.split("=")[0].strip() for line in reduced.splitlines()}
     text = "".join(line + "\n" for line in preset.read_text().splitlines()
                    if line.split("=")[0].strip() not in names) + reduced
-    out = tmp_path / "contour.csv"
-    spec = parse_config(text, "ee-contour")
-    assert run(spec, out_path=str(out)) == 0
-    rows = read_csv(out)
+    rows = run_rows(parse_config(text, "ee-contour"), tmp_path)
     assert len(rows) == 2
     for r in rows:
         assert r["feasible"] == "true"
@@ -336,25 +313,21 @@ def test_ee_contour_preset_reduced_grid(tmp_path):
 
 def test_ee_contour_rows_match_optimize_trace(tmp_path):
     # both commands print one port search per (L, Z) through the same columns
-    grid = (f"p1 = 46 dBm\nn_min = 1\nn_max = 2\ntraj_nodes = 32\n"
-            f"p_max = 40 dBm\n")
-    opt, contour = tmp_path / "opt.csv", tmp_path / "contour.csv"
-    run(parse_config(grid + "l_set = 300, 400\nz_min = 300\nz_max = 400\n"
-                     "z_step = 100\n", "optimize"), out_path=str(opt))
-    run(parse_config(grid + "sweep_blocklength = 300, 400\n"
-                     "sweep_z = 300, 400\n", "ee-contour"),
-        out_path=str(contour))
-    with open(opt, newline="", encoding="utf-8") as fh:
-        opt_rows = list(csv.reader(fh))
-    with open(contour, newline="", encoding="utf-8") as fh:
-        contour_rows = list(csv.reader(fh))
-    assert opt_rows[0] == contour_rows[0] + ["is_optimum"]
-    assert len(opt_rows) == len(contour_rows) == 5
-    command = contour_rows[0].index("command")
-    for a, b in zip(opt_rows[1:], contour_rows[1:]):
-        assert (a[:command] + a[command + 1:-1]
-                == b[:command] + b[command + 1:])
-    assert [r[command] for r in contour_rows[1:]] == ["ee-contour"] * 4
+    grid = ("p1 = 46 dBm\nn_min = 1\nn_max = 2\ntraj_nodes = 32\n"
+            "p_max = 40 dBm\n")
+    opt = run_rows(parse_config(grid + "l_set = 300, 400\nz_min = 300\n"
+                                "z_max = 400\nz_step = 100\n", "optimize"),
+                   tmp_path)
+    contour = run_rows(parse_config(grid + "sweep_blocklength = 300, 400\n"
+                                    "sweep_z = 300, 400\n", "ee-contour"),
+                       tmp_path)
+    assert len(opt) == len(contour) == 4
+    for a, b in zip(opt, contour):
+        assert list(a) == list(b) + ["is_optimum"]
+        assert (a.pop("command"), b.pop("command")) == ("optimize",
+                                                         "ee-contour")
+        del a["is_optimum"]
+        assert a == b
 
 
 _ECHO_HEADER = [
@@ -389,11 +362,9 @@ _SEARCH_HEADER = ["blocklength", "aperture", "feasible", "n_star",
 ])
 def test_csv_header_is_pinned(tmp_path, command, text, header):
     # the exact columns of each command, in order
-    out = tmp_path / "h.csv"
-    assert run(parse_config(text + "traj_nodes = 32\n", command),
-               out_path=str(out)) == 0
-    with open(out, newline="", encoding="utf-8") as fh:
-        assert next(csv.reader(fh)) == _ECHO_HEADER + header
+    rows = run_rows(parse_config(text + "traj_nodes = 32\n", command),
+                    tmp_path)
+    assert list(rows[0]) == _ECHO_HEADER + header
 
 
 def test_run_unwritable_output_is_an_error(tmp_path):
@@ -402,27 +373,40 @@ def test_run_unwritable_output_is_an_error(tmp_path):
         run(spec, out_path=str(tmp_path / "missing_dir" / "x.csv"))
 
 
-def test_main_entry_point(tmp_path):
+def main_on(tmp_path, command, text, *args):
+    """main's exit status on the config text, which it reads from
+    tmp_path / "c.conf", writing its CSV to tmp_path / "o.csv"."""
     conf = tmp_path / "c.conf"
-    out = tmp_path / "o.csv"
-    conf.write_text("sweep_p2_dbm = 10\ntraj_nodes = 32\n")
-    assert main(["bler-sweep", "--config", str(conf), "--out", str(out)]) == 0
-    assert out.exists()
+    conf.write_text(text)
+    return main([command, "--config", str(conf),
+                 "--out", str(tmp_path / "o.csv"), *args])
+
+
+def test_main_entry_point(tmp_path):
+    assert main_on(tmp_path, "bler-sweep",
+                   "sweep_p2_dbm = 10\ntraj_nodes = 32\n") == 0
+    assert (tmp_path / "o.csv").exists()
     assert main(["bler-sweep", "--config", str(tmp_path / "nope.conf")]) == 1
+
+
+def test_main_rejects_the_removed_iteration_cap(tmp_path, capsys):
+    # ITP's own step bound ends every solve: the schema has no iteration cap
+    assert main_on(tmp_path, "optimize",
+                   "n_max = 2\nmax_bisect_iters = 60\n") == 1
+    assert capsys.readouterr().err == (
+        "error: line 2: unknown key 'max_bisect_iters'\n")
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_main_rejects_a_seed_outside_64_bits(tmp_path, capsys, command, seed):
-    conf = tmp_path / "c.conf"
-    conf.write_text("sweep_p2_dbm = 10\ntraj_nodes = 32\n")
-    out = tmp_path / "o.csv"
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(conf), "--out", str(out),
-              "--seed", str(seed)])
+        main_on(tmp_path, command, "sweep_p2_dbm = 10\ntraj_nodes = 32\n",
+                "--seed", str(seed))
     assert exc.value.code == 2
     assert "argument --seed: seed must fit in 64 bits" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("command, text", [
@@ -432,12 +416,9 @@ def test_main_rejects_a_seed_outside_64_bits(tmp_path, capsys, command, seed):
 def test_main_rejects_a_payload_without_a_surrogate(tmp_path, capsys, command,
                                                     text):
     # 2^rate overflows from 1024 bits per symbol on
-    conf = tmp_path / "c.conf"
-    conf.write_text(text + "payload_bits = 1e6\n")
-    out = tmp_path / "o.csv"
-    assert main([command, "--config", str(conf), "--out", str(out)]) == 1
+    assert main_on(tmp_path, command, text + "payload_bits = 1e6\n") == 1
     assert capsys.readouterr().err.startswith("error: line 2: payload_bits")
-    assert not out.exists()
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("command, text", [
@@ -674,7 +655,7 @@ def _specs(draw):
         port_time=draw(_POSITIVE), bler_threshold=draw(_UNIT),
         p_max=draw(_POSITIVE), z_range=tuple(z),
         l_set=l_set, n_range=tuple(n), z_step=draw(_POSITIVE),
-        bisect_tol=draw(_UNIT), max_bisect_iters=draw(_COUNT))
+        bisect_tol=draw(_UNIT))
     mc = None
     if command == "validate" or draw(st.booleans()):
         mc = McConfig(seed=draw(st.integers(0, 2 ** 64 - 1)),
@@ -732,26 +713,21 @@ def test_main_rejects_an_snr_scale_outside_the_double_range(
     # chi / vartheta overflows: optimize raised a ValueError from deep in
     # the solve, and bler-sweep wrote nan cells (both an OverflowError at
     # eta_los = -1e308). No warning reaches stderr before the error either
-    conf = tmp_path / "c.conf"
-    conf.write_text(text + extreme + "\n")
-    out = tmp_path / "o.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([command, "--config", str(conf), "--out", str(out)])
+        code = main_on(tmp_path, command, text + extreme + "\n")
     assert code == 1
     assert capsys.readouterr().err.startswith("error: hop-1 vartheta")
-    assert not out.exists()
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_main_reports_a_run_time_error_without_traceback(tmp_path, capsys):
     # at m_los = 40 the LoS table misses its 1e-8 contract at the solved
     # power (a gap of 9.6e-8): a TableAccuracyError, reported as an error
-    conf = tmp_path / "m40.conf"
-    conf.write_text("blocklength = 50\np1 = 46 dBm\nm_los = 40\n"
-                    "sweep_z = 1000\nsweep_n_ports = 4\naperture = 2\n"
-                    "bler_threshold = 1e-2\np_max = 20 dBm\ntraj_nodes = 16\n")
-    code = main(["power-vs-altitude", "--config", str(conf),
-                 "--out", str(tmp_path / "x.csv")])
+    code = main_on(tmp_path, "power-vs-altitude",
+                   "blocklength = 50\np1 = 46 dBm\nm_los = 40\n"
+                   "sweep_z = 1000\nsweep_n_ports = 4\naperture = 2\n"
+                   "bler_threshold = 1e-2\np_max = 20 dBm\ntraj_nodes = 16\n")
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: tabulated end-to-end BLER")
@@ -762,16 +738,14 @@ def test_asymptote_of_a_link_with_zero_weight_adds_zero(tmp_path):
     # at L = 10 the NLoS asymptote overflows to inf at every node, and
     # where p_los2 is 1 its weight is 0: every probability cell stays
     # finite and at most the sum of the trajectory weights, with no warning
-    conf = tmp_path / "inf.conf"
-    conf.write_text("blocklength = 10\npayload_bits = 917.6\np1 = 40 dBm\n"
-                    "uav_altitude = 1000\nlos_b = 20\nm_nlos = 3\n"
-                    "n_ports = 8\naperture = 4\nsweep_p2_dbm = -20:20:3\n")
-    out = tmp_path / "inf.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["bler-sweep", "--config", str(conf),
-                     "--out", str(out)]) == 0
-    rows = read_csv(out)
+        assert main_on(tmp_path, "bler-sweep",
+                       "blocklength = 10\npayload_bits = 917.6\np1 = 40 dBm\n"
+                       "uav_altitude = 1000\nlos_b = 20\nm_nlos = 3\n"
+                       "n_ports = 8\naperture = 4\n"
+                       "sweep_p2_dbm = -20:20:3\n") == 0
+    rows = read_rows(tmp_path / "o.csv")
     assert len(rows) == 3
     # (pi / 2M) / sin(pi / 2M) at M = 128, plus the rounding of the sum
     bound = (math.pi / 256.0) / math.sin(math.pi / 256.0) * (1.0 + 1e-14)
@@ -837,7 +811,7 @@ def test_falling_altitude_axis_fills_no_panel_twice(tmp_path, monkeypatch):
         run(parse_config(text + f"sweep_z = {axis}\n", "power-vs-altitude"),
             out_path=str(out))
         made[axis] = sum(points)
-        rows[axis] = sorted(tuple(r.items()) for r in read_csv(out))
+        rows[axis] = sorted(tuple(r.items()) for r in read_rows(out))
     assert made["100:800:71"] == made["800:100:71"]
     assert rows["100:800:71"] == rows["800:100:71"]
 
@@ -910,7 +884,7 @@ def test_random_valid_configs_through_main(tmp_path, capsys):
                 continue
             nodes = int(parse_config(text, command).traj_nodes)
             weight_sum = float(chebyshev_nodes(nodes)[1].sum())
-            for row in read_csv(out):
+            for row in read_rows(out):
                 for col, cell in row.items():
                     try:
                         value = float(cell)

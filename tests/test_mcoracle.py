@@ -8,8 +8,7 @@ from scipy import special
 
 from fasrelay import (McConfig, McEstimate, TrajectoryEvaluator,
                       fas_spectrum, jakes_matrix, mc_average_bler,
-                      sample_fas_gain_model, sample_fas_gain_physical,
-                      sample_hop1_gain)
+                      sample_fas_gain_model, sample_fas_gain_physical)
 from fasrelay.blercore import (_mix, avg_bler_hop1, avg_bler_hop2,
                                instantaneous_bler)
 from fasrelay.geometry import LINK_TYPES, trajectory_geometry
@@ -28,12 +27,12 @@ def _rng(seed=1234):
 def test_hop1_gain_unit_mean_and_variance():
     rng = _rng(7)
     n = 1_000_000
-    draws = sample_hop1_gain(1, rng, n)
+    draws = sample_fas_gain_model(1, (1.0,), rng, n)
     se = draws.std(ddof=1) / math.sqrt(n)
     assert draws.mean() == pytest.approx(1.0, abs=4.0 * se)
     # exponential distribution has unit variance at unit mean
     assert draws.var(ddof=1) == pytest.approx(1.0, abs=0.01)
-    draws5 = sample_hop1_gain(5, rng, n)
+    draws5 = sample_fas_gain_model(5, (1.0,), rng, n)
     assert draws5.mean() == pytest.approx(1.0, abs=4.0 * draws5.std() / math.sqrt(n))
     assert draws5.var(ddof=1) == pytest.approx(0.2, abs=0.005)
 
@@ -42,7 +41,7 @@ def test_hop1_gain_ks_against_cdf():
     rng = _rng(42)
     n = 100_000
     for m in (1, 2, 5):
-        draws = sample_hop1_gain(m, rng, n)
+        draws = sample_fas_gain_model(m, (1.0,), rng, n)
         # SNR scaling: with vartheta = m the CDF argument matches the
         # unit-mean Gamma gain directly
         stat = ks_statistic(draws, lambda x: cdf_hop1(x, float(m), m))
@@ -63,10 +62,11 @@ def test_ks_statistic_matches_pointwise_cdf():
 
 def test_fas_gain_model_single_branch_matches_hop1():
     n = 200_000
+    # one unit branch is the hop-1 gain Gamma(3, 1/3): the mean of three unit
+    # exponentials -log1p(-u), drawn in 13 chunks with the bits of one draw
     a = sample_fas_gain_model(3, (1.0,), _rng(5), n)
-    b = sample_hop1_gain(3, _rng(5), n)
-    # same stream, same construction: identical samples
-    assert np.array_equal(a, b)
+    u = -np.log1p(-_rng(5).random((n, 3)))
+    assert np.array_equal(a, (u[:, 0] + u[:, 1] + u[:, 2]) / 3)
 
 
 def test_fas_gain_model_dominance():

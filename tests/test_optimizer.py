@@ -12,7 +12,7 @@ from fasrelay import blercore, optimizer
 from fasrelay.cli import parse_config, run
 from fasrelay.optimizer import violates_causality
 
-from conftest import direct_min_power, solved_power, table_e2e_avg
+from conftest import direct_min_power, solved_power
 
 
 @pytest.fixture
@@ -340,18 +340,18 @@ def test_best_port_count_shared_tables_change_nothing(cfg46, table_fills):
 
 @pytest.fixture
 def table_fills(monkeypatch):
-    """The (params, m2, lambdas) of the table of every kernel fill that
-    `Hop2Table.cover` makes while the test runs."""
+    """The (params, m2, lambdas) of the table of every kernel fill that a
+    `Hop2Table` lookup or cover makes while the test runs."""
     fills = []
-    cover = blercore.Hop2Table.cover
+    grow = blercore.Hop2Table._grow
 
-    def counted(self, lo, hi):
+    def counted(self, s_lo, s_hi):
         nodes = self.nodes
-        cover(self, lo, hi)
+        grow(self, s_lo, s_hi)
         if self.nodes is not nodes:
             fills.append((self._params, self._m2, self._lambdas))
 
-    monkeypatch.setattr(blercore.Hop2Table, "cover", counted)
+    monkeypatch.setattr(blercore.Hop2Table, "_grow", counted)
     return fills
 
 
@@ -373,7 +373,7 @@ def _expected_solve(ev, lambdas, ee):
     """The plain table-driven bisection's solve, as `min_power` reports
     one: its power, the direct BLER there and the gap of its tabulated
     BLER to the direct one."""
-    want = direct_min_power(ev, lambdas, ee, table_e2e_avg(ev, lambdas))
+    want = direct_min_power(ev, lambdas, ee, tabulated=True)
     if want is None:
         return None
     p2, eps_table = want
@@ -384,22 +384,20 @@ def _expected_solve(ev, lambdas, ee):
 def _search_bound(ee):
     """ITP's bound on the powers a solve looks up after the precheck,
     ceil(log2(log(hi0 / lo0) / w)) + 1 with w = -log1p(-bisect_tol) for
-    the precheck bracket [lo0, hi0], or max_bisect_iters when smaller."""
+    the precheck bracket [lo0, hi0]."""
     grid = ee.p_max * np.logspace(-8.0, 0.0, 10)
     width = float(np.max(np.diff(np.log(grid))))
-    bound = math.ceil(math.log2(width / -math.log1p(-ee.bisect_tol))) + 1
-    return min(bound, ee.max_bisect_iters)
+    return math.ceil(math.log2(width / -math.log1p(-ee.bisect_tol))) + 1
 
 
 def _solve_and_check(ev, lambdas, ee, table_lookups):
     """min_power on ev and lambdas against the plain table bisection
     `_expected_solve`: the same feasibility; a power that meets the target
-    on the tables, within bisect_tol of the plain one unless the iteration
-    cap ends both searches; the direct BLER there and the tables' gap to
-    it; and at most `_search_bound` powers looked up after the precheck,
-    two lookups each. Returns the lookups after the precheck of the plain
-    bisection (which looks the precheck up per power) and of min_power
-    (once per link type), and whether the target is met."""
+    on the tables, within bisect_tol of the plain one; the direct BLER
+    there and the tables' gap to it; at most `_search_bound` powers after
+    the precheck, two lookups each. Returns the lookups after the precheck
+    of the plain bisection (one per power there) and of min_power (one
+    per link type), and whether the target is met."""
     del table_lookups[:]
     want = _expected_solve(ev, lambdas, ee)
     plain = len(table_lookups) - 2 * 10
@@ -412,10 +410,9 @@ def _solve_and_check(ev, lambdas, ee, table_lookups):
     if got is None:
         return plain, looked_up, False
     p2, eps, gap = got
-    tabulated = table_e2e_avg(ev, lambdas)(p2)
+    tabulated = ev.e2e_avg_tabulated(p2, lambdas)
     assert tabulated <= ee.bler_threshold, case
-    if ee.max_bisect_iters == EeConfig().max_bisect_iters:
-        assert abs(p2 - want[0]) <= ee.bisect_tol * max(p2, want[0]), case
+    assert abs(p2 - want[0]) <= ee.bisect_tol * max(p2, want[0]), case
     assert eps == ev.e2e_avg(p2, lambdas)
     assert gap == abs(tabulated - eps) / max(eps, np.finfo(float).tiny)
     return plain, looked_up, True
@@ -423,16 +420,14 @@ def _solve_and_check(ev, lambdas, ee, table_lookups):
 
 def test_min_power_meets_the_table_bisection_contract(cfg46, table_lookups):
     # the ITP search against the plain table bisection, with at most half
-    # its lookups after the precheck. The presets' tolerance and iteration
-    # cap get their own bound, since the 1e-7 cases dominate the sum over
-    # all cases; the cap of 3 bounds the lookups and keeps the target met
+    # its lookups after the precheck. The presets' tolerance gets its own
+    # bound, since the 1e-7 cases dominate the sum over all cases
     looked_up = {"plain": 0, "itp": 0}
     presets_regime = {"plain": 0, "itp": 0}
     outcomes = {True: 0, False: 0}
     cases = [EeConfig(p_max=p_max, bler_threshold=thr, bisect_tol=tol)
              for p_max in (10.0, 1e-2) for thr in (1e-2, 1e-3, 1e-5)
              for tol in (1e-4, 1e-7)]
-    cases.append(EeConfig(p_max=10.0, max_bisect_iters=3))
     altitudes = (100.0, 400.0, 800.0)
     for blocklength in (100, 300, 600):
         fbl = linearize(80.0 / blocklength, blocklength)
@@ -446,7 +441,7 @@ def test_min_power_meets_the_table_bisection_contract(cfg46, table_lookups):
                     outcomes[met] += 1
                     looked_up["plain"] += plain
                     looked_up["itp"] += itp
-                    if ee.bisect_tol == 1e-4 and ee.max_bisect_iters == 60:
+                    if ee.bisect_tol == 1e-4:
                         presets_regime["plain"] += plain
                         presets_regime["itp"] += itp
     assert outcomes[True] > 0 and outcomes[False] > 0
@@ -505,12 +500,29 @@ def test_min_power_threshold_equal_to_a_grid_bler(cfg46, fbl200):
     for z, n in ((100.0, 1), (400.0, 4), (800.0, 8)):
         ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=z), fbl200)
         lambdas = fas_spectrum(n, 0.5).lambdas
-        eps = [table_e2e_avg(ev, lambdas)(p) for p in grid]
+        eps = [ev.e2e_avg_tabulated(p, lambdas) for p in grid]
         k = next(i for i, e in enumerate(eps) if e < 0.5)
         tied = replace(ee, bler_threshold=eps[k])
         want = _expected_solve(ev, lambdas, tied)
         assert want is not None and want[0] <= grid[k]
         assert min_power(ev, lambdas, tied) == want
+
+
+def test_min_power_at_the_smallest_tolerance(cfg46, fbl200, table_lookups):
+    # below 2^-52 a bracket of adjacent doubles may miss the tolerance; at
+    # 2^-52 ITP's own bound, 55 powers from the precheck bracket, ends it
+    with pytest.raises(ValueError, match="bisect_tol"):
+        EeConfig(bisect_tol=2.0 ** -53)
+    ee = EeConfig(p_max=10.0, bisect_tol=2.0 ** -52)
+    assert _search_bound(ee) == 55
+    ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200)
+    for n in (1, 4, 12):
+        del table_lookups[:]
+        lambdas = fas_spectrum(n, 0.5).lambdas
+        p2 = min_power(ev, lambdas, ee)[0]
+        # two lookups per power, one per link type
+        assert 0 < len(table_lookups) - 2 <= 2 * 55, n
+        assert ev.e2e_avg_tabulated(p2, lambdas) <= ee.bler_threshold
 
 
 def test_min_power_infeasible_looks_up_only_the_precheck(cfg46, fbl200,
