@@ -102,6 +102,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,9 +323,27 @@ def instantaneous_bler(gamma, rate: float, blocklength: int):
     return _as_result(out.reshape(g.shape))
 
 
+def _saturated(params: FblParams) -> float:
+    """A hop's average BLER at zero SNR, min(chi * width, 1): the surrogate
+    at every SNR up to rho_l."""
+    return min(params.chi * params.width, 1.0)
+
+
+def _limit_at_infinity(params: FblParams, vt: np.ndarray, avg):
+    """The one rule of both hop averages at vartheta = inf (an SNR scale
+    that underflows to 0), where their arithmetic would meet 0 * inf: the
+    limit `_saturated(params)` there, and avg(vt) at the finite entries of
+    the positive array vt."""
+    finite = vt < math.inf
+    out = np.full(vt.shape, _saturated(params))
+    out[finite] = avg(vt[finite])
+    return _as_result(out)
+
+
 def avg_bler_hop1(params: FblParams, vartheta, m1: int):
     """Average BLER of a single Nakagami hop with rate parameter vartheta
-    (a scalar or an array).
+    (a scalar or an array); at vartheta = inf, the limit min(chi * width,
+    1) (`_limit_at_infinity`).
 
     chi * int_{rho_l}^{rho_h} P(m, x t) dx has the exact antiderivative
     (chi/t) * H(x t) with H(z) = z P(m, z) - m P(m+1, z); the regularized
@@ -333,6 +352,9 @@ def avg_bler_hop1(params: FblParams, vartheta, m1: int):
     """
     vt = _positive(vartheta, "vartheta")
     m1 = _shape(m1, "m1")
+    if vt.size and vt.max() == math.inf:
+        return _limit_at_infinity(params, vt,
+                                  lambda v: avg_bler_hop1(params, v, m1))
 
     def h(z):
         return z * special.gammainc(m1, z) - m1 * special.gammainc(m1 + 1, z)
@@ -365,10 +387,16 @@ def avg_bler_hop2(params: FblParams, vartheta2, m2: int, lambdas):
     """Average BLER of the selected-port hop at rate parameter vartheta2
     (a scalar or an array): chi * int_{rho_l}^{rho_h} of the product of the
     branch CDFs P(m2, x vartheta2 / lambda_n), by the node table of the
-    module docstring plus the exact saturated remainder."""
+    module docstring plus the exact saturated remainder. At vartheta2 = inf
+    it is the limit min(chi * width, 1) (`_limit_at_infinity`), which a
+    ramp with rho_l > 0 reaches by the remainder alone and a clamped ramp
+    (rho_l = 0) would miss as 0 * inf."""
     vt = _positive(vartheta2, "vartheta2")
     m2 = _shape(m2, "m2")
     lams = _validated_lambdas(lambdas)
+    if vt.size and vt.max() == math.inf:
+        return _limit_at_infinity(params, vt,
+                                  lambda v: avg_bler_hop2(params, v, m2, lams))
     x_unit, w_unit = _node_table(params)
     sat = _saturation_z(m2)
     top = np.clip(sat * max(lams) / vt, params.rho_l, params.rho_h)
@@ -403,7 +431,8 @@ class Hop2Table:
     each panel holding the polynomial that interpolates log eps2 at its 32
     first-kind Chebyshev nodes, evaluated by the barycentric formula. A
     lookup first grows the table to the panels its points below vt_sat
-    meet; past vt_sat it returns the kernel's constant min(chi * width, 1).
+    meet; past vt_sat, and at vartheta = inf, it returns the kernel's
+    constant min(chi * width, 1).
     A NaN or non-positive vartheta raises ValueError. A value depends on
     (params, m2, lambdas, vartheta) only, not on the panels held or the
     order they were added in. `nodes` and `values` hold the sampled
@@ -413,7 +442,7 @@ class Hop2Table:
     def __init__(self, params: FblParams, m2: int, lambdas):
         self._params, self._m2 = params, _shape(m2, "m2")
         self._lambdas = _validated_lambdas(lambdas)
-        self.saturated = min(params.chi * params.width, 1.0)
+        self.saturated = _saturated(params)
         self.vt_sat, self._anchor = math.inf, 0.0
         if params.rho_l > 0.0:
             self.vt_sat = (_saturation_z(self._m2) * max(self._lambdas)
@@ -484,9 +513,12 @@ class Hop2Table:
         # a NaN is the min and fails the comparison
         if flat.size and not flat.min() > 0.0:
             raise ValueError("vartheta must be positive")
-        if flat.size and flat.max() > self.vt_sat:
+        # the largest vartheta interpolated: vt_sat, or the largest double
+        # where vt_sat = inf
+        top = min(self.vt_sat, sys.float_info.max)
+        if flat.size and flat.max() > top:
             out = np.full(flat.shape, self.saturated)
-            live = flat <= self.vt_sat
+            live = flat <= top
             out[live] = self._interpolate(flat[live])
         else:
             out = self._interpolate(flat)
@@ -693,11 +725,14 @@ class TrajectoryEvaluator:
     def hop2_varthetas(self, p2):
         """Hop-2 rate parameters m sigma^2 / (p2 beta2) at every node, for
         LoS then NLoS. A column of P powers, shape (P, 1), gives (P, nodes)
-        arrays whose rows hold the bits each power gives alone."""
+        arrays whose rows hold the bits each power gives alone. A power so
+        small that p2 beta2 underflows gives vartheta = inf, where the
+        kernels and tables take their limit min(chi * width, 1)."""
         if not np.all(np.asarray(p2) > 0):
             raise ValueError("p2 must be positive")
-        return tuple(self.cfg.nakagami_m(lt) * self.cfg.noise_power
-                     / (p2 * self.geo.beta2[lt]) for lt in LINK_TYPES)
+        with np.errstate(divide="ignore", over="ignore"):
+            return tuple(self.cfg.nakagami_m(lt) * self.cfg.noise_power
+                         / (p2 * self.geo.beta2[lt]) for lt in LINK_TYPES)
 
     def hop2_asymptotes(self, p2, lambdas):
         """`avg_bler_hop2_asymptotic` at `hop2_varthetas(p2)`, LoS then

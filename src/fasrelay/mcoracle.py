@@ -15,46 +15,51 @@ trial batches draw from spawned child streams (spawn key = batch index), so
 identical (seed, trials, batch) inputs give bit-identical estimates and
 pooling externally run batches reproduces the internal result.
 
-The order in which a batch consumes its stream is a contract: trajectory
-angles, hop-1 then hop-2 LoS uniforms, hop-1 gains (LoS trials, then NLoS),
-hop-2 gains (likewise, one branch or one Gaussian pair after another). So is
-the floating-point order of every per-trial operation: a rewrite of the
-batch arithmetic must reproduce the estimates bit for bit
-(`tests/test_mcoracle.py` pins them).
+Stream contract: a batch is cut into chunks of `_CHUNK` trials, and each
+chunk draws, evaluates and sums its own trials. A chunk of c trials takes
+from the batch generator one ``random((3, c))`` (its angles, as fractions
+of the circle that ``rng.uniform(0, 2 pi)`` would scale, then the hop-1
+and the hop-2 LoS uniforms), then the hop-1 gains of its LoS trials and of
+its NLoS trials, then the hop-2 gains in the same way. A ``model`` gain is
+the max over branches of one ``standard_gamma(m, (branches, k))`` draw,
+row n scaled by lambda_n / m (numpy's exact Marsaglia-Tsang sampler;
+at m = 1 the exponential fill that gives the same bits). A ``physical``
+gain draws, for each of its m vectors, one (2k, ports) standard normal
+block of the real and then the imaginary parts. The chunk forms each hop's
+SNRs in packed order (LoS trials, then NLoS trials), evaluates the BLERs
+there, and combines the hops as eps1 + eps2 (1 - eps1), which is eps2 to
+the bit where eps1 = 0.0; so only the trials with a nonzero hop-1 BLER
+are paired with their hop-2 slots. The batch returns the sums of the
+chunk sums, added in chunk order. `_CHUNK`, this order and the floating-
+point order of every per-trial operation are part of the contract:
+`tests/test_mcoracle.py` pins the estimates' bits.
 
-Angle lattice: every trial draws its own angle, as the fraction u in [0, 1)
-of the circle that ``rng.uniform(0, 2 pi)`` would scale, and reads the
-geometry (LoS probabilities and p beta / sigma^2 per link type) of node
-k = floor(u _ANGLES) of the midpoint lattice theta_k = 2 pi (k + 1/2) /
-_ANGLES, built once per batch. k is exact and each node has probability
-1/_ANGLES, so a batch is an unbiased estimate of the lattice mean of the
-trajectory integrand. The integrand is smooth and periodic in the angle,
-where the midpoint rule converges geometrically: on the closed-form BLER the
+Angle lattice: every trial draws its own angle and reads the geometry (LoS
+probabilities and p beta / sigma^2 per link type) of node k = floor(u
+_ANGLES) of the midpoint lattice theta_k = 2 pi (k + 1/2) / _ANGLES, built
+once per batch. k is exact and each node has probability 1/_ANGLES, so a
+batch is an unbiased estimate of the lattice mean of the trajectory
+integrand. The integrand is smooth and periodic in the angle, where the
+midpoint rule converges geometrically: on the closed-form BLER the
 4,096-node mean is within 5.6e-16 relative of the 65,536-node mean over 225
 configs (altitudes 20-800 m, p1 30-46 dBm, N = 1, 2, 8, p2 0-40 dBm), far
 below any standard error the engine reports.
 
-Batch memory: three float64 arrays of length n carry a `simulate_batch` of
-n trials, with two boolean LoS masks. The lattice reads, the gain draws,
-each trial's share of its hop's gains and the BLERs are formed over chunks
-of `_CHUNK` trials, whose temporaries stay in cache; only the two final sums
-run over whole arrays, because a chunked sum would round differently. In
-``model`` mode the tracemalloc peak is 3.80 arrays of length n (7.6 MB at
-n = 250,000; 14 arrays when every step ran over whole arrays). ``physical``
-mode draws each Gaussian block for all of a link type's trials at once,
-because its stream holds every real part before every imaginary part; it
-peaks at 10.6 arrays of length n at N = 2.
+Batch memory: a batch holds its lattice geometry and one chunk's draws,
+SNRs and BLERs, so its peak does not grow with n. Under tracemalloc a
+``model`` batch peaks at 2.7 MB at n = 250,000 and at n = 1,000,000, and a
+``physical`` batch at 3.1 MB with 2 ports and 7.9 MB with 12.
 
-Batch time: the geometry costs one evaluation on the lattice per batch,
-where an angle per trial spent about a third of a 250,000-trial ``model``
-batch in it (sin and cos alone take about 20 ns each per angle). A trial
-whose SNR reaches `instantaneous_bler`'s gamma_0 has a BLER of exactly 0.0
-and costs no Q evaluation. At the ``validate`` preset's 40 dBm and 100 m
-that is about 98% of the hop-1 trials, and about half (9 and 18 dBm) to
-three quarters (27 dBm) of the hop-2 trials. Each hop's packed gains return
-to trial order through index arrays, which take half the time of boolean
-masks at the preset's LoS shares (42% and 52%). What remains of a ``model``
-batch there is mostly the gain draws.
+Batch time: the geometry costs one evaluation on the lattice per batch. A
+trial whose SNR reaches `instantaneous_bler`'s gamma_0 has a BLER of
+exactly 0.0 and costs no Q evaluation: at the ``validate`` preset's 40 dBm
+and 100 m that is 98% of the hop-1 trials, and about half (9 and 18 dBm)
+to three quarters (27 dBm) of the hop-2 trials. On that preset's four
+250,000-trial batches (one BLAS thread) the LoS Gamma(5) gains take 31% of
+the time (`standard_gamma` at 22 ns a gain, against 27 ns for a sum of
+five exponentials -log1p(-u)), the Q evaluations 22%, the NLoS exponential
+gains 9%, the uniforms 9%, the LoS masks and packing 8%, the lattice
+gathers 7% and the pairing of the hops 6%.
 """
 
 from __future__ import annotations
@@ -70,8 +75,9 @@ from .geometry import LINK_TYPES, ScenarioConfig, trajectory_geometry
 
 MC_MODES = ("model", "physical")
 
-# rows per chunk of the batch arithmetic: a chunk's float64 temporaries
-# (128 KB each) stay in cache
+# trials per chunk of a batch: a chunk draws, evaluates and sums its own
+# trials, so the value is part of the stream contract; its float64
+# temporaries (128 KB each) stay in cache
 _CHUNK = 16_384
 
 # nodes of the trajectory angle lattice (module docstring); a power of 2, so
@@ -116,59 +122,54 @@ def substreams(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
-def _chunks(n: int):
-    """Slices of _CHUNK consecutive rows covering range(n)."""
-    return (slice(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK))
-
-
 def _node(turns: np.ndarray) -> np.ndarray:
     """Lattice node of each angle given as a fraction of the circle in
     [0, 1): floor(turns * _ANGLES), exact, since _ANGLES is a power of 2."""
     return np.multiply(turns, _ANGLES).astype(np.intp)
 
 
-def _gamma_unit_mean(m: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    # Sum of m exponential draws, scaled to unit mean: Gamma(m, 1/m). The
-    # columns are summed left to right, the order sum(axis=-1) takes.
-    u = rng.random((n, m))
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    np.negative(u, out=u)
-    if m == 1:
-        return u[:, 0]
-    total = u[:, 0] + u[:, 1]
-    for k in range(2, m):
-        total += u[:, k]
-    total /= m
-    return total
-
-
-def _branch_max(m: int, lambdas, rng: np.random.Generator,
-                out: np.ndarray) -> None:
-    """Write max_k lambda_k Gamma_k(m, 1/m) into out, one branch after
-    another for every row, _CHUNK rows at a time. Consecutive (c, m) draws
-    continue the stream of one draw for all rows, and max(-inf, x) = x, so
-    the bits are those of whole-array draws and a running max from -inf."""
-    for k, lam in enumerate(lambdas):
-        for s in _chunks(out.size):
-            branch = _gamma_unit_mean(m, rng, s.stop - s.start)
-            if k:
-                branch *= lam
-                np.maximum(out[s], branch, out=out[s])
-            else:
-                np.multiply(branch, lam, out=out[s])
-
-
 def sample_fas_gain_model(m2: int, lambdas, rng: np.random.Generator, size=None):
-    """Selected gain of the eigen-branch model: max_n lambda_n |g_n|^2."""
+    """Selected gain of the eigen-branch model: max_n lambda_n |g_n|^2 with
+    |g_n|^2 ~ Gamma(m2, 1/m2), from one `standard_gamma` draw of shape
+    (branches, size) whose row n is scaled by lambda_n / m2."""
     if m2 < 1 or int(m2) != m2:
         raise ValueError("m2 must be a positive integer")
-    lams = [float(l) for l in lambdas]
-    if not lams or any(l <= 0 for l in lams):
+    lams = np.array([float(l) for l in lambdas])
+    if not lams.size or not np.all(lams > 0):
         raise ValueError("lambdas must be non-empty and positive")
-    best = np.empty(size if size is not None else 1)
-    _branch_max(int(m2), lams, rng, best)
+    m = int(m2)
+    shape = (lams.size, size if size is not None else 1)
+    # standard_gamma(1) is the exponential ziggurat: these are its bits,
+    # from a fill loop that costs a fifth less
+    g = (rng.standard_exponential(shape) if m == 1
+         else rng.standard_gamma(m, shape))
+    g *= (lams / m)[:, None]
+    best = g.max(axis=0) if lams.size > 1 else g[0]
     return best if size is not None else float(best[0])
+
+
+def _coloring(j: np.ndarray) -> np.ndarray:
+    """C^T for a port coloring C C^T = j, from the eigenpairs of j."""
+    w, v = np.linalg.eigh(np.asarray(j, dtype=float))
+    return (v * np.sqrt(np.clip(w, 0.0, None))).T
+
+
+def _colored_max(m2: int, color_t: np.ndarray, rng: np.random.Generator,
+                 n: int) -> np.ndarray:
+    """The best port's power, averaged over m2 colored circular complex
+    normal vectors, for n trials. Each vector takes one (2n, ports) standard
+    normal block: the real parts of the n trials, then their imaginary
+    parts, colored by one real product; a part of unit variance carries
+    twice the power of a unit-mean circular one."""
+    power = np.zeros((n, color_t.shape[0]))
+    for _ in range(m2):
+        h = rng.standard_normal((2 * n, color_t.shape[0])) @ color_t
+        np.square(h, out=h)
+        power += h[:n]
+        power += h[n:]
+    best = power.max(axis=1)
+    best /= 2 * m2
+    return best
 
 
 def sample_fas_gain_physical(m2: int, j: np.ndarray, rng: np.random.Generator,
@@ -183,23 +184,8 @@ def sample_fas_gain_physical(m2: int, j: np.ndarray, rng: np.random.Generator,
     """
     if m2 < 1 or int(m2) != m2:
         raise ValueError("m2 must be a positive integer")
-    j = np.asarray(j, dtype=float)
-    n_ports = j.shape[0]
-    w, v = np.linalg.eigh(j)
-    color = v * np.sqrt(np.clip(w, 0.0, None))
-    n = size if size is not None else 1
-    power = np.zeros((n, n_ports))
-    g = np.empty((n, n_ports), dtype=complex)
-    re_im = g.view(float).reshape(n, n_ports, 2)
-    for _ in range(int(m2)):
-        re_im[..., 0] = rng.standard_normal((n, n_ports))
-        re_im[..., 1] = rng.standard_normal((n, n_ports))
-        re_im *= math.sqrt(0.5)
-        h = np.abs(g @ color.T)
-        np.square(h, out=h)
-        power += h
-    power /= m2
-    best = power.max(axis=1)
+    best = _colored_max(int(m2), _coloring(j), rng,
+                        size if size is not None else 1)
     return best if size is not None else float(best[0])
 
 
@@ -211,74 +197,68 @@ def simulate_batch(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
     Returns (sum, sum of squares, n) of the per-trial end-to-end error
     probabilities, so externally run batches pool to exactly the estimate
     `mc_average_bler` produces with the same stream partitioning. The
-    ``physical`` mode colors the ports by the Jakes matrix of fas.
+    ``physical`` mode colors the ports by the Jakes matrix of fas. Each
+    chunk of _CHUNK trials draws, evaluates and sums its own trials (module
+    docstring).
     """
-    # three trial-length buffers carry the batch: snr1 holds the angles (as
-    # fractions of the circle) and then the hop-1 SNRs, snr2 the hop-1 LoS
-    # uniforms and then the hop-2 SNRs, work the hop-2 LoS uniforms, then
-    # each hop's gains, then the BLERs. rng.random draws the values
-    # rng.uniform(0, 2 pi) would scale to the angles.
-    snr1 = rng.random(n)
-    snr2 = rng.random(n)
-    work = rng.random(n)
-    los = (np.empty(n, dtype=bool), np.empty(n, dtype=bool))
-    # gamma = p * beta / sigma^2 * g, in that operation order; per hop, a
-    # table of the LoS and then the NLoS p * beta / sigma^2 of every node
     geo = trajectory_geometry(cfg, (np.arange(_ANGLES) + 0.5)
                               * (2.0 * math.pi / _ANGLES))
-    scales = [np.concatenate([np.multiply(beta[lt], p) / cfg.noise_power
-                              for lt in LINK_TYPES])
-              for beta, p in ((geo.beta1, cfg.p1), (geo.beta2, p2))]
-    for s in _chunks(n):
-        node = _node(snr1[s])
-        np.less(snr2[s], geo.p_los1[node], out=los[0][s])
-        np.less(work[s], geo.p_los2[node], out=los[1][s])
-        for snr, mask, scale in ((snr1, los[0], scales[0]),
-                                 (snr2, los[1], scales[1])):
-            # an NLoS trial reads the second half of the scale table
-            at = np.logical_not(mask[s]).astype(np.intp)
-            at *= _ANGLES
-            at += node
-            np.take(scale, at, out=snr[s])
-    del geo, scales  # not held through the gain draws
+    # per hop: the LoS probability of every node, and p beta / sigma^2 of
+    # every node per link type (gamma = p beta / sigma^2 * g, in that order)
+    hops = [(p_los, [np.multiply(beta[lt], p) / cfg.noise_power
+                     for lt in LINK_TYPES])
+            for p_los, beta, p in ((geo.p_los1, geo.beta1, cfg.p1),
+                                   (geo.p_los2, geo.beta2, p2))]
+    shapes = [cfg.nakagami_m(lt) for lt in LINK_TYPES]
+    # per hop: the gains of k trials of a link type's shape m
+    if fixed_gains is not None:
+        draws = [lambda m, k, g=float(g): np.full(k, g) for g in fixed_gains]
+    elif mode == "model":
+        draws = [lambda m, k, lams=lams: sample_fas_gain_model(m, lams, rng, k)
+                 for lams in ((1.0,), fas.lambdas)]
+    else:
+        color_t = _coloring(jakes_matrix(fas.n_ports, fas.aperture))
+        draws = [lambda m, k: sample_fas_gain_model(m, (1.0,), rng, k),
+                 lambda m, k: _colored_max(m, color_t, rng, k)]
 
-    for hop, (snr, mask) in enumerate(zip((snr1, snr2), los)):
-        # the hop's gains packed in work: its LoS trials in order, then its
-        # NLoS trials
-        split = int(np.count_nonzero(mask))
-        for lt, part in (("los", work[:split]), ("nlos", work[split:])):
-            m = cfg.nakagami_m(lt)
-            if fixed_gains is not None:
-                part.fill(float(fixed_gains[hop]))
-            elif hop == 0 or mode == "model":
-                _branch_max(m, fas.lambdas if hop else (1.0,), rng, part)
-            elif part.size:
-                part[:] = sample_fas_gain_physical(
-                    m, jakes_matrix(fas.n_ports, fas.aperture), rng, part.size)
-        # each trial's SNR times its own gain; index arrays scatter a chunk
-        # at a mixed LoS share in half the time of boolean masks
-        los_at, nlos_at = 0, split
-        for s in _chunks(n):
-            sel = mask[s]
-            k = int(np.count_nonzero(sel))
-            g = np.empty(sel.size)
-            g[np.flatnonzero(sel)] = work[los_at:los_at + k]
-            g[np.flatnonzero(~sel)] = work[nlos_at:nlos_at + sel.size - k]
-            snr[s] *= g
-            los_at += k
-            nlos_at += sel.size - k
-
-    # eps_t = 1 - (1 - eps1)(1 - eps2), into work
-    for s in _chunks(n):
-        eps_t = instantaneous_bler(snr1[s], fbl.rate, fbl.blocklength)
-        eps2 = instantaneous_bler(snr2[s], fbl.rate, fbl.blocklength)
-        np.subtract(1.0, eps_t, out=eps_t)
-        np.subtract(1.0, eps2, out=eps2)
-        eps_t *= eps2
-        np.subtract(1.0, eps_t, out=work[s])
-    # whole-array sums: a chunked sum would change the pairwise summation
-    np.multiply(work, work, out=snr1)
-    return float(work.sum()), float(snr1.sum()), n
+    total = total_sq = 0.0
+    for start in range(0, n, _CHUNK):
+        c = min(_CHUNK, n - start)
+        # the angles as fractions of the circle (the values
+        # rng.uniform(0, 2 pi) would scale), then each hop's LoS uniforms
+        turns, *uniforms = rng.random((3, c))
+        node = _node(turns)
+        packed = []
+        for (p_los, scale), u, draw in zip(hops, uniforms, draws):
+            los = u < p_los[node]
+            trials = (np.flatnonzero(los), np.flatnonzero(~los))
+            # the hop's SNRs packed: its LoS trials in order, then its NLoS
+            # trials
+            snr = np.empty(c)
+            part = np.split(snr, [trials[0].size])
+            for at, m, sc, out in zip(trials, shapes, scale, part):
+                np.take(sc, node[at], out=out)
+                out *= draw(m, at.size)
+            packed.append((instantaneous_bler(snr, fbl.rate, fbl.blocklength),
+                           los, trials))
+        (eps1, _, trials1), (eps_t, los2, trials2) = packed
+        # eps_t = eps1 + eps2 (1 - eps1) is eps2 itself where eps1 = 0.0, so
+        # only the trials of the nonzero hop-1 BLERs are paired: each finds
+        # its hop-2 slot from the hop-2 LoS trials before it
+        hit = np.flatnonzero(eps1)
+        if hit.size:
+            split = np.searchsorted(hit, trials1[0].size)
+            trial = np.concatenate((trials1[0][hit[:split]],
+                                    trials1[1][hit[split:] - trials1[0].size]))
+            before = np.searchsorted(trials2[0], trial)
+            slot = np.where(los2[trial], before,
+                            trials2[0].size + trial - before)
+            e1 = eps1[hit]
+            eps_t[slot] = e1 + eps_t[slot] * (1.0 - e1)
+        total += float(eps_t.sum())
+        np.square(eps_t, out=eps_t)
+        total_sq += float(eps_t.sum())
+    return total, total_sq, n
 
 
 def mc_average_bler(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,

@@ -332,12 +332,13 @@ def surrogate_mc_bler(cfg, lambdas, fbl, p2, seed, trials, batch):
     Per trial the surrogate is chi * (rho_h - clip(snr, rho_l, rho_h)), whose
     expectation is chi * int_{rho_l}^{rho_h} F(x) dx for any SNR law F.
     Channels are drawn only through the public samplers, batch by batch from
-    SeedSequence(seed).spawn children, in the stream order of the simulation
-    engine's model mode. The geometry is evaluated at each drawn angle
+    SeedSequence(seed).spawn children, in a whole-batch order of its own:
+    every angle, the hop-1 and then the hop-2 LoS uniforms, then each hop's
+    gains (LoS trials, then NLoS). The simulation engine draws the same
+    quantities chunk by chunk, so the two share the distribution of a
+    trial, not its stream. The geometry is evaluated at each drawn angle
     itself, not at the engine's lattice node, so the analytic-vs-surrogate
-    check does not rest on the lattice; a trial whose LoS uniform falls
-    between its angle's and its node's LoS probability takes the other link
-    state here, and the later fading draws of that hop go to other trials.
+    check does not rest on the lattice.
     """
     def ramp(snr):
         return fbl.chi * (fbl.rho_h - np.clip(snr, fbl.rho_l, fbl.rho_h))

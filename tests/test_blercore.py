@@ -629,8 +629,42 @@ def test_hop2_table_with_no_panels_saturates(fbl100):
     clamped = linearize(0.02, 100)
     _check_growing_lookup(lambda: Hop2Table(clamped, 1, lams), 1e8,
                           range(8, 9))
-    with pytest.raises(ValueError):
-        Hop2Table(clamped, 1, lams)(math.inf)
+    # at vartheta = inf a clamped ramp's table, like the kernel, reads the
+    # saturated value and grows no panel
+    at_inf = Hop2Table(clamped, 1, lams)
+    assert at_inf(math.inf) == avg_bler_hop2(clamped, math.inf, 1, lams)
+    assert at_inf(math.inf) == at_inf.saturated
+    assert at_inf.nodes.size == 0
+
+
+@pytest.mark.parametrize("payload", [2, 80], ids=["clamped", "capped"])
+def test_infinite_vartheta_reads_the_saturated_value(payload):
+    # an SNR scale that underflows to 0 gives vartheta = inf: both kernels
+    # and the table read their limit min(chi width, 1) there, with no
+    # warning, and every finite entry keeps the bits of its own call
+    fbl = linearize(payload / 100, 100)
+    saturated = min(fbl.chi * fbl.width, 1.0)
+    vt = np.array([[0.5, math.inf], [math.inf, 3.0]])
+    lams = (1.3, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1, 5):
+            for got, alone in (
+                    (avg_bler_hop1(fbl, vt, m),
+                     lambda v: avg_bler_hop1(fbl, v, m)),
+                    (avg_bler_hop2(fbl, vt, m, lams),
+                     lambda v: avg_bler_hop2(fbl, v, m, lams)),
+                    (Hop2Table(fbl, m, lams)(vt),
+                     lambda v: Hop2Table(fbl, m, lams)(v))):
+                assert got.shape == vt.shape
+                assert got[0, 1] == got[1, 0] == alone(math.inf) == saturated
+                assert got[0, 0] == alone(0.5) and got[1, 1] == alone(3.0)
+        # a subnormal relay power: every hop-2 vartheta overflows to inf
+        ev = TrajectoryEvaluator(ScenarioConfig(), fbl, 16)
+        assert all(np.all(vt == math.inf) for vt in ev.hop2_varthetas(1e-313))
+        direct = ev.e2e_avg(1e-313, lams)
+        assert direct == ev.e2e_avg_tabulated(1e-313, lams)
+        assert direct == ev.average(ev.end_to_end(np.full(16, saturated)))
 
 
 def test_hop2_table_value_does_not_depend_on_its_range():

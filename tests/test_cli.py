@@ -823,10 +823,11 @@ def _log_uniform(rng, lo, hi):
 def _random_valid_config(rng, command):
     """A small config of the command, with scenario constants drawn from the
     ranges of the run-time fuzzing probe behind the ROADMAP item on
-    contracts at every valid input, and p_max from 0 to 80 dBm. validate
-    draws trials across up to three row chunks of the Monte Carlo batch and
-    a batch size that may leave a partial last batch, at most 64
-    batches."""
+    contracts at every valid input, and p_max from 0 to 80 dBm. A sweep's
+    second relay power is as often an extreme one, down to -3200 dBm, where
+    the hop-2 vartheta overflows to inf. validate draws trials across up to
+    three chunks of the Monte Carlo batch and a batch size that may leave a
+    partial last batch, at most 64 batches."""
     lines = [f"p1 = {rng.uniform(-20, 80)!r} dBm",
              f"noise_power = {rng.uniform(-150, -60)!r} dBm",
              f"uav_altitude = {_log_uniform(rng, 1, 1e4)!r}",
@@ -840,8 +841,9 @@ def _random_valid_config(rng, command):
              f"blocklength = {rng.randint(10, 1000)}",
              f"n_ports = {rng.randint(1, 6)}"]
     if command in ("bler-sweep", "validate"):
-        lines.append("sweep_p2_dbm = " + ", ".join(
-            repr(rng.uniform(-20, 60)) for _ in range(2)))
+        second = (rng.uniform(-3200, -20) if rng.random() < 0.5
+                  else rng.uniform(-20, 60))
+        lines.append(f"sweep_p2_dbm = {rng.uniform(-20, 60)!r}, {second!r}")
     if command == "validate":
         trials = rng.randint(1, 3 * _CHUNK)
         lines += [f"trials = {trials}",
@@ -864,35 +866,50 @@ _RULE_AVERAGED = ("bler_analytic", "bler_hop1", "bler_hop2", "bler_e2e_asym",
                   "error_floor")
 
 
-def test_random_valid_configs_through_main(tmp_path, capsys):
-    # every run writes finite cells and probabilities in [0, 1], or exits 1
-    # with "error:". A trajectory average reads up to the sum of the rule's
-    # weights, (pi / 2M) / sin(pi / 2M) > 1, where all its nodes saturate
-    # (the known defect of chebyshev_nodes; 1.11 at M = 2)
-    rng = random.Random(2026)
-    conf, out = tmp_path / "c.conf", tmp_path / "c.csv"
+# a subnormal relay power (1e-313 W) on a clamped ramp: the hop-2 vartheta
+# is inf, where the kernels' arithmetic would meet 0 * inf
+_INFINITE_VARTHETA = ("payload_bits = 2\nblocklength = 100\n"
+                      "sweep_p2_dbm = -3100, 10\ntraj_nodes = 16\n")
+
+
+def _configs(rng):
+    yield "bler-sweep", _INFINITE_VARTHETA
     for _ in range(16):
         for command in ("bler-sweep", "power-vs-altitude", "optimize",
                         "validate"):
-            text = _random_valid_config(rng, command)
-            conf.write_text(text)
-            out.unlink(missing_ok=True)
+            yield command, _random_valid_config(rng, command)
+
+
+def test_random_valid_configs_through_main(tmp_path, capsys):
+    # every run writes finite cells and probabilities in [0, 1], with
+    # nothing on stderr and no warning, or exits 1 with "error:". A
+    # trajectory average reads up to the sum of the rule's weights,
+    # (pi / 2M) / sin(pi / 2M) > 1, where all its nodes saturate (the known
+    # defect of chebyshev_nodes; 1.11 at M = 2)
+    conf, out = tmp_path / "c.conf", tmp_path / "c.csv"
+    for command, text in _configs(random.Random(2026)):
+        conf.write_text(text)
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([command, "--config", str(conf), "--out", str(out)])
-            err = capsys.readouterr().err
-            if code != 0:
-                assert code == 1 and err.startswith("error:"), (text, err)
-                continue
-            nodes = int(parse_config(text, command).traj_nodes)
-            weight_sum = float(chebyshev_nodes(nodes)[1].sum())
-            for row in read_rows(out):
-                for col, cell in row.items():
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        continue
-                    assert math.isfinite(value), (text, col, cell)
-                    if col == "bler_mc":
-                        assert 0.0 <= value <= 1.0, (text, cell)
-                    if col in _RULE_AVERAGED:
-                        assert 0.0 <= value <= weight_sum * (1.0 + 1e-14), (
-                            text, col, cell)
+        err = capsys.readouterr().err
+        if code != 0:
+            assert code == 1 and err.startswith("error:"), (text, err)
+            continue
+        assert err == "", (text, err)
+        assert not caught, (text, [str(w.message) for w in caught])
+        nodes = int(parse_config(text, command).traj_nodes)
+        weight_sum = float(chebyshev_nodes(nodes)[1].sum())
+        for row in read_rows(out):
+            for col, cell in row.items():
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (text, col, cell)
+                if col == "bler_mc":
+                    assert 0.0 <= value <= 1.0, (text, cell)
+                if col in _RULE_AVERAGED:
+                    assert 0.0 <= value <= weight_sum * (1.0 + 1e-14), (
+                        text, col, cell)

@@ -62,11 +62,18 @@ def test_ks_statistic_matches_pointwise_cdf():
 
 def test_fas_gain_model_single_branch_matches_hop1():
     n = 200_000
-    # one unit branch is the hop-1 gain Gamma(3, 1/3): the mean of three unit
-    # exponentials -log1p(-u), drawn in 13 chunks with the bits of one draw
+    # one unit branch is the hop-1 gain Gamma(3, 1/3): numpy's Gamma(3)
+    # sampler, scaled by 1/3; at m = 1 the exponential sampler gives the
+    # bits of standard_gamma(1)
     a = sample_fas_gain_model(3, (1.0,), _rng(5), n)
-    u = -np.log1p(-_rng(5).random((n, 3)))
-    assert np.array_equal(a, (u[:, 0] + u[:, 1] + u[:, 2]) / 3)
+    assert np.array_equal(a, _rng(5).standard_gamma(3, (1, n))[0] * (1 / 3))
+    b = sample_fas_gain_model(1, (1.0,), _rng(6), n)
+    assert np.array_equal(b, _rng(6).standard_gamma(1, n))
+    # two branches: the larger of the scaled rows of one (2, n) draw
+    lams = (1.5, 0.5)
+    c = sample_fas_gain_model(2, lams, _rng(7), n)
+    g = _rng(7).standard_gamma(2, (2, n))
+    assert np.array_equal(c, np.maximum(g[0] * (1.5 / 2), g[1] * (0.5 / 2)))
 
 
 def test_fas_gain_model_dominance():
@@ -295,7 +302,7 @@ def test_simulate_batch_builds_the_lattice_geometry_once(urban, fbl100,
         return trajectory_geometry(cfg, theta)
 
     monkeypatch.setattr(mcoracle, "trajectory_geometry", counted)
-    # three row chunks of the batch arithmetic
+    # three chunks of the batch
     mcoracle.simulate_batch(urban, fas_spectrum(2, 0.5), fbl100, 0.01, mode,
                             _rng(8), 40_000, fixed)
     assert len(angles) == 1
@@ -319,15 +326,15 @@ def test_mc_matches_analytic_within_sampling_noise(urban, fbl100):
 
 # (sum, sum of squares) of one 20,000-trial batch at p2 = 0.01 W on the
 # PCG64(2024) stream, each trial's geometry read at the node of its angle on
-# the 4,096-node lattice. The stream order and the floating-point order of
-# every per-trial operation are part of the contract: a rewrite of the batch
-# arithmetic must reproduce these bits.
+# the 4,096-node lattice. The per-chunk stream order and the floating-point
+# order of every per-trial operation and of the chunk sums are part of the
+# contract: a rewrite of the batch arithmetic must reproduce these bits.
 _PINNED_BATCHES = {
     # (ports, mode, fixed_gains): (sum, sum of squares)
-    (2, "model", None): ("0x1.018a612138269p+11", "0x1.b9bdf5b3c04f3p+10"),
-    (8, "model", None): ("0x1.b7c0b8945f3a9p+7", "0x1.60f8d896a2a7ap+7"),
-    (4, "physical", None): ("0x1.3556a340f4dd3p+10", "0x1.f57103e4a5b3ap+9"),
-    (2, "model", (0.3, 0.1)): ("0x1.2ae7fffd80662p+13", "0x1.2ae7fffb00cc3p+13"),
+    (2, "model", None): ("0x1.021d478f87b39p+11", "0x1.b934d31de0bc4p+10"),
+    (8, "model", None): ("0x1.ad44ade9d00fdp+7", "0x1.4cdb09ddcf32ep+7"),
+    (4, "physical", None): ("0x1.480ee789d5ebap+10", "0x1.0aee0a8be2346p+10"),
+    (2, "model", (0.3, 0.1)): ("0x1.2ea7fffdb25eap+13", "0x1.2ea7fffb64bd4p+13"),
 }
 
 
@@ -344,27 +351,27 @@ def test_simulate_batch_bits_are_pinned(urban, fbl100):
                           McConfig(seed=77, trials=30_000, batch=20_000))
     assert est.trials == 30_000
     assert (est.mean.hex(), est.std_error.hex()) == (
-        "0x1.9d22cbdcd55afp-4", "0x1.9f9bc7cca7952p-10")
+        "0x1.ab37de63ebbffp-4", "0x1.a7a535f164960p-10")
 
 
-# (sum, sum of squares) of batches that span several row chunks of the batch
-# arithmetic (the validate preset's 250,000-trial batch; 65,537 trials ends
-# in a one-trial chunk) and of one- and two-trial batches, on the PCG64(2024)
-# stream, as the lattice batch produces them.
+# (sum, sum of squares) of batches that span several chunks (the validate
+# preset's 250,000-trial batch; 65,537 trials ends in a one-trial chunk) and
+# of one- and two-trial batches, on the PCG64(2024) stream, as the chunked
+# lattice batch produces them.
 _PINNED_LONG_AND_SHORT_BATCHES = {
     # (trials, ports, mode, fixed_gains, p2 in W): (sum, sum of squares)
     (250_000, 2, "model", None, 0.01): (
-        "0x1.9066169dff292p+14", "0x1.55a932304b57cp+14"),
+        "0x1.911dfb02798c1p+14", "0x1.56650b68e4de9p+14"),
     (65_537, 8, "model", None, 0.01): (
-        "0x1.64b3e73b71146p+9", "0x1.1c2af01defbbep+9"),
+        "0x1.6260c3af7425ep+9", "0x1.1ac6a286720f1p+9"),
     (65_537, 4, "physical", None, 0.01): (
-        "0x1.061fdb63d66afp+12", "0x1.aa6f0ea33a354p+11"),
+        "0x1.05af17fa360ffp+12", "0x1.aafbb9ed3e767p+11"),
     (65_537, 2, "model", (0.3, 0.1), 0.01): (
-        "0x1.f0d7fffbfeed0p+14", "0x1.f0d7fff7fdda1p+14"),
+        "0x1.efabfffbfce57p+14", "0x1.efabfff7f9cacp+14"),
     (1, 2, "model", None, 1e-4): (
-        "0x1.897b3c7da0000p-18", "0x1.2e65cd8672217p-35"),
+        "0x1.0a9b8d1720126p-32", "0x1.15a79fb836698p-64"),
     (2, 2, "model", None, 1e-4): (
-        "0x1.000000000209ap+0", "0x1.0000000000000p+0"),
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
 }
 
 
@@ -382,17 +389,18 @@ def test_simulate_batch_bits_are_pinned_long_and_short(urban, fbl100, case):
 
 # (sum, sum of squares) of batches where the per-trial BLERs are 0.0 for most
 # trials and the LoS shares are lopsided, on the PCG64(2024) stream, as the
-# lattice batch produces them: at 400 m the LoS shares are 0.98 on both hops,
-# and at p2 = 100 W one hop-2 BLER of the batch is not 0.0 (3e-277), so the
-# hop-2 call of the last row chunk skips every Q evaluation.
+# chunked lattice batch produces them: at 400 m the LoS shares are 0.98 on
+# both hops, and at p2 = 100 W every hop-2 BLER of the batch is 0.0, so both
+# hop-2 calls skip every Q evaluation, while 1.8% of the hop-1 BLERs are not
+# 0.0 and are paired with their trials' hop-2 BLERs.
 _PINNED_HIGH_SNR_BATCHES = {
     # (trials, ports, mode, altitude in m, p2 in W): (sum, sum of squares)
     (65_537, 2, "model", 400.0, 0.01): (
-        "0x1.45a52781d694cp+10", "0x1.3a524f760dee8p+10"),
+        "0x1.45825c38309f8p+10", "0x1.39846f07a77c3p+10"),
     (20_000, 4, "physical", 400.0, 0.01): (
-        "0x1.539fb9f0b9948p+8", "0x1.43a0125aadc1fp+8"),
+        "0x1.8030ae8ee3335p+8", "0x1.6d66931b1a8fep+8"),
     (20_000, 2, "model", 100.0, 100.0): (
-        "0x1.9f02509115d2fp+1", "0x1.601086a5c5d34p+1"),
+        "0x1.def8f42ff3619p+0", "0x1.9b6782d4fedecp+0"),
 }
 
 
@@ -403,7 +411,7 @@ def test_simulate_batch_bits_are_pinned_at_high_snr(urban, fbl100, case,
     from fasrelay import mcoracle
     trials, n_ports, mode, altitude, p2 = case
     cfg = replace(urban, uav_altitude=altitude)
-    # the batch evaluates hop 1 and then hop 2 per row chunk
+    # the batch evaluates hop 1 and then hop 2 per chunk
     blers = []
 
     def recorded(gamma, rate, blocklength):
@@ -418,26 +426,93 @@ def test_simulate_batch_bits_are_pinned_at_high_snr(urban, fbl100, case,
     hop1, hop2 = (np.concatenate(blers[hop::2]) for hop in (0, 1))
     assert hop1.size == hop2.size == trials
     if p2 == 100.0:
-        assert np.count_nonzero(hop2) == 1
-        assert not blers[-1].any()
+        assert not hop2.any()
+        assert np.count_nonzero(hop1) == 358
     else:
         geo = trajectory_geometry(cfg, np.linspace(0.0, 2.0 * math.pi, 1001))
         assert min(geo.p_los1.mean(), geo.p_los2.mean()) > 0.97
 
 
-def test_simulate_batch_memory_peak(urban, fbl100):
-    # one 250,000-trial model batch holds at most 4.5 trial-length float64
-    # arrays at once (3.80 measured): three trial-length buffers and two
-    # LoS masks carry the batch, the geometry is that of 4,096 lattice
-    # nodes, and the gathers, gains and BLERs are formed in row chunks
-    # whose temporaries are 16,384 elements each
+def _trial_order_batch(cfg, fas, fbl, p2, mode, rng, n, fixed_gains=None):
+    """(sum, sum of squares) of the batch's stream, each trial's end-to-end
+    BLER formed in trial order through boolean masks and summed by
+    math.fsum."""
+    from fasrelay.mcoracle import _ANGLES, _CHUNK
+    geo = trajectory_geometry(cfg, (np.arange(_ANGLES) + 0.5)
+                              * (2.0 * math.pi / _ANGLES))
+    eps = []
+    for start in range(0, n, _CHUNK):
+        c = min(_CHUNK, n - start)
+        u = rng.random((3, c))
+        node = (u[0] * _ANGLES).astype(int)
+        hops = []
+        for hop, (p_los, beta, p) in enumerate((
+                (geo.p_los1, geo.beta1, cfg.p1), (geo.p_los2, geo.beta2, p2))):
+            los = u[1 + hop] < p_los[node]
+            snr = np.empty(c)
+            for lt, mask in (("los", los), ("nlos", ~los)):
+                k, m = int(mask.sum()), cfg.nakagami_m(lt)
+                if fixed_gains is not None:
+                    g = np.full(k, fixed_gains[hop])
+                elif hop == 0:
+                    g = sample_fas_gain_model(m, (1.0,), rng, k)
+                elif mode == "model":
+                    g = sample_fas_gain_model(m, fas.lambdas, rng, k)
+                else:
+                    g = sample_fas_gain_physical(
+                        m, jakes_matrix(fas.n_ports, fas.aperture), rng, k)
+                snr[mask] = np.multiply(beta[lt][node[mask]], p) \
+                    / cfg.noise_power * g
+            hops.append(instantaneous_bler(snr, fbl.rate, fbl.blocklength))
+        eps.append(hops[0] + hops[1] * (1.0 - hops[0]))
+    eps = np.concatenate(eps)
+    return math.fsum(eps), math.fsum(eps * eps)
+
+
+@pytest.mark.parametrize("case", [
+    (40_000, 2, "model", None, 0.01, 100.0),
+    (40_000, 4, "physical", None, 0.01, 100.0),
+    (40_000, 2, "model", (0.3, 0.1), 0.01, 100.0),
+    (33_000, 8, "model", None, 1e-3, 400.0),
+    (3, 2, "model", None, 1e-4, 100.0),
+], ids=lambda c: f"{c[0]}-trials-{c[2]}-N{c[1]}-{c[5]:.0f}m"
+    + ("-fixed-gains" if c[3] else ""))
+def test_simulate_batch_matches_a_trial_order_reference(urban, fbl100, case):
+    # a chunk packs each hop's trials by link state and pairs the hops only
+    # where the hop-1 BLER is not 0.0; on the same stream, the trial-order
+    # formula over boolean masks gives the same sums to rounding
     from fasrelay.mcoracle import simulate_batch
-    n = 250_000
-    fas = fas_spectrum(2, 0.5)
+    n, n_ports, mode, fixed, p2, altitude = case
+    cfg = replace(urban, uav_altitude=altitude)
+    fas = fas_spectrum(n_ports, 0.5)
+    s, sq, _ = simulate_batch(cfg, fas, fbl100, p2, mode, _rng(3), n, fixed)
+    ref_s, ref_sq = _trial_order_batch(cfg, fas, fbl100, p2, mode, _rng(3), n,
+                                       fixed)
+    assert s == pytest.approx(ref_s, rel=1e-13)
+    assert sq == pytest.approx(ref_sq, rel=1e-13)
+
+
+def _batch_peak(cfg, fbl, mode, n_ports, n):
+    """tracemalloc peak of one simulate_batch, in bytes."""
+    from fasrelay.mcoracle import simulate_batch
+    fas = fas_spectrum(n_ports, 0.5)
     tracemalloc.start()
     try:
-        simulate_batch(urban, fas, fbl100, 0.01, "model", _rng(5), n)
-        peak = tracemalloc.get_traced_memory()[1]
+        simulate_batch(cfg, fas, fbl, 0.01, mode, _rng(5), n)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * n * 8
+
+
+def test_simulate_batch_memory_peak(urban, fbl100):
+    # a chunk of 16,384 trials holds its own draws, SNRs and BLERs, and the
+    # geometry is that of 4,096 lattice nodes, so the peak does not grow
+    # with the batch: 2.68 MB measured at 250,000 and at 1,000,000 trials
+    for n in (250_000, 1_000_000):
+        assert _batch_peak(urban, fbl100, "model", 2, n) <= 3.5e6, n
+
+
+def test_simulate_batch_memory_peak_physical(urban, fbl100):
+    # physical mode colors one chunk's Gaussian ports at a time: 7.9 MB
+    # measured at 12 ports and 250,000 trials
+    assert _batch_peak(urban, fbl100, "physical", 12, 250_000) <= 20e6

@@ -191,3 +191,29 @@ def test_compare_prints_the_moves_of_a_doctored_file(bench, capsys):
     del lacking["presets"]["a"]["values"]
     assert not bench.compare(_valued(doctored), lacking)
     assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_compare_a_config_schema_change(bench, capsys):
+    # a .meta that differs only in config_sha256 (a config key added or
+    # removed) leaves the verdict identical and names the digests on a line
+    # of their own; any other .meta entry still differs
+    values = {"csv": {"bler_analytic": ["0.25"]},
+              "meta": {"config_sha256": "aa", "rows": "1"}}
+    other = _valued(values)
+    ours = _valued({**values, "meta": {**values["meta"],
+                                       "config_sha256": "bb"}})
+    ours["presets"]["a"]["sha256"] = {"csv": other["presets"]["a"]["sha256"][
+        "csv"], "meta": "n"}
+    assert bench.compare(ours, other)
+    out = capsys.readouterr().out.splitlines()
+    assert "identical" in out[0]
+    assert out[1:] == ["    config_sha256: aa -> bb (config schema)"]
+    ours["presets"]["a"]["values"]["meta"]["rows"] = "2"
+    assert not bench.compare(ours, other)
+    out = capsys.readouterr().out.splitlines()
+    assert "differs: meta " in out[0]
+    assert "config_sha256" in out[-1] and "rows" in out[-1]
+    # without recorded values the change cannot be told apart
+    del ours["presets"]["a"]["values"]
+    assert not bench.compare(ours, other)
+    assert "differs: meta " in capsys.readouterr().out

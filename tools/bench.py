@@ -23,6 +23,11 @@ two files record different python, numpy or scipy versions it first prints
 one ``note:`` line naming them, since bits may legitimately differ across
 library versions; the exit code still depends only on the comparison.
 
+A preset whose CSV is identical and whose ``.meta`` differs only in
+``config_sha256`` (the digest of the fully rendered config, which changes
+with the set of config keys) reads ``identical``, with that change on an
+indented line of its own: a config-schema change is not an output change.
+
 Under a preset that differs and whose values both files hold, indented
 lines say what moved. For each column class present it prints the largest
 relative move |a - b| / max(|a|, |b|) and its column, or ``identical``; a
@@ -252,14 +257,31 @@ def compare(ours: dict, other: dict) -> bool:
             continue
         differs = [part for part in ("csv", "meta")
                    if a["sha256"][part] != b["sha256"][part]]
+        schema = differs == ["meta"] and _schema_only(a, b)
+        if schema:
+            differs = []
         same &= not differs
         verdict = f"differs: {', '.join(differs)}" if differs else "identical"
         print(f"{name:24s} {verdict:18s} "
               f"{b['wall_s_median']:7.2f} s -> {a['wall_s_median']:7.2f} s  "
               f"{_rss(b)} -> {_rss(a)}")
+        if schema:
+            print(f"    config_sha256: {b['values']['meta']['config_sha256']}"
+                  f" -> {a['values']['meta']['config_sha256']} (config "
+                  "schema)")
         if differs and "values" in a and "values" in b:
             print("\n".join(value_moves(a["values"], b["values"])))
     return same
+
+
+def _schema_only(ours: dict, other: dict) -> bool:
+    """Whether the .meta entries of two runs of a preset, both recorded,
+    differ in config_sha256 alone."""
+    if "values" not in ours or "values" not in other:
+        return False
+    a, b = ours["values"]["meta"], other["values"]["meta"]
+    return a.keys() == b.keys() and [k for k in a if a[k] != b[k]] == [
+        "config_sha256"]
 
 
 def main(argv=None) -> int:
