@@ -22,7 +22,18 @@ too: a factor whose argument is at or past _saturation_z(m) is exactly 1.0
 z = 37.43 on; the tests check both). For m >= 2 such a factor is left at
 1.0 and `gammainc` runs only on the others, with the same result to the
 bit; for m = 1 every factor is evaluated, because the boolean gather and
-scatter of the skip would cost more than -expm1 itself.
+scatter of the skip would cost more than -expm1 itself. The m = 1 factors
+are formed in one buffer as expm1(-z) and multiplied in; negation is exact,
+so that product is the product of the -expm1(-z) up to its sign, which is
+restored once for an odd branch count (on a 2-core Xeon with one BLAS
+thread, 5-13% faster than a fresh array per step at n_eff = 6-12 and
+256-1,024 points, 1-5% at n_eff = 2, with the same bits). Where
+[rho_l, top] is empty (top = rho_l, vartheta = inf included) the average is
+the remainder alone, the constant min(chi width, 1), and the kernel returns
+it without forming the branch arguments, which could overflow or meet
+0 * inf there; hop 1 returns the same constant from
+vartheta = _saturation_z(m + 1) / rho_l on, where both of its gamma
+functions are 1.0 at both ends of the ramp.
 The table follows from the ramp (`_node_table`): the further rho_l sits
 above 0 in ramp widths, the smoother the branch CDFs are over [rho_l, top].
 Where rho_l >= 2 width it is one 16-node panel: every preset and
@@ -69,6 +80,23 @@ the benchmark workloads the LoS kernel runs on 20.9% of the LoS points of
 bler-sweep (7,720 of 36,864), 75% of those of optimize-grid's direct checks
 and 25% of validate-mc's, and `gammainc` evaluates 0.47 M elements instead
 of 3.10 M on bler-sweep and 0.36 M instead of 0.41 M on optimize-grid.
+
+A sweep evaluates many port spectra at the same varthetas, and a kernel
+call has a fixed cost of 30-45 us whatever its size (2-core Xeon), about
+half of a bler-sweep study when each spectrum had calls of its own. So the
+hop-2 kernel and the asymptote also take spectra of one rank stacked on the
+leading axes of an array whose last axis holds the branches, broadcast
+against vartheta: shape
+(spectra, 1, 1, n_eff) against (powers, nodes) gives (spectra, powers,
+nodes). `TrajectoryEvaluator.hop2_components`, the mixes, `end_to_end` and
+`average` carry the leading axes through, and the LoS kernel's live points
+carry one lambda row each. Every value keeps the bits of its own
+one-spectrum call: vartheta / lambda_n is formed per element, the branch
+product runs in branch order, each point's top uses its own spectrum's
+largest lambda, `einsum` reduces each point's row on its own, the
+asymptote takes the exactly rounded `math.fsum` of each spectrum's logs,
+and `average` is one `weights @ row` per leading index; every other step is
+elementwise. A tuple of lambdas is the one-spectrum case of the same code.
 
 Hop 2 depends on the relay power and the altitude only through vartheta, so
 a power search can read it from a table instead (`Hop2Table`, one per link
@@ -329,32 +357,39 @@ def _saturated(params: FblParams) -> float:
     return min(params.chi * params.width, 1.0)
 
 
-def _limit_at_infinity(params: FblParams, vt: np.ndarray, avg):
-    """The one rule of both hop averages at vartheta = inf (an SNR scale
-    that underflows to 0), where their arithmetic would meet 0 * inf: the
-    limit `_saturated(params)` there, and avg(vt) at the finite entries of
-    the positive array vt."""
-    finite = vt < math.inf
-    out = np.full(vt.shape, _saturated(params))
-    out[finite] = avg(vt[finite])
+def _saturated_where(params: FblParams, saturated: np.ndarray, avg):
+    """The one rule of both hop averages at an SNR scale so small that every
+    gamma factor of their formula is exactly 1.0 (vartheta = inf included,
+    where their arithmetic would meet 0 * inf or overflow): the limit
+    `_saturated(params)` at the entries of the boolean array saturated, and
+    avg(live) at the others, live the boolean array of those."""
+    out = np.full(saturated.shape, _saturated(params))
+    live = ~saturated
+    out[live] = avg(live)
     return _as_result(out)
 
 
 def avg_bler_hop1(params: FblParams, vartheta, m1: int):
     """Average BLER of a single Nakagami hop with rate parameter vartheta
-    (a scalar or an array); at vartheta = inf, the limit min(chi * width,
-    1) (`_limit_at_infinity`).
+    (a scalar or an array); from vartheta = _saturation_z(m1 + 1) / rho_l on
+    (inf included), the limit min(chi * width, 1) (`_saturated_where`).
 
     chi * int_{rho_l}^{rho_h} P(m, x t) dx has the exact antiderivative
     (chi/t) * H(x t) with H(z) = z P(m, z) - m P(m+1, z); the regularized
     gamma functions keep the deep tail (t -> 0) relatively accurate, which
-    the printed nested-sum arrangement does not.
+    the printed nested-sum arrangement does not. From rho_l t =
+    _saturation_z(m + 1) on, both gamma functions are 1.0 at both ends, the
+    average is chi * width to double precision, and the formula would only
+    round it, or overflow to inf - inf.
     """
     vt = _positive(vartheta, "vartheta")
     m1 = _shape(m1, "m1")
-    if vt.size and vt.max() == math.inf:
-        return _limit_at_infinity(params, vt,
-                                  lambda v: avg_bler_hop1(params, v, m1))
+    vt_sat = (_saturation_z(m1 + 1) / params.rho_l if params.rho_l > 0.0
+              else math.inf)
+    saturated = vt >= vt_sat
+    if saturated.any():
+        return _saturated_where(params, saturated, lambda live: (
+            avg_bler_hop1(params, vt[live], m1)))
 
     def h(z):
         return z * special.gammainc(m1, z) - m1 * special.gammainc(m1 + 1, z)
@@ -363,13 +398,17 @@ def avg_bler_hop1(params: FblParams, vartheta, m1: int):
     return _as_result(np.clip(val, 0.0, 1.0))
 
 
-def _validated_lambdas(lambdas) -> tuple:
-    lams = tuple(float(l) for l in lambdas)
-    if not lams:
+def _branches(lambdas) -> np.ndarray:
+    """Port spectra as an array whose last axis holds the branches: a
+    tuple is one spectrum, an array of shape (..., n_eff) one per leading
+    index."""
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.ndim == 0 or lam.shape[-1] == 0:
         raise ValueError("lambdas must be non-empty")
-    if not all(l > 0 for l in lams):
+    # a NaN is the min and fails the comparison
+    if not lam.min() > 0:
         raise ValueError("lambdas must be positive")
-    return lams
+    return lam
 
 
 def _node_table(params: FblParams) -> tuple[np.ndarray, np.ndarray]:
@@ -387,39 +426,65 @@ def avg_bler_hop2(params: FblParams, vartheta2, m2: int, lambdas):
     """Average BLER of the selected-port hop at rate parameter vartheta2
     (a scalar or an array): chi * int_{rho_l}^{rho_h} of the product of the
     branch CDFs P(m2, x vartheta2 / lambda_n), by the node table of the
-    module docstring plus the exact saturated remainder. At vartheta2 = inf
-    it is the limit min(chi * width, 1) (`_limit_at_infinity`), which a
-    ramp with rho_l > 0 reaches by the remainder alone and a clamped ramp
-    (rho_l = 0) would miss as 0 * inf."""
+    module docstring plus the exact saturated remainder. lambdas is one
+    spectrum (a tuple) or spectra stacked on the leading axes of an array
+    whose last axis holds the branches, broadcast against vartheta2; each
+    value has the bits of its own one-spectrum call. Where the integration
+    interval [rho_l, top] is empty (vartheta2 = inf included) the value is
+    the remainder alone, the limit min(chi * width, 1) (`_saturated_where`),
+    which the quadrature could only reach as 0 * inf or through an
+    overflow."""
     vt = _positive(vartheta2, "vartheta2")
     m2 = _shape(m2, "m2")
-    lams = _validated_lambdas(lambdas)
-    if vt.size and vt.max() == math.inf:
-        return _limit_at_infinity(params, vt,
-                                  lambda v: avg_bler_hop2(params, v, m2, lams))
+    lam = _branches(lambdas)
+    # clip(a, lo, hi) as min(max(a, lo), hi), at half of np.clip's fixed cost
+    top = np.minimum(np.maximum(_saturation_z(m2) * lam.max(axis=-1) / vt,
+                                params.rho_l), params.rho_h)
+    # top >= rho_l, so one reduction tells whether any interval is empty
+    if top.min() == params.rho_l:
+        # one lambda row and one vartheta per live point
+        rows = np.broadcast_to(lam, top.shape + lam.shape[-1:])
+        vts = np.broadcast_to(vt, top.shape)
+        return _saturated_where(params, top == params.rho_l, lambda live: (
+            _hop2_average(params, vts[live], m2, rows[live], top[live])))
+    return _as_result(_hop2_average(params, vt, m2, lam, top))
+
+
+def _hop2_average(params: FblParams, vt: np.ndarray, m2: int,
+                  lam: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The hop-2 average on validated, broadcastable vartheta and branch
+    arrays with the upper integration limits top (top > rho_l)."""
     x_unit, w_unit = _node_table(params)
-    sat = _saturation_z(m2)
-    top = np.clip(sat * max(lams) / vt, params.rho_l, params.rho_h)
     span = top - params.rho_l
     x = params.rho_l + span[..., None] * x_unit
+    vt = vt[..., None]
     prod = np.ones_like(x)
-    for lam in lams:
-        z = x * (vt[..., None] / lam)
+    z = np.empty_like(x)
+    n_eff = lam.shape[-1]
+    for n in range(n_eff):
+        # vartheta / lambda per element, as a one-spectrum call forms it
+        np.multiply(x, vt / lam[..., n, None], out=z)
         if m2 == 1:
-            # -expm1 on every factor costs less than a mask's gather/scatter
-            prod *= _branch_cdf(m2, z)
+            # P(1, z) = -expm1(-z); the product of the expm1(-z) is that of
+            # the factors up to its sign, since negation is exact. -expm1 on
+            # every factor costs less than a mask's gather/scatter
+            np.negative(z, out=z)
+            np.expm1(z, out=z)
+            prod *= z
         else:
-            # gammainc is exactly 1.0 from sat on, so only the factors below
-            # it are evaluated. Boolean indexing, not gammainc's out=/where=:
-            # with scipy 1.17 that form leaves 1.0 at some entries the mask
-            # selects.
-            live = z < sat
+            # gammainc is exactly 1.0 from _saturation_z(m2) on, so only the
+            # factors below it are evaluated. Boolean indexing, not
+            # gammainc's out=/where=: with scipy 1.17 that form leaves 1.0
+            # at some entries the mask selects.
+            live = z < _saturation_z(m2)
             prod[live] *= _branch_cdf(m2, z[live])
+    if m2 == 1 and n_eff % 2:
+        np.negative(prod, out=prod)
     # einsum sums each row on its own, so a value's bits do not depend on
     # how many vartheta share the call; a BLAS matvec rounds rows in blocks
     quad = np.einsum("...j,j->...", prod, w_unit)
     val = params.chi * (span * quad + (params.rho_h - top))
-    return _as_result(np.clip(val, 0.0, 1.0))
+    return np.minimum(np.maximum(val, 0.0), 1.0)
 
 
 class Hop2Table:
@@ -441,7 +506,7 @@ class Hop2Table:
 
     def __init__(self, params: FblParams, m2: int, lambdas):
         self._params, self._m2 = params, _shape(m2, "m2")
-        self._lambdas = _validated_lambdas(lambdas)
+        self._lambdas = tuple(_branches(lambdas).tolist())
         self.saturated = _saturated(params)
         self.vt_sat, self._anchor = math.inf, 0.0
         if params.rho_l > 0.0:
@@ -557,17 +622,22 @@ def avg_bler_hop2_asymptotic(params: FblParams, vartheta2, m2: int, lambdas):
     regime, at a scalar or an array of vartheta2; the value is a power law
     of slope m2 * n_eff and may exceed 1 far outside that regime. It bounds
     `avg_bler_hop2` from above (see the module docstring) and is inf only
-    past the largest double."""
+    past the largest double. lambdas is one spectrum or stacked spectra of
+    one rank, as in `avg_bler_hop2`, each value with the bits of its own
+    one-spectrum call."""
     vt = _positive(vartheta2, "vartheta2")
     m2 = _shape(m2, "m2")
-    lams = _validated_lambdas(lambdas)
-    n_eff = len(lams)
+    lam = _branches(lambdas)
+    n_eff = lam.shape[-1]
     p = m2 * n_eff
     ln0 = math.log(params.chi) + (p + 1) * math.log(params.rho_h) - math.log(p + 1)
     if params.rho_l > 0.0:
         ln0 += math.log1p(-((params.rho_l / params.rho_h) ** (p + 1)))
     ln = ln0 + n_eff * (m2 * np.log(vt) - math.lgamma(m2 + 1))
-    ln -= m2 * math.fsum(math.log(l) for l in lams)
+    # the exactly rounded sum of the logs of each spectrum's branches
+    log_sums = np.array([math.fsum(map(math.log, row))
+                         for row in lam.reshape(-1, n_eff).tolist()])
+    ln = ln - m2 * log_sums.reshape(lam.shape[:-1])
     # exp overflows to inf from ln = 709.78 on
     with np.errstate(over="ignore"):
         return _as_result(np.exp(ln))
@@ -640,11 +710,6 @@ class _Mixture:
         return (b >= _TINY) & (a_max < np.spacing(b))
 
 
-def _mix(p_los, los, nlos):
-    """One mixture by `_Mixture`."""
-    return _Mixture(p_los)(los, nlos)
-
-
 def _check_snr_scale(name: str, scale, chi: float) -> None:
     """Raise `SnrScaleError` unless every value of the arrays scale (a rate
     parameter m sigma^2 / (p beta) per link type, or its p-free part) is
@@ -686,7 +751,9 @@ class TrajectoryEvaluator:
     averages. A column of P powers goes through one call per link type and
     gives (P, nodes) arrays and one average per row, each row the bits of
     its power's own call: the kernel and `average` reduce each row on its
-    own, and every other step is elementwise. `e2e_avg_tabulated` is
+    own, and every other step is elementwise. Spectra of one rank stacked
+    as (S, 1, 1, n_eff) lambdas give (S, P, nodes) arrays and (S, P)
+    averages the same way (see the module docstring). `e2e_avg_tabulated` is
     `e2e_avg` with hop 2 read from the cached tables instead, as a power
     solve reads it.
     """
@@ -708,16 +775,19 @@ class TrajectoryEvaluator:
         _check_snr_scale("hop-2 scale m sigma^2 / beta2", scale2, fbl.chi)
         eps1_los, eps1_nlos = (avg_bler_hop1(fbl, vt, cfg.nakagami_m(lt))
                                for lt, vt in zip(LINK_TYPES, vt1))
-        self.eps1_mixed = _mix(geo.p_los1, eps1_los, eps1_nlos)
+        self.eps1_mixed = _Mixture(geo.p_los1)(eps1_los, eps1_nlos)
         self._mix2 = _Mixture(geo.p_los2)
 
     def average(self, values):
-        """A float for a node array, an array of one per row for (P, nodes):
-        each is `weights @ row`, with the bits of its own call (the BLAS
-        matvec of `values @ weights` rounds rows in blocks)."""
-        if np.ndim(values) == 1:
+        """A float for a node array, and for (..., nodes) an array of one
+        per leading index: each is `weights @ row`, with the bits of its own
+        call (the BLAS matvec of `values @ weights` rounds rows in blocks)."""
+        values = np.asarray(values)
+        if values.ndim == 1:
             return float(self.weights @ values)
-        return np.array([self.weights @ row for row in values])
+        rows = values.reshape(-1, values.shape[-1])
+        return np.array([self.weights @ row for row in rows]).reshape(
+            values.shape[:-1])
 
     def hop1_avg(self) -> float:
         return self.average(self.eps1_mixed)
@@ -747,20 +817,27 @@ class TrajectoryEvaluator:
         where it could change a bit of `hop2_mixed`, and 0.0 where the
         LoS asymptote asym_los (computed here if not given) keeps it below
         that (`_Mixture.los_negligible`), so the mixture has the bits of
-        both kernels in full."""
+        both kernels in full. lambdas is one spectrum or stacked spectra of
+        one rank, as in `avg_bler_hop2`; the arrays have the broadcast
+        shape of both."""
         vt_los, vt_nlos = self.hop2_varthetas(p2)
         m_los, m_nlos = (self.cfg.nakagami_m(lt) for lt in LINK_TYPES)
         nlos = avg_bler_hop2(self.fbl, vt_nlos, m_nlos, lambdas)
         if asym_los is None:
             asym_los = avg_bler_hop2_asymptotic(self.fbl, vt_los, m_los,
                                                 lambdas)
-        live = np.flatnonzero(
-            ~self._mix2.los_negligible(asym_los, nlos).ravel())
-        los = np.zeros(vt_los.size)
-        if live.size:
-            los[live] = avg_bler_hop2(self.fbl, vt_los.ravel()[live], m_los,
-                                      lambdas)
-        return los.reshape(vt_los.shape), nlos
+        live = np.nonzero(~self._mix2.los_negligible(asym_los, nlos))
+        los = np.zeros(nlos.shape)
+        if live[0].size:
+            # one vartheta per live point, and for stacked spectra one
+            # lambda row; one spectrum broadcasts against any vartheta
+            lam = np.asarray(lambdas, dtype=float)
+            if lam.ndim > 1:
+                lam = np.broadcast_to(lam, nlos.shape + lam.shape[-1:])[live]
+            los[live] = avg_bler_hop2(
+                self.fbl, np.broadcast_to(vt_los, nlos.shape)[live], m_los,
+                lam)
+        return los, nlos
 
     def hop2_mixed(self, e2_los, e2_nlos):
         """LoS/NLoS mixture of per-node hop-2 values."""

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .blercore import (CHI_VARIANTS, DEFAULT_TRAJECTORY_NODES,
                        TrajectoryEvaluator, linearize)
-from .chanmodel import DEFAULT_RANK_TOLERANCE, FasSpectrum, fas_spectrum
+from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
 from .errors import ConfigError, FasRelayError
 from .geometry import ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
@@ -391,27 +391,36 @@ def _fbl(spec: ExperimentSpec, blocklength: int):
                      spec.chi_variant)
 
 
-def _analytic_points(ev: TrajectoryEvaluator, fas: FasSpectrum,
-                     p2s) -> list[dict]:
-    """The analytic columns of the port spectrum fas, one dict per relay
-    power of p2s: one kernel and one asymptote call per link type cover all
-    the powers, and each power's row is averaged on its own."""
+# the (spectra x powers x nodes) points one hop-2 pass of `_rows_analytic`
+# evaluates at most: a (points x 16) float64 temporary of the kernel is then
+# 128 KB, as a Monte Carlo chunk's buffers are
+_PASS_POINTS = 1024
+
+
+def _analytic_averages(ev: TrajectoryEvaluator, spectra, p2s):
+    """The trajectory averages (end-to-end, hop 2, end-to-end asymptote) of
+    the port spectra of one rank at the relay powers p2s, in one pass: one
+    kernel and one asymptote call per link type cover every (spectrum,
+    power, node) point, and each (spectrum, power) row is averaged on its
+    own. Three (spectra, powers) arrays."""
     p2 = np.asarray(p2s, dtype=float)[:, None]
-    asym = ev.hop2_asymptotes(p2, fas.lambdas)
-    eps2 = ev.hop2_mixed(*ev.hop2_components(p2, fas.lambdas, asym[0]))
+    lam = np.array([fas.lambdas for fas in spectra])[:, None, None, :]
+    asym = ev.hop2_asymptotes(p2, lam)
+    eps2 = ev.hop2_mixed(*ev.hop2_components(p2, lam, asym[0]))
     e2e_asym = ev.end_to_end(np.minimum(ev.hop2_mixed(*asym), 1.0))
-    hop1 = ev.hop1_avg()
-    averages = zip(*(ev.average(x).tolist()
-                     for x in (ev.end_to_end(eps2), eps2, e2e_asym)))
-    return [{"n_eff": fas.n_eff, "bler_analytic": analytic,
-             "bler_hop1": hop1, "bler_hop2": hop2, "bler_e2e_asym": e2e}
-            for analytic, hop2, e2e in averages]
+    return tuple(ev.average(x) for x in (ev.end_to_end(eps2), eps2, e2e_asym))
 
 
 def _rows_analytic(spec: ExperimentSpec, seed: int):
     """bler-sweep, validate and aperture-sweep: the analytic columns over
     ports x apertures x relay powers. bler-sweep and validate add the error
-    floor, and validate adds one Monte Carlo estimate per row."""
+    floor, and validate adds one Monte Carlo estimate per row.
+
+    The spectra of the sweep are evaluated in groups of equal rank n_eff,
+    cut into passes of at most _PASS_POINTS (spectra x powers x nodes)
+    points; a spectrum with more points than that runs alone. Every value
+    has the bits of its spectrum's own evaluation (see the `blercore`
+    module docstring), and the rows keep the sweep's order."""
     # (echoed dBm, evaluated watts): a p2 given in watts is evaluated as is
     if "sweep_p2_dbm" in spec.sweeps:
         powers = [(float(p), _from_dbm(p))
@@ -423,18 +432,33 @@ def _rows_analytic(spec: ExperimentSpec, seed: int):
     scn = spec.scenario
     ev = TrajectoryEvaluator(scn, _fbl(spec, spec.blocklength),
                              spec.traj_nodes)
+    axes = [(int(n), float(w)) for n, w in product(
+        spec.sweeps.get("sweep_n_ports", [spec.n_ports]),
+        spec.sweeps.get("sweep_aperture", [spec.aperture]))]
+    spectra = [fas_spectrum(n, w, spec.rank_tolerance) for n, w in axes]
+    ranks = {}
+    for i, fas in enumerate(spectra):
+        ranks.setdefault(fas.n_eff, []).append(i)
+    per_pass = max(1, _PASS_POINTS // (len(powers) * spec.traj_nodes))
+    p2s = [p2 for _, p2 in powers]
+    # spectrum index -> its (end-to-end, hop 2, asymptote) rows, one per power
+    averages = {}
+    for group in ranks.values():
+        for k in range(0, len(group), per_pass):
+            chunk = group[k:k + per_pass]
+            columns = _analytic_averages(ev, [spectra[i] for i in chunk], p2s)
+            averages.update(zip(chunk, zip(*(c.tolist() for c in columns))))
+    hop1 = ev.hop1_avg()
     rows = []
-    for n, w in product(spec.sweeps.get("sweep_n_ports", [spec.n_ports]),
-                        spec.sweeps.get("sweep_aperture", [spec.aperture])):
-        n, w = int(n), float(w)
-        fas = fas_spectrum(n, w, spec.rank_tolerance)
-        points = _analytic_points(ev, fas, [p2 for _, p2 in powers])
-        for (p2_dbm, p2), point in zip(powers, points):
+    for i, ((n, w), fas) in enumerate(zip(axes, spectra)):
+        for (p2_dbm, p2), analytic, hop2, e2e in zip(powers, *averages[i]):
             cols = dict(n_ports=n, aperture=w, blocklength=spec.blocklength,
-                        p2_dbm=p2_dbm, **point)
+                        p2_dbm=p2_dbm, n_eff=fas.n_eff,
+                        bler_analytic=analytic, bler_hop1=hop1,
+                        bler_hop2=hop2, bler_e2e_asym=e2e)
             if spec.command != "aperture-sweep":
                 # the limit of the end-to-end BLER as the relay power grows
-                cols["error_floor"] = point["bler_hop1"]
+                cols["error_floor"] = hop1
             if spec.command == "validate":
                 mc = replace(spec.mc, seed=_row_seed(seed, len(rows)))
                 est = mc_average_bler(scn, fas, ev.fbl, p2, mc)

@@ -14,7 +14,7 @@ from fasrelay import (ScenarioConfig, TrajectoryEvaluator, avg_bler_hop1,
                       fas_spectrum, fbl_rate, instantaneous_bler, linearize)
 from fasrelay import MonotonicityError, blercore
 from fasrelay.blercore import (Hop2Table, _GL16, _GL32, _GRADED, _branch_cdf,
-                               _Mixture, _mix, _node_table, _saturation_z)
+                               _Mixture, _node_table, _saturation_z)
 from fasrelay.cli import _fbl, parse_config
 from fasrelay.geometry import LINK_TYPES, trajectory_geometry
 
@@ -667,6 +667,37 @@ def test_infinite_vartheta_reads_the_saturated_value(payload):
         assert direct == ev.average(ev.end_to_end(np.full(16, saturated)))
 
 
+def test_overflowing_vartheta_reads_the_saturated_value():
+    # a finite vartheta whose product with rho_l overflows: hop 1 met
+    # inf - inf and hop 2 an overflow in its branch arguments. Both read
+    # min(chi width, 1) with no warning, as every vartheta from
+    # _saturation_z(m + 1) / rho_l (hop 1) and from an empty integration
+    # interval (hop 2) on does; below that hop 1 keeps its formula
+    cases = ((linearize(8.0, 100), 1e307, 1), (linearize(3, 10), 1.7e308, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fbl, vt, m in cases:
+            saturated = min(fbl.chi * fbl.width, 1.0)
+            assert avg_bler_hop1(fbl, vt, m) == saturated
+            assert avg_bler_hop2(fbl, vt, m, (1.0,)) == saturated
+            assert avg_bler_hop2(fbl, vt, m, (0.25, 4.0)) == saturated
+            vt_sat = _saturation_z(m + 1) / fbl.rho_l
+            below = np.nextafter(vt_sat, 0.0)
+
+            def h(z):
+                return z * special.gammainc(m, z) - m * special.gammainc(
+                    m + 1, z)
+
+            formula = fbl.chi / below * (h(fbl.rho_h * below)
+                                         - h(fbl.rho_l * below))
+            assert avg_bler_hop1(fbl, np.array([below, vt_sat, vt]),
+                                 m).tolist() == [min(formula, 1.0),
+                                                 saturated, saturated]
+        # the remainder alone, chi * width as rounded
+        assert avg_bler_hop2(linearize(8.0, 100), 1e307, 1, (1.0,)) == (
+            0.9999999999999991)
+
+
 def test_hop2_table_value_does_not_depend_on_its_range():
     # tables grown by cover calls in several orders hold the nodes and
     # values of one cover of the union, and every lookup in the panels
@@ -773,6 +804,98 @@ def test_evaluator_rows_match_per_power_calls(urban, fbl100):
         assert averages[i] == ev.average(nodes[i]) == alone
     with pytest.raises(ValueError):
         ev.hop2_varthetas(np.array([[1.0], [0.0]]))
+
+
+def _hex(values):
+    """The bits of every value of an array, a float or a list."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _rank_groups(spectra):
+    """The lambdas of the spectra by rank, n_eff -> list of tuples."""
+    groups = {}
+    for fas in spectra:
+        groups.setdefault(fas.n_eff, []).append(fas.lambdas)
+    return groups
+
+
+# N = 1, 2, 6 and 12 at apertures 0.5 and 4: ranks 1 and 2 (two spectra
+# each), 6 (N = 6 at both apertures and N = 12 at 0.5) and 12 (one)
+_STACK_GROUPS = _rank_groups(fas_spectrum(n, w) for n in (1, 2, 6, 12)
+                             for w in (0.5, 4.0))
+
+
+def test_rayleigh_factors_in_one_buffer_keep_the_bits_of_negated_expm1():
+    # the m = 1 kernel multiplies the expm1(-z) in one buffer and restores
+    # the sign once for an odd branch count: the bits of the product of the
+    # -expm1(-z) factors for 1 to 7 branches, on every node table
+    rng = np.random.default_rng(11)
+    vt = np.geomspace(1e-6, 1e6, 200)
+    for params, _ in _TABLE_RAMPS:
+        for n in range(1, 8):
+            lams = tuple(10.0 ** rng.uniform(-2.0, 1.5, n))
+            assert _hex(avg_bler_hop2(params, vt, 1, lams)) == _hex(
+                avg_bler_hop2_all_factors(params, vt, 1, lams)), n
+
+
+@pytest.mark.parametrize("params", [_TABLE_RAMPS[0][0], _TABLE_RAMPS[2][0]],
+                         ids=["capped", "clamped"])
+def test_stacked_spectra_match_per_spectrum_calls(params):
+    # spectra of one rank stacked on a leading axis against (powers, nodes)
+    # varthetas, and one lambda row per vartheta: the kernel and the
+    # asymptote give every value the bits of its spectrum's own call, at 1,
+    # 2 and 11 powers and m = 1, 2, 5, with saturated intervals (past
+    # vartheta_sat on the capped ramp) and an infinite vartheta
+    assert {n: len(g) for n, g in _STACK_GROUPS.items()} == {
+        1: 2, 2: 2, 6: 3, 12: 1}
+    rng = np.random.default_rng(27)
+    for m in (1, 2, 5):
+        for powers in (1, 2, 11):
+            vt = 10.0 ** rng.uniform(-6.0, 4.0, (powers, 16))
+            vt[-1, -1] = math.inf
+            for group in _STACK_GROUPS.values():
+                stacked = np.array(group)[:, None, None, :]
+                rows = np.array(group)[rng.integers(len(group), size=vt.size)]
+                for f in (avg_bler_hop2, avg_bler_hop2_asymptotic):
+                    got = f(params, vt, m, stacked)
+                    assert got.shape == (len(group), powers, 16)
+                    for lams, values in zip(group, got):
+                        assert _hex(values) == _hex(f(params, vt, m, lams))
+                    assert _hex(f(params, vt.ravel(), m, rows)) == [
+                        float(f(params, v, m, tuple(r))).hex()
+                        for v, r in zip(vt.ravel(), rows)]
+    with pytest.raises(ValueError, match="positive"):
+        avg_bler_hop2(params, 1.0, 1, np.array([[1.0, 2.0], [0.5, _NAN]]))
+    with pytest.raises(ValueError):
+        avg_bler_hop2(params, 1.0, 1, np.empty((2, 0)))
+
+
+@pytest.mark.parametrize("powers", [1, 2, 11])
+def test_stacked_components_and_averages_match_per_spectrum_calls(
+        urban, fbl100, powers):
+    # hop-2 components over (spectra, powers, nodes), the LoS kernel on its
+    # live points with one lambda row each, the mixes and `average` per
+    # leading index: each (spectrum, power) has the bits of its own
+    # per-spectrum call, and of `e2e_avg`. The powers reach from where the
+    # LoS kernel runs nowhere to where it runs at every node, and a
+    # subnormal power puts every vartheta at inf
+    ev = TrajectoryEvaluator(urban, fbl100, 32)
+    p2 = np.concatenate([[1e-313], np.geomspace(1e-9, 10.0, 10)])[-powers:]
+    p2 = p2[:, None]
+    for group in _STACK_GROUPS.values():
+        stacked = np.array(group)[:, None, None, :]
+        asym = ev.hop2_asymptotes(p2, stacked)
+        comps = ev.hop2_components(p2, stacked, asym[0])
+        e2e = ev.average(ev.end_to_end(ev.hop2_mixed(*comps)))
+        assert e2e.shape == (len(group), powers)
+        for i, lams in enumerate(group):
+            alone = ev.hop2_components(p2, lams)
+            for got, want in zip(comps, alone):
+                assert _hex(got[i]) == _hex(want)
+            for got, want in zip(asym, ev.hop2_asymptotes(p2, lams)):
+                assert _hex(got[i]) == _hex(want)
+            assert _hex(e2e[i]) == _hex(ev.e2e_avg_from(*alone)) == _hex(
+                [ev.e2e_avg(float(p), lams) for p in p2[:, 0]])
 
 
 def _full_components(ev, p2, lambdas):
@@ -970,17 +1093,17 @@ def test_mix_has_the_bits_of_the_formula():
     p = rng.uniform(0.0, 1.0, 2000)
     p = p[(0.0 < p) & (p < 1.0)]
     los, nlos = 10.0 ** rng.uniform(-300.0, 0.0, (2, p.size))
-    assert np.array_equal(_mix(p, los, nlos), p * los + (1.0 - p) * nlos)
+    mix = _Mixture(p)
+    assert np.array_equal(mix(los, nlos), p * los + (1.0 - p) * nlos)
     # (powers x nodes) values against one node array of weights: each row
     # mixes as it does alone
     rows = 10.0 ** rng.uniform(-300.0, 0.0, (2, 5, p.size))
-    assert np.array_equal(_mix(p, *rows),
-                          [_mix(p, a, b) for a, b in zip(*rows)])
+    assert np.array_equal(mix(*rows), [mix(a, b) for a, b in zip(*rows)])
 
 
 def test_mix_weight_zero_adds_zero_against_inf():
-    got = _mix(np.array([0.0, 1.0, 0.5]), np.array([np.inf, 0.25, 0.5]),
-               np.array([0.5, np.inf, 0.25]))
+    got = _Mixture(np.array([0.0, 1.0, 0.5]))(np.array([np.inf, 0.25, 0.5]),
+                                              np.array([0.5, np.inf, 0.25]))
     assert np.all(np.isfinite(got))
     assert got.tolist() == [0.5, 0.25, 0.375]
 

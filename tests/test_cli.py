@@ -13,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fasrelay
-from fasrelay import blercore
+from fasrelay import blercore, cli
 from fasrelay import (ConfigError, EeConfig, McConfig, ScenarioConfig,
                       TrajectoryEvaluator, fas_spectrum, linearize)
 from fasrelay.blercore import CHI_VARIANTS, chebyshev_nodes
-from fasrelay.cli import (_KEYS, COMMANDS, ExperimentSpec, _analytic_points,
+from fasrelay.cli import (_KEYS, COMMANDS, ExperimentSpec, _analytic_averages,
                           main, parse_config, render, run)
 from fasrelay.mcoracle import _CHUNK, MC_MODES, mc_average_bler
 
@@ -756,13 +756,56 @@ def test_asymptote_of_a_link_with_zero_weight_adds_zero(tmp_path):
 
 
 def test_analytic_points_match_per_power_calls(urban):
-    # one call for a power axis gives each power the columns of its own call
+    # one pass over a power axis gives each power the averages of its own
+    # call
     ev = TrajectoryEvaluator(urban, linearize(0.8, 100))
     p2s = [10.0 ** (k / 4.0 - 6.0) for k in range(20)]
     for n, w in ((1, 0.5), (4, 0.5), (12, 2.0)):
         fas = fas_spectrum(n, w)
-        whole = _analytic_points(ev, fas, p2s)
-        assert whole == [_analytic_points(ev, fas, [p])[0] for p in p2s]
+        whole = [c[0].tolist() for c in _analytic_averages(ev, [fas], p2s)]
+        alone = [[c[0, 0] for c in _analytic_averages(ev, [fas], [p])]
+                 for p in p2s]
+        assert np.array(whole).T.tolist() == alone
+
+
+def test_sweep_passes_group_spectra_by_rank(tmp_path, monkeypatch):
+    # the benchmark's bler-sweep study at 400 m (48 spectra of 12 ranks, 2
+    # powers, 128 nodes): every pass holds spectra of one rank and at most
+    # _PASS_POINTS points, the rank-1 pass exactly that many; with the
+    # budget at one spectrum per pass the CSV keeps its bytes. A spectrum
+    # with more points than the budget (9 powers) runs alone
+    passes = []
+    averages = cli._analytic_averages
+
+    def recorded(ev, spectra, p2s):
+        passes.append(([fas.n_eff for fas in spectra],
+                       len(spectra) * len(p2s) * ev.theta.size))
+        return averages(ev, spectra, p2s)
+
+    monkeypatch.setattr(cli, "_analytic_averages", recorded)
+    text = ("blocklength = 100\np1 = 40 dBm\nuav_altitude = 400\n"
+            "sweep_n_ports = 1:12:12\nsweep_aperture = 0.5, 1, 2, 4\n")
+    spec = parse_config(text + "sweep_p2_dbm = 20:40:2\n", "bler-sweep")
+    run(spec, out_path=str(tmp_path / "grouped.csv"))
+    assert sum(len(ranks) for ranks, _ in passes) == 48
+    assert all(len(set(ranks)) == 1 for ranks, _ in passes)
+    assert len({ranks[0] for ranks, _ in passes}) == 12
+    assert max(points for _, points in passes) == cli._PASS_POINTS
+    assert (1, 1, 1, 1) in {tuple(ranks) for ranks, _ in passes}
+    assert len(passes) < 48
+    passes.clear()
+    monkeypatch.setattr(cli, "_PASS_POINTS", 1)
+    run(spec, out_path=str(tmp_path / "alone.csv"))
+    assert len(passes) == 48
+    assert (tmp_path / "grouped.csv").read_bytes() == (
+        tmp_path / "alone.csv").read_bytes()
+    passes.clear()
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_analytic_averages", recorded)
+    run(parse_config(text + "sweep_p2_dbm = 0:40:9\n", "bler-sweep"),
+        out_path=str(tmp_path / "over.csv"))
+    assert [len(ranks) for ranks, _ in passes] == [1] * 48
+    assert {points for _, points in passes} == {9 * 128}
 
 
 def test_bler_sweep_runs_the_los_kernel_on_few_nodes(tmp_path, monkeypatch):
@@ -773,7 +816,11 @@ def test_bler_sweep_runs_the_los_kernel_on_few_nodes(tmp_path, monkeypatch):
     kernel = blercore.avg_bler_hop2
 
     def counted(params, vartheta2, m2, lambdas):
-        points[m2] = points.get(m2, 0) + np.size(vartheta2)
+        # a call on stacked spectra evaluates every (spectrum, vartheta)
+        # pair
+        shape = np.broadcast_shapes(np.shape(vartheta2),
+                                    np.shape(lambdas)[:-1])
+        points[m2] = points.get(m2, 0) + math.prod(shape)
         return kernel(params, vartheta2, m2, lambdas)
 
     monkeypatch.setattr(blercore, "avg_bler_hop2", counted)

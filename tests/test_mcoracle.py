@@ -9,7 +9,7 @@ from scipy import special
 from fasrelay import (McConfig, McEstimate, TrajectoryEvaluator,
                       fas_spectrum, jakes_matrix, mc_average_bler,
                       sample_fas_gain_model, sample_fas_gain_physical)
-from fasrelay.blercore import (_mix, avg_bler_hop1, avg_bler_hop2,
+from fasrelay.blercore import (_Mixture, avg_bler_hop1, avg_bler_hop2,
                                instantaneous_bler)
 from fasrelay.geometry import LINK_TYPES, trajectory_geometry
 from fasrelay.mcoracle import substreams
@@ -235,9 +235,9 @@ def _lattice_means(cfg, fbl, nodes):
 
     def mixed(p_los, beta, dbm, avg):
         p = 10.0 ** ((dbm - 30.0) / 10.0)
-        return _mix(p_los, *(avg(cfg.nakagami_m(lt) * cfg.noise_power
-                                 / (p * beta[lt]), cfg.nakagami_m(lt))
-                             for lt in LINK_TYPES))
+        return _Mixture(p_los)(*(avg(cfg.nakagami_m(lt) * cfg.noise_power
+                                     / (p * beta[lt]), cfg.nakagami_m(lt))
+                                 for lt in LINK_TYPES))
 
     eps1 = {p1: mixed(geo.p_los1, geo.beta1, p1,
                       lambda vt, m: avg_bler_hop1(fbl, vt, m))

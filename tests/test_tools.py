@@ -217,3 +217,36 @@ def test_compare_a_config_schema_change(bench, capsys):
     del ours["presets"]["a"]["values"]
     assert not bench.compare(ours, other)
     assert "differs: meta " in capsys.readouterr().out
+
+
+def test_compare_prints_monte_carlo_moves_in_standard_errors(bench, capsys):
+    # a moved bler_mc cell adds the largest |a - b| / bler_mc_se of the
+    # other file and its row to the monte carlo line; an empty cell counts
+    # as inf, and a file without standard errors adds nothing
+    before = {"csv": {"bler_mc": ["0.01", "0.002", "0.5"],
+                      "bler_mc_se": ["0.001", "0.0001", "0.01"]},
+              "meta": {}}
+    moved = {"csv": {"bler_mc": ["0.0105", "0.0023", "0.5"],
+                     "bler_mc_se": ["0.001", "0.0001", "0.01"]},
+             "meta": {}}
+    assert not bench.compare(_valued(moved), _valued(before))
+    out = capsys.readouterr().out.splitlines()
+    # row 2 moved by 3 SE (0.13 relative), row 1 by 0.5 SE (0.048)
+    assert out[1].split() == ["monte", "carlo", "0.13", "(bler_mc),", "3",
+                              "SE", "(row", "2)"]
+    empty = {"csv": {**moved["csv"], "bler_mc": ["0.0105", "", "0.5"]},
+             "meta": {}}
+    assert not bench.compare(_valued(empty), _valued(before))
+    assert capsys.readouterr().out.splitlines()[1].split()[-4:] == [
+        "inf", "SE", "(row", "2)"]
+    without = [{"csv": {"bler_mc": v["csv"]["bler_mc"]}, "meta": {}}
+               for v in (moved, before)]
+    assert not bench.compare(*map(_valued, without))
+    assert capsys.readouterr().out.splitlines()[1].split() == [
+        "monte", "carlo", "0.13", "(bler_mc)"]
+    # an identical bler_mc column prints no standard errors
+    same = {"csv": {**before["csv"], "bler_mc_se": ["0.001", "0.0001",
+                                                    "0.02"]}, "meta": {}}
+    assert not bench.compare(_valued(same), _valued(before))
+    assert capsys.readouterr().out.splitlines()[1].split() == [
+        "monte", "carlo", "0.5", "(bler_mc_se)"]

@@ -37,7 +37,10 @@ relative move |a - b| / max(|a|, |b|) and its column, or ``identical``; a
   Carlo ones and the ``bler_threshold`` echo;
 * ``solved``: ``p2_star_*``, ``ee_bits_per_joule``, ``eps_o`` and the
   ``.meta`` ``p2_star_w``, ``ee_star`` and ``eps_star``;
-* ``monte carlo``: ``bler_mc*``.
+* ``monte carlo``: ``bler_mc*``. Where a ``bler_mc`` cell moved and both
+  files hold ``bler_mc_se``, the line adds the largest move of ``bler_mc``
+  in standard errors, |a - b| / ``bler_mc_se`` of the other file, and its
+  row: a new Monte Carlo stream moves it by a few, a model change by more.
 
 Then it prints one line per changed ``feasible``, ``is_optimum`` or
 ``n_star`` cell, one per changed ``.meta`` optimum entry (``feasible``,
@@ -198,6 +201,32 @@ def _rel_move(a: str, b: str, dbm: bool = False) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _se_move(cols: dict, before: dict) -> str:
+    """The largest |a - b| / bler_mc_se of the other file over the
+    ``bler_mc`` cells, and its row, as a suffix of the ``monte carlo`` line;
+    empty when either file lacks the standard errors. A cell that is not a
+    finite number, or a move against a standard error that is not
+    positive, counts as inf."""
+    if "bler_mc_se" not in cols or "bler_mc_se" not in before:
+        return ""
+
+    def z(a: str, b: str, se: str) -> float:
+        if a == b:
+            return 0.0
+        try:
+            x, y, s = float(a), float(b), float(se)
+        except ValueError:
+            return math.inf
+        if not (s > 0.0 and math.isfinite(x) and math.isfinite(y)):
+            return math.inf
+        return abs(x - y) / s
+
+    moves = [z(a, b, se) for a, b, se in zip(
+        cols["bler_mc"], before["bler_mc"], before["bler_mc_se"])]
+    row = max(range(len(moves)), key=moves.__getitem__)
+    return f", {moves[row]:.3g} SE (row {row + 1})"
+
+
 def value_moves(ours: dict, other: dict) -> list:
     """The indented lines that say what moved between the values of one
     preset in two files (`read_outputs`), other first."""
@@ -220,6 +249,8 @@ def value_moves(ours: dict, other: dict) -> list:
         if moves:
             col = max(moves, key=moves.get)
             verdict = f"{moves[col]:.3g} ({col})" if moves[col] else "identical"
+            if label == "monte carlo" and moves.get("bler_mc"):
+                verdict += _se_move(cols, before)
             lines.append(f"    {label:12s} {verdict}")
     for col in _FLAGS:
         seen.add(col)
