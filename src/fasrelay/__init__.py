@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .blercore import (FblParams, TrajectoryEvaluator, avg_bler_hop1,
                        avg_bler_hop2, avg_bler_hop2_asymptotic,
-                       chebyshev_nodes, fbl_rate, instantaneous_bler,
-                       linearize)
+                       chebyshev_nodes, instantaneous_bler, linearize)
 from .chanmodel import FasSpectrum, eigen_spectrum, fas_spectrum, jakes_matrix
 from .errors import (CausalityError, ConfigError, DegenerateGeometryError,
                      FasRelayError, MonotonicityError, SnrScaleError,
@@ -21,8 +20,8 @@ from .optimizer import (EeConfig, EeSolution, best_port_count,
 __all__ = [
     "__version__",
     "FblParams", "TrajectoryEvaluator", "avg_bler_hop1", "avg_bler_hop2",
-    "avg_bler_hop2_asymptotic", "chebyshev_nodes", "fbl_rate",
-    "instantaneous_bler", "linearize",
+    "avg_bler_hop2_asymptotic", "chebyshev_nodes", "instantaneous_bler",
+    "linearize",
     "FasSpectrum", "eigen_spectrum", "fas_spectrum", "jakes_matrix",
     "CausalityError", "ConfigError", "DegenerateGeometryError",
     "FasRelayError", "MonotonicityError", "SnrScaleError",

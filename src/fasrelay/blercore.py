@@ -28,10 +28,11 @@ so that product is the product of the -expm1(-z) up to its sign, which is
 restored once for an odd branch count (on a 2-core Xeon with one BLAS
 thread, 5-13% faster than a fresh array per step at n_eff = 6-12 and
 256-1,024 points, 1-5% at n_eff = 2, with the same bits). Where
-[rho_l, top] is empty (top = rho_l, vartheta = inf included) the average is
-the remainder alone, the constant min(chi width, 1), and the kernel returns
-it without forming the branch arguments, which could overflow or meet
-0 * inf there; hop 1 returns the same constant from
+[rho_l, top] is empty (top = rho_l, vartheta = inf included), or on a
+clamped ramp at most an eighth of the spacing of doubles at rho_h, the
+average is the remainder alone to the bit, the constant min(chi width, 1),
+and the kernel returns it without forming the branch arguments, which could
+overflow or meet 0 * inf there; hop 1 returns the same constant from
 vartheta = _saturation_z(m + 1) / rho_l on, where both of its gamma
 functions are 1.0 at both ends of the ramp.
 The table follows from the ramp (`_node_table`): the further rho_l sits
@@ -60,26 +61,36 @@ subset expansion.
 
 The direct path (`TrajectoryEvaluator.hop2_components`) runs the NLoS
 kernel at every (power, node) point and the LoS kernel only where its value
-could change a bit of the LoS/NLoS mix. The bound: P(m, z) <= z^m / m!, and
-Gauss-Legendre falls short of the integral of the monomial that the product
-of these bounds makes, so the kernel is at most `avg_bler_hop2_asymptotic`,
-the paper's leading-order term. On 77,451 points where both are normal
-doubles (L = 50-2000 at 80 bits and two clamped ramps; m = 1-40; N = 1-40;
-vartheta 1e-8-1e8 at 20 points per decade) the largest kernel/asymptote
-ratio is 0.99999999994; among subnormal kernel values it reaches 1.154. The
-rule (`_Mixture.los_negligible`): the mix adds a = fl(w_los los) and
+could change a bit of the LoS/NLoS mix, by two upper bounds on the kernel.
+First, at every point: P(m, z) <= z^m / m!, and Gauss-Legendre falls short
+of the integral of the monomial that the product of these bounds makes, so
+the kernel is at most `avg_bler_hop2_asymptotic`, the paper's leading-order
+term. On 77,451 points where both are normal doubles (L = 50-2000 at 80
+bits and two clamped ramps; m = 1-40; N = 1-40; vartheta 1e-8-1e8 at 20
+points per decade) the largest kernel/asymptote ratio is 0.99999999994;
+among subnormal kernel values it reaches 1.154. That bound is loose near
+the knee of the branch CDFs (46x at z = m = 5, to the power n_eff). So,
+where it leaves a point live, `_hop2_endpoint_bound` follows: the integrand
+rises with x, so the kernel (positive weights summing to 1, nodes below
+top, the remainder's factors 1.0) is at most the integrand at rho_h times
+chi width, at n_eff factors a point against the kernel's 16 n_eff. On the
+same grid (89,687 points where both are normal) the largest kernel/bound
+ratio is 1.0, an equality at saturation, and subnormal kernel values stay
+within 0.11 of max(bound, tiny). The rule for either bound
+(`_Mixture.los_negligible`): the mix adds a = fl(w_los los) and
 b = fl(w_nlos nlos), both >= 0, and fl(a + b) = b wherever a < spacing(b)/2.
 A LoS entry is set to 0.0 without a kernel call only where
-2 w_los max(asymptote, tiny) is below spacing(b)/2 and b is a normal double:
+2 w_los max(bound, tiny) is below spacing(b)/2 and b is a normal double:
 the factor 2 covers rounding, and the smallest normal double stands in for
-the asymptote where a subnormal value may pass it. The mix then has the
-bits of the full computation. With the urban defaults (m_los = 5 against
+the bound where a subnormal value may pass it. The mix then has the bits
+of the full computation. With the urban defaults (m_los = 5 against
 m_nlos = 1, and 21.4 dB more loss on NLoS) the LoS term sits orders of
-magnitude below the NLoS term from moderate SNR on: on one seed-1 cycle of
-the benchmark workloads the LoS kernel runs on 20.9% of the LoS points of
-bler-sweep (7,720 of 36,864), 75% of those of optimize-grid's direct checks
-and 25% of validate-mc's, and `gammainc` evaluates 0.47 M elements instead
-of 3.10 M on bler-sweep and 0.36 M instead of 0.41 M on optimize-grid.
+magnitude below the NLoS term from moderate SNR on. On one seed-1 cycle of
+the benchmark workloads the asymptote leaves 7,720 of bler-sweep's 36,864
+LoS points live and the endpoint bound 2,216, as many as the kernel's own
+value would keep, and 3,456 and 384 of the 4,608 of optimize-grid's direct
+checks; `gammainc` evaluates 80 k elements on that bler-sweep cycle, the
+bound's included, against 474 k with the asymptote alone.
 
 A sweep evaluates many port spectra at the same varthetas, and a kernel
 call has a fixed cost of 30-45 us whatever its size (2-core Xeon), about
@@ -281,20 +292,6 @@ def linearize(rate: float, blocklength: int, chi_variant: str = "2^R-1") -> FblP
                      chi_variant=chi_variant)
 
 
-def fbl_rate(gamma: float, blocklength: int, epsilon: float) -> float:
-    """Normal-approximation coding rate at SNR gamma (may be negative)."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    if blocklength < 1:
-        raise ValueError("blocklength must be >= 1")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    cap = math.log2(1.0 + gamma)
-    disp = (1.0 - 1.0 / (1.0 + gamma) ** 2) * _LOG2E * _LOG2E
-    # Q^-1(eps) = -Phi^-1(eps)
-    return cap + math.sqrt(disp / blocklength) * float(special.ndtri(epsilon))
-
-
 def _zero_snr(rate: float, blocklength: int) -> float:
     """gamma_0 = 2^(R + _Q_ZERO log2(e) / sqrt(L)) - 1, from which the
     argument of `instantaneous_bler` is at least _Q_ZERO; inf where that
@@ -372,7 +369,8 @@ def _saturated_where(params: FblParams, saturated: np.ndarray, avg):
 def avg_bler_hop1(params: FblParams, vartheta, m1: int):
     """Average BLER of a single Nakagami hop with rate parameter vartheta
     (a scalar or an array); from vartheta = _saturation_z(m1 + 1) / rho_l on
-    (inf included), the limit min(chi * width, 1) (`_saturated_where`).
+    (inf included), the limit min(chi * width, 1) (`_saturated_where`), and
+    at a vartheta so small that chi / vartheta overflows the limit 0.0.
 
     chi * int_{rho_l}^{rho_h} P(m, x t) dx has the exact antiderivative
     (chi/t) * H(x t) with H(z) = z P(m, z) - m P(m+1, z); the regularized
@@ -394,7 +392,11 @@ def avg_bler_hop1(params: FblParams, vartheta, m1: int):
     def h(z):
         return z * special.gammainc(m1, z) - m1 * special.gammainc(m1 + 1, z)
 
-    val = params.chi / vt * (h(params.rho_h * vt) - h(params.rho_l * vt))
+    # chi / vt overflows below chi / max_double; below this floor both
+    # values of h are 0.0, so the floor keeps the value's bits, or makes it
+    # 0.0 where the formula met inf * 0
+    ratio = params.chi / np.maximum(vt, _TINY * max(params.chi, 1.0))
+    val = ratio * (h(params.rho_h * vt) - h(params.rho_l * vt))
     return _as_result(np.clip(val, 0.0, 1.0))
 
 
@@ -430,22 +432,34 @@ def avg_bler_hop2(params: FblParams, vartheta2, m2: int, lambdas):
     spectrum (a tuple) or spectra stacked on the leading axes of an array
     whose last axis holds the branches, broadcast against vartheta2; each
     value has the bits of its own one-spectrum call. Where the integration
-    interval [rho_l, top] is empty (vartheta2 = inf included) the value is
-    the remainder alone, the limit min(chi * width, 1) (`_saturated_where`),
-    which the quadrature could only reach as 0 * inf or through an
-    overflow."""
+    interval [rho_l, top] is empty (vartheta2 = inf included), or on a
+    clamped ramp (rho_l = 0) no longer than an eighth of the spacing of
+    doubles at rho_h, the value is the remainder alone, the limit
+    min(chi * width, 1) (`_saturated_where`), which the quadrature gives
+    there to the bit or could only reach as 0 * inf or through an
+    overflow. A subnormal vartheta2 takes top = rho_h without overflowing,
+    with the bits of its formula."""
     vt = _positive(vartheta2, "vartheta2")
     m2 = _shape(m2, "m2")
     lam = _branches(lambdas)
-    # clip(a, lo, hi) as min(max(a, lo), hi), at half of np.clip's fixed cost
-    top = np.minimum(np.maximum(_saturation_z(m2) * lam.max(axis=-1) / vt,
-                                params.rho_l), params.rho_h)
+    z_sat = _saturation_z(m2) * lam.max(axis=-1)
+    # a subnormal vartheta would overflow z_sat / vt; below z_sat / (2 rho_h)
+    # the quotient clips to rho_h all the same. clip(a, lo, hi) as
+    # min(max(a, lo), hi), at half of np.clip's fixed cost
+    top = np.minimum(np.maximum(
+        z_sat / np.maximum(vt, z_sat / (2.0 * params.rho_h)), params.rho_l),
+        params.rho_h)
+    # on a clamped ramp an interval up to an eighth of the spacing of
+    # doubles at rho_h adds less than half of it to the remainder rho_h -
+    # top, which rounds to rho_h: the value is the remainder alone there
+    # too, where vartheta / lambda can overflow
+    empty = params.rho_l if params.rho_l > 0.0 else math.ulp(params.rho_h) / 8
     # top >= rho_l, so one reduction tells whether any interval is empty
-    if top.min() == params.rho_l:
+    if top.min() <= empty:
         # one lambda row and one vartheta per live point
         rows = np.broadcast_to(lam, top.shape + lam.shape[-1:])
         vts = np.broadcast_to(vt, top.shape)
-        return _saturated_where(params, top == params.rho_l, lambda live: (
+        return _saturated_where(params, top <= empty, lambda live: (
             _hop2_average(params, vts[live], m2, rows[live], top[live])))
     return _as_result(_hop2_average(params, vt, m2, lam, top))
 
@@ -489,7 +503,7 @@ def _hop2_average(params: FblParams, vt: np.ndarray, m2: int,
 
 class Hop2Table:
     """Interpolant of the hop-2 average BLER on the lattice panels its
-    lookups and `cover` calls asked for, never extrapolated.
+    lookups asked for, never extrapolated.
 
     log eps2 is piecewise Chebyshev in log vartheta on the module
     docstring's lattice of whole decades (vt_sat = inf where rho_l = 0),
@@ -517,16 +531,6 @@ class Hop2Table:
         self.panels = range(0)
         self.nodes = self.values = np.empty(0)
         self._log_values = np.empty((0, _CHEB_N))
-
-    def cover(self, lo: float, hi: float) -> None:
-        """Grow the table to the panels that meet [lo, min(hi, vt_sat)]; a
-        range at or past vt_sat needs none."""
-        if not 0.0 < lo < hi:
-            raise ValueError("need 0 < lo < hi")
-        top = min(hi, self.vt_sat)
-        if top > lo:
-            self._grow(math.log10(lo) - self._anchor,
-                       math.log10(top) - self._anchor)
 
     def _grow(self, s_lo: float, s_hi: float) -> None:
         """Grow the table to the panels that meet [s_lo, s_hi], in decades
@@ -643,6 +647,27 @@ def avg_bler_hop2_asymptotic(params: FblParams, vartheta2, m2: int, lambdas):
         return _as_result(np.exp(ln))
 
 
+def _hop2_endpoint_bound(params: FblParams, vt: np.ndarray, m2: int,
+                         lam: np.ndarray) -> np.ndarray:
+    """An upper bound on `avg_bler_hop2` at validated, broadcastable
+    vartheta and branch arrays: the integrand at the top of the ramp,
+    B = chi * width * prod_n P(m2, rho_h vartheta / lambda_n), with the
+    factors of `_branch_cdf`.
+
+    Each branch CDF rises with x, so the integrand rises on [rho_l, rho_h].
+    The kernel's Gauss-Legendre sum has positive weights that sum to 1 and
+    nodes below top, so it is at most the integrand at top; beyond top every
+    factor is 1.0, so the remainder chi * (rho_h - top) obeys the same
+    bound. Hence kernel <= B, up to rounding. B costs n_eff factors per
+    point, the kernel 16 n_eff or more."""
+    # past vartheta = _saturation_z(m2) max(lambda) / rho_h every factor is
+    # 1.0; the cap keeps vartheta / lambda finite for a huge vartheta
+    cap = _saturation_z(m2) * lam.max(axis=-1) / params.rho_h
+    # per element as the kernel forms them, x (vartheta / lambda)
+    z = params.rho_h * (np.minimum(vt, cap)[..., None] / lam)
+    return params.chi * params.width * np.prod(_branch_cdf(m2, z), axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Trajectory averaging.
 # ---------------------------------------------------------------------------
@@ -694,7 +719,7 @@ class _Mixture:
         out += np.multiply(w_nlos, nlos, out=np.zeros(shape), where=m_nlos)
         return out
 
-    def los_negligible(self, los_bound, nlos):
+    def los_negligible(self, los_bound, nlos, at=None):
         """Where every LoS value in [0, los_bound] leaves the mixture with
         the bits it has at LoS value 0.0: with a = w_los * los and b =
         w_nlos * nlos as rounded, fl(a + b) = b wherever 0 <= a <
@@ -702,8 +727,13 @@ class _Mixture:
         below spacing(b) / 2 and b is a normal double; the factor 2 covers
         a bound that a value exceeds by rounding, and the smallest normal
         double stands in for a bound that does not hold on subnormal
-        values. An inf or nan bound is negligible nowhere."""
+        values. An inf or nan bound is negligible nowhere. With at, an
+        index tuple into nlos, los_bound holds the bounds at those points
+        only, and so does the result."""
         (w_los, _), (w_nlos, _) = self._links
+        if at is not None:
+            w_los, w_nlos, nlos = (np.broadcast_to(a, np.shape(nlos))[at]
+                                   for a in (w_los, w_nlos, nlos))
         b = w_nlos * nlos
         with np.errstate(over="ignore", invalid="ignore"):
             a_max = 4.0 * (w_los * np.maximum(los_bound, _TINY))
@@ -737,10 +767,10 @@ class TrajectoryEvaluator:
     `eps1_mixed` (hop 1, LoS/NLoS mixed), `hop2_components` (hop 2 per link
     type), `hop2_mixed` and `end_to_end`. A LoS entry of `hop2_components`
     is the kernel's value where that could change a bit of `hop2_mixed` and
-    0.0 where the LoS asymptote rules it out (see the module docstring); the
-    NLoS entries and the mix are those of the kernel at every node. Both
-    mixtures are the one rule `_Mixture`, and every trajectory average is
-    the one reduction `average`.
+    0.0 where the LoS asymptote or endpoint bound rules it out (see the
+    module docstring); the NLoS entries and the mix are those of the kernel
+    at every node. Both mixtures are the one rule `_Mixture`, and every
+    trajectory average is the one reduction `average`.
     Against the 10,000-point midpoint sum of C12 (urban scenario, L = 100,
     N = 2) the Chebyshev rule of `chebyshev_nodes` is 2.5e-5 absolute off
     at -20 dBm and 1.9e-7 at 18 dBm with 128 nodes, and 1.0e-4 and 7.7e-7
@@ -815,9 +845,10 @@ class TrajectoryEvaluator:
         """Per-node hop-2 BLERs at `hop2_varthetas(p2)`, LoS then NLoS: the
         NLoS entry is the kernel at every node; the LoS entry is the kernel
         where it could change a bit of `hop2_mixed`, and 0.0 where the
-        LoS asymptote asym_los (computed here if not given) keeps it below
-        that (`_Mixture.los_negligible`), so the mixture has the bits of
-        both kernels in full. lambdas is one spectrum or stacked spectra of
+        LoS asymptote asym_los (computed here if not given) or, at the
+        points that leaves, `_hop2_endpoint_bound` keeps it below that
+        (`_Mixture.los_negligible`), so the mixture has the bits of both
+        kernels in full. lambdas is one spectrum or stacked spectra of
         one rank, as in `avg_bler_hop2`; the arrays have the broadcast
         shape of both."""
         vt_los, vt_nlos = self.hop2_varthetas(p2)
@@ -826,17 +857,23 @@ class TrajectoryEvaluator:
         if asym_los is None:
             asym_los = avg_bler_hop2_asymptotic(self.fbl, vt_los, m_los,
                                                 lambdas)
-        live = np.nonzero(~self._mix2.los_negligible(asym_los, nlos))
+        mix = self._mix2
+        live = np.nonzero(~mix.los_negligible(asym_los, nlos))
         los = np.zeros(nlos.shape)
-        if live[0].size:
-            # one vartheta per live point, and for stacked spectra one
-            # lambda row; one spectrum broadcasts against any vartheta
-            lam = np.asarray(lambdas, dtype=float)
-            if lam.ndim > 1:
-                lam = np.broadcast_to(lam, nlos.shape + lam.shape[-1:])[live]
-            los[live] = avg_bler_hop2(
-                self.fbl, np.broadcast_to(vt_los, nlos.shape)[live], m_los,
-                lam)
+        if not live[0].size:
+            return los, nlos
+        # one vartheta per live point, and for stacked spectra one lambda
+        # row; one spectrum broadcasts against any vartheta
+        vt = np.broadcast_to(vt_los, nlos.shape)[live]
+        lam = np.asarray(lambdas, dtype=float)
+        if lam.ndim > 1:
+            lam = np.broadcast_to(lam, nlos.shape + lam.shape[-1:])[live]
+        # the asymptote is loose near the knee of the branch CDFs
+        keep = np.flatnonzero(~mix.los_negligible(
+            _hop2_endpoint_bound(self.fbl, vt, m_los, lam), nlos, live))
+        if keep.size:
+            los[tuple(i[keep] for i in live)] = avg_bler_hop2(
+                self.fbl, vt[keep], m_los, lam[keep] if lam.ndim > 1 else lam)
         return los, nlos
 
     def hop2_mixed(self, e2_los, e2_nlos):

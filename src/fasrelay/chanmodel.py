@@ -80,7 +80,9 @@ def eigen_spectrum(j: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE
     n = j.shape[0]
     if j.shape != (n, n):
         raise ValueError("correlation matrix must be square")
-    if not np.allclose(j, j.T, atol=1e-12):
+    # exact symmetry, the common case, first: it implies allclose at a
+    # fraction of its cost, and a NaN falls through to allclose
+    if not (np.array_equal(j, j.T) or np.allclose(j, j.T, atol=1e-12)):
         raise ValueError("correlation matrix must be symmetric")
     if np.any(np.abs(np.diagonal(j) - 1.0) > 1e-12):
         raise ValueError("correlation matrix must have unit diagonal")
@@ -90,7 +92,7 @@ def eigen_spectrum(j: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE
     n_eff = int(np.count_nonzero(values > rank_tolerance * values[0]))
     n_eff = max(n_eff, 1)
     return FasSpectrum(n_ports=n, aperture=float(aperture),
-                       eigenvalues=tuple(float(v) for v in values),
+                       eigenvalues=tuple(values.tolist()),
                        n_eff=n_eff, rank_tolerance=rank_tolerance)
 
 

@@ -2,6 +2,7 @@ import csv
 import math
 from dataclasses import replace
 from functools import lru_cache, partial
+from statistics import NormalDist
 
 import mpmath as mp
 import numpy as np
@@ -70,6 +71,14 @@ def plain_instantaneous_bler(gamma, rate, blocklength):
                        / blocklength)
     with np.errstate(divide="ignore"):
         return 0.5 * special.erfc(cap / disp / math.sqrt(2.0))
+
+
+def normal_rate(gamma, blocklength, eps):
+    """The normal-approximation rate C - sqrt(V / L) Q^-1(eps) at SNR gamma,
+    at which `blercore.instantaneous_bler` reads eps."""
+    disp = (1.0 - (1.0 + gamma) ** -2) * _LOG2E * _LOG2E
+    return (math.log2(1.0 + gamma) + math.sqrt(disp / blocklength)
+            * NormalDist().inv_cdf(eps))
 
 
 def gamma_lower_cdf(z, m):

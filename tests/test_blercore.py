@@ -11,14 +11,14 @@ from scipy import special
 
 from fasrelay import (ScenarioConfig, TrajectoryEvaluator, avg_bler_hop1,
                       avg_bler_hop2, avg_bler_hop2_asymptotic, chebyshev_nodes,
-                      fas_spectrum, fbl_rate, instantaneous_bler, linearize)
+                      fas_spectrum, instantaneous_bler, linearize)
 from fasrelay import MonotonicityError, blercore
 from fasrelay.blercore import (Hop2Table, _GL16, _GL32, _GRADED, _branch_cdf,
                                _Mixture, _node_table, _saturation_z)
 from fasrelay.cli import _fbl, parse_config
 from fasrelay.geometry import LINK_TYPES, trajectory_geometry
 
-from conftest import (avg_bler_hop2_all_factors, exact_avg_bler,
+from conftest import (avg_bler_hop2_all_factors, exact_avg_bler, normal_rate,
                       plain_instantaneous_bler, quad_hop1, quad_hop2)
 
 
@@ -71,25 +71,34 @@ def test_linearize_slope_variant():
 # ---------------------------------------------------------------------------
 
 def test_fbl_rate_median_epsilon_is_capacity():
+    # at eps = 1/2 the rate is the capacity, where the BLER reads 1/2
     for g in (0.1, 1.0, 30.0):
-        assert fbl_rate(g, 200, 0.5) == pytest.approx(math.log2(1.0 + g), rel=1e-12)
+        assert normal_rate(g, 200, 0.5) == math.log2(1.0 + g)
+        assert instantaneous_bler(g, math.log2(1.0 + g), 200) == pytest.approx(
+            0.5, rel=1e-12)
 
 
 def test_fbl_rate_zero_snr():
-    assert fbl_rate(0.0, 100, 1e-3) == 0.0
-    assert fbl_rate(0.0, 100, 0.9) == 0.0
+    # C = V = 0 at zero SNR: no positive rate gets through there
+    assert normal_rate(0.0, 100, 1e-3) == normal_rate(0.0, 100, 0.9) == 0.0
+    for rate in (1e-12, 0.8, 5.0):
+        assert instantaneous_bler(0.0, rate, 100) == 1.0
 
 
 def test_fbl_rate_reference_value():
-    # C - sqrt(Z/L) * Qinv via an independent erfc-based oracle
+    # C - sqrt(Z/L) * Qinv via an independent erfc-based oracle, read back
+    # as the BLER it was solved for
     qinv = -float(special.ndtri(1e-3))
     ref = 1.0 - math.sqrt(0.75 * math.log2(math.e) ** 2 / 100.0) * qinv
-    assert fbl_rate(1.0, 100, 1e-3) == pytest.approx(ref, rel=1e-12)
+    assert normal_rate(1.0, 100, 1e-3) == pytest.approx(ref, rel=1e-12)
     assert ref == pytest.approx(0.6139032, abs=5e-7)
+    assert instantaneous_bler(1.0, ref, 100) == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_fbl_rate_can_go_negative():
-    assert fbl_rate(1e-6, 100, 1e-9) < 0.0
+    # no positive rate reaches 1e-9 at SNR 1e-6
+    assert normal_rate(1e-6, 100, 1e-9) < 0.0
+    assert instantaneous_bler(1e-6, 1e-12, 100) > 1e-9
 
 
 def test_instantaneous_bler_half_at_threshold():
@@ -110,7 +119,7 @@ def test_instantaneous_bler_limits():
 
 
 def test_instantaneous_bler_inverts_rate():
-    rate = fbl_rate(1.0, 100, 1e-3)
+    rate = normal_rate(1.0, 100, 1e-3)
     assert instantaneous_bler(1.0, rate, 100) == pytest.approx(1e-3, rel=1e-9)
 
 
@@ -419,7 +428,7 @@ def test_rayleigh_factors_do_not_call_gammainc(monkeypatch):
         assert _node_table(params) is table
         assert np.all(np.isfinite(avg_bler_hop2(params, vt, 1, lams)))
         table = Hop2Table(params, 1, lams)
-        table.cover(1e-6, 1e4)
+        _look_up_range(table, 1e-6, 1e4)
         assert np.all(np.isfinite(table.values))
     assert not calls
     # the guard is live: other shapes still reach gammainc
@@ -458,6 +467,12 @@ def _table_gap(table, params, m, lambdas, lo, hi, points=801):
     vt = np.geomspace(lo, hi, points)
     direct = avg_bler_hop2(params, vt, m, lambdas)
     return float(np.max(np.abs(table(vt) - direct) / direct))
+
+
+def _look_up_range(table, lo, hi):
+    """A lookup at both ends of [lo, min(hi, vt_sat)], which grows table to
+    the panels that meet that range."""
+    return table([lo, min(hi, table.vt_sat)])
 
 
 def _tabulated(ev, p2, lambdas):
@@ -503,7 +518,7 @@ def test_hop2_table_clamped_ramp():
         lams = fas_spectrum(n, 0.5).lambdas
         for m in (1, 5):
             table = Hop2Table(fbl, m, lams)
-            table.cover(1e-6, 1e4)
+            _look_up_range(table, 1e-6, 1e4)
             assert table.vt_sat == math.inf
             assert table.nodes.size == 10 * 32
             assert _table_gap(table, fbl, m, lams, 1e-6, 1e4) <= _TABLE_REL
@@ -525,17 +540,17 @@ def _off_lattice(vt, anchor):
 
 def _check_growing_lookup(make, vt, panels):
     """A lookup of vt on a table make() builds grows it to panels, with the
-    nodes and values of a cover of those panels, and returns the covered
-    table's value there, the kernel's to 1e-8."""
-    grown, covered = make(), make()
+    nodes and values of a lookup inside the first and last of those panels,
+    and returns that table's value there, the kernel's to 1e-8."""
+    grown, ranged = make(), make()
     got = grown(vt)
     a = _lattice_anchor(grown._params, grown._m2, grown._lambdas)
-    covered.cover(10.0 ** (a + panels.start + 0.25),
-                  10.0 ** (a + panels.stop - 0.25))
-    assert grown.panels == covered.panels == panels
+    _look_up_range(ranged, 10.0 ** (a + panels.start + 0.25),
+                   10.0 ** (a + panels.stop - 0.25))
+    assert grown.panels == ranged.panels == panels
     for name in ("nodes", "values"):
-        assert np.array_equal(getattr(grown, name), getattr(covered, name))
-    assert np.array_equal(got, covered(vt))
+        assert np.array_equal(getattr(grown, name), getattr(ranged, name))
+    assert np.array_equal(got, ranged(vt))
     direct = avg_bler_hop2(grown._params, vt, grown._m2, grown._lambdas)
     assert np.all(np.abs(got - direct) <= _TABLE_REL * direct)
 
@@ -549,7 +564,7 @@ def test_hop2_table_never_extrapolates(fbl100):
 
     def held():
         table = Hop2Table(fbl100, 5, lams)
-        table.cover(10.0 ** (a - 4.5), 10.0 ** (a - 3.5))
+        _look_up_range(table, 10.0 ** (a - 4.5), 10.0 ** (a - 3.5))
         return table
 
     for s, panels in (([-5.0 + 1e-9, -4.0, -3.0 - 1e-9], range(-5, -3)),
@@ -565,12 +580,10 @@ def test_hop2_table_never_extrapolates(fbl100):
         with pytest.raises(ValueError):
             table(vt)
         assert table.panels == range(-5, -3)
-    with pytest.raises(ValueError):
-        table.cover(1.0, 1.0)
 
 
 def test_hop2_table_cover_rejects_a_falling_kernel(fbl100, monkeypatch):
-    # a kernel that falls with vartheta fails the cover or lookup that would
+    # a kernel that falls with vartheta fails the lookups that would
     # add its panels, and the table keeps what it held, so asking again
     # raises again.
     # The slack is relative, so a fall is seen at every magnitude: on the
@@ -589,7 +602,8 @@ def test_hop2_table_cover_rejects_a_falling_kernel(fbl100, monkeypatch):
     # held table holds the highest
     for deep, shallow in ((-2, -1), (-7, -4)):
         held = Hop2Table(fbl100, 5, lams)
-        held.cover(10.0 ** (a + shallow + 0.1), 10.0 ** (a + shallow + 0.9))
+        _look_up_range(held, 10.0 ** (a + shallow + 0.1),
+                       10.0 ** (a + shallow + 0.9))
         assert held.panels == range(shallow, shallow + 1)
         if shallow == -4:
             assert held.values.max() < 1e-13
@@ -599,8 +613,8 @@ def test_hop2_table_cover_rejects_a_falling_kernel(fbl100, monkeypatch):
             values = table.values.copy()
             looked_up = table(nodes)
             monkeypatch.setattr(blercore, "avg_bler_hop2", wavy)
-            for grow in (lambda: table.cover(10.0 ** (a + deep + 0.1),
-                                             10.0 ** (a + shallow + 0.9)),
+            for grow in (lambda: _look_up_range(table, 10.0 ** (a + deep + 0.1),
+                                                10.0 ** (a + shallow + 0.9)),
                          lambda: table(10.0 ** (a + deep + 0.1))) * 2:
                 with pytest.raises(MonotonicityError, match="table"):
                     grow()
@@ -615,14 +629,12 @@ def test_hop2_table_with_no_panels_saturates(fbl100):
     lams = (1.3, 0.7)
     table = Hop2Table(fbl100, 5, lams)
     assert table.vt_sat < math.inf
-    # a range at or past vartheta_sat needs no panel
-    table.cover(table.vt_sat, 10.0 * table.vt_sat)
-    assert table.nodes.size == 0
+    # a lookup past vartheta_sat needs no panel
     vt = table.vt_sat * np.array([1.0 + 1e-12, 2.0, 1e6])
     assert np.array_equal(table(vt), avg_bler_hop2(fbl100, vt, 5, lams))
     assert np.all(table(vt) == table.saturated)
     assert table.nodes.size == 0
-    # a lookup below vartheta_sat grows an empty table as a cover does; a
+    # a lookup below vartheta_sat grows an empty table to its panel; a
     # clamped ramp has no vartheta_sat, and its lattice counts from 1
     _check_growing_lookup(lambda: Hop2Table(fbl100, 5, lams),
                           0.5 * table.vt_sat, range(-1, 0))
@@ -669,7 +681,8 @@ def test_infinite_vartheta_reads_the_saturated_value(payload):
 
 def test_overflowing_vartheta_reads_the_saturated_value():
     # a finite vartheta whose product with rho_l overflows: hop 1 met
-    # inf - inf and hop 2 an overflow in its branch arguments. Both read
+    # inf - inf and hop 2 an overflow in its branch arguments, on a clamped
+    # ramp also where top was not rho_l. Both read
     # min(chi width, 1) with no warning, as every vartheta from
     # _saturation_z(m + 1) / rho_l (hop 1) and from an empty integration
     # interval (hop 2) on does; below that hop 1 keeps its formula
@@ -696,12 +709,60 @@ def test_overflowing_vartheta_reads_the_saturated_value():
         # the remainder alone, chi * width as rounded
         assert avg_bler_hop2(linearize(8.0, 100), 1e307, 1, (1.0,)) == (
             0.9999999999999991)
+        # a clamped ramp's interval [0, top] is empty at no finite vartheta;
+        # from top = spacing(rho_h) / 8 down the value is the remainder
+        # alone, the bits of the quadrature, where vartheta / lambda_n would
+        # overflow too
+        for fbl in (linearize(0.02, 100), linearize(0.4 / 50, 50)):
+            saturated = min(fbl.chi * fbl.width, 1.0)
+            for m in (1, 2, 5):
+                for lams in ((1.0,), fas_spectrum(8, 4.0).lambdas):
+                    edge = _saturation_z(m) * max(lams) / (
+                        math.ulp(fbl.rho_h) / 8)
+                    vt = np.r_[edge * np.geomspace(0.25, 4.0, 33), 1e300,
+                               1.7e308]
+                    with np.errstate(over="ignore"):
+                        want = avg_bler_hop2_all_factors(fbl, vt, m, lams)
+                    got = avg_bler_hop2(fbl, vt, m, lams)
+                    assert got.tobytes() == want.tobytes()
+                    assert np.all(got[16:] == saturated)
+
+
+def test_subnormal_vartheta_reads_the_limit_zero():
+    # chi / vartheta overflowed in hop 1 (inf * 0 = nan) and the top of
+    # hop 2's interval overflowed, with warnings. Hop 1 reads 0.0, the
+    # limit, and keeps the bits of its formula wherever that was finite,
+    # every normal vartheta included; hop 2 the bits of its formula with
+    # top = rho_h, below the smallest normal double, with no warning
+    fbl, tiny = linearize(0.8, 100), np.finfo(float).tiny
+    lo = np.r_[5e-324, 1e-310, np.geomspace(tiny, 1e-290, 400)]
+
+    def h(z, m):
+        return z * special.gammainc(m, z) - m * special.gammainc(m + 1, z)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1, 5):
+            for vt in (1e-310, 5e-324):
+                assert avg_bler_hop1(fbl, vt, m) == 0.0
+                for lams in ((1.0,), (0.25, 4.0), fas_spectrum(8, 0.5).lambdas):
+                    with np.errstate(over="ignore"):
+                        want = avg_bler_hop2_all_factors(fbl, vt, m, lams)
+                    assert avg_bler_hop2(fbl, vt, m, lams) == want < tiny
+                assert avg_bler_hop2(fbl, vt, m, (0.25, 4.0)) == 0.0
+            got = avg_bler_hop1(fbl, lo, m)
+            with np.errstate(over="ignore", invalid="ignore"):
+                formula = np.clip(fbl.chi / lo * (h(fbl.rho_h * lo, m)
+                                                  - h(fbl.rho_l * lo, m)), 0, 1)
+            finite = np.isfinite(formula)
+            assert np.array_equal(got[finite], formula[finite])
+            assert np.all(got[~finite] == 0.0) and not finite[:3].any()
 
 
 def test_hop2_table_value_does_not_depend_on_its_range():
-    # tables grown by cover calls in several orders hold the nodes and
-    # values of one cover of the union, and every lookup in the panels
-    # covered so far returns that table's bits: capped (rho_l > 0) and
+    # tables grown by range lookups in several orders hold the nodes and
+    # values of one lookup of the union, and every lookup in the panels
+    # grown so far returns that table's bits: capped (rho_l > 0) and
     # clamped (rho_l = 0) ramps, ranges inside one panel, across several,
     # starting on a lattice line, past saturation, and apart
     capped, clamped = linearize(80.0 / 300.0, 300), linearize(0.02, 100)
@@ -715,13 +776,14 @@ def test_hop2_table_value_does_not_depend_on_its_range():
             for m in (1, 5):
                 a = _lattice_anchor(params, m, lams)
                 union = Hop2Table(params, m, lams)
-                union.cover(10.0 ** (a - 7.0), 10.0 ** (a + 0.9))
+                _look_up_range(union, 10.0 ** (a - 7.0), 10.0 ** (a + 0.9))
                 if params is capped:
                     assert union.vt_sat < 10.0 ** (a + 0.9)
                 for order in orders:
                     grown = Hop2Table(params, m, lams)
                     for lo, hi in order:
-                        grown.cover(10.0 ** (a + lo), 10.0 ** (a + hi))
+                        _look_up_range(grown, 10.0 ** (a + lo),
+                                       10.0 ** (a + hi))
                         vt = _off_lattice(
                             np.geomspace(10.0 ** (a + lo), 10.0 ** (a + hi),
                                          301), a)
@@ -733,7 +795,7 @@ def test_hop2_table_value_does_not_depend_on_its_range():
 
 def test_hop2_table_fills_each_panel_once(monkeypatch):
     # growing a table in any order runs the kernel on each panel's nodes
-    # once: as many points as one cover of the union
+    # once: as many points as one lookup of the union
     points = []
     kernel = blercore.avg_bler_hop2
 
@@ -749,7 +811,7 @@ def test_hop2_table_fills_each_panel_once(monkeypatch):
         del points[:]
         table = Hop2Table(params, 5, lams)
         for lo, hi in order:
-            table.cover(10.0 ** (a + lo), 10.0 ** (a + hi))
+            _look_up_range(table, 10.0 ** (a + lo), 10.0 ** (a + hi))
         assert table.panels == range(-7, 0)
         assert sum(points) == table.nodes.size == 7 * 32
 
@@ -940,6 +1002,15 @@ def test_skipped_los_nodes_keep_the_bits_of_the_mix():
             p[rng.random(p.size) < 0.3] = 1.0
             ev.geo = replace(ev.geo, p_los2=p)
             ev._mix2 = _Mixture(p)
+        elif i % 3 == 2:
+            # LoS weights at 3/4 of the spacing of doubles near 1, where a
+            # saturated LoS value changes a bit of a saturated NLoS one: a
+            # bound used without the rounding margin of `los_negligible`
+            # would drop it
+            p = ev.geo.p_los2.copy()
+            p[::4] = 0.75 * np.spacing(0.5)
+            ev.geo = replace(ev.geo, p_los2=p)
+            ev._mix2 = _Mixture(p)
         p2 = 10.0 ** rng.uniform(-12.0, 8.0, 6)
         got = ev.hop2_components(p2[:, None], lambdas)
         full = _full_components(ev, p2[:, None], lambdas)
@@ -1031,6 +1102,22 @@ def test_asymptotic_converges_to_exact(fbl100):
         assert asym / exact == pytest.approx(1.0, abs=2e-3)
 
 
+def _bounded_kernels():
+    """(fbl, m, lambdas, vartheta, kernel) rows of the hop-2 kernel on 6
+    ramps (two clamped, rho_l = 0) x 7 shapes x 8 spectra x 321 vartheta,
+    1e-8 to 1e8 at 20 points per decade."""
+    fbls = [linearize(80.0 / L, L) for L in (50, 100, 300, 2000)]
+    fbls += [linearize(2.0 / 100, 100), linearize(0.4 / 50, 50)]
+    spectra = [fas_spectrum(n, w).lambdas for n, w in
+               [(n, 0.5) for n in (1, 2, 4, 8, 12)]
+               + [(12, 4.0), (40, 4.0), (16, 100.0)]]
+    vt = 10.0 ** (np.arange(-160, 161) / 20.0)
+    for fbl in fbls:
+        for m in (1, 2, 3, 5, 10, 20, 40):
+            for lams in spectra:
+                yield fbl, m, lams, vt, avg_bler_hop2(fbl, vt, m, lams)
+
+
 def test_kernel_never_exceeds_the_asymptote():
     # P(m, z) <= z^m / m!, and Gauss-Legendre falls short of the integral of
     # the monomial z^(m N): the kernel is at most the asymptote wherever
@@ -1038,23 +1125,37 @@ def test_kernel_never_exceeds_the_asymptote():
     # The skip of `hop2_components` relies on it there, not on subnormals
     # (ratio up to 1.154)
     tiny = np.finfo(float).tiny
-    fbls = [linearize(80.0 / L, L) for L in (50, 100, 300, 2000)]
-    # clamped ramps (rho_l = 0)
-    fbls += [linearize(2.0 / 100, 100), linearize(0.4 / 50, 50)]
-    spectra = [fas_spectrum(n, w).lambdas for n, w in
-               [(n, 0.5) for n in (1, 2, 4, 8, 12)]
-               + [(12, 4.0), (40, 4.0), (16, 100.0)]]
-    vt = 10.0 ** (np.arange(-160, 161) / 20.0)
     normal = 0
-    for fbl in fbls:
-        for m in (1, 2, 3, 5, 10, 20, 40):
-            for lams in spectra:
-                kernel = avg_bler_hop2(fbl, vt, m, lams)
-                asym = avg_bler_hop2_asymptotic(fbl, vt, m, lams)
-                both = (kernel >= tiny) & (tiny <= asym) & (asym < np.inf)
-                assert np.all(kernel[both] <= asym[both]), (fbl, m, lams)
-                normal += int(both.sum())
+    for fbl, m, lams, vt, kernel in _bounded_kernels():
+        asym = avg_bler_hop2_asymptotic(fbl, vt, m, lams)
+        both = (kernel >= tiny) & (tiny <= asym) & (asym < np.inf)
+        assert np.all(kernel[both] <= asym[both]), (fbl, m, lams)
+        normal += int(both.sum())
     assert normal > 70_000
+
+
+def test_kernel_never_exceeds_the_endpoint_bound():
+    # the integrand at rho_h bounds the kernel: 89,687 points where both
+    # are normal, equal at saturation (chi width), and on subnormal kernel
+    # values at most 0.11 max(bound, tiny). At extreme vartheta the bound
+    # is finite with no warning (the cap keeps a huge vartheta's branch
+    # arguments finite) and chi width from the saturation point on
+    tiny = np.finfo(float).tiny
+    normal = equal = 0
+    extremes = np.array([5e-324, 1e-310, 1e300, 1.7e308, np.inf])
+    for fbl, m, lams, vt, kernel in _bounded_kernels():
+        lam = np.asarray(lams)
+        bound = blercore._hop2_endpoint_bound(fbl, vt, m, lam)
+        assert np.all(kernel <= np.maximum(bound, tiny)), (fbl, m, lams)
+        both = (kernel >= tiny) & (bound >= tiny)
+        normal += int(both.sum())
+        equal += int(np.sum(kernel[both] == bound[both]))
+        sub = kernel < tiny
+        assert np.all(kernel[sub] <= 0.2 * np.maximum(bound[sub], tiny))
+        bound = blercore._hop2_endpoint_bound(fbl, extremes, m, lam)
+        assert np.all(bound[:2] < tiny)
+        assert np.all(bound[2:] == fbl.chi * fbl.width)
+    assert normal > 89_000 and equal > 0
 
 
 def test_asymptote_is_finite_up_to_the_largest_double(fbl100):

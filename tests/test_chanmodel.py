@@ -76,6 +76,47 @@ def test_eigen_spectrum_trace_preserved(n, w):
     assert 1 <= spec.n_eff <= n
 
 
+def test_symmetry_check_accepts_what_allclose_accepts():
+    # exact equality is tried before allclose: asymmetries around the
+    # 1e-12 tolerance, NaN and inf are accepted or rejected as allclose does
+    base = jakes_matrix(4, 0.5)
+    cases = [base]
+    for delta in (1e-13, 9e-13, 1e-12, 1.1e-12, 2e-12, 1e-11, 1e-6, 1e-4):
+        for i, k in ((0, 1), (1, 3), (0, 3)):
+            j = base.copy()
+            j[i, k] += delta
+            cases.append(j)
+    for bad in (math.nan, math.inf, -math.inf):
+        for sym in (True, False):
+            j = base.copy()
+            j[0, 2] = bad
+            if sym:
+                j[2, 0] = bad
+            cases.append(j)
+    for j in cases:
+        if np.allclose(j, j.T, atol=1e-12):
+            # past the symmetry check: a non-finite matrix fails eigvalsh
+            if np.all(np.isfinite(j)):
+                eigen_spectrum(j)
+            else:
+                with pytest.raises(np.linalg.LinAlgError):
+                    eigen_spectrum(j)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                eigen_spectrum(j)
+
+
+def test_spectra_keep_the_bits_of_the_plain_eigensolve():
+    # eigvalsh of the Jakes matrix, clipped at 0 and descending, each value
+    # as a float: N = 1..40 at apertures 0.5 to 100
+    for n in range(1, 41):
+        for w in (0.5, 1.0, 4.0, 16.0, 100.0):
+            values = np.clip(np.linalg.eigvalsh(jakes_matrix(n, w)), 0.0,
+                             None)[::-1]
+            want = [float(v).hex() for v in values]
+            assert [v.hex() for v in fas_spectrum(n, w).eigenvalues] == want
+
+
 def test_rank_tolerance_controls_retention():
     loose = fas_spectrum(8, 0.5, rank_tolerance=1e-3)
     tight = fas_spectrum(8, 0.5, rank_tolerance=1e-12)

@@ -12,12 +12,11 @@ import pytest
 from scipy import special
 
 from fasrelay import (avg_bler_hop1, avg_bler_hop2, eigen_spectrum,
-                      fbl_rate, instantaneous_bler, jakes_matrix)
+                      instantaneous_bler, jakes_matrix)
 from fasrelay.blercore import _branch_cdf, q_func
 
-from conftest import cdf_hop1
+from conftest import cdf_hop1, normal_rate
 
-_LOG2E = math.log2(math.e)
 
 
 def test_bessel_j0_absolute_accuracy():
@@ -48,26 +47,24 @@ def test_q_func_identities():
 @pytest.mark.parametrize("eps", [1e-15, 1e-9, 1e-6, 1e-3, 0.0228, 0.3, 0.5,
                                  0.77, 0.999, 1 - 1e-9])
 def test_q_func_inv_against_library(eps):
-    # fbl_rate = C - sqrt(V / L) Q^-1(eps); Q^-1(eps) = sqrt(2) erfinv(1 - 2 eps)
-    gamma, length = 1.0, 100
-    scale = math.sqrt(0.75 * _LOG2E * _LOG2E / length)
-    got = (math.log2(1.0 + gamma) - fbl_rate(gamma, length, eps)) / scale
+    # Q at Q^-1(eps) = sqrt(2) erfinv(1 - 2 eps), from mpmath, is eps
     with mp.workdps(40):
         ref = float(mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(eps)))
-    assert got == pytest.approx(ref, rel=1e-10, abs=1e-12)
+    assert q_func(ref) == pytest.approx(eps, rel=1e-10, abs=1e-12)
 
 
 def test_q_func_inv_round_trip():
-    # the instantaneous BLER (Q) at the rate fbl_rate solved (Q^-1)
+    # the instantaneous BLER (Q) at the rate solved for eps (Q^-1)
     for eps in np.logspace(-12, -0.05, 50):
-        rate = fbl_rate(10.0, 100, eps)
+        rate = normal_rate(10.0, 100, eps)
         assert instantaneous_bler(10.0, rate, 100) == pytest.approx(eps, rel=1e-9)
 
 
 def test_q_func_inv_rejects_bad_domain():
-    for eps in (0.0, 1.0, -0.1, 1.5):
+    # the BLER of a non-positive rate or a negative SNR raises
+    for gamma, rate in ((1.0, 0.0), (1.0, -0.1), (-0.1, 0.8), (-math.inf, 0.8)):
         with pytest.raises(ValueError):
-            fbl_rate(1.0, 100, eps)
+            instantaneous_bler(gamma, rate, 100)
 
 
 def test_gamma_cdf_matches_library_across_shapes():

@@ -341,7 +341,7 @@ def test_best_port_count_shared_tables_change_nothing(cfg46, table_fills):
 @pytest.fixture
 def table_fills(monkeypatch):
     """The (params, m2, lambdas) of the table of every kernel fill that a
-    `Hop2Table` lookup or cover makes while the test runs."""
+    `Hop2Table` lookup makes while the test runs."""
     fills = []
     grow = blercore.Hop2Table._grow
 
@@ -580,6 +580,43 @@ def test_ee_vs_ports_fills_no_table_for_a_cut_port_count(tmp_path,
     assert len(table_fills) == 2 * 2
     assert {args[2] for args in table_fills} == {
         fas_spectrum(n, 0.5).lambdas for n in (8, 9)}
+
+
+def test_direct_checks_run_the_los_kernel_on_few_nodes(tmp_path,
+                                                      monkeypatch):
+    # the benchmark's optimize study at 400 m (L = 300, N = 1..12): each
+    # solve checks its table against one direct evaluation, where the NLoS
+    # kernel runs at every node and the LoS kernel only where its asymptote
+    # and its integrand at rho_h both leave it a bit of the mix (128 of
+    # 1,536; 1,152 by the asymptote alone)
+    points, direct = {}, []
+    kernel = blercore.avg_bler_hop2
+    components = blercore.TrajectoryEvaluator.hop2_components
+
+    def counted(params, vartheta2, m2, lambdas):
+        if direct:
+            points[m2] = points.get(m2, 0) + np.size(vartheta2)
+        return kernel(params, vartheta2, m2, lambdas)
+
+    def checked(self, *args):
+        direct.append(True)
+        try:
+            return components(self, *args)
+        finally:
+            direct.pop()
+
+    monkeypatch.setattr(blercore, "avg_bler_hop2", counted)
+    monkeypatch.setattr(blercore.TrajectoryEvaluator, "hop2_components",
+                        checked)
+    spec = parse_config(
+        "aperture = 0.5\np1 = 46 dBm\nbler_threshold = 1e-3\n"
+        "p_max = 40 dBm\nn_min = 1\nn_max = 12\nz_min = 400\n"
+        "z_max = 410\nz_step = 20\nl_set = 300\n", "optimize")
+    assert run(spec, out_path=str(tmp_path / "o.csv")) == 0
+    all_points = 12 * 128
+    # m_los = 5, m_nlos = 1
+    assert points[1] == all_points
+    assert 0 < points[5] <= 0.125 * all_points
 
 
 def test_global_optimize_order_invariant(cfg46):
