@@ -111,7 +111,7 @@ elementwise. A tuple of lambdas is the one-spectrum case of the same code.
 
 Hop 2 depends on the relay power and the altitude only through vartheta, so
 a power search can read it from a table instead (`Hop2Table`, one per link
-type and spectrum, from the process-wide cache `hop2_table`): log eps2
+type and spectrum, in a dict of the evaluators that share it): log eps2
 against log vartheta, piecewise Chebyshev with 32 first-kind nodes per
 panel. The panels are whole decades of a fixed lattice, counted from
 vartheta_sat = _saturation_z(m) max(lambda) / rho_l where rho_l > 0 (past
@@ -139,7 +139,6 @@ rule; at 1e6 trials per point that bias is up to 8.5 standard errors.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -513,9 +512,9 @@ class Hop2Table:
     meet; past vt_sat, and at vartheta = inf, it returns the kernel's
     constant min(chi * width, 1).
     A NaN or non-positive vartheta raises ValueError. A value depends on
-    (params, m2, lambdas, vartheta) only, not on the panels held or the
-    order they were added in. `nodes` and `values` hold the sampled
-    vartheta (ascending) and the kernel's values.
+    (params, m2, lambdas, vartheta) only, not on the panels held or their
+    order, so a shared table reads as a fresh one. `nodes` and `values`
+    hold the sampled vartheta (ascending) and the kernel's values.
     """
 
     def __init__(self, params: FblParams, m2: int, lambdas):
@@ -611,14 +610,6 @@ class Hop2Table:
         log_eps = np.einsum("ij,ij->i", bary, rows) / bary.sum(axis=1)
         # a rounding error must not lift a value near saturation above 1
         return np.exp(np.minimum(log_eps, 0.0))
-
-
-@functools.lru_cache(maxsize=256)
-def hop2_table(params: FblParams, m2: int, lambdas) -> Hop2Table:
-    """The process-wide `Hop2Table` of (params, m2, lambdas), grown by every
-    lookup, so the power solves of a study share one table per blocklength,
-    link type and spectrum."""
-    return Hop2Table(params, m2, lambdas)
 
 
 def avg_bler_hop2_asymptotic(params: FblParams, vartheta2, m2: int, lambdas):
@@ -784,14 +775,15 @@ class TrajectoryEvaluator:
     own, and every other step is elementwise. Spectra of one rank stacked
     as (S, 1, 1, n_eff) lambdas give (S, P, nodes) arrays and (S, P)
     averages the same way (see the module docstring). `e2e_avg_tabulated` is
-    `e2e_avg` with hop 2 read from the cached tables instead, as a power
-    solve reads it.
+    `e2e_avg` with hop 2 read from the dict `tables` (given or fresh)
+    instead, as a power solve reads it.
     """
 
     def __init__(self, cfg: ScenarioConfig, fbl: FblParams,
-                 nodes: int = DEFAULT_TRAJECTORY_NODES):
+                 nodes: int = DEFAULT_TRAJECTORY_NODES, tables=None):
         self.cfg = cfg
         self.fbl = fbl
+        self.tables = {} if tables is None else tables
         self.theta, self.weights = chebyshev_nodes(nodes)
         geo = self.geo = trajectory_geometry(cfg, self.theta)
         # an SNR scale past the double range divides by 0 or overflows here;
@@ -895,11 +887,19 @@ class TrajectoryEvaluator:
 
     def e2e_avg_tabulated(self, p2, lambdas):
         """The end-to-end BLER at a relay power, or one per row for a (P, 1)
-        column, with hop 2 read from the `hop2_table` pair of (fbl, m,
-        lambdas) at `hop2_varthetas(p2)`: the tables of a spectrum are filled
-        once for every solve of a study that reads them, and agree with the
-        direct path to about 1e-12 relative (see the module docstring)."""
-        return self.e2e_avg_from(*(
-            hop2_table(self.fbl, self.cfg.nakagami_m(lt), lambdas)(vt)
-            for lt, vt in zip(LINK_TYPES, self.hop2_varthetas(p2))))
-
+        column, with hop 2 read at `hop2_varthetas(p2)` from the `Hop2Table`
+        pair of (fbl, m, lambdas) in `tables`, each built on its first lookup
+        and within about 1e-12 relative of the direct path. A list or an
+        array reads the pair of its tuple; stacked spectra raise ValueError."""
+        if not isinstance(lambdas, tuple):
+            lam = _branches(lambdas)
+            if lam.ndim > 1:
+                raise ValueError("a hop-2 table holds one spectrum")
+            lambdas = tuple(lam.tolist())
+        eps2 = []
+        for lt, vt in zip(LINK_TYPES, self.hop2_varthetas(p2)):
+            key = (self.fbl, self.cfg.nakagami_m(lt), lambdas)
+            if key not in self.tables:
+                self.tables[key] = Hop2Table(*key)
+            eps2.append(self.tables[key](vt))
+        return self.e2e_avg_from(*eps2)

@@ -473,8 +473,9 @@ def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int):
     z_axis = [float(z) for z in spec.sweeps["sweep_z"]]
     fbl = _fbl(spec, spec.blocklength)
     # one evaluator per altitude, shared by its port counts
+    tables = {}
     evs = {z: TrajectoryEvaluator(replace(spec.scenario, uav_altitude=z), fbl,
-                                  spec.traj_nodes) for z in z_axis}
+                                  spec.traj_nodes, tables) for z in z_axis}
     rows = []
     for n, z in product(spec.sweeps.get("sweep_n_ports", [spec.n_ports]),
                         z_axis):
@@ -521,9 +522,10 @@ def _port_search_row(spec: ExperimentSpec, res: PortSearchResult) -> dict:
 def _rows_ee_contour(spec: ExperimentSpec, seed: int):
     l_axis = _blocklengths(spec)
     fbls = {int(l): _fbl(spec, int(l)) for l in l_axis}
+    tables = {}
     return [_port_search_row(spec, best_port_count(
                 spec.scenario, fbls[int(l)], spec.ee, float(z), spec.aperture,
-                spec.rank_tolerance, spec.traj_nodes))
+                spec.rank_tolerance, spec.traj_nodes, tables))
             for l in l_axis for z in spec.sweeps["sweep_z"]], {}
 
 

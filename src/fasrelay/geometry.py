@@ -128,7 +128,8 @@ def trajectory_geometry(cfg: ScenarioConfig, theta: np.ndarray) -> TrajectoryGeo
         np.square(dy, out=dy)
         d += dy
         del dy
-        d += (uz - node[2]) ** 2
+        # a float's bits (both are C pow), but inf past the double range
+        d += np.float64(uz - node[2]) ** 2
         np.sqrt(d, out=d)
         if np.any(d == 0.0):
             raise DegenerateGeometryError("trajectory grid touches a link endpoint")

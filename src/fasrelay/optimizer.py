@@ -9,13 +9,13 @@ plus an explicit flag so that "zero goodput" and "constraint violating"
 stay distinguishable.
 
 Each power solve reads the end-to-end BLER by
-`TrajectoryEvaluator.e2e_avg_tabulated`, hop 2 from the cached table pair
-of its blocklength and spectrum (the table design and its measured
-accuracy, about 1e-12 relative, are in `blercore`): the precheck its 10
-powers in one call, whose lookups grow the pair to the vartheta they
-reach, and the search one power at a time. The `optimize` preset fills
-one pair per (L, N), 96 tables. The power found is then re-evaluated by
-the direct kernel: that value is the one reported and used for the
+`TrajectoryEvaluator.e2e_avg_tabulated`, hop 2 from the table pair of its
+blocklength and spectrum (design and accuracy, about 1e-12 relative, in
+`blercore`): the precheck its 10 powers in one call, whose lookups grow
+the pair to the vartheta they reach, and the search one power at a time.
+The searches of `global_optimize` share one table dict: 96 tables on the
+`optimize` preset, a pair per (L, N). The power found is then re-evaluated
+by the direct kernel: that value is the one reported and used for the
 efficiency, and a solve whose table value there is more than 1e-8
 relative off it raises `TableAccuracyError`. The largest such gap of a
 search is reported as `table_check_max_rel`.
@@ -299,12 +299,14 @@ class PortSearchResult:
 def best_port_count(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
                     z_u: float, aperture: float,
                     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-                    nodes: int = DEFAULT_TRAJECTORY_NODES) -> PortSearchResult:
+                    nodes: int = DEFAULT_TRAJECTORY_NODES,
+                    tables=None) -> PortSearchResult:
     """Evaluate every admissible port count at fixed altitude and pick the
     EE maximizer. The correlation spectrum is rebuilt per N at the fixed
     aperture, so port spacing shrinks as ports are added."""
     z_u = float(z_u)
-    ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, nodes)
+    ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, nodes,
+                             tables)
     entries = tuple(port_entry(ev, n, aperture, ee, rank_tolerance)
                     for n in range(ee.n_range[0], ee.n_range[1] + 1))
     feasible = [e for e in entries if e.feasible]
@@ -353,8 +355,9 @@ def global_optimize(cfg: ScenarioConfig, ee: EeConfig, aperture: float,
     grid = ee.altitude_grid()
     # best_port_count is called by its module-level name, so wrapping it
     # (a profiler, a tracer) sees every port search
+    tables = {}
     trace = tuple(best_port_count(cfg, fbl, ee, z, aperture, rank_tolerance,
-                                  nodes)
+                                  nodes, tables)
                   for fbl in fbls for z in grid)
     table_rel = max((res.table_check_max_rel for res in trace), default=0.0)
     feasible = [res for res in trace if res.feasible]

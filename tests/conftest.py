@@ -19,13 +19,6 @@ _LOG2E = math.log2(math.e)
 _EPS = 2.2e-16
 
 
-@pytest.fixture(autouse=True)
-def fresh_hop2_tables():
-    """Every test starts with an empty hop-2 table cache, so no test reads
-    tables that an earlier one filled or grew."""
-    blercore.hop2_table.cache_clear()
-
-
 @pytest.fixture
 def urban():
     """Reference urban scenario (all defaults)."""

@@ -349,6 +349,24 @@ def test_nan_inputs_raise(urban, fbl100, call):
         call(fbl100, TrajectoryEvaluator(urban, fbl100, 16))
 
 
+def test_tabulated_read_keys_a_spectrum_by_its_tuple(urban, fbl100):
+    # a list or an array of lambdas reads the table pair of its tuple, with
+    # the tuple's bits, on the tuple's tables or on fresh ones; stacked
+    # spectra raise, since a table holds one spectrum
+    ev = TrajectoryEvaluator(urban, fbl100, 16)
+    lams = (1.3, 0.7)
+    want = ev.e2e_avg_tabulated(1e-2, lams)
+    for lam in (list(lams), np.array(lams)):
+        assert ev.e2e_avg_tabulated(1e-2, lam) == want
+        fresh = TrajectoryEvaluator(urban, fbl100, 16)
+        assert fresh.e2e_avg_tabulated(1e-2, lam) == want
+        assert fresh.tables.keys() == ev.tables.keys()
+    assert set(ev.tables) == {(fbl100, urban.nakagami_m(lt), lams)
+                              for lt in LINK_TYPES}
+    with pytest.raises(ValueError, match="one spectrum"):
+        ev.e2e_avg_tabulated(1e-2, np.array([lams, lams]))
+
+
 def test_hop2_validation_errors(fbl100):
     with pytest.raises(ValueError):
         avg_bler_hop2(fbl100, 1.0, 1, ())
@@ -476,9 +494,11 @@ def _look_up_range(table, lo, hi):
 
 
 def _tabulated(ev, p2, lambdas):
-    """Per-node hop-2 BLERs at p2 from the cached table pair, LoS then NLoS,
-    as `TrajectoryEvaluator.e2e_avg_tabulated` reads them."""
-    return tuple(blercore.hop2_table(ev.fbl, ev.cfg.nakagami_m(lt), lambdas)(vt)
+    """Per-node hop-2 BLERs at p2 from the evaluator's table pair, LoS then
+    NLoS, as `TrajectoryEvaluator.e2e_avg_tabulated` reads them."""
+    # the tabulated read builds the pair on its first lookup
+    ev.e2e_avg_tabulated(p2, lambdas)
+    return tuple(ev.tables[ev.fbl, ev.cfg.nakagami_m(lt), lambdas](vt)
                  for lt, vt in zip(LINK_TYPES, ev.hop2_varthetas(p2)))
 
 

@@ -721,6 +721,24 @@ def test_main_rejects_an_snr_scale_outside_the_double_range(
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("extreme", [
+    "uav_altitude = 1e200", "bs_position = 0, 0, 1e200"])
+def test_main_rejects_a_height_whose_square_overflows(tmp_path, capsys,
+                                                      extreme):
+    # (uz - z)^2 is past the double range: trajectory_geometry raised a raw
+    # OverflowError there. The square is inf now, the path gain 0, and the
+    # SNR scale a typed error, with no warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main_on(tmp_path, "bler-sweep",
+                       f"{extreme}\np2 = 10 dBm\ntraj_nodes = 16\n")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: hop-1 vartheta")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_main_reports_a_run_time_error_without_traceback(tmp_path, capsys):
     # at m_los = 40 the LoS table misses its 1e-8 contract at the solved
     # power (a gap of 9.6e-8): a TableAccuracyError, reported as an error
@@ -853,7 +871,6 @@ def test_falling_altitude_axis_fills_no_panel_twice(tmp_path, monkeypatch):
                    if not line.startswith(("sweep_z", "output")))
     made, rows = {}, {}
     for axis in ("100:800:71", "800:100:71"):
-        blercore.hop2_table.cache_clear()
         del points[:]
         out = tmp_path / "pva.csv"
         run(parse_config(text + f"sweep_z = {axis}\n", "power-vs-altitude"),

@@ -57,6 +57,24 @@ def test_evaluator_rejects_a_hop2_scale_outside_the_double_range(fbl100):
         TrajectoryEvaluator(cfg, fbl100, nodes=16)
 
 
+def test_a_height_whose_square_overflows_gives_an_infinite_range():
+    # (uz - z)^2 past the double range is inf, so the slant range is inf and
+    # the path gain 0; a finite square keeps the bits of the direct formula
+    theta = np.array([0.0, 1.0])
+    for cfg, hops in ((ScenarioConfig(uav_altitude=1e200), "12"),
+                      (ScenarioConfig(bs_position=(0.0, 0.0, 1e200)), "1")):
+        geo = trajectory_geometry(cfg, theta)
+        for hop in hops:
+            assert np.all(getattr(geo, "d" + hop) == math.inf)
+            assert all(np.all(beta == 0.0)
+                       for beta in getattr(geo, "beta" + hop).values())
+    cfg = ScenarioConfig(uav_altitude=1e150)
+    geo, ref = trajectory_geometry(cfg, theta), \
+        direct_trajectory_geometry(cfg, theta)
+    assert geo.d1.tolist() == ref["d1"].tolist()
+    assert geo.d2.tolist() == ref["d2"].tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(theta=st.floats(-10.0, 10.0))
 def test_slant_ranges_periodic(theta):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,29 +314,58 @@ def test_global_optimize_trace_and_self_consistency(cfg46):
 
 
 def test_best_port_count_shared_tables_change_nothing(cfg46, table_fills):
-    # port searches on tables that the searches at other altitudes grew,
-    # in rising and in falling altitude order, against searches on fresh
-    # tables: equal entries, table_check_rel included, and tables filled
-    # for the admissible port counts only
+    # port searches on one table dict that the searches at other altitudes
+    # grew, in rising and in falling altitude order, against searches on
+    # fresh tables: equal entries, table_check_rel included, and tables
+    # filled for the admissible port counts only
     ee = EeConfig(p_max=10.0, n_range=(1, 12), l_set=(200,))
     fbl = linearize(80.0 / 200.0, 200)
     altitudes = (150.0, 450.0, 750.0)
     own = {}
     for z in altitudes:
-        blercore.hop2_table.cache_clear()
         own[z] = best_port_count(cfg46, fbl, ee, z, 0.5)
         assert any(e.feasible for e in own[z].entries)
     admissible = [n for n in range(1, 13)
                   if not violates_causality(n, ee.port_time, 200, ee.bandwidth)]
     for order in (altitudes, altitudes[::-1]):
-        blercore.hop2_table.cache_clear()
+        tables = {}
         del table_fills[:]
         for z in order:
-            assert best_port_count(cfg46, fbl, ee, z, 0.5) == own[z], (order, z)
+            got = best_port_count(cfg46, fbl, ee, z, 0.5, tables=tables)
+            assert got == own[z], (order, z)
         assert {args[2] for args in table_fills} == {
             fas_spectrum(n, 0.5).lambdas for n in admissible}
+        assert len(tables) == 2 * len(admissible)
     # falling altitudes lower the smallest vartheta: the tables grew
     assert len(table_fills) > 2 * len(admissible)
+
+
+def test_a_study_fills_tables_of_its_own(tmp_path, table_fills):
+    # the power-vs-altitude preset run twice in one process: each run fills
+    # its 4 tables (N = 1 and 8, both link types) from empty, so the second
+    # reads nothing that the first grew, and writes the same bytes
+    preset = Path(__file__).resolve().parent.parent / "configs" / \
+        "power_vs_altitude.conf"
+    spec = parse_config(preset.read_text(), "power-vs-altitude")
+    out = tmp_path / "pva.csv"
+    written = []
+    for _ in range(2):
+        del table_fills[:]
+        assert run(spec, out_path=str(out)) == 0
+        assert len(set(table_fills)) == len(table_fills) == 4
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_min_power_takes_a_list_or_an_array_spectrum(cfg46, fbl200):
+    # the tabulated read keys a spectrum by its tuple; a list or an array
+    # raised TypeError (unhashable) there
+    cfg = replace(cfg46, uav_altitude=450.0)
+    want = min_power(TrajectoryEvaluator(cfg, fbl200), (2.0,), EeConfig())
+    assert want is not None
+    for lam in ([2.0], np.array([2.0])):
+        assert min_power(TrajectoryEvaluator(cfg, fbl200), lam,
+                         EeConfig()) == want
 
 
 @pytest.fixture

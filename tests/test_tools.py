@@ -1,7 +1,5 @@
 import importlib.util
-import os
-import resource
-import sys
+import json
 from pathlib import Path
 
 import pytest
@@ -17,15 +15,16 @@ def bench():
     return module
 
 
-def _result(rss=None, **sha):
+def _result(rss=None, study_s=1.0, **sha):
     """A bench result holding one preset per keyword, with its CSV sha256,
-    and with the median peak RSS rss when given (None: a file written before
-    peak RSS was recorded)."""
-    result = {"presets": {name: {"sha256": {"csv": csv, "meta": "m"},
-                                 "wall_s_median": 1.0}
+    and with the median study time study_s and the median peak RSS rss when
+    given (None: a file written before either was recorded)."""
+    result = {"presets": {name: {"sha256": {"csv": csv, "meta": "m"}}
                           for name, csv in sha.items()}}
-    if rss is not None:
-        for entry in result["presets"].values():
+    for entry in result["presets"].values():
+        if study_s is not None:
+            entry["study_s_median"] = study_s
+        if rss is not None:
             entry["peak_rss_mb_median"] = rss
     return result
 
@@ -99,43 +98,52 @@ def test_compare_a_file_without_peak_rss(bench, capsys):
     assert "n/a -> 66.7 MB" in _line(capsys.readouterr().out, "a")
 
 
+def test_compare_a_file_without_study_time(bench, capsys):
+    # a file written before study times were recorded (wall times only)
+    assert bench.compare(_result(study_s=0.25, a="1"),
+                         _result(study_s=None, a="1"))
+    assert "n/a -> 0.250 s" in _line(capsys.readouterr().out, "a")
+
+
 def test_bench_records_each_peak_rss_and_the_median(bench, monkeypatch):
     runs = iter([(1.0, 80.0), (3.0, 60.0), (2.0, 70.0), (4.0, 90.0)])
 
     values = {"csv": {"n_star": ["2"]}, "meta": {"rows": "1"}}
 
     def fake_run(name, command, workdir, env):
-        wall, rss = next(runs)
-        return wall, rss, {"sha256": {"csv": name, "meta": "m"},
-                           "values": values}
+        study_s, rss = next(runs)
+        return study_s, 0.1, rss, {"sha256": {"csv": name, "meta": "m"},
+                                   "values": values}
 
     monkeypatch.setattr(bench, "PRESETS", {"a": "bler-sweep"})
     monkeypatch.setattr(bench, "run_preset", fake_run)
     entry = bench.bench(repeats=4)["presets"]["a"]
+    assert entry["study_s"] == [1.0, 3.0, 2.0, 4.0]
+    assert entry["cal_s"] == [0.1] * 4
     assert entry["peak_rss_mb"] == [80.0, 60.0, 70.0, 90.0]
     assert entry["peak_rss_mb_median"] == 75.0
-    assert entry["wall_s_median"] == 2.5
+    assert entry["study_s_median"] == 2.5
     assert entry["values"] == values
 
 
-def test_run_process_reports_the_child_peak_rss(bench):
-    # a child that touches 64 MB more than the calling process holds peaks
-    # above the caller's RSS by about that much
-    caller = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    code, stderr, wall, rss = bench.run_process(
-        [sys.executable, "-c",
-         f"bytearray({int(caller) + 64} * 2 ** 20)"], dict(os.environ))
-    assert (code, stderr) == (0, "")
-    assert wall > 0
-    assert caller + 64 <= rss < caller + 128
+def test_run_preset_runs_the_study_script(bench, tmp_path):
+    # the smallest preset through the benchmark's study script, pinned to
+    # one thread: the study time scaled by CAL_REF_S / cal_s, the peak RSS
+    # of the study process and the CSV that cli.run writes
+    study_s, cal_s, rss, outputs = bench.run_preset(
+        "bler_vs_aperture", "aperture-sweep", tmp_path, bench.study_env())
+    res = json.loads((tmp_path / "bler_vs_aperture.json").read_text())
+    assert study_s == res["study_s"] * bench.RUNNER.CAL_REF_S / cal_s
+    assert (cal_s, rss) == (res["cal_s"], res["peak_rss_mb"])
+    # the child's peak is at least the interpreter with numpy and scipy
+    assert rss > 20.0
+    assert outputs == bench.read_outputs(tmp_path / "bler_vs_aperture.csv")
 
 
-def test_run_process_reports_the_exit_code(bench):
-    code, stderr, _, _ = bench.run_process(
-        [sys.executable, "-c", "import sys; sys.exit('boom')"],
-        dict(os.environ))
-    assert code == 1
-    assert "boom" in stderr
+def test_run_preset_reports_a_failed_study(bench, tmp_path):
+    with pytest.raises(SystemExit, match="(?s)a: exit 1.*FileNotFoundError"):
+        # no configs/a.conf: the study script fails on opening it
+        bench.run_preset("a", "bler-sweep", tmp_path, bench.study_env())
 
 
 def test_read_outputs_keeps_the_cells_as_written(bench, tmp_path):

@@ -2,22 +2,25 @@
 
     python tools/bench.py LABEL [--repeats K] [--against BENCH_OTHER.json]
 
-Each preset runs with its command (``python -m fasrelay.cli COMMAND
---config PRESET``) in a fresh interpreter with one BLAS thread, on the
+Each preset runs with its command through the benchmark's study script
+(``python perfbench/study.py COMMAND PRESET OUT RESULT``) in a fresh
+interpreter with the benchmark's thread pools pinned to one thread, on the
 ``src/`` tree next to this script. The K repeats are interleaved: every
 preset once, then every preset again. The script writes BENCH_<LABEL>.json
-in the current directory, holding per preset the command, the wall time and
-the peak resident memory (``ru_maxrss`` of the process, from ``os.wait4``)
-of each run and their medians, the sha256 of the CSV and of its ``.meta``
-sidecar, and their values: the CSV's cells by column and the ``.meta``
-entries, as written. A preset whose output differs between repeats is an
-error.
+in the current directory, holding per preset: the command; the study time
+of each run, the wall time of ``cli.run`` scaled by ``CAL_REF_S / cal_s``
+as ``perfbench/run.py`` scales it, so that interpreter start and a host
+whose speed drifts do not move it; the study's calibration time ``cal_s``
+and its peak resident memory, from the study's result file; the medians
+of both; the sha256 of the CSV and of its ``.meta`` sidecar; and their
+values: the CSV's cells by column and the ``.meta`` entries, as written. A
+preset whose output differs between repeats is an error.
 
 With --against, it then prints per preset whether the CSV and ``.meta``
 are identical to those of the other file, or which of them differ
 (``differs: csv``, ``differs: meta`` or ``differs: csv, meta``), with both
-median times and both
-median peak RSS ("n/a" for a file written before peak RSS was recorded),
+median study times and both median peak RSS ("n/a" for a file written
+before either was recorded),
 and exits 1 if any preset differs or is missing from either file. When the
 two files record different python, numpy or scipy versions it first prints
 one ``note:`` line naming them, since bits may legitimately differ across
@@ -53,6 +56,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -61,13 +65,26 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
+STUDY = ROOT / "perfbench" / "study.py"
+
+
+def _load_runner():
+    """The benchmark's runner module, read for its CAL_REF_S and
+    THREAD_VARS."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RUNNER = _load_runner()
 
 # preset -> the command it is written for
 PRESETS = {
@@ -80,31 +97,9 @@ PRESETS = {
     "validate_bler_vs_power": "validate",
 }
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
-
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def run_process(argv: list, env: dict):
-    """Run argv to its end: its exit code, standard error, wall time and
-    peak RSS in MB. Linux carries the high-water RSS of the forked copy
-    over exec, so the peak is at least this process's RSS when it starts
-    the child (about 33 MB with numpy and scipy imported, below every
-    preset's peak)."""
-    start = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE, text=True)
-    with proc.stderr:
-        stderr = proc.stderr.read()
-    # wait4 reaps the child and returns its rusage; ru_maxrss is in KiB
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, stderr, wall, usage.ru_maxrss / 1024.0
 
 
 def read_outputs(out: Path) -> dict:
@@ -122,40 +117,60 @@ def read_outputs(out: Path) -> dict:
 
 
 def run_preset(name: str, command: str, workdir: Path, env: dict):
-    """One fresh-process run of a preset: its wall time, its peak RSS in MB
-    and its outputs (`read_outputs`)."""
+    """One fresh-process run of a preset through the study script: its
+    study time scaled to the calibration reference, its calibration time,
+    its peak RSS in MB and its outputs (`read_outputs`)."""
     out = workdir / f"{name}.csv"
-    argv = [sys.executable, "-m", "fasrelay.cli", command,
-            "--config", str(ROOT / "configs" / f"{name}.conf"),
-            "--out", str(out)]
-    code, stderr, wall, rss = run_process(argv, env)
-    if code != 0:
-        raise SystemExit(f"{name}: exit {code}\n{stderr}")
-    return wall, rss, read_outputs(out)
+    result = workdir / f"{name}.json"
+    argv = [sys.executable, str(STUDY), command,
+            str(ROOT / "configs" / f"{name}.conf"), str(out), str(result)]
+    proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    res = json.loads(result.read_text(encoding="utf-8")) \
+        if proc.returncode == 0 else {}
+    if res.get("code") != 0:
+        raise SystemExit(f"{name}: exit {proc.returncode}\n{proc.stderr}")
+    study_s = res["study_s"] * RUNNER.CAL_REF_S / res["cal_s"]
+    return study_s, res["cal_s"], res["peak_rss_mb"], read_outputs(out)
+
+
+def study_env() -> dict:
+    """The environment of a study process: the ``src/`` tree next to this
+    script, and one thread in each of the benchmark's thread pools."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.update({var: "1" for var in RUNNER.THREAD_VARS})
+    return env
 
 
 def bench(repeats: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.update({var: "1" for var in THREAD_VARS})
-    presets = {name: {"command": command, "wall_s": [], "peak_rss_mb": []}
+    env = study_env()
+    presets = {name: {"command": command, "study_s": [], "cal_s": [],
+                      "peak_rss_mb": []}
                for name, command in PRESETS.items()}
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(repeats):
             for name, entry in presets.items():
-                wall, rss, outputs = run_preset(name, entry["command"],
-                                                Path(tmp), env)
-                entry["wall_s"].append(wall)
+                study_s, cal_s, rss, outputs = run_preset(
+                    name, entry["command"], Path(tmp), env)
+                entry["study_s"].append(study_s)
+                entry["cal_s"].append(cal_s)
                 entry["peak_rss_mb"].append(rss)
                 if entry.setdefault("sha256", outputs["sha256"]) != \
                         outputs["sha256"]:
                     raise SystemExit(f"{name}: output differs between repeats")
                 entry["values"] = outputs["values"]
     for entry in presets.values():
-        entry["wall_s_median"] = statistics.median(entry["wall_s"])
+        entry["study_s_median"] = statistics.median(entry["study_s"])
         entry["peak_rss_mb_median"] = statistics.median(entry["peak_rss_mb"])
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__, "machine": platform.machine(),
-            "nproc": os.cpu_count(), "repeats": repeats, "presets": presets}
+            "nproc": os.cpu_count(), "repeats": repeats,
+            "cal_ref_s": RUNNER.CAL_REF_S, "presets": presets}
+
+
+def _study(entry: dict) -> str:
+    study_s = entry.get("study_s_median")
+    return "n/a" if study_s is None else f"{study_s:.3f} s"
 
 
 def _rss(entry: dict) -> str:
@@ -293,8 +308,7 @@ def compare(ours: dict, other: dict) -> bool:
             differs = []
         same &= not differs
         verdict = f"differs: {', '.join(differs)}" if differs else "identical"
-        print(f"{name:24s} {verdict:18s} "
-              f"{b['wall_s_median']:7.2f} s -> {a['wall_s_median']:7.2f} s  "
+        print(f"{name:24s} {verdict:18s} {_study(b)} -> {_study(a)}  "
               f"{_rss(b)} -> {_rss(a)}")
         if schema:
             print(f"    config_sha256: {b['values']['meta']['config_sha256']}"
