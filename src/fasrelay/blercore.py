@@ -412,6 +412,15 @@ def _branches(lambdas) -> np.ndarray:
     return lam
 
 
+def _one_spectrum(lambdas) -> tuple[float, ...]:
+    """The branches of one port spectrum as the tuple that keys its hop-2
+    tables; stacked spectra raise ValueError."""
+    lam = _branches(lambdas)
+    if lam.ndim > 1:
+        raise ValueError("a hop-2 table holds one spectrum")
+    return tuple(lam.tolist())
+
+
 def _node_table(params: FblParams) -> tuple[np.ndarray, np.ndarray]:
     """The hop-2 node table (nodes, weights on [0, 1]) for a ramp: the
     further rho_l sits from 0 in ramp widths, the smoother the branch CDFs
@@ -519,7 +528,7 @@ class Hop2Table:
 
     def __init__(self, params: FblParams, m2: int, lambdas):
         self._params, self._m2 = params, _shape(m2, "m2")
-        self._lambdas = tuple(_branches(lambdas).tolist())
+        self._lambdas = _one_spectrum(lambdas)
         self.saturated = _saturated(params)
         self.vt_sat, self._anchor = math.inf, 0.0
         if params.rho_l > 0.0:
@@ -892,10 +901,7 @@ class TrajectoryEvaluator:
         and within about 1e-12 relative of the direct path. A list or an
         array reads the pair of its tuple; stacked spectra raise ValueError."""
         if not isinstance(lambdas, tuple):
-            lam = _branches(lambdas)
-            if lam.ndim > 1:
-                raise ValueError("a hop-2 table holds one spectrum")
-            lambdas = tuple(lam.tolist())
+            lambdas = _one_spectrum(lambdas)
         eps2 = []
         for lt, vt in zip(LINK_TYPES, self.hop2_varthetas(p2)):
             key = (self.fbl, self.cfg.nakagami_m(lt), lambdas)

@@ -60,7 +60,8 @@ def jakes_matrix(n_ports: int, aperture: float) -> np.ndarray:
     """
     if n_ports < 1:
         raise ValueError("n_ports must be >= 1")
-    if aperture <= 0:
+    # a NaN, such as `eigen_spectrum`'s default aperture, fails too
+    if not aperture > 0:
         raise ValueError("aperture must be positive")
     if n_ports == 1:
         return np.array([[1.0]])

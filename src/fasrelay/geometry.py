@@ -45,25 +45,23 @@ class ScenarioConfig:
     m_nlos: int = 1
 
     def __post_init__(self):
-        if len(self.bs_position) != 3 or len(self.ue_position) != 3:
-            raise ValueError("node positions must be 3-vectors")
-        if self.flight_radius <= 0:
-            raise ValueError("flight_radius must be positive")
-        if self.uav_altitude <= 0:
-            raise ValueError("uav_altitude must be positive")
-        if self.carrier_freq <= 0:
-            raise ValueError("carrier_freq must be positive")
-        if self.noise_power <= 0:
-            raise ValueError("noise_power must be positive")
-        if self.p1 <= 0:
-            raise ValueError("p1 must be positive")
+        # `not x > 0` and `isnan`: a NaN fails every comparison, so it
+        # would pass `x <= 0`
+        for name in ("bs_position", "ue_position"):
+            pos = getattr(self, name)
+            if len(pos) != 3 or any(math.isnan(v) for v in pos):
+                raise ValueError(f"{name} must be a 3-vector of numbers")
+        for name in ("flight_radius", "uav_altitude", "carrier_freq",
+                     "noise_power", "p1", "los_a", "los_b"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         for name in ("m_los", "m_nlos"):
             m = getattr(self, name)
             if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
                 raise ValueError(f"{name} must be a positive integer, got {m!r}")
-        for name in ("los_a", "los_b"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("eta_los", "eta_nlos"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number")
         if self.eta_los > self.eta_nlos:
             raise ValueError("eta_los must not exceed eta_nlos")
 
@@ -106,51 +104,25 @@ def _power_ratio(db: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def trajectory_geometry(cfg: ScenarioConfig, theta: np.ndarray) -> TrajectoryGeometry:
     """Geometry of both hops at the trajectory angles theta (index 1: UAV
-    to BS, index 2: UAV to UE; a scalar angle gives arrays of length 1);
-    raises DegenerateGeometryError where the UAV coincides with a ground
-    node."""
+    to BS, index 2: UAV to UE; a scalar angle gives arrays of length 1),
+    one expression per quantity; raises DegenerateGeometryError where the
+    UAV coincides with a ground node."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    r = cfg.flight_radius
-    ux = np.cos(theta)
-    ux *= r
-    uy = np.sin(theta)
-    uy *= r
+    ux = cfg.flight_radius * np.cos(theta)
+    uy = cfg.flight_radius * np.sin(theta)
     uz = cfg.uav_altitude
-    out = {}
-    # each array below is built in place, in the operation order of
-    # d = sqrt((ux - x)^2 + (uy - y)^2 + (uz - z)^2),
-    # phi = degrees(arcsin((uz - z) / d)), p_los = 1 / (1 + a exp(-b (phi - a)))
-    # and beta = (c / (4 pi f d))^2 10^(-eta/10)
-    for name, node in (("1", cfg.bs_position), ("2", cfg.ue_position)):
-        d = np.subtract(ux, node[0])
-        np.square(d, out=d)
-        dy = np.subtract(uy, node[1])
-        np.square(dy, out=dy)
-        d += dy
-        del dy
-        # a float's bits (both are C pow), but inf past the double range
-        d += np.float64(uz - node[2]) ** 2
-        np.sqrt(d, out=d)
+    hops = []
+    for x, y, z in (cfg.bs_position, cfg.ue_position):
+        # the height's square as a float64: the bits of a float's (both are
+        # C pow), but inf past the double range instead of OverflowError
+        d = np.sqrt((ux - x) ** 2 + (uy - y) ** 2 + np.float64(uz - z) ** 2)
         if np.any(d == 0.0):
             raise DegenerateGeometryError("trajectory grid touches a link endpoint")
-        phi = np.divide(uz - node[2], d)
-        np.arcsin(phi, out=phi)
-        np.degrees(phi, out=phi)
-        p_los = np.subtract(phi, cfg.los_a)
-        p_los *= -cfg.los_b
-        np.exp(p_los, out=p_los)
-        p_los *= cfg.los_a
-        p_los += 1.0
-        np.divide(1.0, p_los, out=p_los)
-        fspl = np.multiply(d, 4.0 * math.pi * cfg.carrier_freq)
-        np.divide(SPEED_OF_LIGHT, fspl, out=fspl)
-        np.square(fspl, out=fspl)
-        betas = {lt: fspl * _power_ratio(-cfg.eta_db(lt)) for lt in LINK_TYPES}
-        out[name] = (d, phi, p_los, betas)
-    return TrajectoryGeometry(
-        theta=theta,
-        d1=out["1"][0], d2=out["2"][0],
-        phi1=out["1"][1], phi2=out["2"][1],
-        p_los1=out["1"][2], p_los2=out["2"][2],
-        beta1=out["1"][3], beta2=out["2"][3],
-    )
+        phi = np.degrees(np.arcsin((uz - z) / d))
+        p_los = 1.0 / (1.0 + cfg.los_a * np.exp(-cfg.los_b * (phi - cfg.los_a)))
+        fspl = (SPEED_OF_LIGHT / (d * (4.0 * math.pi * cfg.carrier_freq))) ** 2
+        hops.append((d, phi, p_los, {lt: fspl * _power_ratio(-cfg.eta_db(lt))
+                                     for lt in LINK_TYPES}))
+    (d1, phi1, p_los1, beta1), (d2, phi2, p_los2, beta2) = hops
+    return TrajectoryGeometry(theta, d1, d2, phi1, phi2, p_los1, p_los2,
+                              beta1, beta2)

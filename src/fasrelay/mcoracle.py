@@ -93,6 +93,12 @@ class McConfig:
     batch: int = 250_000
 
     def __post_init__(self):
+        # each message names the config key of its field
+        for name, key in (("seed", "seed"), ("trials", "trials"),
+                          ("batch", "batch (mc_batch)")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if self.trials < 1:

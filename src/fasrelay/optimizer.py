@@ -61,29 +61,33 @@ class EeConfig:
     bisect_tol: float = 1e-4
 
     def __post_init__(self):
+        # `not x > 0`: a NaN fails every comparison, so it would pass
+        # `x <= 0`
         for name in ("payload_bits", "bandwidth"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("circuit_power", "switch_power"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.port_time <= 0:
+        if not self.port_time > 0:
             raise ValueError("port_time must be positive")
         if not 0.0 < self.bler_threshold < 1.0:
             raise ValueError("bler_threshold must lie in (0, 1)")
-        if self.p_max <= 0:
+        if not self.p_max > 0:
             raise ValueError("p_max must be positive")
-        if self.z_range[0] <= 0:
+        if not self.z_range[0] > 0:
             raise ValueError("z_min must be positive")
         if not self.z_range[0] < self.z_range[1]:
             raise ValueError("z_range must satisfy z_min < z_max")
         if not self.l_set:
             raise ValueError("l_set must be non-empty")
-        if any(int(l) != l or l < 1 for l in self.l_set):
+        if not all(float(l).is_integer() and l >= 1 for l in self.l_set):
             raise ValueError("l_set entries must be positive integers")
-        if self.n_range[0] < 1 or self.n_range[1] < self.n_range[0]:
-            raise ValueError("n_range must satisfy 1 <= n_min <= n_max")
-        if self.z_step <= 0:
+        if not (all(float(n).is_integer() for n in self.n_range)
+                and 1 <= self.n_range[0] <= self.n_range[1]):
+            raise ValueError("n_range must be integers with "
+                             "1 <= n_min <= n_max")
+        if not self.z_step > 0:
             raise ValueError("z_step must be positive")
         # below 2^-52, the largest spacing of doubles relative to the
         # larger one, a bracket of adjacent doubles may miss the tolerance;

@@ -33,8 +33,9 @@ def fbl100():
 
 def direct_trajectory_geometry(cfg, theta):
     """Both hops' geometry by the direct array formulas, one expression per
-    quantity: the reference for `trajectory_geometry`'s in-place form, with
-    names d1, phi1, p_los1, beta1_los, beta1_nlos and likewise for hop 2."""
+    quantity, written apart from `trajectory_geometry` as its reference,
+    with names d1, phi1, p_los1, beta1_los, beta1_nlos and likewise for
+    hop 2."""
     from fasrelay.geometry import SPEED_OF_LIGHT
     ux = cfg.flight_radius * np.cos(theta)
     uy = cfg.flight_radius * np.sin(theta)

@@ -352,7 +352,8 @@ def test_nan_inputs_raise(urban, fbl100, call):
 def test_tabulated_read_keys_a_spectrum_by_its_tuple(urban, fbl100):
     # a list or an array of lambdas reads the table pair of its tuple, with
     # the tuple's bits, on the tuple's tables or on fresh ones; stacked
-    # spectra raise, since a table holds one spectrum
+    # spectra raise, in the evaluator and in a table built directly, since a
+    # table holds one spectrum
     ev = TrajectoryEvaluator(urban, fbl100, 16)
     lams = (1.3, 0.7)
     want = ev.e2e_avg_tabulated(1e-2, lams)
@@ -363,8 +364,11 @@ def test_tabulated_read_keys_a_spectrum_by_its_tuple(urban, fbl100):
         assert fresh.tables.keys() == ev.tables.keys()
     assert set(ev.tables) == {(fbl100, urban.nakagami_m(lt), lams)
                               for lt in LINK_TYPES}
+    for stacked in (np.array([lams, lams]), (lams, lams)):
+        with pytest.raises(ValueError, match="one spectrum"):
+            ev.e2e_avg_tabulated(1e-2, stacked)
     with pytest.raises(ValueError, match="one spectrum"):
-        ev.e2e_avg_tabulated(1e-2, np.array([lams, lams]))
+        Hop2Table(fbl100, 5, np.ones((2, 2)))
 
 
 def test_hop2_validation_errors(fbl100):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,29 @@ def test_invariant_error_reports_its_own_line(text):
         parse_config(text, "validate")
     assert err.value.line == 2
     assert text.splitlines()[1].split(" =")[0] in str(err.value)
+
+
+def _bad_values(cls, f):
+    """A NaN, and for an integer field also 2.5 (and True where it is one
+    integer), in a value of field f of config class cls; a tuple field gets
+    it in its last entry."""
+    default = getattr(cls(), f.name)
+    bad = [math.nan] + ([2.5] if "int" in f.type else [])
+    if not isinstance(default, tuple):
+        return bad + ([True] if f.type == "int" else [])
+    return [(*default[:-1], value) for value in bad]
+
+
+@pytest.mark.parametrize("cls, f", [
+    pytest.param(cls, f, id=f"{cls.__name__}-{f.name}")
+    for cls in (ScenarioConfig, EeConfig, McConfig)
+    for f in fields(cls) if f.type != "str"])
+def test_a_nan_or_non_integer_field_fails_at_construction(cls, f):
+    # a NaN fails every comparison, so `x <= 0` let it through to a silent
+    # 0.0 or NaN far from the config; the error names the field
+    for value in _bad_values(cls, f):
+        with pytest.raises(ValueError, match=rf"^{f.name}\b"):
+            cls(**{f.name: value})
 
 
 def test_integer_lists_share_one_parser():

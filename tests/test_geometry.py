@@ -253,8 +253,8 @@ def test_trajectory_geometry_matches_scalar_ops(urban):
 
 
 def test_trajectory_geometry_in_place_matches_direct_formula(urban):
-    # the arrays are built in place: the input angles stay untouched, no two
-    # returned arrays share a buffer, and every value is the direct formula's
+    # the input angles stay untouched, no two returned arrays share a
+    # buffer, and every value has the bits of the reference's formulas
     for cfg in (urban, replace(urban, uav_altitude=450.0, flight_radius=120.0)):
         theta = np.random.default_rng(12).uniform(0.0, 2.0 * math.pi, 1_000)
         before = theta.copy()

@@ -7,8 +7,9 @@ import pytest
 from scipy import special
 
 from fasrelay import (McConfig, McEstimate, TrajectoryEvaluator,
-                      fas_spectrum, jakes_matrix, mc_average_bler,
-                      sample_fas_gain_model, sample_fas_gain_physical)
+                      eigen_spectrum, fas_spectrum, jakes_matrix,
+                      mc_average_bler, sample_fas_gain_model,
+                      sample_fas_gain_physical)
 from fasrelay.blercore import (_Mixture, avg_bler_hop1, avg_bler_hop2,
                                instantaneous_bler)
 from fasrelay.geometry import LINK_TYPES, trajectory_geometry
@@ -146,6 +147,18 @@ def test_mc_config_validation():
         McConfig(mode="other")
     with pytest.raises(ValueError):
         McEstimate(mean=0.5, std_error=-1.0, trials=10)
+
+
+def test_a_nan_aperture_is_rejected(urban, fbl100):
+    # `eigen_spectrum`'s aperture defaults to NaN, which `physical` mode
+    # passes to the Jakes matrix: both calls say so, not "gamma must be
+    # nonnegative" from a NaN correlation
+    with pytest.raises(ValueError, match="aperture must be positive"):
+        jakes_matrix(3, math.nan)
+    fas = eigen_spectrum(jakes_matrix(3, 0.5))
+    with pytest.raises(ValueError, match="aperture must be positive"):
+        mc_average_bler(urban, fas, fbl100, 0.1,
+                        McConfig(trials=100, mode="physical"))
 
 
 def test_mc_average_bler_determinism(urban, fbl100):

@@ -105,25 +105,47 @@ def test_compare_a_file_without_study_time(bench, capsys):
     assert "n/a -> 0.250 s" in _line(capsys.readouterr().out, "a")
 
 
+def test_compare_prints_the_quartiles_and_raw_times(bench, capsys):
+    # each side's median study time, its quartiles and its median raw
+    # cli.run time; "n/a" for what an older file did not record
+    ours, other = _result(study_s=1.2, a="1"), _result(study_s=1.0, a="1")
+    ours["presets"]["a"].update(study_s_quartiles=[1.1, 1.3],
+                                raw_study_s_median=1.25)
+    assert bench.compare(ours, other)
+    assert ("1.000 s [n/a] raw n/a -> 1.200 s [1.100, 1.300] raw 1.250 s"
+            in _line(capsys.readouterr().out, "a"))
+
+
 def test_bench_records_each_peak_rss_and_the_median(bench, monkeypatch):
-    runs = iter([(1.0, 80.0), (3.0, 60.0), (2.0, 70.0), (4.0, 90.0)])
+    runs = iter([(1.0, 0.1, 80.0), (3.0, 0.2, 60.0), (2.0, 0.1, 70.0),
+                 (4.0, 0.3, 90.0), (5.0, 0.2, 50.0)])
 
     values = {"csv": {"n_star": ["2"]}, "meta": {"rows": "1"}}
 
     def fake_run(name, command, workdir, env):
-        study_s, rss = next(runs)
-        return study_s, 0.1, rss, {"sha256": {"csv": name, "meta": "m"},
-                                   "values": values}
+        study_s, cal_s, rss = next(runs)
+        return study_s, cal_s, rss, {"sha256": {"csv": name, "meta": "m"},
+                                     "values": values}
 
     monkeypatch.setattr(bench, "PRESETS", {"a": "bler-sweep"})
     monkeypatch.setattr(bench, "run_preset", fake_run)
     entry = bench.bench(repeats=4)["presets"]["a"]
     assert entry["study_s"] == [1.0, 3.0, 2.0, 4.0]
-    assert entry["cal_s"] == [0.1] * 4
+    assert entry["cal_s"] == [0.1, 0.2, 0.1, 0.3]
     assert entry["peak_rss_mb"] == [80.0, 60.0, 70.0, 90.0]
     assert entry["peak_rss_mb_median"] == 75.0
     assert entry["study_s_median"] == 2.5
+    assert entry["study_s_quartiles"] == pytest.approx([1.75, 3.25])
+    # the raw times study_s * cal_s / CAL_REF_S are 0.1, 0.6, 0.2 and 1.2
+    # over CAL_REF_S: their median is not the product of the medians
+    assert entry["raw_study_s_median"] == pytest.approx(
+        0.4 / bench.RUNNER.CAL_REF_S)
     assert entry["values"] == values
+    # with one repeat both quartiles are the one time
+    entry = bench.bench(repeats=1)["presets"]["a"]
+    assert entry["study_s_quartiles"] == [5.0, 5.0]
+    assert entry["raw_study_s_median"] == pytest.approx(
+        1.0 / bench.RUNNER.CAL_REF_S)
 
 
 def test_run_preset_runs_the_study_script(bench, tmp_path):

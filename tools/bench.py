@@ -12,15 +12,19 @@ of each run, the wall time of ``cli.run`` scaled by ``CAL_REF_S / cal_s``
 as ``perfbench/run.py`` scales it, so that interpreter start and a host
 whose speed drifts do not move it; the study's calibration time ``cal_s``
 and its peak resident memory, from the study's result file; the medians
-of both; the sha256 of the CSV and of its ``.meta`` sidecar; and their
+of both; the quartiles of the study time by ``perfbench/run.py``'s rule
+(with one repeat both equal it); the median raw ``cli.run`` time,
+``study_s * cal_s / CAL_REF_S``, which a noisy calibration does not
+widen; the sha256 of the CSV and of its ``.meta`` sidecar; and their
 values: the CSV's cells by column and the ``.meta`` entries, as written. A
 preset whose output differs between repeats is an error.
 
 With --against, it then prints per preset whether the CSV and ``.meta``
 are identical to those of the other file, or which of them differ
 (``differs: csv``, ``differs: meta`` or ``differs: csv, meta``), with both
-median study times and both median peak RSS ("n/a" for a file written
-before either was recorded),
+median study times, each followed by its quartiles in brackets and its
+median raw time, and both median peak RSS ("n/a" for what a file written
+before it was recorded lacks),
 and exits 1 if any preset differs or is missing from either file. When the
 two files record different python, numpy or scipy versions it first prints
 one ``note:`` line naming them, since bits may legitimately differ across
@@ -75,8 +79,8 @@ STUDY = ROOT / "perfbench" / "study.py"
 
 
 def _load_runner():
-    """The benchmark's runner module, read for its CAL_REF_S and
-    THREAD_VARS."""
+    """The benchmark's runner module, read for its CAL_REF_S, THREAD_VARS
+    and quartile rule."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", ROOT / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
@@ -160,7 +164,11 @@ def bench(repeats: int) -> dict:
                     raise SystemExit(f"{name}: output differs between repeats")
                 entry["values"] = outputs["values"]
     for entry in presets.values():
-        entry["study_s_median"] = statistics.median(entry["study_s"])
+        times = entry["study_s"]
+        entry["study_s_median"] = statistics.median(times)
+        entry["study_s_quartiles"] = list(RUNNER._quartiles(times))
+        entry["raw_study_s_median"] = statistics.median(
+            s * cal / RUNNER.CAL_REF_S for s, cal in zip(times, entry["cal_s"]))
         entry["peak_rss_mb_median"] = statistics.median(entry["peak_rss_mb"])
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__, "machine": platform.machine(),
@@ -169,8 +177,16 @@ def bench(repeats: int) -> dict:
 
 
 def _study(entry: dict) -> str:
+    """The median study time, its quartiles and the median raw time."""
     study_s = entry.get("study_s_median")
-    return "n/a" if study_s is None else f"{study_s:.3f} s"
+    if study_s is None:
+        return "n/a"
+    quartiles = entry.get("study_s_quartiles")
+    spread = "n/a" if quartiles is None else \
+        f"{quartiles[0]:.3f}, {quartiles[1]:.3f}"
+    raw = entry.get("raw_study_s_median")
+    raw = "n/a" if raw is None else f"{raw:.3f} s"
+    return f"{study_s:.3f} s [{spread}] raw {raw}"
 
 
 def _rss(entry: dict) -> str:
