@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -155,6 +156,74 @@ def test_min_power_bits_are_pinned(cfg46):
         got = min_power(ev, fas_spectrum(n, 0.5).lambdas, ee)
         assert tuple(float.hex(float(x)) for x in got) == want, \
             (blocklength, z, n, p_max)
+
+
+# port searches on cfg46 at aperture 0.5, (blocklength, altitude, p_max):
+# three altitudes at L = 200 (N >= 10 cut by causality) and at L = 300,
+# then one where N = 1-8 miss the target and one with both
+_PORT_SEARCH_CASES = (
+    (200, 150.0, 10.0), (200, 450.0, 10.0), (200, 750.0, 10.0),
+    (300, 150.0, 10.0), (300, 450.0, 10.0), (300, 750.0, 10.0),
+    (300, 450.0, 1e-2), (200, 450.0, 3e-2))
+
+
+def _hex(x):
+    return "None" if x is None else float.hex(float(x))
+
+
+def _port_search_pins(blocklength, z, p_max):
+    """n_star, feasible and every entry's fields of one port search, one
+    line each, floats as float.hex."""
+    res = best_port_count(ScenarioConfig(p1=10.0 ** 1.6),
+                          linearize(80.0 / blocklength, blocklength),
+                          EeConfig(p_max=p_max), z, 0.5)
+    lines = [f"{res.n_star} {res.feasible} {_hex(res.p2_star)} "
+             f"{_hex(res.ee_star)}"]
+    lines += [f"{e.n_ports} {e.feasible} {_hex(e.p2)} {_hex(e.eps_o)} "
+              f"{_hex(e.ee)} {_hex(e.table_check_rel)}" for e in res.entries]
+    return "\n".join(lines)
+
+
+def _ee_vs_ports_pins():
+    """feasible, power, BLER and efficiency of every row of a reduced
+    ee-vs-ports study (L = 200 and 300, N = 1-12, 32 nodes)."""
+    from fasrelay.cli import _rows_ee_vs_ports
+    spec = parse_config(
+        "p1 = 46 dBm\nuav_altitude = 400\nsweep_blocklength = 200, 300\n"
+        "sweep_n_ports = 1:12:12\ntraj_nodes = 32\np_max = 40 dBm\n",
+        "ee-vs-ports")
+    rows, _ = _rows_ee_vs_ports(spec, 0)
+    return "\n".join(
+        f"{r['blocklength']} {r['n_ports']} {r['feasible']} "
+        f"{_hex(r['p2_star_dbm'])} {_hex(r['eps_o'])} "
+        f"{_hex(r['ee_bits_per_joule'])}" for r in rows)
+
+
+# sha256 of `_port_search_pins` per case of _PORT_SEARCH_CASES, then of
+# `_ee_vs_ports_pins`
+_PORT_SEARCH_DIGESTS = (
+    "5eda96397d8906c9a46d328b3b0964f115ce5367d7abaa05de6fe5e9edec038a",
+    "7cbf00ebe916f46d47bbe303f9d67a79f18cf4031ad93698a8e5540a6c3cd8e7",
+    "62e5c33c394a3b48cb6de090f321980bb32ebea424bb4d26270f59f2f1ecb27e",
+    "5c9f0f1dbf10db8b08faee9c6459a41365f20d15c00970501f2f8fb7706fd365",
+    "7f2883f0c1a4f968e085926debc1c5ae660a216ede8c1982cdf0d0c02b9d7173",
+    "4ad8ec0ca13a576fd978798e744bc13ac81352801e7195219f9f02aae2cb5061",
+    "ab5051e2b0cf8a9e3f6b2469017902e751f66222192369065a927c962bb7ce86",
+    "f601831d91831c036ccdd82b67aecfb45eca438535fe38a41bf1f35fce2ff1b9",
+)
+_EE_VS_PORTS_DIGEST = (
+    "5d9cff760f2b0b9e2592536edb7a7ddc232fd0ab18778e0b586541cf2a12474d")
+
+
+def test_port_search_bits_are_pinned():
+    # a change to how a search solves its port counts must keep every bit
+    # of every entry, of the optimum and of ee-vs-ports
+    for case, want in zip(_PORT_SEARCH_CASES, _PORT_SEARCH_DIGESTS):
+        pins = _port_search_pins(*case)
+        assert hashlib.sha256(pins.encode()).hexdigest() == want, (case, pins)
+    pins = _ee_vs_ports_pins()
+    assert hashlib.sha256(pins.encode()).hexdigest() == _EE_VS_PORTS_DIGEST, \
+        pins
 
 
 def test_min_power_rejects_falling_hop2_table(cfg46, fbl200, monkeypatch):
