@@ -206,7 +206,8 @@ def q_func(x):
 
 
 def _shape(m, name: str) -> int:
-    if m < 1 or int(m) != m:
+    # a NaN is not an integer
+    if not (float(m).is_integer() and m >= 1):
         raise ValueError(f"{name} must be a positive integer")
     return int(m)
 
@@ -323,7 +324,9 @@ def instantaneous_bler(gamma, rate: float, blocklength: int):
     """Q((C - R) / sqrt(V / L)) at an SNR or an array of SNRs, with
     C = log2(1 + gamma) and V = (1 - (1 + gamma)^-2) log2(e)^2. Exactly 1
     where 1 + gamma rounds to 1 (gamma = 0 included): there C = V = 0, the
-    argument is -inf and Q(-inf) = 1. A NaN SNR raises ValueError.
+    argument is -inf and Q(-inf) = 1. A NaN SNR, a rate that is not
+    positive (NaN included) and a blocklength that is not a positive
+    integer raise ValueError.
 
     Exactly 0.0 from gamma_0 = 2^(R + 40 log2(e) / sqrt(L)) - 1 on (inf
     included): V < log2(e)^2 puts the argument at or above
@@ -336,8 +339,10 @@ def instantaneous_bler(gamma, rate: float, blocklength: int):
     g = np.asarray(gamma, dtype=float)
     if not np.all(g >= 0):
         raise ValueError("gamma must be nonnegative")
-    if rate <= 0:
+    # a NaN fails the comparison
+    if not rate > 0:
         raise ValueError("rate must be positive")
+    _shape(blocklength, "blocklength")
     flat = g.ravel()
     # index arrays gather and scatter a mixed array in half the time of a
     # boolean mask
@@ -586,39 +591,78 @@ class Hop2Table:
 
     def __call__(self, vartheta):
         vt = np.asarray(vartheta, dtype=float)
-        flat = vt.reshape(-1)
-        # a NaN is the min and fails the comparison
-        if flat.size and not flat.min() > 0.0:
-            raise ValueError("vartheta must be positive")
-        # the largest vartheta interpolated: vt_sat, or the largest double
-        # where vt_sat = inf
-        top = min(self.vt_sat, sys.float_info.max)
-        if flat.size and flat.max() > top:
-            out = np.full(flat.shape, self.saturated)
-            live = flat <= top
-            out[live] = self._interpolate(flat[live])
-        else:
-            out = self._interpolate(flat)
-        return _as_result(out.reshape(vt.shape))
+        return _as_result(_read_tables((self,), vt.reshape(1, -1)).reshape(
+            vt.shape))
 
-    def _interpolate(self, vt: np.ndarray) -> np.ndarray:
-        s = np.log10(vt) - self._anchor
-        if not s.size:
-            return s
-        self._grow(float(s.min()), float(s.max()))
-        k_lo = self.panels.start
-        # the panel below s; truncation toward zero and the cap keep a point
-        # on a lattice line at either end of the panels in the panel inside
-        idx = np.minimum((s - k_lo).astype(int), len(self.panels) - 1)
-        dist = (2.0 * (s - (idx + k_lo)) - 1.0)[:, None] - _CHEB_T
-        # at a node the formula gives its value
-        np.copyto(dist, 1e-300, where=dist == 0.0)
-        # in place: a (points x 32) array fewer to allocate per lookup
-        bary = np.divide(_CHEB_W, dist, out=dist)
-        rows = np.take(self._log_values, idx, axis=0)
-        log_eps = np.einsum("ij,ij->i", bary, rows) / bary.sum(axis=1)
-        # a rounding error must not lift a value near saturation above 1
-        return np.exp(np.minimum(log_eps, 0.0))
+
+# the most points of one barycentric pass of `_read_tables` over several
+# rows: the precheck's 10 powers at 128 trajectory nodes, a power solve's
+# largest read of one table
+_READ_POINTS = 1280
+
+
+def _read_tables(tables, vartheta: np.ndarray) -> np.ndarray:
+    """The value of tables[k] at every vartheta of row k of the (K, P)
+    array vartheta, as an array of its shape: past a table's vt_sat its
+    constant min(chi * width, 1), and below it the table's interpolant, in
+    one barycentric pass per group of rows of at most _READ_POINTS points
+    (a longer row alone). Every value has the bits of its table's lookup
+    alone. A NaN or non-positive vartheta raises ValueError."""
+    if not vartheta.size:
+        return np.empty(vartheta.shape)
+    # a NaN is the min and fails the comparison
+    if not vartheta.min() > 0.0:
+        raise ValueError("vartheta must be positive")
+    # the largest vartheta a table interpolates: vt_sat, or the largest
+    # double where vt_sat = inf
+    top = np.array([[min(t.vt_sat, sys.float_info.max)] for t in tables])
+    live = vartheta <= top
+    if not live.all():
+        # each row reads its points below top in a pass of its own
+        out = np.repeat([[t.saturated] for t in tables], vartheta.shape[1],
+                        axis=1)
+        for k in np.flatnonzero(live.any(axis=1)).tolist():
+            out[k][live[k]] = _barycentric_pass(
+                tables[k:k + 1], vartheta[k][live[k]][None])[0]
+        return out
+    per_pass = max(1, _READ_POINTS // vartheta.shape[1])
+    if len(tables) <= per_pass:
+        return _barycentric_pass(tables, vartheta)
+    return np.concatenate([
+        _barycentric_pass(tables[i:i + per_pass], vartheta[i:i + per_pass])
+        for i in range(0, len(tables), per_pass)])
+
+
+def _barycentric_pass(tables, vartheta: np.ndarray) -> np.ndarray:
+    """`_read_tables` on rows whose points all lie below their table's top.
+    Each table first grows to the panels that its row's points meet, in
+    row order; then every point is read on its own table's anchor, panels
+    and values."""
+    s = np.log10(vartheta) - np.array([[t._anchor] for t in tables])
+    for table, s_lo, s_hi in zip(tables, s.min(axis=1).tolist(),
+                                 s.max(axis=1).tolist()):
+        table._grow(s_lo, s_hi)
+    # per row: its table's first panel, its last panel's index, and the
+    # index of its first panel among the stacked panels of all rows
+    held, stacked = [], 0
+    for t in tables:
+        held.append((t.panels.start, len(t.panels) - 1, stacked))
+        stacked += len(t.panels)
+    k_lo, last, first = np.array(held).T[..., None]
+    # the panel below s; truncation toward zero and the cap keep a point
+    # on a lattice line at either end of the panels in the panel inside
+    idx = np.minimum((s - k_lo).astype(int), last)
+    dist = (2.0 * (s - (idx + k_lo)) - 1.0).reshape(-1, 1) - _CHEB_T
+    # at a node the formula gives its value
+    np.copyto(dist, 1e-300, where=dist == 0.0)
+    # in place: a (points x 32) array fewer to allocate per pass
+    bary = np.divide(_CHEB_W, dist, out=dist)
+    idx += first
+    rows = np.take(np.concatenate([t._log_values for t in tables]),
+                   idx.reshape(-1), axis=0)
+    log_eps = np.einsum("ij,ij->i", bary, rows) / bary.sum(axis=1)
+    # a rounding error must not lift a value near saturation above 1
+    return np.exp(np.minimum(log_eps, 0.0)).reshape(vartheta.shape)
 
 
 def avg_bler_hop2_asymptotic(params: FblParams, vartheta2, m2: int, lambdas):
@@ -863,11 +907,13 @@ class TrajectoryEvaluator:
         los = np.zeros(nlos.shape)
         if not live[0].size:
             return los, nlos
-        # one vartheta per live point, and for stacked spectra one lambda
-        # row; one spectrum broadcasts against any vartheta
+        # one vartheta per live point, and for several stacked spectra one
+        # lambda row; one spectrum broadcasts against any vartheta
         vt = np.broadcast_to(vt_los, nlos.shape)[live]
         lam = np.asarray(lambdas, dtype=float)
-        if lam.ndim > 1:
+        if lam.size == lam.shape[-1]:
+            lam = lam.reshape(-1)
+        else:
             lam = np.broadcast_to(lam, nlos.shape + lam.shape[-1:])[live]
         # the asymptote is loose near the knee of the branch CDFs
         keep = np.flatnonzero(~mix.los_negligible(
@@ -899,13 +945,24 @@ class TrajectoryEvaluator:
         column, with hop 2 read at `hop2_varthetas(p2)` from the `Hop2Table`
         pair of (fbl, m, lambdas) in `tables`, each built on its first lookup
         and within about 1e-12 relative of the direct path. A list or an
-        array reads the pair of its tuple; stacked spectra raise ValueError."""
-        if not isinstance(lambdas, tuple):
-            lambdas = _one_spectrum(lambdas)
-        eps2 = []
-        for lt, vt in zip(LINK_TYPES, self.hop2_varthetas(p2)):
-            key = (self.fbl, self.cfg.nakagami_m(lt), lambdas)
-            if key not in self.tables:
-                self.tables[key] = Hop2Table(*key)
-            eps2.append(self.tables[key](vt))
-        return self.e2e_avg_from(*eps2)
+        array reads the pair of its tuple; stacked spectra raise ValueError.
+        lambdas may also be a list of K spectra, each a tuple, list or 1-D
+        array, against a (K, 1) column: row k reads the pair of spectrum k,
+        and the 2K reads go through one `_read_tables`, with the bits of
+        each row's own call."""
+        several = (isinstance(lambdas, list) and bool(lambdas) and (
+            isinstance(lambdas[0], tuple) or np.ndim(lambdas[0]) == 1))
+        spectra = [lam if isinstance(lam, tuple) else _one_spectrum(lam)
+                   for lam in (lambdas if several else [lambdas])]
+        tables, vts = [], self.hop2_varthetas(p2)
+        for lt in LINK_TYPES:
+            for lam in spectra:
+                key = (self.fbl, self.cfg.nakagami_m(lt), lam)
+                if key not in self.tables:
+                    self.tables[key] = Hop2Table(*key)
+                tables.append(self.tables[key])
+        k = len(spectra)
+        eps2 = _read_tables(tables, np.concatenate(
+            [vt.reshape(k, -1) for vt in vts]))
+        return self.e2e_avg_from(eps2[:k].reshape(vts[0].shape),
+                                 eps2[k:].reshape(vts[1].shape))

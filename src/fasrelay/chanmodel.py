@@ -58,8 +58,9 @@ def jakes_matrix(n_ports: int, aperture: float) -> np.ndarray:
     A single port has no spacing to speak of; the 1x1 identity keeps the
     fixed-antenna baseline well defined.
     """
-    if n_ports < 1:
-        raise ValueError("n_ports must be >= 1")
+    # a NaN is not an integer
+    if not (float(n_ports).is_integer() and n_ports >= 1):
+        raise ValueError("n_ports must be a positive integer")
     # a NaN, such as `eigen_spectrum`'s default aperture, fails too
     if not aperture > 0:
         raise ValueError("aperture must be positive")
@@ -87,7 +88,7 @@ def eigen_spectrum(j: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE
         raise ValueError("correlation matrix must be symmetric")
     if np.any(np.abs(np.diagonal(j) - 1.0) > 1e-12):
         raise ValueError("correlation matrix must have unit diagonal")
-    if rank_tolerance <= 0 or rank_tolerance >= 1:
+    if not 0 < rank_tolerance < 1:
         raise ValueError("rank_tolerance must lie in (0, 1)")
     values = np.clip(np.linalg.eigvalsh(j), 0.0, None)[::-1]
     n_eff = int(np.count_nonzero(values > rank_tolerance * values[0]))

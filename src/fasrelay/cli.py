@@ -39,7 +39,7 @@ from .errors import ConfigError, FasRelayError
 from .geometry import ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
 from .optimizer import (EeConfig, PortSearchResult, best_port_count,
-                        global_optimize, min_power, port_entry)
+                        global_optimize, min_power, port_entries)
 
 COMMANDS = ("bler-sweep", "validate", "aperture-sweep", "power-vs-altitude",
             "ee-vs-ports", "ee-contour", "optimize")
@@ -216,17 +216,21 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.blocklength < 1:
-            raise ValueError("blocklength must be >= 1")
-        if self.n_ports < 1:
-            raise ValueError("n_ports must be >= 1")
-        if self.aperture <= 0:
+        # `not x > 0`: a NaN fails every comparison, so it would pass
+        # `x <= 0`
+        for name, least in (("blocklength", 1), ("n_ports", 1),
+                            ("traj_nodes", 2)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {value!r}")
+        if not self.aperture > 0:
             raise ValueError("aperture must be positive")
         if not 0.0 < self.rank_tolerance < 1.0:
             raise ValueError("rank_tolerance must lie in (0, 1)")
-        if self.traj_nodes < 2:
-            raise ValueError("traj_nodes must be >= 2")
-        if self.p2 is not None and self.p2 <= 0:
+        if self.p2 is not None and not self.p2 > 0:
             raise ValueError("p2 must be positive")
         if self.command == "validate" and self.mc is None:
             raise ValueError("validate needs Monte Carlo settings (mc)")
@@ -497,11 +501,10 @@ def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int):
     for l in _blocklengths(spec):
         ev = TrajectoryEvaluator(spec.scenario, _fbl(spec, int(l)),
                                  spec.traj_nodes)
-        for n in n_axis:
-            e = port_entry(ev, int(n), spec.aperture, spec.ee,
-                           spec.rank_tolerance)
+        for e in port_entries(ev, [int(n) for n in n_axis], spec.aperture,
+                              spec.ee, spec.rank_tolerance):
             rows.append(_row(
-                spec, spec.scenario.uav_altitude, n_ports=int(n),
+                spec, spec.scenario.uav_altitude, n_ports=e.n_ports,
                 aperture=spec.aperture, blocklength=int(l),
                 feasible=e.feasible,
                 p2_star_dbm=_to_dbm(e.p2) if e.feasible else None,

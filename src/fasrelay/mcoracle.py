@@ -116,9 +116,15 @@ class McEstimate:
     trials: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if self.std_error < 0:
+        if (isinstance(self.trials, bool)
+                or not isinstance(self.trials, (int, np.integer))
+                or self.trials < 1):
+            raise ValueError(f"trials must be a positive integer, got "
+                             f"{self.trials!r}")
+        # a NaN fails the comparisons
+        if not self.mean >= 0:
+            raise ValueError("mean must be nonnegative")
+        if not self.std_error >= 0:
             raise ValueError("std_error must be nonnegative")
 
 

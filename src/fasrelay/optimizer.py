@@ -39,7 +39,8 @@ import numpy as np
 from .blercore import (DEFAULT_TRAJECTORY_NODES, FblParams,
                        TrajectoryEvaluator, linearize)
 from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
-from .errors import CausalityError, MonotonicityError, TableAccuracyError
+from .errors import (CausalityError, FasRelayError, MonotonicityError,
+                     TableAccuracyError)
 from .geometry import ScenarioConfig
 
 
@@ -151,12 +152,13 @@ _ITP_KAPPA2 = 2.0
 _ITP_N0 = 1
 
 
-def _itp(table_eps, threshold: float, lo: float, eps_lo: float, hi: float,
+def _itp(threshold: float, lo: float, eps_lo: float, hi: float,
          eps_hi: float, bisect_tol: float):
     """The smallest feasible power of the bracket [lo, hi], lo infeasible
     (BLER eps_lo > threshold) and hi feasible (eps_hi <= threshold), to
-    bisect_tol: (hi, eps_hi) once hi - lo <= bisect_tol * hi, or after
-    n_max lookups of table_eps, a function of the power.
+    bisect_tol, as a generator: it yields each power to look up, takes its
+    BLER by `send`, and returns (hi, eps_hi) once hi - lo <= bisect_tol * hi
+    or after n_max powers.
 
     One ITP sequence (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on
     g = log(eps / threshold) against x = log p, about linear where the BLER
@@ -193,7 +195,7 @@ def _itp(table_eps, threshold: float, lo: float, eps_lo: float, hi: float,
         if abs(x - mid) > radius:
             x = mid - side * radius
         p = math.exp(x)
-        eps = table_eps(p)
+        eps = yield p
         if eps > threshold:
             a, lo, ga = x, p, math.log(eps / threshold)
         else:
@@ -201,46 +203,121 @@ def _itp(table_eps, threshold: float, lo: float, eps_lo: float, hi: float,
     return hi, eps_hi
 
 
-def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
-    """The smallest transmit power in (0, p_max] that meets the reliability
-    target on ev (scenario and blocklength) with the port spectrum lambdas,
-    to within bisect_tol.
+def _rows(call, rows: list, errors: dict) -> list:
+    """call(rows), one value per row; where it raises a `FasRelayError`,
+    call([row]) for each row instead, a failing row's value None and its
+    error in errors. A failed table fill changes no table, so a row read
+    alone has the bits of its read in the whole call."""
+    try:
+        return list(call(rows))
+    except FasRelayError:
+        values = []
+        for row in rows:
+            try:
+                values.append(call([row])[0])
+            except FasRelayError as err:
+                errors[row] = err
+                values.append(None)
+        return values
 
-    The BLER is `ev.e2e_avg_tabulated`. The precheck reads its 10 powers
-    in one call and checks that the BLER falls across them; its last
-    infeasible and first feasible power bracket the search `_itp`, which
-    reads one power at a time. The power found is re-evaluated by the
-    direct kernel. Returns (power, direct BLER at power, relative gap of
-    the tables there), or None when even p_max misses the target. The
-    power meets the target on the tables, and on a BLER that falls with
-    power, power * (1 - bisect_tol) does not.
+
+def _advance(search, eps):
+    """The next power that the `_itp` search looks up after the BLER eps
+    (None to start it), or its result: (power, None) or (None, result)."""
+    try:
+        return search.send(eps), None
+    except StopIteration as stop:
+        return None, stop.value
+
+
+def min_powers(ev: TrajectoryEvaluator, spectra, ee: EeConfig) -> list:
+    """The smallest transmit power in (0, p_max] that meets the reliability
+    target on ev (scenario and blocklength) with each port spectrum of
+    spectra, to within bisect_tol, solved together.
+
+    The BLER is `ev.e2e_avg_tabulated`. Each spectrum's precheck reads its
+    10 powers in one call, in the order of spectra, and checks that the
+    BLER falls across them; its last infeasible and first feasible power
+    bracket its search `_itp`. The searches then run in lock-step: each
+    round reads the next power of every pending search in one call, row k
+    of its power column against spectrum k. The powers found are
+    re-evaluated by the direct kernel, one stacked call per rank. Returns
+    one (power, direct BLER at power, relative gap of the tables there) per
+    spectrum, or None where even p_max misses the target. The power meets
+    the target on the tables, and on a BLER that falls with power,
+    power * (1 - bisect_tol) does not. Each value has the bits of its
+    spectrum's solve alone.
+
+    A spectrum whose precheck, table fill or direct check raises a
+    `FasRelayError` drops out, and once every spectrum is done the error of
+    the first failing one in spectra is raised, as a loop over spectra in
+    order would raise it.
     """
     grid = ee.p_max * np.logspace(-8.0, 0.0, _PRECHECK_POINTS)
-    # a row's lookup and average are those of its power alone
-    eps = ev.e2e_avg_tabulated(grid[:, None], lambdas).tolist()
-    for i in range(len(eps) - 1):
-        if eps[i + 1] > eps[i] + _PRECHECK_SLACK:
-            raise MonotonicityError(
-                "end-to-end BLER failed to decrease with transmit power: "
-                f"eps({grid[i]:.3e} W)={eps[i]:.6e} -> "
-                f"eps({grid[i + 1]:.3e} W)={eps[i + 1]:.6e}")
     threshold = ee.bler_threshold
-    if eps[-1] > threshold:
-        return None
-    if eps[0] <= threshold:
-        hi, eps_hi = float(grid[0]), eps[0]
-    else:
-        i = max(i for i in range(len(eps)) if eps[i] > threshold)
-        hi, eps_hi = _itp(lambda p2: ev.e2e_avg_tabulated(p2, lambdas),
-                          threshold, float(grid[i]), eps[i],
-                          float(grid[i + 1]), eps[i + 1], ee.bisect_tol)
-    direct = ev.e2e_avg(hi, lambdas)
-    gap = abs(eps_hi - direct) / max(direct, np.finfo(float).tiny)
-    if gap > _TABLE_CHECK_REL:
-        raise TableAccuracyError(
-            f"tabulated end-to-end BLER {eps_hi:.12e} at {hi:.6e} W is "
-            f"{gap:.2e} relative off the direct value {direct:.12e}")
-    return hi, direct, gap
+    results, errors, searches, powers = {}, {}, {}, {}
+    for k, lambdas in enumerate(spectra):
+        try:
+            # a row's lookup and average are those of its power alone
+            eps = ev.e2e_avg_tabulated(grid[:, None], lambdas).tolist()
+            for i in range(len(eps) - 1):
+                if eps[i + 1] > eps[i] + _PRECHECK_SLACK:
+                    raise MonotonicityError(
+                        "end-to-end BLER failed to decrease with transmit "
+                        f"power: eps({grid[i]:.3e} W)={eps[i]:.6e} -> "
+                        f"eps({grid[i + 1]:.3e} W)={eps[i + 1]:.6e}")
+        except FasRelayError as err:
+            errors[k] = err
+            continue
+        if eps[-1] > threshold:
+            results[k] = None
+        elif eps[0] <= threshold:
+            results[k] = float(grid[0]), eps[0]
+        else:
+            i = max(i for i in range(len(eps)) if eps[i] > threshold)
+            searches[k] = _itp(threshold, float(grid[i]), eps[i],
+                               float(grid[i + 1]), eps[i + 1], ee.bisect_tol)
+            powers[k], results[k] = _advance(searches[k], None)
+    while powers:
+        pending = list(powers)
+        eps = _rows(lambda rows: ev.e2e_avg_tabulated(
+            np.array([[powers[k]] for k in rows]),
+            [spectra[k] for k in rows]).tolist(), pending, errors)
+        powers = {}
+        for k, e in zip(pending, eps):
+            if e is not None:
+                p, results[k] = _advance(searches[k], e)
+                if p is not None:
+                    powers[k] = p
+    ranks = {}
+    for k, found in results.items():
+        if found is not None:
+            ranks.setdefault(len(spectra[k]), []).append(k)
+    for group in ranks.values():
+        direct = _rows(lambda rows: ev.e2e_avg(
+            np.array([results[k][0] for k in rows])[:, None],
+            np.array([spectra[k] for k in rows], dtype=float)[:, None, :]
+        ).tolist(), group, errors)
+        for k, d in zip(group, direct):
+            if d is None:
+                continue
+            hi, eps_hi = results[k]
+            gap = abs(eps_hi - d) / max(d, np.finfo(float).tiny)
+            if gap > _TABLE_CHECK_REL:
+                errors[k] = TableAccuracyError(
+                    f"tabulated end-to-end BLER {eps_hi:.12e} at {hi:.6e} W "
+                    f"is {gap:.2e} relative off the direct value {d:.12e}")
+            results[k] = hi, d, gap
+    if errors:
+        raise errors[min(errors)]
+    return [results[k] for k in range(len(spectra))]
+
+
+def min_power(ev: TrajectoryEvaluator, lambdas, ee: EeConfig):
+    """`min_powers` of the one spectrum lambdas: (power, direct BLER at
+    power, relative gap of the tables there), or None when even p_max
+    misses the target."""
+    return min_powers(ev, [lambdas], ee)[0]
 
 
 @dataclass(frozen=True)
@@ -256,27 +333,33 @@ class PortEntry:
     table_check_rel: float | None = None
 
 
-def port_entry(ev: TrajectoryEvaluator, n_ports: int, aperture: float,
-               ee: EeConfig,
-               rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PortEntry:
-    """Causality cut, minimum-power solve and energy efficiency of n_ports
-    ports at the given aperture on the scenario and blocklength of ev. A
-    cut port count fills no table."""
+def port_entries(ev: TrajectoryEvaluator, port_counts, aperture: float,
+                 ee: EeConfig,
+                 rank_tolerance: float = DEFAULT_RANK_TOLERANCE
+                 ) -> tuple[PortEntry, ...]:
+    """Causality cut, minimum-power solve and energy efficiency of each of
+    port_counts ports at the given aperture on the scenario and blocklength
+    of ev, one entry per port count in order. The admitted port counts are
+    solved together by `min_powers`; a cut port count fills no table."""
     blocklength = ev.fbl.blocklength
-    infeasible = PortEntry(n_ports=n_ports, feasible=False, p2=None,
-                           eps_o=None, ee=0.0)
-    if violates_causality(n_ports, ee.port_time, blocklength, ee.bandwidth):
-        return infeasible
-    fas = fas_spectrum(n_ports, aperture, rank_tolerance)
-    found = min_power(ev, fas.lambdas, ee)
-    if found is None:
-        return infeasible
-    p2, eps_o, gap = found
-    val = energy_efficiency(ee.payload_bits, eps_o, p2, blocklength,
-                            ee.bandwidth, n_ports, ee.port_time,
-                            ee.circuit_power, ee.switch_power)
-    return PortEntry(n_ports=n_ports, feasible=True, p2=p2, eps_o=eps_o,
-                     ee=val, table_check_rel=gap)
+    admitted = [n for n in port_counts if not violates_causality(
+        n, ee.port_time, blocklength, ee.bandwidth)]
+    found = dict(zip(admitted, min_powers(
+        ev, [fas_spectrum(n, aperture, rank_tolerance).lambdas
+             for n in admitted], ee)))
+    entries = []
+    for n in port_counts:
+        if found.get(n) is None:
+            entries.append(PortEntry(n_ports=n, feasible=False, p2=None,
+                                     eps_o=None, ee=0.0))
+            continue
+        p2, eps_o, gap = found[n]
+        val = energy_efficiency(ee.payload_bits, eps_o, p2, blocklength,
+                                ee.bandwidth, n, ee.port_time,
+                                ee.circuit_power, ee.switch_power)
+        entries.append(PortEntry(n_ports=n, feasible=True, p2=p2,
+                                 eps_o=eps_o, ee=val, table_check_rel=gap))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -311,8 +394,8 @@ def best_port_count(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
     z_u = float(z_u)
     ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, nodes,
                              tables)
-    entries = tuple(port_entry(ev, n, aperture, ee, rank_tolerance)
-                    for n in range(ee.n_range[0], ee.n_range[1] + 1))
+    entries = port_entries(ev, range(ee.n_range[0], ee.n_range[1] + 1),
+                           aperture, ee, rank_tolerance)
     feasible = [e for e in entries if e.feasible]
     if not feasible:
         return PortSearchResult(blocklength=fbl.blocklength, z_u=z_u,

@@ -20,7 +20,8 @@ from fasrelay import (ConfigError, EeConfig, McConfig, ScenarioConfig,
 from fasrelay.blercore import CHI_VARIANTS, chebyshev_nodes
 from fasrelay.cli import (_KEYS, COMMANDS, ExperimentSpec, _analytic_averages,
                           main, parse_config, render, run)
-from fasrelay.mcoracle import _CHUNK, MC_MODES, mc_average_bler
+from fasrelay.chanmodel import jakes_matrix
+from fasrelay.mcoracle import _CHUNK, MC_MODES, McEstimate, mc_average_bler
 
 from conftest import read_rows, run_rows
 
@@ -564,6 +565,32 @@ def test_a_nan_or_non_integer_field_fails_at_construction(cls, f):
     for value in _bad_values(cls, f):
         with pytest.raises(ValueError, match=rf"^{f.name}\b"):
             cls(**{f.name: value})
+
+
+def _spec(**fields_):
+    return ExperimentSpec("bler-sweep", ScenarioConfig(), EeConfig(), None,
+                          **fields_)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("rate", lambda: blercore.instantaneous_bler(1.0, math.nan, 100)),
+    ("blocklength", lambda: blercore.instantaneous_bler(1.0, 0.8, math.nan)),
+    ("blocklength", lambda: blercore.instantaneous_bler(1.0, 0.8, 2.5)),
+    ("n_ports", lambda: fas_spectrum(2.5, 0.5)),
+    ("n_ports", lambda: jakes_matrix(2.5, 0.5)),
+    ("rank_tolerance", lambda: fas_spectrum(2, 0.5, math.nan)),
+    ("mean", lambda: McEstimate(math.nan, math.nan, 10)),
+    ("trials", lambda: McEstimate(0.1, 0.0, 2.5)),
+    ("aperture", lambda: _spec(aperture=math.nan)),
+    ("p2", lambda: _spec(p2=math.nan)),
+    ("n_ports", lambda: _spec(n_ports=math.nan)),
+    ("n_ports", lambda: _spec(n_ports=True)),
+    ("traj_nodes", lambda: _spec(traj_nodes=2.5))])
+def test_a_nan_or_non_integer_argument_fails_at_the_api(name, call):
+    # each of these returned 0.0, rounded 2.5 up to 3 ports, kept one
+    # branch or constructed; the error names the parameter
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call()
 
 
 def test_integer_lists_share_one_parser():

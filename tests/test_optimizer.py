@@ -254,12 +254,83 @@ def test_min_power_rejects_rising_precheck(cfg46, fbl200, monkeypatch):
 
 def test_min_power_checks_table_against_direct(cfg46, fbl200, monkeypatch):
     # a table 1e-6 off the kernel fails the check at the solved power
-    interpolate = blercore.Hop2Table._interpolate
-    monkeypatch.setattr(blercore.Hop2Table, "_interpolate",
-                        lambda self, vt: interpolate(self, vt) * (1.0 - 1e-6))
+    read = blercore._read_tables
+    monkeypatch.setattr(blercore, "_read_tables",
+                        lambda tables, vt: read(tables, vt) * (1.0 - 1e-6))
     with pytest.raises(TableAccuracyError):
         solved_power(cfg46, fas_spectrum(4, 0.5), fbl200,
                      EeConfig(p_max=10.0), 450.0)
+
+
+def _failing_solves(monkeypatch, precheck=None, round_fill=None,
+                    direct=None):
+    """Patch the solve of port count precheck to fail at its precheck's
+    table fill and that of round_fill at a table fill of its first
+    lock-step round (each read of its tables after the precheck), both
+    with a `MonotonicityError` naming N, and that of direct at its direct
+    check (`TableAccuracyError`: each direct BLER of its rank 1e-6 off)."""
+    failing = {fas_spectrum(n, 0.5).lambdas: (n, first_read)
+               for n, first_read in ((precheck, True), (round_fill, False))
+               if n is not None}
+    grow, read = blercore.Hop2Table._grow, set()
+
+    def failing_grow(self, s_lo, s_hi):
+        n, first_read = failing.get(self._lambdas, (None, False))
+        if n is not None and (first_read or self in read):
+            raise MonotonicityError(f"hop-2 BLER table of N = {n} fails")
+        read.add(self)
+        grow(self, s_lo, s_hi)
+
+    monkeypatch.setattr(blercore.Hop2Table, "_grow", failing_grow)
+    if direct is not None:
+        rank = fas_spectrum(direct, 0.5).n_eff
+        e2e_avg = blercore.TrajectoryEvaluator.e2e_avg
+
+        def off(self, p2, lambdas):
+            eps = e2e_avg(self, p2, lambdas)
+            return eps * (1.0 + 1e-6) if np.shape(lambdas)[-1] == rank else eps
+
+        monkeypatch.setattr(blercore.TrajectoryEvaluator, "e2e_avg", off)
+
+
+def test_a_port_search_raises_the_error_of_its_smallest_failing_port_count(
+        cfg46, fbl200, monkeypatch):
+    # each port count's solve records its result or its error, and the
+    # search raises the error of the smallest failing N, as a loop over N
+    # in order would. N = 7 fails first in time, at a table fill of its
+    # first lock-step round, and N = 3 last, at its direct check: N = 3's
+    # error is raised, with its message. A fill failure charged to its
+    # whole round, or to the round's first row, would raise N = 7's
+    ee = EeConfig(p_max=10.0, n_range=(1, 9))
+
+    def search():
+        return best_port_count(cfg46, fbl200, ee, 450.0, 0.5)
+
+    with monkeypatch.context() as patch:
+        _failing_solves(patch, round_fill=7, direct=3)
+        ev = TrajectoryEvaluator(replace(cfg46, uav_altitude=450.0), fbl200)
+        with pytest.raises(TableAccuracyError) as alone:
+            min_power(ev, fas_spectrum(3, 0.5).lambdas, ee)
+        with pytest.raises(TableAccuracyError) as err:
+            search()
+        assert str(err.value) == str(alone.value)
+    # (failing solves, the error raised: its class, or a MonotonicityError
+    # naming its N)
+    for failing, raised in (
+            (dict(round_fill=7), "N = 7"),
+            (dict(precheck=5, direct=2), TableAccuracyError),
+            (dict(precheck=2, round_fill=5, direct=1), TableAccuracyError),
+            (dict(precheck=2, round_fill=5), "N = 2"),
+            (dict(precheck=6, round_fill=4), "N = 4")):
+        with monkeypatch.context() as patch:
+            _failing_solves(patch, **failing)
+            if isinstance(raised, str):
+                with pytest.raises(MonotonicityError, match=raised):
+                    search()
+            else:
+                with pytest.raises(raised):
+                    search()
+    assert search().feasible
 
 
 def test_best_port_count_singleton(cfg46, fbl200):
@@ -456,15 +527,17 @@ def table_fills(monkeypatch):
 
 @pytest.fixture
 def table_lookups(monkeypatch):
-    """The table of every `Hop2Table` lookup made while the test runs."""
+    """The table of every `Hop2Table` lookup made while the test runs: one
+    per table that a `_read_tables` pass reads, whether for one table's
+    call or for the rows of an evaluator's read."""
     lookups = []
-    call = blercore.Hop2Table.__call__
+    read = blercore._read_tables
 
-    def counted(self, vartheta):
-        lookups.append(self)
-        return call(self, vartheta)
+    def counted(tables, vartheta):
+        lookups.extend(tables)
+        return read(tables, vartheta)
 
-    monkeypatch.setattr(blercore.Hop2Table, "__call__", counted)
+    monkeypatch.setattr(blercore, "_read_tables", counted)
     return lookups
 
 
