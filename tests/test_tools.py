@@ -127,9 +127,13 @@ def test_bench_records_each_peak_rss_and_the_median(bench, monkeypatch):
         return study_s, cal_s, rss, {"sha256": {"csv": name, "meta": "m"},
                                      "values": values}
 
+    layers = {"min_power_s": 0.002, "port_search_s": 0.03}
     monkeypatch.setattr(bench, "PRESETS", {"a": "bler-sweep"})
     monkeypatch.setattr(bench, "run_preset", fake_run)
-    entry = bench.bench(repeats=4)["presets"]["a"]
+    monkeypatch.setattr(bench, "run_layers", lambda env: layers)
+    result = bench.bench(repeats=4)
+    assert result["layers"] == layers
+    entry = result["presets"]["a"]
     assert entry["study_s"] == [1.0, 3.0, 2.0, 4.0]
     assert entry["cal_s"] == [0.1, 0.2, 0.1, 0.3]
     assert entry["peak_rss_mb"] == [80.0, 60.0, 70.0, 90.0]
@@ -146,6 +150,34 @@ def test_bench_records_each_peak_rss_and_the_median(bench, monkeypatch):
     assert entry["study_s_quartiles"] == [5.0, 5.0]
     assert entry["raw_study_s_median"] == pytest.approx(
         1.0 / bench.RUNNER.CAL_REF_S)
+
+
+def test_compare_prints_the_layer_timings(bench, capsys):
+    # one line after the presets: both files' solve and search times, "n/a"
+    # for a file written before they were recorded
+    ours, other = _result(a="1"), _result(a="1")
+    ours["layers"] = {"min_power_s": 0.0021, "port_search_s": 0.0315}
+    assert bench.compare(ours, other)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "layers: min_power n/a -> 2.10 ms, port search n/a -> 31.50 ms")
+    other["layers"] = {"min_power_s": 0.0025, "port_search_s": 0.0355}
+    assert bench.compare(ours, other)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "layers: min_power 2.50 ms -> 2.10 ms, port search 35.50 ms -> "
+        "31.50 ms")
+
+
+def test_layer_times_time_a_solve_and_a_search(bench):
+    times = bench.layer_times(runs=1)
+    assert set(times) == {"min_power_s", "port_search_s"}
+    # a search solves 12 port counts, the solve one of them
+    assert 0.0 < times["min_power_s"] < times["port_search_s"]
+
+
+def test_run_layers_runs_in_a_process_of_its_own(bench):
+    times = bench.run_layers(bench.study_env())
+    assert set(times) == {"min_power_s", "port_search_s"}
+    assert all(t > 0.0 for t in times.values())
 
 
 def test_run_preset_runs_the_study_script(bench, tmp_path):

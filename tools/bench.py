@@ -19,11 +19,20 @@ widen; the sha256 of the CSV and of its ``.meta`` sidecar; and their
 values: the CSV's cells by column and the ``.meta`` entries, as written. A
 preset whose output differs between repeats is an error.
 
+After the presets it times two layers in one more fresh process, at the
+optimize-grid anchor of the benchmark (``perfbench/workloads.py``: L = 300,
+z = 500 m, N = 1..12): one minimum-power solve at N = 12 and one port
+search over N = 1..12, each on fresh hop-2 tables, as the median of 21
+runs in that process after one warm-up run of each. They are raw
+``time.perf_counter`` seconds, not scaled by a calibration, and go to
+``layers`` in the file.
+
 With --against, it then prints per preset whether the CSV and ``.meta``
 are identical to those of the other file, or which of them differ
 (``differs: csv``, ``differs: meta`` or ``differs: csv, meta``), with both
 median study times, each followed by its quartiles in brackets and its
-median raw time, and both median peak RSS ("n/a" for what a file written
+median raw time, and both median peak RSS, then, where either file holds
+them, one line with both layer timings ("n/a" for what a file written
 before it was recorded lacks),
 and exits 1 if any preset differs or is missing from either file. When the
 two files record different python, numpy or scipy versions it first prints
@@ -69,6 +78,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy
@@ -138,6 +148,62 @@ def run_preset(name: str, command: str, workdir: Path, env: dict):
     return study_s, res["cal_s"], res["peak_rss_mb"], read_outputs(out)
 
 
+# runs of each layer timing after its warm-up; the median is recorded
+LAYER_RUNS = 21
+
+
+def layer_times(runs: int = LAYER_RUNS) -> dict:
+    """The median seconds, over runs after one warm-up, of one
+    minimum-power solve at the largest port count (``min_power_s``) and of
+    one port search (``port_search_s``) at the optimize-grid anchor, each on
+    fresh hop-2 tables: the solve on a new evaluator, built outside the
+    timed call, and the search building its own."""
+    from dataclasses import replace
+    from fasrelay import (TrajectoryEvaluator, best_port_count, fas_spectrum,
+                          linearize, min_power)
+    from fasrelay.cli import parse_config
+
+    z = 500.0
+    study = RUNNER.workloads.optimize_grid(int(z))
+    spec = parse_config(study.config, study.command)
+    ee, [blocklength] = spec.ee, spec.ee.l_set
+    fbl = linearize(ee.payload_bits / blocklength, blocklength,
+                    spec.chi_variant)
+    scenario = replace(spec.scenario, uav_altitude=z)
+    lambdas = fas_spectrum(ee.n_range[1], spec.aperture,
+                           spec.rank_tolerance).lambdas
+
+    def solve():
+        ev = TrajectoryEvaluator(scenario, fbl, spec.traj_nodes)
+        start = time.perf_counter()
+        min_power(ev, lambdas, ee)
+        return time.perf_counter() - start
+
+    def search():
+        start = time.perf_counter()
+        best_port_count(spec.scenario, fbl, ee, z, spec.aperture,
+                        spec.rank_tolerance, spec.traj_nodes)
+        return time.perf_counter() - start
+
+    times = {}
+    for name, timed in (("min_power_s", solve), ("port_search_s", search)):
+        timed()
+        times[name] = statistics.median(timed() for _ in range(runs))
+    return times
+
+
+def run_layers(env: dict) -> dict:
+    """`layer_times` in a fresh process with the environment env."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import bench; print(json.dumps(bench.layer_times()))")
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools")],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"layer timings: exit {proc.returncode}\n"
+                         f"{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def study_env() -> dict:
     """The environment of a study process: the ``src/`` tree next to this
     script, and one thread in each of the benchmark's thread pools."""
@@ -173,7 +239,8 @@ def bench(repeats: int) -> dict:
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__, "machine": platform.machine(),
             "nproc": os.cpu_count(), "repeats": repeats,
-            "cal_ref_s": RUNNER.CAL_REF_S, "presets": presets}
+            "cal_ref_s": RUNNER.CAL_REF_S, "presets": presets,
+            "layers": run_layers(env)}
 
 
 def _study(entry: dict) -> str:
@@ -192,6 +259,17 @@ def _study(entry: dict) -> str:
 def _rss(entry: dict) -> str:
     rss = entry.get("peak_rss_mb_median")
     return "n/a" if rss is None else f"{rss:.1f} MB"
+
+
+def _layers(ours: dict, other: dict) -> str:
+    """The line of both files' layer timings, other first."""
+    def ms(result: dict, name: str) -> str:
+        seconds = result.get("layers", {}).get(name)
+        return "n/a" if seconds is None else f"{seconds * 1e3:.2f} ms"
+    return "layers: " + ", ".join(
+        f"{label} {ms(other, name)} -> {ms(ours, name)}"
+        for label, name in (("min_power", "min_power_s"),
+                            ("port search", "port_search_s")))
 
 
 _CLASSES = ("analytic", "solved", "monte carlo")
@@ -332,6 +410,8 @@ def compare(ours: dict, other: dict) -> bool:
                   "schema)")
         if differs and "values" in a and "values" in b:
             print("\n".join(value_moves(a["values"], b["values"])))
+    if "layers" in ours or "layers" in other:
+        print(_layers(ours, other))
     return same
 
 
