@@ -120,7 +120,9 @@ rho_l = 0, so a table's value at a vartheta depends on (fbl, m, lambda,
 vartheta) and not on the panels it holds. A lookup first grows the table
 to the panels that its points below vartheta_sat meet, so a table never
 extrapolates, and `TrajectoryEvaluator.e2e_avg_tabulated` reads a power
-solve's end-to-end BLER through the pair of a spectrum. For the optimizer's
+solve's end-to-end BLER through the pair of a spectrum, or those of
+several solves at once through the pairs of their spectra, every table's
+rows in one barycentric pass (`_read_tables`). For the optimizer's
 power range p_max [1e-8, 1] at p_max = 40 dBm (L = 100, 300, 600; altitude
 100, 400, 500, 800 m; N = 1, 2, 4, 8, 12; both link types) a table holds
 128-288 nodes and stays within 1.05e-12 relative of the kernel on 801
@@ -529,6 +531,13 @@ class Hop2Table:
     (params, m2, lambdas, vartheta) only, not on the panels held or their
     order, so a shared table reads as a fresh one. `nodes` and `values`
     hold the sampled vartheta (ascending) and the kernel's values.
+
+    A call is the one-table case of `_read_tables`, which reads the rows
+    of several tables in one barycentric pass per group of at most
+    _READ_POINTS points, each point on its own table's anchor, panels and
+    log values, with the bits of its table's call alone: a power solve's
+    lookups of both link types, or those of every pending solve of a port
+    search (`TrajectoryEvaluator.e2e_avg_tabulated`).
     """
 
     def __init__(self, params: FblParams, m2: int, lambdas):
@@ -907,13 +916,11 @@ class TrajectoryEvaluator:
         los = np.zeros(nlos.shape)
         if not live[0].size:
             return los, nlos
-        # one vartheta per live point, and for several stacked spectra one
-        # lambda row; one spectrum broadcasts against any vartheta
+        # one vartheta per live point, and for stacked spectra one lambda
+        # row; one spectrum broadcasts against any vartheta
         vt = np.broadcast_to(vt_los, nlos.shape)[live]
         lam = np.asarray(lambdas, dtype=float)
-        if lam.size == lam.shape[-1]:
-            lam = lam.reshape(-1)
-        else:
+        if lam.ndim > 1:
             lam = np.broadcast_to(lam, nlos.shape + lam.shape[-1:])[live]
         # the asymptote is loose near the knee of the branch CDFs
         keep = np.flatnonzero(~mix.los_negligible(

@@ -12,7 +12,7 @@ Each power solve reads the end-to-end BLER by
 `TrajectoryEvaluator.e2e_avg_tabulated`, hop 2 from the table pair of its
 blocklength and spectrum (design and accuracy, about 1e-12 relative, in
 `blercore`): the precheck its 10 powers in one call, whose lookups grow
-the pair to the vartheta they reach, and the search one power at a time.
+the pair to the vartheta they reach, and the search one power per step.
 The searches of `global_optimize` share one table dict: 96 tables on the
 `optimize` preset, a pair per (L, N). The power found is then re-evaluated
 by the direct kernel: that value is the one reported and used for the
@@ -27,6 +27,20 @@ the bracket is at most bisect_tol wide relative to its feasible end. On the
 `optimize` preset a solve makes 11.2 table lookups: one per link type for
 the precheck, then one per link type at each of 4.59 powers, where a plain
 bisection evaluates about 15.
+
+`min_powers` solves the port counts of one port search (or of one
+blocklength of `ee-vs-ports`) together, each step as it would alone. The
+prechecks run one per port count, in order; then the ITP sequences advance
+in lock-step, and each round reads the next power of every pending
+sequence in one `e2e_avg_tabulated` call, whose table lookups go through
+one barycentric pass per group of at most 1,280 points. On the `optimize`
+preset the 116 searches of 12 solves each take 5 rounds, 580 in all, for
+the 15,568 lookups of 1,392 solves, and the direct checks run as one
+stacked `e2e_avg` per rank: 696 calls, not 1,392. Every value keeps the
+bits of its solve alone. A solve that raises a `FasRelayError`, at its
+precheck, at a table fill of a round or at its direct check, drops out;
+once all are done the error of the smallest failing port count is
+raised, as a loop over the port counts in order would raise it.
 """
 
 from __future__ import annotations
