@@ -216,8 +216,6 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        # `not x > 0`: a NaN fails every comparison, so it would pass
-        # `x <= 0`
         for name, least in (("blocklength", 1), ("n_ports", 1),
                             ("traj_nodes", 2)):
             value = getattr(self, name)
@@ -226,6 +224,8 @@ class ExperimentSpec:
                     or value < least):
                 raise ValueError(f"{name} must be an integer >= {least}, "
                                  f"got {value!r}")
+        # `not x > 0`: a NaN fails every comparison, so it would pass
+        # `x <= 0`
         if not self.aperture > 0:
             raise ValueError("aperture must be positive")
         if not 0.0 < self.rank_tolerance < 1.0:
