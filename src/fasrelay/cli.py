@@ -38,8 +38,8 @@ from .chanmodel import DEFAULT_RANK_TOLERANCE, fas_spectrum
 from .errors import ConfigError, FasRelayError
 from .geometry import ScenarioConfig
 from .mcoracle import MC_MODES, McConfig, mc_average_bler
-from .optimizer import (EeConfig, PortSearchResult, best_port_count,
-                        global_optimize, min_power, port_entries)
+from .optimizer import (EeConfig, PortSearchResult, global_optimize,
+                        min_power, port_search_grid)
 
 COMMANDS = ("bler-sweep", "validate", "aperture-sweep", "power-vs-altitude",
             "ee-vs-ports", "ee-contour", "optimize")
@@ -497,19 +497,15 @@ def _rows_power_vs_altitude(spec: ExperimentSpec, seed: int):
 def _rows_ee_vs_ports(spec: ExperimentSpec, seed: int):
     n_axis = spec.sweeps.get(
         "sweep_n_ports", range(spec.ee.n_range[0], spec.ee.n_range[1] + 1))
-    rows = []
-    for l in _blocklengths(spec):
-        ev = TrajectoryEvaluator(spec.scenario, _fbl(spec, int(l)),
-                                 spec.traj_nodes)
-        for e in port_entries(ev, [int(n) for n in n_axis], spec.aperture,
-                              spec.ee, spec.rank_tolerance):
-            rows.append(_row(
-                spec, spec.scenario.uav_altitude, n_ports=e.n_ports,
-                aperture=spec.aperture, blocklength=int(l),
-                feasible=e.feasible,
-                p2_star_dbm=_to_dbm(e.p2) if e.feasible else None,
-                eps_o=e.eps_o, ee_bits_per_joule=e.ee))
-    return rows, {}
+    trace = port_search_grid(
+        spec.scenario, spec.ee, spec.aperture, _blocklengths(spec),
+        [spec.scenario.uav_altitude], spec.rank_tolerance, spec.traj_nodes,
+        spec.chi_variant, [int(n) for n in n_axis])
+    return [_row(spec, res.z_u, n_ports=e.n_ports, aperture=spec.aperture,
+                 blocklength=res.blocklength, feasible=e.feasible,
+                 p2_star_dbm=_to_dbm(e.p2) if e.feasible else None,
+                 eps_o=e.eps_o, ee_bits_per_joule=e.ee)
+            for res in trace for e in res.entries], {}
 
 
 def _port_search_row(spec: ExperimentSpec, res: PortSearchResult) -> dict:
@@ -523,13 +519,10 @@ def _port_search_row(spec: ExperimentSpec, res: PortSearchResult) -> dict:
 
 
 def _rows_ee_contour(spec: ExperimentSpec, seed: int):
-    l_axis = _blocklengths(spec)
-    fbls = {int(l): _fbl(spec, int(l)) for l in l_axis}
-    tables = {}
-    return [_port_search_row(spec, best_port_count(
-                spec.scenario, fbls[int(l)], spec.ee, float(z), spec.aperture,
-                spec.rank_tolerance, spec.traj_nodes, tables))
-            for l in l_axis for z in spec.sweeps["sweep_z"]], {}
+    return [_port_search_row(spec, res) for res in port_search_grid(
+        spec.scenario, spec.ee, spec.aperture, _blocklengths(spec),
+        spec.sweeps["sweep_z"], spec.rank_tolerance, spec.traj_nodes,
+        spec.chi_variant)], {}
 
 
 def _rows_optimize(spec: ExperimentSpec, seed: int):

@@ -13,9 +13,10 @@ Each power solve reads the end-to-end BLER by
 blocklength and spectrum (design and accuracy, about 1e-12 relative, in
 `blercore`): the precheck its 10 powers in one call, whose lookups grow
 the pair to the vartheta they reach, and the search one power per step.
-The searches of `global_optimize` share one table dict: 96 tables on the
-`optimize` preset, a pair per (L, N). The power found is then re-evaluated
-by the direct kernel: that value is the one reported and used for the
+`port_search_grid` runs the searches of `optimize`, `ee-contour` and
+`ee-vs-ports` over (L, z) on one table dict: 96 tables on the `optimize`
+preset, a pair per (L, N). The power found is then re-evaluated by the
+direct kernel: that value is the one reported and used for the
 efficiency, and a solve whose table value there is more than 1e-8
 relative off it raises `TableAccuracyError`. The largest such gap of a
 search is reported as `table_check_max_rel`.
@@ -28,19 +29,19 @@ the bracket is at most bisect_tol wide relative to its feasible end. On the
 the precheck, then one per link type at each of 4.59 powers, where a plain
 bisection evaluates about 15.
 
-`min_powers` solves the port counts of one port search (or of one
-blocklength of `ee-vs-ports`) together, each step as it would alone. The
-prechecks run one per port count, in order; then the ITP sequences advance
-in lock-step, and each round reads the next power of every pending
-sequence in one `e2e_avg_tabulated` call, whose table lookups go through
-one barycentric pass per group of at most 1,280 points. On the `optimize`
-preset the 116 searches of 12 solves each take 5 rounds, 580 in all, for
-the 15,568 lookups of 1,392 solves, and the direct checks run as one
-stacked `e2e_avg` per rank: 696 calls, not 1,392. Every value keeps the
-bits of its solve alone. A solve that raises a `FasRelayError`, at its
-precheck, at a table fill of a round or at its direct check, drops out;
-once all are done the error of the smallest failing port count is
-raised, as a loop over the port counts in order would raise it.
+`min_powers` solves the port counts of one port search together, each
+step as it would alone. The prechecks run one per port count, in order;
+then the ITP sequences advance in lock-step, and each round reads the
+next power of every pending sequence in one `e2e_avg_tabulated` call,
+whose table lookups go through one barycentric pass per group of at most
+1,280 points. On the `optimize` preset the 116 searches of 12 solves
+each take 5 rounds, 580 in all, for the 15,568 lookups of 1,392 solves,
+and the direct checks run as one stacked `e2e_avg` per rank: 696 calls,
+not 1,392. Every value keeps the bits of its solve alone. A solve that
+raises a `FasRelayError`, at its precheck, at a table fill of a round or
+at its direct check, drops out; once all are done the error of the
+smallest failing port count is raised, as a loop over the port counts in
+order would raise it.
 """
 
 from __future__ import annotations
@@ -347,35 +348,6 @@ class PortEntry:
     table_check_rel: float | None = None
 
 
-def port_entries(ev: TrajectoryEvaluator, port_counts, aperture: float,
-                 ee: EeConfig,
-                 rank_tolerance: float = DEFAULT_RANK_TOLERANCE
-                 ) -> tuple[PortEntry, ...]:
-    """Causality cut, minimum-power solve and energy efficiency of each of
-    port_counts ports at the given aperture on the scenario and blocklength
-    of ev, one entry per port count in order. The admitted port counts are
-    solved together by `min_powers`; a cut port count fills no table."""
-    blocklength = ev.fbl.blocklength
-    admitted = [n for n in port_counts if not violates_causality(
-        n, ee.port_time, blocklength, ee.bandwidth)]
-    found = dict(zip(admitted, min_powers(
-        ev, [fas_spectrum(n, aperture, rank_tolerance).lambdas
-             for n in admitted], ee)))
-    entries = []
-    for n in port_counts:
-        if found.get(n) is None:
-            entries.append(PortEntry(n_ports=n, feasible=False, p2=None,
-                                     eps_o=None, ee=0.0))
-            continue
-        p2, eps_o, gap = found[n]
-        val = energy_efficiency(ee.payload_bits, eps_o, p2, blocklength,
-                                ee.bandwidth, n, ee.port_time,
-                                ee.circuit_power, ee.switch_power)
-        entries.append(PortEntry(n_ports=n, feasible=True, p2=p2,
-                                 eps_o=eps_o, ee=val, table_check_rel=gap))
-    return tuple(entries)
-
-
 @dataclass(frozen=True)
 class PortSearchResult:
     """Port-count search at one (blocklength, altitude): every port count's
@@ -401,25 +373,63 @@ def best_port_count(cfg: ScenarioConfig, fbl: FblParams, ee: EeConfig,
                     z_u: float, aperture: float,
                     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
                     nodes: int = DEFAULT_TRAJECTORY_NODES,
-                    tables=None) -> PortSearchResult:
-    """Evaluate every admissible port count at fixed altitude and pick the
-    EE maximizer. The correlation spectrum is rebuilt per N at the fixed
-    aperture, so port spacing shrinks as ports are added."""
+                    tables=None, port_counts=None) -> PortSearchResult:
+    """Causality cut, minimum-power solve and energy efficiency of each of
+    port_counts ports (by default ee.n_range) at fixed altitude, one entry
+    per port count in order, and the EE maximizer among them. The
+    correlation spectrum is rebuilt per N at the fixed aperture, so port
+    spacing shrinks as ports are added. The admitted port counts are solved
+    together by `min_powers`; a cut port count fills no table."""
     z_u = float(z_u)
     ev = TrajectoryEvaluator(replace(cfg, uav_altitude=z_u), fbl, nodes,
                              tables)
-    entries = port_entries(ev, range(ee.n_range[0], ee.n_range[1] + 1),
-                           aperture, ee, rank_tolerance)
-    feasible = [e for e in entries if e.feasible]
-    if not feasible:
-        return PortSearchResult(blocklength=fbl.blocklength, z_u=z_u,
-                                n_star=None, p2_star=None, ee_star=0.0,
-                                feasible=False, entries=entries)
+    if port_counts is None:
+        port_counts = range(ee.n_range[0], ee.n_range[1] + 1)
+    admitted = [n for n in port_counts if not violates_causality(
+        n, ee.port_time, fbl.blocklength, ee.bandwidth)]
+    found = dict(zip(admitted, min_powers(
+        ev, [fas_spectrum(n, aperture, rank_tolerance).lambdas
+             for n in admitted], ee)))
+    entries = []
+    for n in port_counts:
+        if found.get(n) is None:
+            entries.append(PortEntry(n_ports=n, feasible=False, p2=None,
+                                     eps_o=None, ee=0.0))
+            continue
+        p2, eps_o, gap = found[n]
+        val = energy_efficiency(ee.payload_bits, eps_o, p2, fbl.blocklength,
+                                ee.bandwidth, n, ee.port_time,
+                                ee.circuit_power, ee.switch_power)
+        entries.append(PortEntry(n_ports=n, feasible=True, p2=p2,
+                                 eps_o=eps_o, ee=val, table_check_rel=gap))
     # max keeps the first maximizer, so ties go to the smaller N
-    best = max(feasible, key=lambda e: e.ee)
-    return PortSearchResult(blocklength=fbl.blocklength, z_u=z_u,
-                            n_star=best.n_ports, p2_star=best.p2,
-                            ee_star=best.ee, feasible=True, entries=entries)
+    best = max((e for e in entries if e.feasible), key=lambda e: e.ee,
+               default=None)
+    return PortSearchResult(
+        blocklength=fbl.blocklength, z_u=z_u, feasible=best is not None,
+        n_star=best.n_ports if best else None,
+        p2_star=best.p2 if best else None,
+        ee_star=best.ee if best else 0.0, entries=tuple(entries))
+
+
+def port_search_grid(cfg: ScenarioConfig, ee: EeConfig, aperture: float,
+                     blocklengths, altitudes,
+                     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
+                     nodes: int = DEFAULT_TRAJECTORY_NODES,
+                     chi_variant: str = "2^R-1",
+                     port_counts=None) -> tuple[PortSearchResult, ...]:
+    """The port search of port_counts ports (by default ee.n_range) at every
+    (blocklength, altitude), blocklength-major, on one dict of hop-2 tables:
+    a table pair per (L, N), filled once. A failing search raises at once,
+    so the error is that of the first failing (L, z, N) in this order."""
+    fbls = [linearize(ee.payload_bits / int(l), int(l), chi_variant)
+            for l in blocklengths]
+    # best_port_count is called by its module-level name, so wrapping it
+    # (a profiler, a tracer) sees every port search
+    tables = {}
+    return tuple(best_port_count(cfg, fbl, ee, z, aperture, rank_tolerance,
+                                 nodes, tables, port_counts)
+                 for fbl in fbls for z in altitudes)
 
 
 @dataclass(frozen=True)
@@ -451,15 +461,9 @@ def global_optimize(cfg: ScenarioConfig, ee: EeConfig, aperture: float,
     deliberately assumption-free since EE versus altitude is not known to
     be unimodal. Ties break toward smaller (L, Z, N), which keeps the
     result invariant to the ordering of l_set."""
-    fbls = [linearize(ee.payload_bits / int(l), int(l), chi_variant)
-            for l in ee.l_set]
-    grid = ee.altitude_grid()
-    # best_port_count is called by its module-level name, so wrapping it
-    # (a profiler, a tracer) sees every port search
-    tables = {}
-    trace = tuple(best_port_count(cfg, fbl, ee, z, aperture, rank_tolerance,
-                                  nodes, tables)
-                  for fbl in fbls for z in grid)
+    trace = port_search_grid(cfg, ee, aperture, ee.l_set,
+                             ee.altitude_grid(), rank_tolerance, nodes,
+                             chi_variant)
     table_rel = max((res.table_check_max_rel for res in trace), default=0.0)
     feasible = [res for res in trace if res.feasible]
     if not feasible:
