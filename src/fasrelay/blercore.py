@@ -246,15 +246,18 @@ class FblParams:
     chi_variant: str = "2^R-1"
 
     def __post_init__(self):
-        if self.blocklength < 1 or int(self.blocklength) != self.blocklength:
+        # `not x > 0`: a NaN fails every comparison, so it would pass
+        # `x <= 0`
+        if not (self.blocklength >= 1
+                and float(self.blocklength).is_integer()):
             raise ValueError("blocklength must be a positive integer")
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError("rate must be positive")
-        if self.chi <= 0:
+        if not self.chi > 0:
             raise ValueError("chi must be positive")
-        if abs(self.payload_bits - self.rate * self.blocklength) > 1e-9 * max(1.0, self.payload_bits):
+        if not abs(self.payload_bits - self.rate * self.blocklength) <= 1e-9 * max(1.0, self.payload_bits):
             raise ValueError("payload_bits must equal rate * blocklength")
-        if self.rho_l < 0 or self.rho_h <= self.rho_l:
+        if not 0 <= self.rho_l < self.rho_h:
             raise ValueError("need 0 <= rho_l < rho_h")
         if self.chi_variant not in CHI_VARIANTS:
             raise ValueError(f"chi_variant must be one of {CHI_VARIANTS}")
@@ -843,6 +846,9 @@ class TrajectoryEvaluator:
 
     def __init__(self, cfg: ScenarioConfig, fbl: FblParams,
                  nodes: int = DEFAULT_TRAJECTORY_NODES, tables=None):
+        # nodes = 2.5 would build 3 nodes weighted for 2.5, summing to 0.967
+        if isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)):
+            raise ValueError(f"nodes must be an integer, got {nodes!r}")
         self.cfg = cfg
         self.fbl = fbl
         self.tables = {} if tables is None else tables

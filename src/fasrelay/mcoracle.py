@@ -284,7 +284,8 @@ def mc_average_bler(cfg: ScenarioConfig, fas: FasSpectrum, fbl: FblParams,
     substitutes deterministic channel gains (g1, g2) for the fading draws,
     leaving only the geometric randomness (validation hook).
     """
-    if p2 <= 0:
+    # `not p2 > 0`: a NaN fails every comparison, so it would pass `p2 <= 0`
+    if not p2 > 0:
         raise ValueError("p2 must be positive")
     n_batches = (mc.trials + mc.batch - 1) // mc.batch
     rngs = substreams(mc.seed, n_batches)

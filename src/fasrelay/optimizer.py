@@ -140,10 +140,20 @@ def energy_efficiency(payload_bits: float, eps_o: float, p2: float,
     circuit power over the whole block, and switching power while the ports
     are scanned. Scanning must finish strictly before the block ends.
     """
+    # `not x >= 0`: a NaN fails every comparison, so it would pass `x < 0`
     if not 0.0 <= eps_o <= 1.0:
         raise ValueError("eps_o must lie in [0, 1]")
-    if p2 < 0:
+    if not p2 >= 0:
         raise ValueError("p2 must be nonnegative")
+    if not float(n_ports).is_integer():
+        raise ValueError(f"n_ports must be an integer, got {n_ports!r}")
+    for name, value in (("payload_bits", payload_bits),
+                        ("blocklength", blocklength), ("bandwidth", bandwidth),
+                        ("port_time", port_time),
+                        ("circuit_power", circuit_power),
+                        ("switch_power", switch_power)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must not be NaN")
     t_block = blocklength / bandwidth
     t_switch = n_ports * port_time
     if violates_causality(n_ports, port_time, blocklength, bandwidth):

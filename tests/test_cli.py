@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fasrelay
-from fasrelay import blercore, cli
+from fasrelay import blercore, cli, optimizer
 from fasrelay import (ConfigError, EeConfig, McConfig, ScenarioConfig,
-                      TrajectoryEvaluator, fas_spectrum, linearize)
+                      TrajectoryEvaluator, energy_efficiency, fas_spectrum,
+                      linearize)
 from fasrelay.blercore import CHI_VARIANTS, chebyshev_nodes
 from fasrelay.cli import (_KEYS, COMMANDS, ExperimentSpec, _analytic_averages,
                           main, parse_config, render, run)
@@ -199,16 +200,16 @@ def test_validate_seed_override_changes_mc(tmp_path):
     pytest.param("aperture-sweep", "sweep_aperture = 0.5, 1\n",
                  ("p2", "sweep_p2_dbm"), id="aperture-sweep-p2"),
     pytest.param("aperture-sweep", "p2 = 10 dBm\n", ("sweep_aperture",),
-                 id="aperture-sweep-sweep_aperture"),
+        id="aperture-sweep-sweep_aperture"),
     pytest.param("bler-sweep", "", ("p2", "sweep_p2_dbm"), id="bler-sweep-p2"),
     pytest.param("validate", "trials = 100\n", ("p2", "sweep_p2_dbm"),
-                 id="validate-p2"),
+        id="validate-p2"),
     pytest.param("power-vs-altitude", "sweep_n_ports = 2\n", ("sweep_z",),
-                 id="power-vs-altitude-sweep_z"),
+        id="power-vs-altitude-sweep_z"),
     pytest.param("ee-contour", "sweep_blocklength = 300\n", ("sweep_z",),
-                 id="ee-contour-sweep_z"),
+        id="ee-contour-sweep_z"),
     pytest.param("ee-contour", "sweep_z = 300\n", ("sweep_blocklength",),
-                 id="ee-contour-sweep_blocklength"),
+        id="ee-contour-sweep_blocklength"),
 ])
 def test_aperture_sweep_requires_power(tmp_path, command, text, missing):
     # a command without an axis or power it needs stops before any work,
@@ -330,6 +331,36 @@ def test_ee_contour_rows_match_optimize_trace(tmp_path):
                                                          "ee-contour")
         del a["is_optimum"]
         assert a == b
+
+
+_GRID_4 = [(300, 300.0), (300, 400.0), (400, 300.0), (400, 400.0)]
+
+
+@pytest.mark.parametrize("command, axes, points", [
+    ("optimize", "l_set = 300, 400\nz_min = 300\nz_max = 400\nz_step = 100\n",
+     _GRID_4),
+    ("ee-contour", "sweep_blocklength = 300, 400\nsweep_z = 300, 400\n",
+     _GRID_4),
+    ("ee-vs-ports", "sweep_blocklength = 300, 400\nuav_altitude = 350\n",
+     [(300, 350.0), (400, 350.0)])],
+    ids=("optimize", "ee-contour", "ee-vs-ports"))
+def test_a_tracer_of_the_optimizer_sees_every_port_search(
+        command, axes, points, tmp_path, monkeypatch):
+    # a tracer (perfbench/tracer.py) wraps the module-level
+    # optimizer.best_port_count alone, so every command that prints port
+    # searches must call it there: once per (L, z), in row order
+    calls = []
+    search = optimizer.best_port_count
+
+    def traced(cfg, fbl, ee, z_u, *args, **kwargs):
+        calls.append((fbl.blocklength, float(z_u)))
+        return search(cfg, fbl, ee, z_u, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "best_port_count", traced)
+    run_rows(parse_config("p1 = 46 dBm\nn_min = 1\nn_max = 2\n"
+                          "traj_nodes = 32\np_max = 40 dBm\n" + axes,
+                          command), tmp_path)
+    assert calls == points
 
 
 _ECHO_HEADER = [
@@ -572,6 +603,14 @@ def _spec(**fields_):
                           **fields_)
 
 
+def _ee(**args):
+    """energy_efficiency at L = 300, N = 1, with args replaced."""
+    return energy_efficiency(**dict(
+        dict(payload_bits=80, eps_o=0.0, p2=0.1, blocklength=300,
+             bandwidth=1e7, n_ports=1, port_time=2e-6, circuit_power=0.003,
+             switch_power=0.001), **args))
+
+
 @pytest.mark.parametrize("name, call", [
     ("rate", lambda: blercore.instantaneous_bler(1.0, math.nan, 100)),
     ("blocklength", lambda: blercore.instantaneous_bler(1.0, 0.8, math.nan)),
@@ -585,10 +624,34 @@ def _spec(**fields_):
     ("p2", lambda: _spec(p2=math.nan)),
     ("n_ports", lambda: _spec(n_ports=math.nan)),
     ("n_ports", lambda: _spec(n_ports=True)),
-    ("traj_nodes", lambda: _spec(traj_nodes=2.5))])
+    ("traj_nodes", lambda: _spec(traj_nodes=2.5)),
+    # the new cases carry ids, so the ids of those above stay as they are
+    pytest.param("p2", lambda: energy_efficiency(
+        80, 0.0, math.nan, 300, 1e7, 1, 2e-6, 0.003, 0.001),
+        id="energy_efficiency-p2"),
+    pytest.param("n_ports", lambda: _ee(n_ports=math.nan),
+        id="energy_efficiency-n_ports-nan"),
+    pytest.param("n_ports", lambda: _ee(n_ports=2.5),
+        id="energy_efficiency-n_ports-2.5"),
+    pytest.param("payload_bits", lambda: _ee(payload_bits=math.nan),
+        id="energy_efficiency-payload_bits"),
+    pytest.param("blocklength", lambda: _ee(blocklength=math.nan),
+        id="energy_efficiency-blocklength"),
+    pytest.param("nodes", lambda: TrajectoryEvaluator(
+        ScenarioConfig(), linearize(80 / 300, 300), 2.5),
+        id="TrajectoryEvaluator-nodes-2.5"),
+    pytest.param("nodes", lambda: TrajectoryEvaluator(
+        ScenarioConfig(), linearize(80 / 300, 300), True),
+        id="TrajectoryEvaluator-nodes-bool"),
+    pytest.param("rate", lambda: blercore.FblParams(
+        80, 300, math.nan, math.nan, 1.0, 0.5, 1.5), id="FblParams-rate"),
+    pytest.param("p2", lambda: mc_average_bler(
+        ScenarioConfig(), fas_spectrum(2, 0.5), linearize(80 / 300, 300),
+        math.nan, McConfig()), id="mc_average_bler-p2")])
 def test_a_nan_or_non_integer_argument_fails_at_the_api(name, call):
-    # each of these returned 0.0, rounded 2.5 up to 3 ports, kept one
-    # branch or constructed; the error names the parameter
+    # each of these returned 0.0 or NaN, rounded 2.5 up to 3 ports or
+    # nodes, kept one branch, constructed or named another parameter; the
+    # error names the parameter
     with pytest.raises(ValueError, match=rf"^{name}\b"):
         call()
 

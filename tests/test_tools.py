@@ -127,7 +127,8 @@ def test_bench_records_each_peak_rss_and_the_median(bench, monkeypatch):
         return study_s, cal_s, rss, {"sha256": {"csv": name, "meta": "m"},
                                      "values": values}
 
-    layers = {"min_power_s": 0.002, "port_search_s": 0.03}
+    layers = {"min_power_s": 0.002, "port_search_s": 0.03,
+              "e2e_avg_s": 0.0002}
     monkeypatch.setattr(bench, "PRESETS", {"a": "bler-sweep"})
     monkeypatch.setattr(bench, "run_preset", fake_run)
     monkeypatch.setattr(bench, "run_layers", lambda env: layers)
@@ -153,30 +154,42 @@ def test_bench_records_each_peak_rss_and_the_median(bench, monkeypatch):
 
 
 def test_compare_prints_the_layer_timings(bench, capsys):
-    # one line after the presets: both files' solve and search times, "n/a"
-    # for a file written before they were recorded
+    # one line after the presets: both files' solve, search and e2e_avg
+    # times, "n/a" for a file written before they were recorded
     ours, other = _result(a="1"), _result(a="1")
-    ours["layers"] = {"min_power_s": 0.0021, "port_search_s": 0.0315}
+    ours["layers"] = {"min_power_s": 0.0021, "port_search_s": 0.0315,
+                      "e2e_avg_s": 0.000186}
     assert bench.compare(ours, other)
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "layers: min_power n/a -> 2.10 ms, port search n/a -> 31.50 ms")
+        "layers: min_power n/a -> 2.10 ms, port search n/a -> 31.50 ms, "
+        "e2e_avg n/a -> 186.00 us")
+    # a file written before the e2e_avg timing was recorded
     other["layers"] = {"min_power_s": 0.0025, "port_search_s": 0.0355}
     assert bench.compare(ours, other)
     assert capsys.readouterr().out.splitlines()[-1] == (
         "layers: min_power 2.50 ms -> 2.10 ms, port search 35.50 ms -> "
-        "31.50 ms")
+        "31.50 ms, e2e_avg n/a -> 186.00 us")
+    other["layers"]["e2e_avg_s"] = 0.0002
+    assert bench.compare(ours, other)
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        ", e2e_avg 200.00 us -> 186.00 us")
+
+
+_LAYER_KEYS = {"min_power_s", "port_search_s", "e2e_avg_s"}
 
 
 def test_layer_times_time_a_solve_and_a_search(bench):
     times = bench.layer_times(runs=1)
-    assert set(times) == {"min_power_s", "port_search_s"}
-    # a search solves 12 port counts, the solve one of them
-    assert 0.0 < times["min_power_s"] < times["port_search_s"]
+    assert set(times) == _LAYER_KEYS
+    # a search solves 12 port counts, the solve one of them, and a solve
+    # fills its tables and ends on one direct e2e_avg
+    assert 0.0 < times["e2e_avg_s"] < times["min_power_s"] \
+        < times["port_search_s"]
 
 
 def test_run_layers_runs_in_a_process_of_its_own(bench):
     times = bench.run_layers(bench.study_env())
-    assert set(times) == {"min_power_s", "port_search_s"}
+    assert set(times) == _LAYER_KEYS
     assert all(t > 0.0 for t in times.values())
 
 

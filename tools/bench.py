@@ -19,21 +19,22 @@ widen; the sha256 of the CSV and of its ``.meta`` sidecar; and their
 values: the CSV's cells by column and the ``.meta`` entries, as written. A
 preset whose output differs between repeats is an error.
 
-After the presets it times two layers in one more fresh process, at the
+After the presets it times three layers in one more fresh process, at the
 optimize-grid anchor of the benchmark (``perfbench/workloads.py``: L = 300,
 z = 500 m, N = 1..12): one minimum-power solve at N = 12 and one port
-search over N = 1..12, each on fresh hop-2 tables, as the median of 21
-runs in that process after one warm-up run of each. They are raw
-``time.perf_counter`` seconds, not scaled by a calibration, and go to
-``layers`` in the file.
+search over N = 1..12, each on fresh hop-2 tables, and one direct
+end-to-end BLER average (``e2e_avg``) at N = 12 and the power that solve
+returns, as the median of 21 runs in that process after one warm-up run of
+each. They are raw ``time.perf_counter`` seconds, not scaled by a
+calibration, and go to ``layers`` in the file.
 
 With --against, it then prints per preset whether the CSV and ``.meta``
 are identical to those of the other file, or which of them differ
 (``differs: csv``, ``differs: meta`` or ``differs: csv, meta``), with both
 median study times, each followed by its quartiles in brackets and its
 median raw time, and both median peak RSS, then, where either file holds
-them, one line with both layer timings ("n/a" for what a file written
-before it was recorded lacks),
+them, one line with both files' layer timings ("n/a" for what a file
+written before it was recorded lacks),
 and exits 1 if any preset differs or is missing from either file. When the
 two files record different python, numpy or scipy versions it first prints
 one ``note:`` line naming them, since bits may legitimately differ across
@@ -154,10 +155,13 @@ LAYER_RUNS = 21
 
 def layer_times(runs: int = LAYER_RUNS) -> dict:
     """The median seconds, over runs after one warm-up, of one
-    minimum-power solve at the largest port count (``min_power_s``) and of
-    one port search (``port_search_s``) at the optimize-grid anchor, each on
-    fresh hop-2 tables: the solve on a new evaluator, built outside the
-    timed call, and the search building its own."""
+    minimum-power solve at the largest port count (``min_power_s``), of
+    one port search (``port_search_s``) and of one direct ``e2e_avg`` at
+    the largest port count and the power its solve returns
+    (``e2e_avg_s``) at the optimize-grid anchor. The solve and the search
+    run on fresh hop-2 tables: the solve on a new evaluator, built outside
+    the timed call, and the search building its own. The ``e2e_avg`` calls
+    share one evaluator, built before any of them."""
     from dataclasses import replace
     from fasrelay import (TrajectoryEvaluator, best_port_count, fas_spectrum,
                           linearize, min_power)
@@ -185,8 +189,17 @@ def layer_times(runs: int = LAYER_RUNS) -> dict:
                         spec.rank_tolerance, spec.traj_nodes)
         return time.perf_counter() - start
 
+    ev = TrajectoryEvaluator(scenario, fbl, spec.traj_nodes)
+    power = min_power(ev, lambdas, ee)[0]
+
+    def e2e_avg():
+        start = time.perf_counter()
+        ev.e2e_avg(power, lambdas)
+        return time.perf_counter() - start
+
     times = {}
-    for name, timed in (("min_power_s", solve), ("port_search_s", search)):
+    for name, timed in (("min_power_s", solve), ("port_search_s", search),
+                        ("e2e_avg_s", e2e_avg)):
         timed()
         times[name] = statistics.median(timed() for _ in range(runs))
     return times
@@ -261,15 +274,20 @@ def _rss(entry: dict) -> str:
     return "n/a" if rss is None else f"{rss:.1f} MB"
 
 
+# layer timings --against prints: (label, key in ``layers``, unit, scale)
+_LAYERS = (("min_power", "min_power_s", "ms", 1e3),
+           ("port search", "port_search_s", "ms", 1e3),
+           ("e2e_avg", "e2e_avg_s", "us", 1e6))
+
+
 def _layers(ours: dict, other: dict) -> str:
     """The line of both files' layer timings, other first."""
-    def ms(result: dict, name: str) -> str:
+    def show(result: dict, name: str, unit: str, scale: float) -> str:
         seconds = result.get("layers", {}).get(name)
-        return "n/a" if seconds is None else f"{seconds * 1e3:.2f} ms"
+        return "n/a" if seconds is None else f"{seconds * scale:.2f} {unit}"
     return "layers: " + ", ".join(
-        f"{label} {ms(other, name)} -> {ms(ours, name)}"
-        for label, name in (("min_power", "min_power_s"),
-                            ("port search", "port_search_s")))
+        f"{label} {show(other, *key)} -> {show(ours, *key)}"
+        for label, *key in _LAYERS)
 
 
 _CLASSES = ("analytic", "solved", "monte carlo")
